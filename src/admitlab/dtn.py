@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .admittivity import AdmittivityFamily, ParameterField
 from .errors import ConfigError, NumericError
-from .fem import BlockSystem, Mesh, assemble, assemble_stiffness, energy_density
+from .fem import (BlockSystem, Mesh, assemble, assemble_stiffness, energy_density,
+                  schur_onto)
 from .geometry import BoundaryPatch
 
 
@@ -106,12 +106,7 @@ def h_half_gram(mesh: Mesh, basis: SigmaBasis) -> np.ndarray:
     K = assemble_stiffness(mesh, np.eye(3))
     interior = np.where(~mesh.boundary_vertex_mask)[0]
     sig = np.asarray(basis.vertices, dtype=int)
-    K_ii = K[np.ix_(interior, interior)].tocsc()
-    K_is = K[np.ix_(interior, sig)].toarray()
-    K_ss = K[np.ix_(sig, sig)].toarray()
-    lu = spla.splu(K_ii)
-    X = lu.solve(K_is)
-    schur = K_ss - K_is.T @ X
+    schur = schur_onto(K, interior, sig)
     mass = boundary_mass_sigma(mesh)[np.ix_(sig, sig)].toarray()
     gram = schur + mass
     gram = 0.5 * (gram + gram.T)
@@ -130,7 +125,12 @@ def assemble_dtn(
     gram: np.ndarray = None,
     system: BlockSystem = None,
 ) -> LocalDtnMatrix:
-    """Assemble the local DtN pairing by one Dirichlet solve per hat."""
+    """Assemble the local DtN pairing from one multi-column interior solve.
+
+    pairing[i, j] is the energy of the solution with hat data i against the
+    zero-interior lifting of hat j: the flux of solution i at vertex j, which
+    is the transposed Schur complement of the system onto the basis.
+    """
     if k is None:
         k = family.freq
     if basis is None:
@@ -139,16 +139,7 @@ def assemble_dtn(
         gram = h_half_gram(mesh, basis)
     if system is None:
         system = assemble(mesh, family, a, k)
-    d = basis.count
-    solutions = np.empty((mesh.n_vertices, d), dtype=complex)
-    for j, v in enumerate(basis.vertices):
-        g = np.zeros(mesh.n_vertices, dtype=complex)
-        g[v] = 1.0
-        solutions[:, j] = system.solve_dirichlet(g).values
-    fluxes = system.K_complex @ solutions
-    # pairing[i, j] = energy of solution i against the lifting of hat j,
-    # which collapses to the flux of solution i read off at vertex j.
-    pairing = fluxes[list(basis.vertices), :].T.copy()
+    pairing = system.schur_onto(basis.vertices).T
     return LocalDtnMatrix(basis=basis, pairing=pairing, gram=gram)
 
 

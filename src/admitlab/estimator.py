@@ -231,7 +231,10 @@ def weighted_integral(box: BoxDomain, z, rho: float, exponent: float) -> float:
 
 @dataclass
 class LabFrame:
-    """Geometry, meshes, basis and Gram shared by all forwards of a run."""
+    """Geometry, meshes, basis and Gram shared by all forwards of a run.
+
+    vertex_map holds the index in mesh_eta of each vertex of mesh.
+    """
 
     box: BoxDomain
     patch: BoundaryPatch
@@ -242,6 +245,7 @@ class LabFrame:
     enlarged: EnlargedDomain
     mesh: Mesh
     mesh_eta: Mesh
+    vertex_map: np.ndarray
     basis: SigmaBasis
     gram: np.ndarray
     window: Optional[WindowResult] = None
@@ -271,6 +275,7 @@ def build_frame(
     return LabFrame(
         box=box, patch=patch, eta=eta, h=h, family=family,
         eta_sets=eta_sets, enlarged=enlarged, mesh=mesh, mesh_eta=mesh_eta,
+        vertex_map=mesh.shared_vertex_map(mesh_eta),
         basis=basis, gram=gram, window=window,
     )
 
@@ -398,7 +403,7 @@ def _pair_records(
                 probe, frame.enlarged, frame.mesh_eta, frame.family, fwd.a,
                 system=fwd.system_eta,
             )
-            trace.append(corrected.trace_vector(frame.mesh))
+            trace.append(corrected.trace_vector(frame.mesh, frame.vertex_map))
         f1 = trace[0][sigma_idx]
         f2 = trace[1][sigma_idx]
         n1 = _gram_norm(frame.gram, f1)

@@ -4,7 +4,8 @@ The complex divergence-form equation is assembled as the real 2x2-block
 strongly elliptic system with blocks [A_R, -k A_I; k A_I, A_R] sampled at tet
 barycenters (one-point quadrature).  Solves go through the equivalent complex
 matrix K_R + i K_I; the assembled block matrix is exposed for the structure
-and ellipticity checks.
+and ellipticity checks.  Schur complements onto boundary dofs (the DtN
+pairing and the trace Gram) come from one multi-column interior solve.
 """
 
 from __future__ import annotations
@@ -108,7 +109,13 @@ class Mesh:
 
         self.boundary_vertex_mask = np.zeros(len(verts), dtype=bool)
         self.boundary_vertex_mask[np.unique(boundary_tris)] = True
-        self._vertex_lookup = {tuple(key): i for i, key in enumerate(map(tuple, ijk))}
+        # Lattice keys linearised over the bounding ijk box and sorted once,
+        # so lookups are a vectorised binary search.
+        self._ijk_lo = ijk.min(axis=0)
+        self._ijk_hi = ijk.max(axis=0)
+        keys = self._linear_keys(ijk)
+        self._key_order = np.argsort(keys, kind="stable")
+        self._sorted_keys = keys[self._key_order]
 
     @property
     def n_vertices(self) -> int:
@@ -118,14 +125,32 @@ class Mesh:
     def n_tets(self) -> int:
         return len(self.tets)
 
-    def vertex_at(self, ijk_key) -> int:
-        return self._vertex_lookup[tuple(int(v) for v in ijk_key)]
+    def _linear_keys(self, ijk: np.ndarray) -> np.ndarray:
+        span = self._ijk_hi - self._ijk_lo + 1
+        rel = np.asarray(ijk, dtype=np.int64) - self._ijk_lo
+        return (rel[:, 0] * span[1] + rel[:, 1]) * span[2] + rel[:, 2]
+
+    def vertex_indices(self, ijk) -> np.ndarray:
+        """Vertex indices of integer lattice keys, one per row of `ijk`."""
+        ijk = np.asarray(ijk, dtype=np.int64).reshape(-1, 3)
+        inside = np.all((ijk >= self._ijk_lo) & (ijk <= self._ijk_hi), axis=1)
+        keys = np.where(inside, self._linear_keys(ijk), -1)
+        pos = np.minimum(np.searchsorted(self._sorted_keys, keys),
+                         len(self._sorted_keys) - 1)
+        missing = ~inside | (self._sorted_keys[pos] != keys)
+        if np.any(missing):
+            first = tuple(int(v) for v in ijk[np.argmax(missing)])
+            raise GeometryError(
+                f"{int(np.sum(missing))} lattice keys are not mesh vertices, "
+                f"first {first}"
+            )
+        return self._key_order[pos]
 
     def shared_vertex_map(self, other: "Mesh") -> np.ndarray:
         """Indices in `other` of this mesh's vertices (same lattice anchor)."""
         if abs(self.h - other.h) > 1e-12 or np.max(np.abs(self.anchor - other.anchor)) > 1e-12:
             raise GeometryError("meshes do not share a lattice")
-        return np.array([other.vertex_at(key) for key in self.ijk], dtype=int)
+        return other.vertex_indices(self.ijk)
 
 
 def _build_from_cells(cells, h, anchor, sigma_tagger=None) -> Mesh:
@@ -277,6 +302,57 @@ class ComplexField:
         return np.einsum("ta,taj->tj", self.values[self.mesh.tets], self.mesh.grads)
 
 
+_RESIDUAL_RTOL = 1e-10
+
+
+def _factor_interior(K_ii: sp.spmatrix) -> spla.SuperLU:
+    """Sparse LU of an interior block, ordered and factored symmetrically.
+
+    Every interior block here is complex symmetric with a positive definite
+    real part, so elimination in diagonal order needs no pivoting; the
+    residual checks of the callers stay as the guard.
+    """
+    try:
+        return spla.splu(K_ii.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise SolverError(f"sparse factorisation failed: {exc}") from exc
+
+
+def _check_residual(K_ii: sp.spmatrix, x: np.ndarray, rhs: np.ndarray) -> None:
+    """SolverError unless every column has |K_ii x - rhs| <= 1e-10 |rhs|."""
+    x = x.reshape(len(x), -1)
+    rhs = rhs.reshape(len(rhs), -1)
+    resid = np.linalg.norm(K_ii @ x - rhs, axis=0)
+    scale = np.maximum(np.linalg.norm(rhs, axis=0), 1e-300)
+    bad = resid > _RESIDUAL_RTOL * scale
+    if np.any(bad):
+        col = int(np.argmax(bad))
+        raise SolverError(
+            "interior residual too large",
+            diagnostics={"residual": float(resid[col]), "scale": float(scale[col]),
+                         "column": col},
+        )
+
+
+def schur_onto(K: sp.csr_matrix, interior, sigma, solve=None) -> np.ndarray:
+    """Dense Schur complement K_ss - K_sI K_II^{-1} K_Is onto the dofs sigma.
+
+    All columns go through one multi-column interior solve, `solve(rhs)`
+    (a fresh factorisation of K_II when omitted), and each column's residual
+    is checked.
+    """
+    interior = np.asarray(interior, dtype=int)
+    sigma = np.asarray(sigma, dtype=int)
+    K_ii = K[np.ix_(interior, interior)]
+    if solve is None:
+        solve = _factor_interior(K_ii).solve
+    K_is = K[np.ix_(interior, sigma)].toarray()
+    X = solve(K_is)
+    _check_residual(K_ii, X, K_is)
+    return K[np.ix_(sigma, sigma)].toarray() - K[np.ix_(sigma, interior)] @ X
+
+
 class BlockSystem:
     """Assembled 2x2-block system with cached factorisation.
 
@@ -312,15 +388,14 @@ class BlockSystem:
         return self._boundary
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
+        """K_II^{-1} rhs for an (n,) or (n, d) right-hand side."""
         n = self._K_ii.shape[0]
         if n <= self.DIRECT_LIMIT:
             if self._lu is None:
-                try:
-                    self._lu = spla.splu(self._K_ii)
-                except RuntimeError as exc:
-                    raise SolverError(f"sparse factorisation failed: {exc}") from exc
+                self._lu = _factor_interior(self._K_ii)
             return self._lu.solve(rhs)
-        # Normal-form CG with diagonal preconditioning for large systems.
+        # Normal-form CG with diagonal preconditioning for large systems,
+        # one column at a time.
         K = self._K_ii
         diag = np.asarray(np.abs(K).power(2).sum(axis=0)).ravel()
         diag[diag == 0.0] = 1.0
@@ -328,14 +403,23 @@ class BlockSystem:
             (n, n), matvec=lambda x: K.conj().T @ (K @ x), dtype=complex
         )
         precond = spla.LinearOperator((n, n), matvec=lambda x: x / diag, dtype=complex)
-        sol, info = spla.cg(normal, K.conj().T @ rhs, rtol=1e-12, maxiter=20 * n,
-                            M=precond)
-        if info != 0:
-            raise SolverError(
-                "normal-form CG did not converge",
-                diagnostics={"info": info, "size": n},
-            )
-        return sol
+        cols = np.asarray(rhs).reshape(n, -1)
+        out = np.empty(cols.shape, dtype=complex)
+        for j in range(cols.shape[1]):
+            out[:, j], info = spla.cg(normal, K.conj().T @ cols[:, j], rtol=1e-12,
+                                      maxiter=20 * n, M=precond)
+            if info != 0:
+                raise SolverError(
+                    "normal-form CG did not converge",
+                    diagnostics={"info": info, "size": n, "column": j},
+                )
+        return out.reshape(np.shape(rhs))
+
+    def schur_onto(self, sigma) -> np.ndarray:
+        """Schur complement of K_R + i K_I onto boundary dofs sigma, solved
+        with this system's cached factorisation."""
+        return schur_onto(self.K_complex, self._interior, sigma,
+                          solve=self._solve_interior)
 
     def solve_dirichlet(self, g) -> ComplexField:
         """Solve with Dirichlet data g (full-length nodal vector)."""
@@ -346,13 +430,7 @@ class BlockSystem:
             raise SolverError("boundary data contains non-finite values")
         rhs = -(self._K_ib @ g[self._boundary])
         u_int = self._solve_interior(rhs)
-        resid = np.linalg.norm(self._K_ii @ u_int - rhs)
-        scale = max(np.linalg.norm(rhs), 1e-300)
-        if resid > 1e-10 * scale:
-            raise SolverError(
-                "interior residual too large",
-                diagnostics={"residual": float(resid), "scale": float(scale)},
-            )
+        _check_residual(self._K_ii, u_int, rhs)
         values = np.zeros(self.mesh.n_vertices, dtype=complex)
         values[self._boundary] = g[self._boundary]
         values[self._interior] = u_int

@@ -231,26 +231,27 @@ class CorrectedProbe:
     def mesh_eta(self) -> Mesh:
         return self.corrector.mesh
 
-    def total_at_nodes(self) -> np.ndarray:
-        """u_m + corrector at the vertices of the enlargement mesh.
+    def total_at_nodes(self, nodes: np.ndarray) -> np.ndarray:
+        """u_m + corrector at the given vertices of the enlargement mesh.
 
         Exactly zero at the enlarged boundary by construction of the data.
         """
         mesh = self.mesh_eta
-        vals = np.zeros(mesh.n_vertices, dtype=complex)
-        free = ~mesh.boundary_vertex_mask
-        vals[free] = (
-            leading_term(self.probe, mesh.verts[free]) + self.corrector.values[free]
-        )
+        vals = np.zeros(len(nodes), dtype=complex)
+        free = ~mesh.boundary_vertex_mask[nodes]
+        inner = nodes[free]
+        vals[free] = leading_term(self.probe, mesh.verts[inner]) + self.corrector.values[inner]
         return vals
 
-    def trace_vector(self, mesh_omega: Mesh) -> np.ndarray:
-        """Nodal boundary trace on the original domain mesh (zero interior)."""
-        vmap = mesh_omega.shared_vertex_map(self.mesh_eta)
-        total = self.total_at_nodes()
+    def trace_vector(self, mesh_omega: Mesh, vmap: np.ndarray) -> np.ndarray:
+        """Nodal boundary trace on the original domain mesh (zero interior).
+
+        vmap is `mesh_omega.shared_vertex_map(self.mesh_eta)`, computed once
+        per pair of meshes by the caller.
+        """
         trace = np.zeros(mesh_omega.n_vertices, dtype=complex)
         bnd = mesh_omega.boundary_vertex_mask
-        trace[bnd] = total[vmap[bnd]]
+        trace[bnd] = self.total_at_nodes(vmap[bnd])
         return trace
 
 

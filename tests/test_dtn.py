@@ -4,14 +4,35 @@ import pytest
 from admitlab.dtn import (alessandrini_gap, assemble_dtn, boundary_mass_sigma,
                           dtn_star_norm, h_half_gram, monte_carlo_star_norm,
                           operator_norm, sigma_basis)
-from admitlab.errors import ConfigError
-from admitlab.families import (constant_field, rotated_anisotropic_family,
+from admitlab.errors import ConfigError, SolverError
+from admitlab.families import (affine_field, constant_field,
+                               diagonal_affine_family,
+                               rotated_anisotropic_family,
                                scalar_identity_family)
-from admitlab.fem import build_mesh
+from admitlab.fem import assemble, assemble_stiffness, build_mesh, schur_onto
 from admitlab.geometry import BoundaryPatch, BoxDomain
 
 BOX = BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 PATCH = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
+WIDE = BoundaryPatch(BOX, "z+", (0.1, 0.1), (0.9, 0.9))
+BUILTIN_FAMILIES = {
+    "scalar": scalar_identity_family(k=0.05, imag=1.0),
+    "diagonal": diagonal_affine_family(k=0.05, slope=(1.0, 1.2, 0.8),
+                                       offset=(0.1, 0.0, 0.2), imag=(1.0, 0.7, 1.3)),
+    "rotated": rotated_anisotropic_family(k=0.002, eps=0.3, imag=1.1),
+}
+
+
+def per_hat_pairing(system, basis):
+    """Reference pairing: one Dirichlet solve per hat, fluxes read at the basis."""
+    mesh = system.mesh
+    solutions = np.empty((mesh.n_vertices, basis.count), dtype=complex)
+    for j, v in enumerate(basis.vertices):
+        g = np.zeros(mesh.n_vertices, dtype=complex)
+        g[v] = 1.0
+        solutions[:, j] = system.solve_dirichlet(g).values
+    fluxes = system.K_complex @ solutions
+    return fluxes[list(basis.vertices), :].T
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +157,50 @@ class TestAssembleDtn:
         value_pairing = f1 @ d.pairing @ f2
         value_lift = complex(u1.values @ (system.K_complex @ lift))
         assert abs(value_pairing - value_lift) <= 1e-9
+
+
+class TestSchurOracles:
+    @pytest.mark.parametrize("h", [0.25, 0.125])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_FAMILIES))
+    def test_pairing_matches_per_hat_solves(self, name, h):
+        fam = BUILTIN_FAMILIES[name]
+        a = affine_field(1.1, (0.1, -0.05, 0.2))
+        mesh = build_mesh(BOX, h, patch=WIDE)
+        basis = sigma_basis(mesh, WIDE)
+        system = assemble(mesh, fam, a, fam.freq)
+        d = assemble_dtn(mesh, fam, a, WIDE, basis=basis, gram=np.eye(basis.count),
+                         system=system)
+        ref = per_hat_pairing(system, basis)
+        assert np.max(np.abs(d.pairing - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("h", [0.25, 0.125])
+    def test_gram_matches_dense_schur(self, h):
+        mesh = build_mesh(BOX, h, patch=WIDE)
+        basis = sigma_basis(mesh, WIDE)
+        K = assemble_stiffness(mesh, np.eye(3)).toarray()
+        interior = np.where(~mesh.boundary_vertex_mask)[0]
+        sig = np.asarray(basis.vertices)
+        K_is = K[np.ix_(interior, sig)]
+        schur = K[np.ix_(sig, sig)] - K_is.T @ np.linalg.solve(
+            K[np.ix_(interior, interior)], K_is)
+        ref = schur + boundary_mass_sigma(mesh)[np.ix_(sig, sig)].toarray()
+        ref = 0.5 * (ref + ref.T)
+        gram = h_half_gram(mesh, basis)
+        assert np.max(np.abs(gram - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_failed_column_residual_raises(self, mesh8, basis8):
+        K = assemble_stiffness(mesh8, np.eye(3))
+        interior = np.where(~mesh8.boundary_vertex_mask)[0]
+        K_ii = K[np.ix_(interior, interior)].toarray()
+
+        def solve_with_bad_column(rhs):
+            X = np.linalg.solve(K_ii, rhs)
+            X[:, 3] *= 1.0 + 1e-6
+            return X
+
+        with pytest.raises(SolverError) as err:
+            schur_onto(K, interior, basis8.vertices, solve=solve_with_bad_column)
+        assert err.value.diagnostics["column"] == 3
 
 
 class TestStarNorm:

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from admitlab.errors import ConfigError, SolverError
+from admitlab.errors import ConfigError, GeometryError, SolverError
 from admitlab.families import constant_field, scalar_identity_family
 from admitlab.fem import (BlockSystem, ComplexField, assemble,
                           assemble_stiffness, build_mesh, energy_density,
                           energy_pairing, interpolate)
-from admitlab.geometry import BoxDomain, BoundaryPatch, build_enlarged_domain
+from admitlab.geometry import (FACE_NAMES, BoxDomain, BoundaryPatch,
+                               build_enlarged_domain)
 
 BOX = BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 LAPLACE = scalar_identity_family(k=0.0, imag=0.0)
@@ -57,6 +60,68 @@ class TestMesh:
         mesh_eta = build_mesh(enlarged, 0.125)
         vmap = mesh.shared_vertex_map(mesh_eta)
         assert np.allclose(mesh.verts, mesh_eta.verts[vmap])
+
+
+def _dict_vertex_map(mesh, other):
+    """Reference lookup: one dict probe per vertex of `mesh`."""
+    lookup = {tuple(key): i for i, key in enumerate(map(tuple, other.ijk))}
+    return np.array([lookup[tuple(int(v) for v in key)] for key in mesh.ijk], dtype=int)
+
+
+@st.composite
+def enlarged_meshes(draw):
+    """Box and enlarged-domain meshes on a random lattice, face and patch.
+
+    Patch edges sit half a pitch off the lattice and eta = 2h, so the bump
+    base snaps inside the patch with an inset of h/2.
+    """
+    h = draw(st.sampled_from([0.25, 0.2, 0.125]))
+    cells = [draw(st.integers(6, 8)) for _ in range(3)]
+    lo = np.array([draw(st.integers(-4, 4)) * 0.125 for _ in range(3)])
+    box = BoxDomain(tuple(lo), tuple(lo + np.array(cells) * h))
+    face = draw(st.sampled_from(sorted(FACE_NAMES)))
+    axis = FACE_NAMES[face][0]
+    rect_lo, rect_hi = [], []
+    for t in (a for a in range(3) if a != axis):
+        i0 = draw(st.integers(0, cells[t] - 6))
+        i1 = draw(st.integers(i0 + 6, cells[t]))
+        rect_lo.append(lo[t] + (i0 + 0.5) * h)
+        rect_hi.append(lo[t] + (i1 - 0.5) * h)
+    patch = BoundaryPatch(box, face, tuple(rect_lo), tuple(rect_hi))
+    enlarged = build_enlarged_domain(box, patch, 2.0 * h, grid_h=h, check_samples=100)
+    return build_mesh(box, h, patch=patch), build_mesh(enlarged, h)
+
+
+class TestVertexLookup:
+    @settings(max_examples=25, deadline=None)
+    @given(meshes=enlarged_meshes())
+    def test_shared_map_matches_dict_lookup(self, meshes):
+        mesh, mesh_eta = meshes
+        vmap = mesh.shared_vertex_map(mesh_eta)
+        assert np.array_equal(vmap, _dict_vertex_map(mesh, mesh_eta))
+        assert np.allclose(mesh.verts, mesh_eta.verts[vmap])
+        # The bump vertices have no counterpart in the box mesh.
+        with pytest.raises(GeometryError):
+            mesh_eta.shared_vertex_map(mesh)
+
+    @settings(max_examples=25, deadline=None)
+    @given(meshes=enlarged_meshes(), data=st.data())
+    def test_single_key_found_or_rejected(self, meshes, data):
+        _, mesh_eta = meshes
+        lookup = {tuple(key): i for i, key in enumerate(map(tuple, mesh_eta.ijk))}
+        key = tuple(
+            data.draw(st.integers(int(lo) - 2, int(hi) + 2))
+            for lo, hi in zip(mesh_eta.ijk.min(axis=0), mesh_eta.ijk.max(axis=0))
+        )
+        if key in lookup:
+            assert mesh_eta.vertex_indices([key]).tolist() == [lookup[key]]
+        else:
+            with pytest.raises(GeometryError):
+                mesh_eta.vertex_indices([key])
+
+    def test_foreign_lattice_rejected(self):
+        with pytest.raises(GeometryError):
+            build_mesh(BOX, 0.25).shared_vertex_map(build_mesh(BOX, 0.125))
 
 
 class TestBlockSystem:
@@ -170,6 +235,12 @@ class TestBlockSystem:
         iterative = assemble(mesh, fam, A_ONE, 0.1)
         u_iter = iterative.solve_dirichlet(g)
         assert np.max(np.abs(u_iter.values - u_direct.values)) <= 1e-8
+        # The multi-column Schur solve goes through the same CG path, one
+        # column at a time, and matches the direct factorisation.
+        schur_direct = direct.schur_onto(direct.boundary)
+        schur_iter = iterative.schur_onto(iterative.boundary)
+        assert schur_iter.shape == (len(direct.boundary),) * 2
+        assert np.max(np.abs(schur_iter - schur_direct)) <= 1e-8 * np.max(np.abs(schur_direct))
 
 
 class TestConvergence:

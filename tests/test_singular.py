@@ -206,7 +206,7 @@ class TestCorrectedProbe:
             probe = make_probe(fam, a, z, m)
             corrected = build_corrected_probe(probe, enlarged, mesh_eta, fam, a,
                                               system=system_eta)
-            trace = corrected.trace_vector(mesh)
+            trace = corrected.trace_vector(mesh, mesh.shared_vertex_map(mesh_eta))
             bnd = mesh.boundary_vertex_mask
             lat = patch.lateral(mesh.verts)
             off_patch = bnd & ~(
