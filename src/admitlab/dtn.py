@@ -16,8 +16,8 @@ import scipy.sparse as sp
 
 from .admittivity import AdmittivityFamily, ParameterField
 from .errors import ConfigError, NumericError
-from .fem import (BlockSystem, Mesh, assemble, assemble_stiffness, energy_density,
-                  schur_onto)
+from .fem import (BlockSystem, Mesh, assemble, assemble_csr, assemble_stiffness,
+                  csr_pattern, energy_density, schur_onto)
 from .geometry import BoundaryPatch
 
 
@@ -89,11 +89,7 @@ def boundary_mass_sigma(mesh: Mesh) -> sp.csr_matrix:
     )
     local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     vals = areas[:, None, None] * local[None, :, :]
-    rows = np.repeat(tris, 3, axis=1).reshape(-1)
-    cols = np.tile(tris, (1, 3)).reshape(-1)
-    return sp.coo_matrix(
-        (vals.reshape(-1), (rows, cols)), shape=(mesh.n_vertices, mesh.n_vertices)
-    ).tocsr()
+    return assemble_csr(csr_pattern(tris, mesh.n_vertices), vals)
 
 
 def h_half_gram(mesh: Mesh, basis: SigmaBasis) -> np.ndarray:

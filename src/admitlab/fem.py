@@ -6,12 +6,16 @@ barycenters (one-point quadrature).  Solves go through the equivalent complex
 matrix K_R + i K_I; the assembled block matrix is exposed for the structure
 and ellipticity checks.  Schur complements onto boundary dofs (the DtN
 pairing and the trace Gram) come from one multi-column interior solve.
+
+Meshes are built from integer lattice keys, and every assembly scatters
+element blocks into a CSR pattern that each mesh computes once, since many
+admittivities are assembled on the same pair of meshes.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -116,6 +120,7 @@ class Mesh:
         keys = self._linear_keys(ijk)
         self._key_order = np.argsort(keys, kind="stable")
         self._sorted_keys = keys[self._key_order]
+        self._stiffness_pattern = None
 
     @property
     def n_vertices(self) -> int:
@@ -124,6 +129,13 @@ class Mesh:
     @property
     def n_tets(self) -> int:
         return len(self.tets)
+
+    @property
+    def stiffness_pattern(self) -> CsrPattern:
+        """P1 stiffness pattern with the tets' scatter map, built once."""
+        if self._stiffness_pattern is None:
+            self._stiffness_pattern = csr_pattern(self.tets, self.n_vertices)
+        return self._stiffness_pattern
 
     def _linear_keys(self, ijk: np.ndarray) -> np.ndarray:
         span = self._ijk_hi - self._ijk_lo + 1
@@ -153,20 +165,67 @@ class Mesh:
         return other.vertex_indices(self.ijk)
 
 
-def _build_from_cells(cells, h, anchor, sigma_tagger=None) -> Mesh:
-    cells = np.asarray(cells, dtype=np.int64)
-    corners = cells[:, None, :] + _CORNER_OFFSETS[None, :, :]
-    flat = corners.reshape(-1, 3)
-    verts_ijk, inverse = np.unique(flat, axis=0, return_inverse=True)
-    corner_idx = inverse.reshape(len(cells), 8)
-    verts = anchor[None, :] + verts_ijk * h
+# Face keys (a*nv + b)*nv + c of sorted vertex triples are below nv**3,
+# which int64 holds for nv < 2**21.
+_FACE_KEY_LIMIT = 2**21
 
+
+def _face_keys(faces_sorted: np.ndarray, nv: int) -> np.ndarray:
+    """One int64 key per row-sorted vertex triple, in lexicographic order."""
+    if nv >= _FACE_KEY_LIMIT:
+        raise GeometryError(
+            f"a mesh of {nv} vertices overflows the int64 face keys "
+            f"(at most {_FACE_KEY_LIMIT - 1} vertices)"
+        )
+    f = np.asarray(faces_sorted, dtype=np.int64)
+    return (f[:, 0] * nv + f[:, 1]) * nv + f[:, 2]
+
+
+def _sorted_runs(keys: np.ndarray):
+    """Sorted keys and the mask of positions starting a run of equal keys.
+
+    A plain sort: it is several times faster here than np.unique, which
+    hashes first.
+    """
+    keys = np.sort(keys)
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return keys, starts
+
+
+def _lattice_topology(cells):
+    """Vertex ijk keys (lexicographic), Kuhn tets and boundary triangles
+    (row-sorted, lexicographic) of a set of lattice cells."""
+    cells = np.asarray(cells, dtype=np.int64)
+    # Corners are found by linearised ijk keys, whose order is the
+    # lexicographic order of the ijk rows.
+    lo = cells.min(axis=0)
+    span = cells.max(axis=0) - lo + 2
+    rel = (cells - lo)[:, None, :] + _CORNER_OFFSETS[None, :, :]
+    keys = ((rel[..., 0] * span[1] + rel[..., 1]) * span[2] + rel[..., 2]).ravel()
+    keys_sorted, starts = _sorted_runs(keys)
+    uniq = keys_sorted[starts]
+    corner_idx = np.searchsorted(uniq, keys).reshape(len(cells), 8)
+    verts_ijk = lo + np.stack(
+        [uniq // (span[1] * span[2]), uniq // span[2] % span[1], uniq % span[2]],
+        axis=1,
+    )
     tets = corner_idx[:, _TET_PATTERNS].reshape(-1, 4)
 
-    faces = tets[:, _FACE_LOCAL].reshape(-1, 3)
-    faces_sorted = np.sort(faces, axis=1)
-    uniq, counts = np.unique(faces_sorted, axis=0, return_counts=True)
-    boundary = uniq[counts == 1]
+    # A boundary face belongs to exactly one tet.
+    nv = len(verts_ijk)
+    faces_sorted = np.sort(tets[:, _FACE_LOCAL].reshape(-1, 3), axis=1)
+    face_keys, starts = _sorted_runs(_face_keys(faces_sorted, nv))
+    single = starts & np.append(starts[1:], True)
+    bkeys = face_keys[single]
+    boundary = np.stack([bkeys // (nv * nv), bkeys // nv % nv, bkeys % nv], axis=1)
+    return verts_ijk, tets, boundary
+
+
+def _build_from_cells(cells, h, anchor, sigma_tagger=None) -> Mesh:
+    verts_ijk, tets, boundary = _lattice_topology(cells)
+    verts = anchor[None, :] + verts_ijk * h
 
     ijk_b = verts_ijk[boundary]
     axis = np.full(len(boundary), -1, dtype=np.int8)
@@ -259,22 +318,61 @@ def build_mesh(domain, h: float, patch: Optional[BoundaryPatch] = None) -> Mesh:
     return _build_from_cells(all_cells, h, lo.copy(), sigma_tagger=tagger)
 
 
+class CsrPattern(NamedTuple):
+    """Sparsity of a sum of m x m element blocks, and where each goes.
+
+    `scatter[e, a * m + b]` is the data slot of entry (elems[e, a],
+    elems[e, b]).  The arrays are read-only; matrices get copies.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    scatter: np.ndarray
+
+
+def csr_pattern(elems, n: int) -> CsrPattern:
+    """CSR pattern of the n x n matrix assembled from the element rows.
+
+    The scatter map is int32, filled by one binary search per local entry
+    against the pattern's row * n + col keys.
+    """
+    elems = np.asarray(elems, dtype=np.int64)
+    m = elems.shape[1]
+    keys, starts = _sorted_runs((elems[:, :, None] * n + elems[:, None, :]).ravel())
+    keys = keys[starts]
+    rows = keys // n
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+    indices = (keys - rows * n).astype(np.int32)
+    scatter = np.empty((len(elems), m * m), dtype=np.int32)
+    for a in range(m):
+        for b in range(m):
+            scatter[:, a * m + b] = np.searchsorted(keys, elems[:, a] * n + elems[:, b])
+    for arr in (indptr, indices, scatter):
+        arr.flags.writeable = False
+    return CsrPattern(indptr, indices, scatter)
+
+
+def assemble_csr(pattern: CsrPattern, local: np.ndarray) -> sp.csr_matrix:
+    """Sum the real element blocks `local` (E, m, m) into a fresh square CSR
+    matrix on the pattern, exact zeros dropped."""
+    n = len(pattern.indptr) - 1
+    data = np.bincount(pattern.scatter.ravel(), weights=local.ravel(),
+                       minlength=len(pattern.indices))
+    mat = sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()),
+                        shape=(n, n))
+    mat.eliminate_zeros()
+    return mat
+
+
 def assemble_stiffness(mesh: Mesh, coeff) -> sp.csr_matrix:
-    """Stiffness matrix for a per-tet (or constant) 3x3 coefficient matrix."""
+    """Stiffness matrix for a per-tet (or constant) real 3x3 coefficient."""
     coeff = np.asarray(coeff)
     if coeff.ndim == 2:
         coeff = np.broadcast_to(coeff, (mesh.n_tets, 3, 3))
     local = np.einsum(
-        "taj,tjk,tbk->tab", mesh.grads, coeff, mesh.grads
+        "taj,tjk,tbk->tab", mesh.grads, coeff, mesh.grads, optimize=True
     ) * mesh.volumes[:, None, None]
-    rows = np.repeat(mesh.tets, 4, axis=1).reshape(-1)
-    cols = np.tile(mesh.tets, (1, 4)).reshape(-1)
-    mat = sp.coo_matrix(
-        (local.reshape(-1), (rows, cols)),
-        shape=(mesh.n_vertices, mesh.n_vertices),
-    ).tocsr()
-    mat.eliminate_zeros()
-    return mat
+    return assemble_csr(mesh.stiffness_pattern, local)
 
 
 class ComplexField:

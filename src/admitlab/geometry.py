@@ -18,17 +18,11 @@ FACE_NAMES = {"x-": (0, -1), "x+": (0, 1), "y-": (1, -1), "y+": (1, 1),
               "z-": (2, -1), "z+": (2, 1)}
 
 
-def _rect_distance(point2, lo2, hi2) -> float:
-    """Distance from a 2-vector to a closed axis-aligned rectangle."""
+def _rect_distance(point2, lo2, hi2):
+    """Distance from 2-vectors (..., 2) to a closed axis-aligned rectangle."""
     p = np.asarray(point2, dtype=float)
     d = np.maximum(np.maximum(lo2 - p, p - hi2), 0.0)
-    return float(np.hypot(d[0], d[1]))
-
-
-def _rect_inner_distance(point2, lo2, hi2) -> float:
-    """Distance from an interior 2-vector to the rectangle boundary."""
-    p = np.asarray(point2, dtype=float)
-    return float(min(np.min(p - lo2), np.min(hi2 - p)))
+    return np.hypot(d[..., 0], d[..., 1])
 
 
 @dataclass(frozen=True)
@@ -163,13 +157,15 @@ class EtaSets:
     sigma_eta_lo: Tuple[float, float]
     sigma_eta_hi: Tuple[float, float]
 
-    def sigma_distance(self, x) -> float:
-        """Distance from a 3-point to the closed shrunken patch."""
+    def sigma_distance(self, x):
+        """Distance from a 3-point (float) or from (N, 3) points (array) to
+        the closed shrunken patch."""
         patch = self.patch
+        x = np.asarray(x, dtype=float)
         lat = _rect_distance(patch.lateral(x), np.asarray(self.sigma_eta_lo),
                              np.asarray(self.sigma_eta_hi))
-        plane = abs(np.asarray(x, float)[patch.axis] - patch.plane_coord)
-        return float(np.hypot(lat, plane))
+        dist = np.hypot(lat, np.abs(x[..., patch.axis] - patch.plane_coord))
+        return float(dist) if x.ndim == 1 else dist
 
     def in_u_eta(self, x) -> bool:
         return self.sigma_distance(x) < self.eta / 4.0
@@ -188,14 +184,17 @@ class EtaSets:
         rng = np.random.default_rng(seed)
         lo2 = np.asarray(self.sigma_eta_lo) - self.eta / 4.0
         hi2 = np.asarray(self.sigma_eta_hi) + self.eta / 4.0
-        pts = []
+        # Each try reads three uniforms (u, v, offset) from the stream, so
+        # drawing tries in batches keeps the accepted points of the
+        # one-try-at-a-time loop.
+        pts = np.empty((0, 3))
         while len(pts) < count:
-            uv = lo2 + rng.random(2) * (hi2 - lo2)
-            off = (rng.random() - 0.5) * self.eta / 2.0
+            draws = rng.random((2 * (count - len(pts)) + 16, 3))
+            uv = lo2 + draws[:, :2] * (hi2 - lo2)
+            off = (draws[:, 2] - 0.5) * self.eta / 2.0
             x = self.patch.lift(uv, offset=off)
-            if self.in_u_eta(x):
-                pts.append(x)
-        return np.asarray(pts)
+            pts = np.concatenate([pts, x[self.sigma_distance(x) < self.eta / 4.0]])
+        return pts[:count]
 
 
 def build_eta_sets(patch: BoundaryPatch, eta: float) -> EtaSets:
@@ -324,22 +323,27 @@ class EnlargedDomain:
             pieces.append((t_axis, bhi[t_axis], lo2, hi2, None))
         return pieces
 
-    def boundary_distance(self, x) -> float:
-        """Exact distance from x to the boundary of the enlarged domain."""
+    def boundary_distance(self, x):
+        """Exact distance to the boundary of the enlarged domain.
+
+        A 3-point gives a float, an (N, 3) array of points an (N,) array.
+        """
         x = np.asarray(x, dtype=float)
-        best = np.inf
+        pts = x.reshape(-1, 3)
+        best = np.full(len(pts), np.inf)
         for axis, coord, lo2, hi2, hole in self._boundary_pieces():
-            others = tuple(a for a in range(3) if a != axis)
-            p2 = np.array([x[others[0]], x[others[1]]])
-            plane = abs(x[axis] - coord)
+            others = [a for a in range(3) if a != axis]
+            p2 = pts[:, others]
+            plane = np.abs(pts[:, axis] - coord)
             q2 = np.clip(p2, lo2, hi2)
-            if hole is not None and np.all(q2 > hole[0]) and np.all(q2 < hole[1]):
-                lat = _rect_inner_distance(q2, hole[0], hole[1])
-                d = float(np.hypot(plane, lat + float(np.linalg.norm(q2 - p2))))
-            else:
-                d = float(np.hypot(plane, np.linalg.norm(q2 - p2)))
-            best = min(best, d)
-        return best
+            lat = np.hypot(*(q2 - p2).T)
+            if hole is not None:
+                in_hole = np.all((q2 > hole[0]) & (q2 < hole[1]), axis=1)
+                inner = np.minimum(np.min(q2 - hole[0], axis=1),
+                                   np.min(hole[1] - q2, axis=1))
+                lat = np.where(in_hole, inner + lat, lat)
+            best = np.minimum(best, np.hypot(plane, lat))
+        return float(best[0]) if x.ndim == 1 else best
 
 
 def build_enlarged_domain(
@@ -387,12 +391,13 @@ def build_enlarged_domain(
         thickness=float(thickness),
     )
     pts = eta_sets.sample_u_eta(check_samples, seed=seed)
-    for x in pts:
-        d = domain.boundary_distance(x)
-        if d < eta / 2.0 - 1e-12:
-            raise GeometryError(
-                f"containment check failed: point {x} of the thin neighborhood "
-                f"is at distance {d:.6f} < eta/2 = {eta / 2.0:.6f} from the "
-                "enlarged boundary"
-            )
+    dists = domain.boundary_distance(pts)
+    bad = dists < eta / 2.0 - 1e-12
+    if np.any(bad):
+        first = int(np.argmax(bad))
+        raise GeometryError(
+            f"containment check failed: point {pts[first]} of the thin "
+            f"neighborhood is at distance {dists[first]:.6f} < eta/2 = "
+            f"{eta / 2.0:.6f} from the enlarged boundary"
+        )
     return domain

@@ -13,6 +13,8 @@ from pathlib import Path
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 55
 COLORS = ["#1f6fb4", "#d1495b", "#2e8b57", "#8a5fbf", "#c98a00"]
+# Linear axes narrower than this many ulps of their values are degenerate.
+_NARROW_ULPS = 16
 
 
 def _transform(vals, lo, hi, out_lo, out_hi, log):
@@ -28,19 +30,21 @@ def _ticks(lo, hi, log):
         lo_e = math.floor(math.log10(lo))
         hi_e = math.ceil(math.log10(hi))
         return [10.0**e for e in range(lo_e, hi_e + 1)]
-    span = hi - lo if hi > lo else 1.0
+    span = hi - lo
+    # A range only a few ulps wide has no distinct round ticks inside it;
+    # like equal values it gets a unit span, or the values' magnitude when
+    # larger, so at most one tick falls inside.
+    scale = max(abs(lo), abs(hi))
+    if not span > _NARROW_ULPS * math.ulp(scale):
+        span = max(1.0, scale)
     step = 10.0 ** math.floor(math.log10(span / 4.0))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if span / (step * mult) <= 6:
             step *= mult
             break
     first = math.ceil(lo / step) * step
-    ticks = []
-    v = first
-    while v <= hi + 1e-12 * abs(span):
-        ticks.append(v)
-        v += step
-    return ticks
+    count = math.floor((hi + 1e-12 * span - first) / step) + 1
+    return [first + i * step for i in range(max(count, 0))]
 
 
 def render_scatter(

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admitlab.errors import ConfigError, GeometryError, SolverError
 from admitlab.families import constant_field, scalar_identity_family
-from admitlab.fem import (BlockSystem, ComplexField, assemble,
-                          assemble_stiffness, build_mesh, energy_density,
-                          energy_pairing, interpolate)
+from admitlab.dtn import boundary_mass_sigma
+from admitlab.fem import (_CORNER_OFFSETS, _FACE_LOCAL, _TET_PATTERNS,
+                          BlockSystem, ComplexField, _face_keys,
+                          _lattice_topology, assemble, assemble_stiffness,
+                          build_mesh, energy_density, energy_pairing,
+                          interpolate)
 from admitlab.geometry import (FACE_NAMES, BoxDomain, BoundaryPatch,
                                build_enlarged_domain)
 
@@ -122,6 +126,137 @@ class TestVertexLookup:
     def test_foreign_lattice_rejected(self):
         with pytest.raises(GeometryError):
             build_mesh(BOX, 0.25).shared_vertex_map(build_mesh(BOX, 0.125))
+
+
+def _unique_rows_topology(cells):
+    """Reference lattice topology through np.unique over ijk and face rows."""
+    cells = np.asarray(cells, dtype=np.int64)
+    corners = (cells[:, None, :] + _CORNER_OFFSETS[None, :, :]).reshape(-1, 3)
+    verts_ijk, inverse = np.unique(corners, axis=0, return_inverse=True)
+    tets = inverse.reshape(len(cells), 8)[:, _TET_PATTERNS].reshape(-1, 4)
+    faces = np.sort(tets[:, _FACE_LOCAL].reshape(-1, 3), axis=1)
+    uniq, counts = np.unique(faces, axis=0, return_counts=True)
+    return verts_ijk, tets, uniq[counts == 1]
+
+
+def _coo_stiffness(mesh, coeff):
+    """Reference assembly: per-tet local matrices summed through COO."""
+    coeff = np.broadcast_to(np.asarray(coeff), (mesh.n_tets, 3, 3))
+    local = np.einsum("taj,tjk,tbk->tab", mesh.grads, coeff, mesh.grads)
+    local = local * mesh.volumes[:, None, None]
+    rows = np.repeat(mesh.tets, 4, axis=1).reshape(-1)
+    cols = np.tile(mesh.tets, (1, 4)).reshape(-1)
+    return sp.coo_matrix((local.reshape(-1), (rows, cols)),
+                         shape=(mesh.n_vertices,) * 2).tocsr()
+
+
+@st.composite
+def lattice_cells(draw):
+    """A box of lattice cells at a random offset, with a block of cells
+    attached over part of one face in about half the draws."""
+    n = np.array([draw(st.integers(1, 5)) for _ in range(3)])
+    lo = np.array([draw(st.integers(-6, 6)) for _ in range(3)])
+    ranges = [range(lo[a], lo[a] + n[a]) for a in range(3)]
+    blocks = [ranges]
+    if draw(st.booleans()):
+        axis = draw(st.integers(0, 2))
+        depth = draw(st.integers(1, 3))
+        bump = list(ranges)
+        bump[axis] = (range(lo[axis] + n[axis], lo[axis] + n[axis] + depth)
+                      if draw(st.booleans()) else range(lo[axis] - depth, lo[axis]))
+        for t in (a for a in range(3) if a != axis):
+            i0 = draw(st.integers(0, n[t] - 1))
+            i1 = draw(st.integers(i0 + 1, n[t]))
+            bump[t] = range(lo[t] + i0, lo[t] + i1)
+        blocks.append(bump)
+    cells = [np.stack(np.meshgrid(*b, indexing="ij"), axis=-1).reshape(-1, 3)
+             for b in blocks]
+    return np.concatenate(cells)
+
+
+class TestKeyedMeshBuild:
+    @settings(max_examples=60, deadline=None)
+    @given(cells=lattice_cells())
+    def test_matches_unique_rows_reference(self, cells):
+        got = _lattice_topology(cells)
+        want = _unique_rows_topology(cells)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+    def test_face_key_guard(self):
+        faces = np.array([[0, 1, 2]])
+        with pytest.raises(GeometryError, match="overflows"):
+            _face_keys(faces, 2**21)
+        nv = 2**21 - 1
+        top = np.array([[nv - 3, nv - 2, nv - 1], [nv - 3, nv - 1, nv - 1]])
+        keys = _face_keys(top, nv)
+        assert np.all(keys > 0) and keys[1] > keys[0]
+        assert keys[1] == ((nv - 3) * nv + nv - 1) * nv + nv - 1
+
+
+def _aniso_coeffs(n_tets, seed):
+    """Random symmetric positive definite per-tet coefficients."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n_tets, 3, 3))
+    return M @ M.transpose(0, 2, 1) + 0.5 * np.eye(3)
+
+
+class TestCachedPatternAssembly:
+    @pytest.fixture(scope="class")
+    def meshes(self):
+        patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
+        enlarged = build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125)
+        return {"box": build_mesh(BOX, 0.125, patch=patch),
+                "enlarged": build_mesh(enlarged, 0.125),
+                "fifth": build_mesh(BOX, 0.2)}
+
+    @pytest.mark.parametrize("name", ["box", "enlarged", "fifth"])
+    @pytest.mark.parametrize("kind", ["constant", "anisotropic"])
+    def test_matches_coo_reference(self, meshes, name, kind):
+        mesh = meshes[name]
+        if kind == "constant":
+            coeff = np.array([[1.3, 0.2, -0.1], [0.2, 0.9, 0.3], [-0.1, 0.3, 1.1]])
+        else:
+            coeff = _aniso_coeffs(mesh.n_tets, seed=7)
+        K = assemble_stiffness(mesh, coeff)
+        ref = _coo_stiffness(mesh, coeff)
+        assert K.shape == ref.shape
+        assert abs(K - ref).max() <= 1e-14 * abs(ref).max()
+        assert K.has_sorted_indices
+
+    def test_boundary_mass_matches_coo_reference(self, meshes):
+        mesh = meshes["box"]
+        M = boundary_mass_sigma(mesh)
+        tris = mesh.boundary_tris[mesh.sigma_mask]
+        pts = mesh.verts[tris]
+        areas = 0.5 * np.linalg.norm(
+            np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]), axis=1)
+        local = areas[:, None, None] * (np.ones((3, 3)) + np.eye(3)) / 12.0
+        ref = sp.coo_matrix((local.reshape(-1), (np.repeat(tris, 3, axis=1).reshape(-1),
+                                                 np.tile(tris, (1, 3)).reshape(-1))),
+                            shape=(mesh.n_vertices,) * 2).tocsr()
+        assert abs(M - ref).max() <= 1e-14 * abs(ref).max()
+
+    def test_zero_coefficient_leaves_cache_and_matrices(self):
+        mesh = build_mesh(BOX, 0.25)
+        K1 = assemble_stiffness(mesh, np.eye(3))
+        pattern = mesh.stiffness_pattern
+        saved = [arr.copy() for arr in pattern]
+        K1_saved = K1.copy()
+        K0 = assemble_stiffness(mesh, np.zeros((3, 3)))
+        assert K0.nnz == 0
+        assert mesh.stiffness_pattern is pattern
+        for arr, copy in zip(pattern, saved):
+            assert not arr.flags.writeable
+            assert np.array_equal(arr, copy)
+        assert (K1 != K1_saved).nnz == 0
+        assert K1.nnz == K1_saved.nnz
+        K2 = assemble_stiffness(mesh, np.eye(3))
+        assert (K2 != K1).nnz == 0
+        system = assemble(mesh, LAPLACE, A_ONE, 0.0)
+        assert system.K_I.nnz == 0
+        assert (system.K_R != K1).nnz == 0
 
 
 class TestBlockSystem:

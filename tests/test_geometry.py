@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admitlab.errors import ConfigError, GeometryError
-from admitlab.geometry import (BoundaryPatch, BoxDomain, EnlargedDomain,
-                               ProbePath, build_enlarged_domain,
-                               build_eta_sets, make_tau_grid, probe_point)
+from admitlab.geometry import (FACE_NAMES, BoundaryPatch, BoxDomain,
+                               EnlargedDomain, ProbePath,
+                               build_enlarged_domain, build_eta_sets,
+                               make_tau_grid, probe_point)
 
 
 def test_box_validation():
@@ -164,3 +167,91 @@ class TestEnlargedDomain:
         assert self.patch.depth(np.array([0.4, 0.4, 0.75])) == pytest.approx(0.25)
         bottom = BoundaryPatch(self.box, "z-", (0.2, 0.2), (0.8, 0.8))
         assert bottom.depth(np.array([0.4, 0.4, 0.25])) == pytest.approx(0.25)
+
+
+def _scalar_boundary_distance(dom, x):
+    """Reference: one point at a time, piece by piece."""
+    best = np.inf
+    for axis, coord, lo2, hi2, hole in dom._boundary_pieces():
+        others = tuple(a for a in range(3) if a != axis)
+        p2 = np.array([x[others[0]], x[others[1]]])
+        plane = abs(x[axis] - coord)
+        q2 = np.clip(p2, lo2, hi2)
+        if hole is not None and np.all(q2 > hole[0]) and np.all(q2 < hole[1]):
+            lat = float(min(np.min(q2 - hole[0]), np.min(hole[1] - q2)))
+            d = float(np.hypot(plane, lat + float(np.linalg.norm(q2 - p2))))
+        else:
+            d = float(np.hypot(plane, np.linalg.norm(q2 - p2)))
+        best = min(best, d)
+    return best
+
+
+def _scalar_sample_u_eta(es, count, seed):
+    """Reference rejection sampler: one try (three uniforms) at a time."""
+    rng = np.random.default_rng(seed)
+    lo2 = np.asarray(es.sigma_eta_lo) - es.eta / 4.0
+    hi2 = np.asarray(es.sigma_eta_hi) + es.eta / 4.0
+    pts = []
+    while len(pts) < count:
+        uv = lo2 + rng.random(2) * (hi2 - lo2)
+        off = (rng.random() - 0.5) * es.eta / 2.0
+        x = es.patch.lift(uv, offset=off)
+        if es.in_u_eta(x):
+            pts.append(x)
+    return np.asarray(pts)
+
+
+@st.composite
+def enlarged_domains(draw):
+    box = BoxDomain((0.0, 0.0, 0.0), (1.0, 1.5, 1.25))
+    face = draw(st.sampled_from(sorted(FACE_NAMES)))
+    axis = FACE_NAMES[face][0]
+    extent = [box.hi[a] for a in range(3) if a != axis]
+    rect_lo = tuple(draw(st.floats(0.05, 0.3)) * e for e in extent)
+    rect_hi = tuple(draw(st.floats(0.7, 0.95)) * e for e in extent)
+    patch = BoundaryPatch(box, face, rect_lo, rect_hi)
+    eta = draw(st.floats(0.02, 0.9)) * patch.eta0()
+    return build_enlarged_domain(box, patch, eta, check_samples=20)
+
+
+class TestVectorisedDistances:
+    @settings(max_examples=40, deadline=None)
+    @given(dom=enlarged_domains(), seed=st.integers(0, 2**16))
+    def test_boundary_distance_matches_scalar(self, dom, seed):
+        rng = np.random.default_rng(seed)
+        lo, hi = np.minimum(dom.box.lo_arr, dom.bump_box[0]), np.maximum(
+            dom.box.hi_arr, dom.bump_box[1])
+        pts = lo - 0.2 + rng.random((64, 3)) * (hi - lo + 0.4)
+        # Points on the patch plane probe the hole of the original face.
+        pts[:16, dom.patch.axis] = dom.patch.plane_coord
+        dists = dom.boundary_distance(pts)
+        assert dists.shape == (64,)
+        for x, d in zip(pts, dists):
+            assert dom.boundary_distance(x) == d
+            assert isinstance(dom.boundary_distance(x), float)
+            assert d == pytest.approx(_scalar_boundary_distance(dom, x),
+                                      rel=1e-15, abs=1e-15)
+
+    @settings(max_examples=20, deadline=None)
+    @given(dom=enlarged_domains(), seed=st.integers(0, 2**16),
+           count=st.integers(1, 300))
+    def test_samples_match_one_try_at_a_time(self, dom, seed, count):
+        es = build_eta_sets(dom.patch, dom.eta)
+        assert np.array_equal(es.sample_u_eta(count, seed=seed),
+                              _scalar_sample_u_eta(es, count, seed))
+
+    def test_containment_failure_names_first_point(self, monkeypatch):
+        box = BoxDomain((0, 0, 0), (1, 1, 1))
+        patch = BoundaryPatch(box, "z+", (0.2, 0.2), (0.8, 0.8))
+        pts = build_eta_sets(patch, 0.2).sample_u_eta(10, seed=0)
+
+        def too_close(self, x):
+            d = np.full(len(x), 1.0)
+            d[[3, 7]] = 0.01
+            return d
+
+        monkeypatch.setattr(EnlargedDomain, "boundary_distance", too_close)
+        with pytest.raises(GeometryError) as info:
+            build_enlarged_domain(box, patch, 0.2, check_samples=10)
+        assert f"point {pts[3]} " in str(info.value)
+        assert "distance 0.010000 < eta/2 = 0.100000" in str(info.value)
