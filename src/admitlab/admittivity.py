@@ -181,6 +181,24 @@ class WindowResult(NamedTuple):
     partition: tuple
 
 
+def _window_bound(e1: float, e2: float, n: int, pa, pb, pc):
+    """k_max of the partitions (pa, pb, pc), elementwise over arrays; None
+    when m == 1 < M empties every window."""
+    if e1 <= 0.0 or e2 <= 0.0:
+        raise ConfigError("ellipticity constants must be positive")
+    M = max(e1, e2)
+    m = min(e1, e2)
+    if abs(M - m) <= 1e-14:
+        first = np.tan(pa * np.pi / 4.0)
+    elif abs(m - 1.0) <= 1e-14:
+        return None
+    else:
+        first = (m**3 - m**-3) * np.tan(pa * np.pi / 4.0) / (M**3 - M**-3)
+    second = M**-6 * np.tan(pb * np.pi / (2.0 * n))
+    third = M**-6 * np.tan(pc * np.pi / (2.0 * n))
+    return np.minimum(np.minimum(first, second), third)
+
+
 def frequency_window(e1: float, e2: float, n: int, partition=(1 / 3, 1 / 3, 1 / 3)) -> WindowResult:
     """Upper frequency bound for a fixed partition (A, B, C), A + B + C = 1.
 
@@ -192,35 +210,34 @@ def frequency_window(e1: float, e2: float, n: int, partition=(1 / 3, 1 / 3, 1 / 
     pa, pb, pc = partition
     if min(pa, pb, pc) <= 0.0 or abs(pa + pb + pc - 1.0) > 1e-9:
         raise ConfigError(f"partition must be positive and sum to 1, got {partition}")
-    if e1 <= 0.0 or e2 <= 0.0:
-        raise ConfigError("ellipticity constants must be positive")
-    M = max(e1, e2)
-    m = min(e1, e2)
-    if abs(M - m) <= 1e-14:
-        first = np.tan(pa * np.pi / 4.0)
-    elif abs(m - 1.0) <= 1e-14:
+    bound = _window_bound(e1, e2, n, pa, pb, pc)
+    if bound is None:
         return WindowResult(0.0, True, tuple(partition))
-    else:
-        first = (m**3 - m**-3) * np.tan(pa * np.pi / 4.0) / (M**3 - M**-3)
-    second = M**-6 * np.tan(pb * np.pi / (2.0 * n))
-    third = M**-6 * np.tan(pc * np.pi / (2.0 * n))
-    k_max = float(min(first, second, third))
+    k_max = float(bound)
     return WindowResult(k_max, k_max <= 0.0, tuple(float(p) for p in partition))
 
 
 def best_frequency_window(e1: float, e2: float, n: int, step: float = 0.01) -> WindowResult:
-    """Grid search of the partition maximising the frequency window."""
+    """Grid search of the partition maximising the frequency window.
+
+    The whole grid is evaluated at once; the first maximum in (A, B) order
+    wins, and a grid with no positive bound gives the empty default.
+    """
     best = WindowResult(0.0, True, (1 / 3, 1 / 3, 1 / 3))
     grid = np.arange(step, 1.0, step)
-    for pa in grid:
-        for pb in grid:
-            pc = 1.0 - pa - pb
-            if pc < step / 2:
-                continue
-            cand = frequency_window(e1, e2, n, (pa, pb, pc))
-            if cand.k_max > best.k_max:
-                best = cand
-    return best
+    pa, pb = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
+    pc = 1.0 - pa - pb
+    keep = ~(pc < step / 2)
+    if not np.any(keep):
+        return best
+    pa, pb, pc = pa[keep], pb[keep], pc[keep]
+    bound = _window_bound(e1, e2, n, pa, pb, pc)
+    if bound is None:
+        return best
+    i = int(np.argmax(bound))
+    if not bound[i] > 0.0:
+        return best
+    return WindowResult(float(bound[i]), False, (float(pa[i]), float(pb[i]), float(pc[i])))
 
 
 @dataclass(frozen=True)

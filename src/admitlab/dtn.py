@@ -10,15 +10,18 @@ Laplacian with the patch boundary mass matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .admittivity import AdmittivityFamily, ParameterField
 from .errors import ConfigError, NumericError
 from .fem import (BlockSystem, Mesh, assemble, assemble_csr, assemble_stiffness,
                   csr_pattern, energy_density, schur_onto)
 from .geometry import BoundaryPatch
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -81,8 +84,6 @@ class LocalDtnMatrix:
 def boundary_mass_sigma(mesh: Mesh) -> sp.csr_matrix:
     """Consistent P1 mass matrix over the patch-tagged boundary triangles."""
     tris = mesh.boundary_tris[mesh.sigma_mask]
-    if len(tris) == 0:
-        return sp.csr_matrix((mesh.n_vertices, mesh.n_vertices))
     pts = mesh.verts[tris]
     areas = 0.5 * np.linalg.norm(
         np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]), axis=1

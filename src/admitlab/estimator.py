@@ -13,6 +13,7 @@ fails the estimators refuse rather than return garbage.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -179,7 +180,14 @@ def check_sign_condition(
 # Weighted power integrals over ball caps
 # ---------------------------------------------------------------------------
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(200)
+@functools.cache
+def _gauss_rule():
+    """200-point Gauss-Legendre nodes and weights, built on first use: no
+    CLI command needs them, and building them costs a large eigensolve."""
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def weighted_integral(box: BoxDomain, z, rho: float, exponent: float) -> float:
@@ -216,8 +224,9 @@ def weighted_integral(box: BoxDomain, z, rho: float, exponent: float) -> float:
 
     e = float(exponent)
     u0 = tau / rho
-    u = 0.5 * (u0 + 1.0) + 0.5 * (1.0 - u0) * _GAUSS_NODES
-    w = 0.5 * (1.0 - u0) * _GAUSS_WEIGHTS
+    nodes, weights = _gauss_rule()
+    u = 0.5 * (u0 + 1.0) + 0.5 * (1.0 - u0) * nodes
+    w = 0.5 * (1.0 - u0) * weights
     if abs(e + 3.0) < 1e-13:
         radial = np.log(rho * u / tau)
     else:

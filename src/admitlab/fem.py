@@ -9,21 +9,25 @@ pairing and the trace Gram) come from one multi-column interior solve.
 
 Meshes are built from integer lattice keys, and every assembly scatters
 element blocks into a CSR pattern that each mesh computes once, since many
-admittivities are assembled on the same pair of meshes.
+admittivities are assembled on the same pair of meshes.  scipy is imported
+by the functions that build or factor a matrix, so the commands that never
+assemble one (validate, probe) do not pay for importing it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .admittivity import AdmittivityFamily, ParameterField
 from .errors import ConfigError, GeometryError, SolverError
 from .geometry import BoundaryPatch, BoxDomain, EnlargedDomain
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
 # Six-tet Kuhn split of the unit hex: each permutation of the axes walks
 # from corner 0 to corner 7 along the main diagonal.
@@ -89,24 +93,25 @@ class Mesh:
         e1 = verts[tets[:, 1]] - verts[tets[:, 0]]
         e2 = verts[tets[:, 2]] - verts[tets[:, 0]]
         e3 = verts[tets[:, 3]] - verts[tets[:, 0]]
-        G = np.stack([e1, e2, e3], axis=-1)
-        det = np.linalg.det(G)
+        # det G for G = [e1 e2 e3] is the triple product e1.(e2 x e3).
+        # Swapping e2 and e3 negates it exactly, so flipped tets take |det|.
+        det = np.einsum("ti,ti->t", e1, np.cross(e2, e3))
         flip = det < 0.0
         if np.any(flip):
             self.tets = tets.copy()
             self.tets[flip, 2], self.tets[flip, 3] = tets[flip, 3], tets[flip, 2]
-            e2 = verts[self.tets[:, 2]] - verts[self.tets[:, 0]]
-            e3 = verts[self.tets[:, 3]] - verts[self.tets[:, 0]]
-            G = np.stack([e1, e2, e3], axis=-1)
-            det = np.linalg.det(G)
+            e2[flip], e3[flip] = e3[flip], e2[flip]
+            det = np.abs(det)
         if np.any(det <= 0.0):
             raise GeometryError("degenerate or inverted tetrahedra in the mesh")
         self.volumes = det / 6.0
         # Barycentric coordinates are lam = G^{-1}(x - x0), so the gradients
-        # of lam_1..lam_3 are the rows of G^{-1}.
-        G_inv = np.linalg.inv(G)
+        # of lam_1..lam_3 are the rows of G^{-1}: (e2 x e3, e3 x e1, e1 x e2)/det.
         grads = np.empty((self.tets.shape[0], 4, 3))
-        grads[:, 1:, :] = G_inv
+        grads[:, 1] = np.cross(e2, e3)
+        grads[:, 2] = np.cross(e3, e1)
+        grads[:, 3] = np.cross(e1, e2)
+        grads[:, 1:] /= det[:, None, None]
         grads[:, 0, :] = -np.sum(grads[:, 1:, :], axis=1)
         self.grads = grads
         self.barycenters = self.verts[self.tets].mean(axis=1)
@@ -355,6 +360,8 @@ def csr_pattern(elems, n: int) -> CsrPattern:
 def assemble_csr(pattern: CsrPattern, local: np.ndarray) -> sp.csr_matrix:
     """Sum the real element blocks `local` (E, m, m) into a fresh square CSR
     matrix on the pattern, exact zeros dropped."""
+    import scipy.sparse as sp
+
     n = len(pattern.indptr) - 1
     data = np.bincount(pattern.scatter.ravel(), weights=local.ravel(),
                        minlength=len(pattern.indices))
@@ -410,6 +417,8 @@ def _factor_interior(K_ii: sp.spmatrix) -> spla.SuperLU:
     real part, so elimination in diagonal order needs no pivoting; the
     residual checks of the callers stay as the guard.
     """
+    import scipy.sparse.linalg as spla
+
     try:
         return spla.splu(K_ii.tocsc(), permc_spec="MMD_AT_PLUS_A",
                          diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
@@ -475,6 +484,8 @@ class BlockSystem:
 
     @property
     def block_matrix(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         return sp.bmat([[self.K_R, -self.K_I], [self.K_I, self.K_R]], format="csr")
 
     @property
@@ -494,6 +505,8 @@ class BlockSystem:
             return self._lu.solve(rhs)
         # Normal-form CG with diagonal preconditioning for large systems,
         # one column at a time.
+        import scipy.sparse.linalg as spla
+
         K = self._K_ii
         diag = np.asarray(np.abs(K).power(2).sum(axis=0)).ravel()
         diag[diag == 0.0] = 1.0

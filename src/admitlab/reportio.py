@@ -19,15 +19,32 @@ def _fmt(value):
     return str(value)
 
 
-def write_csv(path, header, rows):
-    """RFC-4180 CSV, UTF-8, header row, shortest-roundtrip float formatting."""
+def _fmt_column(column):
+    """Cells of one column as strings, by the `_fmt` rule.
+
+    Float and integer arrays are formatted in one pass over `tolist()`;
+    anything else (lists, object or complex arrays) cell by cell.
+    """
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return list(map(repr, np.asarray(column, dtype=float).tolist()))
+        if column.dtype.kind in "iu":
+            return list(map(str, column.tolist()))
+    return [_fmt(v) for v in column]
+
+
+def write_csv(path, header, columns):
+    """RFC-4180 CSV, UTF-8, header row, shortest-roundtrip float formatting.
+
+    `columns` holds one equal-length sequence per header entry.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    cells = [_fmt_column(col) for col in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(zip(*cells, strict=True))
     return path
 
 

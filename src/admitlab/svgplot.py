@@ -17,6 +17,19 @@ COLORS = ["#1f6fb4", "#d1495b", "#2e8b57", "#8a5fbf", "#c98a00"]
 _NARROW_ULPS = 16
 
 
+def _narrow(lo, hi):
+    """True when a linear range is only a few ulps wide (or empty): it then
+    gets the treatment of equal values, since its width is rounding noise."""
+    return not hi - lo > _NARROW_ULPS * math.ulp(max(abs(lo), abs(hi)))
+
+
+def _linear_limits(lo, hi):
+    """Data limits padded by 5% of their range, or of their magnitude (unit
+    when zero) for a narrow range."""
+    pad = 0.05 * ((max(abs(lo), abs(hi)) or 1.0) if _narrow(lo, hi) else hi - lo)
+    return lo - pad, hi + pad
+
+
 def _transform(vals, lo, hi, out_lo, out_hi, log):
     if log:
         vals = [math.log10(v) for v in vals]
@@ -31,12 +44,11 @@ def _ticks(lo, hi, log):
         hi_e = math.ceil(math.log10(hi))
         return [10.0**e for e in range(lo_e, hi_e + 1)]
     span = hi - lo
-    # A range only a few ulps wide has no distinct round ticks inside it;
-    # like equal values it gets a unit span, or the values' magnitude when
-    # larger, so at most one tick falls inside.
-    scale = max(abs(lo), abs(hi))
-    if not span > _NARROW_ULPS * math.ulp(scale):
-        span = max(1.0, scale)
+    # A narrow range has no distinct round ticks inside it; it gets a unit
+    # span, or the values' magnitude when larger, so at most one tick falls
+    # inside.
+    if _narrow(lo, hi):
+        span = max(1.0, abs(lo), abs(hi))
     step = 10.0 ** math.floor(math.log10(span / 4.0))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if span / (step * mult) <= 6:
@@ -71,13 +83,11 @@ def render_scatter(
     if logx and x_lo <= 0 or logy and y_lo <= 0:
         raise ValueError("log axes need positive data")
     if not logx:
-        pad = 0.05 * (x_hi - x_lo or abs(x_hi) or 1.0)
-        x_lo, x_hi = x_lo - pad, x_hi + pad
+        x_lo, x_hi = _linear_limits(x_lo, x_hi)
     else:
         x_lo, x_hi = x_lo / 1.3, x_hi * 1.3
     if not logy:
-        pad = 0.05 * (y_hi - y_lo or abs(y_hi) or 1.0)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+        y_lo, y_hi = _linear_limits(y_lo, y_hi)
     else:
         y_lo, y_hi = y_lo / 1.3, y_hi * 1.3
 

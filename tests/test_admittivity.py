@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from admitlab.admittivity import (AprioriData,
+from admitlab.admittivity import (AprioriData, WindowResult,
                                   best_frequency_window, check_parameter_field,
                                   default_samples, eval_admittivity,
                                   frequency_window, inverse_parts,
@@ -159,6 +161,81 @@ class TestFrequencyWindow:
         fixed = frequency_window(2.2, 1.25, 3)
         best = best_frequency_window(2.2, 1.25, 3)
         assert best.k_max >= fixed.k_max
+
+
+def _frequency_window_loop(e1, e2, n, partition):
+    """The per-partition bound as first written, kept as the oracle."""
+    pa, pb, pc = partition
+    if min(pa, pb, pc) <= 0.0 or abs(pa + pb + pc - 1.0) > 1e-9:
+        raise ConfigError("partition")
+    if e1 <= 0.0 or e2 <= 0.0:
+        raise ConfigError("ellipticity constants must be positive")
+    M = max(e1, e2)
+    m = min(e1, e2)
+    if abs(M - m) <= 1e-14:
+        first = np.tan(pa * np.pi / 4.0)
+    elif abs(m - 1.0) <= 1e-14:
+        return WindowResult(0.0, True, tuple(partition))
+    else:
+        first = (m**3 - m**-3) * np.tan(pa * np.pi / 4.0) / (M**3 - M**-3)
+    second = M**-6 * np.tan(pb * np.pi / (2.0 * n))
+    third = M**-6 * np.tan(pc * np.pi / (2.0 * n))
+    k_max = float(min(first, second, third))
+    return WindowResult(k_max, k_max <= 0.0, tuple(float(p) for p in partition))
+
+
+def _best_window_loop(e1, e2, n, step=0.01):
+    """Partition grid search one candidate at a time, kept as the oracle."""
+    best = WindowResult(0.0, True, (1 / 3, 1 / 3, 1 / 3))
+    grid = np.arange(step, 1.0, step)
+    for pa in grid:
+        for pb in grid:
+            pc = 1.0 - pa - pb
+            if pc < step / 2:
+                continue
+            cand = _frequency_window_loop(e1, e2, n, (pa, pb, pc))
+            if cand.k_max > best.k_max:
+                best = cand
+    return best
+
+
+CONSTANT = st.floats(0.2, 5.0)
+
+
+class TestBestFrequencyWindowOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(e1=CONSTANT, e2=CONSTANT, n=st.integers(2, 4))
+    @example(e1=2.2, e2=1.25, n=3)
+    @example(e1=0.5, e2=0.8, n=3)
+    def test_matches_loop(self, e1, e2, n):
+        assert best_frequency_window(e1, e2, n) == _best_window_loop(e1, e2, n)
+
+    @settings(max_examples=15, deadline=None)
+    @given(e=CONSTANT, n=st.integers(2, 4))
+    @example(e=1.0, n=3)
+    def test_equal_constants(self, e, n):
+        assert best_frequency_window(e, e, n) == _best_window_loop(e, e, n)
+        near = e + 1e-15
+        assert best_frequency_window(near, e, n) == _best_window_loop(near, e, n)
+
+    @settings(max_examples=15, deadline=None)
+    @given(big=st.floats(1.01, 5.0), n=st.integers(2, 4))
+    def test_unit_minimum_is_empty(self, big, n):
+        win = best_frequency_window(big, 1.0, n)
+        assert win == _best_window_loop(big, 1.0, n)
+        assert win.empty and win.k_max == 0.0
+
+    @settings(max_examples=15, deadline=None)
+    @given(small=st.floats(0.2, 0.99), big=st.floats(1.01, 5.0))
+    def test_straddling_one_is_empty(self, small, big):
+        win = best_frequency_window(small, big, 3)
+        assert win == _best_window_loop(small, big, 3)
+        assert win.empty
+
+    @pytest.mark.parametrize("e1, e2", [(0.0, 1.0), (-1.0, 2.0), (2.0, -0.5), (0.0, 0.0)])
+    def test_non_positive_constants_raise(self, e1, e2):
+        with pytest.raises(ConfigError):
+            best_frequency_window(e1, e2, 3)
 
 
 class TestValidateClassH:

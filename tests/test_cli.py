@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 import yaml
@@ -226,3 +231,38 @@ class TestProbeCommand:
             lines = (out / f"probe_m{m}.csv").read_text().splitlines()
             assert lines[0] == "x,y,z,re,im,grad_abs,h"
             assert len(lines) == 2001
+
+
+class TestImportGraph:
+    """Commands that never assemble a matrix do not import scipy.sparse."""
+
+    SCRIPT = textwrap.dedent("""
+        import sys
+        import admitlab.cli
+        layers = ("config", "admittivity", "geometry", "fem", "dtn", "singular",
+                  "gegenbauer", "estimator", "reportio", "svgplot")
+        missing = [m for m in layers if f"admitlab.{m}" not in sys.modules]
+        assert not missing, missing
+        assert "scipy.sparse" not in sys.modules, "import"
+        config, out = sys.argv[1], sys.argv[2]
+        for command in ("validate", "probe"):
+            rc = admitlab.cli.main([command, "--config", config, "--out", out])
+            assert rc == 0, (command, rc)
+            assert "scipy.sparse" not in sys.modules, command
+        assert admitlab.cli.main(["dtn", "--config", config, "--out", out]) == 0
+        assert "scipy.sparse" in sys.modules, "dtn"
+        print("import graph ok")
+    """)
+
+    def test_scipy_sparse_only_on_first_assembly(self, tmp_path):
+        path = write_config(tmp_path)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(path), str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "import graph ok" in result.stdout

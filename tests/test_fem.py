@@ -10,7 +10,7 @@ from admitlab.errors import ConfigError, GeometryError, SolverError
 from admitlab.families import constant_field, scalar_identity_family
 from admitlab.dtn import boundary_mass_sigma
 from admitlab.fem import (_CORNER_OFFSETS, _FACE_LOCAL, _TET_PATTERNS,
-                          BlockSystem, ComplexField, _face_keys,
+                          BlockSystem, ComplexField, Mesh, _face_keys,
                           _lattice_topology, assemble, assemble_stiffness,
                           build_mesh, energy_density, energy_pairing,
                           interpolate)
@@ -193,6 +193,73 @@ class TestKeyedMeshBuild:
         keys = _face_keys(top, nv)
         assert np.all(keys > 0) and keys[1] > keys[0]
         assert keys[1] == ((nv - 3) * nv + nv - 1) * nv + nv - 1
+
+
+def _det_inv_geometry(verts, tets):
+    """Oriented tets, volumes and barycentric gradients by np.linalg.det and
+    np.linalg.inv, kept as the oracle of the closed-form geometry."""
+    def edges(t):
+        return np.stack([verts[t[:, a]] - verts[t[:, 0]] for a in (1, 2, 3)], axis=-1)
+
+    flip = np.linalg.det(edges(tets)) < 0.0
+    tets = tets.copy()
+    tets[flip, 2], tets[flip, 3] = tets[flip, 3], tets[flip, 2]
+    G = edges(tets)
+    grads = np.empty((len(tets), 4, 3))
+    grads[:, 1:] = np.linalg.inv(G)
+    grads[:, 0] = -grads[:, 1:].sum(axis=1)
+    return tets, np.linalg.det(G) / 6.0, grads
+
+
+def _remesh(mesh, verts, tets):
+    return Mesh(verts, tets, mesh.ijk, mesh.h, mesh.anchor, mesh.boundary_tris,
+                mesh.boundary_axis, mesh.boundary_plane, mesh.sigma_mask)
+
+
+def _assert_matches_det_inv(mesh, verts, tets):
+    want_tets, want_vol, want_grads = _det_inv_geometry(verts, tets)
+    assert np.array_equal(mesh.tets, want_tets)
+    np.testing.assert_allclose(mesh.volumes, want_vol, rtol=1e-14, atol=0.0)
+    scale = np.max(np.abs(want_grads), axis=(1, 2))
+    err = np.max(np.abs(mesh.grads - want_grads), axis=(1, 2))
+    assert np.all(err <= 1e-14 * scale)
+
+
+class TestClosedFormGeometry:
+    def test_box_meshes(self):
+        for h in (0.25, 0.2, 0.125, 0.05):
+            mesh = build_mesh(BOX, h)
+            raw = _lattice_topology(
+                np.stack(np.meshgrid(*[np.arange(round(1 / h))] * 3, indexing="ij"),
+                         axis=-1).reshape(-1, 3))[1]
+            # The Kuhn split leaves some tets negatively oriented.
+            assert np.any(mesh.tets != raw)
+            _assert_matches_det_inv(mesh, mesh.verts, raw)
+
+    @settings(max_examples=25, deadline=None)
+    @given(meshes=enlarged_meshes(), seed=st.integers(0, 2**32 - 1))
+    def test_perturbed_vertices_and_flips(self, meshes, seed):
+        rng = np.random.default_rng(seed)
+        for mesh in meshes:
+            # Moves below h/10 per coordinate keep every tet's orientation.
+            verts = mesh.verts + rng.uniform(-0.1, 0.1, mesh.verts.shape) * mesh.h
+            tets = mesh.tets.copy()
+            swap = rng.random(len(tets)) < 0.5
+            tets[swap, 2], tets[swap, 3] = mesh.tets[swap, 3], mesh.tets[swap, 2]
+            for v in (mesh.verts, verts):
+                _assert_matches_det_inv(_remesh(mesh, v, tets), v, tets)
+
+    def test_degenerate_tets_raise(self):
+        mesh = build_mesh(BOX, 0.25)
+        flat = mesh.verts.copy()
+        flat[:, 2] = 0.0
+        with pytest.raises(GeometryError, match="degenerate"):
+            _remesh(mesh, flat, mesh.tets)
+        collapsed = mesh.verts.copy()
+        t = mesh.tets[0]
+        collapsed[t[3]] = collapsed[t[1]]
+        with pytest.raises(GeometryError, match="degenerate"):
+            _remesh(mesh, collapsed, mesh.tets)
 
 
 def _aniso_coeffs(n_tets, seed):

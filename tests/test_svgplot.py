@@ -2,10 +2,10 @@ import math
 import signal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from admitlab.svgplot import _ticks, render_scatter
+from admitlab.svgplot import _linear_limits, _ticks, render_scatter
 
 # Per-tau estimates of a stability run at h = 0.125 (criterion 9 config):
 # three values within 2.8e-17 of each other around -0.1.
@@ -39,8 +39,34 @@ def test_sub_ulp_range_finishes(tmp_path, time_limit):
                           lines=[("fit", TAUS, NARROW)])
     svg = path.read_text(encoding="utf-8")
     assert _tick_lines(svg, "x") >= 3
-    assert _tick_lines(svg, "y") <= 1
+    assert _tick_lines(svg, "y") >= 1
     assert svg.count("<circle") == 3
+
+
+def test_sub_ulp_range_is_drawn_flat(tmp_path):
+    # Rounding noise must not read as a trend: like equal values, the three
+    # estimates sit on one height.
+    svg = render_scatter(tmp_path / "gap_tau.svg",
+                         series=[("per-tau estimate", TAUS, NARROW)]).read_text(encoding="utf-8")
+    heights = {line.split('cy="')[1].split('"')[0]
+               for line in svg.splitlines() if line.startswith("<circle")}
+    assert len(heights) == 1
+    assert _tick_lines(svg, "y") >= 1
+
+
+def _padded_reference(lo, hi):
+    """The padding rule before narrow ranges were treated as equal values."""
+    pad = 0.05 * (hi - lo or abs(hi) or 1.0)
+    return lo - pad, hi + pad
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(-1e6, 1e6), width=st.floats(0.0, 1e3), ulps=st.integers(17, 4096))
+def test_padding_of_wider_ranges_unchanged(lo, width, ulps):
+    hi = lo + width + ulps * math.ulp(max(abs(lo), 1e-300))
+    assume(hi - lo > 16 * math.ulp(max(abs(lo), abs(hi))))
+    assert _linear_limits(lo, hi) == _padded_reference(lo, hi)
+    assert _linear_limits(lo, lo) == _padded_reference(lo, lo)
 
 
 def test_ticks_of_a_range_a_few_ulps_wide(time_limit):
