@@ -15,13 +15,14 @@ import numpy as np
 from .admittivity import (check_parameter_field, default_samples,
                           frequency_window, validate_class_H)
 from .config import ExperimentConfig, load_config
-from .dtn import assemble_dtn, dtn_star_norm
+from .dtn import assemble_dtn, dtn_star_norm, h_half_gram, sigma_basis
 from .errors import (AdmitLabError, ConfigError, EstimatorRefusal,
                      GeometryError, NumericError, SolverError)
 from .estimator import (GapEstimate, boundary_gap_estimate, build_forward,
                         build_frame, delta_h, derivative_gap_estimate,
                         lipschitz_ratio, loglog_slope)
 from .families import shifted_field
+from .fem import build_mesh
 from .geometry import build_enlarged_domain, build_eta_sets, probe_point, ProbePath
 from .reportio import RunManifest, write_csv, write_json
 from .singular import (fibonacci_sphere, h_function, leading_gradient,
@@ -129,18 +130,24 @@ def dtn(config_path, out_dir, seed, mesh_h, threads):
     out = Path(out_dir)
     manifest.start("frame")
     family = cfg.build_family()
-    frame = build_frame(cfg.box, cfg.patch, cfg.eta, cfg.h, family, window=cfg.window)
+    # Only the Omega mesh, basis and Gram are read; the eta-sets and the
+    # enlarged domain are built for their geometry checks alone.
+    build_eta_sets(cfg.patch, cfg.eta)
+    build_enlarged_domain(cfg.box, cfg.patch, cfg.eta, grid_h=cfg.h)
+    mesh = build_mesh(cfg.box, cfg.h, patch=cfg.patch)
+    basis = sigma_basis(mesh, cfg.patch)
+    gram = h_half_gram(mesh, basis)
     manifest.start("assemble")
     fields = [("a1", cfg.a1)] + ([("a2", cfg.a2)] if cfg.a2 is not None else [])
-    # Only the pairings are read: building no Forward skips the Omega_eta
-    # systems and frees each field's factorisation before the next.
+    # Building no Forward skips the Omega_eta systems and frees each field's
+    # factorisation before the next.
     dtns = [
-        (label, assemble_dtn(frame.mesh, family, a, frame.patch, frame.k,
-                             basis=frame.basis, gram=frame.gram))
+        (label, assemble_dtn(mesh, family, a, cfg.patch, family.freq, basis=basis,
+                             gram=gram))
         for label, a in fields
     ]
     manifest.start("write")
-    d = frame.basis.count
+    d = basis.count
     i, j = np.divmod(np.arange(d * d), d)
     for label, dtn_matrix in dtns:
         pairing = dtn_matrix.pairing.ravel()
@@ -148,7 +155,7 @@ def dtn(config_path, out_dir, seed, mesh_h, threads):
                                   ("i", "j", "re", "im"),
                                   (i, j, pairing.real, pairing.imag)))
     manifest.record(write_csv(out / "dtn_gram.csv", ("i", "j", "value"),
-                              (i, j, frame.gram.ravel())))
+                              (i, j, gram.ravel())))
     click.echo(f"basis size d = {d}; files in {out}")
     if len(dtns) == 2:
         norm = dtn_star_norm(dtns[0][1], dtns[1][1])
@@ -349,6 +356,9 @@ def sweep(config_path, out_dir, seed, mesh_h, threads, mode):
     frame = build_frame(cfg.box, cfg.patch, cfg.eta, cfg.h, family, window=cfg.window)
     manifest.start("sweep")
     fwd1 = build_forward(frame, cfg.a1)
+    # Factor the reference system before any perturbed forward is assembled,
+    # so its factorisation does not overlap theirs.
+    fwd1.dtn
 
     def run_point(s):
         fwd2 = build_forward(frame, shifted_field(cfg.a1, cfg.sweep_delta, s))

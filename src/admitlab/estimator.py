@@ -14,7 +14,7 @@ fails the estimators refuse rather than return garbage.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from .admittivity import AdmittivityFamily, ParameterField, WindowResult, comple
 from .dtn import LocalDtnMatrix, SigmaBasis, assemble_dtn, dtn_star_norm, h_half_gram, sigma_basis
 from .errors import (ConfigError, EstimatorRefusal, GeometryError,
                      NumericError, SingularityError)
-from .fem import BlockSystem, Mesh, assemble, build_mesh, energy_density
+from .fem import BlockSystem, ComplexField, Mesh, assemble, build_mesh, energy_density
 from .geometry import (BoundaryPatch, BoxDomain, EnlargedDomain, EtaSets,
                        ProbePath, build_enlarged_domain, build_eta_sets,
                        make_tau_grid, probe_point)
@@ -289,25 +289,75 @@ def build_frame(
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class Forward:
-    """One parameter field with its assembled systems and DtN matrix."""
+    """One parameter field with its assembled systems.
+
+    The DtN matrix is assembled on first read, on the cached factorisation
+    of `system`; the estimators read probe passes instead.
+    """
 
     frame: LabFrame
     a: ParameterField
     system: BlockSystem
     system_eta: BlockSystem
-    dtn: LocalDtnMatrix
+    _passes: dict = field(default_factory=dict, init=False, repr=False)
+
+    @functools.cached_property
+    def dtn(self) -> LocalDtnMatrix:
+        frame = self.frame
+        return assemble_dtn(
+            frame.mesh, frame.family, self.a, frame.patch, frame.k,
+            basis=frame.basis, gram=frame.gram, system=self.system,
+        )
+
+    def probe_pass(self, x0, tau_grid, m: int):
+        """Corrected order-m probes at x0 + tau nu for every tau, memoised.
+
+        Returns (F, KU, U): the basis traces f of the probes as columns, the
+        Omega solutions of those traces from one multi-column solve, and
+        (K U) restricted to the basis.  Because every trace vanishes off the
+        basis vertices, (K u)|sigma is the Schur complement applied to f, so
+        f2 . (K1 u1)|sigma - f1 . (K2 u2)|sigma = f1^T (P1 - P2) f2.
+        Every caller shares the memoised arrays, so they are read-only.
+        """
+        key = (tuple(float(c) for c in x0), tuple(float(t) for t in tau_grid), int(m))
+        if key not in self._passes:
+            arrays = self._probe_pass(*key)
+            for arr in arrays:
+                arr.flags.writeable = False
+            self._passes[key] = arrays
+        return self._passes[key]
+
+    def _probe_pass(self, x0, tau_grid, m):
+        frame = self.frame
+        path = ProbePath(frame.eta_sets, x0, tau_grid)
+        probes = [make_probe(frame.family, self.a, probe_point(path, tau), m)
+                  for tau in tau_grid]
+        corrected = build_corrected_probe(
+            probes, frame.enlarged, frame.mesh_eta, frame.family, self.a,
+            system=self.system_eta,
+        )
+        traces = np.stack(
+            [c.trace_vector(frame.mesh, frame.vertex_map) for c in corrected], axis=1
+        )
+        sigma = np.asarray(frame.basis.vertices)
+        off_sigma = np.ones(frame.mesh.n_vertices, dtype=bool)
+        off_sigma[sigma] = False
+        if np.any(traces[off_sigma] != 0.0):
+            raise NumericError(
+                "probe trace is nonzero off the patch basis; the pairing would "
+                "not be the DtN form"
+            )
+        U = self.system.solve_dirichlet(traces)
+        KU = (self.system.K_complex @ U)[sigma]
+        return traces[sigma], KU, U
 
 
 def build_forward(frame: LabFrame, a: ParameterField) -> Forward:
     system = assemble(frame.mesh, frame.family, a, frame.k)
     system_eta = assemble(frame.mesh_eta, frame.family, a, frame.k)
-    dtn = assemble_dtn(
-        frame.mesh, frame.family, a, frame.patch, frame.k,
-        basis=frame.basis, gram=frame.gram, system=system,
-    )
-    return Forward(frame=frame, a=a, system=system, system_eta=system_eta, dtn=dtn)
+    return Forward(frame=frame, a=a, system=system, system_eta=system_eta)
 
 
 # ---------------------------------------------------------------------------
@@ -392,37 +442,28 @@ def _pair_records(
     if fwd2.frame is not frame:
         raise ConfigError("forwards must share a laboratory frame")
     x0 = np.asarray(x0, dtype=float)
-    path = ProbePath(frame.eta_sets, tuple(x0), tuple(tau_grid))
     t_star = 0.5 * (
         float(np.asarray(fwd1.a.values(x0))) + float(np.asarray(fwd2.a.values(x0)))
     )
     D = frame.family.dt_real(x0, t_star) + 1j * frame.k * frame.family.dt_imag(x0, t_star)
-    delta_p = fwd1.dtn.pairing - fwd2.dtn.pairing
-    sigma_idx = list(frame.basis.vertices)
+    F1, KU1, U1 = fwd1.probe_pass(x0, tau_grid, m)
+    F2, KU2, U2 = fwd2.probe_pass(x0, tau_grid, m)
+    path = ProbePath(frame.eta_sets, tuple(x0), tuple(tau_grid))
     bary = frame.mesh.barycenters
     depth = frame.patch.depth(bary)
 
     records = []
-    for tau in tau_grid:
+    for j, tau in enumerate(tau_grid):
         z = probe_point(path, tau)
-        trace = []
-        for fwd in (fwd1, fwd2):
-            probe = make_probe(frame.family, fwd.a, z, m)
-            corrected = build_corrected_probe(
-                probe, frame.enlarged, frame.mesh_eta, frame.family, fwd.a,
-                system=fwd.system_eta,
-            )
-            trace.append(corrected.trace_vector(frame.mesh, frame.vertex_map))
-        f1 = trace[0][sigma_idx]
-        f2 = trace[1][sigma_idx]
+        f1 = F1[:, j]
+        f2 = F2[:, j]
         n1 = _gram_norm(frame.gram, f1)
         n2 = _gram_norm(frame.gram, f2)
-        # Probes are normalised in the trace norm for the pairing and the raw
-        # scale restored afterwards; the product is unchanged but the norms
-        # are recorded for the report.
-        pairing = complex((f1 / n1) @ delta_p @ (f2 / n2)) * n1 * n2
-        u1 = fwd1.system.solve_dirichlet(trace[0])
-        u2 = fwd2.system.solve_dirichlet(trace[1])
+        # Alessandrini's identity with P complex symmetric: the flux of each
+        # probe solve paired with the other probe's trace.
+        pairing = complex(f2 @ KU1[:, j] - f1 @ KU2[:, j])
+        u1 = ComplexField(frame.mesh, U1[:, j])
+        u2 = ComplexField(frame.mesh, U2[:, j])
         dens = energy_density(frame.mesh, D, u1, u2).real
         ball = np.linalg.norm(bary - z[None, :], axis=1) < rho
         n_full = float(np.sum(dens))
@@ -642,6 +683,9 @@ def lipschitz_sweep(
 ) -> list:
     """Lipschitz records for a list of (label, a2) perturbed fields."""
     fwd1 = build_forward(frame, a1)
+    # Factor the reference system before any perturbed forward is assembled,
+    # so its factorisation does not overlap theirs.
+    fwd1.dtn
     out = []
     for label, a2 in perturbations:
         fwd2 = build_forward(frame, a2)

@@ -427,12 +427,15 @@ def _factor_interior(K_ii: sp.spmatrix) -> spla.SuperLU:
 
 
 def _check_residual(K_ii: sp.spmatrix, x: np.ndarray, rhs: np.ndarray) -> None:
-    """SolverError unless every column has |K_ii x - rhs| <= 1e-10 |rhs|."""
+    """SolverError unless every column has |K_ii x - rhs| <= 1e-10 |rhs|.
+
+    A non-finite residual fails the check too.
+    """
     x = x.reshape(len(x), -1)
     rhs = rhs.reshape(len(rhs), -1)
     resid = np.linalg.norm(K_ii @ x - rhs, axis=0)
     scale = np.maximum(np.linalg.norm(rhs, axis=0), 1e-300)
-    bad = resid > _RESIDUAL_RTOL * scale
+    bad = ~(resid <= _RESIDUAL_RTOL * scale)
     if np.any(bad):
         col = int(np.argmax(bad))
         raise SolverError(
@@ -532,20 +535,33 @@ class BlockSystem:
         return schur_onto(self.K_complex, self._interior, sigma,
                           solve=self._solve_interior)
 
-    def solve_dirichlet(self, g) -> ComplexField:
-        """Solve with Dirichlet data g (full-length nodal vector)."""
+    def solve_dirichlet(self, g):
+        """Solve with Dirichlet data g, one full-length nodal vector (n,) or
+        one per column (n, c).
+
+        Returns a ComplexField for (n,) data and the (n, c) complex solution
+        array for (n, c) data; all columns share one interior solve and each
+        column's residual is checked.
+        """
         g = np.asarray(g, dtype=complex)
-        if g.shape != (self.mesh.n_vertices,):
-            raise ConfigError("boundary data must be a full-length nodal vector")
-        if not np.all(np.isfinite(g[self._boundary])):
-            raise SolverError("boundary data contains non-finite values")
-        rhs = -(self._K_ib @ g[self._boundary])
+        n = self.mesh.n_vertices
+        if g.ndim not in (1, 2) or g.shape[0] != n:
+            raise ConfigError("boundary data must be full-length nodal vectors")
+        cols = g.reshape(n, -1)
+        g_bnd = cols[self._boundary]
+        finite = np.all(np.isfinite(g_bnd), axis=0)
+        if not np.all(finite):
+            raise SolverError("boundary data contains non-finite values",
+                              diagnostics={"column": int(np.argmin(finite))})
+        rhs = -(self._K_ib @ g_bnd)
         u_int = self._solve_interior(rhs)
         _check_residual(self._K_ii, u_int, rhs)
-        values = np.zeros(self.mesh.n_vertices, dtype=complex)
-        values[self._boundary] = g[self._boundary]
+        values = np.zeros(cols.shape, dtype=complex)
+        values[self._boundary] = g_bnd
         values[self._interior] = u_int
-        return ComplexField(self.mesh, values)
+        if g.ndim == 1:
+            return ComplexField(self.mesh, values[:, 0])
+        return values
 
 
 def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float) -> BlockSystem:

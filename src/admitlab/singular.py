@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -256,30 +256,40 @@ class CorrectedProbe:
 
 
 def build_corrected_probe(
-    probe: SingularProbe,
+    probes: Sequence[SingularProbe],
     enlarged: EnlargedDomain,
     mesh_eta: Mesh,
     family: AdmittivityFamily,
     a: ParameterField,
     system: Optional[BlockSystem] = None,
-) -> CorrectedProbe:
-    """Solve for the corrector on the enlarged mesh; trace dies off the patch."""
-    z = probe.z_arr
-    if enlarged.box.contains(z):
-        raise GeometryError(f"singularity {tuple(z)} lies inside the closed domain")
-    if not enlarged.contains(z):
-        raise GeometryError(f"singularity {tuple(z)} lies outside the enlarged domain")
-    if enlarged.boundary_distance(z) < enlarged.eta / 2.0 - 1e-12:
-        raise GeometryError(
-            "singularity too close to the enlarged boundary; shrink tau"
-        )
-    min_vertex_gap = float(np.min(np.linalg.norm(mesh_eta.verts - z, axis=1)))
-    if min_vertex_gap < 1e-9:
-        raise GeometryError("singularity coincides with a mesh vertex")
+) -> list:
+    """Correctors for a sequence of probes on the enlarged mesh, from one
+    multi-column solve; every trace dies off the patch.
+
+    Returns one CorrectedProbe per probe, in order.
+    """
+    verts = mesh_eta.verts
+    for probe in probes:
+        z = probe.z_arr
+        if enlarged.box.contains(z):
+            raise GeometryError(f"singularity {tuple(z)} lies inside the closed domain")
+        if not enlarged.contains(z):
+            raise GeometryError(f"singularity {tuple(z)} lies outside the enlarged domain")
+        if enlarged.boundary_distance(z) < enlarged.eta / 2.0 - 1e-12:
+            raise GeometryError(
+                "singularity too close to the enlarged boundary; shrink tau"
+            )
+        if float(np.min(np.linalg.norm(verts - z, axis=1))) < 1e-9:
+            raise GeometryError("singularity coincides with a mesh vertex")
     if system is None:
         system = assemble(mesh_eta, family, a, family.freq)
-    g = np.zeros(mesh_eta.n_vertices, dtype=complex)
     bnd = mesh_eta.boundary_vertex_mask
-    g[bnd] = -leading_term(probe, mesh_eta.verts[bnd])
-    corrector = system.solve_dirichlet(g)
-    return CorrectedProbe(probe=probe, corrector=corrector, enlarged=enlarged)
+    g = np.zeros((mesh_eta.n_vertices, len(probes)), dtype=complex)
+    for j, probe in enumerate(probes):
+        g[bnd, j] = -leading_term(probe, verts[bnd])
+    correctors = system.solve_dirichlet(g)
+    return [
+        CorrectedProbe(probe=probe, corrector=ComplexField(mesh_eta, correctors[:, j]),
+                       enlarged=enlarged)
+        for j, probe in enumerate(probes)
+    ]

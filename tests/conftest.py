@@ -1,5 +1,6 @@
 import pytest
 
+import admitlab.estimator
 from admitlab.estimator import LabFrame, build_forward, build_frame
 from admitlab.families import constant_field, scalar_identity_family
 from admitlab.geometry import BoundaryPatch, BoxDomain
@@ -29,3 +30,38 @@ def frame16(unit_box, patch, scalar_family) -> LabFrame:
 @pytest.fixture(scope="session")
 def forward_a1(frame16):
     return build_forward(frame16, constant_field(1.0))
+
+
+@pytest.fixture
+def probe_calls(monkeypatch):
+    """Probe count of every `build_corrected_probe` call the estimators make."""
+    calls = []
+    real = admitlab.estimator.build_corrected_probe
+
+    def counting(probes, *args, **kwargs):
+        calls.append(len(probes))
+        return real(probes, *args, **kwargs)
+
+    monkeypatch.setattr(admitlab.estimator, "build_corrected_probe", counting)
+    return calls
+
+
+@pytest.fixture
+def assembly_log(monkeypatch):
+    """("assemble", a) and ("dtn", a) entries, in call order, for every
+    system and DtN the estimators assemble."""
+    log = []
+    real_assemble = admitlab.estimator.assemble
+    real_dtn = admitlab.estimator.assemble_dtn
+
+    def assemble(mesh, family, a, k):
+        log.append(("assemble", a))
+        return real_assemble(mesh, family, a, k)
+
+    def assemble_dtn(mesh, family, a, *args, **kwargs):
+        log.append(("dtn", a))
+        return real_dtn(mesh, family, a, *args, **kwargs)
+
+    monkeypatch.setattr(admitlab.estimator, "assemble", assemble)
+    monkeypatch.setattr(admitlab.estimator, "assemble_dtn", assemble_dtn)
+    return log

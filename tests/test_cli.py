@@ -161,6 +161,35 @@ class TestDtnCommand:
         assert raw.startswith(b"i,j,value\r\n")
 
 
+    def test_meshes_only_the_box(self, tmp_path, monkeypatch):
+        import admitlab.cli
+        import admitlab.estimator
+        import admitlab.fem
+        from admitlab.geometry import BoxDomain
+
+        domains = []
+        real = admitlab.fem.build_mesh
+
+        def recording(domain, *args, **kwargs):
+            domains.append(domain)
+            return real(domain, *args, **kwargs)
+
+        for module in (admitlab.fem, admitlab.cli, admitlab.estimator):
+            monkeypatch.setattr(module, "build_mesh", recording)
+        path = write_config(tmp_path)
+        assert main(["dtn", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len(domains) == 1 and isinstance(domains[0], BoxDomain)
+
+    @pytest.mark.parametrize("overrides", [
+        {"geometry.eta": 0.35},
+        {"geometry.patch.rect_lo": [0.25, 0.25], "geometry.patch.rect_hi": [0.75, 0.75],
+         "geometry.eta": 0.2},
+    ], ids=["empty-eta-set", "bump-touches-patch"])
+    def test_geometry_checks_kept(self, tmp_path, overrides):
+        path = write_config(tmp_path, overrides)
+        assert main(["dtn", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
 class TestStabilityCommand:
     def test_report_schema_and_recovery(self, tmp_path):
         path = write_config(tmp_path)
@@ -218,6 +247,31 @@ class TestSweepCommand:
         assert ests[0] == pytest.approx(-0.05, abs=0.0125)
         assert ests[1] == pytest.approx(-0.1, abs=0.025)
         assert report["loglog_slope"] >= report["delta_1"] - 0.15
+
+
+    def test_derivative_sweep_reuses_reference_passes(self, tmp_path, probe_calls):
+        config = Path(__file__).resolve().parents[1] / "configs" / "derivative.yaml"
+        assert main(["sweep", "--mode", "derivative", "--config", str(config),
+                     "--mesh-h", "0.125", "--out", str(tmp_path / "out")]) == 0
+        # Two passes (orders 0 and 2) for the reference field, two for each
+        # of the four perturbed fields.
+        assert probe_calls == [5] * (2 + 4 * 2)
+
+    @pytest.mark.parametrize("mode", ["lipschitz", "derivative"])
+    def test_reference_dtn_before_perturbed_assembly(self, tmp_path, assembly_log, mode):
+        # The derivative sweep needs a gap that vanishes on the patch.
+        path = write_config(tmp_path, {} if mode == "lipschitz" else {
+            "fields.a2": {"kind": "affine", "offset": 0.95,
+                          "gradient": [0.0, 0.0, 0.05]},
+            "sweep.delta": {"kind": "affine", "offset": -1.0,
+                            "gradient": [0.0, 0.0, 1.0]},
+        })
+        assert main(["sweep", "--mode", mode, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+        log = assembly_log
+        reference = log[0][1]
+        assert log[:3] == [("assemble", reference)] * 2 + [("dtn", reference)]
+        assert all(a is not reference for _, a in log[3:])
 
 
 class TestProbeCommand:

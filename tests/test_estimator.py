@@ -1,16 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from admitlab.errors import ConfigError, EstimatorRefusal, GeometryError
-from admitlab.estimator import (boundary_gap_estimate, build_forward,
+from admitlab.dtn import SigmaBasis
+from admitlab.errors import ConfigError, EstimatorRefusal, GeometryError, NumericError
+from admitlab.estimator import (TauRecord, boundary_gap_estimate, build_forward,
                                 build_frame, check_sign_condition, delta_h,
                                 derivative_gap_estimate, f_function,
                                 lipschitz_ratio, lipschitz_sweep, loglog_slope,
                                 tangential_gap_derivative, weighted_integral)
 from admitlab.families import (affine_field, constant_field,
-                               gaussian_bump_field, rotated_anisotropic_family,
+                               diagonal_affine_family, gaussian_bump_field,
+                               rotated_anisotropic_family,
                                scalar_identity_family, shifted_field)
-from admitlab.geometry import BoundaryPatch, BoxDomain
+from admitlab.fem import energy_density
+from admitlab.geometry import BoundaryPatch, BoxDomain, ProbePath, probe_point
+from admitlab.singular import build_corrected_probe, make_probe
 
 BOX = BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 X0 = (0.5, 0.5, 1.0)
@@ -341,3 +347,151 @@ class TestLipschitz:
         rec = lipschitz_ratio(forward_a1, forward_a1)
         assert rec.lhs == 0.0 and rec.rhs == pytest.approx(0.0, abs=1e-14)
         assert rec.ratio is None and not rec.violation
+
+
+# ---------------------------------------------------------------------------
+# Probe passes against the per-probe dense-DtN path
+# ---------------------------------------------------------------------------
+
+PATCH = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
+ORACLE_FAMILIES = {
+    "scalar": scalar_identity_family(k=0.05, imag=1.0),
+    "diagonal": diagonal_affine_family(k=0.05, slope=(1.0, 1.2, 0.8),
+                                       offset=(0.1, 0.0, 0.2), imag=(1.0, 0.7, 1.3)),
+    "rotated": rotated_anisotropic_family(k=0.002, eps=0.3, imag=1.1),
+}
+
+
+def reference_records(fwd1, fwd2, x0, tau_grid, m, rho):
+    """The per-probe path: one corrector and one single-column solve per
+    probe, the pairing read from the dense DtN matrices."""
+    frame = fwd1.frame
+    x0 = np.asarray(x0, dtype=float)
+    path = ProbePath(frame.eta_sets, tuple(x0), tuple(tau_grid))
+    t_star = 0.5 * (float(fwd1.a.values(x0)) + float(fwd2.a.values(x0)))
+    D = frame.family.dt_real(x0, t_star) + 1j * frame.k * frame.family.dt_imag(x0, t_star)
+    delta_p = fwd1.dtn.pairing - fwd2.dtn.pairing
+    sigma = list(frame.basis.vertices)
+    bary = frame.mesh.barycenters
+    depth = frame.patch.depth(bary)
+    records = []
+    for tau in tau_grid:
+        z = probe_point(path, tau)
+        traces = []
+        for fwd in (fwd1, fwd2):
+            probe = make_probe(frame.family, fwd.a, z, m)
+            (corrected,) = build_corrected_probe(
+                [probe], frame.enlarged, frame.mesh_eta, frame.family, fwd.a,
+                system=fwd.system_eta,
+            )
+            traces.append(corrected.trace_vector(frame.mesh, frame.vertex_map))
+        f1, f2 = traces[0][sigma], traces[1][sigma]
+        n1 = float(np.sqrt(np.real(np.conj(f1) @ frame.gram @ f1)))
+        n2 = float(np.sqrt(np.real(np.conj(f2) @ frame.gram @ f2)))
+        pairing = complex((f1 / n1) @ delta_p @ (f2 / n2)) * n1 * n2
+        u1 = fwd1.system.solve_dirichlet(traces[0])
+        u2 = fwd2.system.solve_dirichlet(traces[1])
+        dens = energy_density(frame.mesh, D, u1, u2).real
+        ball = np.linalg.norm(bary - z[None, :], axis=1) < rho
+        n_full = float(np.sum(dens))
+        records.append(TauRecord(
+            tau=float(tau), estimate=pairing.real / n_full, pairing=pairing,
+            n_full=n_full, n_ball=float(np.sum(dens[ball])),
+            m_full=float(np.sum(depth * dens)),
+            m_ball=float(np.sum((depth * dens)[ball])),
+            trace_norm_1=n1, trace_norm_2=n2,
+        ))
+    return records
+
+
+def assert_records_close(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for name in (f.name for f in dataclasses.fields(TauRecord)):
+            a, b = getattr(g, name), getattr(w, name)
+            assert abs(a - b) <= max(1e-10 * abs(b), 1e-12), (name, a, b)
+
+
+@pytest.fixture(scope="module", params=[(name, h) for name in ORACLE_FAMILIES
+                                        for h in (0.125, 0.0625)],
+                ids=lambda p: f"{p[0]}-h{p[1]}")
+def oracle_forwards(request):
+    name, h = request.param
+    frame = build_frame(BOX, PATCH, 0.25, h, ORACLE_FAMILIES[name])
+    return (build_forward(frame, constant_field(1.0)),
+            build_forward(frame, affine_field(1.1, (0.05, 0.0, -0.05))))
+
+
+class TestProbePassOracle:
+    @pytest.mark.parametrize("x0", [X0, (0.46, 0.53, 1.0)], ids=["centre", "off-centre"])
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_records_match_per_probe_path(self, oracle_forwards, x0, m):
+        fwd1, fwd2 = oracle_forwards
+        frame = fwd1.frame
+        taus = frame.tau_default()
+        rho = frame.eta / 4.0
+        est = boundary_gap_estimate(fwd1, fwd2, x0, tau_grid=taus, m=m,
+                                    check_sign=False)
+        assert_records_close(est.records,
+                             reference_records(fwd1, fwd2, x0, taus, m, rho))
+
+    def test_pass_columns_are_the_traces_and_solves(self, oracle_forwards):
+        fwd1, _ = oracle_forwards
+        frame = fwd1.frame
+        taus = frame.tau_default()
+        F, KU, U = fwd1.probe_pass(X0, taus, 0)
+        sigma = list(frame.basis.vertices)
+        assert F.shape == KU.shape == (len(sigma), len(taus))
+        assert U.shape == (frame.mesh.n_vertices, len(taus))
+        assert np.array_equal(U[sigma], F)
+        # (K u)|sigma is the Schur complement applied to the trace.
+        schur = fwd1.dtn.pairing.T
+        assert np.max(np.abs(KU - schur @ F)) <= 1e-10 * np.max(np.abs(KU))
+
+    def test_trace_off_basis_raises(self, oracle_forwards):
+        fwd1, _ = oracle_forwards
+        frame = fwd1.frame
+        thinned = dataclasses.replace(
+            frame, basis=SigmaBasis(frame.mesh, frame.basis.vertices[::2]))
+        fwd = build_forward(thinned, constant_field(1.0))
+        with pytest.raises(NumericError):
+            fwd.probe_pass(X0, frame.tau_default(), 0)
+
+
+class TestProbePassReuse:
+    def test_repeated_estimates_reuse_passes(self, frame16, probe_calls):
+        fwd1 = build_forward(frame16, constant_field(1.0))
+        fwd2 = build_forward(frame16, constant_field(1.1))
+        first = boundary_gap_estimate(fwd1, fwd2, X0, seed=0)
+        assert probe_calls == [5, 5]
+        again = boundary_gap_estimate(fwd1, fwd2, X0, seed=0)
+        assert len(probe_calls) == 2
+        assert again.records == first.records
+        fwd3 = build_forward(frame16, constant_field(0.9))
+        boundary_gap_estimate(fwd1, fwd3, X0, seed=0)
+        assert len(probe_calls) == 3
+        # The order-0 passes are shared with the derivative's boundary step.
+        derivative_gap_estimate(fwd1, fwd2, X0, boundary_tol=1.0, seed=0)
+        assert len(probe_calls) == 5
+
+    def test_new_key_gets_fresh_pass(self, frame16, probe_calls):
+        fwd = build_forward(frame16, constant_field(1.0))
+        taus = frame16.tau_default()
+        base = fwd.probe_pass(X0, taus, 0)
+        assert fwd.probe_pass(list(X0), list(taus), 0) is base
+        assert not any(arr.flags.writeable for arr in base)
+        assert len(probe_calls) == 1
+        for key in (((0.46, 0.53, 1.0), taus, 0), (X0, taus[:3], 0), (X0, taus, 1)):
+            assert fwd.probe_pass(*key) is not base
+        assert len(probe_calls) == 4
+
+
+class TestReferenceDtnOrder:
+    def test_lipschitz_sweep_factors_reference_first(self, frame16, assembly_log):
+        a1 = constant_field(1.0)
+        lipschitz_sweep(frame16, a1, [
+            (f"s={s}", shifted_field(a1, constant_field(1.0), s)) for s in (0.05, 0.1)
+        ])
+        log = assembly_log
+        assert log[:3] == [("assemble", a1), ("assemble", a1), ("dtn", a1)]
+        assert sum(kind == "dtn" for kind, _ in log) == 3

@@ -445,6 +445,77 @@ class TestBlockSystem:
         assert np.max(np.abs(schur_iter - schur_direct)) <= 1e-8 * np.max(np.abs(schur_direct))
 
 
+class TestColumnSolves:
+    """Dirichlet data given as (n, c) columns share one interior solve."""
+
+    @staticmethod
+    def _system_and_data(columns, seed=4):
+        fam = scalar_identity_family(k=0.1, imag=1.0)
+        mesh = build_mesh(BOX, 0.25)
+        system = assemble(mesh, fam, A_ONE, 0.1)
+        rng = np.random.default_rng(seed)
+        g = (rng.standard_normal((mesh.n_vertices, columns))
+             + 1j * rng.standard_normal((mesh.n_vertices, columns)))
+        return system, g
+
+    def test_columns_equal_single_solves(self):
+        system, g = self._system_and_data(5)
+        u = system.solve_dirichlet(g)
+        assert isinstance(u, np.ndarray) and u.shape == g.shape
+        for j in range(g.shape[1]):
+            single = system.solve_dirichlet(g[:, j])
+            assert isinstance(single, ComplexField)
+            scale = np.max(np.abs(single.values))
+            assert np.max(np.abs(u[:, j] - single.values)) <= 1e-14 * scale
+
+    def test_single_column_matrix(self):
+        system, g = self._system_and_data(1)
+        u = system.solve_dirichlet(g)
+        assert u.shape == g.shape
+        assert np.array_equal(u[:, 0], system.solve_dirichlet(g[:, 0]).values)
+
+    def test_poisoned_column_named(self, monkeypatch):
+        system, g = self._system_and_data(4)
+        solve = system._solve_interior
+
+        def poisoned(rhs):
+            out = solve(rhs)
+            out[:, 2] += 1e-3 * np.max(np.abs(out))
+            return out
+
+        monkeypatch.setattr(system, "_solve_interior", poisoned)
+        with pytest.raises(SolverError) as err:
+            system.solve_dirichlet(g)
+        assert err.value.diagnostics["column"] == 2
+
+    def test_nan_solution_column_named(self, monkeypatch):
+        system, g = self._system_and_data(3)
+        solve = system._solve_interior
+
+        def poisoned(rhs):
+            out = solve(rhs)
+            out[0, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(system, "_solve_interior", poisoned)
+        with pytest.raises(SolverError) as err:
+            system.solve_dirichlet(g)
+        assert err.value.diagnostics["column"] == 1
+
+    def test_nonfinite_column_data_rejected(self):
+        system, g = self._system_and_data(3)
+        g[system.boundary[5], 2] = np.inf
+        with pytest.raises(SolverError) as err:
+            system.solve_dirichlet(g)
+        assert err.value.diagnostics["column"] == 2
+
+    @pytest.mark.parametrize("shape", [(7,), (7, 2), (125, 2, 1)])
+    def test_wrong_shape_rejected(self, shape):
+        system, _ = self._system_and_data(1)
+        with pytest.raises(ConfigError):
+            system.solve_dirichlet(np.zeros(shape, dtype=complex))
+
+
 class TestConvergence:
     def test_diagonal_quadratic_is_nodally_exact(self):
         # The symmetric six-tet split reproduces harmonic quadratics with a

@@ -204,8 +204,8 @@ class TestCorrectedProbe:
         z = np.array([0.5, 0.5, 1.0 + eta / 16])
         for m in (0, 2):
             probe = make_probe(fam, a, z, m)
-            corrected = build_corrected_probe(probe, enlarged, mesh_eta, fam, a,
-                                              system=system_eta)
+            (corrected,) = build_corrected_probe([probe], enlarged, mesh_eta, fam, a,
+                                                 system=system_eta)
             trace = corrected.trace_vector(mesh, mesh.shared_vertex_map(mesh_eta))
             bnd = mesh.boundary_vertex_mask
             lat = patch.lateral(mesh.verts)
@@ -220,8 +220,8 @@ class TestCorrectedProbe:
         box, patch, eta, enlarged, mesh, mesh_eta, fam, a, system_eta = setup
         z = np.array([0.5, 0.5, 1.0 + eta / 16])
         probe = make_probe(fam, a, z, 0)
-        corrected = build_corrected_probe(probe, enlarged, mesh_eta, fam, a,
-                                          system=system_eta)
+        (corrected,) = build_corrected_probe([probe], enlarged, mesh_eta, fam, a,
+                                             system=system_eta)
         omega = corrected.corrector.values
         assert np.all(np.isfinite(omega))
         near = np.linalg.norm(mesh_eta.verts - z[None, :], axis=1) <= eta / 16
@@ -235,14 +235,38 @@ class TestCorrectedProbe:
         box, patch, eta, enlarged, mesh, mesh_eta, fam, a, system_eta = setup
         probe = make_probe(fam, a, np.array([0.5, 0.5, 0.9]), 0)
         with pytest.raises(GeometryError):
-            build_corrected_probe(probe, enlarged, mesh_eta, fam, a,
+            build_corrected_probe([probe], enlarged, mesh_eta, fam, a,
                                   system=system_eta)
 
     def test_rejects_singularity_near_enlarged_boundary(self, setup):
         box, patch, eta, enlarged, mesh, mesh_eta, fam, a, system_eta = setup
         probe = make_probe(fam, a, np.array([0.5, 0.5, 1.0 + eta - 1e-3]), 0)
         with pytest.raises(GeometryError):
-            build_corrected_probe(probe, enlarged, mesh_eta, fam, a,
+            build_corrected_probe([probe], enlarged, mesh_eta, fam, a,
+                                  system=system_eta)
+
+
+    def test_batch_matches_single_probes(self, setup):
+        box, patch, eta, enlarged, mesh, mesh_eta, fam, a, system_eta = setup
+        probes = [make_probe(fam, a, np.array([x, 0.5, 1.0 + tau]), m)
+                  for x, tau, m in ((0.5, eta / 16, 0), (0.47, eta / 8, 2),
+                                    (0.53, eta / 32, 1))]
+        batch = build_corrected_probe(probes, enlarged, mesh_eta, fam, a,
+                                      system=system_eta)
+        assert [c.probe for c in batch] == probes
+        for probe, corrected in zip(probes, batch):
+            (single,) = build_corrected_probe([probe], enlarged, mesh_eta, fam, a,
+                                              system=system_eta)
+            scale = np.max(np.abs(single.corrector.values))
+            assert (np.max(np.abs(corrected.corrector.values - single.corrector.values))
+                    <= 1e-14 * scale)
+
+    def test_every_probe_is_checked(self, setup):
+        box, patch, eta, enlarged, mesh, mesh_eta, fam, a, system_eta = setup
+        good = make_probe(fam, a, np.array([0.5, 0.5, 1.0 + eta / 16]), 0)
+        bad = make_probe(fam, a, np.array([0.5, 0.5, 0.9]), 0)
+        with pytest.raises(GeometryError):
+            build_corrected_probe([good, bad], enlarged, mesh_eta, fam, a,
                                   system=system_eta)
 
 
