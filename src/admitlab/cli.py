@@ -20,7 +20,7 @@ from .errors import (AdmitLabError, ConfigError, EstimatorRefusal,
                      GeometryError, NumericError, SolverError)
 from .estimator import (GapEstimate, boundary_gap_estimate, build_forward,
                         build_frame, delta_h, derivative_gap_estimate,
-                        lipschitz_ratio, loglog_slope)
+                        lipschitz_ratio, lipschitz_sweep, loglog_slope)
 from .families import shifted_field
 from .fem import build_mesh
 from .geometry import build_enlarged_domain, build_eta_sets, probe_point, ProbePath
@@ -42,8 +42,6 @@ def _config_options(fn):
                       help="override the config seed")(fn)
     fn = click.option("--mesh-h", default=None, type=float,
                       help="override the mesh pitch")(fn)
-    fn = click.option("--threads", default=1, show_default=True, type=int,
-                      help="worker threads for independent experiments")(fn)
     return fn
 
 
@@ -90,18 +88,29 @@ def _window_banner(cfg: ExperimentConfig):
     return lines, out_of_window
 
 
-def _refuse_if_enforced(cfg: ExperimentConfig):
-    _, out_of_window = _window_banner(cfg)
+def _estimator_frame(cfg: ExperimentConfig, command: str, out_dir,
+                     banner: bool = True):
+    """Gate an estimator command on the frequency window, open its manifest
+    and build its LabFrame in the manifest's "frame" stage."""
+    lines, out_of_window = _window_banner(cfg)
     if out_of_window and cfg.enforce_window:
         raise ConfigError(
             "k outside the frequency window and family.enforce_window is set; "
             "refusing estimator run"
         )
+    manifest = RunManifest(command, cfg.raw, cfg.seed, out_dir)
+    if banner:
+        for line in lines:
+            click.echo(line)
+    manifest.start("frame")
+    frame = build_frame(cfg.box, cfg.patch, cfg.eta, cfg.h, cfg.build_family(),
+                        window=cfg.window)
+    return manifest, frame
 
 
 @cli.command()
 @_config_options
-def validate(config_path, out_dir, seed, mesh_h, threads):
+def validate(config_path, out_dir, seed, mesh_h):
     """Class membership, frequency window and geometry checks."""
     cfg = _load(config_path, seed, mesh_h)
     family, family_report, field_reports = _validation_suite(cfg)
@@ -123,7 +132,7 @@ def validate(config_path, out_dir, seed, mesh_h, threads):
 
 @cli.command()
 @_config_options
-def dtn(config_path, out_dir, seed, mesh_h, threads):
+def dtn(config_path, out_dir, seed, mesh_h):
     """Assemble the local DtN matrices and write pairing/Gram CSV files."""
     cfg = _load(config_path, seed, mesh_h)
     manifest = RunManifest("dtn", cfg.raw, cfg.seed, out_dir)
@@ -169,7 +178,7 @@ def dtn(config_path, out_dir, seed, mesh_h, threads):
 
 @cli.command()
 @_config_options
-def probe(config_path, out_dir, seed, mesh_h, threads):
+def probe(config_path, out_dir, seed, mesh_h):
     """Evaluate singular probes and export point clouds."""
     cfg = _load(config_path, seed, mesh_h)
     manifest = RunManifest("probe", cfg.raw, cfg.seed, out_dir)
@@ -252,19 +261,13 @@ def _write_gap_outputs(manifest, out, cfg, est: GapEstimate, stem: str):
 
 @cli.command()
 @_config_options
-def stability(config_path, out_dir, seed, mesh_h, threads):
+def stability(config_path, out_dir, seed, mesh_h):
     """Single-pair Lipschitz ratio and boundary-value recovery."""
     cfg = _load(config_path, seed, mesh_h)
     if cfg.a2 is None:
         raise ConfigError("stability needs fields.a2")
-    _refuse_if_enforced(cfg)
-    manifest = RunManifest("stability", cfg.raw, cfg.seed, out_dir)
+    manifest, frame = _estimator_frame(cfg, "stability", out_dir)
     out = Path(out_dir)
-    for line in _window_banner(cfg)[0]:
-        click.echo(line)
-    manifest.start("frame")
-    family = cfg.build_family()
-    frame = build_frame(cfg.box, cfg.patch, cfg.eta, cfg.h, family, window=cfg.window)
     manifest.start("forwards")
     fwd1 = build_forward(frame, cfg.a1)
     fwd2 = build_forward(frame, cfg.a2)
@@ -298,17 +301,13 @@ def stability(config_path, out_dir, seed, mesh_h, threads):
 
 @cli.command()
 @_config_options
-def derivative(config_path, out_dir, seed, mesh_h, threads):
+def derivative(config_path, out_dir, seed, mesh_h):
     """Normal-derivative recovery at the anchor (first-order estimate)."""
     cfg = _load(config_path, seed, mesh_h)
     if cfg.a2 is None:
         raise ConfigError("derivative needs fields.a2")
-    _refuse_if_enforced(cfg)
-    manifest = RunManifest("derivative", cfg.raw, cfg.seed, out_dir)
+    manifest, frame = _estimator_frame(cfg, "derivative", out_dir, banner=False)
     out = Path(out_dir)
-    manifest.start("frame")
-    family = cfg.build_family()
-    frame = build_frame(cfg.box, cfg.patch, cfg.eta, cfg.h, family, window=cfg.window)
     manifest.start("forwards")
     fwd1 = build_forward(frame, cfg.a1)
     fwd2 = build_forward(frame, cfg.a2)
@@ -341,84 +340,57 @@ def derivative(config_path, out_dir, seed, mesh_h, threads):
 @_config_options
 @click.option("--mode", type=click.Choice(["lipschitz", "derivative"]),
               default="lipschitz", show_default=True)
-def sweep(config_path, out_dir, seed, mesh_h, threads, mode):
+def sweep(config_path, out_dir, seed, mesh_h, mode):
     """One-parameter perturbation sweeps with log-log slope fits."""
     cfg = _load(config_path, seed, mesh_h)
     if not cfg.sweep_scales or cfg.sweep_delta is None:
         raise ConfigError("sweep needs sweep.scales and sweep.delta")
-    _refuse_if_enforced(cfg)
-    manifest = RunManifest(f"sweep-{mode}", cfg.raw, cfg.seed, out_dir)
+    manifest, frame = _estimator_frame(cfg, f"sweep-{mode}", out_dir)
     out = Path(out_dir)
-    for line in _window_banner(cfg)[0]:
-        click.echo(line)
-    manifest.start("frame")
-    family = cfg.build_family()
-    frame = build_frame(cfg.box, cfg.patch, cfg.eta, cfg.h, family, window=cfg.window)
     manifest.start("sweep")
-    fwd1 = build_forward(frame, cfg.a1)
-    # Factor the reference system before any perturbed forward is assembled,
-    # so its factorisation does not overlap theirs.
-    fwd1.dtn
-
-    def run_point(s):
-        fwd2 = build_forward(frame, shifted_field(cfg.a1, cfg.sweep_delta, s))
-        rec = lipschitz_ratio(fwd1, fwd2, label=f"s={s}")
+    derivative = None
+    if mode == "derivative":
+        derivative = dict(x0=cfg.x0, tau_grid=cfg.tau_grid, rho=cfg.rho, seed=cfg.seed)
+    records = lipschitz_sweep(
+        frame, cfg.a1,
+        [(f"s={s}", shifted_field(cfg.a1, cfg.sweep_delta, s)) for s in cfg.sweep_scales],
+        derivative=derivative,
+    )
+    entries = []
+    for s, rec in zip(cfg.sweep_scales, records):
         entry = {"scale": s, "lhs": rec.lhs, "rhs": rec.rhs, "ratio": rec.ratio}
-        if mode == "derivative":
-            est = derivative_gap_estimate(
-                fwd1, fwd2, cfg.x0, tau_grid=cfg.tau_grid, rho=cfg.rho,
-                seed=cfg.seed,
-            )
-            entry["derivative_estimate"] = est.extrapolated
-        return entry
-
-    # Lipschitz sweep points are independent and pairing-only, so they can
-    # run on a pool; derivative points re-solve on the shared factorisation
-    # and stay sequential.
-    if threads > 1 and mode == "lipschitz":
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(run_point, cfg.sweep_scales))
-    else:
-        entries = [run_point(s) for s in cfg.sweep_scales]
-    for entry in entries:
-        click.echo(f"s={entry['scale']}: lhs={entry['lhs']:.6g} "
-                   f"rhs={entry['rhs']:.6g}"
-                   + (f" dnu={entry['derivative_estimate']:.6g}"
-                      if mode == "derivative" else ""))
+        if derivative is not None:
+            entry["derivative_estimate"] = rec.derivative_estimate
+        entries.append(entry)
+        click.echo(f"{rec.label}: lhs={rec.lhs:.6g} rhs={rec.rhs:.6g}"
+                   + ("" if derivative is None else f" dnu={rec.derivative_estimate:.6g}"))
     manifest.start("write")
     rhs = [e["rhs"] for e in entries]
-    if mode == "lipschitz":
-        lhs = [e["lhs"] for e in entries]
-        slope = loglog_slope(rhs, lhs)
-        ratios = [e["ratio"] for e in entries]
-        spread = max(ratios) / min(ratios)
-        ylab, yvals = "coefficient gap sup", lhs
-        ref_label = "slope 1 (Lipschitz)"
-        ref_slope = 1.0
+    if derivative is None:
+        yvals = [e["lhs"] for e in entries]
     else:
-        lhs = [abs(e["derivative_estimate"]) for e in entries]
-        slope = loglog_slope(rhs, lhs)
-        spread = None
-        ylab, yvals = "normal-derivative gap", lhs
-        d1 = delta_h(cfg.apriori.alpha, 1)
-        ref_label = f"slope delta_1 = {d1:.3g}"
-        ref_slope = d1
+        yvals = [abs(e["derivative_estimate"]) for e in entries]
+    slope = loglog_slope(rhs, yvals)
     payload = {
         "schema": REPORT_SCHEMA, "mode": f"sweep-{mode}",
         "family": cfg.family_template, "k": cfg.k, "alpha": cfg.apriori.alpha,
         "entries": entries, "loglog_slope": slope,
     }
-    if spread is not None:
+    if derivative is None:
+        ratios = [e["ratio"] for e in entries]
+        spread = max(ratios) / min(ratios)
         payload["ratio_spread"] = spread
-    if mode == "derivative":
-        payload["delta_1"] = delta_h(cfg.apriori.alpha, 1)
+        ylab, ref_label, ref_slope = "coefficient gap sup", "slope 1 (Lipschitz)", 1.0
+    else:
+        spread = None
+        d1 = delta_h(cfg.apriori.alpha, 1)
+        payload["delta_1"] = d1
+        ylab, ref_label, ref_slope = "normal-derivative gap", f"slope delta_1 = {d1:.3g}", d1
     if "json" in cfg.formats:
         manifest.record(write_json(out / f"sweep_{mode}_report.json", payload))
     if "csv" in cfg.formats:
         header = ("scale", "lhs", "rhs", "ratio") + (
-            ("derivative_estimate",) if mode == "derivative" else ()
+            () if derivative is None else ("derivative_estimate",)
         )
         columns = [[e[k] for e in entries] for k in header]
         manifest.record(write_csv(out / f"sweep_{mode}.csv", header, columns))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -156,6 +157,9 @@ def load_config(path=None, data: dict = None, seed: int = None, mesh_h: float = 
 
     sweep = _get(data, "sweep", {})
     scales = tuple(float(s) for s in _get(sweep, "scales", ()))
+    for s in scales:
+        if not math.isfinite(s) or s == 0.0:
+            raise ConfigError(f"sweep.scales entries must be finite and nonzero, got {s!r}")
     delta_spec = _get(sweep, "delta", None)
     delta = build_field(delta_spec) if delta_spec is not None else None
 

@@ -14,7 +14,7 @@ fails the estimators refuse rather than return garbage.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -430,14 +430,9 @@ def _pair_records(
     tau_grid,
     m: int,
     rho: float,
-    boundary_offset: Optional[float] = None,
 ):
-    """Probe, pair and weigh one anchor across the tau grid.
-
-    With boundary_offset None the estimate is the boundary value
-    Re(P) / n_full; otherwise it is the normal-derivative residual
-    -(Re(P) - offset * n_full) / m_full with the boundary term removed.
-    """
+    """Probe, pair and weigh one anchor across the tau grid; each record's
+    estimate is the boundary value Re(P) / n_full."""
     frame = fwd1.frame
     if fwd2.frame is not frame:
         raise ConfigError("forwards must share a laboratory frame")
@@ -470,12 +465,8 @@ def _pair_records(
         n_ball = float(np.sum(dens[ball]))
         m_full = float(np.sum(depth * dens))
         m_ball = float(np.sum((depth * dens)[ball]))
-        if boundary_offset is None:
-            est = pairing.real / n_full
-        else:
-            est = -(pairing.real - boundary_offset * n_full) / m_full
         records.append(TauRecord(
-            tau=float(tau), estimate=float(est), pairing=pairing,
+            tau=float(tau), estimate=float(pairing.real / n_full), pairing=pairing,
             n_full=n_full, n_ball=n_ball, m_full=m_full, m_ball=m_ball,
             trace_norm_1=n1, trace_norm_2=n2,
         ))
@@ -520,7 +511,7 @@ def boundary_gap_estimate(
                 report=sign_report,
             )
 
-    records = _pair_records(fwd1, fwd2, x0, tau_grid, m, rho, boundary_offset=None)
+    records = _pair_records(fwd1, fwd2, x0, tau_grid, m, rho)
     taus = np.array([r.tau for r in records])
     ests = np.array([r.estimate for r in records])
     extrapolated, slope, rate = _extrapolate(taus, ests)
@@ -570,7 +561,7 @@ def derivative_gap_estimate(
             report=boundary,
         )
 
-    raw = _pair_records(fwd1, fwd2, x0, tau_grid, m, rho, boundary_offset=None)
+    raw = _pair_records(fwd1, fwd2, x0, tau_grid, m, rho)
     # Each probing furnishes one equation Re P = g0 * n_full - dg * m_full,
     # so a regression of y = Re P / n against the depth-to-energy ratio
     # x = m / n separates the residual boundary term (intercept) from the
@@ -643,6 +634,7 @@ class LipschitzRecord:
     rhs: float
     ratio: Optional[float]
     violation: bool
+    derivative_estimate: Optional[float] = None
 
 
 def _sigma_eta_grid(frame: LabFrame, per_side: int = 9) -> np.ndarray:
@@ -680,8 +672,15 @@ def lipschitz_sweep(
     frame: LabFrame,
     a1: ParameterField,
     perturbations: Sequence,
+    derivative: Optional[dict] = None,
 ) -> list:
-    """Lipschitz records for a list of (label, a2) perturbed fields."""
+    """Lipschitz records for a list of (label, a2) perturbed fields.
+
+    With `derivative`, keyword arguments of `derivative_gap_estimate` (x0
+    among them), each record also carries that estimate's extrapolated
+    normal derivative.  Every point pairs against the one reference
+    Forward, so the reference probe passes are computed once.
+    """
     fwd1 = build_forward(frame, a1)
     # Factor the reference system before any perturbed forward is assembled,
     # so its factorisation does not overlap theirs.
@@ -689,5 +688,12 @@ def lipschitz_sweep(
     out = []
     for label, a2 in perturbations:
         fwd2 = build_forward(frame, a2)
-        out.append(lipschitz_ratio(fwd1, fwd2, label=label))
+        rec = lipschitz_ratio(fwd1, fwd2, label=label)
+        if derivative is not None:
+            est = derivative_gap_estimate(fwd1, fwd2, **derivative)
+            rec = replace(rec, derivative_estimate=est.extrapolated)
+        out.append(rec)
+        # Free this point's systems and factorisations before the next
+        # field is assembled.
+        del fwd2
     return out

@@ -132,11 +132,6 @@ class BoundaryPatch:
         out[..., self.axis] = self.plane_coord + self.side * offset
         return out
 
-    def contains_lateral(self, uv, margin=0.0) -> bool:
-        uv = np.asarray(uv, dtype=float)
-        lo2, hi2 = np.asarray(self.rect_lo), np.asarray(self.rect_hi)
-        return bool(np.all(uv >= lo2 + margin) and np.all(uv <= hi2 - margin))
-
     def depth(self, x):
         """Signed distance from x to the face plane along the inward direction."""
         x = np.asarray(x, dtype=float)

@@ -1,8 +1,11 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+import admitlab.estimator
 from admitlab.dtn import SigmaBasis
 from admitlab.errors import ConfigError, EstimatorRefusal, GeometryError, NumericError
 from admitlab.estimator import (TauRecord, boundary_gap_estimate, build_forward,
@@ -486,12 +489,76 @@ class TestProbePassReuse:
         assert len(probe_calls) == 4
 
 
+# The derivative sweep needs a gap that vanishes on the patch: a1 - a2 is
+# -s (z - 1), zero on the z+ face with normal derivative -s.
+SWEEP_MODES = {
+    "lipschitz": (constant_field(1.0), None),
+    "derivative": (affine_field(-1.0, (0.0, 0.0, 1.0)), {"x0": X0, "seed": 0}),
+}
+
+
+def _sweep_fields(a1, mode):
+    delta, _ = SWEEP_MODES[mode]
+    return [(f"s={s}", shifted_field(a1, delta, s)) for s in (0.05, 0.1)]
+
+
 class TestReferenceDtnOrder:
-    def test_lipschitz_sweep_factors_reference_first(self, frame16, assembly_log):
+    @pytest.mark.parametrize("mode", sorted(SWEEP_MODES))
+    def test_lipschitz_sweep_factors_reference_first(self, frame16, assembly_log, mode):
         a1 = constant_field(1.0)
-        lipschitz_sweep(frame16, a1, [
-            (f"s={s}", shifted_field(a1, constant_field(1.0), s)) for s in (0.05, 0.1)
-        ])
+        lipschitz_sweep(frame16, a1, _sweep_fields(a1, mode),
+                        derivative=SWEEP_MODES[mode][1])
         log = assembly_log
         assert log[:3] == [("assemble", a1), ("assemble", a1), ("dtn", a1)]
         assert sum(kind == "dtn" for kind, _ in log) == 3
+
+
+class TestSweepDriver:
+    def test_derivative_mode_matches_per_point_estimates(self, frame16):
+        a1 = constant_field(1.0)
+        fields = _sweep_fields(a1, "derivative")
+        kwargs = SWEEP_MODES["derivative"][1]
+        records = lipschitz_sweep(frame16, a1, fields, derivative=kwargs)
+        fwd1 = build_forward(frame16, a1)
+        expected = []
+        for label, a2 in fields:
+            fwd2 = build_forward(frame16, a2)
+            est = derivative_gap_estimate(fwd1, fwd2, **kwargs)
+            expected.append(dataclasses.replace(
+                lipschitz_ratio(fwd1, fwd2, label=label),
+                derivative_estimate=est.extrapolated,
+            ))
+        assert records == expected
+        assert [r.derivative_estimate for r in records] == pytest.approx(
+            [-0.05, -0.1], abs=0.025)
+
+    @pytest.mark.parametrize("mode", sorted(SWEEP_MODES))
+    def test_point_forward_freed_before_next_assembly(self, frame16, monkeypatch,
+                                                      mode):
+        forwards = []
+        stale = []
+        real_build = admitlab.estimator.build_forward
+        real_assemble = admitlab.estimator.assemble
+
+        def build_forward_logged(frame, a):
+            fwd = real_build(frame, a)
+            forwards.append(weakref.ref(fwd))
+            return fwd
+
+        def assemble_checked(mesh, family, a, k):
+            # Perturbed Forwards still alive; index 0 is the reference.
+            stale.extend(i for i, ref in enumerate(forwards) if i and ref() is not None)
+            return real_assemble(mesh, family, a, k)
+
+        monkeypatch.setattr(admitlab.estimator, "build_forward", build_forward_logged)
+        monkeypatch.setattr(admitlab.estimator, "assemble", assemble_checked)
+        a1 = constant_field(1.0)
+        # Reference counting alone must free each point: no collector pass.
+        gc.disable()
+        try:
+            lipschitz_sweep(frame16, a1, _sweep_fields(a1, mode),
+                            derivative=SWEEP_MODES[mode][1])
+        finally:
+            gc.enable()
+        assert len(forwards) == 3
+        assert stale == []
