@@ -66,6 +66,33 @@ def _get(section: dict, key: str, default=None, required=False, where=""):
     return default
 
 
+def _number(value, key: str, kind=float):
+    """`kind(value)`, or a ConfigError naming the config key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key '{key}' must be a number, got {value!r}") from None
+
+
+def _numbers(values, key: str) -> tuple:
+    """Floats of a config list, or a ConfigError naming the config key."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"config key '{key}' must be a list of numbers, got {values!r}")
+    return tuple(_number(v, key) for v in values)
+
+
+def _field(spec, key: str) -> ParameterField:
+    """Parameter field of a config mapping, malformed entries named by key."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"config key '{key}' must be a mapping, got {spec!r}")
+    try:
+        return build_field(spec)
+    except KeyError as exc:
+        raise ConfigError(f"missing config key '{key}.{exc.args[0]}'") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key '{key}' is malformed: {exc}") from None
+
+
 def load_config(path=None, data: dict = None, seed: int = None, mesh_h: float = None) -> ExperimentConfig:
     """Parse and cross-validate an experiment config.
 
@@ -86,45 +113,54 @@ def load_config(path=None, data: dict = None, seed: int = None, mesh_h: float = 
         raise ConfigError("config root must be a mapping")
     data = dict(data)
     if seed is not None:
-        data["seed"] = int(seed)
+        data["seed"] = _number(seed, "seed", int)
 
     geo = _get(data, "geometry", required=True, where="")
     box_spec = _get(geo, "box", {"lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]})
-    box = BoxDomain(tuple(box_spec["lo"]), tuple(box_spec["hi"]))
+    box = BoxDomain(_numbers(_get(box_spec, "lo", required=True, where="geometry.box."),
+                             "geometry.box.lo"),
+                    _numbers(_get(box_spec, "hi", required=True, where="geometry.box."),
+                             "geometry.box.hi"))
     patch_spec = _get(geo, "patch", required=True, where="geometry.")
     patch = BoundaryPatch(
         box=box,
         face=_get(patch_spec, "face", "z+"),
-        rect_lo=tuple(_get(patch_spec, "rect_lo", required=True, where="geometry.patch.")),
-        rect_hi=tuple(_get(patch_spec, "rect_hi", required=True, where="geometry.patch.")),
+        rect_lo=_numbers(_get(patch_spec, "rect_lo", required=True, where="geometry.patch."),
+                         "geometry.patch.rect_lo"),
+        rect_hi=_numbers(_get(patch_spec, "rect_hi", required=True, where="geometry.patch."),
+                         "geometry.patch.rect_hi"),
     )
-    eta = float(_get(geo, "eta", required=True, where="geometry."))
+    eta = _number(_get(geo, "eta", required=True, where="geometry."), "geometry.eta")
 
     disc = _get(data, "discretization", {})
-    h = float(_get(disc, "h", 0.0625))
+    h = _number(_get(disc, "h", 0.0625), "discretization.h")
     if mesh_h is not None:
-        h = float(mesh_h)
+        h = _number(mesh_h, "discretization.h")
         data.setdefault("discretization", {})
         data["discretization"]["h"] = h
     rho = _get(disc, "rho", None)
-    rho = eta / 4.0 if rho is None else float(rho)
-    order = int(_get(disc, "order", 0))
-    x0 = tuple(float(v) for v in _get(disc, "x0", (0.5, 0.5, 1.0)))
+    rho = eta / 4.0 if rho is None else _number(rho, "discretization.rho")
+    order = _number(_get(disc, "order", 0), "discretization.order", int)
+    x0 = _numbers(_get(disc, "x0", (0.5, 0.5, 1.0)), "discretization.x0")
 
     tau_spec = _get(geo, "tau_grid", {})
     tau_start = _get(tau_spec, "start", None)
-    tau_start = eta / 16.0 if tau_start is None else float(tau_start)
+    tau_start = (eta / 16.0 if tau_start is None
+                 else _number(tau_start, "geometry.tau_grid.start"))
     tau_grid = make_tau_grid(
-        tau_start, float(_get(tau_spec, "ratio", 0.5)), int(_get(tau_spec, "count", 5))
+        tau_start,
+        _number(_get(tau_spec, "ratio", 0.5), "geometry.tau_grid.ratio"),
+        _number(_get(tau_spec, "count", 5), "geometry.tau_grid.count", int),
     )
 
     ap = dict(_DEFAULT_APRIORI)
     ap.update(_get(data, "apriori", {}))
+    ap = {key: _number(value, f"apriori.{key}") for key, value in ap.items()}
     fam_spec = _get(data, "family", required=True, where="")
     template = _get(fam_spec, "template", required=True, where="family.")
     params = dict(_get(fam_spec, "params", {}))
     n = 3
-    window = best_frequency_window(float(ap["e1"]), float(ap["e2"]), n)
+    window = best_frequency_window(ap["e1"], ap["e2"], n)
     k_raw = _get(fam_spec, "k", "auto")
     k_was_auto = isinstance(k_raw, str)
     if k_was_auto:
@@ -137,38 +173,38 @@ def load_config(path=None, data: dict = None, seed: int = None, mesh_h: float = 
             )
         k = 0.9 * window.k_max
     else:
-        k = float(k_raw)
+        k = _number(k_raw, "family.k")
     enforce_window = bool(_get(fam_spec, "enforce_window", False))
 
     eta0 = patch.eta0()
     apriori = AprioriData(
-        n=n, p=float(ap["p"]), k=k, lam=float(ap["lambda"]),
-        e1=float(ap["e1"]), e2=float(ap["e2"]), bigE=float(ap["bigE"]),
-        dcal=float(ap["dcal"]), fcal=float(ap["fcal"]), alpha=float(ap["alpha"]),
-        r0=float(ap.get("r0", min(box.hi_arr - box.lo_arr) / 2.0)),
-        L=float(ap.get("L", 1.0)),
+        n=n, p=ap["p"], k=k, lam=ap["lambda"],
+        e1=ap["e1"], e2=ap["e2"], bigE=ap["bigE"],
+        dcal=ap["dcal"], fcal=ap["fcal"], alpha=ap["alpha"],
+        r0=ap.get("r0", float(min(box.hi_arr - box.lo_arr)) / 2.0),
+        L=ap.get("L", 1.0),
         eta=eta, eta0=eta0 * (1.0 - 1e-12), tau0=eta / 8.0, diam=box.diameter,
     )
 
     fields = _get(data, "fields", required=True, where="")
-    a1 = build_field(_get(fields, "a1", required=True, where="fields."))
+    a1 = _field(_get(fields, "a1", required=True, where="fields."), "fields.a1")
     a2_spec = _get(fields, "a2", None)
-    a2 = build_field(a2_spec) if a2_spec is not None else None
+    a2 = _field(a2_spec, "fields.a2") if a2_spec is not None else None
 
     sweep = _get(data, "sweep", {})
-    scales = tuple(float(s) for s in _get(sweep, "scales", ()))
+    scales = _numbers(_get(sweep, "scales", ()), "sweep.scales")
     for s in scales:
         if not math.isfinite(s) or s == 0.0:
             raise ConfigError(f"sweep.scales entries must be finite and nonzero, got {s!r}")
     delta_spec = _get(sweep, "delta", None)
-    delta = build_field(delta_spec) if delta_spec is not None else None
+    delta = _field(delta_spec, "sweep.delta") if delta_spec is not None else None
 
     out = _get(data, "output", {})
     formats = tuple(_get(out, "formats", ("csv", "json", "svg")))
 
     return ExperimentConfig(
         raw=data, path=str(path) if path else None,
-        seed=int(_get(data, "seed", 0)),
+        seed=_number(_get(data, "seed", 0), "seed", int),
         box=box, patch=patch, eta=eta, tau_grid=tau_grid,
         family_template=template, family_params=params,
         k=k, k_was_auto=k_was_auto, enforce_window=enforce_window, window=window,

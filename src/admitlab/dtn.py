@@ -17,7 +17,7 @@ import numpy as np
 from .admittivity import AdmittivityFamily, ParameterField
 from .errors import ConfigError, NumericError
 from .fem import (BlockSystem, Mesh, assemble, assemble_csr, assemble_stiffness,
-                  csr_pattern, energy_density, schur_onto)
+                  box_solve, csr_pattern, energy_density, schur_onto)
 from .geometry import BoundaryPatch
 
 if TYPE_CHECKING:
@@ -98,12 +98,14 @@ def h_half_gram(mesh: Mesh, basis: SigmaBasis) -> np.ndarray:
 
     Interior dofs are eliminated by static condensation while the remaining
     boundary dofs are pinned to zero, which realises the minimal-energy
-    extension of traces vanishing off the patch.
+    extension of traces vanishing off the patch.  The mesh is the box, so
+    the Laplacian's interior block is solved by sine transforms, not
+    factored.
     """
     K = assemble_stiffness(mesh, np.eye(3))
     interior = np.where(~mesh.boundary_vertex_mask)[0]
     sig = np.asarray(basis.vertices, dtype=int)
-    schur = schur_onto(K, interior, sig)
+    schur = schur_onto(K, interior, sig, solve=box_solve(mesh, (1.0, 1.0, 1.0)))
     mass = boundary_mass_sigma(mesh)[np.ix_(sig, sig)].toarray()
     gram = schur + mass
     gram = 0.5 * (gram + gram.T)

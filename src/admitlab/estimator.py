@@ -293,8 +293,8 @@ def build_frame(
 class Forward:
     """One parameter field with its assembled systems.
 
-    The DtN matrix is assembled on first read, on the cached factorisation
-    of `system`; the estimators read probe passes instead.
+    The DtN matrix is assembled on first read, on the cached interior
+    solver of `system`; the estimators read probe passes instead.
     """
 
     frame: LabFrame

@@ -5,7 +5,9 @@ strongly elliptic system with blocks [A_R, -k A_I; k A_I, A_R] sampled at tet
 barycenters (one-point quadrature).  Solves go through the equivalent complex
 matrix K_R + i K_I; the assembled block matrix is exposed for the structure
 and ellipticity checks.  Schur complements onto boundary dofs (the DtN
-pairing and the trace Gram) come from one multi-column interior solve.
+pairing and the trace Gram) come from one multi-column interior solve: a
+sine-transform solve where the interior block is a constant-weight 7-point
+stencil on a full box, a sparse LU otherwise.
 
 Meshes are built from integer lattice keys, and every assembly scatters
 element blocks into a CSR pattern that each mesh computes once, since many
@@ -126,6 +128,12 @@ class Mesh:
         self._key_order = np.argsort(keys, kind="stable")
         self._sorted_keys = keys[self._key_order]
         self._stiffness_pattern = None
+        # A full lattice box whose vertices are in lexicographic ijk order:
+        # its interior vertices then form an (N0, N1, N2) block in C order.
+        span = self._ijk_hi - self._ijk_lo + 1
+        full_box = (len(verts) == int(np.prod(span)) and np.all(span >= 3)
+                    and np.all(keys[1:] > keys[:-1]))
+        self.box_shape = tuple(int(s) - 2 for s in span) if full_box else None
 
     @property
     def n_vertices(self) -> int:
@@ -445,18 +453,65 @@ def _check_residual(K_ii: sp.spmatrix, x: np.ndarray, rhs: np.ndarray) -> None:
         )
 
 
-def schur_onto(K: sp.csr_matrix, interior, sigma, solve=None) -> np.ndarray:
+def _sine_matrix(n: int) -> np.ndarray:
+    """Orthonormal DST-I matrix of order n; it is symmetric and its own inverse."""
+    j = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
+
+
+def box_solve(mesh: Mesh, weights):
+    """Exact interior solve for a constant diagonal coefficient on a full box.
+
+    On the Kuhn lattice the interior block of the P1 stiffness of
+    diag(w_0, w_1, w_2) is the 7-point stencil h sum_a w_a (2 u - u(x - h e_a)
+    - u(x + h e_a)).  The orthonormal DST-I along each axis diagonalises it,
+    with eigenvalues h sum_a w_a (2 - 2 cos(pi p_a / (N_a + 1))), so a solve
+    is one sine transform, a division and a second sine transform.  The
+    weights may be complex.  Returns solve(rhs) for (n,) or (n, c)
+    right-hand sides on the interior vertices in mesh order; callers check
+    its residuals.
+    """
+    if mesh.box_shape is None:
+        raise GeometryError("the sine-transform solve needs a full lattice box mesh")
+    shape = mesh.box_shape
+    sines = [_sine_matrix(n) for n in shape]
+    eig = np.zeros(shape, dtype=np.result_type(*weights, float))
+    for a, (n, w) in enumerate(zip(shape, weights)):
+        mode = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+        eig += mesh.h * w * mode.reshape([n if b == a else 1 for b in range(3)])
+
+    def transform(X: np.ndarray) -> np.ndarray:
+        # The columns ride along in the trailing axis, so a complex array is
+        # transformed as its real view; each axis is one batched BLAS product.
+        complex_data = np.iscomplexobj(X)
+        R = X.view(np.float64) if complex_data else X
+        width = R.shape[-1]
+        for a, S in enumerate(sines):
+            lead, trail = int(np.prod(shape[:a])), int(np.prod(shape[a + 1:]))
+            R = np.matmul(S, R.reshape(lead, shape[a], trail * width))
+        R = R.reshape(shape + (width,))
+        return R.view(np.complex128) if complex_data else R
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        rhs = np.asarray(rhs)
+        columns = rhs.shape[1] if rhs.ndim == 2 else 1
+        X = np.ascontiguousarray(rhs, dtype=np.result_type(rhs, eig))
+        X = transform(X.reshape(shape + (columns,)))
+        X /= eig[..., None]
+        return transform(X).reshape(rhs.shape)
+
+    return solve
+
+
+def schur_onto(K: sp.csr_matrix, interior, sigma, solve) -> np.ndarray:
     """Dense Schur complement K_ss - K_sI K_II^{-1} K_Is onto the dofs sigma.
 
-    All columns go through one multi-column interior solve, `solve(rhs)`
-    (a fresh factorisation of K_II when omitted), and each column's residual
-    is checked.
+    All columns go through one multi-column interior solve, `solve(rhs)`,
+    and each column's residual is checked.
     """
     interior = np.asarray(interior, dtype=int)
     sigma = np.asarray(sigma, dtype=int)
     K_ii = K[np.ix_(interior, interior)]
-    if solve is None:
-        solve = _factor_interior(K_ii).solve
     K_is = K[np.ix_(interior, sigma)].toarray()
     X = solve(K_is)
     _check_residual(K_ii, X, K_is)
@@ -464,26 +519,31 @@ def schur_onto(K: sp.csr_matrix, interior, sigma, solve=None) -> np.ndarray:
 
 
 class BlockSystem:
-    """Assembled 2x2-block system with cached factorisation.
+    """Assembled 2x2-block system with a cached interior solver.
 
     Solves use the equivalent complex matrix K_R + i K_I; `block_matrix`
-    materialises the real block form [[K_R, -K_I], [K_I, K_R]].
+    materialises the real block form [[K_R, -K_I], [K_I, K_R]].  With
+    `axis_weights` (the diagonal of a constant diagonal coefficient on a
+    full lattice box) the interior solve is `box_solve`; otherwise it is a
+    sparse LU, factored at the first solve.
     """
 
     DIRECT_LIMIT = 50_000
 
-    def __init__(self, mesh: Mesh, K_R: sp.csr_matrix, K_I: sp.csr_matrix, k: float):
+    def __init__(self, mesh: Mesh, K_R: sp.csr_matrix, K_I: sp.csr_matrix, k: float,
+                 axis_weights=None):
         self.mesh = mesh
         self.K_R = K_R
         self.K_I = K_I
         self.k = k
+        self.axis_weights = axis_weights
         self.dirichlet_mask = mesh.boundary_vertex_mask.copy()
         self._interior = np.where(~self.dirichlet_mask)[0]
         self._boundary = np.where(self.dirichlet_mask)[0]
         self.K_complex = (K_R + 1j * K_I).tocsr()
         self._K_ii = self.K_complex[np.ix_(self._interior, self._interior)].tocsc()
         self._K_ib = self.K_complex[np.ix_(self._interior, self._boundary)].tocsr()
-        self._lu = None
+        self._solve = None
 
     @property
     def block_matrix(self) -> sp.csr_matrix:
@@ -502,10 +562,13 @@ class BlockSystem:
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         """K_II^{-1} rhs for an (n,) or (n, d) right-hand side."""
         n = self._K_ii.shape[0]
-        if n <= self.DIRECT_LIMIT:
-            if self._lu is None:
-                self._lu = _factor_interior(self._K_ii)
-            return self._lu.solve(rhs)
+        if self._solve is None:
+            if self.axis_weights is not None:
+                self._solve = box_solve(self.mesh, self.axis_weights)
+            elif n <= self.DIRECT_LIMIT:
+                self._solve = _factor_interior(self._K_ii).solve
+        if self._solve is not None:
+            return self._solve(rhs)
         # Normal-form CG with diagonal preconditioning for large systems,
         # one column at a time.
         import scipy.sparse.linalg as spla
@@ -531,7 +594,7 @@ class BlockSystem:
 
     def schur_onto(self, sigma) -> np.ndarray:
         """Schur complement of K_R + i K_I onto boundary dofs sigma, solved
-        with this system's cached factorisation."""
+        with this system's cached interior solver."""
         return schur_onto(self.K_complex, self._interior, sigma,
                           solve=self._solve_interior)
 
@@ -564,17 +627,36 @@ class BlockSystem:
         return values
 
 
+def _constant_diagonal(coeff: np.ndarray) -> Optional[np.ndarray]:
+    """Diagonal of a per-tet (T, 3, 3) coefficient that is exactly the same
+    diagonal matrix on every tet, else None."""
+    coeff = np.asarray(coeff).reshape(-1, 3, 3)
+    first = coeff[0]
+    if np.any(first != np.diag(np.diag(first))) or np.any(coeff != first):
+        return None
+    return np.diag(first)
+
+
 def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float) -> BlockSystem:
-    """Block system for div(A(x, a(x)) grad u) = 0 on the mesh."""
+    """Block system for div(A(x, a(x)) grad u) = 0 on the mesh.
+
+    A constant diagonal coefficient on a full lattice box gets the exact
+    sine-transform interior solve; every other system is factored.
+    """
     bary = mesh.barycenters
     t_vals = np.asarray(a.values(bary), dtype=float)
     if t_vals.ndim == 0:
         t_vals = np.full(mesh.n_tets, float(t_vals))
     A_R = family.real_part(bary, t_vals)
-    A_I = family.imag_part(bary, t_vals)
+    kA_I = k * family.imag_part(bary, t_vals)
     K_R = assemble_stiffness(mesh, A_R)
-    K_I = assemble_stiffness(mesh, k * A_I)
-    return BlockSystem(mesh, K_R, K_I, k)
+    K_I = assemble_stiffness(mesh, kA_I)
+    weights = None
+    if mesh.box_shape is not None:
+        diag_R, diag_I = _constant_diagonal(A_R), _constant_diagonal(kA_I)
+        if diag_R is not None and diag_I is not None:
+            weights = diag_R + 1j * diag_I
+    return BlockSystem(mesh, K_R, K_I, k, axis_weights=weights)
 
 
 def energy_pairing(system: BlockSystem, u: ComplexField, v: ComplexField) -> complex:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import resource
 import time
 from pathlib import Path
 
@@ -109,10 +110,14 @@ class RunManifest:
         self._stage_start = time.perf_counter()
 
     def finish(self):
+        """Close the open stage, with the process's peak RSS so far (ru_maxrss
+        is in KiB on Linux)."""
         if self._stage_name is not None:
+            peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             self.data["stages"].append({
                 "name": self._stage_name,
                 "seconds": time.perf_counter() - self._stage_start,
+                "peak_rss_mb": peak_kib / 1024.0,
             })
             self._stage_name = None
 

@@ -65,3 +65,19 @@ def assembly_log(monkeypatch):
     monkeypatch.setattr(admitlab.estimator, "assemble", assemble)
     monkeypatch.setattr(admitlab.estimator, "assemble_dtn", assemble_dtn)
     return log
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Interior size of every sparse LU factorisation `fem` makes."""
+    import admitlab.fem
+
+    calls = []
+    real = admitlab.fem._factor_interior
+
+    def counting(K_ii):
+        calls.append(K_ii.shape[0])
+        return real(K_ii)
+
+    monkeypatch.setattr(admitlab.fem, "_factor_interior", counting)
+    return calls

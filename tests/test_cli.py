@@ -82,6 +82,22 @@ class TestLoadConfig:
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"got {bad!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("sweep.scales", ["abc", 0.05]),
+        ("geometry.eta", "quarter"),
+        ("discretization.h", "fine"),
+        ("discretization.x0", [0.5, "mid", 1.0]),
+        ("geometry.tau_grid.count", "five"),
+        ("apriori.e1", "two"),
+        ("fields.a2", {"kind": "constant", "value": "big"}),
+    ])
+    def test_non_numeric_value_named(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, {key: value})
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            load_config(path)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
     def test_auto_frequency(self, tmp_path):
         path = write_config(tmp_path, {"family.k": "auto", "apriori.e2": 1.25})
         cfg = load_config(path)
@@ -209,6 +225,25 @@ class TestStabilityCommand:
         assert (out / "gap_tau.csv").exists()
         svg = (out / "gap_tau.svg").read_text()
         assert svg.startswith("<svg") and "estimate" in svg
+
+    def test_manifest_stages_carry_peak_rss(self, tmp_path):
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["stability", "--config", str(path), "--out", str(out)]) == 0
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert [stage["name"] for stage in stages][0] == "frame"
+        peaks = [stage["peak_rss_mb"] for stage in stages]
+        assert all(peak > 0.0 for peak in peaks)
+        assert peaks == sorted(peaks)
+
+    def test_recovery_factors_only_the_enlarged_systems(self, tmp_path, factor_calls):
+        # Both fields are constant under the scalar family: the Gram and the
+        # two Omega systems take the sine-transform solve, and only the two
+        # Omega_eta systems are factored.
+        config = Path(__file__).resolve().parents[1] / "configs" / "recovery.yaml"
+        assert main(["stability", "--config", str(config), "--mesh-h", "0.125",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(factor_calls) == 2
 
     def test_missing_second_field(self, tmp_path):
         path = write_config(tmp_path)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admitlab.dtn import (alessandrini_gap, assemble_dtn, boundary_mass_sigma,
                           dtn_star_norm, h_half_gram, monte_carlo_star_norm,
@@ -10,7 +12,7 @@ from admitlab.families import (affine_field, constant_field,
                                rotated_anisotropic_family,
                                scalar_identity_family)
 from admitlab.fem import assemble, assemble_stiffness, build_mesh, schur_onto
-from admitlab.geometry import BoundaryPatch, BoxDomain
+from admitlab.geometry import FACE_NAMES, BoundaryPatch, BoxDomain
 
 BOX = BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 PATCH = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
@@ -33,6 +35,19 @@ def per_hat_pairing(system, basis):
         solutions[:, j] = system.solve_dirichlet(g).values
     fluxes = system.K_complex @ solutions
     return fluxes[list(basis.vertices), :].T
+
+
+def dense_gram(mesh, basis):
+    """Reference Gram: a dense numpy Schur complement of the Laplacian onto
+    the basis, plus the patch boundary mass."""
+    K = assemble_stiffness(mesh, np.eye(3)).toarray()
+    interior = np.where(~mesh.boundary_vertex_mask)[0]
+    sig = np.asarray(basis.vertices)
+    K_is = K[np.ix_(interior, sig)]
+    schur = K[np.ix_(sig, sig)] - K_is.T @ np.linalg.solve(
+        K[np.ix_(interior, interior)], K_is)
+    ref = schur + boundary_mass_sigma(mesh)[np.ix_(sig, sig)].toarray()
+    return 0.5 * (ref + ref.T)
 
 
 @pytest.fixture(scope="module")
@@ -177,16 +192,63 @@ class TestSchurOracles:
     def test_gram_matches_dense_schur(self, h):
         mesh = build_mesh(BOX, h, patch=WIDE)
         basis = sigma_basis(mesh, WIDE)
-        K = assemble_stiffness(mesh, np.eye(3)).toarray()
-        interior = np.where(~mesh.boundary_vertex_mask)[0]
-        sig = np.asarray(basis.vertices)
-        K_is = K[np.ix_(interior, sig)]
-        schur = K[np.ix_(sig, sig)] - K_is.T @ np.linalg.solve(
-            K[np.ix_(interior, interior)], K_is)
-        ref = schur + boundary_mass_sigma(mesh)[np.ix_(sig, sig)].toarray()
-        ref = 0.5 * (ref + ref.T)
+        ref = dense_gram(mesh, basis)
         gram = h_half_gram(mesh, basis)
         assert np.max(np.abs(gram - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("h", [0.125, 0.0625])
+    @pytest.mark.parametrize("face", sorted(FACE_NAMES))
+    def test_gram_on_every_face(self, face, h, factor_calls):
+        patch = BoundaryPatch(BOX, face, (0.1, 0.1), (0.9, 0.9))
+        mesh = build_mesh(BOX, h, patch=patch)
+        basis = sigma_basis(mesh, patch)
+        gram = h_half_gram(mesh, basis)
+        assert factor_calls == []
+        ref = dense_gram(mesh, basis)
+        assert np.max(np.abs(gram - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_gram_on_non_cubic_boxes(self, data):
+        h = 0.125
+        cells = np.array([data.draw(st.integers(4, 9)) for _ in range(3)])
+        lo = np.array([data.draw(st.integers(-4, 4)) * h for _ in range(3)])
+        box = BoxDomain(tuple(lo), tuple(lo + cells * h))
+        face = data.draw(st.sampled_from(sorted(FACE_NAMES)))
+        tangents = [a for a in range(3) if a != FACE_NAMES[face][0]]
+        rect_lo, rect_hi = [], []
+        for t in tangents:
+            # Hats need a whole tagged cell on each side: i1 - i0 >= 4.
+            i0 = data.draw(st.integers(0, cells[t] - 4))
+            i1 = data.draw(st.integers(i0 + 4, cells[t]))
+            rect_lo.append(lo[t] + (i0 + 0.5) * h)
+            rect_hi.append(lo[t] + (i1 - 0.5) * h)
+        patch = BoundaryPatch(box, face, tuple(rect_lo), tuple(rect_hi))
+        mesh = build_mesh(box, h, patch=patch)
+        basis = sigma_basis(mesh, patch)
+        gram = h_half_gram(mesh, basis)
+        ref = dense_gram(mesh, basis)
+        assert np.max(np.abs(gram - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_poisoned_box_column_raises(self, mesh8, basis8, monkeypatch):
+        import admitlab.dtn
+
+        real = admitlab.dtn.box_solve
+
+        def poisoned_box_solve(mesh, weights):
+            solve = real(mesh, weights)
+
+            def poisoned(rhs):
+                X = solve(rhs)
+                X[:, 3] *= 1.0 + 1e-6
+                return X
+
+            return poisoned
+
+        monkeypatch.setattr(admitlab.dtn, "box_solve", poisoned_box_solve)
+        with pytest.raises(SolverError) as err:
+            h_half_gram(mesh8, basis8)
+        assert err.value.diagnostics["column"] == 3
 
     def test_failed_column_residual_raises(self, mesh8, basis8):
         K = assemble_stiffness(mesh8, np.eye(3))

@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admitlab.errors import ConfigError, GeometryError, SolverError
-from admitlab.families import constant_field, scalar_identity_family
+from admitlab.families import (affine_field, constant_field,
+                               diagonal_affine_family,
+                               rotated_anisotropic_family,
+                               scalar_identity_family)
 from admitlab.dtn import boundary_mass_sigma
 from admitlab.fem import (_CORNER_OFFSETS, _FACE_LOCAL, _TET_PATTERNS,
                           BlockSystem, ComplexField, Mesh, _face_keys,
                           _lattice_topology, assemble, assemble_stiffness,
-                          build_mesh, energy_density, energy_pairing,
-                          interpolate)
+                          box_solve, build_mesh, energy_density,
+                          energy_pairing, interpolate)
 from admitlab.geometry import (FACE_NAMES, BoxDomain, BoundaryPatch,
                                build_enlarged_domain)
 
@@ -428,14 +431,28 @@ class TestBlockSystem:
             system.solve_dirichlet(g)
 
     def test_normal_form_fallback_matches_direct(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        # A non-constant coefficient, so neither system takes the box solve.
         fam = scalar_identity_family(k=0.1, imag=1.0)
+        a = affine_field(1.0, (0.1, -0.05, 0.2))
         mesh = build_mesh(BOX, 0.25)
-        direct = assemble(mesh, fam, A_ONE, 0.1)
+        direct = assemble(mesh, fam, a, 0.1)
         g = (mesh.verts[:, 0] ** 2 - mesh.verts[:, 1] ** 2).astype(complex)
         u_direct = direct.solve_dirichlet(g)
         monkeypatch.setattr(BlockSystem, "DIRECT_LIMIT", 1)
-        iterative = assemble(mesh, fam, A_ONE, 0.1)
+        cg_calls = []
+        real_cg = spla.cg
+
+        def counting_cg(*args, **kwargs):
+            cg_calls.append(1)
+            return real_cg(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "cg", counting_cg)
+        iterative = assemble(mesh, fam, a, 0.1)
+        assert direct.axis_weights is None and iterative.axis_weights is None
         u_iter = iterative.solve_dirichlet(g)
+        assert len(cg_calls) == 1
         assert np.max(np.abs(u_iter.values - u_direct.values)) <= 1e-8
         # The multi-column Schur solve goes through the same CG path, one
         # column at a time, and matches the direct factorisation.
@@ -446,17 +463,30 @@ class TestBlockSystem:
 
 
 class TestColumnSolves:
-    """Dirichlet data given as (n, c) columns share one interior solve."""
+    """Dirichlet data given as (n, c) columns share one interior solve.
 
-    @staticmethod
-    def _system_and_data(columns, seed=4):
+    These run on the sparse LU path; TestColumnSolvesOnBox runs them again
+    on the sine-transform box path.
+    """
+
+    PATH = "lu"
+
+    def _system_and_data(self, columns, seed=4):
         fam = scalar_identity_family(k=0.1, imag=1.0)
         mesh = build_mesh(BOX, 0.25)
         system = assemble(mesh, fam, A_ONE, 0.1)
+        assert system.axis_weights is not None
+        if self.PATH == "lu":
+            system = BlockSystem(mesh, system.K_R, system.K_I, system.k)
         rng = np.random.default_rng(seed)
         g = (rng.standard_normal((mesh.n_vertices, columns))
              + 1j * rng.standard_normal((mesh.n_vertices, columns)))
         return system, g
+
+    def test_solver_path(self, factor_calls):
+        system, g = self._system_and_data(2)
+        system.solve_dirichlet(g)
+        assert len(factor_calls) == (1 if self.PATH == "lu" else 0)
 
     def test_columns_equal_single_solves(self):
         system, g = self._system_and_data(5)
@@ -514,6 +544,106 @@ class TestColumnSolves:
         system, _ = self._system_and_data(1)
         with pytest.raises(ConfigError):
             system.solve_dirichlet(np.zeros(shape, dtype=complex))
+
+
+class TestColumnSolvesOnBox(TestColumnSolves):
+    PATH = "box"
+
+
+DIAG_123 = diagonal_affine_family(k=0.5, slope=(1.0, 2.0, 3.0), offset=(0.0, 0.0, 0.0),
+                                  imag=(1.0, 2.0, 3.0))
+
+
+@st.composite
+def box_weight_cases(draw):
+    """A full box mesh of random cell counts and offset, and complex per-axis
+    weights with positive real parts."""
+    h = draw(st.sampled_from([0.25, 0.125]))
+    cells = np.array([draw(st.integers(4, 7)) for _ in range(3)])
+    lo = np.array([draw(st.integers(-4, 4)) * 0.125 for _ in range(3)])
+    mesh = build_mesh(BoxDomain(tuple(lo), tuple(lo + cells * h)), h)
+    weights = np.array([complex(draw(st.floats(0.2, 3.0)), draw(st.floats(-1.0, 1.0)))
+                        for _ in range(3)])
+    return mesh, weights
+
+
+class TestBoxSolve:
+    """The sine-transform interior solve against dense and sparse LU solves."""
+
+    def test_box_shape(self):
+        mesh = build_mesh(BoxDomain((0.0, 0.0, 0.0), (1.25, 1.0, 1.5)), 0.25)
+        assert mesh.box_shape == (4, 3, 5)
+        assert np.sum(~mesh.boundary_vertex_mask) == 60
+        patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
+        enlarged = build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125)
+        mesh_eta = build_mesh(enlarged, 0.125)
+        assert mesh_eta.box_shape is None
+        with pytest.raises(GeometryError):
+            box_solve(mesh_eta, (1.0, 1.0, 1.0))
+
+    @settings(max_examples=20, deadline=None)
+    @given(box_weight_cases())
+    def test_matches_dense_solve(self, case):
+        mesh, weights = case
+        K = (assemble_stiffness(mesh, np.diag(weights.real))
+             + 1j * assemble_stiffness(mesh, np.diag(weights.imag)))
+        interior = np.where(~mesh.boundary_vertex_mask)[0]
+        K_ii = K[np.ix_(interior, interior)].toarray()
+        rng = np.random.default_rng(len(interior))
+        rhs = (rng.standard_normal((len(interior), 3))
+               + 1j * rng.standard_normal((len(interior), 3)))
+        solve = box_solve(mesh, weights)
+        ref = np.linalg.solve(K_ii, rhs)
+        x = solve(rhs)
+        assert x.shape == rhs.shape
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(solve(rhs[:, 1]) - x[:, 1])) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_real_weights_keep_real_data_real(self):
+        mesh = build_mesh(BoxDomain((0.0, 0.0, 0.0), (1.0, 1.25, 1.5)), 0.25)
+        n = int(np.prod(mesh.box_shape))
+        x = box_solve(mesh, (1.0, 1.0, 1.0))(np.ones((n, 2)))
+        assert x.dtype == np.float64 and x.shape == (n, 2)
+
+    @pytest.mark.parametrize("fam", [scalar_identity_family(k=0.1, imag=1.0), DIAG_123],
+                             ids=["scalar", "diag123"])
+    def test_dirichlet_and_schur_match_lu(self, fam, factor_calls):
+        mesh = build_mesh(BOX, 0.125)
+        box = assemble(mesh, fam, A_ONE, fam.freq)
+        assert box.axis_weights is not None
+        lu = BlockSystem(mesh, box.K_R, box.K_I, box.k)
+        rng = np.random.default_rng(5)
+        g = (rng.standard_normal((mesh.n_vertices, 3))
+             + 1j * rng.standard_normal((mesh.n_vertices, 3)))
+        u_box, u_lu = box.solve_dirichlet(g), lu.solve_dirichlet(g)
+        assert factor_calls == [len(lu.interior)]
+        assert np.max(np.abs(u_box - u_lu)) <= 1e-12 * np.max(np.abs(u_lu))
+        sigma = box.boundary[::7]
+        s_box, s_lu = box.schur_onto(sigma), lu.schur_onto(sigma)
+        assert np.max(np.abs(s_box - s_lu)) <= 1e-12 * np.max(np.abs(s_lu))
+        assert factor_calls == [len(lu.interior)]
+
+    @pytest.mark.parametrize("case, factored", [
+        ("constant-scalar", 0), ("constant-diag123", 0), ("omega-eta", 1),
+        ("affine", 1), ("rotated-anisotropic", 1),
+    ])
+    def test_which_systems_factor(self, case, factored, factor_calls):
+        patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
+        fam, a = scalar_identity_family(k=0.1, imag=1.0), A_ONE
+        if case == "omega-eta":
+            mesh = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
+        else:
+            mesh = build_mesh(BOX, 0.125, patch=patch)
+        if case == "constant-diag123":
+            fam = DIAG_123
+        elif case == "affine":
+            a = affine_field(1.0, (0.1, -0.05, 0.2))
+        elif case == "rotated-anisotropic":
+            fam = rotated_anisotropic_family(k=0.002, eps=0.3, imag=1.1)
+        system = assemble(mesh, fam, a, fam.freq)
+        assert (system.axis_weights is None) == bool(factored)
+        system.solve_dirichlet(np.ones(mesh.n_vertices))
+        assert len(factor_calls) == factored
 
 
 class TestConvergence:
