@@ -106,7 +106,6 @@ class AdmittivityFamily:
     evalI: Callable
     evalDtR: Callable
     evalDtI: Callable
-    commuting: bool = True
     name: str = "custom"
     t_range: Optional[tuple] = None
 

@@ -22,7 +22,7 @@ from .estimator import (GapEstimate, boundary_gap_estimate, build_forward,
                         build_frame, delta_h, derivative_gap_estimate,
                         lipschitz_ratio, lipschitz_sweep, loglog_slope)
 from .families import shifted_field
-from .fem import build_mesh
+from .fem import assemble, build_mesh
 from .geometry import build_enlarged_domain, build_eta_sets, probe_point, ProbePath
 from .reportio import RunManifest, write_csv, write_json
 from .singular import (fibonacci_sphere, h_function, leading_gradient,
@@ -56,11 +56,10 @@ def _load(config_path, seed, mesh_h) -> ExperimentConfig:
 
 def _validation_suite(cfg: ExperimentConfig):
     """Class membership, parameter range and geometry checks."""
-    family = cfg.build_family()
     samples = default_samples(
         cfg.box.lo, cfg.box.hi, cfg.apriori.t_range, count=80, seed=cfg.seed
     )
-    family_report = validate_class_H(family, cfg.apriori, samples)
+    family_report = validate_class_H(cfg.family, cfg.apriori, samples)
     rng = np.random.default_rng(cfg.seed + 1)
     pts = cfg.box.lo_arr + rng.random((256, 3)) * (cfg.box.hi_arr - cfg.box.lo_arr)
     field_reports = [("a1", check_parameter_field(cfg.a1, cfg.apriori, pts))]
@@ -68,7 +67,7 @@ def _validation_suite(cfg: ExperimentConfig):
         field_reports.append(("a2", check_parameter_field(cfg.a2, cfg.apriori, pts)))
     build_eta_sets(cfg.patch, cfg.eta)
     build_enlarged_domain(cfg.box, cfg.patch, cfg.eta, grid_h=cfg.h)
-    return family, family_report, field_reports
+    return family_report, field_reports
 
 
 def _window_banner(cfg: ExperimentConfig):
@@ -103,7 +102,7 @@ def _estimator_frame(cfg: ExperimentConfig, command: str, out_dir,
         for line in lines:
             click.echo(line)
     manifest.start("frame")
-    frame = build_frame(cfg.box, cfg.patch, cfg.eta, cfg.h, cfg.build_family(),
+    frame = build_frame(cfg.box, cfg.patch, cfg.eta, cfg.h, cfg.family,
                         window=cfg.window)
     return manifest, frame
 
@@ -113,7 +112,7 @@ def _estimator_frame(cfg: ExperimentConfig, command: str, out_dir,
 def validate(config_path, out_dir, seed, mesh_h):
     """Class membership, frequency window and geometry checks."""
     cfg = _load(config_path, seed, mesh_h)
-    family, family_report, field_reports = _validation_suite(cfg)
+    family_report, field_reports = _validation_suite(cfg)
     click.echo(f"family template: {cfg.family_template} (branch {family_report.branch})")
     for line in family_report.summary_lines():
         click.echo(line)
@@ -138,7 +137,6 @@ def dtn(config_path, out_dir, seed, mesh_h):
     manifest = RunManifest("dtn", cfg.raw, cfg.seed, out_dir)
     out = Path(out_dir)
     manifest.start("frame")
-    family = cfg.build_family()
     # Only the Omega mesh, basis and Gram are read; the eta-sets and the
     # enlarged domain are built for their geometry checks alone.
     build_eta_sets(cfg.patch, cfg.eta)
@@ -150,11 +148,8 @@ def dtn(config_path, out_dir, seed, mesh_h):
     fields = [("a1", cfg.a1)] + ([("a2", cfg.a2)] if cfg.a2 is not None else [])
     # Building no Forward skips the Omega_eta systems and frees each field's
     # factorisation before the next.
-    dtns = [
-        (label, assemble_dtn(mesh, family, a, cfg.patch, family.freq, basis=basis,
-                             gram=gram))
-        for label, a in fields
-    ]
+    dtns = [(label, assemble_dtn(assemble(mesh, cfg.family, a, cfg.k), basis, gram))
+            for label, a in fields]
     manifest.start("write")
     d = basis.count
     i, j = np.divmod(np.arange(d * d), d)
@@ -184,13 +179,12 @@ def probe(config_path, out_dir, seed, mesh_h):
     manifest = RunManifest("probe", cfg.raw, cfg.seed, out_dir)
     out = Path(out_dir)
     manifest.start("evaluate")
-    family = cfg.build_family()
     eta_sets = build_eta_sets(cfg.patch, cfg.eta)
     path = ProbePath(eta_sets, cfg.x0, cfg.tau_grid)
     z = probe_point(path, cfg.tau_grid[0])
     dirs = fibonacci_sphere(2000)
     for m in range(cfg.order + 1):
-        pr = make_probe(family, cfg.a1, z, m)
+        pr = make_probe(cfg.family, cfg.a1, z, m)
         pts = pr.z_arr[None, :] + dirs
         vals = leading_term(pr, pts)
         grads = leading_gradient(pr, pts)

@@ -8,7 +8,8 @@ from typing import Optional
 
 import yaml
 
-from .admittivity import AprioriData, ParameterField, WindowResult, best_frequency_window
+from .admittivity import (AdmittivityFamily, AprioriData, ParameterField, WindowResult,
+                          best_frequency_window)
 from .errors import ConfigError
 from .families import build_family, build_field
 from .geometry import BoundaryPatch, BoxDomain, make_tau_grid
@@ -35,7 +36,7 @@ class ExperimentConfig:
     eta: float
     tau_grid: tuple
     family_template: str
-    family_params: dict
+    family: AdmittivityFamily
     k: float
     k_was_auto: bool
     enforce_window: bool
@@ -51,12 +52,6 @@ class ExperimentConfig:
     sweep_delta: Optional[ParameterField]
     formats: tuple
 
-    def build_family(self):
-        return build_family(
-            self.family_template, self.k, self.family_params,
-            t_range=self.apriori.t_range,
-        )
-
 
 def _get(section: dict, key: str, default=None, required=False, where=""):
     if key in section:
@@ -64,6 +59,15 @@ def _get(section: dict, key: str, default=None, required=False, where=""):
     if required:
         raise ConfigError(f"missing config key '{where}{key}'")
     return default
+
+
+def _section(section: dict, key: str, where="", required=False) -> dict:
+    """A mapping-valued config entry ({} when absent and optional); a null
+    or non-mapping entry is a ConfigError naming the key."""
+    value = _get(section, key, {}, required=required, where=where)
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key '{where}{key}' must be a mapping, got {value!r}")
+    return value
 
 
 def _number(value, key: str, kind=float):
@@ -115,13 +119,14 @@ def load_config(path=None, data: dict = None, seed: int = None, mesh_h: float = 
     if seed is not None:
         data["seed"] = _number(seed, "seed", int)
 
-    geo = _get(data, "geometry", required=True, where="")
-    box_spec = _get(geo, "box", {"lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]})
+    geo = _section(data, "geometry", required=True)
+    box_spec = (_section(geo, "box", "geometry.") if "box" in geo
+                else {"lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]})
     box = BoxDomain(_numbers(_get(box_spec, "lo", required=True, where="geometry.box."),
                              "geometry.box.lo"),
                     _numbers(_get(box_spec, "hi", required=True, where="geometry.box."),
                              "geometry.box.hi"))
-    patch_spec = _get(geo, "patch", required=True, where="geometry.")
+    patch_spec = _section(geo, "patch", "geometry.", required=True)
     patch = BoundaryPatch(
         box=box,
         face=_get(patch_spec, "face", "z+"),
@@ -132,7 +137,7 @@ def load_config(path=None, data: dict = None, seed: int = None, mesh_h: float = 
     )
     eta = _number(_get(geo, "eta", required=True, where="geometry."), "geometry.eta")
 
-    disc = _get(data, "discretization", {})
+    disc = _section(data, "discretization")
     h = _number(_get(disc, "h", 0.0625), "discretization.h")
     if mesh_h is not None:
         h = _number(mesh_h, "discretization.h")
@@ -143,7 +148,7 @@ def load_config(path=None, data: dict = None, seed: int = None, mesh_h: float = 
     order = _number(_get(disc, "order", 0), "discretization.order", int)
     x0 = _numbers(_get(disc, "x0", (0.5, 0.5, 1.0)), "discretization.x0")
 
-    tau_spec = _get(geo, "tau_grid", {})
+    tau_spec = _section(geo, "tau_grid", "geometry.")
     tau_start = _get(tau_spec, "start", None)
     tau_start = (eta / 16.0 if tau_start is None
                  else _number(tau_start, "geometry.tau_grid.start"))
@@ -154,11 +159,11 @@ def load_config(path=None, data: dict = None, seed: int = None, mesh_h: float = 
     )
 
     ap = dict(_DEFAULT_APRIORI)
-    ap.update(_get(data, "apriori", {}))
+    ap.update(_section(data, "apriori"))
     ap = {key: _number(value, f"apriori.{key}") for key, value in ap.items()}
-    fam_spec = _get(data, "family", required=True, where="")
+    fam_spec = _section(data, "family", required=True)
     template = _get(fam_spec, "template", required=True, where="family.")
-    params = dict(_get(fam_spec, "params", {}))
+    params = _section(fam_spec, "params", "family.")
     n = 3
     window = best_frequency_window(ap["e1"], ap["e2"], n)
     k_raw = _get(fam_spec, "k", "auto")
@@ -185,13 +190,20 @@ def load_config(path=None, data: dict = None, seed: int = None, mesh_h: float = 
         L=ap.get("L", 1.0),
         eta=eta, eta0=eta0 * (1.0 - 1e-12), tau0=eta / 8.0, diam=box.diameter,
     )
+    for name, value in params.items():
+        _numbers(value if isinstance(value, (list, tuple)) else [value],
+                 f"family.params.{name}")
+    try:
+        family = build_family(template, k, params, t_range=apriori.t_range)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key 'family.params' is malformed: {exc}") from None
 
-    fields = _get(data, "fields", required=True, where="")
+    fields = _section(data, "fields", required=True)
     a1 = _field(_get(fields, "a1", required=True, where="fields."), "fields.a1")
     a2_spec = _get(fields, "a2", None)
     a2 = _field(a2_spec, "fields.a2") if a2_spec is not None else None
 
-    sweep = _get(data, "sweep", {})
+    sweep = _section(data, "sweep")
     scales = _numbers(_get(sweep, "scales", ()), "sweep.scales")
     for s in scales:
         if not math.isfinite(s) or s == 0.0:
@@ -199,14 +211,14 @@ def load_config(path=None, data: dict = None, seed: int = None, mesh_h: float = 
     delta_spec = _get(sweep, "delta", None)
     delta = _field(delta_spec, "sweep.delta") if delta_spec is not None else None
 
-    out = _get(data, "output", {})
+    out = _section(data, "output")
     formats = tuple(_get(out, "formats", ("csv", "json", "svg")))
 
     return ExperimentConfig(
         raw=data, path=str(path) if path else None,
         seed=_number(_get(data, "seed", 0), "seed", int),
         box=box, patch=patch, eta=eta, tau_grid=tau_grid,
-        family_template=template, family_params=params,
+        family_template=template, family=family,
         k=k, k_was_auto=k_was_auto, enforce_window=enforce_window, window=window,
         apriori=apriori, a1=a1, a2=a2, h=h, rho=rho, order=order, x0=x0,
         sweep_scales=scales, sweep_delta=delta, formats=formats,

@@ -17,7 +17,7 @@ import numpy as np
 from .admittivity import AdmittivityFamily, ParameterField
 from .errors import ConfigError, NumericError
 from .fem import (BlockSystem, Mesh, assemble, assemble_csr, assemble_stiffness,
-                  box_solve, csr_pattern, energy_density, schur_onto)
+                  csr_pattern, energy_density)
 from .geometry import BoundaryPatch
 
 if TYPE_CHECKING:
@@ -102,10 +102,10 @@ def h_half_gram(mesh: Mesh, basis: SigmaBasis) -> np.ndarray:
     the Laplacian's interior block is solved by sine transforms, not
     factored.
     """
-    K = assemble_stiffness(mesh, np.eye(3))
-    interior = np.where(~mesh.boundary_vertex_mask)[0]
+    laplace = BlockSystem(mesh, assemble_stiffness(mesh, np.eye(3)),
+                          axis_weights=(1.0, 1.0, 1.0))
     sig = np.asarray(basis.vertices, dtype=int)
-    schur = schur_onto(K, interior, sig, solve=box_solve(mesh, (1.0, 1.0, 1.0)))
+    schur = laplace.schur_onto(sig)
     mass = boundary_mass_sigma(mesh)[np.ix_(sig, sig)].toarray()
     gram = schur + mass
     gram = 0.5 * (gram + gram.T)
@@ -114,30 +114,14 @@ def h_half_gram(mesh: Mesh, basis: SigmaBasis) -> np.ndarray:
     return gram
 
 
-def assemble_dtn(
-    mesh: Mesh,
-    family: AdmittivityFamily,
-    a: ParameterField,
-    patch: BoundaryPatch,
-    k: float = None,
-    basis: SigmaBasis = None,
-    gram: np.ndarray = None,
-    system: BlockSystem = None,
-) -> LocalDtnMatrix:
-    """Assemble the local DtN pairing from one multi-column interior solve.
+def assemble_dtn(system: BlockSystem, basis: SigmaBasis, gram: np.ndarray) -> LocalDtnMatrix:
+    """Local DtN pairing of an assembled system from one multi-column
+    interior solve.
 
     pairing[i, j] is the energy of the solution with hat data i against the
     zero-interior lifting of hat j: the flux of solution i at vertex j, which
     is the transposed Schur complement of the system onto the basis.
     """
-    if k is None:
-        k = family.freq
-    if basis is None:
-        basis = sigma_basis(mesh, patch)
-    if gram is None:
-        gram = h_half_gram(mesh, basis)
-    if system is None:
-        system = assemble(mesh, family, a, k)
     pairing = system.schur_onto(basis.vertices).T
     return LocalDtnMatrix(basis=basis, pairing=pairing, gram=gram)
 
@@ -215,9 +199,9 @@ def alessandrini_gap(
     system1 = assemble(mesh, family, a1, k)
     system2 = assemble(mesh, family, a2, k)
     if dtn1 is None:
-        dtn1 = assemble_dtn(mesh, family, a1, patch, k, basis, gram, system1)
+        dtn1 = assemble_dtn(system1, basis, gram)
     if dtn2 is None:
-        dtn2 = assemble_dtn(mesh, family, a2, patch, k, basis, gram, system2)
+        dtn2 = assemble_dtn(system2, basis, gram)
     f1 = np.asarray(f1, dtype=complex)
     f2 = np.asarray(f2, dtype=complex)
     lhs = f1 @ (dtn1.pairing - dtn2.pairing) @ f2

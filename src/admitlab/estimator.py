@@ -305,11 +305,7 @@ class Forward:
 
     @functools.cached_property
     def dtn(self) -> LocalDtnMatrix:
-        frame = self.frame
-        return assemble_dtn(
-            frame.mesh, frame.family, self.a, frame.patch, frame.k,
-            basis=frame.basis, gram=frame.gram, system=self.system,
-        )
+        return assemble_dtn(self.system, self.frame.basis, self.frame.gram)
 
     def probe_pass(self, x0, tau_grid, m: int):
         """Corrected order-m probes at x0 + tau nu for every tau, memoised.
@@ -334,10 +330,7 @@ class Forward:
         path = ProbePath(frame.eta_sets, x0, tau_grid)
         probes = [make_probe(frame.family, self.a, probe_point(path, tau), m)
                   for tau in tau_grid]
-        corrected = build_corrected_probe(
-            probes, frame.enlarged, frame.mesh_eta, frame.family, self.a,
-            system=self.system_eta,
-        )
+        corrected = build_corrected_probe(probes, frame.enlarged, self.system_eta)
         traces = np.stack(
             [c.trace_vector(frame.mesh, frame.vertex_map) for c in corrected], axis=1
         )
@@ -350,7 +343,7 @@ class Forward:
                 "not be the DtN form"
             )
         U = self.system.solve_dirichlet(traces)
-        KU = (self.system.K_complex @ U)[sigma]
+        KU = (self.system.K @ U)[sigma]
         return traces[sigma], KU, U
 
 

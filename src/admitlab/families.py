@@ -13,21 +13,6 @@ from .admittivity import AdmittivityFamily, ParameterField
 from .errors import ConfigError
 
 
-def _broadcast_matrix(x, t, mat_of_t):
-    """Tile mat_of_t(t) to match x of shape (3,) or (N, 3)."""
-    x = np.asarray(x, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
-    if x.ndim == 1:
-        return mat_of_t(float(t_arr))
-    n_pts = x.shape[0]
-    if t_arr.ndim == 0:
-        t_arr = np.full(n_pts, float(t_arr))
-    out = np.empty((n_pts,) + mat_of_t(float(t_arr[0])).shape)
-    for i in range(n_pts):
-        out[i] = mat_of_t(float(t_arr[i]))
-    return out
-
-
 def _constant_matrix_family(x, t, mat):
     x = np.asarray(x, dtype=float)
     t_arr = np.asarray(t, dtype=float)

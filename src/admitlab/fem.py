@@ -2,12 +2,13 @@
 
 The complex divergence-form equation is assembled as the real 2x2-block
 strongly elliptic system with blocks [A_R, -k A_I; k A_I, A_R] sampled at tet
-barycenters (one-point quadrature).  Solves go through the equivalent complex
-matrix K_R + i K_I; the assembled block matrix is exposed for the structure
-and ellipticity checks.  Schur complements onto boundary dofs (the DtN
-pairing and the trace Gram) come from one multi-column interior solve: a
-sine-transform solve where the interior block is a constant-weight 7-point
-stencil on a full box, a sparse LU otherwise.
+barycenters (one-point quadrature).  A `BlockSystem` holds the equivalent
+complex matrix K = K_R + i K_I and its interior solver; the block matrix is
+materialised from K for the structure and ellipticity checks.  Every
+Dirichlet solve and every Schur complement onto boundary dofs (the DtN
+pairing and the trace Gram) goes through a `BlockSystem`: a sine-transform
+solve where the interior block is a constant-weight 7-point stencil on a
+full box, a sparse LU otherwise.
 
 Meshes are built from integer lattice keys, and every assembly scatters
 element blocks into a CSR pattern that each mesh computes once, since many
@@ -365,29 +366,43 @@ def csr_pattern(elems, n: int) -> CsrPattern:
     return CsrPattern(indptr, indices, scatter)
 
 
-def assemble_csr(pattern: CsrPattern, local: np.ndarray) -> sp.csr_matrix:
-    """Sum the real element blocks `local` (E, m, m) into a fresh square CSR
-    matrix on the pattern, exact zeros dropped."""
+def _scatter(pattern: CsrPattern, local: np.ndarray) -> np.ndarray:
+    """CSR data of the real element blocks `local` (E, m, m) on the pattern."""
+    return np.bincount(pattern.scatter.ravel(), weights=local.ravel(),
+                       minlength=len(pattern.indices))
+
+
+def _csr(pattern: CsrPattern, data: np.ndarray) -> sp.csr_matrix:
+    """Fresh square CSR matrix of pattern data, exact zeros dropped."""
     import scipy.sparse as sp
 
     n = len(pattern.indptr) - 1
-    data = np.bincount(pattern.scatter.ravel(), weights=local.ravel(),
-                       minlength=len(pattern.indices))
     mat = sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()),
                         shape=(n, n))
     mat.eliminate_zeros()
     return mat
 
 
-def assemble_stiffness(mesh: Mesh, coeff) -> sp.csr_matrix:
-    """Stiffness matrix for a per-tet (or constant) real 3x3 coefficient."""
+def assemble_csr(pattern: CsrPattern, local: np.ndarray) -> sp.csr_matrix:
+    """Sum the real element blocks `local` (E, m, m) into a fresh square CSR
+    matrix on the pattern, exact zeros dropped."""
+    return _csr(pattern, _scatter(pattern, local))
+
+
+def _stiffness_blocks(mesh: Mesh, coeff) -> np.ndarray:
+    """Element stiffness blocks (T, 4, 4) of a per-tet or constant real 3x3
+    coefficient."""
     coeff = np.asarray(coeff)
     if coeff.ndim == 2:
         coeff = np.broadcast_to(coeff, (mesh.n_tets, 3, 3))
-    local = np.einsum(
+    return np.einsum(
         "taj,tjk,tbk->tab", mesh.grads, coeff, mesh.grads, optimize=True
     ) * mesh.volumes[:, None, None]
-    return assemble_csr(mesh.stiffness_pattern, local)
+
+
+def assemble_stiffness(mesh: Mesh, coeff) -> sp.csr_matrix:
+    """Stiffness matrix for a per-tet (or constant) real 3x3 coefficient."""
+    return assemble_csr(mesh.stiffness_pattern, _stiffness_blocks(mesh, coeff))
 
 
 class ComplexField:
@@ -503,53 +518,37 @@ def box_solve(mesh: Mesh, weights):
     return solve
 
 
-def schur_onto(K: sp.csr_matrix, interior, sigma, solve) -> np.ndarray:
-    """Dense Schur complement K_ss - K_sI K_II^{-1} K_Is onto the dofs sigma.
-
-    All columns go through one multi-column interior solve, `solve(rhs)`,
-    and each column's residual is checked.
-    """
-    interior = np.asarray(interior, dtype=int)
-    sigma = np.asarray(sigma, dtype=int)
-    K_ii = K[np.ix_(interior, interior)]
-    K_is = K[np.ix_(interior, sigma)].toarray()
-    X = solve(K_is)
-    _check_residual(K_ii, X, K_is)
-    return K[np.ix_(sigma, sigma)].toarray() - K[np.ix_(sigma, interior)] @ X
-
-
 class BlockSystem:
-    """Assembled 2x2-block system with a cached interior solver.
+    """Assembled complex matrix K = K_R + i K_I with a cached interior solver.
 
-    Solves use the equivalent complex matrix K_R + i K_I; `block_matrix`
-    materialises the real block form [[K_R, -K_I], [K_I, K_R]].  With
-    `axis_weights` (the diagonal of a constant diagonal coefficient on a
-    full lattice box) the interior solve is `box_solve`; otherwise it is a
+    `block_matrix` materialises the real block form [[K_R, -K_I], [K_I, K_R]].
+    With `axis_weights` (the diagonal of a constant diagonal coefficient on
+    a full lattice box) the interior solve is `box_solve`; otherwise it is a
     sparse LU, factored at the first solve.
     """
 
     DIRECT_LIMIT = 50_000
 
-    def __init__(self, mesh: Mesh, K_R: sp.csr_matrix, K_I: sp.csr_matrix, k: float,
-                 axis_weights=None):
+    def __init__(self, mesh: Mesh, K: sp.csr_matrix, axis_weights=None):
         self.mesh = mesh
-        self.K_R = K_R
-        self.K_I = K_I
-        self.k = k
+        self.K = K
         self.axis_weights = axis_weights
-        self.dirichlet_mask = mesh.boundary_vertex_mask.copy()
-        self._interior = np.where(~self.dirichlet_mask)[0]
-        self._boundary = np.where(self.dirichlet_mask)[0]
-        self.K_complex = (K_R + 1j * K_I).tocsr()
-        self._K_ii = self.K_complex[np.ix_(self._interior, self._interior)].tocsc()
-        self._K_ib = self.K_complex[np.ix_(self._interior, self._boundary)].tocsr()
+        self._interior = np.where(~mesh.boundary_vertex_mask)[0]
+        self._boundary = np.where(mesh.boundary_vertex_mask)[0]
+        self._K_ii = K[np.ix_(self._interior, self._interior)].tocsc()
+        self._K_ib = K[np.ix_(self._interior, self._boundary)].tocsr()
         self._solve = None
 
     @property
     def block_matrix(self) -> sp.csr_matrix:
         import scipy.sparse as sp
 
-        return sp.bmat([[self.K_R, -self.K_I], [self.K_I, self.K_R]], format="csr")
+        # The parts are copied: .real and .imag share K's data array, which
+        # eliminate_zeros would compact in place.
+        K_R, K_I = self.K.real.copy(), self.K.imag.copy()
+        K_R.eliminate_zeros()
+        K_I.eliminate_zeros()
+        return sp.bmat([[K_R, -K_I], [K_I, K_R]], format="csr")
 
     @property
     def interior(self) -> np.ndarray:
@@ -593,10 +592,23 @@ class BlockSystem:
         return out.reshape(np.shape(rhs))
 
     def schur_onto(self, sigma) -> np.ndarray:
-        """Schur complement of K_R + i K_I onto boundary dofs sigma, solved
-        with this system's cached interior solver."""
-        return schur_onto(self.K_complex, self._interior, sigma,
-                          solve=self._solve_interior)
+        """Dense Schur complement K_ss - K_sI K_II^{-1} K_Is onto the boundary
+        dofs sigma, the others pinned to zero.
+
+        All columns go through one multi-column interior solve, and each
+        column's residual is checked.
+        """
+        sigma = np.asarray(sigma, dtype=int)
+        cols = np.searchsorted(self._boundary, sigma)
+        if np.any(cols >= len(self._boundary)) or np.any(self._boundary[cols] != sigma):
+            raise ConfigError("Schur complement dofs must be boundary vertices")
+        K_is = self._K_ib[:, cols].toarray()
+        X = self._solve_interior(K_is)
+        _check_residual(self._K_ii, X, K_is)
+        # K_sI is sliced, not transposed from K_Is: an anisotropic K is
+        # symmetric only to rounding.
+        K_s = self.K[sigma]
+        return K_s[:, sigma].toarray() - K_s[:, self._interior] @ X
 
     def solve_dirichlet(self, g):
         """Solve with Dirichlet data g, one full-length nodal vector (n,) or
@@ -640,30 +652,33 @@ def _constant_diagonal(coeff: np.ndarray) -> Optional[np.ndarray]:
 def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float) -> BlockSystem:
     """Block system for div(A(x, a(x)) grad u) = 0 on the mesh.
 
-    A constant diagonal coefficient on a full lattice box gets the exact
+    The real element blocks, then the imaginary ones, are scattered into
+    the real and imaginary parts of one complex CSR data array.  A constant
+    diagonal coefficient on a full lattice box gets the exact
     sine-transform interior solve; every other system is factored.
     """
     bary = mesh.barycenters
     t_vals = np.asarray(a.values(bary), dtype=float)
     if t_vals.ndim == 0:
         t_vals = np.full(mesh.n_tets, float(t_vals))
-    A_R = family.real_part(bary, t_vals)
-    kA_I = k * family.imag_part(bary, t_vals)
-    K_R = assemble_stiffness(mesh, A_R)
-    K_I = assemble_stiffness(mesh, kA_I)
-    weights = None
-    if mesh.box_shape is not None:
-        diag_R, diag_I = _constant_diagonal(A_R), _constant_diagonal(kA_I)
-        if diag_R is not None and diag_I is not None:
-            weights = diag_R + 1j * diag_I
-    return BlockSystem(mesh, K_R, K_I, k, axis_weights=weights)
+    pattern = mesh.stiffness_pattern
+    data = np.empty(len(pattern.indices), dtype=complex)
+    diagonals = []
+    for part, coeff_of in ((data.real, family.real_part),
+                           (data.imag, lambda x, t: k * family.imag_part(x, t))):
+        coeff = coeff_of(bary, t_vals)
+        part[:] = _scatter(pattern, _stiffness_blocks(mesh, coeff))
+        diagonals.append(None if mesh.box_shape is None else _constant_diagonal(coeff))
+    diag_R, diag_I = diagonals
+    weights = None if diag_R is None or diag_I is None else diag_R + 1j * diag_I
+    return BlockSystem(mesh, _csr(pattern, data), axis_weights=weights)
 
 
 def energy_pairing(system: BlockSystem, u: ComplexField, v: ComplexField) -> complex:
     """Bilinear energy integral: sum over tets of A grad(u) . grad(v) vol."""
     if u.mesh is not system.mesh or v.mesh is not system.mesh:
         raise ConfigError("fields must live on the system's mesh")
-    return complex(u.values @ (system.K_complex @ v.values))
+    return complex(u.values @ (system.K @ v.values))
 
 
 def energy_density(mesh: Mesh, coeff, u: ComplexField, v: ComplexField) -> np.ndarray:

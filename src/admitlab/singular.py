@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .admittivity import AdmittivityFamily, ParameterField, complex_dot
 from .errors import ConfigError, GeometryError, NumericError, SingularityError
-from .fem import BlockSystem, ComplexField, Mesh, assemble
+from .fem import BlockSystem, ComplexField, Mesh
 from .gegenbauer import (GegenbauerSpec, gegenbauer, gegenbauer_derivative)
 from .geometry import EnlargedDomain
 
@@ -258,16 +258,15 @@ class CorrectedProbe:
 def build_corrected_probe(
     probes: Sequence[SingularProbe],
     enlarged: EnlargedDomain,
-    mesh_eta: Mesh,
-    family: AdmittivityFamily,
-    a: ParameterField,
-    system: Optional[BlockSystem] = None,
+    system: BlockSystem,
 ) -> list:
-    """Correctors for a sequence of probes on the enlarged mesh, from one
-    multi-column solve; every trace dies off the patch.
+    """Correctors for a sequence of probes from one multi-column solve of
+    the system assembled on the enlarged mesh; every trace dies off the
+    patch.
 
     Returns one CorrectedProbe per probe, in order.
     """
+    mesh_eta = system.mesh
     verts = mesh_eta.verts
     for probe in probes:
         z = probe.z_arr
@@ -281,8 +280,6 @@ def build_corrected_probe(
             )
         if float(np.min(np.linalg.norm(verts - z, axis=1))) < 1e-9:
             raise GeometryError("singularity coincides with a mesh vertex")
-    if system is None:
-        system = assemble(mesh_eta, family, a, family.freq)
     bnd = mesh_eta.boundary_vertex_mask
     g = np.zeros((mesh_eta.n_vertices, len(probes)), dtype=complex)
     for j, probe in enumerate(probes):

@@ -1,3 +1,5 @@
+import weakref
+
 import pytest
 
 import admitlab.estimator
@@ -49,18 +51,22 @@ def probe_calls(monkeypatch):
 @pytest.fixture
 def assembly_log(monkeypatch):
     """("assemble", a) and ("dtn", a) entries, in call order, for every
-    system and DtN the estimators assemble."""
+    system and DtN the estimators assemble; a DtN is logged with the field
+    its system was assembled from."""
     log = []
+    fields = weakref.WeakKeyDictionary()
     real_assemble = admitlab.estimator.assemble
     real_dtn = admitlab.estimator.assemble_dtn
 
     def assemble(mesh, family, a, k):
         log.append(("assemble", a))
-        return real_assemble(mesh, family, a, k)
+        system = real_assemble(mesh, family, a, k)
+        fields[system] = a
+        return system
 
-    def assemble_dtn(mesh, family, a, *args, **kwargs):
-        log.append(("dtn", a))
-        return real_dtn(mesh, family, a, *args, **kwargs)
+    def assemble_dtn(system, *args, **kwargs):
+        log.append(("dtn", fields[system]))
+        return real_dtn(system, *args, **kwargs)
 
     monkeypatch.setattr(admitlab.estimator, "assemble", assemble)
     monkeypatch.setattr(admitlab.estimator, "assemble_dtn", assemble_dtn)

@@ -255,8 +255,8 @@ def test_criterion_4_dtn_alessandrini_suite():
     worst_sym = 0.0
     worst_res = 0.0
     for fam, a1, a2 in pairs:
-        d1 = assemble_dtn(mesh, fam, a1, PATCH, basis=basis, gram=gram)
-        d2 = assemble_dtn(mesh, fam, a2, PATCH, basis=basis, gram=gram)
+        d1 = assemble_dtn(assemble(mesh, fam, a1, fam.freq), basis, gram)
+        d2 = assemble_dtn(assemble(mesh, fam, a2, fam.freq), basis, gram)
         worst_sym = max(worst_sym, d1.max_asymmetry(), d2.max_asymmetry())
         f1 = rng.standard_normal(basis.count) + 1j * rng.standard_normal(basis.count)
         f2 = rng.standard_normal(basis.count) + 1j * rng.standard_normal(basis.count)

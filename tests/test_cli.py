@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -97,6 +98,22 @@ class TestLoadConfig:
             load_config(path)
         assert main(["validate", "--config", str(path)]) == 2
         assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"family.template": "rotated-anisotropic", "family.params": {"eps": "abc"}},
+         r"'family\.params\.eps'"),
+        ({"family.params.bogus": 1}, r"'family\.params'.*'bogus'"),
+        ({"family.params": None}, r"'family\.params'"),
+        ({"apriori": None}, r"'apriori'"),
+        ({"discretization": None}, r"'discretization'"),
+    ], ids=["eps-abc", "bogus-param", "null-params", "null-apriori",
+            "null-discretization"])
+    def test_malformed_section_named(self, tmp_path, capsys, overrides, named):
+        path = write_config(tmp_path, overrides)
+        with pytest.raises(ConfigError, match=named):
+            load_config(path)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert re.search(named, capsys.readouterr().err)
 
     def test_auto_frequency(self, tmp_path):
         path = write_config(tmp_path, {"family.k": "auto", "apriori.e2": 1.25})

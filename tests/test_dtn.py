@@ -11,7 +11,7 @@ from admitlab.families import (affine_field, constant_field,
                                diagonal_affine_family,
                                rotated_anisotropic_family,
                                scalar_identity_family)
-from admitlab.fem import assemble, assemble_stiffness, build_mesh, schur_onto
+from admitlab.fem import BlockSystem, assemble, assemble_stiffness, build_mesh
 from admitlab.geometry import FACE_NAMES, BoundaryPatch, BoxDomain
 
 BOX = BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
@@ -33,8 +33,13 @@ def per_hat_pairing(system, basis):
         g = np.zeros(mesh.n_vertices, dtype=complex)
         g[v] = 1.0
         solutions[:, j] = system.solve_dirichlet(g).values
-    fluxes = system.K_complex @ solutions
+    fluxes = system.K @ solutions
     return fluxes[list(basis.vertices), :].T
+
+
+def field_dtn(mesh, fam, a, basis, gram):
+    """DtN of the system of field a at the family's frequency."""
+    return assemble_dtn(assemble(mesh, fam, a, fam.freq), basis, gram)
 
 
 def dense_gram(mesh, basis):
@@ -123,20 +128,18 @@ class TestAssembleDtn:
     def test_deterministic(self, mesh8, basis8, gram8):
         fam = scalar_identity_family(k=0.05, imag=1.0)
         a = constant_field(1.0)
-        d1 = assemble_dtn(mesh8, fam, a, PATCH, basis=basis8, gram=gram8)
-        d2 = assemble_dtn(mesh8, fam, a, PATCH, basis=basis8, gram=gram8)
+        d1 = field_dtn(mesh8, fam, a, basis8, gram8)
+        d2 = field_dtn(mesh8, fam, a, basis8, gram8)
         assert np.array_equal(d1.pairing, d2.pairing)
 
     def test_complex_symmetry(self, mesh8, basis8, gram8):
         fam = rotated_anisotropic_family(k=0.002, eps=0.3, imag=1.1)
-        d = assemble_dtn(mesh8, fam, constant_field(1.1), PATCH,
-                         basis=basis8, gram=gram8)
+        d = field_dtn(mesh8, fam, constant_field(1.1), basis8, gram8)
         assert d.max_asymmetry() <= 1e-12
 
     def test_real_laplacian_case(self, mesh8, basis8, gram8):
         fam = scalar_identity_family(k=0.0, imag=0.0)
-        d = assemble_dtn(mesh8, fam, constant_field(1.0), PATCH,
-                         basis=basis8, gram=gram8)
+        d = field_dtn(mesh8, fam, constant_field(1.0), basis8, gram8)
         assert np.max(np.abs(d.pairing.imag)) <= 1e-12
         sym = 0.5 * (d.pairing.real + d.pairing.real.T)
         # Patch-supported hats exclude constants, so the form is definite.
@@ -144,10 +147,8 @@ class TestAssembleDtn:
 
     def test_scalar_homogeneity(self, mesh8, basis8, gram8):
         fam = scalar_identity_family(k=0.0, imag=0.0)
-        base = assemble_dtn(mesh8, fam, constant_field(1.0), PATCH,
-                            basis=basis8, gram=gram8)
-        scaled = assemble_dtn(mesh8, fam, constant_field(1.7), PATCH,
-                              basis=basis8, gram=gram8)
+        base = field_dtn(mesh8, fam, constant_field(1.0), basis8, gram8)
+        scaled = field_dtn(mesh8, fam, constant_field(1.7), basis8, gram8)
         assert np.allclose(scaled.pairing, 1.7 * base.pairing, rtol=1e-11, atol=1e-13)
 
     def test_lifting_independence(self, mesh8, basis8):
@@ -158,9 +159,7 @@ class TestAssembleDtn:
         fam = scalar_identity_family(k=0.05, imag=1.0)
         a = constant_field(1.0)
         system = assemble(mesh8, fam, a, 0.05)
-        gram = np.eye(basis8.count)
-        d = assemble_dtn(mesh8, fam, a, PATCH, basis=basis8, gram=gram,
-                         system=system)
+        d = assemble_dtn(system, basis8, np.eye(basis8.count))
         rng = np.random.default_rng(7)
         f1 = rng.standard_normal(basis8.count) + 1j * rng.standard_normal(basis8.count)
         f2 = rng.standard_normal(basis8.count) + 1j * rng.standard_normal(basis8.count)
@@ -170,7 +169,7 @@ class TestAssembleDtn:
             rng.standard_normal(int(np.sum(~mesh8.boundary_vertex_mask)))
         )
         value_pairing = f1 @ d.pairing @ f2
-        value_lift = complex(u1.values @ (system.K_complex @ lift))
+        value_lift = complex(u1.values @ (system.K @ lift))
         assert abs(value_pairing - value_lift) <= 1e-9
 
 
@@ -183,8 +182,7 @@ class TestSchurOracles:
         mesh = build_mesh(BOX, h, patch=WIDE)
         basis = sigma_basis(mesh, WIDE)
         system = assemble(mesh, fam, a, fam.freq)
-        d = assemble_dtn(mesh, fam, a, WIDE, basis=basis, gram=np.eye(basis.count),
-                         system=system)
+        d = assemble_dtn(system, basis, np.eye(basis.count))
         ref = per_hat_pairing(system, basis)
         assert np.max(np.abs(d.pairing - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -231,9 +229,9 @@ class TestSchurOracles:
         assert np.max(np.abs(gram - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_poisoned_box_column_raises(self, mesh8, basis8, monkeypatch):
-        import admitlab.dtn
+        import admitlab.fem
 
-        real = admitlab.dtn.box_solve
+        real = admitlab.fem.box_solve
 
         def poisoned_box_solve(mesh, weights):
             solve = real(mesh, weights)
@@ -245,23 +243,23 @@ class TestSchurOracles:
 
             return poisoned
 
-        monkeypatch.setattr(admitlab.dtn, "box_solve", poisoned_box_solve)
+        monkeypatch.setattr(admitlab.fem, "box_solve", poisoned_box_solve)
         with pytest.raises(SolverError) as err:
             h_half_gram(mesh8, basis8)
         assert err.value.diagnostics["column"] == 3
 
-    def test_failed_column_residual_raises(self, mesh8, basis8):
-        K = assemble_stiffness(mesh8, np.eye(3))
-        interior = np.where(~mesh8.boundary_vertex_mask)[0]
-        K_ii = K[np.ix_(interior, interior)].toarray()
+    def test_failed_column_residual_raises(self, mesh8, basis8, monkeypatch):
+        system = BlockSystem(mesh8, assemble_stiffness(mesh8, np.eye(3)))
+        K_ii = system.K[np.ix_(system.interior, system.interior)].toarray()
 
         def solve_with_bad_column(rhs):
             X = np.linalg.solve(K_ii, rhs)
             X[:, 3] *= 1.0 + 1e-6
             return X
 
+        monkeypatch.setattr(system, "_solve_interior", solve_with_bad_column)
         with pytest.raises(SolverError) as err:
-            schur_onto(K, interior, basis8.vertices, solve=solve_with_bad_column)
+            system.schur_onto(basis8.vertices)
         assert err.value.diagnostics["column"] == 3
 
 
@@ -269,8 +267,8 @@ class TestStarNorm:
     def test_zero_difference(self, mesh8, basis8, gram8):
         fam = scalar_identity_family(k=0.05, imag=1.0)
         a = constant_field(1.0)
-        d1 = assemble_dtn(mesh8, fam, a, PATCH, basis=basis8, gram=gram8)
-        d2 = assemble_dtn(mesh8, fam, a, PATCH, basis=basis8, gram=gram8)
+        d1 = field_dtn(mesh8, fam, a, basis8, gram8)
+        d2 = field_dtn(mesh8, fam, a, basis8, gram8)
         assert dtn_star_norm(d1, d2) == 0.0
 
     def test_spectral_identity(self):
@@ -311,10 +309,8 @@ class TestStarNorm:
 
     def test_shrinking_basis_never_increases(self, mesh8, basis8, gram8):
         fam = scalar_identity_family(k=0.05, imag=1.0)
-        d1 = assemble_dtn(mesh8, fam, constant_field(1.0), PATCH,
-                          basis=basis8, gram=gram8)
-        d2 = assemble_dtn(mesh8, fam, constant_field(1.2), PATCH,
-                          basis=basis8, gram=gram8)
+        d1 = field_dtn(mesh8, fam, constant_field(1.0), basis8, gram8)
+        d2 = field_dtn(mesh8, fam, constant_field(1.2), basis8, gram8)
         full = operator_norm(d1.pairing - d2.pairing, gram8)
         for keep in (range(0, basis8.count, 2), range(basis8.count // 2)):
             idx = np.asarray(list(keep))
@@ -325,10 +321,8 @@ class TestStarNorm:
 
     def test_mismatched_bases_rejected(self, mesh8, basis8, gram8):
         fam = scalar_identity_family(k=0.05, imag=1.0)
-        d1 = assemble_dtn(mesh8, fam, constant_field(1.0), PATCH,
-                          basis=basis8, gram=gram8)
-        other = assemble_dtn(mesh8, fam, constant_field(1.0), PATCH,
-                             basis=basis8, gram=2.0 * gram8)
+        d1 = field_dtn(mesh8, fam, constant_field(1.0), basis8, gram8)
+        other = field_dtn(mesh8, fam, constant_field(1.0), basis8, 2.0 * gram8)
         with pytest.raises(ConfigError):
             dtn_star_norm(d1, other)
 

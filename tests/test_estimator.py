@@ -383,10 +383,7 @@ def reference_records(fwd1, fwd2, x0, tau_grid, m, rho):
         traces = []
         for fwd in (fwd1, fwd2):
             probe = make_probe(frame.family, fwd.a, z, m)
-            (corrected,) = build_corrected_probe(
-                [probe], frame.enlarged, frame.mesh_eta, frame.family, fwd.a,
-                system=fwd.system_eta,
-            )
+            (corrected,) = build_corrected_probe([probe], frame.enlarged, fwd.system_eta)
             traces.append(corrected.trace_vector(frame.mesh, frame.vertex_map))
         f1, f2 = traces[0][sigma], traces[1][sigma]
         n1 = float(np.sqrt(np.real(np.conj(f1) @ frame.gram @ f1)))

@@ -325,8 +325,8 @@ class TestCachedPatternAssembly:
         K2 = assemble_stiffness(mesh, np.eye(3))
         assert (K2 != K1).nnz == 0
         system = assemble(mesh, LAPLACE, A_ONE, 0.0)
-        assert system.K_I.nnz == 0
-        assert (system.K_R != K1).nnz == 0
+        assert not np.any(system.K.data.imag)
+        assert (system.K != K1).nnz == 0
 
 
 class TestBlockSystem:
@@ -339,19 +339,52 @@ class TestBlockSystem:
         assert (K[:n, :n] != K[n:, n:]).nnz == 0
         assert (K[:n, n:] + K[n:, :n]).nnz == 0
 
+    @pytest.mark.parametrize("domain", ["omega", "omega-eta"])
+    @pytest.mark.parametrize("fam", [
+        scalar_identity_family(k=0.1, imag=1.0),
+        diagonal_affine_family(k=0.05, slope=(1.0, 1.2, 0.8), offset=(0.1, 0.0, 0.2),
+                               imag=(1.0, 0.7, 1.3)),
+        rotated_anisotropic_family(k=0.002, eps=0.3, imag=1.1),
+    ], ids=["scalar", "diagonal", "rotated"])
+    def test_block_matrix_matches_separate_assembly(self, fam, domain):
+        patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
+        if domain == "omega":
+            mesh = build_mesh(BOX, 0.125, patch=patch)
+        else:
+            mesh = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
+        a = affine_field(1.0, (0.1, -0.05, 0.2))
+        system = assemble(mesh, fam, a, fam.freq)
+        t = a.values(mesh.barycenters)
+        K_R = assemble_stiffness(mesh, fam.real_part(mesh.barycenters, t))
+        K_I = assemble_stiffness(mesh, fam.freq * fam.imag_part(mesh.barycenters, t))
+        assert K_I.nnz > 0
+        ref = sp.bmat([[K_R, -K_I], [K_I, K_R]], format="csr")
+        block = system.block_matrix
+        assert block.nnz == ref.nnz
+        for got, want in ((block.indptr, ref.indptr), (block.indices, ref.indices),
+                          (block.data, ref.data)):
+            assert np.array_equal(got, want)
+
+    def test_schur_onto_rejects_interior_dofs(self):
+        mesh = build_mesh(BOX, 0.25)
+        system = assemble(mesh, LAPLACE, A_ONE, 0.0)
+        sigma = np.append(system.boundary[:3], system.interior[0])
+        with pytest.raises(ConfigError):
+            system.schur_onto(sigma)
+
     def test_laplace_blocks(self):
         mesh = build_mesh(BOX, 0.25)
         system = assemble(mesh, LAPLACE, A_ONE, 0.0)
         lap = assemble_stiffness(mesh, np.eye(3))
-        assert (system.K_R != lap).nnz == 0
-        assert system.K_I.nnz == 0
+        assert (system.K != lap).nnz == 0
+        assert not np.any(system.K.data.imag)
 
     def test_off_diagonal_scaling(self):
         fam = scalar_identity_family(k=0.1, imag=1.0)
         mesh = build_mesh(BOX, 0.25)
         system = assemble(mesh, fam, A_ONE, 0.1)
         lap = assemble_stiffness(mesh, np.eye(3))
-        assert np.max(np.abs((system.K_I - 0.1 * lap).toarray())) <= 1e-14
+        assert np.max(np.abs((system.K.imag - 0.1 * lap).toarray())) <= 1e-14
 
     def test_quadratic_form_positive(self):
         fam = scalar_identity_family(k=0.1, imag=1.0)
@@ -477,7 +510,7 @@ class TestColumnSolves:
         system = assemble(mesh, fam, A_ONE, 0.1)
         assert system.axis_weights is not None
         if self.PATH == "lu":
-            system = BlockSystem(mesh, system.K_R, system.K_I, system.k)
+            system = BlockSystem(mesh, system.K)
         rng = np.random.default_rng(seed)
         g = (rng.standard_normal((mesh.n_vertices, columns))
              + 1j * rng.standard_normal((mesh.n_vertices, columns)))
@@ -611,7 +644,7 @@ class TestBoxSolve:
         mesh = build_mesh(BOX, 0.125)
         box = assemble(mesh, fam, A_ONE, fam.freq)
         assert box.axis_weights is not None
-        lu = BlockSystem(mesh, box.K_R, box.K_I, box.k)
+        lu = BlockSystem(mesh, box.K)
         rng = np.random.default_rng(5)
         g = (rng.standard_normal((mesh.n_vertices, 3))
              + 1j * rng.standard_normal((mesh.n_vertices, 3)))
