@@ -200,6 +200,18 @@ def probe(config_path, out_dir, seed, mesh_h):
     manifest.write()
 
 
+def _record_solvers(manifest, fwd1, fwd2):
+    """One manifest entry per system of the two forwards: field, domain,
+    interior solver kind, interior dofs and dofs factored."""
+    for label, fwd in (("a1", fwd1), ("a2", fwd2)):
+        for domain, system in (("Omega", fwd.system), ("Omega_eta", fwd.system_eta)):
+            manifest.add_solver({
+                "field": label, "domain": domain, "kind": system.solver_kind,
+                "interior_dofs": len(system.interior),
+                "factored_dofs": system.factored_dofs,
+            })
+
+
 def _gap_payload(est: GapEstimate):
     payload = {
         "mode": est.mode, "x0": list(est.x0), "order": est.order, "rho": est.rho,
@@ -271,6 +283,7 @@ def stability(config_path, out_dir, seed, mesh_h):
         fwd1, fwd2, cfg.x0, tau_grid=cfg.tau_grid, m=cfg.order, rho=cfg.rho,
         seed=cfg.seed,
     )
+    _record_solvers(manifest, fwd1, fwd2)
     manifest.start("write")
     payload = {
         "schema": REPORT_SCHEMA, "mode": "stability",
@@ -314,6 +327,7 @@ def derivative(config_path, out_dir, seed, mesh_h):
         boundary=boundary, seed=cfg.seed,
     )
     d1 = delta_h(cfg.apriori.alpha, 1)
+    _record_solvers(manifest, fwd1, fwd2)
     manifest.start("write")
     payload = {
         "schema": REPORT_SCHEMA, "mode": "derivative",

@@ -141,8 +141,8 @@ def load_config(path=None, data: dict = None, seed: int = None, mesh_h: float = 
     h = _number(_get(disc, "h", 0.0625), "discretization.h")
     if mesh_h is not None:
         h = _number(mesh_h, "discretization.h")
-        data.setdefault("discretization", {})
-        data["discretization"]["h"] = h
+        # A new section: the caller's own mapping is left as it was.
+        data["discretization"] = {**disc, "h": h}
     rho = _get(disc, "rho", None)
     rho = eta / 4.0 if rho is None else _number(rho, "discretization.rho")
     order = _number(_get(disc, "order", 0), "discretization.order", int)

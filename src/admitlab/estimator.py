@@ -349,7 +349,9 @@ class Forward:
 
 def build_forward(frame: LabFrame, a: ParameterField) -> Forward:
     system = assemble(frame.mesh, frame.family, a, frame.k)
-    system_eta = assemble(frame.mesh_eta, frame.family, a, frame.k)
+    # The Omega_eta interior is solved through the Omega system's solver.
+    system_eta = assemble(frame.mesh_eta, frame.family, a, frame.k,
+                          core=system, vertex_map=frame.vertex_map)
     return Forward(frame=frame, a=a, system=system, system_eta=system_eta)
 
 

@@ -8,7 +8,8 @@ materialised from K for the structure and ellipticity checks.  Every
 Dirichlet solve and every Schur complement onto boundary dofs (the DtN
 pairing and the trace Gram) goes through a `BlockSystem`: a sine-transform
 solve where the interior block is a constant-weight 7-point stencil on a
-full box, a sparse LU otherwise.
+full box, block elimination through the Omega system's solver for an
+Omega_eta system given that core, a sparse LU otherwise.
 
 Meshes are built from integer lattice keys, and every assembly scatters
 element blocks into a CSR pattern that each mesh computes once, since many
@@ -518,18 +519,58 @@ def box_solve(mesh: Mesh, weights):
     return solve
 
 
+def _normal_cg(K: sp.spmatrix):
+    """Normal-form CG solve with diagonal preconditioning, one column at a
+    time; a column that does not converge raises SolverError."""
+    import scipy.sparse.linalg as spla
+
+    n = K.shape[0]
+    diag = np.asarray(np.abs(K).power(2).sum(axis=0)).ravel()
+    diag[diag == 0.0] = 1.0
+    normal = spla.LinearOperator(
+        (n, n), matvec=lambda x: K.conj().T @ (K @ x), dtype=complex
+    )
+    precond = spla.LinearOperator((n, n), matvec=lambda x: x / diag, dtype=complex)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        cols = np.asarray(rhs).reshape(n, -1)
+        out = np.empty(cols.shape, dtype=complex)
+        for j in range(cols.shape[1]):
+            out[:, j], info = spla.cg(normal, K.conj().T @ cols[:, j], rtol=1e-12,
+                                      maxiter=20 * n, M=precond)
+            if info != 0:
+                raise SolverError(
+                    "normal-form CG did not converge",
+                    diagnostics={"info": info, "size": n, "column": j},
+                )
+        return out.reshape(np.shape(rhs))
+
+    return solve
+
+
 class BlockSystem:
     """Assembled complex matrix K = K_R + i K_I with a cached interior solver.
 
     `block_matrix` materialises the real block form [[K_R, -K_I], [K_I, K_R]].
-    With `axis_weights` (the diagonal of a constant diagonal coefficient on
-    a full lattice box) the interior solve is `box_solve`; otherwise it is a
-    sparse LU, factored at the first solve.
+    The interior solver is chosen once, at the first solve, and named by
+    `solver_kind`:
+
+    - "sine-transform": with `axis_weights` (the diagonal of a constant
+      diagonal coefficient on a full lattice box), `box_solve`;
+    - "via-core": with a `core`, the system of the same field on a mesh
+      that embeds in this one by `vertex_map` (the Omega system inside its
+      Omega_eta system), block elimination through the core's own interior
+      solver, so only the dofs outside the core's interior are factored;
+    - "sparse-lu": a sparse LU of the interior block;
+    - "normal-cg": normal-equations CG, above `DIRECT_LIMIT` interior dofs.
+
+    `factored_dofs` counts the dofs of every LU this system has made.
     """
 
     DIRECT_LIMIT = 50_000
 
-    def __init__(self, mesh: Mesh, K: sp.csr_matrix, axis_weights=None):
+    def __init__(self, mesh: Mesh, K: sp.csr_matrix, axis_weights=None,
+                 core: Optional["BlockSystem"] = None, vertex_map=None):
         self.mesh = mesh
         self.K = K
         self.axis_weights = axis_weights
@@ -538,6 +579,48 @@ class BlockSystem:
         self._K_ii = K[np.ix_(self._interior, self._interior)].tocsc()
         self._K_ib = K[np.ix_(self._interior, self._boundary)].tocsr()
         self._solve = None
+        self.factored_dofs = 0
+        self.core = None
+        if core is not None:
+            self._attach_core(core, vertex_map)
+
+    def _attach_core(self, core: "BlockSystem", vertex_map) -> None:
+        """Check that `core` embeds in this system by `vertex_map` and keep
+        the interior positions of its interior dofs.
+
+        Each core interior vertex must map to an interior vertex here whose
+        row reaches only images of core vertices, with the core's own row
+        values; GeometryError otherwise.
+        """
+        import scipy.sparse as sp
+
+        n = self.mesh.n_vertices
+        vmap = np.asarray(vertex_map)
+        if (vmap.shape != (core.mesh.n_vertices,) or vmap.dtype.kind not in "iu"
+                or np.any(vmap < 0) or np.any(vmap >= n)
+                or len(np.unique(vmap)) != len(vmap)):
+            raise GeometryError("the vertex map is not a one-to-one map of the "
+                                "core mesh into this mesh")
+        owner = np.full(n, -1, dtype=np.int64)
+        owner[vmap] = np.arange(len(vmap))
+        core_rows = vmap[core.interior]
+        pos = np.minimum(np.searchsorted(self._interior, core_rows),
+                         len(self._interior) - 1)
+        if np.any(self._interior[pos] != core_rows):
+            raise GeometryError("a core interior vertex maps to a boundary vertex")
+        rows = self.K[core_rows]
+        if np.any(owner[rows.indices] < 0):
+            raise GeometryError("a core interior row reaches a vertex outside the core mesh")
+        # The same rows in the core's vertex numbering must be the core's rows.
+        mapped = sp.csr_matrix((rows.data, owner[rows.indices], rows.indptr),
+                               shape=(len(core_rows), len(vmap)))
+        gap = (mapped - core.K[core.interior]).data
+        scale = np.max(np.abs(core.K.data), initial=0.0)
+        if gap.size and np.max(np.abs(gap)) > 1e-12 * scale:
+            raise GeometryError("the core system's interior rows differ from this system's")
+        self.core = core
+        self._core_pos = pos
+        self._core_owner = owner
 
     @property
     def block_matrix(self) -> sp.csr_matrix:
@@ -558,38 +641,76 @@ class BlockSystem:
     def boundary(self) -> np.ndarray:
         return self._boundary
 
+    @property
+    def solver_kind(self) -> str:
+        if self.axis_weights is not None:
+            return "sine-transform"
+        if self.core is not None:
+            return "via-core"
+        if self._K_ii.shape[0] <= self.DIRECT_LIMIT:
+            return "sparse-lu"
+        return "normal-cg"
+
+    def _factor(self, M: sp.spmatrix) -> spla.SuperLU:
+        lu = _factor_interior(M)
+        self.factored_dofs += M.shape[0]
+        return lu
+
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         """K_II^{-1} rhs for an (n,) or (n, d) right-hand side."""
-        n = self._K_ii.shape[0]
         if self._solve is None:
-            if self.axis_weights is not None:
+            kind = self.solver_kind
+            if kind == "sine-transform":
                 self._solve = box_solve(self.mesh, self.axis_weights)
-            elif n <= self.DIRECT_LIMIT:
-                self._solve = _factor_interior(self._K_ii).solve
-        if self._solve is not None:
-            return self._solve(rhs)
-        # Normal-form CG with diagonal preconditioning for large systems,
-        # one column at a time.
-        import scipy.sparse.linalg as spla
+            elif kind == "via-core":
+                self._solve = self._core_solver()
+            elif kind == "sparse-lu":
+                self._solve = self._factor(self._K_ii).solve
+            else:
+                self._solve = _normal_cg(self._K_ii)
+        return self._solve(rhs)
 
-        K = self._K_ii
-        diag = np.asarray(np.abs(K).power(2).sum(axis=0)).ravel()
-        diag[diag == 0.0] = 1.0
-        normal = spla.LinearOperator(
-            (n, n), matvec=lambda x: K.conj().T @ (K @ x), dtype=complex
-        )
-        precond = spla.LinearOperator((n, n), matvec=lambda x: x / diag, dtype=complex)
-        cols = np.asarray(rhs).reshape(n, -1)
-        out = np.empty(cols.shape, dtype=complex)
-        for j in range(cols.shape[1]):
-            out[:, j], info = spla.cg(normal, K.conj().T @ cols[:, j], rtol=1e-12,
-                                      maxiter=20 * n, M=precond)
-            if info != 0:
-                raise SolverError(
-                    "normal-form CG did not converge",
-                    diagnostics={"info": info, "size": n, "column": j},
-                )
-        return out.reshape(np.shape(rhs))
+    def _core_solver(self):
+        """Interior solve by eliminating the core's interior block B.
+
+        G holds the other interior dofs; the footprint f is the part of G
+        coupled to B, all of it core boundary vertices.  Since the B rows
+        are the core's, K_fB K_BB^{-1} K_Bf is K_core[f, f] minus the core's
+        Schur complement onto f, so the G system S = K_GG - that correction
+        is one sparse matrix, factored once.  A solve is z = K_BB^{-1} r_B,
+        u_G = S^{-1}(r_G - K_GB z), u_B = K_BB^{-1}(r_B - K_BG u_G), with
+        K_BB^{-1} the core's interior solver.
+        """
+        import scipy.sparse as sp
+
+        core, B = self.core, self._core_pos
+        in_core = np.zeros(len(self._interior), dtype=bool)
+        in_core[B] = True
+        G = np.where(~in_core)[0]
+        K_ii = self._K_ii.tocsr()
+        K_G = K_ii[G]
+        K_BG, K_GB = K_ii[B][:, G], K_G[:, B]
+        f = np.unique(K_BG.indices)
+        f_core = self._core_owner[self._interior[G[f]]]
+        K_ff = core.K[f_core][:, f_core].toarray()
+        correction = K_ff - core.schur_onto(f_core)
+        rows, cols = np.meshgrid(f, f, indexing="ij")
+        S = K_G[:, G] - sp.csr_matrix(
+            (correction.ravel(), (rows.ravel(), cols.ravel())), shape=(len(G), len(G)))
+        solve_G = self._factor(S).solve
+        solve_B = core._solve_interior
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            rhs = np.asarray(rhs)
+            r = rhs.reshape(len(rhs), -1)
+            r_B, r_G = r[B], r[G]
+            u_G = solve_G(r_G - K_GB @ solve_B(r_B))
+            u_B = solve_B(r_B - K_BG @ u_G)
+            out = np.empty(r.shape, dtype=np.result_type(u_B, u_G))
+            out[B], out[G] = u_B, u_G
+            return out.reshape(rhs.shape)
+
+        return solve
 
     def schur_onto(self, sigma) -> np.ndarray:
         """Dense Schur complement K_ss - K_sI K_II^{-1} K_Is onto the boundary
@@ -649,13 +770,18 @@ def _constant_diagonal(coeff: np.ndarray) -> Optional[np.ndarray]:
     return np.diag(first)
 
 
-def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float) -> BlockSystem:
+def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float,
+             core: Optional[BlockSystem] = None, vertex_map=None) -> BlockSystem:
     """Block system for div(A(x, a(x)) grad u) = 0 on the mesh.
 
     The real element blocks, then the imaginary ones, are scattered into
     the real and imaginary parts of one complex CSR data array.  A constant
     diagonal coefficient on a full lattice box gets the exact
-    sine-transform interior solve; every other system is factored.
+    sine-transform interior solve.  Given `core`, the same field's system
+    on a mesh that `vertex_map` embeds in this one (Omega in Omega_eta),
+    the interior is solved through the core's solver and only the dofs
+    outside the core's interior are factored; every other system is
+    factored whole.
     """
     bary = mesh.barycenters
     t_vals = np.asarray(a.values(bary), dtype=float)
@@ -671,7 +797,8 @@ def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float)
         diagonals.append(None if mesh.box_shape is None else _constant_diagonal(coeff))
     diag_R, diag_I = diagonals
     weights = None if diag_R is None or diag_I is None else diag_R + 1j * diag_I
-    return BlockSystem(mesh, _csr(pattern, data), axis_weights=weights)
+    return BlockSystem(mesh, _csr(pattern, data), axis_weights=weights,
+                       core=core, vertex_map=vertex_map)
 
 
 def energy_pairing(system: BlockSystem, u: ComplexField, v: ComplexField) -> complex:

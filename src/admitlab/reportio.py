@@ -80,7 +80,8 @@ def config_hash(raw_config: dict) -> str:
 
 
 class RunManifest:
-    """Reproducibility record: config hash, seed, versions, stages, files."""
+    """Reproducibility record: config hash, seed, versions, stages, files,
+    and the linear solvers of the commands that solve systems."""
 
     def __init__(self, command: str, raw_config: dict, seed: int, out_dir):
         import scipy
@@ -120,6 +121,11 @@ class RunManifest:
                 "peak_rss_mb": peak_kib / 1024.0,
             })
             self._stage_name = None
+
+    def add_solver(self, entry: dict) -> None:
+        """One entry of the "solvers" list: which interior solver a linear
+        system used and how many dofs it factored."""
+        self.data.setdefault("solvers", []).append(dict(entry))
 
     def record(self, path) -> Path:
         rel = str(Path(path).relative_to(self.out_dir))

@@ -58,9 +58,9 @@ def assembly_log(monkeypatch):
     real_assemble = admitlab.estimator.assemble
     real_dtn = admitlab.estimator.assemble_dtn
 
-    def assemble(mesh, family, a, k):
+    def assemble(mesh, family, a, k, **kwargs):
         log.append(("assemble", a))
-        system = real_assemble(mesh, family, a, k)
+        system = real_assemble(mesh, family, a, k, **kwargs)
         fields[system] = a
         return system
 

@@ -61,6 +61,16 @@ class TestLoadConfig:
         cfg = load_config(path, seed=7, mesh_h=0.0625)
         assert cfg.seed == 7 and cfg.h == 0.0625
 
+    @pytest.mark.parametrize("has_section", [True, False])
+    def test_mesh_override_leaves_caller_data(self, tmp_path, has_section):
+        data = yaml.safe_load(write_config(tmp_path).read_text())
+        if not has_section:
+            del data["discretization"]
+        before = json.loads(json.dumps(data))
+        cfg = load_config(data=data, mesh_h=0.0625)
+        assert cfg.h == 0.0625 and cfg.raw["discretization"]["h"] == 0.0625
+        assert data == before
+
     def test_missing_section(self, tmp_path):
         path = write_config(tmp_path)
         data = yaml.safe_load(path.read_text())
@@ -255,12 +265,48 @@ class TestStabilityCommand:
 
     def test_recovery_factors_only_the_enlarged_systems(self, tmp_path, factor_calls):
         # Both fields are constant under the scalar family: the Gram and the
-        # two Omega systems take the sine-transform solve, and only the two
-        # Omega_eta systems are factored.
+        # two Omega systems take the sine-transform solve, and each Omega_eta
+        # system, solved through its Omega system, factors only its bump dofs.
         config = Path(__file__).resolve().parents[1] / "configs" / "recovery.yaml"
+        out = tmp_path / "out"
         assert main(["stability", "--config", str(config), "--mesh-h", "0.125",
-                     "--out", str(tmp_path / "out")]) == 0
-        assert len(factor_calls) == 2
+                     "--out", str(out)]) == 0
+        solvers = json.loads((out / "manifest.json").read_text())["solvers"]
+        bump = [s["interior_dofs"] for s in solvers if s["domain"] == "Omega_eta"]
+        omega = [s["interior_dofs"] for s in solvers if s["domain"] == "Omega"]
+        bump = [eta - box for eta, box in zip(bump, omega)]
+        assert factor_calls == bump and 0 < bump[0] < min(omega)
+
+    @pytest.mark.parametrize("command, config, kinds", [
+        ("stability", "recovery.yaml",
+         {"a1": ("sine-transform", "via-core"), "a2": ("sine-transform", "via-core")}),
+        ("derivative", "derivative.yaml",
+         {"a1": ("sine-transform", "via-core"), "a2": ("sparse-lu", "via-core")}),
+    ], ids=["stability", "derivative"])
+    def test_manifest_reports_solvers(self, tmp_path, factor_calls, command, config, kinds):
+        config = Path(__file__).resolve().parents[1] / "configs" / config
+        outs = [tmp_path / "o1", tmp_path / "o2"]
+        for out in outs:
+            assert main([command, "--config", str(config), "--mesh-h", "0.125",
+                         "--out", str(out)]) == 0
+        solvers = json.loads((outs[0] / "manifest.json").read_text())["solvers"]
+        assert [(s["field"], s["domain"]) for s in solvers] == [
+            ("a1", "Omega"), ("a1", "Omega_eta"), ("a2", "Omega"), ("a2", "Omega_eta")]
+        for s in solvers:
+            assert s["kind"] == kinds[s["field"]][s["domain"] == "Omega_eta"]
+            if s["domain"] == "Omega_eta":
+                # No Omega_eta system factors its whole interior.
+                assert 0 < s["factored_dofs"] < s["interior_dofs"]
+            elif s["kind"] == "sparse-lu":
+                assert s["factored_dofs"] == s["interior_dofs"]
+            else:
+                assert s["factored_dofs"] == 0
+        omega_size = solvers[0]["interior_dofs"]
+        # Two runs: derivative factors exactly one Omega-sized system per run.
+        assert factor_calls.count(omega_size) == (2 if command == "derivative" else 0)
+        assert max(factor_calls) <= omega_size
+        for csv in sorted(p.name for p in outs[0].glob("*.csv")):
+            assert (outs[0] / csv).read_bytes() == (outs[1] / csv).read_bytes()
 
     def test_missing_second_field(self, tmp_path):
         path = write_config(tmp_path)

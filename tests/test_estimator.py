@@ -542,10 +542,10 @@ class TestSweepDriver:
             forwards.append(weakref.ref(fwd))
             return fwd
 
-        def assemble_checked(mesh, family, a, k):
+        def assemble_checked(mesh, family, a, k, **kwargs):
             # Perturbed Forwards still alive; index 0 is the reference.
             stale.extend(i for i, ref in enumerate(forwards) if i and ref() is not None)
-            return real_assemble(mesh, family, a, k)
+            return real_assemble(mesh, family, a, k, **kwargs)
 
         monkeypatch.setattr(admitlab.estimator, "build_forward", build_forward_logged)
         monkeypatch.setattr(admitlab.estimator, "assemble", assemble_checked)

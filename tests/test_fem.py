@@ -12,6 +12,7 @@ from admitlab.families import (affine_field, constant_field,
                                rotated_anisotropic_family,
                                scalar_identity_family)
 from admitlab.dtn import boundary_mass_sigma
+from admitlab.estimator import build_forward, build_frame
 from admitlab.fem import (_CORNER_OFFSETS, _FACE_LOCAL, _TET_PATTERNS,
                           BlockSystem, ComplexField, Mesh, _face_keys,
                           _lattice_topology, assemble, assemble_stiffness,
@@ -657,26 +658,132 @@ class TestBoxSolve:
         assert factor_calls == [len(lu.interior)]
 
     @pytest.mark.parametrize("case, factored", [
-        ("constant-scalar", 0), ("constant-diag123", 0), ("omega-eta", 1),
-        ("affine", 1), ("rotated-anisotropic", 1),
+        pytest.param(case, factored, id=f"{case}-{len(factored)}") for case, factored in [
+            ("constant-scalar", []), ("constant-diag123", []), ("omega-eta", ["omega_eta"]),
+            ("affine", ["omega"]), ("rotated-anisotropic", ["omega"]),
+            ("forward-constant", ["bump"]), ("forward-affine", ["omega", "bump"]),
+        ]
     ])
     def test_which_systems_factor(self, case, factored, factor_calls):
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
         fam, a = scalar_identity_family(k=0.1, imag=1.0), A_ONE
-        if case == "omega-eta":
-            mesh = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
-        else:
-            mesh = build_mesh(BOX, 0.125, patch=patch)
+        mesh = build_mesh(BOX, 0.125, patch=patch)
+        mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
         if case == "constant-diag123":
             fam = DIAG_123
-        elif case == "affine":
+        elif case.endswith("affine"):
             a = affine_field(1.0, (0.1, -0.05, 0.2))
         elif case == "rotated-anisotropic":
             fam = rotated_anisotropic_family(k=0.002, eps=0.3, imag=1.1)
-        system = assemble(mesh, fam, a, fam.freq)
-        assert (system.axis_weights is None) == bool(factored)
-        system.solve_dirichlet(np.ones(mesh.n_vertices))
-        assert len(factor_calls) == factored
+        if case.startswith("forward"):
+            # build_forward solves Omega_eta through the Omega system: only
+            # the bump dofs are factored on top of what Omega factors.
+            fwd = build_forward(build_frame(BOX, patch, 0.25, 0.125, fam), a)
+            systems = [fwd.system, fwd.system_eta]
+            assert fwd.system_eta.solver_kind == "via-core"
+        else:
+            system = assemble(mesh_eta if case == "omega-eta" else mesh, fam, a, fam.freq)
+            assert (system.axis_weights is None) == bool(factored)
+            systems = [system]
+        for system in systems:
+            system.solve_dirichlet(np.ones(system.mesh.n_vertices))
+        n_omega = int(np.sum(~mesh.boundary_vertex_mask))
+        n_eta = int(np.sum(~mesh_eta.boundary_vertex_mask))
+        sizes = {"omega": n_omega, "omega_eta": n_eta, "bump": n_eta - n_omega}
+        assert factor_calls == [sizes[name] for name in factored]
+        assert sum(s.factored_dofs for s in systems) == sum(factor_calls)
+
+
+ROTATED = rotated_anisotropic_family(k=0.002, eps=0.3, imag=1.1)
+AFFINE = affine_field(1.0, (0.1, -0.05, 0.2))
+
+
+def _core_pair(mesh, mesh_eta, fam, a):
+    """The Omega_eta system solved through its Omega core, and the same
+    matrix as a standalone system on the sparse LU path."""
+    core = assemble(mesh, fam, a, fam.freq)
+    via = assemble(mesh_eta, fam, a, fam.freq, core=core,
+                   vertex_map=mesh.shared_vertex_map(mesh_eta))
+    lu = assemble(mesh_eta, fam, a, fam.freq)
+    assert via.solver_kind == "via-core" and lu.solver_kind == "sparse-lu"
+    assert (via.K != lu.K).nnz == 0
+    return via, lu
+
+
+def _assert_core_matches_lu(via, lu, seed=0, columns=3):
+    rng = np.random.default_rng(seed)
+    n = via.mesh.n_vertices
+    g = rng.standard_normal((n, columns)) + 1j * rng.standard_normal((n, columns))
+    u_via, u_lu = via.solve_dirichlet(g), lu.solve_dirichlet(g)
+    assert np.max(np.abs(u_via - u_lu)) <= 1e-12 * np.max(np.abs(u_lu))
+    v_via, v_lu = via.solve_dirichlet(g[:, 0]), lu.solve_dirichlet(g[:, 0])
+    assert isinstance(v_via, ComplexField)
+    assert np.max(np.abs(v_via.values - v_lu.values)) <= 1e-12 * np.max(np.abs(v_lu.values))
+    sigma = via.boundary[::5]
+    s_via, s_lu = via.schur_onto(sigma), lu.schur_onto(sigma)
+    assert np.max(np.abs(s_via - s_lu)) <= 1e-12 * np.max(np.abs(s_lu))
+
+
+class TestCoreSolve:
+    """Omega_eta systems solved through their Omega core against a
+    standalone sparse LU of the whole Omega_eta interior."""
+
+    @pytest.mark.parametrize("h", [0.125, 0.0625])
+    @pytest.mark.parametrize("fam", [scalar_identity_family(k=0.1, imag=1.0), DIAG_123, ROTATED],
+                             ids=["scalar", "diag123", "rotated"])
+    @pytest.mark.parametrize("a", [A_ONE, AFFINE], ids=["constant", "affine"])
+    def test_matches_standalone_lu(self, h, fam, a, factor_calls):
+        patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
+        mesh = build_mesh(BOX, h, patch=patch)
+        mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=h), h)
+        via, lu = _core_pair(mesh, mesh_eta, fam, a)
+        _assert_core_matches_lu(via, lu)
+        bump = len(via.interior) - int(np.sum(~mesh.boundary_vertex_mask))
+        assert via.factored_dofs == bump
+        assert via.core.factored_dofs == (0 if via.core.axis_weights is not None
+                                          else len(via.core.interior))
+        # The standalone system is the only one factored at Omega_eta's size.
+        assert factor_calls.count(len(lu.interior)) == 1
+
+    @settings(max_examples=12, deadline=None)
+    @given(meshes=enlarged_meshes(), affine=st.booleans())
+    def test_any_face_and_box(self, meshes, affine):
+        mesh, mesh_eta = meshes
+        fam = scalar_identity_family(k=0.1, imag=1.0)
+        via, lu = _core_pair(mesh, mesh_eta, fam, AFFINE if affine else A_ONE)
+        _assert_core_matches_lu(via, lu, columns=2)
+
+    @pytest.mark.parametrize("case", [
+        "no-map", "shifted", "short", "repeated", "to-boundary", "to-bump", "other-field",
+    ])
+    def test_mismatched_core_rejected(self, case):
+        patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
+        mesh = build_mesh(BOX, 0.125, patch=patch)
+        mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
+        fam = scalar_identity_family(k=0.1, imag=1.0)
+        core = assemble(mesh, fam, A_ONE, fam.freq)
+        vmap = mesh.shared_vertex_map(mesh_eta)
+        outside = np.setdiff1d(np.arange(mesh_eta.n_vertices), vmap)
+        first = core.interior[0]
+        if case == "no-map":
+            vmap = None
+        elif case == "shifted":
+            vmap = np.roll(vmap, 1)
+        elif case == "short":
+            vmap = vmap[:-1]
+        elif case == "repeated":
+            vmap = vmap.copy()
+            vmap[first] = vmap[core.interior[1]]
+        elif case == "to-boundary":
+            vmap = vmap.copy()
+            vmap[first] = outside[mesh_eta.boundary_vertex_mask[outside]][0]
+        elif case == "to-bump":
+            vmap = vmap.copy()
+            vmap[first] = outside[~mesh_eta.boundary_vertex_mask[outside]][0]
+        else:
+            core = assemble(mesh, fam, constant_field(1.1), fam.freq)
+        with pytest.raises(GeometryError):
+            assemble(mesh_eta, fam, A_ONE, fam.freq, core=core, vertex_map=vmap)
 
 
 class TestConvergence:
