@@ -148,7 +148,8 @@ def dtn(config_path, out_dir, seed, mesh_h):
     fields = [("a1", cfg.a1)] + ([("a2", cfg.a2)] if cfg.a2 is not None else [])
     # Building no Forward skips the Omega_eta systems and frees each field's
     # factorisation before the next.
-    dtns = [(label, assemble_dtn(assemble(mesh, cfg.family, a, cfg.k), basis, gram))
+    dtns = [(label, _recorded_dtn(manifest, label, assemble(mesh, cfg.family, a, cfg.k),
+                                  basis, gram))
             for label, a in fields]
     manifest.start("write")
     d = basis.count
@@ -200,16 +201,32 @@ def probe(config_path, out_dir, seed, mesh_h):
     manifest.write()
 
 
+def _record_solver(manifest, label, domain, system):
+    """One manifest entry for a system: field, domain, interior solver kind,
+    interior dofs, dofs factored, interior solve calls and their right-hand
+    side columns, and the worst relative residual its checks passed."""
+    manifest.add_solver({
+        "field": label, "domain": domain, "kind": system.solver_kind,
+        "interior_dofs": len(system.interior),
+        "factored_dofs": system.factored_dofs,
+        "solve_calls": system.solve_calls, "rhs_columns": system.rhs_columns,
+        "worst_residual": system.worst_residual,
+    })
+
+
 def _record_solvers(manifest, fwd1, fwd2):
-    """One manifest entry per system of the two forwards: field, domain,
-    interior solver kind, interior dofs and dofs factored."""
+    """One manifest entry per system of the two forwards."""
     for label, fwd in (("a1", fwd1), ("a2", fwd2)):
         for domain, system in (("Omega", fwd.system), ("Omega_eta", fwd.system_eta)):
-            manifest.add_solver({
-                "field": label, "domain": domain, "kind": system.solver_kind,
-                "interior_dofs": len(system.interior),
-                "factored_dofs": system.factored_dofs,
-            })
+            _record_solver(manifest, label, domain, system)
+
+
+def _recorded_dtn(manifest, label, system, basis, gram):
+    """DtN matrix of one field's Omega system, with that system's solver
+    recorded in the manifest."""
+    dtn_matrix = assemble_dtn(system, basis, gram)
+    _record_solver(manifest, label, "Omega", system)
+    return dtn_matrix
 
 
 def _gap_payload(est: GapEstimate):

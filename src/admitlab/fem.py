@@ -21,6 +21,7 @@ assemble one (validate, probe) do not pay for importing it.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
@@ -432,6 +433,9 @@ class ComplexField:
 
 
 _RESIDUAL_RTOL = 1e-10
+# Bytes of one dense (interior dofs x columns) complex block of a Schur
+# complement; schur_onto solves its columns in blocks of at most this size.
+_SCHUR_BYTES = 4 << 20
 
 
 def _factor_interior(K_ii: sp.spmatrix) -> spla.SuperLU:
@@ -450,10 +454,13 @@ def _factor_interior(K_ii: sp.spmatrix) -> spla.SuperLU:
         raise SolverError(f"sparse factorisation failed: {exc}") from exc
 
 
-def _check_residual(K_ii: sp.spmatrix, x: np.ndarray, rhs: np.ndarray) -> None:
-    """SolverError unless every column has |K_ii x - rhs| <= 1e-10 |rhs|.
+def _check_residual(K_ii: sp.spmatrix, x: np.ndarray, rhs: np.ndarray,
+                    first_column: int = 0) -> float:
+    """SolverError unless every column has |K_ii x - rhs| <= 1e-10 |rhs|;
+    returns the largest relative residual.
 
-    A non-finite residual fails the check too.
+    A non-finite residual fails the check too.  The failing column is
+    reported as `first_column` plus its position in `rhs`.
     """
     x = x.reshape(len(x), -1)
     rhs = rhs.reshape(len(rhs), -1)
@@ -465,8 +472,9 @@ def _check_residual(K_ii: sp.spmatrix, x: np.ndarray, rhs: np.ndarray) -> None:
         raise SolverError(
             "interior residual too large",
             diagnostics={"residual": float(resid[col]), "scale": float(scale[col]),
-                         "column": col},
+                         "column": first_column + col},
         )
+    return float(np.max(resid / scale, initial=0.0))
 
 
 def _sine_matrix(n: int) -> np.ndarray:
@@ -564,7 +572,11 @@ class BlockSystem:
     - "sparse-lu": a sparse LU of the interior block;
     - "normal-cg": normal-equations CG, above `DIRECT_LIMIT` interior dofs.
 
-    `factored_dofs` counts the dofs of every LU this system has made.
+    `factored_dofs` counts the dofs of every LU this system has made,
+    `solve_calls` and `rhs_columns` the calls into its interior solver and
+    their columns (an Omega_eta system's solves through this core count
+    here too), and `worst_residual` is the largest relative residual that
+    a residual check of this system has passed.
     """
 
     DIRECT_LIMIT = 50_000
@@ -580,6 +592,9 @@ class BlockSystem:
         self._K_ib = K[np.ix_(self._interior, self._boundary)].tocsr()
         self._solve = None
         self.factored_dofs = 0
+        self.solve_calls = 0
+        self.rhs_columns = 0
+        self.worst_residual = 0.0
         self.core = None
         if core is not None:
             self._attach_core(core, vertex_map)
@@ -668,7 +683,14 @@ class BlockSystem:
                 self._solve = self._factor(self._K_ii).solve
             else:
                 self._solve = _normal_cg(self._K_ii)
+        self.solve_calls += 1
+        self.rhs_columns += rhs.shape[1] if rhs.ndim == 2 else 1
         return self._solve(rhs)
+
+    def _check(self, x: np.ndarray, rhs: np.ndarray, first_column: int = 0) -> None:
+        """Residual check of an interior solve, kept in `worst_residual`."""
+        worst = _check_residual(self._K_ii, x, rhs, first_column)
+        self.worst_residual = max(self.worst_residual, worst)
 
     def _core_solver(self):
         """Interior solve by eliminating the core's interior block B.
@@ -716,20 +738,36 @@ class BlockSystem:
         """Dense Schur complement K_ss - K_sI K_II^{-1} K_Is onto the boundary
         dofs sigma, the others pinned to zero.
 
-        All columns go through one multi-column interior solve, and each
-        column's residual is checked.
+        The columns are solved in equal blocks of at most `_SCHUR_BYTES` of
+        complex (interior x column) data, so no array of interior size
+        grows with |sigma|; each block is one multi-column interior solve,
+        and each column's residual is checked.
         """
         sigma = np.asarray(sigma, dtype=int)
         cols = np.searchsorted(self._boundary, sigma)
         if np.any(cols >= len(self._boundary)) or np.any(self._boundary[cols] != sigma):
             raise ConfigError("Schur complement dofs must be boundary vertices")
-        K_is = self._K_ib[:, cols].toarray()
-        X = self._solve_interior(K_is)
-        _check_residual(self._K_ii, X, K_is)
         # K_sI is sliced, not transposed from K_Is: an anisotropic K is
         # symmetric only to rounding.
         K_s = self.K[sigma]
-        return K_s[:, sigma].toarray() - K_s[:, self._interior] @ X
+        K_si = K_s[:, self._interior]
+        S = K_s[:, sigma].toarray()
+        d = len(sigma)
+        cap = max(1, _SCHUR_BYTES // (16 * len(self._interior)))
+        blocks = max(1, math.ceil(d / cap))
+        width = max(1, math.ceil(d / blocks))
+        for start in range(0, d, width):
+            block = slice(start, start + width)
+            K_is = self._K_ib[:, cols[block]].toarray()
+            X = self._solve_interior(K_is)
+            self._check(X, K_is, first_column=start)
+            flux = K_si @ X
+            # Freed before the next block is sliced, so one block is live.
+            del K_is, X
+            # A real K can have complex solves (normal-form CG).
+            S = S.astype(np.result_type(S, flux), copy=False)
+            S[:, block] -= flux
+        return S
 
     def solve_dirichlet(self, g):
         """Solve with Dirichlet data g, one full-length nodal vector (n,) or
@@ -751,7 +789,7 @@ class BlockSystem:
                               diagnostics={"column": int(np.argmin(finite))})
         rhs = -(self._K_ib @ g_bnd)
         u_int = self._solve_interior(rhs)
-        _check_residual(self._K_ii, u_int, rhs)
+        self._check(u_int, rhs)
         values = np.zeros(cols.shape, dtype=complex)
         values[self._boundary] = g_bnd
         values[self._interior] = u_int

@@ -124,7 +124,8 @@ class RunManifest:
 
     def add_solver(self, entry: dict) -> None:
         """One entry of the "solvers" list: which interior solver a linear
-        system used and how many dofs it factored."""
+        system used, how many dofs it factored, how often it solved and how
+        well."""
         self.data.setdefault("solvers", []).append(dict(entry))
 
     def record(self, path) -> Path:

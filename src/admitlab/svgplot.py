@@ -13,14 +13,21 @@ from pathlib import Path
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 55
 COLORS = ["#1f6fb4", "#d1495b", "#2e8b57", "#8a5fbf", "#c98a00"]
-# Linear axes narrower than this many ulps of their values are degenerate.
+# Linear axes narrower than this fraction of their values' magnitude are
+# degenerate: it is the relative residual every linear solve of the
+# laboratory is held to, so a narrower spread is solver and rounding noise.
+_NARROW_RTOL = 1e-10
+# Near zero, where that fraction falls below the float spacing, an axis
+# this many ulps wide is degenerate.
 _NARROW_ULPS = 16
 
 
 def _narrow(lo, hi):
-    """True when a linear range is only a few ulps wide (or empty): it then
-    gets the treatment of equal values, since its width is rounding noise."""
-    return not hi - lo > _NARROW_ULPS * math.ulp(max(abs(lo), abs(hi)))
+    """True when a linear range is narrow relative to its values (or
+    empty): it then gets the treatment of equal values, since its width is
+    rounding noise."""
+    mag = max(abs(lo), abs(hi))
+    return not hi - lo > max(_NARROW_RTOL * mag, _NARROW_ULPS * math.ulp(mag))
 
 
 def _linear_limits(lo, hi):

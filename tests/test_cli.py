@@ -308,6 +308,30 @@ class TestStabilityCommand:
         for csv in sorted(p.name for p in outs[0].glob("*.csv")):
             assert (outs[0] / csv).read_bytes() == (outs[1] / csv).read_bytes()
 
+    @pytest.mark.parametrize("command, config", [
+        ("stability", "recovery.yaml"), ("derivative", "derivative.yaml"),
+        ("dtn", "default.yaml"),
+    ])
+    def test_manifest_solver_counters(self, tmp_path, command, config):
+        config = Path(__file__).resolve().parents[1] / "configs" / config
+        outs = [tmp_path / "o1", tmp_path / "o2"]
+        for out in outs:
+            assert main([command, "--config", str(config), "--mesh-h", "0.125",
+                         "--out", str(out)]) == 0
+        solvers = json.loads((outs[0] / "manifest.json").read_text())["solvers"]
+        domains = ["Omega"] if command == "dtn" else ["Omega", "Omega_eta"]
+        assert [(s["field"], s["domain"]) for s in solvers] == [
+            (field, domain) for field in ("a1", "a2") for domain in domains]
+        for s in solvers:
+            assert 1 <= s["solve_calls"] <= s["rhs_columns"]
+            assert 0.0 < s["worst_residual"] <= 1e-10
+        if command == "dtn":
+            # Each Omega system's one Schur complement onto the basis.
+            d = json.loads((outs[0] / "dtn_norm.json").read_text())["basis_size"]
+            assert all(s["rhs_columns"] == d for s in solvers)
+        for csv in sorted(p.name for p in outs[0].glob("*.csv")):
+            assert (outs[0] / csv).read_bytes() == (outs[1] / csv).read_bytes()
+
     def test_missing_second_field(self, tmp_path):
         path = write_config(tmp_path)
         data = yaml.safe_load(path.read_text())

@@ -786,6 +786,104 @@ class TestCoreSolve:
             assemble(mesh_eta, fam, A_ONE, fam.freq, core=core, vertex_map=vmap)
 
 
+def _schur_case(kind, h):
+    """A fresh system of the given solver kind and boundary dofs sigma to
+    project onto: a sine-transform Omega system, a sparse-LU Omega system
+    (rotated family, affine field) or a via-core Omega_eta system."""
+    patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
+    mesh = build_mesh(BOX, h, patch=patch)
+    if kind == "sine-transform":
+        fam = scalar_identity_family(k=0.1, imag=1.0)
+        system = assemble(mesh, fam, A_ONE, fam.freq)
+    elif kind == "sparse-lu":
+        system = assemble(mesh, ROTATED, AFFINE, ROTATED.freq)
+    else:
+        mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=h), h)
+        system = _core_pair(mesh, mesh_eta, ROTATED, AFFINE)[0]
+    assert system.solver_kind == kind
+    return system, system.boundary[::7]
+
+
+def _set_schur_cap(monkeypatch, system, cap):
+    """Budget `schur_onto` to at most `cap` columns per block on `system`."""
+    import admitlab.fem
+
+    monkeypatch.setattr(admitlab.fem, "_SCHUR_BYTES", 16 * len(system.interior) * cap)
+
+
+class TestBlockedSchur:
+    """`schur_onto` solves sigma in column blocks bounded by `_SCHUR_BYTES`."""
+
+    @pytest.mark.parametrize("h", [0.125, 0.0625])
+    @pytest.mark.parametrize("kind", ["sine-transform", "sparse-lu", "via-core"])
+    @pytest.mark.parametrize("cap", ["1", "3", "d-1", "d"])
+    def test_blocks_match_single_block(self, kind, h, cap, monkeypatch):
+        reference_system, sigma = _schur_case(kind, h)
+        d = len(sigma)
+        _set_schur_cap(monkeypatch, reference_system, d)
+        reference = reference_system.schur_onto(sigma)
+        assert reference_system.solve_calls == 1
+        system, _ = _schur_case(kind, h)
+        cap = {"1": 1, "3": 3, "d-1": d - 1, "d": d}[cap]
+        _set_schur_cap(monkeypatch, system, cap)
+        blocked = system.schur_onto(sigma)
+        assert system.rhs_columns == d
+        assert system.solve_calls == math.ceil(d / cap)
+        assert np.max(np.abs(blocked - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("kind", ["sine-transform", "sparse-lu", "via-core"])
+    def test_each_column_solved_once_within_cap(self, kind, monkeypatch):
+        import admitlab.fem
+
+        system, sigma = _schur_case(kind, 0.125)
+        cap = 4
+        _set_schur_cap(monkeypatch, system, cap)
+        solved, checked = [], []
+        real_solve, real_check = system._solve_interior, admitlab.fem._check_residual
+
+        def spy_solve(rhs):
+            solved.append(rhs.copy())
+            return real_solve(rhs)
+
+        def spy_check(K_ii, x, rhs, first_column=0):
+            # A via-core system's first solve also checks its core's blocks.
+            if K_ii is system._K_ii:
+                checked.append((first_column, rhs.shape[1]))
+            return real_check(K_ii, x, rhs, first_column)
+
+        monkeypatch.setattr(system, "_solve_interior", spy_solve)
+        monkeypatch.setattr(admitlab.fem, "_check_residual", spy_check)
+        system.schur_onto(sigma)
+        d = len(sigma)
+        assert max(rhs.shape[1] for rhs in solved) <= cap
+        # The blocks, in order, are exactly the columns K_I,sigma.
+        cols = np.searchsorted(system.boundary, sigma)
+        K_is = system.K[np.ix_(system.interior, system.boundary[cols])].toarray()
+        assert np.array_equal(np.hstack(solved), K_is)
+        # Every column is residual-checked once, under its position in sigma.
+        starts = np.cumsum([0] + [width for _, width in checked])
+        assert [first for first, _ in checked] == list(starts[:-1]) and starts[-1] == d
+        assert system.solve_calls == len(solved) and system.rhs_columns == d
+        assert 0.0 < system.worst_residual <= 1e-10
+
+    def test_failed_column_named_by_position_in_sigma(self, monkeypatch):
+        system, sigma = _schur_case("sparse-lu", 0.125)
+        _set_schur_cap(monkeypatch, system, 2)
+        d = len(sigma)
+        K_ii = system.K[np.ix_(system.interior, system.interior)].toarray()
+        last = system.K[np.ix_(system.interior, sigma[-1:])].toarray()
+
+        def solve_with_bad_last_column(rhs):
+            X = np.linalg.solve(K_ii, rhs)
+            X[:, np.all(rhs == last, axis=0)] *= 1.0 + 1e-6
+            return X
+
+        monkeypatch.setattr(system, "_solve_interior", solve_with_bad_last_column)
+        with pytest.raises(SolverError) as err:
+            system.schur_onto(sigma)
+        assert d > 2 and err.value.diagnostics["column"] == d - 1
+
+
 class TestConvergence:
     def test_diagonal_quadratic_is_nodally_exact(self):
         # The symmetric six-tet split reproduces harmonic quadratics with a

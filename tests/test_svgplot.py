@@ -33,6 +33,11 @@ def _tick_lines(svg: str, axis: str) -> int:
     return sum(1 for line in svg.splitlines() if line.startswith("<line") and marker in line)
 
 
+def _circle_heights(svg: str) -> set:
+    return {line.split('cy="')[1].split('"')[0]
+            for line in svg.splitlines() if line.startswith("<circle")}
+
+
 def test_sub_ulp_range_finishes(tmp_path, time_limit):
     path = render_scatter(tmp_path / "gap_tau.svg",
                           series=[("per-tau estimate", TAUS, NARROW)],
@@ -48,10 +53,23 @@ def test_sub_ulp_range_is_drawn_flat(tmp_path):
     # estimates sit on one height.
     svg = render_scatter(tmp_path / "gap_tau.svg",
                          series=[("per-tau estimate", TAUS, NARROW)]).read_text(encoding="utf-8")
-    heights = {line.split('cy="')[1].split('"')[0]
-               for line in svg.splitlines() if line.startswith("<circle")}
-    assert len(heights) == 1
+    assert len(_circle_heights(svg)) == 1
     assert _tick_lines(svg, "y") >= 1
+
+
+def test_rounding_spread_is_drawn_flat(tmp_path):
+    # Per-tau estimates of `stability --config configs/recovery.yaml
+    # --mesh-h 0.05 --seed 1`: about 84 ulps apart around -0.1.
+    taus = [0.015625, 0.0078125, 0.00390625, 0.001953125, 0.0009765625]
+    estimates = [-0.10000000000000012, -0.09999999999999906, -0.1,
+                 -0.09999999999999905, -0.09999999999999973]
+    svg = render_scatter(tmp_path / "gap_tau.svg",
+                         series=[("per-tau estimate", taus, estimates)]).read_text(encoding="utf-8")
+    assert len(_circle_heights(svg)) == 1
+    y_labels = [line.split(">")[1].split("<")[0] for line in svg.splitlines()
+                if line.startswith("<text") and 'text-anchor="end"' in line
+                and 'font-size="11"' in line]
+    assert len(y_labels) >= 2 and len(set(y_labels)) == len(y_labels)
 
 
 def _padded_reference(lo, hi):
@@ -64,7 +82,8 @@ def _padded_reference(lo, hi):
 @given(lo=st.floats(-1e6, 1e6), width=st.floats(0.0, 1e3), ulps=st.integers(17, 4096))
 def test_padding_of_wider_ranges_unchanged(lo, width, ulps):
     hi = lo + width + ulps * math.ulp(max(abs(lo), 1e-300))
-    assume(hi - lo > 16 * math.ulp(max(abs(lo), abs(hi))))
+    # Ranges narrower than 1e-10 of their magnitude are drawn as equal values.
+    assume(hi - lo > 1e-10 * max(abs(lo), abs(hi)))
     assert _linear_limits(lo, hi) == _padded_reference(lo, hi)
     assert _linear_limits(lo, lo) == _padded_reference(lo, lo)
 
