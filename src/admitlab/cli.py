@@ -204,12 +204,16 @@ def probe(config_path, out_dir, seed, mesh_h):
 def _record_solver(manifest, label, domain, system):
     """One manifest entry for a system: field, domain, interior solver kind,
     interior dofs, dofs factored, interior solve calls and their right-hand
-    side columns, and the worst relative residual its checks passed."""
+    side columns, COCG iterations summed over those columns and the most
+    one column took (0 for the direct kinds), and the worst relative
+    residual its checks passed."""
     manifest.add_solver({
         "field": label, "domain": domain, "kind": system.solver_kind,
         "interior_dofs": len(system.interior),
         "factored_dofs": system.factored_dofs,
         "solve_calls": system.solve_calls, "rhs_columns": system.rhs_columns,
+        "krylov_iterations": system.krylov_iterations,
+        "krylov_iterations_max": system.krylov_iterations_max,
         "worst_residual": system.worst_residual,
     })
 

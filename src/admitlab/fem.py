@@ -9,7 +9,9 @@ Dirichlet solve and every Schur complement onto boundary dofs (the DtN
 pairing and the trace Gram) goes through a `BlockSystem`: a sine-transform
 solve where the interior block is a constant-weight 7-point stencil on a
 full box, block elimination through the Omega system's solver for an
-Omega_eta system given that core, a sparse LU otherwise.
+Omega_eta system given that core, conjugate orthogonal CG (COCG)
+preconditioned by that sine-transform solve for any other coefficient on
+a full box, and a sparse LU on any other mesh.
 
 Meshes are built from integer lattice keys, and every assembly scatters
 element blocks into a CSR pattern that each mesh computes once, since many
@@ -436,6 +438,11 @@ _RESIDUAL_RTOL = 1e-10
 # Bytes of one dense (interior dofs x columns) complex block of a Schur
 # complement; schur_onto solves its columns in blocks of at most this size.
 _SCHUR_BYTES = 4 << 20
+# A COCG column stops once its recurrence residual is at most _COCG_RTOL of
+# its right-hand side; a column still running after _COCG_MAX_ITERATIONS
+# iterations raises SolverError.
+_COCG_RTOL = 1e-13
+_COCG_MAX_ITERATIONS = 200
 
 
 def _factor_interior(K_ii: sp.spmatrix) -> spla.SuperLU:
@@ -490,70 +497,124 @@ def box_solve(mesh: Mesh, weights):
     diag(w_0, w_1, w_2) is the 7-point stencil h sum_a w_a (2 u - u(x - h e_a)
     - u(x + h e_a)).  The orthonormal DST-I along each axis diagonalises it,
     with eigenvalues h sum_a w_a (2 - 2 cos(pi p_a / (N_a + 1))), so a solve
-    is one sine transform, a division and a second sine transform.  The
-    weights may be complex.  Returns solve(rhs) for (n,) or (n, c)
+    is one sine transform, a multiplication and a second sine transform.
+    The weights may be complex.  Returns solve(rhs) for (n,) or (n, c)
     right-hand sides on the interior vertices in mesh order; callers check
-    its residuals.
+    its residuals.  Each column is transformed by BLAS calls whose shapes do
+    not depend on the other columns, so its solution has the same bits
+    whatever columns ride beside it.
     """
     if mesh.box_shape is None:
         raise GeometryError("the sine-transform solve needs a full lattice box mesh")
     shape = mesh.box_shape
+    n0, n1, n2 = shape
     sines = [_sine_matrix(n) for n in shape]
     eig = np.zeros(shape, dtype=np.result_type(*weights, float))
     for a, (n, w) in enumerate(zip(shape, weights)):
         mode = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
         eig += mesh.h * w * mode.reshape([n if b == a else 1 for b in range(3)])
+    inverse = (1.0 / eig).reshape(1, -1)
+    # The last axis of complex data, viewed as interleaved real and imaginary
+    # parts, is transformed by the sine matrix with each entry doubled.
+    last_sine = {False: sines[2], True: np.kron(sines[2], np.eye(2))}
 
     def transform(X: np.ndarray) -> np.ndarray:
-        # The columns ride along in the trailing axis, so a complex array is
-        # transformed as its real view; each axis is one batched BLAS product.
+        # One row per column: a batched BLAS product per axis, each batch
+        # item within one column.
         complex_data = np.iscomplexobj(X)
         R = X.view(np.float64) if complex_data else X
-        width = R.shape[-1]
-        for a, S in enumerate(sines):
-            lead, trail = int(np.prod(shape[:a])), int(np.prod(shape[a + 1:]))
-            R = np.matmul(S, R.reshape(lead, shape[a], trail * width))
-        R = R.reshape(shape + (width,))
+        columns, last = len(R), R.shape[1] // (n0 * n1)
+        R = np.matmul(sines[0], R.reshape(columns, n0, n1 * last))
+        R = np.matmul(sines[1], R.reshape(columns * n0, n1, last))
+        R = np.matmul(R.reshape(columns, n0 * n1, last), last_sine[complex_data])
+        R = R.reshape(columns, -1)
         return R.view(np.complex128) if complex_data else R
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs)
-        columns = rhs.shape[1] if rhs.ndim == 2 else 1
-        X = np.ascontiguousarray(rhs, dtype=np.result_type(rhs, eig))
-        X = transform(X.reshape(shape + (columns,)))
-        X /= eig[..., None]
-        return transform(X).reshape(rhs.shape)
+        cols = rhs.reshape(len(rhs), -1)
+        X = transform(np.ascontiguousarray(cols.T, dtype=np.result_type(rhs, eig)))
+        X *= inverse
+        return np.ascontiguousarray(transform(X).T).reshape(rhs.shape)
 
     return solve
 
 
-def _normal_cg(K: sp.spmatrix):
-    """Normal-form CG solve with diagonal preconditioning, one column at a
-    time; a column that does not converge raises SolverError."""
-    import scipy.sparse.linalg as spla
+def _column_sums(M: np.ndarray) -> np.ndarray:
+    """Sum of each column of an (n, m) array.
 
-    n = K.shape[0]
-    diag = np.asarray(np.abs(K).power(2).sum(axis=0)).ravel()
-    diag[diag == 0.0] = 1.0
-    normal = spla.LinearOperator(
-        (n, n), matvec=lambda x: K.conj().T @ (K @ x), dtype=complex
-    )
-    precond = spla.LinearOperator((n, n), matvec=lambda x: x / diag, dtype=complex)
+    Each column is summed as one contiguous row, so its sum has the same
+    bits whatever columns ride beside it.
+    """
+    return np.ascontiguousarray(M.T).sum(axis=1)
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        cols = np.asarray(rhs).reshape(n, -1)
-        out = np.empty(cols.shape, dtype=complex)
-        for j in range(cols.shape[1]):
-            out[:, j], info = spla.cg(normal, K.conj().T @ cols[:, j], rtol=1e-12,
-                                      maxiter=20 * n, M=precond)
-            if info != 0:
-                raise SolverError(
-                    "normal-form CG did not converge",
-                    diagnostics={"info": info, "size": n, "column": j},
-                )
-        return out.reshape(np.shape(rhs))
 
-    return solve
+def _column_norms(M: np.ndarray) -> np.ndarray:
+    return np.sqrt(_column_sums(M.real ** 2 + M.imag ** 2))
+
+
+def _cocg(K: sp.spmatrix, precondition, rhs: np.ndarray):
+    """Block COCG solve of the complex symmetric K for (n, m) columns.
+
+    COCG is preconditioned CG with the unconjugated bilinear form x^T y
+    (van der Vorst and Melissen, 1990); `precondition` must be complex
+    symmetric too.  Every column keeps its own scalars and stops once its
+    recurrence residual is at most `_COCG_RTOL` of its right-hand side; a
+    stopped column is frozen, so its solution does not depend on the block
+    it rides in, and an all-zero column returns zeros without iterating.
+    Returns the solutions and each column's iteration count.  SolverError,
+    naming the worst running column, if a column breaks down or is still
+    running after `_COCG_MAX_ITERATIONS` iterations.
+    """
+    X = np.zeros(rhs.shape, dtype=complex)
+    iterations = np.zeros(rhs.shape[1], dtype=np.int64)
+    scale = _column_norms(rhs)
+    live = np.flatnonzero(scale > 0.0)
+    if not live.size:
+        return X, iterations
+    R = np.array(rhs[:, live], dtype=complex)
+    X_live = np.zeros(R.shape, dtype=complex)
+    P = precondition(R)
+    rho = _column_sums(R * P)
+    for step in range(1, _COCG_MAX_ITERATIONS + 1):
+        Q = K @ P
+        alpha = rho / _column_sums(P * Q)
+        # Q is scratch once it has updated the residual.  Q and Z are freed
+        # as soon as they are used, so fewer blocks are live at a time.
+        Q *= alpha
+        R -= Q
+        np.multiply(P, alpha, out=Q)
+        X_live += Q
+        del Q
+        residual = _column_norms(R) / scale[live]
+        if not np.all(np.isfinite(residual)):
+            _cocg_failure("COCG broke down", step, residual, live)
+        done = residual <= _COCG_RTOL
+        if np.any(done):
+            X[:, live[done]] = X_live[:, done]
+            iterations[live[done]] = step
+            if np.all(done):
+                return X, iterations
+            keep = ~done
+            live, rho = live[keep], rho[keep]
+            X_live, R, P = X_live[:, keep], R[:, keep], P[:, keep]
+        Z = precondition(R)
+        rho_next = _column_sums(R * Z)
+        P *= rho_next / rho
+        P += Z
+        del Z
+        rho = rho_next
+    _cocg_failure("COCG did not converge", _COCG_MAX_ITERATIONS,
+                  _column_norms(R) / scale[live], live)
+
+
+def _cocg_failure(message: str, step: int, residual: np.ndarray, live: np.ndarray):
+    """SolverError naming the running column with the largest relative
+    recurrence residual (a non-finite one first)."""
+    worst = int(np.argmax(np.where(np.isfinite(residual), residual, np.inf)))
+    raise SolverError(message, diagnostics={
+        "iterations": step, "residual": float(residual[worst]),
+        "column": int(live[worst])})
 
 
 class BlockSystem:
@@ -569,31 +630,41 @@ class BlockSystem:
       that embeds in this one by `vertex_map` (the Omega system inside its
       Omega_eta system), block elimination through the core's own interior
       solver, so only the dofs outside the core's interior are factored;
-    - "sparse-lu": a sparse LU of the interior block;
-    - "normal-cg": normal-equations CG, above `DIRECT_LIMIT` interior dofs.
+    - "box-cocg": with `cocg_weights` (the tet-averaged diagonal of any
+      other coefficient on a full lattice box), COCG preconditioned by
+      `box_solve` of those weights, each column stopped at a recurrence
+      residual of `_COCG_RTOL`;
+    - "sparse-lu": a sparse LU of the interior block.
 
-    `factored_dofs` counts the dofs of every LU this system has made,
-    `solve_calls` and `rhs_columns` the calls into its interior solver and
-    their columns (an Omega_eta system's solves through this core count
-    here too), and `worst_residual` is the largest relative residual that
-    a residual check of this system has passed.
+    `assemble` gives every full-box system either `axis_weights` or
+    `cocg_weights`, so it factors whole only the systems on other meshes
+    (an Omega_eta system without a core).  `factored_dofs` counts the dofs
+    of every LU this system has made, `solve_calls` and `rhs_columns` the
+    calls into its interior solver and their columns (an Omega_eta
+    system's solves through this core count here too), `krylov_iterations`
+    and `krylov_iterations_max` the COCG iterations summed over those
+    columns and the most any one column took, and `worst_residual` is the
+    largest relative residual that a residual check of this system has
+    passed.
     """
 
-    DIRECT_LIMIT = 50_000
-
     def __init__(self, mesh: Mesh, K: sp.csr_matrix, axis_weights=None,
-                 core: Optional["BlockSystem"] = None, vertex_map=None):
+                 core: Optional["BlockSystem"] = None, vertex_map=None,
+                 cocg_weights=None):
         self.mesh = mesh
         self.K = K
         self.axis_weights = axis_weights
+        self.cocg_weights = cocg_weights
         self._interior = np.where(~mesh.boundary_vertex_mask)[0]
         self._boundary = np.where(mesh.boundary_vertex_mask)[0]
-        self._K_ii = K[np.ix_(self._interior, self._interior)].tocsc()
+        self._K_ii = K[np.ix_(self._interior, self._interior)].tocsr()
         self._K_ib = K[np.ix_(self._interior, self._boundary)].tocsr()
         self._solve = None
         self.factored_dofs = 0
         self.solve_calls = 0
         self.rhs_columns = 0
+        self.krylov_iterations = 0
+        self.krylov_iterations_max = 0
         self.worst_residual = 0.0
         self.core = None
         if core is not None:
@@ -662,9 +733,9 @@ class BlockSystem:
             return "sine-transform"
         if self.core is not None:
             return "via-core"
-        if self._K_ii.shape[0] <= self.DIRECT_LIMIT:
-            return "sparse-lu"
-        return "normal-cg"
+        if self.cocg_weights is not None:
+            return "box-cocg"
+        return "sparse-lu"
 
     def _factor(self, M: sp.spmatrix) -> spla.SuperLU:
         lu = _factor_interior(M)
@@ -679,10 +750,10 @@ class BlockSystem:
                 self._solve = box_solve(self.mesh, self.axis_weights)
             elif kind == "via-core":
                 self._solve = self._core_solver()
-            elif kind == "sparse-lu":
-                self._solve = self._factor(self._K_ii).solve
+            elif kind == "box-cocg":
+                self._solve = self._cocg_solver()
             else:
-                self._solve = _normal_cg(self._K_ii)
+                self._solve = self._factor(self._K_ii).solve
         self.solve_calls += 1
         self.rhs_columns += rhs.shape[1] if rhs.ndim == 2 else 1
         return self._solve(rhs)
@@ -691,6 +762,21 @@ class BlockSystem:
         """Residual check of an interior solve, kept in `worst_residual`."""
         worst = _check_residual(self._K_ii, x, rhs, first_column)
         self.worst_residual = max(self.worst_residual, worst)
+
+    def _cocg_solver(self):
+        """Interior solve by `_cocg`, preconditioned by the box solve of
+        `cocg_weights`, counting its iterations."""
+        precondition = box_solve(self.mesh, self.cocg_weights)
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            rhs = np.asarray(rhs)
+            x, iterations = _cocg(self._K_ii, precondition, rhs.reshape(len(rhs), -1))
+            self.krylov_iterations += int(iterations.sum())
+            self.krylov_iterations_max = max(self.krylov_iterations_max,
+                                             int(iterations.max(initial=0)))
+            return x.reshape(rhs.shape)
+
+        return solve
 
     def _core_solver(self):
         """Interior solve by eliminating the core's interior block B.
@@ -709,9 +795,8 @@ class BlockSystem:
         in_core = np.zeros(len(self._interior), dtype=bool)
         in_core[B] = True
         G = np.where(~in_core)[0]
-        K_ii = self._K_ii.tocsr()
-        K_G = K_ii[G]
-        K_BG, K_GB = K_ii[B][:, G], K_G[:, B]
+        K_G = self._K_ii[G]
+        K_BG, K_GB = self._K_ii[B][:, G], K_G[:, B]
         f = np.unique(K_BG.indices)
         f_core = self._core_owner[self._interior[G[f]]]
         K_ff = core.K[f_core][:, f_core].toarray()
@@ -759,12 +844,18 @@ class BlockSystem:
         for start in range(0, d, width):
             block = slice(start, start + width)
             K_is = self._K_ib[:, cols[block]].toarray()
-            X = self._solve_interior(K_is)
+            try:
+                X = self._solve_interior(K_is)
+            except SolverError as exc:
+                # Name a failed column by its position in sigma.
+                if "column" in exc.diagnostics:
+                    exc.diagnostics["column"] += start
+                raise
             self._check(X, K_is, first_column=start)
             flux = K_si @ X
             # Freed before the next block is sliced, so one block is live.
             del K_is, X
-            # A real K can have complex solves (normal-form CG).
+            # A real K has complex solves under a COCG solver.
             S = S.astype(np.result_type(S, flux), copy=False)
             S[:, block] -= flux
         return S
@@ -813,13 +904,15 @@ def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float,
     """Block system for div(A(x, a(x)) grad u) = 0 on the mesh.
 
     The real element blocks, then the imaginary ones, are scattered into
-    the real and imaginary parts of one complex CSR data array.  A constant
-    diagonal coefficient on a full lattice box gets the exact
-    sine-transform interior solve.  Given `core`, the same field's system
-    on a mesh that `vertex_map` embeds in this one (Omega in Omega_eta),
-    the interior is solved through the core's solver and only the dofs
-    outside the core's interior are factored; every other system is
-    factored whole.
+    the real and imaginary parts of one complex CSR data array.  On a full
+    lattice box, a constant diagonal coefficient gets the exact
+    sine-transform interior solve, and any other coefficient COCG
+    preconditioned by the sine-transform solve of its tet-averaged
+    diagonal, read from the same coefficient arrays.  Given `core`, the
+    same field's system on a mesh that `vertex_map` embeds in this one
+    (Omega in Omega_eta), the interior is solved through the core's solver
+    and only the dofs outside the core's interior are factored; a system
+    on any other mesh is factored whole.
     """
     bary = mesh.barycenters
     t_vals = np.asarray(a.values(bary), dtype=float)
@@ -827,16 +920,23 @@ def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float,
         t_vals = np.full(mesh.n_tets, float(t_vals))
     pattern = mesh.stiffness_pattern
     data = np.empty(len(pattern.indices), dtype=complex)
-    diagonals = []
+    constant, averaged = [], []
     for part, coeff_of in ((data.real, family.real_part),
                            (data.imag, lambda x, t: k * family.imag_part(x, t))):
         coeff = coeff_of(bary, t_vals)
         part[:] = _scatter(pattern, _stiffness_blocks(mesh, coeff))
-        diagonals.append(None if mesh.box_shape is None else _constant_diagonal(coeff))
-    diag_R, diag_I = diagonals
-    weights = None if diag_R is None or diag_I is None else diag_R + 1j * diag_I
-    return BlockSystem(mesh, _csr(pattern, data), axis_weights=weights,
-                       core=core, vertex_map=vertex_map)
+        if mesh.box_shape is not None:
+            constant.append(_constant_diagonal(coeff))
+            averaged.append(np.diagonal(np.reshape(coeff, (-1, 3, 3)), axis1=1, axis2=2)
+                            .mean(axis=0))
+    axis_weights = cocg_weights = None
+    if mesh.box_shape is not None:
+        if constant[0] is not None and constant[1] is not None:
+            axis_weights = constant[0] + 1j * constant[1]
+        else:
+            cocg_weights = averaged[0] + 1j * averaged[1]
+    return BlockSystem(mesh, _csr(pattern, data), axis_weights=axis_weights,
+                       core=core, vertex_map=vertex_map, cocg_weights=cocg_weights)
 
 
 def energy_pairing(system: BlockSystem, u: ComplexField, v: ComplexField) -> complex:

@@ -281,7 +281,7 @@ class TestStabilityCommand:
         ("stability", "recovery.yaml",
          {"a1": ("sine-transform", "via-core"), "a2": ("sine-transform", "via-core")}),
         ("derivative", "derivative.yaml",
-         {"a1": ("sine-transform", "via-core"), "a2": ("sparse-lu", "via-core")}),
+         {"a1": ("sine-transform", "via-core"), "a2": ("box-cocg", "via-core")}),
     ], ids=["stability", "derivative"])
     def test_manifest_reports_solvers(self, tmp_path, factor_calls, command, config, kinds):
         config = Path(__file__).resolve().parents[1] / "configs" / config
@@ -297,14 +297,11 @@ class TestStabilityCommand:
             if s["domain"] == "Omega_eta":
                 # No Omega_eta system factors its whole interior.
                 assert 0 < s["factored_dofs"] < s["interior_dofs"]
-            elif s["kind"] == "sparse-lu":
-                assert s["factored_dofs"] == s["interior_dofs"]
             else:
                 assert s["factored_dofs"] == 0
+        # Only the Omega_eta dofs outside the Omega interior are factored.
         omega_size = solvers[0]["interior_dofs"]
-        # Two runs: derivative factors exactly one Omega-sized system per run.
-        assert factor_calls.count(omega_size) == (2 if command == "derivative" else 0)
-        assert max(factor_calls) <= omega_size
+        assert 0 < max(factor_calls) < omega_size
         for csv in sorted(p.name for p in outs[0].glob("*.csv")):
             assert (outs[0] / csv).read_bytes() == (outs[1] / csv).read_bytes()
 
@@ -325,12 +322,42 @@ class TestStabilityCommand:
         for s in solvers:
             assert 1 <= s["solve_calls"] <= s["rhs_columns"]
             assert 0.0 < s["worst_residual"] <= 1e-10
+            if s["kind"] != "box-cocg":
+                assert s["krylov_iterations"] == s["krylov_iterations_max"] == 0
         if command == "dtn":
             # Each Omega system's one Schur complement onto the basis.
             d = json.loads((outs[0] / "dtn_norm.json").read_text())["basis_size"]
             assert all(s["rhs_columns"] == d for s in solvers)
         for csv in sorted(p.name for p in outs[0].glob("*.csv")):
             assert (outs[0] / csv).read_bytes() == (outs[1] / csv).read_bytes()
+
+    def test_manifest_krylov_counters(self, tmp_path):
+        # derivative.yaml's a2 is affine: its Omega system runs COCG and
+        # factors nothing, and its Omega_eta system solves through it.
+        config = Path(__file__).resolve().parents[1] / "configs" / "derivative.yaml"
+        out = tmp_path / "out"
+        assert main(["derivative", "--config", str(config), "--mesh-h", "0.125",
+                     "--out", str(out)]) == 0
+        solvers = json.loads((out / "manifest.json").read_text())["solvers"]
+        entry = {(s["field"], s["domain"]): s for s in solvers}
+        cocg, via = entry["a2", "Omega"], entry["a2", "Omega_eta"]
+        assert cocg["kind"] == "box-cocg" and cocg["factored_dofs"] == 0
+        assert via["kind"] == "via-core"
+        assert 1 <= cocg["krylov_iterations_max"] <= 50
+        assert (cocg["krylov_iterations_max"] <= cocg["krylov_iterations"]
+                <= cocg["krylov_iterations_max"] * cocg["rhs_columns"])
+        for s in solvers:
+            if s is not cocg:
+                assert s["krylov_iterations"] == s["krylov_iterations_max"] == 0
+
+    def test_cocg_iteration_cap_exits_3(self, tmp_path, monkeypatch, capsys):
+        import admitlab.fem
+
+        monkeypatch.setattr(admitlab.fem, "_COCG_MAX_ITERATIONS", 2)
+        config = Path(__file__).resolve().parents[1] / "configs" / "derivative.yaml"
+        assert main(["derivative", "--config", str(config), "--mesh-h", "0.125",
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "COCG did not converge" in capsys.readouterr().err
 
     def test_missing_second_field(self, tmp_path):
         path = write_config(tmp_path)

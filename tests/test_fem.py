@@ -464,43 +464,13 @@ class TestBlockSystem:
         with pytest.raises(SolverError):
             system.solve_dirichlet(g)
 
-    def test_normal_form_fallback_matches_direct(self, monkeypatch):
-        import scipy.sparse.linalg as spla
-
-        # A non-constant coefficient, so neither system takes the box solve.
-        fam = scalar_identity_family(k=0.1, imag=1.0)
-        a = affine_field(1.0, (0.1, -0.05, 0.2))
-        mesh = build_mesh(BOX, 0.25)
-        direct = assemble(mesh, fam, a, 0.1)
-        g = (mesh.verts[:, 0] ** 2 - mesh.verts[:, 1] ** 2).astype(complex)
-        u_direct = direct.solve_dirichlet(g)
-        monkeypatch.setattr(BlockSystem, "DIRECT_LIMIT", 1)
-        cg_calls = []
-        real_cg = spla.cg
-
-        def counting_cg(*args, **kwargs):
-            cg_calls.append(1)
-            return real_cg(*args, **kwargs)
-
-        monkeypatch.setattr(spla, "cg", counting_cg)
-        iterative = assemble(mesh, fam, a, 0.1)
-        assert direct.axis_weights is None and iterative.axis_weights is None
-        u_iter = iterative.solve_dirichlet(g)
-        assert len(cg_calls) == 1
-        assert np.max(np.abs(u_iter.values - u_direct.values)) <= 1e-8
-        # The multi-column Schur solve goes through the same CG path, one
-        # column at a time, and matches the direct factorisation.
-        schur_direct = direct.schur_onto(direct.boundary)
-        schur_iter = iterative.schur_onto(iterative.boundary)
-        assert schur_iter.shape == (len(direct.boundary),) * 2
-        assert np.max(np.abs(schur_iter - schur_direct)) <= 1e-8 * np.max(np.abs(schur_direct))
-
 
 class TestColumnSolves:
     """Dirichlet data given as (n, c) columns share one interior solve.
 
-    These run on the sparse LU path; TestColumnSolvesOnBox runs them again
-    on the sine-transform box path.
+    These run on the sparse LU path; TestColumnSolvesOnBox and
+    TestColumnSolvesOnCocg run them again on the sine-transform box path
+    and on the box-preconditioned COCG path.
     """
 
     PATH = "lu"
@@ -512,6 +482,8 @@ class TestColumnSolves:
         assert system.axis_weights is not None
         if self.PATH == "lu":
             system = BlockSystem(mesh, system.K)
+        elif self.PATH == "cocg":
+            system = BlockSystem(mesh, system.K, cocg_weights=system.axis_weights)
         rng = np.random.default_rng(seed)
         g = (rng.standard_normal((mesh.n_vertices, columns))
              + 1j * rng.standard_normal((mesh.n_vertices, columns)))
@@ -582,6 +554,10 @@ class TestColumnSolves:
 
 class TestColumnSolvesOnBox(TestColumnSolves):
     PATH = "box"
+
+
+class TestColumnSolvesOnCocg(TestColumnSolves):
+    PATH = "cocg"
 
 
 DIAG_123 = diagonal_affine_family(k=0.5, slope=(1.0, 2.0, 3.0), offset=(0.0, 0.0, 0.0),
@@ -660,8 +636,8 @@ class TestBoxSolve:
     @pytest.mark.parametrize("case, factored", [
         pytest.param(case, factored, id=f"{case}-{len(factored)}") for case, factored in [
             ("constant-scalar", []), ("constant-diag123", []), ("omega-eta", ["omega_eta"]),
-            ("affine", ["omega"]), ("rotated-anisotropic", ["omega"]),
-            ("forward-constant", ["bump"]), ("forward-affine", ["omega", "bump"]),
+            ("affine", []), ("rotated-anisotropic", []),
+            ("forward-constant", ["bump"]), ("forward-affine", ["bump"]),
         ]
     ])
     def test_which_systems_factor(self, case, factored, factor_calls):
@@ -677,13 +653,15 @@ class TestBoxSolve:
             fam = rotated_anisotropic_family(k=0.002, eps=0.3, imag=1.1)
         if case.startswith("forward"):
             # build_forward solves Omega_eta through the Omega system: only
-            # the bump dofs are factored on top of what Omega factors.
+            # the bump dofs are factored, whatever the Omega system's kind.
             fwd = build_forward(build_frame(BOX, patch, 0.25, 0.125, fam), a)
             systems = [fwd.system, fwd.system_eta]
             assert fwd.system_eta.solver_kind == "via-core"
         else:
             system = assemble(mesh_eta if case == "omega-eta" else mesh, fam, a, fam.freq)
-            assert (system.axis_weights is None) == bool(factored)
+            kind = {"omega-eta": "sparse-lu", "affine": "box-cocg",
+                    "rotated-anisotropic": "box-cocg"}.get(case, "sine-transform")
+            assert system.solver_kind == kind
             systems = [system]
         for system in systems:
             system.solve_dirichlet(np.ones(system.mesh.n_vertices))
@@ -740,8 +718,7 @@ class TestCoreSolve:
         _assert_core_matches_lu(via, lu)
         bump = len(via.interior) - int(np.sum(~mesh.boundary_vertex_mask))
         assert via.factored_dofs == bump
-        assert via.core.factored_dofs == (0 if via.core.axis_weights is not None
-                                          else len(via.core.interior))
+        assert via.core.factored_dofs == 0
         # The standalone system is the only one factored at Omega_eta's size.
         assert factor_calls.count(len(lu.interior)) == 1
 
@@ -786,19 +763,128 @@ class TestCoreSolve:
             assemble(mesh_eta, fam, A_ONE, fam.freq, core=core, vertex_map=vmap)
 
 
+COCG_FAMILIES = {"scalar": scalar_identity_family(k=0.1, imag=1.0), "diag123": DIAG_123,
+                 "rotated": ROTATED}
+
+
+def _cocg_system(mesh, fam, a):
+    """The assembled system of a field on a full box, on the box-cocg path
+    even where its coefficient is a constant diagonal."""
+    system = assemble(mesh, fam, a, fam.freq)
+    if system.axis_weights is not None:
+        system = BlockSystem(mesh, system.K, cocg_weights=system.axis_weights)
+    assert system.solver_kind == "box-cocg"
+    return system
+
+
+def _zero_flux_dofs(system):
+    """Boundary vertices with no interior neighbour: their K_I,sigma columns
+    are all zero."""
+    K_ib = system.K[np.ix_(system.interior, system.boundary)]
+    return system.boundary[np.asarray(abs(K_ib).sum(axis=0)).ravel() == 0.0]
+
+
+@st.composite
+def cocg_cases(draw):
+    """A small non-cubic full box with a random offset, and a family and
+    field drawn from scalar, diag123 and rotated, constant and affine."""
+    h = draw(st.sampled_from([0.25, 0.125]))
+    cells = np.array(draw(st.tuples(*[st.integers(4, 6)] * 3)
+                          .filter(lambda c: len(set(c)) > 1)))
+    lo = np.array([draw(st.integers(-4, 4)) * 0.125 for _ in range(3)])
+    mesh = build_mesh(BoxDomain(tuple(lo), tuple(lo + cells * h)), h)
+    fam = COCG_FAMILIES[draw(st.sampled_from(sorted(COCG_FAMILIES)))]
+    return mesh, fam, draw(st.sampled_from([A_ONE, AFFINE]))
+
+
+class TestBoxCocg:
+    """The box-preconditioned COCG interior solve."""
+
+    @settings(max_examples=24, deadline=None)
+    @given(cocg_cases())
+    def test_matches_dense_solve_and_schur(self, case):
+        mesh, fam, a = case
+        system = _cocg_system(mesh, fam, a)
+        K = system.K.toarray()
+        I, sigma = system.interior, system.boundary[::7]
+        K_ii = K[np.ix_(I, I)]
+        rng = np.random.default_rng(len(I))
+        rhs = rng.standard_normal((len(I), 3)) + 1j * rng.standard_normal((len(I), 3))
+        ref = np.linalg.solve(K_ii, rhs)
+        x = system._solve_interior(rhs)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        dense = K[np.ix_(sigma, sigma)] - K[np.ix_(sigma, I)] @ np.linalg.solve(
+            K_ii, K[np.ix_(I, sigma)])
+        schur = system.schur_onto(sigma)
+        assert np.max(np.abs(schur - dense)) <= 1e-12 * np.max(np.abs(dense))
+        assert system.factored_dofs == 0
+        assert 1 <= system.krylov_iterations_max <= 50
+
+    def test_zero_columns_are_exact_zeros(self):
+        system = assemble(build_mesh(BOX, 0.125), ROTATED, AFFINE, ROTATED.freq)
+        sigma = system.boundary[::7]
+        zero = np.isin(sigma, _zero_flux_dofs(system))
+        assert 0 < np.sum(zero) < len(sigma)
+        cols = np.searchsorted(system.boundary, sigma)
+        K_is = system._K_ib[:, cols].toarray()
+        assert not np.any(K_is[:, zero]) and np.all(np.any(K_is[:, ~zero], axis=0))
+        X = system._solve_interior(K_is)
+        assert np.all(np.isfinite(X)) and not np.any(X[:, zero])
+        assert np.all(np.any(X[:, ~zero], axis=0))
+        assert np.all(system._solve_interior(np.zeros((len(system.interior), 2))) == 0.0)
+
+    def test_column_bits_do_not_depend_on_its_block(self):
+        # At 19 interior dofs per axis one BLAS product over all columns
+        # gives a column different bits at different block widths.
+        system = assemble(build_mesh(BOX, 0.05), ROTATED, AFFINE, ROTATED.freq)
+        rng = np.random.default_rng(9)
+        n = len(system.interior)
+        block = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
+        # Columns of very different difficulty: one converges at once.
+        block[:, 1] = system._K_ii @ np.ones(n)
+        block[:, 4] = 0.0
+        X = system._solve_interior(block)
+        for j in range(block.shape[1]):
+            assert np.array_equal(system._solve_interior(block[:, j]), X[:, j])
+            assert np.array_equal(system._solve_interior(block[:, [j, 3]])[:, 0], X[:, j])
+
+    def test_iteration_cap_raises_with_diagnostics(self, monkeypatch):
+        import admitlab.fem
+
+        system = assemble(build_mesh(BOX, 0.125), ROTATED, AFFINE, ROTATED.freq)
+        zero = _zero_flux_dofs(system)
+        other = np.setdiff1d(system.boundary, zero)
+        # Blocks of two: three zero columns converge at once, so the first
+        # column to fail is sigma[3], in the second block.
+        sigma = np.concatenate([zero[:3], other[:3]])
+        monkeypatch.setattr(admitlab.fem, "_COCG_MAX_ITERATIONS", 2)
+        _set_schur_cap(monkeypatch, system, 2)
+        with pytest.raises(SolverError, match="did not converge") as err:
+            system.schur_onto(sigma)
+        diagnostics = err.value.diagnostics
+        assert diagnostics["iterations"] == 2 and diagnostics["column"] == 3
+        assert diagnostics["residual"] > admitlab.fem._COCG_RTOL
+
+
+SCHUR_KINDS = ["sine-transform", "box-cocg", "sparse-lu", "via-core"]
+
+
 def _schur_case(kind, h):
     """A fresh system of the given solver kind and boundary dofs sigma to
-    project onto: a sine-transform Omega system, a sparse-LU Omega system
-    (rotated family, affine field) or a via-core Omega_eta system."""
+    project onto: a sine-transform Omega system, a box-cocg Omega system
+    (rotated family, affine field), or an Omega_eta system of that field
+    standalone (sparse-lu) or solved through its Omega system (via-core)."""
     patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
     mesh = build_mesh(BOX, h, patch=patch)
+    mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=h), h)
     if kind == "sine-transform":
         fam = scalar_identity_family(k=0.1, imag=1.0)
         system = assemble(mesh, fam, A_ONE, fam.freq)
-    elif kind == "sparse-lu":
+    elif kind == "box-cocg":
         system = assemble(mesh, ROTATED, AFFINE, ROTATED.freq)
+    elif kind == "sparse-lu":
+        system = assemble(mesh_eta, ROTATED, AFFINE, ROTATED.freq)
     else:
-        mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=h), h)
         system = _core_pair(mesh, mesh_eta, ROTATED, AFFINE)[0]
     assert system.solver_kind == kind
     return system, system.boundary[::7]
@@ -815,7 +901,7 @@ class TestBlockedSchur:
     """`schur_onto` solves sigma in column blocks bounded by `_SCHUR_BYTES`."""
 
     @pytest.mark.parametrize("h", [0.125, 0.0625])
-    @pytest.mark.parametrize("kind", ["sine-transform", "sparse-lu", "via-core"])
+    @pytest.mark.parametrize("kind", SCHUR_KINDS)
     @pytest.mark.parametrize("cap", ["1", "3", "d-1", "d"])
     def test_blocks_match_single_block(self, kind, h, cap, monkeypatch):
         reference_system, sigma = _schur_case(kind, h)
@@ -831,7 +917,7 @@ class TestBlockedSchur:
         assert system.solve_calls == math.ceil(d / cap)
         assert np.max(np.abs(blocked - reference)) <= 1e-12 * np.max(np.abs(reference))
 
-    @pytest.mark.parametrize("kind", ["sine-transform", "sparse-lu", "via-core"])
+    @pytest.mark.parametrize("kind", SCHUR_KINDS)
     def test_each_column_solved_once_within_cap(self, kind, monkeypatch):
         import admitlab.fem
 
