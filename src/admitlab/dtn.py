@@ -208,7 +208,7 @@ def alessandrini_gap(
 
     u1 = system1.solve_dirichlet(basis.expand(f1))
     u2 = system2.solve_dirichlet(basis.expand(f2))
-    bary = mesh.barycenters
+    bary = mesh.barycenters()
     t1 = np.asarray(a1.values(bary), dtype=float)
     t2 = np.asarray(a2.values(bary), dtype=float)
     dA = (family.real_part(bary, t1) + 1j * k * family.imag_part(bary, t1)

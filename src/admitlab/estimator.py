@@ -400,8 +400,18 @@ class GapEstimate:
         return np.array([r.tau for r in self.records])
 
 
+# Deviations from the extrapolated value at most this fraction of the
+# largest |estimate| are rounding noise, and give no observed tau rate.
+_TAU_RATE_FLOOR = 1e-10
+
+
 def _extrapolate(taus: np.ndarray, ests: np.ndarray):
-    """Linear-in-tau fit; the intercept removes the leading error order."""
+    """Linear-in-tau fit; the intercept removes the leading error order.
+
+    The observed tau rate is the log-log slope of the deviations from the
+    intercept, or None when any deviation is at the rounding-noise floor
+    `_TAU_RATE_FLOOR` relative to the largest |estimate|.
+    """
     if len(taus) == 1:
         return float(ests[0]), 0.0, None
     coeff = np.polyfit(taus, ests, 1)
@@ -409,7 +419,7 @@ def _extrapolate(taus: np.ndarray, ests: np.ndarray):
     slope = float(coeff[0])
     dev = np.abs(ests - intercept)
     rate = None
-    if np.all(dev > 1e-14):
+    if np.all(dev > _TAU_RATE_FLOOR * np.max(np.abs(ests))):
         rate = float(np.polyfit(np.log(taus), np.log(dev), 1)[0])
     return intercept, slope, rate
 
@@ -439,7 +449,7 @@ def _pair_records(
     F1, KU1, U1 = fwd1.probe_pass(x0, tau_grid, m)
     F2, KU2, U2 = fwd2.probe_pass(x0, tau_grid, m)
     path = ProbePath(frame.eta_sets, tuple(x0), tuple(tau_grid))
-    bary = frame.mesh.barycenters
+    bary = frame.mesh.barycenters()
     depth = frame.patch.depth(bary)
 
     records = []
@@ -596,26 +606,6 @@ def derivative_gap_estimate(
         sign_report=boundary.sign_report, observed_tau_rate=rate,
         boundary_coupled=float(g0),
     )
-
-
-def tangential_gap_derivative(
-    fwd1: Forward,
-    fwd2: Forward,
-    x0,
-    direction,
-    spacing: float,
-    **kwargs,
-) -> float:
-    """Tangential derivative of the gap by centred differences of boundary
-    estimates at neighbouring anchors on the shrunken patch."""
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    if abs(float(d @ fwd1.frame.patch.normal)) > 1e-12:
-        raise ConfigError("direction must be tangent to the patch")
-    x0 = np.asarray(x0, dtype=float)
-    plus = boundary_gap_estimate(fwd1, fwd2, x0 + spacing * d, **kwargs)
-    minus = boundary_gap_estimate(fwd1, fwd2, x0 - spacing * d, **kwargs)
-    return (plus.extrapolated - minus.extrapolated) / (2.0 * spacing)
 
 
 # ---------------------------------------------------------------------------

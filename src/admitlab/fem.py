@@ -13,10 +13,15 @@ Omega_eta system given that core, conjugate orthogonal CG (COCG)
 preconditioned by that sine-transform solve for any other coefficient on
 a full box, and a sparse LU on any other mesh.
 
-Meshes are built from integer lattice keys, and every assembly scatters
-element blocks into a CSR pattern that each mesh computes once, since many
-admittivities are assembled on the same pair of meshes.  scipy is imported
-by the functions that build or factor a matrix, so the commands that never
+Meshes are built from integer lattice keys.  Every tet is one of a few
+lattice types, so a mesh keeps a type index per tet and the geometry per
+type, and no per-tet float array.  Every assembly adds element blocks into
+a CSR pattern that each mesh computes once, since many admittivities are
+assembled on the same pair of meshes.  One byte budget, `_BLOCK_BYTES`,
+bounds the per-tet and per-column temporaries: tets are evaluated in
+contiguous chunks and Schur complements solved in column blocks within it,
+so only the live data grows with the mesh.  scipy is imported by the
+functions that build or factor a matrix, so the commands that never
 assemble one (validate, probe) do not pay for importing it.
 """
 
@@ -66,6 +71,76 @@ _CORNER_OFFSETS = _CORNER_OFFSETS[np.argsort([_corner_id(o) for o in _CORNER_OFF
 
 _FACE_LOCAL = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
+# The byte budget of every per-column and per-tet temporary: schur_onto
+# solves its columns in dense complex (interior x column) blocks of at most
+# this size, and the per-tet loops (assembly, edge codes, energy densities)
+# run over contiguous tet-order chunks whose (C, 4, 4) element blocks fit in
+# it.
+_BLOCK_BYTES = 1 << 20
+
+
+def _tet_chunks(n_tets: int):
+    """Contiguous tet-order slices whose float element blocks fit in
+    `_BLOCK_BYTES`."""
+    step = max(1, _BLOCK_BYTES // (16 * 8))
+    for start in range(0, n_tets, step):
+        yield slice(start, min(start + step, n_tets))
+
+
+# A lattice tet's edges from its first vertex, E[e] = ijk[e + 1] - ijk[0],
+# have entries in {-1, 0, 1}; its code is sum_{e,k} 3^(3e + k) (E[e, k] + 1).
+_CODE_DIGITS = 3 ** np.arange(9).reshape(3, 3)
+
+
+def _code_edges(codes: np.ndarray) -> np.ndarray:
+    """Integer edges (n, 3, 3) of edge codes (n,)."""
+    return codes[:, None, None] // _CODE_DIGITS % 3 - 1
+
+
+def _swap_last_edges(codes: np.ndarray) -> np.ndarray:
+    """Codes of the same tets with their last two vertices swapped."""
+    return codes % 27 + 27 * (codes // 729) + 729 * (codes // 27 % 27)
+
+
+def _code_dets() -> np.ndarray:
+    """The integer determinant e1.(e2 x e3) of every edge code, |det| <= 4."""
+    edges = _code_edges(np.arange(3 ** 9))
+    dets = np.einsum("ti,ti->t", edges[:, 0], np.cross(edges[:, 1], edges[:, 2]))
+    return dets.astype(np.int8)
+
+
+_CODE_DETS = _code_dets()
+
+
+def _edge_codes(ijk: np.ndarray, tets: np.ndarray) -> np.ndarray:
+    """Edge code (int32) of each tet; GeometryError unless every edge is a
+    single lattice step."""
+    codes = np.empty(len(tets), dtype=np.int32)
+    for chunk in _tet_chunks(len(tets)):
+        t = tets[chunk]
+        edges = ijk[t[:, 1:]] - ijk[t[:, :1]]
+        if np.any(np.abs(edges) > 1):
+            raise GeometryError("tet edges must be single lattice steps")
+        codes[chunk] = ((edges + 1) * _CODE_DIGITS).sum(axis=(1, 2))
+    return codes
+
+
+def _type_geometry(edges: np.ndarray, h: float):
+    """Barycentric gradients (n, 4, 3) and volumes (n,) of positively
+    oriented tets with integer edges (n, 3, 3) at pitch h."""
+    e1, e2, e3 = (h * edges[:, a] for a in range(3))
+    # det G for G = [e1 e2 e3] is the triple product e1.(e2 x e3).
+    det = np.einsum("ti,ti->t", e1, np.cross(e2, e3))
+    # Barycentric coordinates are lam = G^{-1}(x - x0), so the gradients
+    # of lam_1..lam_3 are the rows of G^{-1}: (e2 x e3, e3 x e1, e1 x e2)/det.
+    grads = np.empty((len(det), 4, 3))
+    grads[:, 1] = np.cross(e2, e3)
+    grads[:, 2] = np.cross(e3, e1)
+    grads[:, 3] = np.cross(e1, e2)
+    grads[:, 1:] /= det[:, None, None]
+    grads[:, 0, :] = -np.sum(grads[:, 1:, :], axis=1)
+    return grads, det / 6.0
+
 
 def _int_cells(extent: float, h: float, what: str, minimum: int = 4) -> int:
     n = int(round(extent / h))
@@ -82,7 +157,15 @@ class Mesh:
 
     Vertices carry integer lattice coordinates so that meshes of the domain
     and of its enlargement (built with the same pitch and anchor) can share
-    nodal data.
+    nodal data; a vertex off its lattice point anchor + h * ijk raises
+    GeometryError.  Every tet is a lattice tet, whose edges are single
+    lattice steps, so its geometry depends only on its integer edges: the
+    mesh keeps an int8 `tet_type` per tet and, per type, the barycentric
+    gradients `type_grads` (n_types, 4, 3), built from h times the integer
+    edges, and the volume `type_volumes` (h^3 / 6 on the Kuhn lattice).  It
+    stores no per-tet float array; `barycenters` computes them on demand.
+    Tets are reoriented, and degenerate ones rejected, by the integer
+    determinant of their edges.
     """
 
     def __init__(self, verts, tets, ijk, h, anchor, boundary_tris,
@@ -97,31 +180,26 @@ class Mesh:
         self.boundary_plane = boundary_plane
         self.sigma_mask = sigma_mask
 
-        e1 = verts[tets[:, 1]] - verts[tets[:, 0]]
-        e2 = verts[tets[:, 2]] - verts[tets[:, 0]]
-        e3 = verts[tets[:, 3]] - verts[tets[:, 0]]
-        # det G for G = [e1 e2 e3] is the triple product e1.(e2 x e3).
-        # Swapping e2 and e3 negates it exactly, so flipped tets take |det|.
-        det = np.einsum("ti,ti->t", e1, np.cross(e2, e3))
-        flip = det < 0.0
+        off = np.abs(verts - (anchor[None, :] + ijk * h))
+        if np.max(off, initial=0.0) > 1e-9 * h:
+            raise GeometryError("mesh vertices are off their lattice points anchor + h * ijk")
+        code = _edge_codes(ijk, tets)
+        det = _CODE_DETS[code]
+        if np.any(det == 0):
+            raise GeometryError("degenerate tetrahedra in the mesh: coplanar integer edges")
+        # Swapping the last two vertices negates the determinant.
+        flip = det < 0
         if np.any(flip):
             self.tets = tets.copy()
             self.tets[flip, 2], self.tets[flip, 3] = tets[flip, 3], tets[flip, 2]
-            e2[flip], e3[flip] = e3[flip], e2[flip]
-            det = np.abs(det)
-        if np.any(det <= 0.0):
-            raise GeometryError("degenerate or inverted tetrahedra in the mesh")
-        self.volumes = det / 6.0
-        # Barycentric coordinates are lam = G^{-1}(x - x0), so the gradients
-        # of lam_1..lam_3 are the rows of G^{-1}: (e2 x e3, e3 x e1, e1 x e2)/det.
-        grads = np.empty((self.tets.shape[0], 4, 3))
-        grads[:, 1] = np.cross(e2, e3)
-        grads[:, 2] = np.cross(e3, e1)
-        grads[:, 3] = np.cross(e1, e2)
-        grads[:, 1:] /= det[:, None, None]
-        grads[:, 0, :] = -np.sum(grads[:, 1:, :], axis=1)
-        self.grads = grads
-        self.barycenters = self.verts[self.tets].mean(axis=1)
+            code[flip] = _swap_last_edges(code[flip])
+        type_codes = np.flatnonzero(np.bincount(code, minlength=len(_CODE_DETS)))
+        if len(type_codes) > np.iinfo(np.int8).max:
+            raise GeometryError(f"{len(type_codes)} tet types overflow the int8 type index")
+        lookup = np.zeros(len(_CODE_DETS), dtype=np.int8)
+        lookup[type_codes] = np.arange(len(type_codes))
+        self.tet_type = lookup[code]
+        self.type_grads, self.type_volumes = _type_geometry(_code_edges(type_codes), h)
 
         self.boundary_vertex_mask = np.zeros(len(verts), dtype=bool)
         self.boundary_vertex_mask[np.unique(boundary_tris)] = True
@@ -139,6 +217,19 @@ class Mesh:
         full_box = (len(verts) == int(np.prod(span)) and np.all(span >= 3)
                     and np.all(keys[1:] > keys[:-1]))
         self.box_shape = tuple(int(s) - 2 for s in span) if full_box else None
+
+    def barycenters(self, chunk: slice = slice(None)) -> np.ndarray:
+        """Barycenters (C, 3) of the tets in `chunk`, all tets by default.
+
+        The corners are added in order and the sum divided by 4, which has
+        the bits of their mean.
+        """
+        tets = self.tets[chunk]
+        total = self.verts[tets[:, 0]] + self.verts[tets[:, 1]]
+        total += self.verts[tets[:, 2]]
+        total += self.verts[tets[:, 3]]
+        total /= 4.0
+        return total
 
     @property
     def n_vertices(self) -> int:
@@ -393,20 +484,39 @@ def assemble_csr(pattern: CsrPattern, local: np.ndarray) -> sp.csr_matrix:
     return _csr(pattern, _scatter(pattern, local))
 
 
-def _stiffness_blocks(mesh: Mesh, coeff) -> np.ndarray:
-    """Element stiffness blocks (T, 4, 4) of a per-tet or constant real 3x3
-    coefficient."""
+# The contraction order that einsum's optimizer picks for the element blocks
+# at every chunk size: grads with the coefficient first.  Given once, it is
+# not searched again for each chunk.
+_BLOCK_PATH = ["einsum_path", (0, 1), (0, 1)]
+
+
+def _stiffness_blocks(mesh: Mesh, chunk: slice, coeff) -> np.ndarray:
+    """Element stiffness blocks (C, 4, 4) of the tets in `chunk` for their
+    per-tet (C, 3, 3) or a constant real 3x3 coefficient."""
+    types = mesh.tet_type[chunk]
+    grads = mesh.type_grads[types]
     coeff = np.asarray(coeff)
     if coeff.ndim == 2:
-        coeff = np.broadcast_to(coeff, (mesh.n_tets, 3, 3))
-    return np.einsum(
-        "taj,tjk,tbk->tab", mesh.grads, coeff, mesh.grads, optimize=True
-    ) * mesh.volumes[:, None, None]
+        coeff = np.broadcast_to(coeff, (len(types), 3, 3))
+    blocks = np.einsum("taj,tjk,tbk->tab", grads, coeff, grads, optimize=_BLOCK_PATH)
+    blocks *= mesh.type_volumes[types][:, None, None]
+    return blocks
 
 
 def assemble_stiffness(mesh: Mesh, coeff) -> sp.csr_matrix:
-    """Stiffness matrix for a per-tet (or constant) real 3x3 coefficient."""
-    return assemble_csr(mesh.stiffness_pattern, _stiffness_blocks(mesh, coeff))
+    """Stiffness matrix for a per-tet (or constant) real 3x3 coefficient.
+
+    The element blocks of each tet-order chunk are added into the CSR data
+    by `np.add.at`, which adds in tet order as one `np.bincount` would, so
+    the matrix has the same bits whatever the chunk size.
+    """
+    pattern = mesh.stiffness_pattern
+    coeff = np.asarray(coeff)
+    data = np.zeros(len(pattern.indices))
+    for chunk in _tet_chunks(mesh.n_tets):
+        blocks = _stiffness_blocks(mesh, chunk, coeff if coeff.ndim == 2 else coeff[chunk])
+        np.add.at(data, pattern.scatter[chunk].ravel(), blocks.ravel())
+    return _csr(pattern, data)
 
 
 class ComplexField:
@@ -429,15 +539,15 @@ class ComplexField:
     def im(self) -> np.ndarray:
         return self.values.imag
 
-    def gradients(self) -> np.ndarray:
-        """Per-tet constant gradients, shape (T, 3) complex."""
-        return np.einsum("ta,taj->tj", self.values[self.mesh.tets], self.mesh.grads)
+    def gradients(self, chunk: slice = slice(None)) -> np.ndarray:
+        """Constant gradients (C, 3) complex of the tets in `chunk`, all
+        tets by default."""
+        mesh = self.mesh
+        return np.einsum("ta,taj->tj", self.values[mesh.tets[chunk]],
+                         mesh.type_grads[mesh.tet_type[chunk]])
 
 
 _RESIDUAL_RTOL = 1e-10
-# Bytes of one dense (interior dofs x columns) complex block of a Schur
-# complement; schur_onto solves its columns in blocks of at most this size.
-_SCHUR_BYTES = 4 << 20
 # A COCG column stops once its recurrence residual is at most _COCG_RTOL of
 # its right-hand side; a column still running after _COCG_MAX_ITERATIONS
 # iterations raises SolverError.
@@ -823,7 +933,7 @@ class BlockSystem:
         """Dense Schur complement K_ss - K_sI K_II^{-1} K_Is onto the boundary
         dofs sigma, the others pinned to zero.
 
-        The columns are solved in equal blocks of at most `_SCHUR_BYTES` of
+        The columns are solved in equal blocks of at most `_BLOCK_BYTES` of
         complex (interior x column) data, so no array of interior size
         grows with |sigma|; each block is one multi-column interior solve,
         and each column's residual is checked.
@@ -838,7 +948,7 @@ class BlockSystem:
         K_si = K_s[:, self._interior]
         S = K_s[:, sigma].toarray()
         d = len(sigma)
-        cap = max(1, _SCHUR_BYTES // (16 * len(self._interior)))
+        cap = max(1, _BLOCK_BYTES // (16 * len(self._interior)))
         blocks = max(1, math.ceil(d / cap))
         width = max(1, math.ceil(d / blocks))
         for start in range(0, d, width):
@@ -889,75 +999,91 @@ class BlockSystem:
         return values
 
 
-def _constant_diagonal(coeff: np.ndarray) -> Optional[np.ndarray]:
-    """Diagonal of a per-tet (T, 3, 3) coefficient that is exactly the same
-    diagonal matrix on every tet, else None."""
-    coeff = np.asarray(coeff).reshape(-1, 3, 3)
-    first = coeff[0]
-    if np.any(first != np.diag(np.diag(first))) or np.any(coeff != first):
-        return None
-    return np.diag(first)
+class _DiagonalSummary:
+    """The diagonal of a per-tet coefficient, fed chunk by chunk in tet
+    order: its mean over the tets, and the one diagonal matrix that every
+    tet has, if there is one."""
+
+    def __init__(self):
+        self.total = np.zeros(3)
+        self.count = 0
+        self.constant = None
+        self.varies = False
+
+    def add(self, coeff: np.ndarray) -> None:
+        diagonal = np.diagonal(coeff, axis1=1, axis2=2)
+        # cumsum adds row by row, the order of numpy's own mean over the
+        # leading axis, so the chunked mean has the bits of one over all tets.
+        self.total = np.cumsum(np.vstack([self.total[None], diagonal]), axis=0)[-1]
+        self.count += len(coeff)
+        if not self.varies:
+            first = coeff[0] if self.constant is None else self.constant
+            self.varies = bool(np.any(first != np.diag(np.diag(first)))
+                               or np.any(coeff != first))
+            self.constant = None if self.varies else first.copy()
+
+    def mean(self) -> np.ndarray:
+        return self.total / self.count
 
 
 def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float,
              core: Optional[BlockSystem] = None, vertex_map=None) -> BlockSystem:
     """Block system for div(A(x, a(x)) grad u) = 0 on the mesh.
 
-    The real element blocks, then the imaginary ones, are scattered into
-    the real and imaginary parts of one complex CSR data array.  On a full
-    lattice box, a constant diagonal coefficient gets the exact
-    sine-transform interior solve, and any other coefficient COCG
-    preconditioned by the sine-transform solve of its tet-averaged
-    diagonal, read from the same coefficient arrays.  Given `core`, the
-    same field's system on a mesh that `vertex_map` embeds in this one
+    The field, the coefficient and the element blocks are evaluated over
+    contiguous tet-order chunks within `_BLOCK_BYTES` (see
+    `assemble_stiffness`), at the chunk's barycenters; the real blocks and
+    the imaginary ones are added into the real and imaginary parts of one
+    complex CSR data array.  On a full lattice box, a constant diagonal
+    coefficient gets the exact sine-transform interior solve, and any other
+    coefficient COCG preconditioned by the sine-transform solve of its
+    tet-averaged diagonal, summarised over the same chunks.  Given `core`,
+    the same field's system on a mesh that `vertex_map` embeds in this one
     (Omega in Omega_eta), the interior is solved through the core's solver
     and only the dofs outside the core's interior are factored; a system
     on any other mesh is factored whole.
     """
-    bary = mesh.barycenters
-    t_vals = np.asarray(a.values(bary), dtype=float)
-    if t_vals.ndim == 0:
-        t_vals = np.full(mesh.n_tets, float(t_vals))
     pattern = mesh.stiffness_pattern
-    data = np.empty(len(pattern.indices), dtype=complex)
-    constant, averaged = [], []
-    for part, coeff_of in ((data.real, family.real_part),
-                           (data.imag, lambda x, t: k * family.imag_part(x, t))):
-        coeff = coeff_of(bary, t_vals)
-        part[:] = _scatter(pattern, _stiffness_blocks(mesh, coeff))
-        if mesh.box_shape is not None:
-            constant.append(_constant_diagonal(coeff))
-            averaged.append(np.diagonal(np.reshape(coeff, (-1, 3, 3)), axis1=1, axis2=2)
-                            .mean(axis=0))
+    data = np.zeros(len(pattern.indices), dtype=complex)
+    # The real and imaginary parts interleaved: np.add.at adds the real
+    # blocks at the even slots of this contiguous array and the imaginary
+    # ones at the odd slots.
+    parts = data.view(np.float64)
+    summaries = (_DiagonalSummary(), _DiagonalSummary())
+    for chunk in _tet_chunks(mesh.n_tets):
+        bary = mesh.barycenters(chunk)
+        t_vals = np.asarray(a.values(bary), dtype=float)
+        if t_vals.ndim == 0:
+            t_vals = np.full(len(bary), float(t_vals))
+        slots = 2 * pattern.scatter[chunk].ravel()
+        for offset, coeff_of in ((0, family.real_part),
+                                 (1, lambda x, t: k * family.imag_part(x, t))):
+            coeff = np.broadcast_to(coeff_of(bary, t_vals), (len(bary), 3, 3))
+            np.add.at(parts[offset:], slots, _stiffness_blocks(mesh, chunk, coeff).ravel())
+            if mesh.box_shape is not None:
+                summaries[offset].add(coeff)
     axis_weights = cocg_weights = None
     if mesh.box_shape is not None:
-        if constant[0] is not None and constant[1] is not None:
-            axis_weights = constant[0] + 1j * constant[1]
+        real, imag = summaries
+        if real.constant is not None and imag.constant is not None:
+            axis_weights = np.diag(real.constant) + 1j * np.diag(imag.constant)
         else:
-            cocg_weights = averaged[0] + 1j * averaged[1]
+            cocg_weights = real.mean() + 1j * imag.mean()
     return BlockSystem(mesh, _csr(pattern, data), axis_weights=axis_weights,
                        core=core, vertex_map=vertex_map, cocg_weights=cocg_weights)
 
 
-def energy_pairing(system: BlockSystem, u: ComplexField, v: ComplexField) -> complex:
-    """Bilinear energy integral: sum over tets of A grad(u) . grad(v) vol."""
-    if u.mesh is not system.mesh or v.mesh is not system.mesh:
-        raise ConfigError("fields must live on the system's mesh")
-    return complex(u.values @ (system.K @ v.values))
-
-
 def energy_density(mesh: Mesh, coeff, u: ComplexField, v: ComplexField) -> np.ndarray:
-    """Per-tet contributions vol * (coeff grad u) . grad v (unconjugated)."""
+    """Per-tet contributions vol * (coeff grad u) . grad v (unconjugated),
+    for a per-tet (T, 3, 3) or a constant 3x3 coefficient, evaluated over
+    tet-order chunks."""
     if u.mesh is not mesh or v.mesh is not mesh:
         raise ConfigError("fields must live on the given mesh")
     coeff = np.asarray(coeff)
-    if coeff.ndim == 2:
-        coeff = np.broadcast_to(coeff, (mesh.n_tets, 3, 3))
-    gu = u.gradients()
-    gv = v.gradients()
-    return np.einsum("tj,tjk,tk->t", gu, coeff, gv) * mesh.volumes
-
-
-def interpolate(mesh: Mesh, fn) -> ComplexField:
-    """Nodal interpolation of a callable fn(points) -> complex values."""
-    return ComplexField(mesh, np.asarray(fn(mesh.verts), dtype=complex))
+    out = np.empty(mesh.n_tets, dtype=complex)
+    for chunk in _tet_chunks(mesh.n_tets):
+        gu, gv = u.gradients(chunk), v.gradients(chunk)
+        c = np.broadcast_to(coeff if coeff.ndim == 2 else coeff[chunk], (len(gu), 3, 3))
+        out[chunk] = (np.einsum("tj,tjk,tk->t", gu, c, gv)
+                      * mesh.type_volumes[mesh.tet_type[chunk]])
+    return out

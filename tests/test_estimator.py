@@ -14,7 +14,7 @@ from admitlab.estimator import (TauRecord, boundary_gap_estimate, build_forward,
                                 build_frame, check_sign_condition, delta_h,
                                 derivative_gap_estimate, f_function,
                                 lipschitz_ratio, lipschitz_sweep, loglog_slope,
-                                tangential_gap_derivative, weighted_integral)
+                                weighted_integral)
 from admitlab.families import (affine_field, constant_field,
                                diagonal_affine_family, gaussian_bump_field,
                                rotated_anisotropic_family,
@@ -322,17 +322,37 @@ class TestNonTemplateFamilies:
 
 class TestTangential:
     def test_lateral_slope_recovered(self, frame16, forward_a1):
-        # a1 - a2 = -0.1 - 0.05 x1: tangential derivative -0.05 along e1.
+        # a1 - a2 = -0.1 - 0.05 x1: tangential derivative -0.05 along e1,
+        # by centred differences of boundary estimates at neighbouring anchors.
         fwd2 = build_forward(frame16, affine_field(1.1, (0.05, 0.0, 0.0)))
-        val = tangential_gap_derivative(
-            forward_a1, fwd2, X0, (1.0, 0.0, 0.0), spacing=0.05, seed=0,
-        )
-        assert val == pytest.approx(-0.05, abs=0.0125)
+        x0, step = np.array(X0), np.array([0.05, 0.0, 0.0])
+        plus, minus = (boundary_gap_estimate(forward_a1, fwd2, x, seed=0).extrapolated
+                       for x in (x0 + step, x0 - step))
+        assert (plus - minus) / 0.1 == pytest.approx(-0.05, abs=0.0125)
 
-    def test_normal_direction_rejected(self, frame16, forward_a1):
-        with pytest.raises(ConfigError):
-            tangential_gap_derivative(forward_a1, forward_a1, X0,
-                                      (0.0, 0.0, 1.0), spacing=0.05)
+
+class TestExtrapolate:
+    TAUS = 0.2 * 0.5 ** np.arange(5)
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 10.0])
+    def test_rounding_noise_gives_no_rate(self, scale):
+        # Deviations of alternating sign, a few 1e-13 relative: above an
+        # absolute 1e-14 from scale 0.1 up.
+        rng = np.random.default_rng(0)
+        noise = rng.uniform(0.5, 1.0, 5) * np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+        ests = scale * (1.0 + 3e-13 * noise)
+        intercept, _, rate = admitlab.estimator._extrapolate(self.TAUS, ests)
+        assert rate is None
+        assert intercept == pytest.approx(scale, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 10.0])
+    @pytest.mark.parametrize("amplitude", [1e-6, 1e-2])
+    def test_tau_dependence_gives_rate(self, scale, amplitude):
+        ests = scale * (1.0 + amplitude * self.TAUS)
+        intercept, slope, rate = admitlab.estimator._extrapolate(self.TAUS, ests)
+        assert rate == pytest.approx(1.0, abs=1e-6)
+        assert slope == pytest.approx(scale * amplitude, rel=1e-6)
+        assert intercept == pytest.approx(scale, rel=1e-12)
 
 
 class TestLipschitz:
@@ -377,7 +397,7 @@ def reference_records(fwd1, fwd2, x0, tau_grid, m, rho):
     D = frame.family.dt_real(x0, t_star) + 1j * frame.k * frame.family.dt_imag(x0, t_star)
     delta_p = fwd1.dtn.pairing - fwd2.dtn.pairing
     sigma = list(frame.basis.vertices)
-    bary = frame.mesh.barycenters
+    bary = frame.mesh.barycenters()
     depth = frame.patch.depth(bary)
     records = []
     for tau in tau_grid:

@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 
 from admitlab.errors import ConfigError, GeometryError, SolverError
 from admitlab.families import (affine_field, constant_field,
-                               diagonal_affine_family,
+                               diagonal_affine_family, gaussian_bump_field,
                                rotated_anisotropic_family,
                                scalar_identity_family)
 from admitlab.dtn import boundary_mass_sigma
 from admitlab.estimator import build_forward, build_frame
 from admitlab.fem import (_CORNER_OFFSETS, _FACE_LOCAL, _TET_PATTERNS,
                           BlockSystem, ComplexField, Mesh, _face_keys,
-                          _lattice_topology, assemble, assemble_stiffness,
-                          box_solve, build_mesh, energy_density,
-                          energy_pairing, interpolate)
+                          _lattice_topology, _stiffness_blocks, assemble,
+                          assemble_csr, assemble_stiffness, box_solve,
+                          build_mesh, energy_density)
 from admitlab.geometry import (FACE_NAMES, BoxDomain, BoundaryPatch,
                                build_enlarged_domain)
 
@@ -43,8 +43,9 @@ class TestMesh:
 
     def test_positive_volumes_and_partition(self):
         mesh = build_mesh(BOX, 0.25)
-        assert np.all(mesh.volumes > 0.0)
-        assert np.sum(mesh.volumes) == pytest.approx(1.0, abs=1e-12)
+        volumes = mesh.type_volumes[mesh.tet_type]
+        assert np.all(volumes > 0.0)
+        assert np.sum(volumes) == pytest.approx(1.0, abs=1e-12)
         # Boundary triangles tile the cube surface.
         pts = mesh.verts[mesh.boundary_tris]
         areas = 0.5 * np.linalg.norm(
@@ -146,8 +147,9 @@ def _unique_rows_topology(cells):
 def _coo_stiffness(mesh, coeff):
     """Reference assembly: per-tet local matrices summed through COO."""
     coeff = np.broadcast_to(np.asarray(coeff), (mesh.n_tets, 3, 3))
-    local = np.einsum("taj,tjk,tbk->tab", mesh.grads, coeff, mesh.grads)
-    local = local * mesh.volumes[:, None, None]
+    grads = mesh.type_grads[mesh.tet_type]
+    local = np.einsum("taj,tjk,tbk->tab", grads, coeff, grads)
+    local = local * mesh.type_volumes[mesh.tet_type][:, None, None]
     rows = np.repeat(mesh.tets, 4, axis=1).reshape(-1)
     cols = np.tile(mesh.tets, (1, 4)).reshape(-1)
     return sp.coo_matrix((local.reshape(-1), (rows, cols)),
@@ -221,12 +223,20 @@ def _remesh(mesh, verts, tets):
 
 
 def _assert_matches_det_inv(mesh, verts, tets):
+    """The mesh's gathered type geometry is the per-tet det/inv geometry."""
     want_tets, want_vol, want_grads = _det_inv_geometry(verts, tets)
     assert np.array_equal(mesh.tets, want_tets)
-    np.testing.assert_allclose(mesh.volumes, want_vol, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(mesh.type_volumes[mesh.tet_type], want_vol,
+                               rtol=1e-14, atol=0.0)
     scale = np.max(np.abs(want_grads), axis=(1, 2))
-    err = np.max(np.abs(mesh.grads - want_grads), axis=(1, 2))
+    err = np.max(np.abs(mesh.type_grads[mesh.tet_type] - want_grads), axis=(1, 2))
     assert np.all(err <= 1e-14 * scale)
+
+
+def _assert_no_per_tet_floats(mesh):
+    for name, value in vars(mesh).items():
+        if isinstance(value, np.ndarray) and value.ndim and len(value) == mesh.n_tets:
+            assert value.dtype.kind in "iub", name
 
 
 class TestClosedFormGeometry:
@@ -239,31 +249,53 @@ class TestClosedFormGeometry:
             # The Kuhn split leaves some tets negatively oriented.
             assert np.any(mesh.tets != raw)
             _assert_matches_det_inv(mesh, mesh.verts, raw)
+            # Six types, one per Kuhn permutation, each of volume h^3 / 6.
+            assert mesh.tet_type.dtype == np.int8 and len(mesh.type_grads) == 6
+            np.testing.assert_allclose(mesh.type_volumes, h ** 3 / 6.0, rtol=1e-14)
+            _assert_no_per_tet_floats(mesh)
+
+    @settings(max_examples=25, deadline=None)
+    @given(meshes=enlarged_meshes())
+    def test_enlarged_meshes(self, meshes):
+        for mesh in meshes:
+            _assert_matches_det_inv(mesh, mesh.verts, mesh.tets)
+            _assert_no_per_tet_floats(mesh)
 
     @settings(max_examples=25, deadline=None)
     @given(meshes=enlarged_meshes(), seed=st.integers(0, 2**32 - 1))
     def test_perturbed_vertices_and_flips(self, meshes, seed):
+        """Flipped tets are reoriented by their integer determinant; a
+        vertex moved off its lattice point raises GeometryError."""
         rng = np.random.default_rng(seed)
         for mesh in meshes:
-            # Moves below h/10 per coordinate keep every tet's orientation.
-            verts = mesh.verts + rng.uniform(-0.1, 0.1, mesh.verts.shape) * mesh.h
             tets = mesh.tets.copy()
             swap = rng.random(len(tets)) < 0.5
             tets[swap, 2], tets[swap, 3] = mesh.tets[swap, 3], mesh.tets[swap, 2]
-            for v in (mesh.verts, verts):
-                _assert_matches_det_inv(_remesh(mesh, v, tets), v, tets)
+            flipped = _remesh(mesh, mesh.verts, tets)
+            assert np.array_equal(flipped.tets, mesh.tets)
+            _assert_matches_det_inv(flipped, mesh.verts, tets)
+            verts = mesh.verts.copy()
+            verts[rng.integers(len(verts))] += rng.uniform(-0.1, 0.1, 3) * mesh.h
+            with pytest.raises(GeometryError, match="off their lattice points"):
+                _remesh(mesh, verts, tets)
 
     def test_degenerate_tets_raise(self):
         mesh = build_mesh(BOX, 0.25)
-        flat = mesh.verts.copy()
-        flat[:, 2] = 0.0
+        # Four vertices of one lattice square: coplanar integer edges.
+        square = mesh.vertex_indices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+        flat = mesh.tets.copy()
+        flat[0] = square
         with pytest.raises(GeometryError, match="degenerate"):
-            _remesh(mesh, flat, mesh.tets)
-        collapsed = mesh.verts.copy()
-        t = mesh.tets[0]
-        collapsed[t[3]] = collapsed[t[1]]
+            _remesh(mesh, mesh.verts, flat)
+        collapsed = mesh.tets.copy()
+        collapsed[0, 3] = collapsed[0, 1]
         with pytest.raises(GeometryError, match="degenerate"):
-            _remesh(mesh, collapsed, mesh.tets)
+            _remesh(mesh, mesh.verts, collapsed)
+        # An edge longer than one lattice step is not a lattice tet.
+        long_edge = mesh.tets.copy()
+        long_edge[0, 1] = mesh.vertex_indices([(2, 0, 0)])[0]
+        with pytest.raises(GeometryError, match="single lattice steps"):
+            _remesh(mesh, mesh.verts, long_edge)
 
 
 def _aniso_coeffs(n_tets, seed):
@@ -355,9 +387,9 @@ class TestBlockSystem:
             mesh = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
         a = affine_field(1.0, (0.1, -0.05, 0.2))
         system = assemble(mesh, fam, a, fam.freq)
-        t = a.values(mesh.barycenters)
-        K_R = assemble_stiffness(mesh, fam.real_part(mesh.barycenters, t))
-        K_I = assemble_stiffness(mesh, fam.freq * fam.imag_part(mesh.barycenters, t))
+        t = a.values(mesh.barycenters())
+        K_R = assemble_stiffness(mesh, fam.real_part(mesh.barycenters(), t))
+        K_I = assemble_stiffness(mesh, fam.freq * fam.imag_part(mesh.barycenters(), t))
         assert K_I.nnz > 0
         ref = sp.bmat([[K_R, -K_I], [K_I, K_R]], format="csr")
         block = system.block_matrix
@@ -894,11 +926,11 @@ def _set_schur_cap(monkeypatch, system, cap):
     """Budget `schur_onto` to at most `cap` columns per block on `system`."""
     import admitlab.fem
 
-    monkeypatch.setattr(admitlab.fem, "_SCHUR_BYTES", 16 * len(system.interior) * cap)
+    monkeypatch.setattr(admitlab.fem, "_BLOCK_BYTES", 16 * len(system.interior) * cap)
 
 
 class TestBlockedSchur:
-    """`schur_onto` solves sigma in column blocks bounded by `_SCHUR_BYTES`."""
+    """`schur_onto` solves sigma in column blocks bounded by `_BLOCK_BYTES`."""
 
     @pytest.mark.parametrize("h", [0.125, 0.0625])
     @pytest.mark.parametrize("kind", SCHUR_KINDS)
@@ -994,44 +1026,48 @@ class TestConvergence:
         assert order >= 1.8
 
 
+def _energy(system, u, v):
+    """The bilinear energy integral u^T K v of nodal values u and v."""
+    return complex(u @ (system.K @ v))
+
+
 class TestEnergyPairing:
     def setup_method(self):
         self.mesh = build_mesh(BOX, 0.25)
         self.system = assemble(self.mesh, LAPLACE, A_ONE, 0.0)
 
     def test_unit_gradient(self):
-        u = interpolate(self.mesh, lambda p: p[:, 0])
-        assert energy_pairing(self.system, u, u) == pytest.approx(1.0, abs=1e-12)
+        u = self.mesh.verts[:, 0]
+        assert _energy(self.system, u, u) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_gradients(self):
-        u = interpolate(self.mesh, lambda p: p[:, 0])
-        v = interpolate(self.mesh, lambda p: p[:, 1])
-        assert abs(energy_pairing(self.system, u, v)) <= 1e-12
+        u, v = self.mesh.verts[:, 0], self.mesh.verts[:, 1]
+        assert abs(_energy(self.system, u, v)) <= 1e-12
 
     def test_complex_scalar_factor(self):
         fam = scalar_identity_family(k=0.25, imag=1.0)
         system = assemble(self.mesh, fam, A_ONE, 0.25)
-        u = interpolate(self.mesh, lambda p: p[:, 0])
-        assert energy_pairing(system, u, u) == pytest.approx(1.0 + 0.25j, abs=1e-12)
+        u = self.mesh.verts[:, 0]
+        assert _energy(system, u, u) == pytest.approx(1.0 + 0.25j, abs=1e-12)
 
     def test_bilinear_symmetry(self):
         fam = scalar_identity_family(k=0.25, imag=1.0)
         system = assemble(self.mesh, fam, A_ONE, 0.25)
         rng = np.random.default_rng(4)
         for _ in range(5):
-            u = ComplexField(self.mesh, rng.standard_normal(self.mesh.n_vertices)
-                             + 1j * rng.standard_normal(self.mesh.n_vertices))
-            v = ComplexField(self.mesh, rng.standard_normal(self.mesh.n_vertices)
-                             + 1j * rng.standard_normal(self.mesh.n_vertices))
-            left = energy_pairing(system, u, v)
-            right = energy_pairing(system, v, u)
+            u = (rng.standard_normal(self.mesh.n_vertices)
+                 + 1j * rng.standard_normal(self.mesh.n_vertices))
+            v = (rng.standard_normal(self.mesh.n_vertices)
+                 + 1j * rng.standard_normal(self.mesh.n_vertices))
+            left = _energy(system, u, v)
+            right = _energy(system, v, u)
             assert left == pytest.approx(right, abs=1e-13 * max(1.0, abs(left)))
 
     def test_mesh_mismatch_rejected(self):
         other = build_mesh(BOX, 0.125)
-        u = interpolate(other, lambda p: p[:, 0])
+        u = ComplexField(other, other.verts[:, 0])
         with pytest.raises(ConfigError):
-            energy_pairing(self.system, u, u)
+            energy_density(self.mesh, np.eye(3), u, u)
 
     def test_density_sums_to_pairing(self):
         fam = scalar_identity_family(k=0.25, imag=1.0)
@@ -1041,4 +1077,137 @@ class TestEnergyPairing:
         v = ComplexField(self.mesh, rng.standard_normal(self.mesh.n_vertices) + 0j)
         coeff = np.eye(3) + 0.25j * np.eye(3)
         total = np.sum(energy_density(self.mesh, coeff, u, v))
-        assert total == pytest.approx(energy_pairing(system, u, v), rel=1e-12)
+        assert total == pytest.approx(_energy(system, u.values, v.values), rel=1e-12)
+
+    def test_chunked_density_and_gradients(self, monkeypatch):
+        """Densities and gradients evaluated in 7-tet chunks have the bits
+        of one pass over all tets."""
+        import admitlab.fem
+
+        rng = np.random.default_rng(6)
+        u = ComplexField(self.mesh, rng.standard_normal(self.mesh.n_vertices)
+                         + 1j * rng.standard_normal(self.mesh.n_vertices))
+        coeff = _aniso_coeffs(self.mesh.n_tets, seed=8) + 0.5j
+        whole = energy_density(self.mesh, coeff, u, u)
+        grads = u.gradients()
+        monkeypatch.setattr(admitlab.fem, "_BLOCK_BYTES", 128 * 7)
+        assert np.array_equal(energy_density(self.mesh, coeff, u, u), whole)
+        assert np.array_equal(np.concatenate([u.gradients(slice(s, s + 7))
+                                              for s in range(0, self.mesh.n_tets, 7)]),
+                              grads)
+
+
+def _float_geometry_assemble(mesh, family, a, k):
+    """Reference assembly on per-tet float geometry: the closed-form volumes
+    and gradients from the float vertex coordinates of every tet, and one
+    np.bincount of all element blocks per part."""
+    v = mesh.verts[mesh.tets]
+    e1, e2, e3 = (v[:, i] - v[:, 0] for i in (1, 2, 3))
+    det = np.einsum("ti,ti->t", e1, np.cross(e2, e3))
+    grads = np.empty((mesh.n_tets, 4, 3))
+    grads[:, 1], grads[:, 2], grads[:, 3] = np.cross(e2, e3), np.cross(e3, e1), np.cross(e1, e2)
+    grads[:, 1:] /= det[:, None, None]
+    grads[:, 0] = -grads[:, 1:].sum(axis=1)
+    bary = v.mean(axis=1)
+    t = np.broadcast_to(np.asarray(a.values(bary), dtype=float), (mesh.n_tets,))
+    pattern = mesh.stiffness_pattern
+    data = np.empty(len(pattern.indices), dtype=complex)
+    for part, coeff in ((data.real, family.real_part(bary, t)),
+                        (data.imag, k * family.imag_part(bary, t))):
+        local = np.einsum("taj,tjk,tbk->tab", grads, coeff, grads) * (det / 6.0)[:, None, None]
+        part[:] = np.bincount(pattern.scatter.ravel(), weights=local.ravel(),
+                              minlength=len(pattern.indices))
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr),
+                         shape=(mesh.n_vertices,) * 2)
+
+
+ORACLE_FAMILIES = [
+    scalar_identity_family(k=0.1, imag=1.0),
+    diagonal_affine_family(k=0.05, slope=(1.0, 1.2, 0.8), offset=(0.1, 0.0, 0.2),
+                           imag=(1.0, 0.7, 1.3)),
+    ROTATED,
+]
+
+
+def _bitwise_equal(got, want):
+    return (np.array_equal(got.indptr, want.indptr)
+            and np.array_equal(got.indices, want.indices)
+            and np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64)))
+
+
+class TestTypedAssembly:
+    @settings(max_examples=20, deadline=None)
+    @given(meshes=enlarged_meshes(), family=st.sampled_from(ORACLE_FAMILIES))
+    def test_matches_float_geometry_assembly(self, meshes, family):
+        """Omega and Omega_eta systems of all three families match the
+        assembly on per-tet float geometry to 1e-15 relative."""
+        for mesh in meshes:
+            K = assemble(mesh, family, AFFINE, family.freq).K
+            ref = _float_geometry_assemble(mesh, family, AFFINE, family.freq)
+            assert abs(K - ref).max() <= 1e-15 * abs(ref).max()
+
+    @pytest.mark.parametrize("size", ["1", "7", "T"])
+    def test_chunks_match_one_bincount(self, size, monkeypatch):
+        """np.add.at over tet chunks of 1, 7 and all T tets gives the bits
+        of one np.bincount over every element block."""
+        import admitlab.fem
+
+        mesh = build_mesh(BOX, 0.2)
+        chunk = {"1": 1, "7": 7, "T": mesh.n_tets}[size]
+        monkeypatch.setattr(admitlab.fem, "_BLOCK_BYTES", 128 * chunk)
+        pattern = mesh.stiffness_pattern
+        everything = slice(None)
+        coeff = _aniso_coeffs(mesh.n_tets, seed=3)
+        assert _bitwise_equal(assemble_stiffness(mesh, coeff),
+                              assemble_csr(pattern, _stiffness_blocks(mesh, everything, coeff)))
+        bump = gaussian_bump_field(1.0, 0.1, (0.5, 0.5, 0.9), 0.3)
+        bary = mesh.barycenters()
+        t = bump.values(bary)
+        data = np.empty(len(pattern.indices), dtype=complex)
+        for part, c in ((data.real, ROTATED.real_part(bary, t)),
+                        (data.imag, ROTATED.freq * ROTATED.imag_part(bary, t))):
+            part[:] = np.bincount(pattern.scatter.ravel(),
+                                  weights=_stiffness_blocks(mesh, everything, c).ravel(),
+                                  minlength=len(pattern.indices))
+        system = assemble(mesh, ROTATED, bump, ROTATED.freq)
+        assert _bitwise_equal(system.K, admitlab.fem._csr(pattern, data))
+        # The COCG weights are the bits of the whole-mesh mean diagonal.
+        mean = [np.diagonal(c, axis1=1, axis2=2).mean(axis=0)
+                for c in (ROTATED.real_part(bary, t), ROTATED.freq * ROTATED.imag_part(bary, t))]
+        assert np.array_equal(system.cocg_weights, mean[0] + 1j * mean[1])
+
+
+class TestWorkingSetBudget:
+    """Traced peaks at h = 1/16 beyond the live output, in `_BLOCK_BYTES`."""
+
+    @staticmethod
+    def _traced(fn):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            out = fn()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, peak - current
+
+    def test_assemble_peak(self):
+        import admitlab.fem
+
+        patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
+        for mesh in (build_mesh(BOX, 0.0625, patch=patch),
+                     build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.0625), 0.0625)):
+            _assert_no_per_tet_floats(mesh)
+            mesh.stiffness_pattern
+            system, extra = self._traced(lambda: assemble(mesh, ROTATED, AFFINE, ROTATED.freq))
+            assert system.solver_kind in ("box-cocg", "sparse-lu")
+            assert extra <= 4 * admitlab.fem._BLOCK_BYTES, extra
+
+    def test_box_cocg_schur_peak(self):
+        import admitlab.fem
+
+        system, sigma = _schur_case("box-cocg", 0.0625)
+        S, extra = self._traced(lambda: system.schur_onto(sigma))
+        assert system.solve_calls > 1
+        assert extra <= 10 * admitlab.fem._BLOCK_BYTES, extra
