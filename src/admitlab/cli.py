@@ -219,9 +219,10 @@ def _record_solver(manifest, label, domain, system):
 
 
 def _record_solvers(manifest, fwd1, fwd2):
-    """One manifest entry per system of the two forwards."""
+    """One manifest entry per system the two forwards have built; building
+    none."""
     for label, fwd in (("a1", fwd1), ("a2", fwd2)):
-        for domain, system in (("Omega", fwd.system), ("Omega_eta", fwd.system_eta)):
+        for domain, system in fwd.built_systems():
             _record_solver(manifest, label, domain, system)
 
 

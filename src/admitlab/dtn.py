@@ -50,13 +50,10 @@ class SigmaBasis:
 
 def sigma_basis(mesh: Mesh, patch: BoundaryPatch) -> SigmaBasis:
     """Basis vertices: every incident boundary triangle is patch-tagged."""
-    n_sigma = np.zeros(mesh.n_vertices, dtype=int)
-    n_other = np.zeros(mesh.n_vertices, dtype=int)
-    for tri, on_sigma in zip(mesh.boundary_tris, mesh.sigma_mask):
-        if on_sigma:
-            n_sigma[tri] += 1
-        else:
-            n_other[tri] += 1
+    tris, on_sigma = mesh.boundary_tris, mesh.sigma_mask
+    # Incident patch-tagged and other boundary triangles of each vertex.
+    n_sigma = np.bincount(tris[on_sigma].ravel(), minlength=mesh.n_vertices)
+    n_other = np.bincount(tris[~on_sigma].ravel(), minlength=mesh.n_vertices)
     verts = np.where((n_sigma > 0) & (n_other == 0))[0]
     if verts.size == 0:
         raise ConfigError(

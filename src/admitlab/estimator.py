@@ -291,21 +291,40 @@ def build_frame(
 
 @dataclass(eq=False)
 class Forward:
-    """One parameter field with its assembled systems.
+    """One parameter field with its Omega system, and its Omega_eta system
+    once a probe pass has read it.
 
-    The DtN matrix is assembled on first read, on the cached interior
-    solver of `system`; the estimators read probe passes instead.
+    The DtN matrix is assembled on first read, from the Schur complement
+    of `system` onto the basis, which `system` keeps: the Omega_eta
+    footprint lies in the basis, so a later footprint correction restricts
+    it.  `system_eta` is assembled on first read too, with `system` as its
+    core, so a Forward that only gives a DtN never builds it.  Nothing
+    here refers back to the Forward, so dropping it frees both systems.
     """
 
     frame: LabFrame
     a: ParameterField
     system: BlockSystem
-    system_eta: BlockSystem
     _passes: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
     def dtn(self) -> LocalDtnMatrix:
         return assemble_dtn(self.system, self.frame.basis, self.frame.gram)
+
+    @functools.cached_property
+    def system_eta(self) -> BlockSystem:
+        # The Omega_eta interior is solved through the Omega system's solver.
+        frame = self.frame
+        return assemble(frame.mesh_eta, frame.family, self.a, frame.k,
+                        core=self.system, vertex_map=frame.vertex_map)
+
+    def built_systems(self) -> list:
+        """(domain, system) for the Omega system and, if it has been
+        assembled, the Omega_eta one; assembles nothing."""
+        systems = [("Omega", self.system)]
+        if "system_eta" in self.__dict__:
+            systems.append(("Omega_eta", self.__dict__["system_eta"]))
+        return systems
 
     def probe_pass(self, x0, tau_grid, m: int):
         """Corrected order-m probes at x0 + tau nu for every tau, memoised.
@@ -348,11 +367,8 @@ class Forward:
 
 
 def build_forward(frame: LabFrame, a: ParameterField) -> Forward:
-    system = assemble(frame.mesh, frame.family, a, frame.k)
-    # The Omega_eta interior is solved through the Omega system's solver.
-    system_eta = assemble(frame.mesh_eta, frame.family, a, frame.k,
-                          core=system, vertex_map=frame.vertex_map)
-    return Forward(frame=frame, a=a, system=system, system_eta=system_eta)
+    """Forward of one field; assembles its Omega system only."""
+    return Forward(frame=frame, a=a, system=assemble(frame.mesh, frame.family, a, frame.k))
 
 
 # ---------------------------------------------------------------------------
@@ -664,11 +680,13 @@ def lipschitz_sweep(
     With `derivative`, keyword arguments of `derivative_gap_estimate` (x0
     among them), each record also carries that estimate's extrapolated
     normal derivative.  Every point pairs against the one reference
-    Forward, so the reference probe passes are computed once.
+    Forward, so the reference probe passes are computed once.  A Lipschitz
+    point builds only its Omega system; a derivative point also builds its
+    Omega_eta system, through the Schur complement its DtN left behind.
     """
     fwd1 = build_forward(frame, a1)
-    # Factor the reference system before any perturbed forward is assembled,
-    # so its factorisation does not overlap theirs.
+    # The reference DtN is solved before any perturbed field is assembled,
+    # so its Schur blocks do not overlap theirs.
     fwd1.dtn
     out = []
     for label, a2 in perturbations:
@@ -678,7 +696,8 @@ def lipschitz_sweep(
             est = derivative_gap_estimate(fwd1, fwd2, **derivative)
             rec = replace(rec, derivative_estimate=est.extrapolated)
         out.append(rec)
-        # Free this point's systems and factorisations before the next
-        # field is assembled.
+        # Dropping the last reference frees this point's systems, factors
+        # and memoised Schur complement by reference counting, before the
+        # next field is assembled.
         del fwd2
     return out

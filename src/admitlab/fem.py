@@ -548,6 +548,10 @@ class ComplexField:
 
 
 _RESIDUAL_RTOL = 1e-10
+# The interior solver kinds whose solution columns have the same bits
+# whatever columns are solved beside them; SuperLU's multi-column solves
+# move the last bits with the block.
+_BLOCKWISE_EXACT = ("sine-transform", "box-cocg")
 # A COCG column stops once its recurrence residual is at most _COCG_RTOL of
 # its right-hand side; a column still running after _COCG_MAX_ITERATIONS
 # iterations raises SolverError.
@@ -727,6 +731,25 @@ def _cocg_failure(message: str, step: int, residual: np.ndarray, live: np.ndarra
         "column": int(live[worst])})
 
 
+class _KrylovCounts:
+    """COCG iterations summed over columns, and the most one column took.
+
+    A system and its COCG solve closure share this object, so the closure
+    holds no reference to the system and the system is freed as soon as
+    its last reader drops it, with no collector pass.
+    """
+
+    __slots__ = ("total", "most")
+
+    def __init__(self):
+        self.total = 0
+        self.most = 0
+
+    def add(self, iterations: np.ndarray) -> None:
+        self.total += int(iterations.sum())
+        self.most = max(self.most, int(iterations.max(initial=0)))
+
+
 class BlockSystem:
     """Assembled complex matrix K = K_R + i K_I with a cached interior solver.
 
@@ -756,6 +779,12 @@ class BlockSystem:
     columns and the most any one column took, and `worst_residual` is the
     largest relative residual that a residual check of this system has
     passed.
+
+    No solver holds a reference back to its system, so a system, its
+    factors and its Krylov scratch are freed by reference counting as soon
+    as the last reader drops it.  `schur_onto` keeps its last result: the
+    Omega system's Schur complement onto the DtN basis answers the
+    footprint correction of its Omega_eta system by restriction.
     """
 
     def __init__(self, mesh: Mesh, K: sp.csr_matrix, axis_weights=None,
@@ -773,9 +802,10 @@ class BlockSystem:
         self.factored_dofs = 0
         self.solve_calls = 0
         self.rhs_columns = 0
-        self.krylov_iterations = 0
-        self.krylov_iterations_max = 0
+        self._krylov = _KrylovCounts()
         self.worst_residual = 0.0
+        # The dofs and the read-only result of the last Schur complement.
+        self._schur = None
         self.core = None
         if core is not None:
             self._attach_core(core, vertex_map)
@@ -838,6 +868,14 @@ class BlockSystem:
         return self._boundary
 
     @property
+    def krylov_iterations(self) -> int:
+        return self._krylov.total
+
+    @property
+    def krylov_iterations_max(self) -> int:
+        return self._krylov.most
+
+    @property
     def solver_kind(self) -> str:
         if self.axis_weights is not None:
             return "sine-transform"
@@ -875,15 +913,15 @@ class BlockSystem:
 
     def _cocg_solver(self):
         """Interior solve by `_cocg`, preconditioned by the box solve of
-        `cocg_weights`, counting its iterations."""
+        `cocg_weights`, counting its iterations in `_krylov`.  The closure
+        captures the interior block and the counter, not the system."""
+        K_ii, counts = self._K_ii, self._krylov
         precondition = box_solve(self.mesh, self.cocg_weights)
 
         def solve(rhs: np.ndarray) -> np.ndarray:
             rhs = np.asarray(rhs)
-            x, iterations = _cocg(self._K_ii, precondition, rhs.reshape(len(rhs), -1))
-            self.krylov_iterations += int(iterations.sum())
-            self.krylov_iterations_max = max(self.krylov_iterations_max,
-                                             int(iterations.max(initial=0)))
+            x, iterations = _cocg(K_ii, precondition, rhs.reshape(len(rhs), -1))
+            counts.add(iterations)
             return x.reshape(rhs.shape)
 
         return solve
@@ -910,6 +948,8 @@ class BlockSystem:
         f = np.unique(K_BG.indices)
         f_core = self._core_owner[self._interior[G[f]]]
         K_ff = core.K[f_core][:, f_core].toarray()
+        # f lies in the DtN basis, so after the core's DtN this restricts
+        # the core's memoised Schur complement and solves nothing.
         correction = K_ff - core.schur_onto(f_core)
         rows, cols = np.meshgrid(f, f, indexing="ij")
         S = K_G[:, G] - sp.csr_matrix(
@@ -929,16 +969,46 @@ class BlockSystem:
 
         return solve
 
+    def _subset_positions(self, sigma: np.ndarray) -> Optional[np.ndarray]:
+        """Positions of the dofs sigma among those of the memoised Schur
+        complement, or None unless it holds every one of them and this
+        system's solver gives its columns the bits of a fresh solve."""
+        if self._schur is None or self.solver_kind not in _BLOCKWISE_EXACT:
+            return None
+        dofs = self._schur[0]
+        if not len(dofs):
+            return None
+        order = np.argsort(dofs, kind="stable")
+        pos = order[np.minimum(np.searchsorted(dofs, sigma, sorter=order), len(dofs) - 1)]
+        return pos if np.array_equal(dofs[pos], sigma) else None
+
     def schur_onto(self, sigma) -> np.ndarray:
         """Dense Schur complement K_ss - K_sI K_II^{-1} K_Is onto the boundary
-        dofs sigma, the others pinned to zero.
+        dofs sigma, the others pinned to zero; read-only.
 
-        The columns are solved in equal blocks of at most `_BLOCK_BYTES` of
-        complex (interior x column) data, so no array of interior size
+        The last result is memoised, and the same sigma returns it.
+        Pinning the other boundary dofs makes the Schur complement onto a
+        subset of its dofs the restriction of it, and the sine-transform
+        and COCG solvers give each column the same bits whatever block it
+        is solved in, so under them a subset is answered by indexing, with
+        the bits of a fresh solve and no interior solve.  SuperLU's
+        multi-column solves do not (nor, through its G block, does
+        via-core), so there a subset is solved afresh.  Any sigma not
+        answered from the memo is computed and replaces it.
+
+        The columns are solved in equal blocks of at most `_BLOCK_BYTES`
+        of complex (interior x column) data, so no array of interior size
         grows with |sigma|; each block is one multi-column interior solve,
         and each column's residual is checked.
         """
-        sigma = np.asarray(sigma, dtype=int)
+        sigma = np.array(sigma, dtype=int)
+        if self._schur is not None and np.array_equal(self._schur[0], sigma):
+            return self._schur[1]
+        pos = self._subset_positions(sigma)
+        if pos is not None:
+            S = self._schur[1][np.ix_(pos, pos)]
+            S.flags.writeable = False
+            return S
         cols = np.searchsorted(self._boundary, sigma)
         if np.any(cols >= len(self._boundary)) or np.any(self._boundary[cols] != sigma):
             raise ConfigError("Schur complement dofs must be boundary vertices")
@@ -968,6 +1038,8 @@ class BlockSystem:
             # A real K has complex solves under a COCG solver.
             S = S.astype(np.result_type(S, flux), copy=False)
             S[:, block] -= flux
+        S.flags.writeable = False
+        self._schur = (sigma, S)
         return S
 
     def solve_dirichlet(self, g):

@@ -1,17 +1,24 @@
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
 import textwrap
+import types
+import weakref
 from pathlib import Path
 
 import pytest
 import yaml
 
-from admitlab.cli import main
+import admitlab.cli
+from admitlab.cli import _record_solvers, main
 from admitlab.config import load_config
 from admitlab.errors import ConfigError
+from admitlab.estimator import build_forward
+from admitlab.families import constant_field
+from admitlab.fem import BlockSystem
 
 BASE_CONFIG = {
     "seed": 42,
@@ -32,6 +39,9 @@ BASE_CONFIG = {
     "sweep": {"scales": [0.05, 0.1], "delta": {"kind": "constant", "value": 1.0}},
     "output": {"formats": ["csv", "json", "svg"]},
 }
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, overrides=None, name="config.yaml"):
@@ -368,6 +378,50 @@ class TestStabilityCommand:
                      str(tmp_path / "out")]) == 2
 
 
+    def test_stability_restricts_the_footprint_schur(self, tmp_path, monkeypatch):
+        # At h = 1/20 the footprint f holds 81 of the 121 basis dofs.  Each
+        # Omega system answers its Omega_eta footprint correction from its
+        # DtN's Schur complement, so solving f afresh costs exactly |f| more
+        # columns there, and the outputs keep their bytes.
+        config = CONFIG_DIR / "recovery.yaml"
+        outs = [tmp_path / "memo", tmp_path / "fresh"]
+
+        def run(out):
+            assert main(["stability", "--config", str(config), "--mesh-h", "0.05",
+                         "--out", str(out)]) == 0
+            return json.loads((out / "manifest.json").read_text())["solvers"]
+
+        memo = run(outs[0])
+        monkeypatch.setattr(BlockSystem, "_subset_positions", lambda self, sigma: None)
+        fresh = run(outs[1])
+        assert [(s["field"], s["domain"]) for s in memo] == [
+            (s["field"], s["domain"]) for s in fresh]
+        for m, f in zip(memo, fresh):
+            assert f["rhs_columns"] - m["rhs_columns"] == (81 if m["domain"] == "Omega" else 0)
+        names = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in outs[1].iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_manifest_lists_built_systems_only(self, frame16):
+        class Manifest(list):
+            add_solver = list.append
+
+        fwd1 = build_forward(frame16, constant_field(1.0))
+        fwd2 = build_forward(frame16, constant_field(1.1))
+        fwd1.dtn
+        manifest = Manifest()
+        _record_solvers(manifest, fwd1, fwd2)
+        assert [(s["field"], s["domain"]) for s in manifest] == [("a1", "Omega"), ("a2", "Omega")]
+        # Reading the manifest assembled no Omega_eta system.
+        assert [fwd.built_systems()[-1][0] for fwd in (fwd1, fwd2)] == ["Omega"] * 2
+        fwd2.system_eta
+        manifest.clear()
+        _record_solvers(manifest, fwd1, fwd2)
+        assert [(s["field"], s["domain"]) for s in manifest] == [
+            ("a1", "Omega"), ("a2", "Omega"), ("a2", "Omega_eta")]
+
+
 class TestSweepCommand:
     def test_lipschitz_sweep(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -427,8 +481,73 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "out")]) == 0
         log = assembly_log
         reference = log[0][1]
-        assert log[:3] == [("assemble", reference)] * 2 + [("dtn", reference)]
-        assert all(a is not reference for _, a in log[3:])
+        # The reference Omega system and its DtN come before any perturbed
+        # field; a derivative sweep builds the reference Omega_eta system
+        # once, at its first probe pass.
+        assert log[:2] == [("assemble", reference), ("dtn", reference)]
+        assert log[2][1] is not reference
+        assert [e for e in log[2:] if e[1] is reference] == (
+            [] if mode == "lipschitz" else [("assemble", reference)])
+
+
+def _admitlab_objects(objects) -> list:
+    """Names of the admitlab class instances and functions among objects."""
+    names = []
+    for obj in objects:
+        if isinstance(obj, types.FunctionType):
+            module, name = obj.__module__ or "", obj.__qualname__
+        else:
+            module, name = getattr(type(obj), "__module__", ""), type(obj).__qualname__
+        if module.startswith("admitlab"):
+            names.append(f"{module}.{name}")
+    return names
+
+
+class TestLifetimes:
+    """Every object a command builds is freed by reference counting alone."""
+
+    def test_dtn_frees_a1_system_before_a2_is_assembled(self, tmp_path, monkeypatch):
+        systems = []
+        alive = []
+        real = admitlab.cli.assemble
+
+        def assemble_logged(*args, **kwargs):
+            alive.append([ref() is not None for ref, _ in systems])
+            system = real(*args, **kwargs)
+            systems.append((weakref.ref(system), system.solver_kind))
+            return system
+
+        monkeypatch.setattr(admitlab.cli, "assemble", assemble_logged)
+        gc.disable()
+        try:
+            assert main(["dtn", "--config", str(CONFIG_DIR / "anisotropic.yaml"),
+                         "--mesh-h", "0.125", "--out", str(tmp_path / "out")]) == 0
+        finally:
+            gc.enable()
+        assert [kind for _, kind in systems] == ["box-cocg", "box-cocg"]
+        assert alive == [[], [False]]
+
+    @pytest.mark.parametrize("args", [
+        ("validate", "default"), ("probe", "default"), ("dtn", "anisotropic"),
+        ("stability", "anisotropic"), ("derivative", "derivative"),
+        ("sweep", "anisotropic"), ("sweep", "derivative", "--mode", "derivative"),
+    ], ids=lambda args: "-".join(args[:2]))
+    def test_no_cyclic_garbage(self, tmp_path, args):
+        command, config, *extra = args
+        gc.collect()
+        gc.disable()
+        try:
+            assert main([command, "--config", str(CONFIG_DIR / f"{config}.yaml"),
+                         "--mesh-h", "0.125", "--out", str(tmp_path / "out"), *extra]) == 0
+            # Keep what a collector pass finds unreachable, to look at it.
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            garbage = _admitlab_objects(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert garbage == []
 
 
 class TestProbeCommand:

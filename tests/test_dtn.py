@@ -86,6 +86,23 @@ class TestSigmaBasis:
         f = rng.standard_normal(basis8.count) + 1j * rng.standard_normal(basis8.count)
         assert np.array_equal(basis8.restrict(basis8.expand(f)), f)
 
+    @pytest.mark.parametrize("face", FACE_NAMES)
+    @pytest.mark.parametrize("h", [0.125, 0.0625])
+    def test_matches_triangle_loop(self, face, h):
+        # The reference: count each vertex's incident patch-tagged and other
+        # boundary triangles one triangle at a time.
+        patch = BoundaryPatch(BOX, face, (0.2, 0.1), (0.8, 0.7))
+        mesh = build_mesh(BOX, h, patch=patch)
+        n_sigma = np.zeros(mesh.n_vertices, dtype=int)
+        n_other = np.zeros(mesh.n_vertices, dtype=int)
+        for tri, on_sigma in zip(mesh.boundary_tris, mesh.sigma_mask):
+            if on_sigma:
+                n_sigma[tri] += 1
+            else:
+                n_other[tri] += 1
+        expected = tuple(int(v) for v in np.where((n_sigma > 0) & (n_other == 0))[0])
+        assert sigma_basis(mesh, patch).vertices == expected
+
     def test_no_basis_on_tiny_patch(self):
         small = BoundaryPatch(BOX, "z+", (0.4, 0.4), (0.6, 0.6))
         mesh = build_mesh(BOX, 0.25, patch=small)

@@ -528,8 +528,16 @@ class TestReferenceDtnOrder:
         lipschitz_sweep(frame16, a1, _sweep_fields(a1, mode),
                         derivative=SWEEP_MODES[mode][1])
         log = assembly_log
-        assert log[:3] == [("assemble", a1), ("assemble", a1), ("dtn", a1)]
+        # The reference Omega system and its DtN, then the perturbed fields;
+        # a derivative sweep builds the reference Omega_eta system once, at
+        # its first probe pass, and each point its own.
+        assert log[:2] == [("assemble", a1), ("dtn", a1)]
+        assert log[2][1] is not a1
+        assert [e for e in log[2:] if e[1] is a1] == (
+            [] if mode == "lipschitz" else [("assemble", a1)])
         assert sum(kind == "dtn" for kind, _ in log) == 3
+        assert sum(kind == "assemble" for kind, _ in log) == (
+            3 if mode == "lipschitz" else 6)
 
 
 class TestSweepDriver:
@@ -554,33 +562,47 @@ class TestSweepDriver:
     @pytest.mark.parametrize("mode", sorted(SWEEP_MODES))
     def test_point_forward_freed_before_next_assembly(self, frame16, monkeypatch,
                                                       mode):
-        forwards = []
+        # Per Forward, in build order: its field and weak references to it
+        # and to each system assembled for that field.  Index 0 is the
+        # reference.
+        points = []
         stale = []
         real_build = admitlab.estimator.build_forward
         real_assemble = admitlab.estimator.assemble
 
-        def build_forward_logged(frame, a):
+        def build_forward_checked(frame, a):
+            # Every earlier perturbed point, its Forward and each system it
+            # built, must be dead before the next Forward is built.
+            stale.extend(i for i, (_, refs) in enumerate(points)
+                         if i and any(ref() is not None for ref in refs))
+            points.append((a, []))
             fwd = real_build(frame, a)
-            forwards.append(weakref.ref(fwd))
+            points[-1][1].append(weakref.ref(fwd))
             return fwd
 
-        def assemble_checked(mesh, family, a, k, **kwargs):
-            # Perturbed Forwards still alive; index 0 is the reference.
-            stale.extend(i for i, ref in enumerate(forwards) if i and ref() is not None)
-            return real_assemble(mesh, family, a, k, **kwargs)
+        def assemble_logged(mesh, family, a, k, **kwargs):
+            system = real_assemble(mesh, family, a, k, **kwargs)
+            owner = next(refs for field_, refs in points if field_ is a)
+            owner.append(weakref.ref(system))
+            return system
 
-        monkeypatch.setattr(admitlab.estimator, "build_forward", build_forward_logged)
-        monkeypatch.setattr(admitlab.estimator, "assemble", assemble_checked)
+        monkeypatch.setattr(admitlab.estimator, "build_forward", build_forward_checked)
+        monkeypatch.setattr(admitlab.estimator, "assemble", assemble_logged)
         a1 = constant_field(1.0)
         # Reference counting alone must free each point: no collector pass.
         gc.disable()
         try:
             lipschitz_sweep(frame16, a1, _sweep_fields(a1, mode),
                             derivative=SWEEP_MODES[mode][1])
+            alive = [i for i, (_, refs) in enumerate(points)
+                     if any(ref() is not None for ref in refs)]
         finally:
             gc.enable()
-        assert len(forwards) == 3
+        # The Forward and its Omega system, and in derivative mode its
+        # Omega_eta system.
+        assert [len(refs) for _, refs in points] == [2 if mode == "lipschitz" else 3] * 3
         assert stale == []
+        assert alive == []
 
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -1175,6 +1177,68 @@ class TestTypedAssembly:
         mean = [np.diagonal(c, axis1=1, axis2=2).mean(axis=0)
                 for c in (ROTATED.real_part(bary, t), ROTATED.freq * ROTATED.imag_part(bary, t))]
         assert np.array_equal(system.cocg_weights, mean[0] + 1j * mean[1])
+
+
+class TestSchurMemo:
+    """`schur_onto` keeps its last result and restricts it to a subset."""
+
+    @pytest.mark.parametrize("kind", ["sine-transform", "box-cocg", "sparse-lu"])
+    def test_subset_equals_fresh_solve(self, kind, monkeypatch):
+        system, sigma = _schur_case(kind, 0.0625)
+        # Blocks of three, so each subset column was solved beside others.
+        _set_schur_cap(monkeypatch, system, 3)
+        system.schur_onto(sigma)
+        columns = system.rhs_columns
+        subset = sigma[::-2]
+        restricted = system.schur_onto(subset)
+        fresh = _schur_case(kind, 0.0625)[0].schur_onto(subset)
+        assert np.array_equal(restricted, fresh)
+        # SuperLU gives a column different last bits in different blocks, so
+        # a sparse-lu system solves the subset afresh; the others restrict.
+        assert system.rhs_columns - columns == (len(subset) if kind == "sparse-lu" else 0)
+
+    def test_hit_adds_no_columns_and_is_read_only(self):
+        system, sigma = _schur_case("sine-transform", 0.125)
+        S = system.schur_onto(sigma)
+        counts = (system.solve_calls, system.rhs_columns)
+        assert system.schur_onto(list(sigma)) is S
+        subset = system.schur_onto(sigma[1:4])
+        assert np.array_equal(subset, S[1:4, 1:4])
+        assert (system.solve_calls, system.rhs_columns) == counts
+        for arr in (S, subset):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+
+    def test_other_dofs_replace_the_memo(self):
+        system, sigma = _schur_case("box-cocg", 0.125)
+        first = system.schur_onto(sigma[:4])
+        # Not a subset of the first four: solved, and memoised instead.
+        system.schur_onto(sigma)
+        assert system.rhs_columns == 4 + len(sigma)
+        assert np.array_equal(system.schur_onto(sigma[:4]), first)
+        assert system.rhs_columns == 4 + len(sigma)
+
+
+class TestSystemLifetime:
+    @pytest.mark.parametrize("kind", SCHUR_KINDS)
+    def test_del_frees_solved_system(self, kind):
+        # Reference counting alone must free a solved system, and a via-core
+        # system's core with it: no collector pass.
+        gc.disable()
+        try:
+            system, sigma = _schur_case(kind, 0.125)
+            system.solve_dirichlet(np.ones(system.mesh.n_vertices))
+            system.schur_onto(sigma)
+            refs = [weakref.ref(system)]
+            if system.core is not None:
+                refs.append(weakref.ref(system.core))
+            del system
+            alive = [ref() is not None for ref in refs]
+        finally:
+            gc.enable()
+        assert len(alive) == (2 if kind == "via-core" else 1)
+        assert not any(alive)
 
 
 class TestWorkingSetBudget:
