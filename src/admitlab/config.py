@@ -25,6 +25,8 @@ _DEFAULT_APRIORI = {
     "alpha": 0.25,
 }
 
+_FORMATS = ("csv", "json", "svg")
+
 
 @dataclass
 class ExperimentConfig:
@@ -145,8 +147,16 @@ def load_config(path=None, data: dict = None, seed: int = None, mesh_h: float = 
         data["discretization"] = {**disc, "h": h}
     rho = _get(disc, "rho", None)
     rho = eta / 4.0 if rho is None else _number(rho, "discretization.rho")
+    # The estimator's own bound, with its tolerance.
+    if not 0.0 < rho <= eta / 4.0 + 1e-12:
+        raise ConfigError(f"config key 'discretization.rho' must lie in (0, eta/4] = "
+                          f"(0, {eta / 4.0}], got {rho!r}")
     order = _number(_get(disc, "order", 0), "discretization.order", int)
+    if order < 0:
+        raise ConfigError(f"config key 'discretization.order' must be >= 0, got {order!r}")
     x0 = _numbers(_get(disc, "x0", (0.5, 0.5, 1.0)), "discretization.x0")
+    if len(x0) != 3:
+        raise ConfigError(f"config key 'discretization.x0' must have 3 entries, got {x0!r}")
 
     tau_spec = _section(geo, "tau_grid", "geometry.")
     tau_start = _get(tau_spec, "start", None)
@@ -212,7 +222,11 @@ def load_config(path=None, data: dict = None, seed: int = None, mesh_h: float = 
     delta = _field(delta_spec, "sweep.delta") if delta_spec is not None else None
 
     out = _section(data, "output")
-    formats = tuple(_get(out, "formats", ("csv", "json", "svg")))
+    formats = _get(out, "formats", list(_FORMATS))
+    if not isinstance(formats, list) or any(f not in _FORMATS for f in formats):
+        raise ConfigError(f"config key 'output.formats' must be a list of names from "
+                          f"{list(_FORMATS)}, got {formats!r}")
+    formats = tuple(formats)
 
     return ExperimentConfig(
         raw=data, path=str(path) if path else None,

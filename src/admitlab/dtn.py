@@ -179,7 +179,6 @@ def alessandrini_gap(
     f1,
     f2,
     patch: BoundaryPatch,
-    k: float = None,
     dtn1: LocalDtnMatrix = None,
     dtn2: LocalDtnMatrix = None,
 ) -> complex:
@@ -189,12 +188,10 @@ def alessandrini_gap(
     the volume integral of (A1 - A2) grad(u1) . grad(u2) with u_i the discrete
     solutions.  The residual is zero in exact arithmetic.
     """
-    if k is None:
-        k = family.freq
     basis = dtn1.basis if dtn1 is not None else sigma_basis(mesh, patch)
     gram = dtn1.gram if dtn1 is not None else h_half_gram(mesh, basis)
-    system1 = assemble(mesh, family, a1, k)
-    system2 = assemble(mesh, family, a2, k)
+    system1 = assemble(mesh, family, a1, family.freq)
+    system2 = assemble(mesh, family, a2, family.freq)
     if dtn1 is None:
         dtn1 = assemble_dtn(system1, basis, gram)
     if dtn2 is None:
@@ -208,7 +205,6 @@ def alessandrini_gap(
     bary = mesh.barycenters()
     t1 = np.asarray(a1.values(bary), dtype=float)
     t2 = np.asarray(a2.values(bary), dtype=float)
-    dA = (family.real_part(bary, t1) + 1j * k * family.imag_part(bary, t1)
-          - family.real_part(bary, t2) - 1j * k * family.imag_part(bary, t2))
+    dA = family(bary, t1) - family(bary, t2)
     rhs = complex(np.sum(energy_density(mesh, dA, u1, u2)))
     return lhs - rhs

@@ -27,7 +27,7 @@ from .fem import BlockSystem, ComplexField, Mesh, assemble, build_mesh, energy_d
 from .geometry import (BoundaryPatch, BoxDomain, EnlargedDomain, EtaSets,
                        ProbePath, build_enlarged_domain, build_eta_sets,
                        make_tau_grid, probe_point)
-from .singular import build_corrected_probe, make_probe
+from .singular import _symmetric_inverse, build_corrected_probe, make_probe
 
 
 def delta_h(alpha: float, h: int) -> float:
@@ -58,9 +58,7 @@ def loglog_slope(xs, ys) -> float:
 def _inverse_at(family: AdmittivityFamily, a: ParameterField, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     t = float(np.asarray(a.values(x)))
-    A = family.real_part(x, t) + 1j * family.freq * family.imag_part(x, t)
-    B = np.linalg.inv(A)
-    return 0.5 * (B + B.T)
+    return _symmetric_inverse(family(x, t))
 
 
 def f_function(
@@ -461,7 +459,7 @@ def _pair_records(
     t_star = 0.5 * (
         float(np.asarray(fwd1.a.values(x0))) + float(np.asarray(fwd2.a.values(x0)))
     )
-    D = frame.family.dt_real(x0, t_star) + 1j * frame.k * frame.family.dt_imag(x0, t_star)
+    D = frame.family.dt(x0, t_star)
     F1, KU1, U1 = fwd1.probe_pass(x0, tau_grid, m)
     F2, KU2, U2 = fwd2.probe_pass(x0, tau_grid, m)
     path = ProbePath(frame.eta_sets, tuple(x0), tuple(tau_grid))
@@ -652,9 +650,7 @@ def coefficient_gap_sup(frame: LabFrame, a1: ParameterField, a2: ParameterField,
     pts = _sigma_eta_grid(frame, per_side)
     t1 = np.asarray(a1.values(pts), dtype=float)
     t2 = np.asarray(a2.values(pts), dtype=float)
-    fam = frame.family
-    dA = (fam.real_part(pts, t1) + 1j * frame.k * fam.imag_part(pts, t1)
-          - fam.real_part(pts, t2) - 1j * frame.k * fam.imag_part(pts, t2))
+    dA = frame.family(pts, t1) - frame.family(pts, t2)
     return float(np.max(np.abs(dA)))
 
 

@@ -13,9 +13,10 @@ Omega_eta system given that core, conjugate orthogonal CG (COCG)
 preconditioned by that sine-transform solve for any other coefficient on
 a full box, and a sparse LU on any other mesh.
 
-Meshes are built from integer lattice keys.  Every tet is one of a few
-lattice types, so a mesh keeps a type index per tet and the geometry per
-type, and no per-tet float array.  Every assembly adds element blocks into
+Meshes are built from integer lattice keys.  Every tet is one of the six
+Kuhn tets of its lattice cube, positively oriented when the mesh is built,
+so a mesh keeps the pattern index per tet and the geometry per pattern,
+and no per-tet float array.  Every assembly adds element blocks into
 a CSR pattern that each mesh computes once, since many admittivities are
 assembled on the same pair of meshes.  One byte budget, `_BLOCK_BYTES`,
 bounds the per-tet and per-column temporaries: tets are evaluated in
@@ -50,7 +51,14 @@ def _corner_id(offset) -> int:
     return offset[0] + 2 * offset[1] + 4 * offset[2]
 
 
+_CORNER_OFFSETS = np.array([[i, j, k] for k in (0, 1) for j in (0, 1) for i in (0, 1)])
+# _CORNER_OFFSETS row order must match _corner_id:
+_CORNER_OFFSETS = _CORNER_OFFSETS[np.argsort([_corner_id(o) for o in _CORNER_OFFSETS])]
+
+
 def _kuhn_patterns():
+    """Corner ids (6, 4) of the Kuhn tets, each positively oriented, and
+    their integer edges (6, 3, 3) from the first corner."""
     patterns = []
     for perm in _KUHN_PERMS:
         o = np.zeros(3, dtype=int)
@@ -61,19 +69,23 @@ def _kuhn_patterns():
             ids.append(_corner_id(o))
         ids.append(_corner_id((1, 1, 1)))
         patterns.append(ids)
-    return np.asarray(patterns, dtype=int)
+    patterns = np.asarray(patterns, dtype=int)
+    edges = _CORNER_OFFSETS[patterns[:, 1:]] - _CORNER_OFFSETS[patterns[:, :1]]
+    # An odd permutation walks a tet of determinant -1; swapping its last
+    # two corners makes it positive.
+    flip = np.einsum("ti,ti->t", edges[:, 0], np.cross(edges[:, 1], edges[:, 2])) < 0
+    patterns[flip, 2:] = patterns[flip, :1:-1]
+    edges[flip, 1:] = edges[flip, :0:-1]
+    return patterns, edges
 
 
-_TET_PATTERNS = _kuhn_patterns()
-_CORNER_OFFSETS = np.array([[i, j, k] for k in (0, 1) for j in (0, 1) for i in (0, 1)])
-# _CORNER_OFFSETS row order must match _corner_id:
-_CORNER_OFFSETS = _CORNER_OFFSETS[np.argsort([_corner_id(o) for o in _CORNER_OFFSETS])]
+_TET_PATTERNS, _KUHN_EDGES = _kuhn_patterns()
 
 _FACE_LOCAL = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 # The byte budget of every per-column and per-tet temporary: schur_onto
 # solves its columns in dense complex (interior x column) blocks of at most
-# this size, and the per-tet loops (assembly, edge codes, energy densities)
+# this size, and the per-tet loops (assembly, energy densities)
 # run over contiguous tet-order chunks whose (C, 4, 4) element blocks fit in
 # it.
 _BLOCK_BYTES = 1 << 20
@@ -85,44 +97,6 @@ def _tet_chunks(n_tets: int):
     step = max(1, _BLOCK_BYTES // (16 * 8))
     for start in range(0, n_tets, step):
         yield slice(start, min(start + step, n_tets))
-
-
-# A lattice tet's edges from its first vertex, E[e] = ijk[e + 1] - ijk[0],
-# have entries in {-1, 0, 1}; its code is sum_{e,k} 3^(3e + k) (E[e, k] + 1).
-_CODE_DIGITS = 3 ** np.arange(9).reshape(3, 3)
-
-
-def _code_edges(codes: np.ndarray) -> np.ndarray:
-    """Integer edges (n, 3, 3) of edge codes (n,)."""
-    return codes[:, None, None] // _CODE_DIGITS % 3 - 1
-
-
-def _swap_last_edges(codes: np.ndarray) -> np.ndarray:
-    """Codes of the same tets with their last two vertices swapped."""
-    return codes % 27 + 27 * (codes // 729) + 729 * (codes // 27 % 27)
-
-
-def _code_dets() -> np.ndarray:
-    """The integer determinant e1.(e2 x e3) of every edge code, |det| <= 4."""
-    edges = _code_edges(np.arange(3 ** 9))
-    dets = np.einsum("ti,ti->t", edges[:, 0], np.cross(edges[:, 1], edges[:, 2]))
-    return dets.astype(np.int8)
-
-
-_CODE_DETS = _code_dets()
-
-
-def _edge_codes(ijk: np.ndarray, tets: np.ndarray) -> np.ndarray:
-    """Edge code (int32) of each tet; GeometryError unless every edge is a
-    single lattice step."""
-    codes = np.empty(len(tets), dtype=np.int32)
-    for chunk in _tet_chunks(len(tets)):
-        t = tets[chunk]
-        edges = ijk[t[:, 1:]] - ijk[t[:, :1]]
-        if np.any(np.abs(edges) > 1):
-            raise GeometryError("tet edges must be single lattice steps")
-        codes[chunk] = ((edges + 1) * _CODE_DIGITS).sum(axis=(1, 2))
-    return codes
 
 
 def _type_geometry(edges: np.ndarray, h: float):
@@ -155,67 +129,46 @@ def _int_cells(extent: float, h: float, what: str, minimum: int = 4) -> int:
 class Mesh:
     """Conforming tetrahedral mesh on a lattice of pitch h.
 
-    Vertices carry integer lattice coordinates so that meshes of the domain
-    and of its enlargement (built with the same pitch and anchor) can share
-    nodal data; a vertex off its lattice point anchor + h * ijk raises
-    GeometryError.  Every tet is a lattice tet, whose edges are single
-    lattice steps, so its geometry depends only on its integer edges: the
-    mesh keeps an int8 `tet_type` per tet and, per type, the barycentric
-    gradients `type_grads` (n_types, 4, 3), built from h times the integer
-    edges, and the volume `type_volumes` (h^3 / 6 on the Kuhn lattice).  It
-    stores no per-tet float array; `barycenters` computes them on demand.
-    Tets are reoriented, and degenerate ones rejected, by the integer
-    determinant of their edges.
+    Built by `build_mesh` from the Kuhn split of a set of lattice cells, as
+    `_lattice_topology` emits it: tet 6 c + p is Kuhn pattern p of cell c,
+    positively oriented, and the vertices are the cell corners in
+    lexicographic ijk order, at anchor + h * ijk.  Integer lattice keys let
+    meshes of the domain and of its enlargement (built with the same pitch
+    and anchor) share nodal data.  A tet's geometry depends only on its
+    pattern, so the int8 `tet_type` is the pattern index and the mesh keeps,
+    per pattern, the barycentric gradients `type_grads` (6, 4, 3), built
+    from h times the pattern's integer edges, and the volume `type_volumes`
+    (h^3 / 6).  It stores no per-tet float array; `barycenters` computes
+    them on demand.  `sigma_mask` flags the boundary triangles on the
+    measurement patch; `build_mesh` sets it.
     """
 
-    def __init__(self, verts, tets, ijk, h, anchor, boundary_tris,
-                 boundary_axis, boundary_plane, sigma_mask):
-        self.verts = verts
+    def __init__(self, tets, ijk, h, anchor, boundary_tris):
+        self.verts = anchor[None, :] + ijk * h
         self.tets = tets
         self.ijk = ijk
         self.h = h
         self.anchor = anchor
         self.boundary_tris = boundary_tris
-        self.boundary_axis = boundary_axis
-        self.boundary_plane = boundary_plane
-        self.sigma_mask = sigma_mask
+        self.sigma_mask = np.zeros(len(boundary_tris), dtype=bool)
+        n_patterns = len(_TET_PATTERNS)
+        self.tet_type = np.tile(np.arange(n_patterns, dtype=np.int8), len(tets) // n_patterns)
+        self.type_grads, self.type_volumes = _type_geometry(_KUHN_EDGES, h)
 
-        off = np.abs(verts - (anchor[None, :] + ijk * h))
-        if np.max(off, initial=0.0) > 1e-9 * h:
-            raise GeometryError("mesh vertices are off their lattice points anchor + h * ijk")
-        code = _edge_codes(ijk, tets)
-        det = _CODE_DETS[code]
-        if np.any(det == 0):
-            raise GeometryError("degenerate tetrahedra in the mesh: coplanar integer edges")
-        # Swapping the last two vertices negates the determinant.
-        flip = det < 0
-        if np.any(flip):
-            self.tets = tets.copy()
-            self.tets[flip, 2], self.tets[flip, 3] = tets[flip, 3], tets[flip, 2]
-            code[flip] = _swap_last_edges(code[flip])
-        type_codes = np.flatnonzero(np.bincount(code, minlength=len(_CODE_DETS)))
-        if len(type_codes) > np.iinfo(np.int8).max:
-            raise GeometryError(f"{len(type_codes)} tet types overflow the int8 type index")
-        lookup = np.zeros(len(_CODE_DETS), dtype=np.int8)
-        lookup[type_codes] = np.arange(len(type_codes))
-        self.tet_type = lookup[code]
-        self.type_grads, self.type_volumes = _type_geometry(_code_edges(type_codes), h)
-
-        self.boundary_vertex_mask = np.zeros(len(verts), dtype=bool)
+        self.boundary_vertex_mask = np.zeros(len(ijk), dtype=bool)
         self.boundary_vertex_mask[np.unique(boundary_tris)] = True
-        # Lattice keys linearised over the bounding ijk box and sorted once,
-        # so lookups are a vectorised binary search.
+        # Lattice keys linearised over the bounding ijk box; in vertex order
+        # they are sorted, so lookups are a vectorised binary search.
         self._ijk_lo = ijk.min(axis=0)
         self._ijk_hi = ijk.max(axis=0)
-        keys = self._linear_keys(ijk)
-        self._key_order = np.argsort(keys, kind="stable")
-        self._sorted_keys = keys[self._key_order]
+        self._keys = self._linear_keys(ijk)
+        if np.any(self._keys[1:] <= self._keys[:-1]):
+            raise GeometryError("mesh vertices are not in strictly increasing ijk order")
         self._stiffness_pattern = None
-        # A full lattice box whose vertices are in lexicographic ijk order:
-        # its interior vertices then form an (N0, N1, N2) block in C order.
+        # A full lattice box: its interior vertices form an (N0, N1, N2)
+        # block in C order.
         span = self._ijk_hi - self._ijk_lo + 1
-        full_box = (len(verts) == int(np.prod(span)) and np.all(span >= 3)
-                    and np.all(keys[1:] > keys[:-1]))
+        full_box = len(ijk) == int(np.prod(span)) and np.all(span >= 3)
         self.box_shape = tuple(int(s) - 2 for s in span) if full_box else None
 
     def barycenters(self, chunk: slice = slice(None)) -> np.ndarray:
@@ -256,16 +209,15 @@ class Mesh:
         ijk = np.asarray(ijk, dtype=np.int64).reshape(-1, 3)
         inside = np.all((ijk >= self._ijk_lo) & (ijk <= self._ijk_hi), axis=1)
         keys = np.where(inside, self._linear_keys(ijk), -1)
-        pos = np.minimum(np.searchsorted(self._sorted_keys, keys),
-                         len(self._sorted_keys) - 1)
-        missing = ~inside | (self._sorted_keys[pos] != keys)
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        missing = ~inside | (self._keys[pos] != keys)
         if np.any(missing):
             first = tuple(int(v) for v in ijk[np.argmax(missing)])
             raise GeometryError(
                 f"{int(np.sum(missing))} lattice keys are not mesh vertices, "
                 f"first {first}"
             )
-        return self._key_order[pos]
+        return pos
 
     def shared_vertex_map(self, other: "Mesh") -> np.ndarray:
         """Indices in `other` of this mesh's vertices (same lattice anchor)."""
@@ -305,7 +257,10 @@ def _sorted_runs(keys: np.ndarray):
 
 def _lattice_topology(cells):
     """Vertex ijk keys (lexicographic), Kuhn tets and boundary triangles
-    (row-sorted, lexicographic) of a set of lattice cells."""
+    (row-sorted, lexicographic) of a set of lattice cells.
+
+    Tet 6 c + p is the positively oriented Kuhn pattern p of cell c.
+    """
     cells = np.asarray(cells, dtype=np.int64)
     # Corners are found by linearised ijk keys, whose order is the
     # lexicographic order of the ijk rows.
@@ -332,50 +287,13 @@ def _lattice_topology(cells):
     return verts_ijk, tets, boundary
 
 
-def _build_from_cells(cells, h, anchor, sigma_tagger=None) -> Mesh:
-    verts_ijk, tets, boundary = _lattice_topology(cells)
-    verts = anchor[None, :] + verts_ijk * h
-
-    ijk_b = verts_ijk[boundary]
-    axis = np.full(len(boundary), -1, dtype=np.int8)
-    plane = np.zeros(len(boundary))
-    for a in range(3):
-        const = (ijk_b[:, :, a] == ijk_b[:, :1, a]).all(axis=1)
-        axis[const] = a
-        plane[const] = anchor[a] + ijk_b[const, 0, a] * h
-    if np.any(axis < 0):
-        raise GeometryError("boundary face not aligned with a lattice plane")
-
-    sigma = np.zeros(len(boundary), dtype=bool)
-    if sigma_tagger is not None:
-        sigma = sigma_tagger(verts, boundary, axis, plane)
-
-    return Mesh(
-        verts=verts, tets=tets, ijk=verts_ijk, h=h, anchor=anchor,
-        boundary_tris=boundary, boundary_axis=axis, boundary_plane=plane,
-        sigma_mask=sigma,
-    )
-
-
-def _sigma_tagger(patch: BoundaryPatch):
-    def tag(verts, boundary, axis, plane):
-        mask = (axis == patch.axis) & (np.abs(plane - patch.plane_coord) < 1e-9)
-        if not np.any(mask):
-            return np.zeros(len(boundary), dtype=bool)
-        lo2 = np.asarray(patch.rect_lo) - 1e-9
-        hi2 = np.asarray(patch.rect_hi) + 1e-9
-        lat = patch.lateral(verts[boundary])
-        inside = np.all((lat >= lo2) & (lat <= hi2), axis=(1, 2))
-        return mask & inside
-
-    return tag
-
-
 def build_mesh(domain, h: float, patch: Optional[BoundaryPatch] = None) -> Mesh:
     """Structured mesh of a box or of an enlarged (bumped) box.
 
-    Each lattice hex is split into six tets.  For the enlarged domain the
-    bump must be aligned with the lattice (see build_enlarged_domain).
+    Each lattice hex is split into six Kuhn tets (see Mesh).  For the
+    enlarged domain the bump must be aligned with the lattice (see
+    build_enlarged_domain).  The boundary triangles on `patch`, by default
+    the enlarged domain's own, are flagged in `sigma_mask`.
     """
     if isinstance(domain, BoxDomain):
         box = domain
@@ -422,9 +340,20 @@ def build_mesh(domain, h: float, patch: Optional[BoundaryPatch] = None) -> Mesh:
         ).reshape(-1, 3)
         cells.append(bump_cells)
 
-    all_cells = np.concatenate(cells, axis=0)
-    tagger = _sigma_tagger(patch) if patch is not None else None
-    return _build_from_cells(all_cells, h, lo.copy(), sigma_tagger=tagger)
+    verts_ijk, tets, boundary = _lattice_topology(np.concatenate(cells, axis=0))
+    mesh = Mesh(tets, verts_ijk, h, lo.copy(), boundary)
+    if patch is not None:
+        # A boundary triangle is on the patch when its corners share the
+        # face plane's lattice coordinate and lie within the rectangle.
+        a = patch.axis
+        ijk_b = verts_ijk[boundary]
+        on_plane = (ijk_b[:, :, a] == ijk_b[:, :1, a]).all(axis=1)
+        on_plane &= np.abs(mesh.anchor[a] + ijk_b[:, 0, a] * h - patch.plane_coord) < 1e-9
+        lat = patch.lateral(mesh.verts[boundary])
+        inside = np.all((lat >= np.asarray(patch.rect_lo) - 1e-9)
+                        & (lat <= np.asarray(patch.rect_hi) + 1e-9), axis=(1, 2))
+        mesh.sigma_mask = on_plane & inside
+    return mesh
 
 
 class CsrPattern(NamedTuple):

@@ -61,24 +61,23 @@ class SingularProbe:
         return float(math.factorial(self.m)) * B_nn ** (self.m / 2.0)
 
 
+def _symmetric_inverse(A: np.ndarray) -> np.ndarray:
+    """Symmetric part of A^{-1}."""
+    B = np.linalg.inv(A)
+    return 0.5 * (B + B.T)
+
+
 def make_probe(family: AdmittivityFamily, a: ParameterField, z, m: int) -> SingularProbe:
     """Probe with coefficients frozen at (z, a(z))."""
     z = np.asarray(z, dtype=float)
-    t = float(np.asarray(a.values(z)))
-    A = family.real_part(z, t) + 1j * family.freq * family.imag_part(z, t)
-    B = np.linalg.inv(A)
-    B = 0.5 * (B + B.T)
-    return SingularProbe(z=tuple(z), m=m, n=family.dim,
-                         frozen_inv=B, frozen_mat=A)
+    return probe_from_matrix(family(z, float(np.asarray(a.values(z)))), z, m)
 
 
 def probe_from_matrix(A: np.ndarray, z, m: int) -> SingularProbe:
-    """Probe for an explicitly given frozen matrix (testing convenience)."""
+    """Probe for an explicitly given frozen matrix."""
     A = np.asarray(A, dtype=complex)
-    B = np.linalg.inv(A)
-    B = 0.5 * (B + B.T)
     return SingularProbe(z=tuple(np.asarray(z, dtype=float)), m=m,
-                         n=A.shape[0], frozen_inv=B, frozen_mat=A)
+                         n=A.shape[0], frozen_inv=_symmetric_inverse(A), frozen_mat=A)
 
 
 def _offsets(probe: SingularProbe, x) -> np.ndarray:

@@ -111,6 +111,15 @@ class TestLoadConfig:
         ("geometry.tau_grid.count", "five"),
         ("apriori.e1", "two"),
         ("fields.a2", {"kind": "constant", "value": "big"}),
+        # Values of the right type out of range (eta = 0.25, so eta/4 = 0.0625).
+        ("discretization.x0", [0.5, 0.5]),
+        ("discretization.x0", [0.5, 0.5, 1.0, 0.0]),
+        ("discretization.order", -1),
+        ("discretization.rho", 0.0),
+        ("discretization.rho", -0.05),
+        ("discretization.rho", 0.07),
+        ("output.formats", "csv"),
+        ("output.formats", ["csv", "pdf"]),
     ])
     def test_non_numeric_value_named(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, {key: value})
@@ -134,6 +143,14 @@ class TestLoadConfig:
             load_config(path)
         assert main(["validate", "--config", str(path)]) == 2
         assert re.search(named, capsys.readouterr().err)
+
+    def test_range_limits_accepted(self, tmp_path):
+        # eta = 0.25, so rho = eta/4 is the largest allowed.
+        path = write_config(tmp_path, {"discretization.rho": 0.0625,
+                                       "discretization.order": 0,
+                                       "output.formats": ["svg", "csv"]})
+        cfg = load_config(path)
+        assert cfg.rho == 0.0625 and cfg.order == 0 and cfg.formats == ("svg", "csv")
 
     def test_auto_frequency(self, tmp_path):
         path = write_config(tmp_path, {"family.k": "auto", "apriori.e2": 1.25})

@@ -219,11 +219,6 @@ def _det_inv_geometry(verts, tets):
     return tets, np.linalg.det(G) / 6.0, grads
 
 
-def _remesh(mesh, verts, tets):
-    return Mesh(verts, tets, mesh.ijk, mesh.h, mesh.anchor, mesh.boundary_tris,
-                mesh.boundary_axis, mesh.boundary_plane, mesh.sigma_mask)
-
-
 def _assert_matches_det_inv(mesh, verts, tets):
     """The mesh's gathered type geometry is the per-tet det/inv geometry."""
     want_tets, want_vol, want_grads = _det_inv_geometry(verts, tets)
@@ -248,11 +243,15 @@ class TestClosedFormGeometry:
             raw = _lattice_topology(
                 np.stack(np.meshgrid(*[np.arange(round(1 / h))] * 3, indexing="ij"),
                          axis=-1).reshape(-1, 3))[1]
-            # The Kuhn split leaves some tets negatively oriented.
-            assert np.any(mesh.tets != raw)
+            # The Kuhn tets come out positively oriented, so the det/inv
+            # oracle flips none of them.
+            edges = mesh.verts[raw[:, 1:]] - mesh.verts[raw[:, :1]]
+            assert np.all(np.linalg.det(edges) > 0.0)
+            assert np.array_equal(mesh.tets, raw)
             _assert_matches_det_inv(mesh, mesh.verts, raw)
-            # Six types, one per Kuhn permutation, each of volume h^3 / 6.
+            # Six types, tet 6 c + p of Kuhn pattern p, each of volume h^3 / 6.
             assert mesh.tet_type.dtype == np.int8 and len(mesh.type_grads) == 6
+            assert np.array_equal(mesh.tet_type, np.arange(mesh.n_tets) % 6)
             np.testing.assert_allclose(mesh.type_volumes, h ** 3 / 6.0, rtol=1e-14)
             _assert_no_per_tet_floats(mesh)
 
@@ -263,41 +262,12 @@ class TestClosedFormGeometry:
             _assert_matches_det_inv(mesh, mesh.verts, mesh.tets)
             _assert_no_per_tet_floats(mesh)
 
-    @settings(max_examples=25, deadline=None)
-    @given(meshes=enlarged_meshes(), seed=st.integers(0, 2**32 - 1))
-    def test_perturbed_vertices_and_flips(self, meshes, seed):
-        """Flipped tets are reoriented by their integer determinant; a
-        vertex moved off its lattice point raises GeometryError."""
-        rng = np.random.default_rng(seed)
-        for mesh in meshes:
-            tets = mesh.tets.copy()
-            swap = rng.random(len(tets)) < 0.5
-            tets[swap, 2], tets[swap, 3] = mesh.tets[swap, 3], mesh.tets[swap, 2]
-            flipped = _remesh(mesh, mesh.verts, tets)
-            assert np.array_equal(flipped.tets, mesh.tets)
-            _assert_matches_det_inv(flipped, mesh.verts, tets)
-            verts = mesh.verts.copy()
-            verts[rng.integers(len(verts))] += rng.uniform(-0.1, 0.1, 3) * mesh.h
-            with pytest.raises(GeometryError, match="off their lattice points"):
-                _remesh(mesh, verts, tets)
-
-    def test_degenerate_tets_raise(self):
+    def test_unsorted_vertices_raise(self):
         mesh = build_mesh(BOX, 0.25)
-        # Four vertices of one lattice square: coplanar integer edges.
-        square = mesh.vertex_indices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
-        flat = mesh.tets.copy()
-        flat[0] = square
-        with pytest.raises(GeometryError, match="degenerate"):
-            _remesh(mesh, mesh.verts, flat)
-        collapsed = mesh.tets.copy()
-        collapsed[0, 3] = collapsed[0, 1]
-        with pytest.raises(GeometryError, match="degenerate"):
-            _remesh(mesh, mesh.verts, collapsed)
-        # An edge longer than one lattice step is not a lattice tet.
-        long_edge = mesh.tets.copy()
-        long_edge[0, 1] = mesh.vertex_indices([(2, 0, 0)])[0]
-        with pytest.raises(GeometryError, match="single lattice steps"):
-            _remesh(mesh, mesh.verts, long_edge)
+        order = np.arange(mesh.n_vertices)
+        order[[3, 4]] = order[[4, 3]]
+        with pytest.raises(GeometryError, match="increasing ijk order"):
+            Mesh(mesh.tets, mesh.ijk[order], mesh.h, mesh.anchor, mesh.boundary_tris)
 
 
 def _aniso_coeffs(n_tets, seed):
