@@ -27,6 +27,24 @@ _DEFAULT_APRIORI = {
 
 _FORMATS = ("csv", "json", "svg")
 
+# The keys each config section may hold; None for family.params, whose
+# keys its family checks.
+_KEYS = {
+    "": ("seed", "geometry", "family", "apriori", "fields", "discretization", "sweep",
+         "output"),
+    "geometry.": ("box", "patch", "eta", "tau_grid"),
+    "geometry.box.": ("lo", "hi"),
+    "geometry.patch.": ("face", "rect_lo", "rect_hi"),
+    "geometry.tau_grid.": ("start", "ratio", "count"),
+    "discretization.": ("h", "rho", "order", "x0"),
+    "family.": ("template", "k", "params", "enforce_window"),
+    "family.params.": None,
+    "apriori.": (*_DEFAULT_APRIORI, "r0", "L"),
+    "fields.": ("a1", "a2"),
+    "sweep.": ("scales", "delta"),
+    "output.": ("formats",),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -63,21 +81,44 @@ def _get(section: dict, key: str, default=None, required=False, where=""):
     return default
 
 
+def _known(section: dict, where: str) -> dict:
+    """`section`, or a ConfigError naming its first key that `_KEYS` does
+    not list for `where`."""
+    allowed = _KEYS[where]
+    unknown = [key for key in section if allowed is not None and key not in allowed]
+    if unknown:
+        raise ConfigError(f"unknown config key '{where}{unknown[0]}', expected one of "
+                          f"{list(allowed)}")
+    return section
+
+
 def _section(section: dict, key: str, where="", required=False) -> dict:
     """A mapping-valued config entry ({} when absent and optional); a null
-    or non-mapping entry is a ConfigError naming the key."""
+    or non-mapping entry, or one with an unknown key, is a ConfigError
+    naming the key."""
     value = _get(section, key, {}, required=required, where=where)
     if not isinstance(value, dict):
         raise ConfigError(f"config key '{where}{key}' must be a mapping, got {value!r}")
-    return value
+    return _known(value, f"{where}{key}.")
 
 
-def _number(value, key: str, kind=float):
-    """`kind(value)`, or a ConfigError naming the config key."""
+def _number(value, key: str) -> float:
+    """`float(value)`, or a ConfigError naming the config key."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"config key '{key}' must be a number, got {value!r}") from None
+
+
+def _integer(value, key: str) -> int:
+    """An integral config number as int; a boolean, a fraction or a
+    non-number is a ConfigError naming the config key."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    number = _number(value, key)
+    if isinstance(value, bool) or not number.is_integer():
+        raise ConfigError(f"config key '{key}' must be an integer, got {value!r}")
+    return int(number)
 
 
 def _numbers(values, key: str) -> tuple:
@@ -117,9 +158,9 @@ def load_config(path=None, data: dict = None, seed: int = None, mesh_h: float = 
             raise ConfigError(f"config parse error in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    data = dict(data)
+    data = dict(_known(data, ""))
     if seed is not None:
-        data["seed"] = _number(seed, "seed", int)
+        data["seed"] = _integer(seed, "seed")
 
     geo = _section(data, "geometry", required=True)
     box_spec = (_section(geo, "box", "geometry.") if "box" in geo
@@ -145,13 +186,16 @@ def load_config(path=None, data: dict = None, seed: int = None, mesh_h: float = 
         h = _number(mesh_h, "discretization.h")
         # A new section: the caller's own mapping is left as it was.
         data["discretization"] = {**disc, "h": h}
+    if not (math.isfinite(h) and h > 0.0):
+        raise ConfigError(f"config key 'discretization.h' must be finite and positive, "
+                          f"got {h!r}")
     rho = _get(disc, "rho", None)
     rho = eta / 4.0 if rho is None else _number(rho, "discretization.rho")
     # The estimator's own bound, with its tolerance.
     if not 0.0 < rho <= eta / 4.0 + 1e-12:
         raise ConfigError(f"config key 'discretization.rho' must lie in (0, eta/4] = "
                           f"(0, {eta / 4.0}], got {rho!r}")
-    order = _number(_get(disc, "order", 0), "discretization.order", int)
+    order = _integer(_get(disc, "order", 0), "discretization.order")
     if order < 0:
         raise ConfigError(f"config key 'discretization.order' must be >= 0, got {order!r}")
     x0 = _numbers(_get(disc, "x0", (0.5, 0.5, 1.0)), "discretization.x0")
@@ -165,7 +209,7 @@ def load_config(path=None, data: dict = None, seed: int = None, mesh_h: float = 
     tau_grid = make_tau_grid(
         tau_start,
         _number(_get(tau_spec, "ratio", 0.5), "geometry.tau_grid.ratio"),
-        _number(_get(tau_spec, "count", 5), "geometry.tau_grid.count", int),
+        _integer(_get(tau_spec, "count", 5), "geometry.tau_grid.count"),
     )
 
     ap = dict(_DEFAULT_APRIORI)
@@ -230,7 +274,7 @@ def load_config(path=None, data: dict = None, seed: int = None, mesh_h: float = 
 
     return ExperimentConfig(
         raw=data, path=str(path) if path else None,
-        seed=_number(_get(data, "seed", 0), "seed", int),
+        seed=_integer(_get(data, "seed", 0), "seed"),
         box=box, patch=patch, eta=eta, tau_grid=tau_grid,
         family_template=template, family=family,
         k=k, k_was_auto=k_was_auto, enforce_window=enforce_window, window=window,

@@ -13,10 +13,12 @@ Omega_eta system given that core, conjugate orthogonal CG (COCG)
 preconditioned by that sine-transform solve for any other coefficient on
 a full box, and a sparse LU on any other mesh.
 
-Meshes are built from integer lattice keys.  Every tet is one of the six
-Kuhn tets of its lattice cube, positively oriented when the mesh is built,
-so a mesh keeps the pattern index per tet and the geometry per pattern,
-and no per-tet float array.  Every assembly adds element blocks into
+Meshes are built from integer lattice keys of a set of lattice cells,
+the one source of their topology.  Every tet is one of the six Kuhn tets
+of its lattice cube, positively oriented when the mesh is built, so a mesh
+keeps the pattern index per tet and the geometry per pattern, and no
+per-tet float array; its boundary is the Kuhn faces of the cell sides with
+no cell across.  Every assembly adds element blocks into
 a CSR pattern that each mesh computes once, since many admittivities are
 assembled on the same pair of meshes.  One byte budget, `_BLOCK_BYTES`,
 bounds the per-tet and per-column temporaries: tets are evaluated in
@@ -82,6 +84,14 @@ def _kuhn_patterns():
 _TET_PATTERNS, _KUHN_EDGES = _kuhn_patterns()
 
 _FACE_LOCAL = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
+# Corner ids (6, 2, 3) of the two Kuhn faces on each cube side 2 a + s,
+# the side at offset s on axis a: the faces whose corners all lie on it.
+_KUHN_FACES = _TET_PATTERNS[:, _FACE_LOCAL].reshape(-1, 3)
+_SIDE_TRIANGLES = np.stack([
+    _KUHN_FACES[np.all(_CORNER_OFFSETS[_KUHN_FACES][:, :, a] == s, axis=1)]
+    for a in range(3) for s in (0, 1)
+])
 
 # The byte budget of every per-column and per-tet temporary: schur_onto
 # solves its columns in dense complex (interior x column) blocks of at most
@@ -226,22 +236,6 @@ class Mesh:
         return other.vertex_indices(self.ijk)
 
 
-# Face keys (a*nv + b)*nv + c of sorted vertex triples are below nv**3,
-# which int64 holds for nv < 2**21.
-_FACE_KEY_LIMIT = 2**21
-
-
-def _face_keys(faces_sorted: np.ndarray, nv: int) -> np.ndarray:
-    """One int64 key per row-sorted vertex triple, in lexicographic order."""
-    if nv >= _FACE_KEY_LIMIT:
-        raise GeometryError(
-            f"a mesh of {nv} vertices overflows the int64 face keys "
-            f"(at most {_FACE_KEY_LIMIT - 1} vertices)"
-        )
-    f = np.asarray(faces_sorted, dtype=np.int64)
-    return (f[:, 0] * nv + f[:, 1]) * nv + f[:, 2]
-
-
 def _sorted_runs(keys: np.ndarray):
     """Sorted keys and the mask of positions starting a run of equal keys.
 
@@ -257,41 +251,47 @@ def _sorted_runs(keys: np.ndarray):
 
 def _lattice_topology(cells):
     """Vertex ijk keys (lexicographic), Kuhn tets and boundary triangles
-    (row-sorted, lexicographic) of a set of lattice cells.
+    (row-sorted, lexicographic) of a set of distinct lattice cells.
 
-    Tet 6 c + p is the positively oriented Kuhn pattern p of cell c.
+    Tet 6 c + p is the positively oriented Kuhn pattern p of cell c.  The
+    boundary triangles are the Kuhn faces of the open cell sides, those
+    with no cell across.
     """
     cells = np.asarray(cells, dtype=np.int64)
-    # Corners are found by linearised ijk keys, whose order is the
-    # lexicographic order of the ijk rows.
-    lo = cells.min(axis=0)
+    # Cells and corners are found by linearised ijk keys, whose order is the
+    # lexicographic order of the ijk rows; a one-cell margin keys the cells
+    # across every side too.
+    lo = cells.min(axis=0) - 1
     span = cells.max(axis=0) - lo + 2
-    rel = (cells - lo)[:, None, :] + _CORNER_OFFSETS[None, :, :]
-    keys = ((rel[..., 0] * span[1] + rel[..., 1]) * span[2] + rel[..., 2]).ravel()
-    keys_sorted, starts = _sorted_runs(keys)
+    stride = np.array([span[1] * span[2], span[2], 1])
+    cell_keys = (cells - lo) @ stride
+    corner_keys = cell_keys[:, None] + _CORNER_OFFSETS @ stride
+    keys_sorted, starts = _sorted_runs(corner_keys.ravel())
     uniq = keys_sorted[starts]
-    corner_idx = np.searchsorted(uniq, keys).reshape(len(cells), 8)
-    verts_ijk = lo + np.stack(
-        [uniq // (span[1] * span[2]), uniq // span[2] % span[1], uniq % span[2]],
-        axis=1,
-    )
+    corner_idx = np.searchsorted(uniq, corner_keys)
+    verts_ijk = lo + np.stack([uniq // stride[0], uniq // span[2] % span[1], uniq % span[2]],
+                              axis=1)
     tets = corner_idx[:, _TET_PATTERNS].reshape(-1, 4)
 
-    # A boundary face belongs to exactly one tet.
-    nv = len(verts_ijk)
-    faces_sorted = np.sort(tets[:, _FACE_LOCAL].reshape(-1, 3), axis=1)
-    face_keys, starts = _sorted_runs(_face_keys(faces_sorted, nv))
-    single = starts & np.append(starts[1:], True)
-    bkeys = face_keys[single]
-    boundary = np.stack([bkeys // (nv * nv), bkeys // nv % nv, bkeys % nv], axis=1)
+    cells_sorted = np.sort(cell_keys)
+    tris = []
+    for side, (axis, step) in enumerate(itertools.product(range(3), (-1, 1))):
+        across = cell_keys + step * stride[axis]
+        pos = np.minimum(np.searchsorted(cells_sorted, across), len(cells) - 1)
+        is_open = cells_sorted[pos] != across
+        tris.append(corner_idx[is_open][:, _SIDE_TRIANGLES[side]].reshape(-1, 3))
+    tris = np.sort(np.concatenate(tris), axis=1)
+    boundary = tris[np.lexsort(tris.T[::-1])]
     return verts_ijk, tets, boundary
 
 
 def build_mesh(domain, h: float, patch: Optional[BoundaryPatch] = None) -> Mesh:
     """Structured mesh of a box or of an enlarged (bumped) box.
 
-    Each lattice hex is split into six Kuhn tets (see Mesh).  For the
-    enlarged domain the bump must be aligned with the lattice (see
+    The box and the bump are each a block of lattice cells between integer
+    lower and upper corners; each cell is split into six Kuhn tets (see
+    Mesh), and the boundary is the Kuhn faces of the open cell sides.  For
+    the enlarged domain the bump must be aligned with the lattice (see
     build_enlarged_domain).  The boundary triangles on `patch`, by default
     the enlarged domain's own, are flagged in `sigma_mask`.
     """
@@ -306,41 +306,20 @@ def build_mesh(domain, h: float, patch: Optional[BoundaryPatch] = None) -> Mesh:
         raise ConfigError(f"cannot mesh a {type(domain).__name__}")
 
     lo, hi = box.lo_arr, box.hi_arr
-    ncells = [_int_cells(hi[a] - lo[a], h, f"axis-{a}") for a in range(3)]
-    grid = np.stack(
-        np.meshgrid(*[np.arange(n) for n in ncells], indexing="ij"), axis=-1
-    ).reshape(-1, 3)
-    cells = [grid]
-
+    blocks = [((0, 0, 0), [_int_cells(hi[a] - lo[a], h, f"axis-{a}") for a in range(3)])]
     if bump is not None:
-        p = bump.patch
-        t1, t2 = p.tangent_axes
-        nb = int(round(bump.thickness / h))
-        if nb < 1 or abs(nb * h - bump.thickness) > 1e-9:
-            raise GeometryError("bump thickness is not aligned with the mesh pitch")
-        spans = {}
-        for t_axis, b_lo, b_hi in ((t1, bump.base_lo[0], bump.base_hi[0]),
-                                   (t2, bump.base_lo[1], bump.base_hi[1])):
-            i0 = int(round((b_lo - lo[t_axis]) / h))
-            i1 = int(round((b_hi - lo[t_axis]) / h))
-            if (abs(lo[t_axis] + i0 * h - b_lo) > 1e-9
-                    or abs(lo[t_axis] + i1 * h - b_hi) > 1e-9 or i1 <= i0):
-                raise GeometryError("bump base is not aligned with the mesh pitch")
-            spans[t_axis] = (i0, i1)
-        if p.side > 0:
-            axis_range = range(ncells[p.axis], ncells[p.axis] + nb)
-        else:
-            axis_range = range(-nb, 0)
-        ranges = [None, None, None]
-        ranges[p.axis] = list(axis_range)
-        ranges[t1] = list(range(*spans[t1]))
-        ranges[t2] = list(range(*spans[t2]))
-        bump_cells = np.stack(
-            np.meshgrid(*ranges, indexing="ij"), axis=-1
-        ).reshape(-1, 3)
-        cells.append(bump_cells)
+        b_lo, b_hi = bump.bump_box
+        c_lo, c_hi = np.rint((b_lo - lo) / h), np.rint((b_hi - lo) / h)
+        if (np.any(c_hi <= c_lo) or np.max(np.abs(lo + c_lo * h - b_lo)) > 1e-9
+                or np.max(np.abs(lo + c_hi * h - b_hi)) > 1e-9):
+            raise GeometryError("bump is not aligned with the mesh pitch")
+        blocks.append((c_lo.astype(np.int64), c_hi.astype(np.int64)))
+    cells = np.concatenate([
+        np.stack(np.meshgrid(*map(np.arange, c_lo, c_hi), indexing="ij"), axis=-1).reshape(-1, 3)
+        for c_lo, c_hi in blocks
+    ])
 
-    verts_ijk, tets, boundary = _lattice_topology(np.concatenate(cells, axis=0))
+    verts_ijk, tets, boundary = _lattice_topology(cells)
     mesh = Mesh(tets, verts_ijk, h, lo.copy(), boundary)
     if patch is not None:
         # A boundary triangle is on the patch when its corners share the

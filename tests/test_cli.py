@@ -120,6 +120,17 @@ class TestLoadConfig:
         ("discretization.rho", 0.07),
         ("output.formats", "csv"),
         ("output.formats", ["csv", "pdf"]),
+        # Integer keys take neither fractions nor booleans.
+        ("discretization.order", 1.5),
+        ("discretization.order", True),
+        ("geometry.tau_grid.count", 2.7),
+        ("seed", 1.5),
+        ("seed", True),
+        # The mesh pitch is finite and positive.
+        ("discretization.h", 0.0),
+        ("discretization.h", -0.125),
+        ("discretization.h", float("nan")),
+        ("discretization.h", float("inf")),
     ])
     def test_non_numeric_value_named(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, {key: value})
@@ -144,13 +155,39 @@ class TestLoadConfig:
         assert main(["validate", "--config", str(path)]) == 2
         assert re.search(named, capsys.readouterr().err)
 
+    @pytest.mark.parametrize("mesh_h", ["nan", "inf", "0", "-0.125"])
+    def test_mesh_h_override_named(self, tmp_path, capsys, mesh_h):
+        path = write_config(tmp_path)
+        with pytest.raises(ConfigError, match="'discretization.h'"):
+            load_config(path, mesh_h=float(mesh_h))
+        assert main(["validate", "--config", str(path), "--mesh-h", mesh_h]) == 2
+        assert "'discretization.h'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", [
+        "bogus", "geometry.bogus", "geometry.box.bogus", "geometry.patch.bogus",
+        "geometry.tau_grid.bogus", "discretization.hh", "family.bogus", "apriori.lamda",
+        "fields.a3", "sweep.bogus", "output.bogus",
+    ])
+    def test_unknown_key_named(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, {key: 3})
+        with pytest.raises(ConfigError, match=rf"unknown config key '{re.escape(key)}'"):
+            load_config(path)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
     def test_range_limits_accepted(self, tmp_path):
-        # eta = 0.25, so rho = eta/4 is the largest allowed.
+        # eta = 0.25, so rho = eta/4 is the largest allowed.  An integral
+        # float is an integer, and every optional key is a known one.
         path = write_config(tmp_path, {"discretization.rho": 0.0625,
                                        "discretization.order": 0,
-                                       "output.formats": ["svg", "csv"]})
+                                       "output.formats": ["svg", "csv"],
+                                       "geometry.tau_grid.count": 3.0,
+                                       "geometry.tau_grid.start": 0.01,
+                                       "family.enforce_window": False,
+                                       "apriori.r0": 0.4, "apriori.L": 2.0})
         cfg = load_config(path)
         assert cfg.rho == 0.0625 and cfg.order == 0 and cfg.formats == ("svg", "csv")
+        assert len(cfg.tau_grid) == 3 and cfg.apriori.r0 == 0.4 and cfg.apriori.L == 2.0
 
     def test_auto_frequency(self, tmp_path):
         path = write_config(tmp_path, {"family.k": "auto", "apriori.e2": 1.25})

@@ -16,12 +16,12 @@ from admitlab.families import (affine_field, constant_field,
 from admitlab.dtn import boundary_mass_sigma
 from admitlab.estimator import build_forward, build_frame
 from admitlab.fem import (_CORNER_OFFSETS, _FACE_LOCAL, _TET_PATTERNS,
-                          BlockSystem, ComplexField, Mesh, _face_keys,
-                          _lattice_topology, _stiffness_blocks, assemble,
-                          assemble_csr, assemble_stiffness, box_solve,
-                          build_mesh, energy_density)
+                          BlockSystem, ComplexField, Mesh, _lattice_topology,
+                          _stiffness_blocks, assemble, assemble_csr,
+                          assemble_stiffness, box_solve, build_mesh,
+                          energy_density)
 from admitlab.geometry import (FACE_NAMES, BoxDomain, BoundaryPatch,
-                               build_enlarged_domain)
+                               EnlargedDomain, build_enlarged_domain)
 
 BOX = BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 LAPLACE = scalar_identity_family(k=0.0, imag=0.0)
@@ -71,6 +71,19 @@ class TestMesh:
         mesh_eta = build_mesh(enlarged, 0.125)
         vmap = mesh.shared_vertex_map(mesh_eta)
         assert np.allclose(mesh.verts, mesh_eta.verts[vmap])
+
+    @pytest.mark.parametrize("face, base_lo, base_hi, thickness", [
+        ("z+", (0.25, 0.25), (0.75, 0.75), 0.3),
+        ("z-", (0.25, 0.25), (0.75, 0.75), 0.3),
+        ("z+", (0.3, 0.25), (0.75, 0.75), 0.25),
+        ("x-", (0.25, 0.25), (0.75, 0.7), 0.25),
+    ], ids=["thickness-top", "thickness-bottom", "base-lo", "base-hi"])
+    def test_unaligned_bump_rejected(self, face, base_lo, base_hi, thickness):
+        # Hand-built, since build_enlarged_domain snaps the bump to its grid.
+        patch = BoundaryPatch(BOX, face, (0.2, 0.2), (0.8, 0.8))
+        bump = EnlargedDomain(BOX, patch, 0.25, base_lo, base_hi, thickness)
+        with pytest.raises(GeometryError, match="not aligned"):
+            build_mesh(bump, 0.125)
 
 
 def _dict_vertex_map(mesh, other):
@@ -191,16 +204,6 @@ class TestKeyedMeshBuild:
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             assert np.array_equal(g, w)
-
-    def test_face_key_guard(self):
-        faces = np.array([[0, 1, 2]])
-        with pytest.raises(GeometryError, match="overflows"):
-            _face_keys(faces, 2**21)
-        nv = 2**21 - 1
-        top = np.array([[nv - 3, nv - 2, nv - 1], [nv - 3, nv - 1, nv - 1]])
-        keys = _face_keys(top, nv)
-        assert np.all(keys > 0) and keys[1] > keys[0]
-        assert keys[1] == ((nv - 3) * nv + nv - 1) * nv + nv - 1
 
 
 def _det_inv_geometry(verts, tets):
@@ -1212,7 +1215,7 @@ class TestSystemLifetime:
 
 
 class TestWorkingSetBudget:
-    """Traced peaks at h = 1/16 beyond the live output, in `_BLOCK_BYTES`."""
+    """Traced peaks at h = 1/16 beyond the live output."""
 
     @staticmethod
     def _traced(fn):
@@ -1225,6 +1228,15 @@ class TestWorkingSetBudget:
         finally:
             tracemalloc.stop()
         return out, peak - current
+
+    def test_build_mesh_peak(self):
+        # Within 3x the bytes the finished mesh keeps, for the box and the
+        # enlarged mesh: no (4T, 3) array of all tet faces.
+        patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
+        for domain in (BOX, build_enlarged_domain(BOX, patch, 0.25, grid_h=0.0625)):
+            mesh, extra = self._traced(lambda d=domain: build_mesh(d, 0.0625, patch=patch))
+            kept = sum(v.nbytes for v in vars(mesh).values() if isinstance(v, np.ndarray))
+            assert extra <= 3 * kept, (extra, kept)
 
     def test_assemble_peak(self):
         import admitlab.fem
