@@ -147,7 +147,7 @@ def dtn(config_path, out_dir, seed, mesh_h):
     manifest.start("assemble")
     fields = [("a1", cfg.a1)] + ([("a2", cfg.a2)] if cfg.a2 is not None else [])
     # Building no Forward skips the Omega_eta systems and frees each field's
-    # factorisation before the next.
+    # system before the next.
     dtns = [(label, _recorded_dtn(manifest, label, assemble(mesh, cfg.family, a, cfg.k),
                                   basis, gram))
             for label, a in fields]
@@ -202,20 +202,9 @@ def probe(config_path, out_dir, seed, mesh_h):
 
 
 def _record_solver(manifest, label, domain, system):
-    """One manifest entry for a system: field, domain, interior solver kind,
-    interior dofs, dofs factored, interior solve calls and their right-hand
-    side columns, COCG iterations summed over those columns and the most
-    one column took (0 for the direct kinds), and the worst relative
-    residual its checks passed."""
-    manifest.add_solver({
-        "field": label, "domain": domain, "kind": system.solver_kind,
-        "interior_dofs": len(system.interior),
-        "factored_dofs": system.factored_dofs,
-        "solve_calls": system.solve_calls, "rhs_columns": system.rhs_columns,
-        "krylov_iterations": system.krylov_iterations,
-        "krylov_iterations_max": system.krylov_iterations_max,
-        "worst_residual": system.worst_residual,
-    })
+    """One manifest entry for a system: field, domain and its solver
+    counters (`BlockSystem.counters`)."""
+    manifest.add_solver({"field": label, "domain": domain, **system.counters()})
 
 
 def _record_solvers(manifest, fwd1, fwd2):
@@ -381,11 +370,14 @@ def sweep(config_path, out_dir, seed, mesh_h, mode):
     derivative = None
     if mode == "derivative":
         derivative = dict(x0=cfg.x0, tau_grid=cfg.tau_grid, rho=cfg.rho, seed=cfg.seed)
+    solvers = []
     records = lipschitz_sweep(
         frame, cfg.a1,
         [(f"s={s}", shifted_field(cfg.a1, cfg.sweep_delta, s)) for s in cfg.sweep_scales],
-        derivative=derivative,
+        derivative=derivative, solvers=solvers,
     )
+    for entry in solvers:
+        manifest.add_solver(entry)
     entries = []
     for s, rec in zip(cfg.sweep_scales, records):
         entry = {"scale": s, "lhs": rec.lhs, "rhs": rec.rhs, "ratio": rec.ratio}

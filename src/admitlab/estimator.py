@@ -665,11 +665,19 @@ def lipschitz_ratio(fwd1: Forward, fwd2: Forward, label: str = "") -> LipschitzR
                            violation=violation)
 
 
+def _solver_entries(point: str, field: str, fwd: Forward) -> list:
+    """Plain copies of the solver counters of each system `fwd` has built,
+    labelled by sweep point, field and domain."""
+    return [{"point": point, "field": field, "domain": domain, **system.counters()}
+            for domain, system in fwd.built_systems()]
+
+
 def lipschitz_sweep(
     frame: LabFrame,
     a1: ParameterField,
     perturbations: Sequence,
     derivative: Optional[dict] = None,
+    solvers: Optional[list] = None,
 ) -> list:
     """Lipschitz records for a list of (label, a2) perturbed fields.
 
@@ -679,12 +687,16 @@ def lipschitz_sweep(
     Forward, so the reference probe passes are computed once.  A Lipschitz
     point builds only its Omega system; a derivative point also builds its
     Omega_eta system, through the Schur complement its DtN left behind.
+    Given a `solvers` list, the counters of every system built are copied
+    into it as plain entries (`BlockSystem.counters` with "point", "field"
+    and "domain"): the reference's ("reference", a1) first, then each
+    point's (its label, a2), each point's copied before it is freed.
     """
     fwd1 = build_forward(frame, a1)
     # The reference DtN is solved before any perturbed field is assembled,
     # so its Schur blocks do not overlap theirs.
     fwd1.dtn
-    out = []
+    out, point_solvers = [], []
     for label, a2 in perturbations:
         fwd2 = build_forward(frame, a2)
         rec = lipschitz_ratio(fwd1, fwd2, label=label)
@@ -692,8 +704,11 @@ def lipschitz_sweep(
             est = derivative_gap_estimate(fwd1, fwd2, **derivative)
             rec = replace(rec, derivative_estimate=est.extrapolated)
         out.append(rec)
+        point_solvers += _solver_entries(label, "a2", fwd2)
         # Dropping the last reference frees this point's systems, factors
         # and memoised Schur complement by reference counting, before the
         # next field is assembled.
         del fwd2
+    if solvers is not None:
+        solvers.extend(_solver_entries("reference", "a1", fwd1) + point_solvers)
     return out

@@ -8,10 +8,14 @@ materialised from K for the structure and ellipticity checks.  Every
 Dirichlet solve and every Schur complement onto boundary dofs (the DtN
 pairing and the trace Gram) goes through a `BlockSystem`: a sine-transform
 solve where the interior block is a constant-weight 7-point stencil on a
-full box, block elimination through the Omega system's solver for an
-Omega_eta system given that core, conjugate orthogonal CG (COCG)
-preconditioned by that sine-transform solve for any other coefficient on
-a full box, and a sparse LU on any other mesh.
+full box, conjugate orthogonal CG (COCG) preconditioned by that
+sine-transform solve for any other coefficient on a full box, and for an
+Omega_eta system given its Omega system as core, two-subdomain
+substructuring: the Omega system and the system of the bump box outside it
+solve their interiors, and the footprint between them is solved from its
+dense interface system, the sum of the two parts' Schur complements
+(Steklov-Poincare).  Only a mesh that is neither a box nor given a core
+gets a sparse LU, which no command builds: the tests use it as the oracle.
 
 Meshes are built from integer lattice keys of a set of lattice cells,
 the one source of their topology.  Every tet is one of the six Kuhn tets
@@ -25,7 +29,8 @@ bounds the per-tet and per-column temporaries: tets are evaluated in
 contiguous chunks and Schur complements solved in column blocks within it,
 so only the live data grows with the mesh.  scipy is imported by the
 functions that build or factor a matrix, so the commands that never
-assemble one (validate, probe) do not pay for importing it.
+assemble one (validate, probe) do not pay for importing it, and
+scipy.sparse.linalg only by the sparse LU.
 """
 
 from __future__ import annotations
@@ -175,6 +180,8 @@ class Mesh:
         if np.any(self._keys[1:] <= self._keys[:-1]):
             raise GeometryError("mesh vertices are not in strictly increasing ijk order")
         self._stiffness_pattern = None
+        # (core mesh, vertex map, part mesh, part vertex map) of part_outside.
+        self._part_outside = None
         # A full lattice box: its interior vertices form an (N0, N1, N2)
         # block in C order.
         span = self._ijk_hi - self._ijk_lo + 1
@@ -229,11 +236,47 @@ class Mesh:
             )
         return pos
 
+    def part_outside(self, core: "Mesh", vertex_map) -> tuple:
+        """The lattice cells of this mesh outside those of `core`, which
+        `vertex_map` embeds in it, as a mesh of their own on this lattice,
+        and the indices here of that mesh's vertices; built once and kept.
+
+        Tet 6 c starts at the lowest corner of cell c, so the cells are read
+        off the tets, and the part keeps their order.  GeometryError unless
+        the cells outside the core form one full lattice box.
+        """
+        vmap = _vertex_map(vertex_map, core.n_vertices, self.n_vertices)
+        memo = self._part_outside
+        if memo is not None and memo[0] is core and np.array_equal(memo[1], vmap):
+            return memo[2], memo[3]
+        cells = self.ijk[self.tets[::6, 0]]
+        core_cells = self.ijk[vmap[core.tets[::6, 0]]]
+        outside = cells[~np.isin(self._linear_keys(cells), self._linear_keys(core_cells))]
+        if not len(outside) or len(outside) != np.prod(np.ptp(outside, axis=0) + 1):
+            raise GeometryError("the part of the mesh outside the core is not one lattice box")
+        ijk, tets, boundary = _lattice_topology(outside)
+        part = Mesh(tets, ijk, self.h, self.anchor, boundary)
+        part_map = self.vertex_indices(ijk)
+        self._part_outside = (core, vmap.copy(), part, part_map)
+        return part, part_map
+
     def shared_vertex_map(self, other: "Mesh") -> np.ndarray:
         """Indices in `other` of this mesh's vertices (same lattice anchor)."""
         if abs(self.h - other.h) > 1e-12 or np.max(np.abs(self.anchor - other.anchor)) > 1e-12:
             raise GeometryError("meshes do not share a lattice")
         return other.vertex_indices(self.ijk)
+
+
+def _vertex_map(vertex_map, n_from: int, n_to: int) -> np.ndarray:
+    """`vertex_map` as an array, GeometryError unless it maps the n_from
+    vertices of a part's mesh one-to-one into the n_to of a mesh."""
+    vmap = np.asarray(vertex_map)
+    if (vmap.shape != (n_from,) or vmap.dtype.kind not in "iu"
+            or np.any(vmap < 0) or np.any(vmap >= n_to)
+            or len(np.unique(vmap)) != len(vmap)):
+        raise GeometryError("the vertex map is not a one-to-one map of the "
+                            "part's mesh into this mesh")
+    return vmap
 
 
 def _sorted_runs(keys: np.ndarray):
@@ -457,8 +500,9 @@ class ComplexField:
 
 _RESIDUAL_RTOL = 1e-10
 # The interior solver kinds whose solution columns have the same bits
-# whatever columns are solved beside them; SuperLU's multi-column solves
-# move the last bits with the block.
+# whatever columns are solved beside them; SuperLU's multi-column solves,
+# and the BLAS product with a via-core system's inverted interface, move the
+# last bits with the block.
 _BLOCKWISE_EXACT = ("sine-transform", "box-cocg")
 # A COCG column stops once its recurrence residual is at most _COCG_RTOL of
 # its right-hand side; a column still running after _COCG_MAX_ITERATIONS
@@ -669,8 +713,11 @@ class BlockSystem:
       diagonal coefficient on a full lattice box), `box_solve`;
     - "via-core": with a `core`, the system of the same field on a mesh
       that embeds in this one by `vertex_map` (the Omega system inside its
-      Omega_eta system), block elimination through the core's own interior
-      solver, so only the dofs outside the core's interior are factored;
+      Omega_eta system), and the `bump` system of the same field on the
+      part outside the core, which embeds by `bump_map` (None when that
+      part has no interior), substructuring: the core's and the bump's own
+      interior solvers solve their interiors, and the footprint between
+      them is solved from its dense interface system, inverted once;
     - "box-cocg": with `cocg_weights` (the tet-averaged diagonal of any
       other coefficient on a full lattice box), COCG preconditioned by
       `box_solve` of those weights, each column stopped at a recurrence
@@ -678,26 +725,28 @@ class BlockSystem:
     - "sparse-lu": a sparse LU of the interior block.
 
     `assemble` gives every full-box system either `axis_weights` or
-    `cocg_weights`, so it factors whole only the systems on other meshes
-    (an Omega_eta system without a core).  `factored_dofs` counts the dofs
-    of every LU this system has made, `solve_calls` and `rhs_columns` the
-    calls into its interior solver and their columns (an Omega_eta
-    system's solves through this core count here too), `krylov_iterations`
-    and `krylov_iterations_max` the COCG iterations summed over those
-    columns and the most any one column took, and `worst_residual` is the
-    largest relative residual that a residual check of this system has
-    passed.
+    `cocg_weights`, and every Omega_eta system given a core its bump, so it
+    factors whole only a system on another mesh given no core (the tests'
+    standalone Omega_eta oracle).  `factored_dofs` counts the dofs of every
+    factorisation this system has made (a via-core system's interface),
+    `solve_calls` and `rhs_columns` the calls into its interior solver and
+    their columns (an Omega_eta system's solves through its core and bump
+    count there too), `krylov_iterations` and `krylov_iterations_max` the
+    COCG iterations summed over those columns and the most any one column
+    took, and `worst_residual` is the largest relative residual that a
+    residual check of this system has passed.
 
     No solver holds a reference back to its system, so a system, its
     factors and its Krylov scratch are freed by reference counting as soon
     as the last reader drops it.  `schur_onto` keeps its last result: the
     Omega system's Schur complement onto the DtN basis answers the
-    footprint correction of its Omega_eta system by restriction.
+    footprint part of its Omega_eta system's interface by restriction.
     """
 
     def __init__(self, mesh: Mesh, K: sp.csr_matrix, axis_weights=None,
                  core: Optional["BlockSystem"] = None, vertex_map=None,
-                 cocg_weights=None):
+                 cocg_weights=None, bump: Optional["BlockSystem"] = None,
+                 bump_map=None):
         self.mesh = mesh
         self.K = K
         self.axis_weights = axis_weights
@@ -714,47 +763,68 @@ class BlockSystem:
         self.worst_residual = 0.0
         # The dofs and the read-only result of the last Schur complement.
         self._schur = None
-        self.core = None
+        self.core = self.bump = None
         if core is not None:
-            self._attach_core(core, vertex_map)
+            self._attach_parts(core, vertex_map, bump, bump_map)
 
-    def _attach_core(self, core: "BlockSystem", vertex_map) -> None:
-        """Check that `core` embeds in this system by `vertex_map` and keep
-        the interior positions of its interior dofs.
+    def _embedding(self, part: "BlockSystem", vertex_map, what: str):
+        """Interior positions here of the interior dofs of `part`, a system
+        on a mesh that `vertex_map` embeds in this one, and the index in
+        that mesh of each vertex here (-1 off it).
 
-        Each core interior vertex must map to an interior vertex here whose
-        row reaches only images of core vertices, with the core's own row
+        Each interior vertex of `part` must map to an interior vertex here
+        whose row reaches only images of its vertices, with its own row
         values; GeometryError otherwise.
         """
         import scipy.sparse as sp
 
         n = self.mesh.n_vertices
-        vmap = np.asarray(vertex_map)
-        if (vmap.shape != (core.mesh.n_vertices,) or vmap.dtype.kind not in "iu"
-                or np.any(vmap < 0) or np.any(vmap >= n)
-                or len(np.unique(vmap)) != len(vmap)):
-            raise GeometryError("the vertex map is not a one-to-one map of the "
-                                "core mesh into this mesh")
+        vmap = _vertex_map(vertex_map, part.mesh.n_vertices, n)
         owner = np.full(n, -1, dtype=np.int64)
         owner[vmap] = np.arange(len(vmap))
-        core_rows = vmap[core.interior]
-        pos = np.minimum(np.searchsorted(self._interior, core_rows),
+        rows_here = vmap[part.interior]
+        pos = np.minimum(np.searchsorted(self._interior, rows_here),
                          len(self._interior) - 1)
-        if np.any(self._interior[pos] != core_rows):
-            raise GeometryError("a core interior vertex maps to a boundary vertex")
-        rows = self.K[core_rows]
+        if np.any(self._interior[pos] != rows_here):
+            raise GeometryError(f"a {what} interior vertex maps to a boundary vertex")
+        rows = self.K[rows_here]
         if np.any(owner[rows.indices] < 0):
-            raise GeometryError("a core interior row reaches a vertex outside the core mesh")
-        # The same rows in the core's vertex numbering must be the core's rows.
+            raise GeometryError(f"a {what} interior row reaches a vertex outside the {what} mesh")
+        # The same rows in the part's vertex numbering must be its rows.
         mapped = sp.csr_matrix((rows.data, owner[rows.indices], rows.indptr),
-                               shape=(len(core_rows), len(vmap)))
-        gap = (mapped - core.K[core.interior]).data
-        scale = np.max(np.abs(core.K.data), initial=0.0)
+                               shape=(len(rows_here), len(vmap)))
+        gap = (mapped - part.K[part.interior]).data
+        scale = np.max(np.abs(part.K.data), initial=0.0)
         if gap.size and np.max(np.abs(gap)) > 1e-12 * scale:
-            raise GeometryError("the core system's interior rows differ from this system's")
-        self.core = core
-        self._core_pos = pos
-        self._core_owner = owner
+            raise GeometryError(f"the {what} system's interior rows differ from this system's")
+        return pos, owner
+
+    def _attach_parts(self, core: "BlockSystem", vertex_map, bump, bump_map) -> None:
+        """Check that `core` and `bump` embed in this system and split the
+        interior into the core's interior, the bump's and the footprint f,
+        the rest.
+
+        Every footprint vertex must be a vertex of the core and, given a
+        bump, of the bump, so that it is a boundary dof of each part;
+        GeometryError otherwise.
+        """
+        core_pos, core_owner = self._embedding(core, vertex_map, "core")
+        parts = [(core, core_owner)]
+        in_part = np.zeros(len(self._interior), dtype=bool)
+        in_part[core_pos] = True
+        bump_pos = np.zeros(0, dtype=np.int64)
+        if bump is not None:
+            bump_pos, bump_owner = self._embedding(bump, bump_map, "bump")
+            parts.append((bump, bump_owner))
+            in_part[bump_pos] = True
+        footprint = np.where(~in_part)[0]
+        if any(np.any(owner[self._interior[footprint]] < 0) for _, owner in parts):
+            raise GeometryError("an interior vertex outside the core's interior is "
+                                "not a vertex of the core and the bump")
+        self.core, self.bump = core, bump
+        self._core_pos, self._bump_pos, self._footprint = core_pos, bump_pos, footprint
+        # Each part with the index in its mesh of each vertex here.
+        self._parts = parts
 
     @property
     def block_matrix(self) -> sp.csr_matrix:
@@ -783,6 +853,21 @@ class BlockSystem:
     def krylov_iterations_max(self) -> int:
         return self._krylov.most
 
+    def counters(self) -> dict:
+        """Plain copies of the solver counters: interior solver kind,
+        interior dofs, dofs factored, interior solve calls and their
+        right-hand side columns, COCG iterations summed over those columns
+        and the most one column took, and the worst relative residual its
+        checks passed.  The dict holds no reference to the system."""
+        return {
+            "kind": self.solver_kind, "interior_dofs": len(self._interior),
+            "factored_dofs": self.factored_dofs,
+            "solve_calls": self.solve_calls, "rhs_columns": self.rhs_columns,
+            "krylov_iterations": self.krylov_iterations,
+            "krylov_iterations_max": self.krylov_iterations_max,
+            "worst_residual": self.worst_residual,
+        }
+
     @property
     def solver_kind(self) -> str:
         if self.axis_weights is not None:
@@ -792,11 +877,6 @@ class BlockSystem:
         if self.cocg_weights is not None:
             return "box-cocg"
         return "sparse-lu"
-
-    def _factor(self, M: sp.spmatrix) -> spla.SuperLU:
-        lu = _factor_interior(M)
-        self.factored_dofs += M.shape[0]
-        return lu
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         """K_II^{-1} rhs for an (n,) or (n, d) right-hand side."""
@@ -809,7 +889,8 @@ class BlockSystem:
             elif kind == "box-cocg":
                 self._solve = self._cocg_solver()
             else:
-                self._solve = self._factor(self._K_ii).solve
+                self._solve = _factor_interior(self._K_ii).solve
+                self.factored_dofs += len(self._interior)
         self.solve_calls += 1
         self.rhs_columns += rhs.shape[1] if rhs.ndim == 2 else 1
         return self._solve(rhs)
@@ -834,46 +915,59 @@ class BlockSystem:
 
         return solve
 
-    def _core_solver(self):
-        """Interior solve by eliminating the core's interior block B.
+    def _interface_system(self) -> np.ndarray:
+        """The dense interface system of the footprint f,
+        T = K[f, f] - (K_core[f, f] - S_core(f)) - (K_bump[f, f] - S_bump(f)),
+        with S the parts' Schur complements onto f.
 
-        G holds the other interior dofs; the footprint f is the part of G
-        coupled to B, all of it core boundary vertices.  Since the B rows
-        are the core's, K_fB K_BB^{-1} K_Bf is K_core[f, f] minus the core's
-        Schur complement onto f, so the G system S = K_GG - that correction
-        is one sparse matrix, factored once.  A solve is z = K_BB^{-1} r_B,
-        u_G = S^{-1}(r_G - K_GB z), u_B = K_BB^{-1}(r_B - K_BG u_G), with
-        K_BB^{-1} the core's interior solver.
+        No core interior dof couples to a bump interior dof, and their rows
+        are the parts' own, so T is the Schur complement of the interior
+        block onto f (Steklov-Poincare).
         """
-        import scipy.sparse as sp
+        f = self._footprint
+        T = self._K_ii[f][:, f].toarray()
+        f_vertices = self._interior[f]
+        # f lies in the core's DtN basis, so after its DtN the core's S
+        # restricts its memoised Schur complement and solves nothing.
+        for part, owner in self._parts:
+            f_part = owner[f_vertices]
+            T -= part.K[f_part][:, f_part].toarray() - part.schur_onto(f_part)
+        return T
 
-        core, B = self.core, self._core_pos
-        in_core = np.zeros(len(self._interior), dtype=bool)
-        in_core[B] = True
-        G = np.where(~in_core)[0]
-        K_G = self._K_ii[G]
-        K_BG, K_GB = self._K_ii[B][:, G], K_G[:, B]
-        f = np.unique(K_BG.indices)
-        f_core = self._core_owner[self._interior[G[f]]]
-        K_ff = core.K[f_core][:, f_core].toarray()
-        # f lies in the DtN basis, so after the core's DtN this restricts
-        # the core's memoised Schur complement and solves nothing.
-        correction = K_ff - core.schur_onto(f_core)
-        rows, cols = np.meshgrid(f, f, indexing="ij")
-        S = K_G[:, G] - sp.csr_matrix(
-            (correction.ravel(), (rows.ravel(), cols.ravel())), shape=(len(G), len(G)))
-        solve_G = self._factor(S).solve
+    def _core_solver(self):
+        """Interior solve by substructuring into the core's interior B, the
+        bump's interior b and the footprint f between them.
+
+        T is inverted once.  A solve is z_B = K_BB^{-1} r_B and
+        z_b = K_bb^{-1} r_b by the parts' own interior solvers,
+        u_f = T^{-1}(r_f - K_fB z_B - K_fb z_b), then u_B and u_b by the part
+        solvers again on r - K_If u_f.
+        """
+        core, bump = self.core, self.bump
+        B, b, f = self._core_pos, self._bump_pos, self._footprint
+        K_fI = self._K_ii[f]
+        # The narrow side is sliced first: no interior row is copied.
+        K_If = self._K_ii[:, f]
+        T_inv = np.linalg.inv(self._interface_system())
+        self.factored_dofs += len(f)
         solve_B = core._solve_interior
+        solve_b = bump._solve_interior if bump is not None else None
+
+        def solve_parts(r: np.ndarray, u: np.ndarray) -> None:
+            u[B] = solve_B(r[B])
+            if b.size:
+                u[b] = solve_b(r[b])
 
         def solve(rhs: np.ndarray) -> np.ndarray:
             rhs = np.asarray(rhs)
             r = rhs.reshape(len(rhs), -1)
-            r_B, r_G = r[B], r[G]
-            u_G = solve_G(r_G - K_GB @ solve_B(r_B))
-            u_B = solve_B(r_B - K_BG @ u_G)
-            out = np.empty(r.shape, dtype=np.result_type(u_B, u_G))
-            out[B], out[G] = u_B, u_G
-            return out.reshape(rhs.shape)
+            u = np.zeros(r.shape, dtype=complex)
+            solve_parts(r, u)
+            # u is zero on f here, so K_fI u is K_fB z_B + K_fb z_b.
+            u_f = T_inv @ (r[f] - K_fI @ u)
+            solve_parts(r - K_If @ u_f, u)
+            u[f] = u_f
+            return u.reshape(rhs.shape)
 
         return solve
 
@@ -900,9 +994,10 @@ class BlockSystem:
         and COCG solvers give each column the same bits whatever block it
         is solved in, so under them a subset is answered by indexing, with
         the bits of a fresh solve and no interior solve.  SuperLU's
-        multi-column solves do not (nor, through its G block, does
-        via-core), so there a subset is solved afresh.  Any sigma not
-        answered from the memo is computed and replaces it.
+        multi-column solves do not (nor, through the BLAS product with its
+        inverted interface, does via-core), so there a subset is solved
+        afresh.  Any sigma not answered from the memo is computed and
+        replaces it.
 
         The columns are solved in equal blocks of at most `_BLOCK_BYTES`
         of complex (interior x column) data, so no array of interior size
@@ -1019,10 +1114,24 @@ def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float,
     coefficient COCG preconditioned by the sine-transform solve of its
     tet-averaged diagonal, summarised over the same chunks.  Given `core`,
     the same field's system on a mesh that `vertex_map` embeds in this one
-    (Omega in Omega_eta), the interior is solved through the core's solver
-    and only the dofs outside the core's interior are factored; a system
-    on any other mesh is factored whole.
+    (Omega in Omega_eta), the part of the mesh outside the core must be one
+    lattice box (`Mesh.part_outside`), whose own system of the field is
+    assembled as the bump, and the interior is solved by substructuring
+    through the two; a system on any other mesh is factored whole.
     """
+    if core is None:
+        return _assembled(mesh, family, a, k)
+    bump_mesh, bump_map = mesh.part_outside(core.mesh, vertex_map)
+    bump = None
+    if bump_mesh.box_shape is not None:
+        bump = _assembled(bump_mesh, family, a, k)
+    return _assembled(mesh, family, a, k, core=core, vertex_map=vertex_map,
+                      bump=bump, bump_map=bump_map)
+
+
+def _assembled(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float,
+               **attach) -> BlockSystem:
+    """The `BlockSystem` of `assemble`, with the core and bump in `attach`."""
     pattern = mesh.stiffness_pattern
     data = np.zeros(len(pattern.indices), dtype=complex)
     # The real and imaginary parts interleaved: np.add.at adds the real
@@ -1050,7 +1159,7 @@ def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float,
         else:
             cocg_weights = real.mean() + 1j * imag.mean()
     return BlockSystem(mesh, _csr(pattern, data), axis_weights=axis_weights,
-                       core=core, vertex_map=vertex_map, cocg_weights=cocg_weights)
+                       cocg_weights=cocg_weights, **attach)
 
 
 def energy_density(mesh: Mesh, coeff, u: ComplexField, v: ComplexField) -> np.ndarray:

@@ -328,18 +328,18 @@ class TestStabilityCommand:
         assert peaks == sorted(peaks)
 
     def test_recovery_factors_only_the_enlarged_systems(self, tmp_path, factor_calls):
-        # Both fields are constant under the scalar family: the Gram and the
-        # two Omega systems take the sine-transform solve, and each Omega_eta
-        # system, solved through its Omega system, factors only its bump dofs.
+        # Both fields are constant under the scalar family: the Gram, the
+        # two Omega systems and their bump systems take the sine-transform
+        # solve, and each Omega_eta system, substructured through them,
+        # inverts only its dense footprint interface: no sparse LU.
         config = Path(__file__).resolve().parents[1] / "configs" / "recovery.yaml"
         out = tmp_path / "out"
         assert main(["stability", "--config", str(config), "--mesh-h", "0.125",
                      "--out", str(out)]) == 0
         solvers = json.loads((out / "manifest.json").read_text())["solvers"]
-        bump = [s["interior_dofs"] for s in solvers if s["domain"] == "Omega_eta"]
-        omega = [s["interior_dofs"] for s in solvers if s["domain"] == "Omega"]
-        bump = [eta - box for eta, box in zip(bump, omega)]
-        assert factor_calls == bump and 0 < bump[0] < min(omega)
+        # The footprint: the 3 x 3 patch-face vertices inside the bump base.
+        assert [s["factored_dofs"] for s in solvers if s["domain"] == "Omega_eta"] == [9, 9]
+        assert factor_calls == []
 
     @pytest.mark.parametrize("command, config, kinds", [
         ("stability", "recovery.yaml",
@@ -358,14 +358,10 @@ class TestStabilityCommand:
             ("a1", "Omega"), ("a1", "Omega_eta"), ("a2", "Omega"), ("a2", "Omega_eta")]
         for s in solvers:
             assert s["kind"] == kinds[s["field"]][s["domain"] == "Omega_eta"]
-            if s["domain"] == "Omega_eta":
-                # No Omega_eta system factors its whole interior.
-                assert 0 < s["factored_dofs"] < s["interior_dofs"]
-            else:
-                assert s["factored_dofs"] == 0
-        # Only the Omega_eta dofs outside the Omega interior are factored.
-        omega_size = solvers[0]["interior_dofs"]
-        assert 0 < max(factor_calls) < omega_size
+            # An Omega_eta system inverts only its dense footprint interface.
+            assert s["factored_dofs"] == (9 if s["domain"] == "Omega_eta" else 0)
+            assert 0.0 < s["worst_residual"] <= 1e-10
+        assert factor_calls == []
         for csv in sorted(p.name for p in outs[0].glob("*.csv")):
             assert (outs[0] / csv).read_bytes() == (outs[1] / csv).read_bytes()
 
@@ -514,6 +510,33 @@ class TestSweepCommand:
         assert report["loglog_slope"] >= report["delta_1"] - 0.15
 
 
+    @pytest.mark.parametrize("mode, config, scales", [
+        ("lipschitz", "anisotropic", (0.02, 0.04, 0.08, 0.16)),
+        ("derivative", "derivative", (0.05, 0.1, 0.2, 0.4)),
+    ])
+    def test_manifest_records_every_system(self, tmp_path, factor_calls, mode, config,
+                                           scales):
+        out = tmp_path / "out"
+        assert main(["sweep", "--mode", mode, "--config", str(CONFIG_DIR / f"{config}.yaml"),
+                     "--mesh-h", "0.125", "--out", str(out)]) == 0
+        solvers = json.loads((out / "manifest.json").read_text())["solvers"]
+        # The reference's systems, then each point's, labelled by point.
+        points = [("reference", "a1")] + [(f"s={s}", "a2") for s in scales]
+        domains = ["Omega"] if mode == "lipschitz" else ["Omega", "Omega_eta"]
+        assert [(s["point"], s["field"], s["domain"]) for s in solvers] == [
+            point + (domain,) for point in points for domain in domains]
+        for s in solvers:
+            # Plain copies of the counters, none a sparse LU.
+            assert all(isinstance(v, (str, int, float)) for v in s.values())
+            assert s["kind"] != "sparse-lu"
+            assert 1 <= s["solve_calls"] <= s["rhs_columns"]
+            assert 0.0 < s["worst_residual"] <= 1e-10
+            if s["domain"] == "Omega_eta":
+                assert s["kind"] == "via-core" and s["factored_dofs"] == 9
+            else:
+                assert s["factored_dofs"] == 0
+        assert factor_calls == []
+
     def test_derivative_sweep_reuses_reference_passes(self, tmp_path, probe_calls):
         config = Path(__file__).resolve().parents[1] / "configs" / "derivative.yaml"
         assert main(["sweep", "--mode", "derivative", "--config", str(config),
@@ -581,6 +604,31 @@ class TestLifetimes:
         assert [kind for _, kind in systems] == ["box-cocg", "box-cocg"]
         assert alive == [[], [False]]
 
+    def test_every_system_freed_bumps_included(self, tmp_path, monkeypatch):
+        # Each Omega_eta system's bump system is freed with it when the
+        # command returns, by reference counting alone.
+        systems, bumps = [], []
+        real_init = BlockSystem.__init__
+
+        def init_logged(system, *args, **kwargs):
+            real_init(system, *args, **kwargs)
+            systems.append(weakref.ref(system))
+            if system.bump is not None:
+                bumps.append((weakref.ref(system.bump), system.bump.solver_kind))
+
+        monkeypatch.setattr(BlockSystem, "__init__", init_logged)
+        gc.disable()
+        try:
+            assert main(["derivative", "--config", str(CONFIG_DIR / "derivative.yaml"),
+                         "--mesh-h", "0.125", "--out", str(tmp_path / "out")]) == 0
+            alive = [ref() is not None for ref in systems + [ref for ref, _ in bumps]]
+        finally:
+            gc.enable()
+        # a1 is constant and a2 affine: their bumps take the sine-transform
+        # solve and COCG, as their Omega systems do.
+        assert [kind for _, kind in bumps] == ["sine-transform", "box-cocg"]
+        assert not any(alive)
+
     @pytest.mark.parametrize("args", [
         ("validate", "default"), ("probe", "default"), ("dtn", "anisotropic"),
         ("stability", "anisotropic"), ("derivative", "derivative"),
@@ -617,8 +665,19 @@ class TestProbeCommand:
             assert len(lines) == 2001
 
 
+def _run_fresh(script: str, *args: str):
+    """Run a script in a fresh interpreter with src on its path."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
 class TestImportGraph:
-    """Commands that never assemble a matrix do not import scipy.sparse."""
+    """Commands that never assemble a matrix do not import scipy.sparse, and
+    no command imports scipy.sparse.linalg: none makes a sparse LU."""
 
     SCRIPT = textwrap.dedent("""
         import sys
@@ -635,18 +694,31 @@ class TestImportGraph:
             assert "scipy.sparse" not in sys.modules, command
         assert admitlab.cli.main(["dtn", "--config", config, "--out", out]) == 0
         assert "scipy.sparse" in sys.modules, "dtn"
+        assert "scipy.sparse.linalg" not in sys.modules, "dtn"
+        print("import graph ok")
+    """)
+
+    ESTIMATOR_SCRIPT = textwrap.dedent("""
+        import sys
+        import admitlab.cli
+        configs, out = sys.argv[1], sys.argv[2]
+        for command, config, *extra in (
+                ("stability", "recovery"), ("derivative", "derivative"),
+                ("sweep", "derivative", "--mode", "derivative")):
+            rc = admitlab.cli.main([command, "--config", f"{configs}/{config}.yaml",
+                                    "--mesh-h", "0.125", "--out", out, *extra])
+            assert rc == 0, (command, rc)
+            assert "scipy.sparse.linalg" not in sys.modules, command
         print("import graph ok")
     """)
 
     def test_scipy_sparse_only_on_first_assembly(self, tmp_path):
         path = write_config(tmp_path)
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        result = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(path), str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        result = _run_fresh(self.SCRIPT, str(path), str(tmp_path / "out"))
+        assert result.returncode == 0, result.stderr
+        assert "import graph ok" in result.stdout
+
+    def test_estimators_never_import_sparse_linalg(self, tmp_path):
+        result = _run_fresh(self.ESTIMATOR_SCRIPT, str(CONFIG_DIR), str(tmp_path / "out"))
         assert result.returncode == 0, result.stderr
         assert "import graph ok" in result.stdout

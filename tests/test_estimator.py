@@ -611,16 +611,19 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"
 @pytest.mark.parametrize("h", [0.0625, 0.05])
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
 def test_no_shipped_config_factors_an_omega_system(path, h, factor_calls):
-    # Every Omega system of a shipped config is on a full box: it takes the
-    # sine-transform solve or COCG, and each Omega_eta system factors only
-    # the dofs outside the Omega interior.
+    # No shipped config makes a sparse LU.  Every Omega system and every
+    # bump system is on a full box: it takes the sine-transform solve or
+    # COCG, and each Omega_eta system is substructured through the two,
+    # inverting only its dense footprint interface.
     cfg = load_config(path, mesh_h=h)
     frame = build_frame(cfg.box, cfg.patch, cfg.eta, cfg.h, cfg.family, window=cfg.window)
-    omega = int(np.sum(~frame.mesh.boundary_vertex_mask))
     for a in (cfg.a1, cfg.a2):
         fwd = build_forward(frame, a)
         for system in (fwd.system, fwd.system_eta):
             system.solve_dirichlet(np.ones(system.mesh.n_vertices))
-        assert fwd.system.solver_kind in ("sine-transform", "box-cocg")
-        assert fwd.system.factored_dofs == 0
-    assert factor_calls and max(factor_calls) < omega
+        for system in (fwd.system, fwd.system_eta.bump):
+            assert system.solver_kind in ("sine-transform", "box-cocg")
+            assert system.factored_dofs == 0
+        assert fwd.system_eta.factored_dofs == (round(0.5 / h) - 1) ** 2
+        assert fwd.system_eta.worst_residual <= 1e-10
+    assert factor_calls == []

@@ -644,7 +644,7 @@ class TestBoxSolve:
         pytest.param(case, factored, id=f"{case}-{len(factored)}") for case, factored in [
             ("constant-scalar", []), ("constant-diag123", []), ("omega-eta", ["omega_eta"]),
             ("affine", []), ("rotated-anisotropic", []),
-            ("forward-constant", ["bump"]), ("forward-affine", ["bump"]),
+            ("forward-constant", []), ("forward-affine", []),
         ]
     ])
     def test_which_systems_factor(self, case, factored, factor_calls):
@@ -659,11 +659,13 @@ class TestBoxSolve:
         elif case == "rotated-anisotropic":
             fam = rotated_anisotropic_family(k=0.002, eps=0.3, imag=1.1)
         if case.startswith("forward"):
-            # build_forward solves Omega_eta through the Omega system: only
-            # the bump dofs are factored, whatever the Omega system's kind.
+            # build_forward solves Omega_eta through the Omega system and its
+            # bump system: no sparse LU, whatever the Omega system's kind;
+            # only the dense footprint interface is inverted.
             fwd = build_forward(build_frame(BOX, patch, 0.25, 0.125, fam), a)
             systems = [fwd.system, fwd.system_eta]
             assert fwd.system_eta.solver_kind == "via-core"
+            assert fwd.system_eta.bump.solver_kind == fwd.system.solver_kind
         else:
             system = assemble(mesh_eta if case == "omega-eta" else mesh, fam, a, fam.freq)
             kind = {"omega-eta": "sparse-lu", "affine": "box-cocg",
@@ -674,9 +676,10 @@ class TestBoxSolve:
             system.solve_dirichlet(np.ones(system.mesh.n_vertices))
         n_omega = int(np.sum(~mesh.boundary_vertex_mask))
         n_eta = int(np.sum(~mesh_eta.boundary_vertex_mask))
-        sizes = {"omega": n_omega, "omega_eta": n_eta, "bump": n_eta - n_omega}
+        sizes = {"omega": n_omega, "omega_eta": n_eta}
         assert factor_calls == [sizes[name] for name in factored]
-        assert sum(s.factored_dofs for s in systems) == sum(factor_calls)
+        interface = sum(len(s._footprint) for s in systems if s.solver_kind == "via-core")
+        assert sum(s.factored_dofs for s in systems) == sum(factor_calls) + interface
 
 
 ROTATED = rotated_anisotropic_family(k=0.002, eps=0.3, imag=1.1)
@@ -709,9 +712,56 @@ def _assert_core_matches_lu(via, lu, seed=0, columns=3):
     assert np.max(np.abs(s_via - s_lu)) <= 1e-12 * np.max(np.abs(s_lu))
 
 
+@st.composite
+def core_cases(draw):
+    """A non-cubic box at h = 1/8 or 1/16 on a random lattice offset, with a
+    bump of 1 to 3 cells on a random face over a random base inset from the
+    face's edges, and a family and a field drawn from scalar, diag123 and
+    rotated, constant and affine.  Hand-built, so the bump may be one cell
+    thick, with no interior of its own."""
+    h = draw(st.sampled_from([0.125, 0.0625]))
+    cells = np.array(draw(st.tuples(*[st.integers(5, 8)] * 3)
+                          .filter(lambda c: len(set(c)) > 1)))
+    lo = np.array([draw(st.integers(-4, 4)) * 0.125 for _ in range(3)])
+    box = BoxDomain(tuple(lo), tuple(lo + cells * h))
+    face = draw(st.sampled_from(sorted(FACE_NAMES)))
+    axis = FACE_NAMES[face][0]
+    tangents = [a for a in range(3) if a != axis]
+    base = []
+    for t in tangents:
+        i0 = draw(st.integers(1, cells[t] - 3))
+        base.append((i0, draw(st.integers(i0 + 2, cells[t] - 1))))
+    patch = BoundaryPatch(box, face, tuple(lo[t] + 0.5 * h for t in tangents),
+                          tuple(lo[t] + (cells[t] - 0.5) * h for t in tangents))
+    thickness = draw(st.integers(1, 3)) * h
+    enlarged = EnlargedDomain(box, patch, thickness,
+                              tuple(lo[t] + i0 * h for t, (i0, _) in zip(tangents, base)),
+                              tuple(lo[t] + i1 * h for t, (_, i1) in zip(tangents, base)),
+                              thickness)
+    mesh, mesh_eta = build_mesh(box, h, patch=patch), build_mesh(enlarged, h)
+    fam = COCG_FAMILIES[draw(st.sampled_from(sorted(COCG_FAMILIES)))]
+    return mesh, mesh_eta, fam, draw(st.sampled_from([A_ONE, AFFINE])), base
+
+
+def _dense_footprint_schur(system):
+    """Dense Schur complement of the interior block onto the footprint."""
+    K_ii = system._K_ii.toarray()
+    f = system._footprint
+    rest = np.setdiff1d(np.arange(len(K_ii)), f)
+    return K_ii[np.ix_(f, f)] - K_ii[np.ix_(f, rest)] @ np.linalg.solve(
+        K_ii[np.ix_(rest, rest)], K_ii[np.ix_(rest, f)])
+
+
+def _lattice_mesh(cells, h):
+    """Mesh of a set of lattice cells at pitch h, anchored at the origin."""
+    ijk, tets, boundary = _lattice_topology(np.asarray(cells))
+    return Mesh(tets, ijk, h, np.zeros(3), boundary)
+
+
 class TestCoreSolve:
-    """Omega_eta systems solved through their Omega core against a
-    standalone sparse LU of the whole Omega_eta interior."""
+    """Omega_eta systems solved by substructuring through their Omega core
+    and bump systems against a standalone sparse LU of the whole Omega_eta
+    interior."""
 
     @pytest.mark.parametrize("h", [0.125, 0.0625])
     @pytest.mark.parametrize("fam", [scalar_identity_family(k=0.1, imag=1.0), DIAG_123, ROTATED],
@@ -723,19 +773,76 @@ class TestCoreSolve:
         mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=h), h)
         via, lu = _core_pair(mesh, mesh_eta, fam, a)
         _assert_core_matches_lu(via, lu)
-        bump = len(via.interior) - int(np.sum(~mesh.boundary_vertex_mask))
-        assert via.factored_dofs == bump
-        assert via.core.factored_dofs == 0
-        # The standalone system is the only one factored at Omega_eta's size.
-        assert factor_calls.count(len(lu.interior)) == 1
+        # The footprint is the patch face's vertices strictly inside the
+        # bump base: only its dense interface system is inverted.
+        footprint = via.interior[via._footprint]
+        assert np.all(np.abs(mesh_eta.verts[footprint, 2] - 1.0) < 1e-12)
+        assert via.factored_dofs == len(footprint) == (round(0.5 / h) - 1) ** 2
+        assert via.core.factored_dofs == via.bump.factored_dofs == 0
+        # The standalone system is the only sparse LU.
+        assert factor_calls == [len(lu.interior)]
 
-    @settings(max_examples=12, deadline=None)
-    @given(meshes=enlarged_meshes(), affine=st.booleans())
-    def test_any_face_and_box(self, meshes, affine):
-        mesh, mesh_eta = meshes
-        fam = scalar_identity_family(k=0.1, imag=1.0)
-        via, lu = _core_pair(mesh, mesh_eta, fam, AFFINE if affine else A_ONE)
+    @settings(max_examples=16, deadline=None)
+    @given(core_cases())
+    def test_any_face_and_box(self, case):
+        mesh, mesh_eta, fam, a, base = case
+        via, lu = _core_pair(mesh, mesh_eta, fam, a)
         _assert_core_matches_lu(via, lu, columns=2)
+        # A one-cell bump has no interior: the footprint is all it adds.
+        assert (via.bump is None) == (via.mesh.n_vertices - mesh.n_vertices
+                                      == np.prod([i1 - i0 + 1 for i0, i1 in base]))
+
+    @settings(max_examples=16, deadline=None)
+    @given(core_cases())
+    def test_interface_is_the_dense_schur_complement(self, case):
+        mesh, mesh_eta, fam, a, base = case
+        via, _ = _core_pair(mesh, mesh_eta, fam, a)
+        footprint = via.interior[via._footprint]
+        assert len(footprint) == np.prod([i1 - i0 - 1 for i0, i1 in base])
+        # The footprint lies on one face of Omega, where core and bump meet.
+        ijk = mesh_eta.ijk[footprint]
+        assert np.all(mesh.boundary_vertex_mask[mesh.vertex_indices(ijk)])
+        assert np.any(np.ptp(ijk, axis=0) == 0)
+        T = via._interface_system()
+        dense = _dense_footprint_schur(via)
+        assert np.max(np.abs(T - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    def test_part_outside_is_built_once_per_mesh(self):
+        patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
+        mesh = build_mesh(BOX, 0.125, patch=patch)
+        mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
+        vmap = mesh.shared_vertex_map(mesh_eta)
+        systems = [assemble(mesh_eta, fam, a, fam.freq, core=assemble(mesh, fam, a, fam.freq),
+                            vertex_map=vmap)
+                   for fam, a in ((DIAG_123, A_ONE), (ROTATED, AFFINE))]
+        assert [s.bump.solver_kind for s in systems] == ["sine-transform", "box-cocg"]
+        assert systems[0].bump.mesh is systems[1].bump.mesh
+        bump = systems[0].bump.mesh
+        assert bump.box_shape == (3, 3, 1) and bump.n_tets == 6 * 4 * 4 * 2
+        # The bump's vertices have the bits of the same vertices of Omega_eta.
+        part_map = mesh_eta.part_outside(mesh, vmap)[1]
+        assert np.array_equal(mesh_eta.verts[part_map], bump.verts)
+
+    @pytest.mark.parametrize("case", ["two-bumps", "l-shape", "no-bump"])
+    def test_part_outside_not_one_box_rejected(self, case):
+        box = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)]
+        extra = {"two-bumps": [(1, 1, 4), (2, 2, 4)],
+                 "l-shape": [(1, 1, 4), (2, 1, 4), (1, 2, 4)],
+                 "no-bump": []}[case]
+        mesh, mesh_eta = _lattice_mesh(box, 0.25), _lattice_mesh(box + extra, 0.25)
+        core = assemble(mesh, LAPLACE, A_ONE, 0.0)
+        with pytest.raises(GeometryError, match="not one lattice box"):
+            assemble(mesh_eta, LAPLACE, A_ONE, 0.0, core=core,
+                     vertex_map=mesh.shared_vertex_map(mesh_eta))
+
+    def test_one_cell_bump_has_no_bump_system(self, factor_calls):
+        patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
+        enlarged = EnlargedDomain(BOX, patch, 0.125, (0.25, 0.25), (0.75, 0.75), 0.125)
+        mesh, mesh_eta = build_mesh(BOX, 0.125, patch=patch), build_mesh(enlarged, 0.125)
+        via, lu = _core_pair(mesh, mesh_eta, ROTATED, AFFINE)
+        _assert_core_matches_lu(via, lu)
+        assert via.bump is None and via.factored_dofs == len(via._footprint) == 9
+        assert factor_calls == [len(lu.interior)]
 
     @pytest.mark.parametrize("case", [
         "no-map", "shifted", "short", "repeated", "to-boundary", "to-bump", "other-field",
@@ -1197,20 +1304,23 @@ class TestSystemLifetime:
     @pytest.mark.parametrize("kind", SCHUR_KINDS)
     def test_del_frees_solved_system(self, kind):
         # Reference counting alone must free a solved system, and a via-core
-        # system's core with it: no collector pass.
+        # system's core and bump with it: no collector pass.
         gc.disable()
         try:
             system, sigma = _schur_case(kind, 0.125)
             system.solve_dirichlet(np.ones(system.mesh.n_vertices))
             system.schur_onto(sigma)
-            refs = [weakref.ref(system)]
-            if system.core is not None:
-                refs.append(weakref.ref(system.core))
-            del system
+            parts = [system] + [p for p in (system.core, system.bump) if p is not None]
+            # No part's solver closure refers back to its own system.
+            for part in parts:
+                closure = getattr(part._solve, "__closure__", None) or ()
+                assert not any(cell.cell_contents is part for cell in closure)
+            refs = [weakref.ref(part) for part in parts]
+            del system, parts, part
             alive = [ref() is not None for ref in refs]
         finally:
             gc.enable()
-        assert len(alive) == (2 if kind == "via-core" else 1)
+        assert len(alive) == (3 if kind == "via-core" else 1)
         assert not any(alive)
 
 
