@@ -201,25 +201,11 @@ def probe(config_path, out_dir, seed, mesh_h):
     manifest.write()
 
 
-def _record_solver(manifest, label, domain, system):
-    """One manifest entry for a system: field, domain and its solver
-    counters (`BlockSystem.counters`)."""
-    manifest.add_solver({"field": label, "domain": domain, **system.counters()})
-
-
-def _record_solvers(manifest, fwd1, fwd2):
-    """One manifest entry per system the two forwards have built; building
-    none."""
-    for label, fwd in (("a1", fwd1), ("a2", fwd2)):
-        for domain, system in fwd.built_systems():
-            _record_solver(manifest, label, domain, system)
-
-
 def _recorded_dtn(manifest, label, system, basis, gram):
     """DtN matrix of one field's Omega system, with that system's solver
-    recorded in the manifest."""
+    recorded in the manifest as a Forward's Omega entry is."""
     dtn_matrix = assemble_dtn(system, basis, gram)
-    _record_solver(manifest, label, "Omega", system)
+    manifest.add_solver({"field": label, "domain": "Omega", **system.counters()})
     return dtn_matrix
 
 
@@ -294,7 +280,8 @@ def stability(config_path, out_dir, seed, mesh_h):
         fwd1, fwd2, cfg.x0, tau_grid=cfg.tau_grid, m=cfg.order, rho=cfg.rho,
         seed=cfg.seed,
     )
-    _record_solvers(manifest, fwd1, fwd2)
+    for entry in fwd1.solver_entries("a1") + fwd2.solver_entries("a2"):
+        manifest.add_solver(entry)
     manifest.start("write")
     payload = {
         "schema": REPORT_SCHEMA, "mode": "stability",
@@ -338,7 +325,8 @@ def derivative(config_path, out_dir, seed, mesh_h):
         boundary=boundary, seed=cfg.seed,
     )
     d1 = delta_h(cfg.apriori.alpha, 1)
-    _record_solvers(manifest, fwd1, fwd2)
+    for entry in fwd1.solver_entries("a1") + fwd2.solver_entries("a2"):
+        manifest.add_solver(entry)
     manifest.start("write")
     payload = {
         "schema": REPORT_SCHEMA, "mode": "derivative",

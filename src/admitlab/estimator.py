@@ -23,7 +23,8 @@ from .admittivity import AdmittivityFamily, ParameterField, WindowResult, comple
 from .dtn import LocalDtnMatrix, SigmaBasis, assemble_dtn, dtn_star_norm, h_half_gram, sigma_basis
 from .errors import (ConfigError, EstimatorRefusal, GeometryError,
                      NumericError, SingularityError)
-from .fem import BlockSystem, ComplexField, Mesh, assemble, build_mesh, energy_density
+from .fem import (BlockSystem, ComplexField, Mesh, SubstructuredSystem, assemble,
+                  build_mesh, energy_density)
 from .geometry import (BoundaryPatch, BoxDomain, EnlargedDomain, EtaSets,
                        ProbePath, build_enlarged_domain, build_eta_sets,
                        make_tau_grid, probe_point)
@@ -310,19 +311,21 @@ class Forward:
         return assemble_dtn(self.system, self.frame.basis, self.frame.gram)
 
     @functools.cached_property
-    def system_eta(self) -> BlockSystem:
-        # The Omega_eta interior is solved through the Omega system's solver.
+    def system_eta(self) -> SubstructuredSystem:
+        # Substructured through the Omega system: no Omega_eta matrix.
         frame = self.frame
         return assemble(frame.mesh_eta, frame.family, self.a, frame.k,
                         core=self.system, vertex_map=frame.vertex_map)
 
-    def built_systems(self) -> list:
-        """(domain, system) for the Omega system and, if it has been
-        assembled, the Omega_eta one; assembles nothing."""
+    def solver_entries(self, label: str) -> list:
+        """One plain manifest entry per system built: the field's `label`,
+        the domain ("Omega", then "Omega_eta" if it has been assembled) and
+        the system's counters; assembles nothing."""
         systems = [("Omega", self.system)]
         if "system_eta" in self.__dict__:
             systems.append(("Omega_eta", self.__dict__["system_eta"]))
-        return systems
+        return [{"field": label, "domain": domain, **system.counters()}
+                for domain, system in systems]
 
     def probe_pass(self, x0, tau_grid, m: int):
         """Corrected order-m probes at x0 + tau nu for every tau, memoised.
@@ -665,13 +668,6 @@ def lipschitz_ratio(fwd1: Forward, fwd2: Forward, label: str = "") -> LipschitzR
                            violation=violation)
 
 
-def _solver_entries(point: str, field: str, fwd: Forward) -> list:
-    """Plain copies of the solver counters of each system `fwd` has built,
-    labelled by sweep point, field and domain."""
-    return [{"point": point, "field": field, "domain": domain, **system.counters()}
-            for domain, system in fwd.built_systems()]
-
-
 def lipschitz_sweep(
     frame: LabFrame,
     a1: ParameterField,
@@ -688,9 +684,9 @@ def lipschitz_sweep(
     point builds only its Omega system; a derivative point also builds its
     Omega_eta system, through the Schur complement its DtN left behind.
     Given a `solvers` list, the counters of every system built are copied
-    into it as plain entries (`BlockSystem.counters` with "point", "field"
-    and "domain"): the reference's ("reference", a1) first, then each
-    point's (its label, a2), each point's copied before it is freed.
+    into it as plain entries (`Forward.solver_entries` led by "point"): the
+    reference's ("reference", a1) first, then each point's (its label, a2),
+    each point's copied before it is freed.
     """
     fwd1 = build_forward(frame, a1)
     # The reference DtN is solved before any perturbed field is assembled,
@@ -704,11 +700,12 @@ def lipschitz_sweep(
             est = derivative_gap_estimate(fwd1, fwd2, **derivative)
             rec = replace(rec, derivative_estimate=est.extrapolated)
         out.append(rec)
-        point_solvers += _solver_entries(label, "a2", fwd2)
+        point_solvers += [{"point": label, **entry} for entry in fwd2.solver_entries("a2")]
         # Dropping the last reference frees this point's systems, factors
         # and memoised Schur complement by reference counting, before the
         # next field is assembled.
         del fwd2
     if solvers is not None:
-        solvers.extend(_solver_entries("reference", "a1", fwd1) + point_solvers)
+        solvers.extend([{"point": "reference", **entry} for entry in fwd1.solver_entries("a1")]
+                       + point_solvers)
     return out

@@ -8,14 +8,14 @@ materialised from K for the structure and ellipticity checks.  Every
 Dirichlet solve and every Schur complement onto boundary dofs (the DtN
 pairing and the trace Gram) goes through a `BlockSystem`: a sine-transform
 solve where the interior block is a constant-weight 7-point stencil on a
-full box, conjugate orthogonal CG (COCG) preconditioned by that
-sine-transform solve for any other coefficient on a full box, and for an
-Omega_eta system given its Omega system as core, two-subdomain
-substructuring: the Omega system and the system of the bump box outside it
-solve their interiors, and the footprint between them is solved from its
-dense interface system, the sum of the two parts' Schur complements
-(Steklov-Poincare).  Only a mesh that is neither a box nor given a core
-gets a sparse LU, which no command builds: the tests use it as the oracle.
+full box, and conjugate orthogonal CG (COCG) preconditioned by that
+sine-transform solve for any other coefficient on a full box.  An Omega_eta
+system given its Omega system as core is never assembled whole: it is a
+`SubstructuredSystem` of the Omega system and the system of the bump box
+outside it, whose footprint between them is solved from its dense
+interface system, the sum of the two parts' Schur complements
+(Steklov-Poincare).  Only a standalone mesh that is not a box gets a
+sparse LU, which no command builds: the tests use it as the oracle.
 
 Meshes are built from integer lattice keys of a set of lattice cells,
 the one source of their topology.  Every tet is one of the six Kuhn tets
@@ -243,15 +243,18 @@ class Mesh:
 
         Tet 6 c starts at the lowest corner of cell c, so the cells are read
         off the tets, and the part keeps their order.  GeometryError unless
-        the cells outside the core form one full lattice box.
+        the core's cells are cells of this mesh and the cells outside them
+        form one full lattice box.
         """
-        vmap = _vertex_map(vertex_map, core.n_vertices, self.n_vertices)
+        vmap = _vertex_map(vertex_map, core, self)
         memo = self._part_outside
         if memo is not None and memo[0] is core and np.array_equal(memo[1], vmap):
             return memo[2], memo[3]
         cells = self.ijk[self.tets[::6, 0]]
-        core_cells = self.ijk[vmap[core.tets[::6, 0]]]
+        core_cells = core.ijk[core.tets[::6, 0]]
         outside = cells[~np.isin(self._linear_keys(cells), self._linear_keys(core_cells))]
+        if len(cells) - len(outside) != len(core_cells):
+            raise GeometryError("a cell of the core is not a cell of the mesh")
         if not len(outside) or len(outside) != np.prod(np.ptp(outside, axis=0) + 1):
             raise GeometryError("the part of the mesh outside the core is not one lattice box")
         ijk, tets, boundary = _lattice_topology(outside)
@@ -267,15 +270,19 @@ class Mesh:
         return other.vertex_indices(self.ijk)
 
 
-def _vertex_map(vertex_map, n_from: int, n_to: int) -> np.ndarray:
-    """`vertex_map` as an array, GeometryError unless it maps the n_from
-    vertices of a part's mesh one-to-one into the n_to of a mesh."""
+def _vertex_map(vertex_map, part: Mesh, mesh: Mesh) -> np.ndarray:
+    """`vertex_map` as an array, GeometryError unless it maps the vertices
+    of the `part` mesh one-to-one into those of `mesh` with the same
+    lattice keys, on the same lattice."""
     vmap = np.asarray(vertex_map)
-    if (vmap.shape != (n_from,) or vmap.dtype.kind not in "iu"
-            or np.any(vmap < 0) or np.any(vmap >= n_to)
+    if (vmap.shape != (part.n_vertices,) or vmap.dtype.kind not in "iu"
+            or np.any(vmap < 0) or np.any(vmap >= mesh.n_vertices)
             or len(np.unique(vmap)) != len(vmap)):
         raise GeometryError("the vertex map is not a one-to-one map of the "
                             "part's mesh into this mesh")
+    if (part.h != mesh.h or not np.array_equal(part.anchor, mesh.anchor)
+            or not np.array_equal(mesh.ijk[vmap], part.ijk)):
+        raise GeometryError("the vertex map does not keep the lattice keys")
     return vmap
 
 
@@ -500,9 +507,8 @@ class ComplexField:
 
 _RESIDUAL_RTOL = 1e-10
 # The interior solver kinds whose solution columns have the same bits
-# whatever columns are solved beside them; SuperLU's multi-column solves,
-# and the BLAS product with a via-core system's inverted interface, move the
-# last bits with the block.
+# whatever columns are solved beside them; SuperLU's multi-column solves
+# move the last bits with the block.
 _BLOCKWISE_EXACT = ("sine-transform", "box-cocg")
 # A COCG column stops once its recurrence residual is at most _COCG_RTOL of
 # its right-hand side; a column still running after _COCG_MAX_ITERATIONS
@@ -527,18 +533,21 @@ def _factor_interior(K_ii: sp.spmatrix) -> spla.SuperLU:
         raise SolverError(f"sparse factorisation failed: {exc}") from exc
 
 
-def _check_residual(K_ii: sp.spmatrix, x: np.ndarray, rhs: np.ndarray,
-                    first_column: int = 0) -> float:
-    """SolverError unless every column has |K_ii x - rhs| <= 1e-10 |rhs|;
-    returns the largest relative residual.
+def _as_columns(x: np.ndarray) -> np.ndarray:
+    """An (n,) or (n, c) array as (n, c) columns, n = 0 included."""
+    return x[:, None] if x.ndim == 1 else x
+
+
+def _check_residual(residual: np.ndarray, rhs: np.ndarray, first_column: int = 0) -> float:
+    """SolverError unless every column has |residual| <= 1e-10 |rhs|, for
+    the residual K_II x - rhs of an interior solve; returns the largest
+    relative residual.
 
     A non-finite residual fails the check too.  The failing column is
     reported as `first_column` plus its position in `rhs`.
     """
-    x = x.reshape(len(x), -1)
-    rhs = rhs.reshape(len(rhs), -1)
-    resid = np.linalg.norm(K_ii @ x - rhs, axis=0)
-    scale = np.maximum(np.linalg.norm(rhs, axis=0), 1e-300)
+    resid = np.linalg.norm(_as_columns(residual), axis=0)
+    scale = np.maximum(np.linalg.norm(_as_columns(rhs), axis=0), 1e-300)
     bad = ~(resid <= _RESIDUAL_RTOL * scale)
     if np.any(bad):
         col = int(np.argmax(bad))
@@ -702,8 +711,62 @@ class _KrylovCounts:
         self.most = max(self.most, int(iterations.max(initial=0)))
 
 
-class BlockSystem:
-    """Assembled complex matrix K = K_R + i K_I with a cached interior solver.
+def _dirichlet_columns(mesh: Mesh, g) -> np.ndarray:
+    """Dirichlet data g, one full-length nodal vector (n,) or one per
+    column (n, c), as (n, c) complex columns that are zero off the boundary.
+
+    ConfigError unless g is full length; SolverError naming the first
+    column whose boundary data is not finite.
+    """
+    g = np.asarray(g, dtype=complex)
+    n = mesh.n_vertices
+    if g.ndim not in (1, 2) or g.shape[0] != n:
+        raise ConfigError("boundary data must be full-length nodal vectors")
+    cols = g.reshape(n, -1)
+    boundary = mesh.boundary_vertex_mask
+    g_bnd = cols[boundary]
+    finite = np.all(np.isfinite(g_bnd), axis=0)
+    if not np.all(finite):
+        raise SolverError("boundary data contains non-finite values",
+                          diagnostics={"column": int(np.argmin(finite))})
+    values = np.zeros(cols.shape, dtype=complex)
+    values[boundary] = g_bnd
+    return values
+
+
+class _SolverCounters:
+    """The counters that a run's manifest reports for a system.
+
+    `factored_dofs` counts the dofs of every factorisation the system has
+    made, `solve_calls` and `rhs_columns` the calls into its interior
+    solver and their columns, `krylov_iterations` and
+    `krylov_iterations_max` the COCG iterations summed over those columns
+    and the most any one column took, and `worst_residual` is the largest
+    relative residual that a residual check of the system has passed.
+    """
+
+    def __init__(self):
+        self.factored_dofs = 0
+        self.solve_calls = 0
+        self.rhs_columns = 0
+        self.worst_residual = 0.0
+
+    def counters(self) -> dict:
+        """Plain copies of the counters, with the interior solver kind and
+        the interior dofs.  The dict holds no reference to the system."""
+        return {
+            "kind": self.solver_kind, "interior_dofs": len(self.interior),
+            "factored_dofs": self.factored_dofs,
+            "solve_calls": self.solve_calls, "rhs_columns": self.rhs_columns,
+            "krylov_iterations": self.krylov_iterations,
+            "krylov_iterations_max": self.krylov_iterations_max,
+            "worst_residual": self.worst_residual,
+        }
+
+
+class BlockSystem(_SolverCounters):
+    """Assembled complex matrix K = K_R + i K_I on one mesh, with a cached
+    interior solver.
 
     `block_matrix` materialises the real block form [[K_R, -K_I], [K_I, K_R]].
     The interior solver is chosen once, at the first solve, and named by
@@ -711,13 +774,6 @@ class BlockSystem:
 
     - "sine-transform": with `axis_weights` (the diagonal of a constant
       diagonal coefficient on a full lattice box), `box_solve`;
-    - "via-core": with a `core`, the system of the same field on a mesh
-      that embeds in this one by `vertex_map` (the Omega system inside its
-      Omega_eta system), and the `bump` system of the same field on the
-      part outside the core, which embeds by `bump_map` (None when that
-      part has no interior), substructuring: the core's and the bump's own
-      interior solvers solve their interiors, and the footprint between
-      them is solved from its dense interface system, inverted once;
     - "box-cocg": with `cocg_weights` (the tet-averaged diagonal of any
       other coefficient on a full lattice box), COCG preconditioned by
       `box_solve` of those weights, each column stopped at a recurrence
@@ -725,16 +781,11 @@ class BlockSystem:
     - "sparse-lu": a sparse LU of the interior block.
 
     `assemble` gives every full-box system either `axis_weights` or
-    `cocg_weights`, and every Omega_eta system given a core its bump, so it
-    factors whole only a system on another mesh given no core (the tests'
-    standalone Omega_eta oracle).  `factored_dofs` counts the dofs of every
-    factorisation this system has made (a via-core system's interface),
-    `solve_calls` and `rhs_columns` the calls into its interior solver and
-    their columns (an Omega_eta system's solves through its core and bump
-    count there too), `krylov_iterations` and `krylov_iterations_max` the
-    COCG iterations summed over those columns and the most any one column
-    took, and `worst_residual` is the largest relative residual that a
-    residual check of this system has passed.
+    `cocg_weights`, so it factors only a system on another mesh: the
+    tests' standalone Omega_eta oracle.  A system with no interior dof,
+    such as the bump of a `SubstructuredSystem` one cell thick, solves
+    nothing.  `field` is the (family, a, k) that `assemble` built it from.
+    The counters are those of `_SolverCounters`.
 
     No solver holds a reference back to its system, so a system, its
     factors and its Krylov scratch are freed by reference counting as soon
@@ -743,88 +794,21 @@ class BlockSystem:
     footprint part of its Omega_eta system's interface by restriction.
     """
 
-    def __init__(self, mesh: Mesh, K: sp.csr_matrix, axis_weights=None,
-                 core: Optional["BlockSystem"] = None, vertex_map=None,
-                 cocg_weights=None, bump: Optional["BlockSystem"] = None,
-                 bump_map=None):
+    def __init__(self, mesh: Mesh, K: sp.csr_matrix, axis_weights=None, cocg_weights=None):
+        super().__init__()
         self.mesh = mesh
         self.K = K
         self.axis_weights = axis_weights
         self.cocg_weights = cocg_weights
+        self.field = None
         self._interior = np.where(~mesh.boundary_vertex_mask)[0]
         self._boundary = np.where(mesh.boundary_vertex_mask)[0]
         self._K_ii = K[np.ix_(self._interior, self._interior)].tocsr()
         self._K_ib = K[np.ix_(self._interior, self._boundary)].tocsr()
         self._solve = None
-        self.factored_dofs = 0
-        self.solve_calls = 0
-        self.rhs_columns = 0
         self._krylov = _KrylovCounts()
-        self.worst_residual = 0.0
         # The dofs and the read-only result of the last Schur complement.
         self._schur = None
-        self.core = self.bump = None
-        if core is not None:
-            self._attach_parts(core, vertex_map, bump, bump_map)
-
-    def _embedding(self, part: "BlockSystem", vertex_map, what: str):
-        """Interior positions here of the interior dofs of `part`, a system
-        on a mesh that `vertex_map` embeds in this one, and the index in
-        that mesh of each vertex here (-1 off it).
-
-        Each interior vertex of `part` must map to an interior vertex here
-        whose row reaches only images of its vertices, with its own row
-        values; GeometryError otherwise.
-        """
-        import scipy.sparse as sp
-
-        n = self.mesh.n_vertices
-        vmap = _vertex_map(vertex_map, part.mesh.n_vertices, n)
-        owner = np.full(n, -1, dtype=np.int64)
-        owner[vmap] = np.arange(len(vmap))
-        rows_here = vmap[part.interior]
-        pos = np.minimum(np.searchsorted(self._interior, rows_here),
-                         len(self._interior) - 1)
-        if np.any(self._interior[pos] != rows_here):
-            raise GeometryError(f"a {what} interior vertex maps to a boundary vertex")
-        rows = self.K[rows_here]
-        if np.any(owner[rows.indices] < 0):
-            raise GeometryError(f"a {what} interior row reaches a vertex outside the {what} mesh")
-        # The same rows in the part's vertex numbering must be its rows.
-        mapped = sp.csr_matrix((rows.data, owner[rows.indices], rows.indptr),
-                               shape=(len(rows_here), len(vmap)))
-        gap = (mapped - part.K[part.interior]).data
-        scale = np.max(np.abs(part.K.data), initial=0.0)
-        if gap.size and np.max(np.abs(gap)) > 1e-12 * scale:
-            raise GeometryError(f"the {what} system's interior rows differ from this system's")
-        return pos, owner
-
-    def _attach_parts(self, core: "BlockSystem", vertex_map, bump, bump_map) -> None:
-        """Check that `core` and `bump` embed in this system and split the
-        interior into the core's interior, the bump's and the footprint f,
-        the rest.
-
-        Every footprint vertex must be a vertex of the core and, given a
-        bump, of the bump, so that it is a boundary dof of each part;
-        GeometryError otherwise.
-        """
-        core_pos, core_owner = self._embedding(core, vertex_map, "core")
-        parts = [(core, core_owner)]
-        in_part = np.zeros(len(self._interior), dtype=bool)
-        in_part[core_pos] = True
-        bump_pos = np.zeros(0, dtype=np.int64)
-        if bump is not None:
-            bump_pos, bump_owner = self._embedding(bump, bump_map, "bump")
-            parts.append((bump, bump_owner))
-            in_part[bump_pos] = True
-        footprint = np.where(~in_part)[0]
-        if any(np.any(owner[self._interior[footprint]] < 0) for _, owner in parts):
-            raise GeometryError("an interior vertex outside the core's interior is "
-                                "not a vertex of the core and the bump")
-        self.core, self.bump = core, bump
-        self._core_pos, self._bump_pos, self._footprint = core_pos, bump_pos, footprint
-        # Each part with the index in its mesh of each vertex here.
-        self._parts = parts
 
     @property
     def block_matrix(self) -> sp.csr_matrix:
@@ -853,27 +837,10 @@ class BlockSystem:
     def krylov_iterations_max(self) -> int:
         return self._krylov.most
 
-    def counters(self) -> dict:
-        """Plain copies of the solver counters: interior solver kind,
-        interior dofs, dofs factored, interior solve calls and their
-        right-hand side columns, COCG iterations summed over those columns
-        and the most one column took, and the worst relative residual its
-        checks passed.  The dict holds no reference to the system."""
-        return {
-            "kind": self.solver_kind, "interior_dofs": len(self._interior),
-            "factored_dofs": self.factored_dofs,
-            "solve_calls": self.solve_calls, "rhs_columns": self.rhs_columns,
-            "krylov_iterations": self.krylov_iterations,
-            "krylov_iterations_max": self.krylov_iterations_max,
-            "worst_residual": self.worst_residual,
-        }
-
     @property
     def solver_kind(self) -> str:
         if self.axis_weights is not None:
             return "sine-transform"
-        if self.core is not None:
-            return "via-core"
         if self.cocg_weights is not None:
             return "box-cocg"
         return "sparse-lu"
@@ -884,20 +851,22 @@ class BlockSystem:
             kind = self.solver_kind
             if kind == "sine-transform":
                 self._solve = box_solve(self.mesh, self.axis_weights)
-            elif kind == "via-core":
-                self._solve = self._core_solver()
             elif kind == "box-cocg":
                 self._solve = self._cocg_solver()
-            else:
+            elif len(self._interior):
                 self._solve = _factor_interior(self._K_ii).solve
                 self.factored_dofs += len(self._interior)
+            else:
+                # An empty interior block: nothing to factor or solve.
+                self._solve = np.zeros_like
         self.solve_calls += 1
         self.rhs_columns += rhs.shape[1] if rhs.ndim == 2 else 1
         return self._solve(rhs)
 
     def _check(self, x: np.ndarray, rhs: np.ndarray, first_column: int = 0) -> None:
         """Residual check of an interior solve, kept in `worst_residual`."""
-        worst = _check_residual(self._K_ii, x, rhs, first_column)
+        rhs = _as_columns(rhs)
+        worst = _check_residual(self._K_ii @ _as_columns(x) - rhs, rhs, first_column)
         self.worst_residual = max(self.worst_residual, worst)
 
     def _cocg_solver(self):
@@ -912,62 +881,6 @@ class BlockSystem:
             x, iterations = _cocg(K_ii, precondition, rhs.reshape(len(rhs), -1))
             counts.add(iterations)
             return x.reshape(rhs.shape)
-
-        return solve
-
-    def _interface_system(self) -> np.ndarray:
-        """The dense interface system of the footprint f,
-        T = K[f, f] - (K_core[f, f] - S_core(f)) - (K_bump[f, f] - S_bump(f)),
-        with S the parts' Schur complements onto f.
-
-        No core interior dof couples to a bump interior dof, and their rows
-        are the parts' own, so T is the Schur complement of the interior
-        block onto f (Steklov-Poincare).
-        """
-        f = self._footprint
-        T = self._K_ii[f][:, f].toarray()
-        f_vertices = self._interior[f]
-        # f lies in the core's DtN basis, so after its DtN the core's S
-        # restricts its memoised Schur complement and solves nothing.
-        for part, owner in self._parts:
-            f_part = owner[f_vertices]
-            T -= part.K[f_part][:, f_part].toarray() - part.schur_onto(f_part)
-        return T
-
-    def _core_solver(self):
-        """Interior solve by substructuring into the core's interior B, the
-        bump's interior b and the footprint f between them.
-
-        T is inverted once.  A solve is z_B = K_BB^{-1} r_B and
-        z_b = K_bb^{-1} r_b by the parts' own interior solvers,
-        u_f = T^{-1}(r_f - K_fB z_B - K_fb z_b), then u_B and u_b by the part
-        solvers again on r - K_If u_f.
-        """
-        core, bump = self.core, self.bump
-        B, b, f = self._core_pos, self._bump_pos, self._footprint
-        K_fI = self._K_ii[f]
-        # The narrow side is sliced first: no interior row is copied.
-        K_If = self._K_ii[:, f]
-        T_inv = np.linalg.inv(self._interface_system())
-        self.factored_dofs += len(f)
-        solve_B = core._solve_interior
-        solve_b = bump._solve_interior if bump is not None else None
-
-        def solve_parts(r: np.ndarray, u: np.ndarray) -> None:
-            u[B] = solve_B(r[B])
-            if b.size:
-                u[b] = solve_b(r[b])
-
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            rhs = np.asarray(rhs)
-            r = rhs.reshape(len(rhs), -1)
-            u = np.zeros(r.shape, dtype=complex)
-            solve_parts(r, u)
-            # u is zero on f here, so K_fI u is K_fB z_B + K_fb z_b.
-            u_f = T_inv @ (r[f] - K_fI @ u)
-            solve_parts(r - K_If @ u_f, u)
-            u[f] = u_f
-            return u.reshape(rhs.shape)
 
         return solve
 
@@ -994,10 +907,8 @@ class BlockSystem:
         and COCG solvers give each column the same bits whatever block it
         is solved in, so under them a subset is answered by indexing, with
         the bits of a fresh solve and no interior solve.  SuperLU's
-        multi-column solves do not (nor, through the BLAS product with its
-        inverted interface, does via-core), so there a subset is solved
-        afresh.  Any sigma not answered from the memo is computed and
-        replaces it.
+        multi-column solves do not, so there a subset is solved afresh.
+        Any sigma not answered from the memo is computed and replaces it.
 
         The columns are solved in equal blocks of at most `_BLOCK_BYTES`
         of complex (interior x column) data, so no array of interior size
@@ -1021,7 +932,7 @@ class BlockSystem:
         K_si = K_s[:, self._interior]
         S = K_s[:, sigma].toarray()
         d = len(sigma)
-        cap = max(1, _BLOCK_BYTES // (16 * len(self._interior)))
+        cap = max(1, _BLOCK_BYTES // (16 * max(1, len(self._interior))))
         blocks = max(1, math.ceil(d / cap))
         width = max(1, math.ceil(d / blocks))
         for start in range(0, d, width):
@@ -1053,23 +964,104 @@ class BlockSystem:
         array for (n, c) data; all columns share one interior solve and each
         column's residual is checked.
         """
-        g = np.asarray(g, dtype=complex)
-        n = self.mesh.n_vertices
-        if g.ndim not in (1, 2) or g.shape[0] != n:
-            raise ConfigError("boundary data must be full-length nodal vectors")
-        cols = g.reshape(n, -1)
-        g_bnd = cols[self._boundary]
-        finite = np.all(np.isfinite(g_bnd), axis=0)
-        if not np.all(finite):
-            raise SolverError("boundary data contains non-finite values",
-                              diagnostics={"column": int(np.argmin(finite))})
-        rhs = -(self._K_ib @ g_bnd)
+        values = _dirichlet_columns(self.mesh, g)
+        rhs = -(self._K_ib @ values[self._boundary])
         u_int = self._solve_interior(rhs)
         self._check(u_int, rhs)
-        values = np.zeros(cols.shape, dtype=complex)
-        values[self._boundary] = g_bnd
         values[self._interior] = u_int
-        if g.ndim == 1:
+        if np.ndim(g) == 1:
+            return ComplexField(self.mesh, values[:, 0])
+        return values
+
+
+class SubstructuredSystem(_SolverCounters):
+    """The system of a field on a mesh that two parts tile, solved through
+    the same field's systems on the parts, with no matrix of the whole
+    mesh: the Omega_eta system, from the Omega system `core` and the system
+    `bump` of the lattice box outside it (`Mesh.part_outside`).
+
+    The parts' cells tile the mesh, so its matrix is the sum of theirs
+    through their vertex maps.  Their interiors map to disjoint interior
+    vertices, and the rest of the interior, the `footprint` f, to boundary
+    vertices of both parts.  A Dirichlet solve is two-subdomain
+    substructuring: both parts are solved with u pinned to zero on f; u_f
+    solves T u_f = -(K u)_f, where T = S_core(f) + S_bump(f), the sum of
+    the parts' Schur complements onto f (Steklov-Poincare), is inverted
+    once, at the first solve; and both parts are solved again with u_f.
+    The core's S_core(f) restricts its memoised Schur complement onto the
+    DtN basis, which holds f.  Each column's residual over the whole
+    interior, the parts' interior rows and the footprint rows summed over
+    both, is checked against the column's -K_IB g.
+
+    Its counters (`_SolverCounters`) name the kind "via-core":
+    `factored_dofs` is |f|, the inverted interface, and `solve_calls` and
+    `rhs_columns` count its Dirichlet solves, whose part solves count in
+    the parts' counters too.
+    """
+
+    solver_kind = "via-core"
+    # The COCG iterations of the part solves count in the parts.
+    krylov_iterations = krylov_iterations_max = 0
+
+    def __init__(self, mesh: Mesh, core: BlockSystem, core_map, bump: BlockSystem, bump_map):
+        super().__init__()
+        self.mesh, self.core, self.bump = mesh, core, bump
+        inside = ~mesh.boundary_vertex_mask
+        self.interior = np.flatnonzero(inside)
+        maps = [_vertex_map(core_map, core.mesh, mesh), _vertex_map(bump_map, bump.mesh, mesh)]
+        covered = np.zeros(mesh.n_vertices, dtype=np.int64)
+        for part, vmap in zip((core, bump), maps):
+            covered[vmap[part.interior]] += 1
+        if np.any(covered[~inside]) or np.any(covered > 1):
+            raise GeometryError("the parts' interiors do not map to disjoint interior vertices")
+        self.footprint = np.flatnonzero(inside & (covered == 0))
+        # Each part with the index here of each of its vertices and the
+        # index in its mesh of each footprint vertex.
+        self._parts = []
+        for part, vmap in zip((core, bump), maps):
+            owner = np.full(mesh.n_vertices, -1, dtype=np.int64)
+            owner[vmap] = np.arange(len(vmap))
+            if np.any(owner[self.footprint] < 0):
+                raise GeometryError("a footprint vertex is not a vertex of both parts")
+            self._parts.append((part, vmap, owner[self.footprint]))
+        self._T_inv = None
+
+    def _interface(self) -> np.ndarray:
+        """T = S_core(f) + S_bump(f), the parts' Schur complements onto the
+        footprint, summed."""
+        return sum(part.schur_onto(f_part) for part, _, f_part in self._parts)
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        """K x for (n, c) columns: the parts' products, summed."""
+        out = np.zeros(x.shape, dtype=complex)
+        for part, vmap, _ in self._parts:
+            out[vmap] += part.K @ x[vmap]
+        return out
+
+    def _solve_parts(self, values: np.ndarray) -> None:
+        """Both parts' Dirichlet solves, in place: each reads its boundary
+        data, the footprint's among it, from `values` and writes its
+        interior solution back."""
+        for part, vmap, _ in self._parts:
+            values[vmap] = part.solve_dirichlet(values[vmap])
+
+    def solve_dirichlet(self, g):
+        """Solve with Dirichlet data g, as `BlockSystem.solve_dirichlet`."""
+        values = _dirichlet_columns(self.mesh, g)
+        if self._T_inv is None:
+            self._T_inv = np.linalg.inv(self._interface())
+            self.factored_dofs += len(self.footprint)
+        self.solve_calls += 1
+        self.rhs_columns += values.shape[1]
+        # The data is zero inside, so K applied to it is K_IB g there.
+        rhs = -self._product(values)[self.interior]
+        self._solve_parts(values)
+        values[self.footprint] = self._T_inv @ -self._product(values)[self.footprint]
+        self._solve_parts(values)
+        # K_II u_I + K_IB g is K u on the interior.
+        worst = _check_residual(self._product(values)[self.interior], rhs)
+        self.worst_residual = max(self.worst_residual, worst)
+        if np.ndim(g) == 1:
             return ComplexField(self.mesh, values[:, 0])
         return values
 
@@ -1102,7 +1094,7 @@ class _DiagonalSummary:
 
 
 def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float,
-             core: Optional[BlockSystem] = None, vertex_map=None) -> BlockSystem:
+             core: Optional[BlockSystem] = None, vertex_map=None):
     """Block system for div(A(x, a(x)) grad u) = 0 on the mesh.
 
     The field, the coefficient and the element blocks are evaluated over
@@ -1112,26 +1104,21 @@ def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float,
     complex CSR data array.  On a full lattice box, a constant diagonal
     coefficient gets the exact sine-transform interior solve, and any other
     coefficient COCG preconditioned by the sine-transform solve of its
-    tet-averaged diagonal, summarised over the same chunks.  Given `core`,
-    the same field's system on a mesh that `vertex_map` embeds in this one
-    (Omega in Omega_eta), the part of the mesh outside the core must be one
-    lattice box (`Mesh.part_outside`), whose own system of the field is
-    assembled as the bump, and the interior is solved by substructuring
-    through the two; a system on any other mesh is factored whole.
+    tet-averaged diagonal, summarised over the same chunks.
+
+    Given `core`, the system of the same field (family, a, k) on a mesh
+    that `vertex_map` embeds in this one (Omega in Omega_eta), the part of
+    the mesh outside the core must be one lattice box (`Mesh.part_outside`).
+    The field's system on it is assembled as the bump, and the two make a
+    `SubstructuredSystem`, with no pattern or matrix of this mesh.
+    GeometryError if the core was assembled from another field.
     """
-    if core is None:
-        return _assembled(mesh, family, a, k)
-    bump_mesh, bump_map = mesh.part_outside(core.mesh, vertex_map)
-    bump = None
-    if bump_mesh.box_shape is not None:
-        bump = _assembled(bump_mesh, family, a, k)
-    return _assembled(mesh, family, a, k, core=core, vertex_map=vertex_map,
-                      bump=bump, bump_map=bump_map)
-
-
-def _assembled(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float,
-               **attach) -> BlockSystem:
-    """The `BlockSystem` of `assemble`, with the core and bump in `attach`."""
+    if core is not None:
+        if core.field != (family, a, k):
+            raise GeometryError("the core was assembled from another field")
+        bump_mesh, bump_map = mesh.part_outside(core.mesh, vertex_map)
+        return SubstructuredSystem(mesh, core, vertex_map,
+                                   assemble(bump_mesh, family, a, k), bump_map)
     pattern = mesh.stiffness_pattern
     data = np.zeros(len(pattern.indices), dtype=complex)
     # The real and imaginary parts interleaved: np.add.at adds the real
@@ -1158,8 +1145,10 @@ def _assembled(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: floa
             axis_weights = np.diag(real.constant) + 1j * np.diag(imag.constant)
         else:
             cocg_weights = real.mean() + 1j * imag.mean()
-    return BlockSystem(mesh, _csr(pattern, data), axis_weights=axis_weights,
-                       cocg_weights=cocg_weights, **attach)
+    system = BlockSystem(mesh, _csr(pattern, data), axis_weights=axis_weights,
+                         cocg_weights=cocg_weights)
+    system.field = (family, a, k)
+    return system
 
 
 def energy_density(mesh: Mesh, coeff, u: ComplexField, v: ComplexField) -> np.ndarray:

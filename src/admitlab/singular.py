@@ -22,7 +22,7 @@ import numpy as np
 
 from .admittivity import AdmittivityFamily, ParameterField, complex_dot
 from .errors import ConfigError, GeometryError, NumericError, SingularityError
-from .fem import BlockSystem, ComplexField, Mesh
+from .fem import BlockSystem, ComplexField, Mesh, SubstructuredSystem
 from .gegenbauer import (GegenbauerSpec, gegenbauer, gegenbauer_derivative)
 from .geometry import EnlargedDomain
 
@@ -257,11 +257,11 @@ class CorrectedProbe:
 def build_corrected_probe(
     probes: Sequence[SingularProbe],
     enlarged: EnlargedDomain,
-    system: BlockSystem,
+    system: BlockSystem | SubstructuredSystem,
 ) -> list:
     """Correctors for a sequence of probes from one multi-column solve of
-    the system assembled on the enlarged mesh; every trace dies off the
-    patch.
+    the system of the enlarged mesh, standalone or substructured through
+    its Omega system; every trace dies off the patch.
 
     Returns one CorrectedProbe per probe, in order.
     """

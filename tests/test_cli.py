@@ -13,12 +13,12 @@ import pytest
 import yaml
 
 import admitlab.cli
-from admitlab.cli import _record_solvers, main
+from admitlab.cli import main
 from admitlab.config import load_config
 from admitlab.errors import ConfigError
 from admitlab.estimator import build_forward
 from admitlab.families import constant_field
-from admitlab.fem import BlockSystem
+from admitlab.fem import BlockSystem, SubstructuredSystem
 
 BASE_CONFIG = {
     "seed": 42,
@@ -341,6 +341,17 @@ class TestStabilityCommand:
         assert [s["factored_dofs"] for s in solvers if s["domain"] == "Omega_eta"] == [9, 9]
         assert factor_calls == []
 
+    def test_one_cell_bump(self, tmp_path, factor_calls):
+        # At h = 0.25 recovery.yaml's eta is one pitch, so the bump is one
+        # cell thick: its system has no interior, and each Omega_eta system
+        # inverts only its one footprint dof.
+        out = tmp_path / "out"
+        assert main(["stability", "--config", str(CONFIG_DIR / "recovery.yaml"),
+                     "--mesh-h", "0.25", "--out", str(out)]) == 0
+        solvers = json.loads((out / "manifest.json").read_text())["solvers"]
+        assert [s["factored_dofs"] for s in solvers if s["domain"] == "Omega_eta"] == [1, 1]
+        assert factor_calls == []
+
     @pytest.mark.parametrize("command, config, kinds", [
         ("stability", "recovery.yaml",
          {"a1": ("sine-transform", "via-core"), "a2": ("sine-transform", "via-core")}),
@@ -454,22 +465,24 @@ class TestStabilityCommand:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_manifest_lists_built_systems_only(self, frame16):
-        class Manifest(list):
-            add_solver = list.append
-
         fwd1 = build_forward(frame16, constant_field(1.0))
         fwd2 = build_forward(frame16, constant_field(1.1))
         fwd1.dtn
-        manifest = Manifest()
-        _record_solvers(manifest, fwd1, fwd2)
-        assert [(s["field"], s["domain"]) for s in manifest] == [("a1", "Omega"), ("a2", "Omega")]
-        # Reading the manifest assembled no Omega_eta system.
-        assert [fwd.built_systems()[-1][0] for fwd in (fwd1, fwd2)] == ["Omega"] * 2
+
+        def entries():
+            return fwd1.solver_entries("a1") + fwd2.solver_entries("a2")
+
+        assert [(s["field"], s["domain"]) for s in entries()] == [("a1", "Omega"), ("a2", "Omega")]
+        # Reading the entries assembled no Omega_eta system.
+        assert not any("system_eta" in vars(fwd) for fwd in (fwd1, fwd2))
         fwd2.system_eta
-        manifest.clear()
-        _record_solvers(manifest, fwd1, fwd2)
-        assert [(s["field"], s["domain"]) for s in manifest] == [
+        listed = entries()
+        assert [(s["field"], s["domain"]) for s in listed] == [
             ("a1", "Omega"), ("a2", "Omega"), ("a2", "Omega_eta")]
+        # Plain entries: the field, the domain and the system's counters.
+        assert listed[2] == {"field": "a2", "domain": "Omega_eta",
+                             **fwd2.system_eta.counters()}
+        assert all(isinstance(v, (str, int, float)) for s in listed for v in s.values())
 
 
 class TestSweepCommand:
@@ -608,15 +621,16 @@ class TestLifetimes:
         # Each Omega_eta system's bump system is freed with it when the
         # command returns, by reference counting alone.
         systems, bumps = [], []
-        real_init = BlockSystem.__init__
+        real_inits = {cls: cls.__init__ for cls in (BlockSystem, SubstructuredSystem)}
 
         def init_logged(system, *args, **kwargs):
-            real_init(system, *args, **kwargs)
+            real_inits[type(system)](system, *args, **kwargs)
             systems.append(weakref.ref(system))
-            if system.bump is not None:
+            if isinstance(system, SubstructuredSystem):
                 bumps.append((weakref.ref(system.bump), system.bump.solver_kind))
 
-        monkeypatch.setattr(BlockSystem, "__init__", init_logged)
+        for cls in real_inits:
+            monkeypatch.setattr(cls, "__init__", init_logged)
         gc.disable()
         try:
             assert main(["derivative", "--config", str(CONFIG_DIR / "derivative.yaml"),

@@ -605,6 +605,19 @@ class TestSweepDriver:
         assert alive == []
 
 
+def test_estimators_build_no_omega_eta_pattern():
+    # Each Omega_eta system is substructured through its Omega and bump
+    # systems, so the estimators never build an Omega_eta pattern or matrix.
+    frame = build_frame(BOX, BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8)), 0.25, 0.125,
+                        scalar_identity_family(k=0.05, imag=1.0))
+    fwd1 = build_forward(frame, constant_field(1.0))
+    fwd2 = build_forward(frame, affine_field(0.9, (0.0, 0.0, 0.1)))
+    boundary_gap_estimate(fwd1, fwd2, X0, seed=0)
+    derivative_gap_estimate(fwd1, fwd2, X0, seed=0)
+    assert all("system_eta" in vars(fwd) for fwd in (fwd1, fwd2))
+    assert frame.mesh_eta._stiffness_pattern is None
+
+
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 
 

@@ -16,10 +16,10 @@ from admitlab.families import (affine_field, constant_field,
 from admitlab.dtn import boundary_mass_sigma
 from admitlab.estimator import build_forward, build_frame
 from admitlab.fem import (_CORNER_OFFSETS, _FACE_LOCAL, _TET_PATTERNS,
-                          BlockSystem, ComplexField, Mesh, _lattice_topology,
-                          _stiffness_blocks, assemble, assemble_csr,
-                          assemble_stiffness, box_solve, build_mesh,
-                          energy_density)
+                          BlockSystem, ComplexField, Mesh, SubstructuredSystem,
+                          _lattice_topology, _stiffness_blocks, assemble,
+                          assemble_csr, assemble_stiffness, box_solve,
+                          build_mesh, energy_density)
 from admitlab.geometry import (FACE_NAMES, BoxDomain, BoundaryPatch,
                                EnlargedDomain, build_enlarged_domain)
 
@@ -678,7 +678,7 @@ class TestBoxSolve:
         n_eta = int(np.sum(~mesh_eta.boundary_vertex_mask))
         sizes = {"omega": n_omega, "omega_eta": n_eta}
         assert factor_calls == [sizes[name] for name in factored]
-        interface = sum(len(s._footprint) for s in systems if s.solver_kind == "via-core")
+        interface = sum(len(s.footprint) for s in systems if s.solver_kind == "via-core")
         assert sum(s.factored_dofs for s in systems) == sum(factor_calls) + interface
 
 
@@ -687,18 +687,20 @@ AFFINE = affine_field(1.0, (0.1, -0.05, 0.2))
 
 
 def _core_pair(mesh, mesh_eta, fam, a):
-    """The Omega_eta system solved through its Omega core, and the same
-    matrix as a standalone system on the sparse LU path."""
+    """The Omega_eta system substructured through its Omega core, and the
+    standalone system of the same field on the sparse LU path, the oracle."""
     core = assemble(mesh, fam, a, fam.freq)
     via = assemble(mesh_eta, fam, a, fam.freq, core=core,
                    vertex_map=mesh.shared_vertex_map(mesh_eta))
     lu = assemble(mesh_eta, fam, a, fam.freq)
     assert via.solver_kind == "via-core" and lu.solver_kind == "sparse-lu"
-    assert (via.K != lu.K).nnz == 0
+    assert np.array_equal(via.interior, lu.interior)
     return via, lu
 
 
 def _assert_core_matches_lu(via, lu, seed=0, columns=3):
+    """1-D and 2-D Dirichlet solves of the substructured system match the
+    oracle's to 1e-12, and so does its matrix, the sum of the parts'."""
     rng = np.random.default_rng(seed)
     n = via.mesh.n_vertices
     g = rng.standard_normal((n, columns)) + 1j * rng.standard_normal((n, columns))
@@ -707,9 +709,10 @@ def _assert_core_matches_lu(via, lu, seed=0, columns=3):
     v_via, v_lu = via.solve_dirichlet(g[:, 0]), lu.solve_dirichlet(g[:, 0])
     assert isinstance(v_via, ComplexField)
     assert np.max(np.abs(v_via.values - v_lu.values)) <= 1e-12 * np.max(np.abs(v_lu.values))
-    sigma = via.boundary[::5]
-    s_via, s_lu = via.schur_onto(sigma), lu.schur_onto(sigma)
-    assert np.max(np.abs(s_via - s_lu)) <= 1e-12 * np.max(np.abs(s_lu))
+    assert via.solve_calls == 2 and via.rhs_columns == columns + 1
+    assert 0.0 < via.worst_residual <= 1e-10
+    Kg = lu.K @ g
+    assert np.max(np.abs(via._product(g) - Kg)) <= 1e-12 * np.max(np.abs(Kg))
 
 
 @st.composite
@@ -743,10 +746,11 @@ def core_cases(draw):
     return mesh, mesh_eta, fam, draw(st.sampled_from([A_ONE, AFFINE])), base
 
 
-def _dense_footprint_schur(system):
-    """Dense Schur complement of the interior block onto the footprint."""
-    K_ii = system._K_ii.toarray()
-    f = system._footprint
+def _dense_footprint_schur(lu, footprint):
+    """Dense Schur complement of the oracle's interior block onto the
+    footprint vertices."""
+    K_ii = lu._K_ii.toarray()
+    f = np.searchsorted(lu.interior, footprint)
     rest = np.setdiff1d(np.arange(len(K_ii)), f)
     return K_ii[np.ix_(f, f)] - K_ii[np.ix_(f, rest)] @ np.linalg.solve(
         K_ii[np.ix_(rest, rest)], K_ii[np.ix_(rest, f)])
@@ -775,7 +779,7 @@ class TestCoreSolve:
         _assert_core_matches_lu(via, lu)
         # The footprint is the patch face's vertices strictly inside the
         # bump base: only its dense interface system is inverted.
-        footprint = via.interior[via._footprint]
+        footprint = via.footprint
         assert np.all(np.abs(mesh_eta.verts[footprint, 2] - 1.0) < 1e-12)
         assert via.factored_dofs == len(footprint) == (round(0.5 / h) - 1) ** 2
         assert via.core.factored_dofs == via.bump.factored_dofs == 0
@@ -789,22 +793,22 @@ class TestCoreSolve:
         via, lu = _core_pair(mesh, mesh_eta, fam, a)
         _assert_core_matches_lu(via, lu, columns=2)
         # A one-cell bump has no interior: the footprint is all it adds.
-        assert (via.bump is None) == (via.mesh.n_vertices - mesh.n_vertices
-                                      == np.prod([i1 - i0 + 1 for i0, i1 in base]))
+        assert (len(via.bump.interior) == 0) == (via.mesh.n_vertices - mesh.n_vertices
+                                                 == np.prod([i1 - i0 + 1 for i0, i1 in base]))
 
     @settings(max_examples=16, deadline=None)
     @given(core_cases())
     def test_interface_is_the_dense_schur_complement(self, case):
         mesh, mesh_eta, fam, a, base = case
-        via, _ = _core_pair(mesh, mesh_eta, fam, a)
-        footprint = via.interior[via._footprint]
+        via, lu = _core_pair(mesh, mesh_eta, fam, a)
+        footprint = via.footprint
         assert len(footprint) == np.prod([i1 - i0 - 1 for i0, i1 in base])
         # The footprint lies on one face of Omega, where core and bump meet.
         ijk = mesh_eta.ijk[footprint]
         assert np.all(mesh.boundary_vertex_mask[mesh.vertex_indices(ijk)])
         assert np.any(np.ptp(ijk, axis=0) == 0)
-        T = via._interface_system()
-        dense = _dense_footprint_schur(via)
+        T = via._interface()
+        dense = _dense_footprint_schur(lu, footprint)
         assert np.max(np.abs(T - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     def test_part_outside_is_built_once_per_mesh(self):
@@ -835,17 +839,45 @@ class TestCoreSolve:
             assemble(mesh_eta, LAPLACE, A_ONE, 0.0, core=core,
                      vertex_map=mesh.shared_vertex_map(mesh_eta))
 
-    def test_one_cell_bump_has_no_bump_system(self, factor_calls):
+    def test_one_cell_bump_has_an_empty_bump_system(self, factor_calls):
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
         enlarged = EnlargedDomain(BOX, patch, 0.125, (0.25, 0.25), (0.75, 0.75), 0.125)
         mesh, mesh_eta = build_mesh(BOX, 0.125, patch=patch), build_mesh(enlarged, 0.125)
         via, lu = _core_pair(mesh, mesh_eta, ROTATED, AFFINE)
         _assert_core_matches_lu(via, lu)
-        assert via.bump is None and via.factored_dofs == len(via._footprint) == 9
+        # The bump system has no interior: it solves nothing and factors
+        # nothing, and its Schur complement onto f is its own K[f, f].
+        bump = via.bump
+        assert len(bump.interior) == 0 and bump.factored_dofs == 0
+        f_bump = bump.mesh.vertex_indices(mesh_eta.ijk[via.footprint])
+        assert np.array_equal(bump.schur_onto(f_bump), bump.K[np.ix_(f_bump, f_bump)].toarray())
+        assert via.factored_dofs == len(via.footprint) == 9
         assert factor_calls == [len(lu.interior)]
 
+    @pytest.mark.parametrize("case, message", [
+        ("overlap", "disjoint interior"), ("top-layer", "vertex of both parts"),
+    ])
+    def test_parts_that_do_not_tile_rejected(self, case, message):
+        patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
+        mesh = build_mesh(BOX, 0.125, patch=patch)
+        mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
+        core = assemble(mesh, LAPLACE, A_ONE, 0.0)
+        vmap = mesh.shared_vertex_map(mesh_eta)
+        if case == "overlap":
+            bump, bump_map = core, vmap
+        else:
+            # Only the top cell layer of the two-cell bump: the vertices
+            # between the layers are neither part's interior nor the core's.
+            bump_mesh = mesh_eta.part_outside(mesh, vmap)[0]
+            cells = bump_mesh.ijk[bump_mesh.tets[::6, 0]]
+            top = _lattice_mesh(cells[cells[:, 2] == cells[:, 2].max()], 0.125)
+            bump, bump_map = assemble(top, LAPLACE, A_ONE, 0.0), top.shared_vertex_map(mesh_eta)
+        with pytest.raises(GeometryError, match=message):
+            SubstructuredSystem(mesh_eta, core, vmap, bump, bump_map)
+
     @pytest.mark.parametrize("case", [
-        "no-map", "shifted", "short", "repeated", "to-boundary", "to-bump", "other-field",
+        "no-map", "shifted", "short", "repeated", "swapped-interior", "to-boundary",
+        "to-bump", "other-field",
     ])
     def test_mismatched_core_rejected(self, case):
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
@@ -865,6 +897,10 @@ class TestCoreSolve:
         elif case == "repeated":
             vmap = vmap.copy()
             vmap[first] = vmap[core.interior[1]]
+        elif case == "swapped-interior":
+            # Still one-to-one, onto the same interior vertices.
+            vmap = vmap.copy()
+            vmap[core.interior[:2]] = vmap[core.interior[1::-1]]
         elif case == "to-boundary":
             vmap = vmap.copy()
             vmap[first] = outside[mesh_eta.boundary_vertex_mask[outside]][0]
@@ -980,14 +1016,14 @@ class TestBoxCocg:
         assert diagnostics["residual"] > admitlab.fem._COCG_RTOL
 
 
-SCHUR_KINDS = ["sine-transform", "box-cocg", "sparse-lu", "via-core"]
+SCHUR_KINDS = ["sine-transform", "box-cocg", "sparse-lu"]
 
 
 def _schur_case(kind, h):
     """A fresh system of the given solver kind and boundary dofs sigma to
     project onto: a sine-transform Omega system, a box-cocg Omega system
-    (rotated family, affine field), or an Omega_eta system of that field
-    standalone (sparse-lu) or solved through its Omega system (via-core)."""
+    (rotated family, affine field), or the standalone Omega_eta system of
+    that field (sparse-lu)."""
     patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
     mesh = build_mesh(BOX, h, patch=patch)
     mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=h), h)
@@ -996,10 +1032,8 @@ def _schur_case(kind, h):
         system = assemble(mesh, fam, A_ONE, fam.freq)
     elif kind == "box-cocg":
         system = assemble(mesh, ROTATED, AFFINE, ROTATED.freq)
-    elif kind == "sparse-lu":
-        system = assemble(mesh_eta, ROTATED, AFFINE, ROTATED.freq)
     else:
-        system = _core_pair(mesh, mesh_eta, ROTATED, AFFINE)[0]
+        system = assemble(mesh_eta, ROTATED, AFFINE, ROTATED.freq)
     assert system.solver_kind == kind
     return system, system.boundary[::7]
 
@@ -1045,11 +1079,9 @@ class TestBlockedSchur:
             solved.append(rhs.copy())
             return real_solve(rhs)
 
-        def spy_check(K_ii, x, rhs, first_column=0):
-            # A via-core system's first solve also checks its core's blocks.
-            if K_ii is system._K_ii:
-                checked.append((first_column, rhs.shape[1]))
-            return real_check(K_ii, x, rhs, first_column)
+        def spy_check(residual, rhs, first_column=0):
+            checked.append((first_column, rhs.shape[1]))
+            return real_check(residual, rhs, first_column)
 
         monkeypatch.setattr(system, "_solve_interior", spy_solve)
         monkeypatch.setattr(admitlab.fem, "_check_residual", spy_check)
@@ -1181,10 +1213,13 @@ class TestEnergyPairing:
 
 def _float_geometry_assemble(mesh, family, a, k):
     """Reference assembly on per-tet float geometry: the closed-form volumes
-    and gradients from the float vertex coordinates of every tet, and one
-    np.bincount of all element blocks per part."""
+    and gradients from the edges h (ijk_i - ijk_0) of every tet's own
+    vertices, and one np.bincount of all element blocks per part.  Edges
+    from the rounded float vertices would carry their rounding into the
+    reference."""
     v = mesh.verts[mesh.tets]
-    e1, e2, e3 = (v[:, i] - v[:, 0] for i in (1, 2, 3))
+    ijk = mesh.ijk[mesh.tets]
+    e1, e2, e3 = (mesh.h * (ijk[:, i] - ijk[:, 0]) for i in (1, 2, 3))
     det = np.einsum("ti,ti->t", e1, np.cross(e2, e3))
     grads = np.empty((mesh.n_tets, 4, 3))
     grads[:, 1], grads[:, 2], grads[:, 3] = np.cross(e2, e3), np.cross(e3, e1), np.cross(e1, e2)
@@ -1224,6 +1259,19 @@ class TestTypedAssembly:
         """Omega and Omega_eta systems of all three families match the
         assembly on per-tet float geometry to 1e-15 relative."""
         for mesh in meshes:
+            K = assemble(mesh, family, AFFINE, family.freq).K
+            ref = _float_geometry_assemble(mesh, family, AFFINE, family.freq)
+            assert abs(K - ref).max() <= 1e-15 * abs(ref).max()
+
+    def test_matches_float_geometry_at_pitch_one_fifth(self):
+        """A draw whose float vertices anchor + h ijk at h = 0.2 round
+        differently per tet: the Omega_eta system still matches to 1e-15."""
+        h, lo = 0.2, np.array([0.0, 0.0, 0.25])
+        box = BoxDomain(tuple(lo), tuple(lo + np.array([6, 6, 8]) * h))
+        patch = BoundaryPatch(box, "z+", (0.1, 0.1), (1.1, 1.1))
+        enlarged = build_enlarged_domain(box, patch, 2.0 * h, grid_h=h, check_samples=100)
+        family = ORACLE_FAMILIES[1]
+        for mesh in (build_mesh(box, h, patch=patch), build_mesh(enlarged, h)):
             K = assemble(mesh, family, AFFINE, family.freq).K
             ref = _float_geometry_assemble(mesh, family, AFFINE, family.freq)
             assert abs(K - ref).max() <= 1e-15 * abs(ref).max()
@@ -1301,22 +1349,31 @@ class TestSchurMemo:
 
 
 class TestSystemLifetime:
-    @pytest.mark.parametrize("kind", SCHUR_KINDS)
+    @pytest.mark.parametrize("kind", SCHUR_KINDS + ["via-core"])
     def test_del_frees_solved_system(self, kind):
         # Reference counting alone must free a solved system, and a via-core
         # system's core and bump with it: no collector pass.
+        patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
         gc.disable()
         try:
-            system, sigma = _schur_case(kind, 0.125)
+            if kind == "via-core":
+                mesh = build_mesh(BOX, 0.125, patch=patch)
+                mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125),
+                                      0.125)
+                system = _core_pair(mesh, mesh_eta, ROTATED, AFFINE)[0]
+                parts = [system, system.core, system.bump]
+                solved = parts[1:]
+            else:
+                system, sigma = _schur_case(kind, 0.125)
+                system.schur_onto(sigma)
+                parts = solved = [system]
             system.solve_dirichlet(np.ones(system.mesh.n_vertices))
-            system.schur_onto(sigma)
-            parts = [system] + [p for p in (system.core, system.bump) if p is not None]
-            # No part's solver closure refers back to its own system.
-            for part in parts:
+            # No solver closure refers back to its own system.
+            for part in solved:
                 closure = getattr(part._solve, "__closure__", None) or ()
                 assert not any(cell.cell_contents is part for cell in closure)
             refs = [weakref.ref(part) for part in parts]
-            del system, parts, part
+            del system, parts, solved, part
             alive = [ref() is not None for ref in refs]
         finally:
             gc.enable()
