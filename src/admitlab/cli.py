@@ -15,14 +15,13 @@ import numpy as np
 from .admittivity import (check_parameter_field, default_samples,
                           frequency_window, validate_class_H)
 from .config import ExperimentConfig, load_config
-from .dtn import assemble_dtn, dtn_star_norm, h_half_gram, sigma_basis
+from .dtn import dtn_star_norm
 from .errors import (AdmitLabError, ConfigError, EstimatorRefusal,
                      GeometryError, NumericError, SolverError)
 from .estimator import (GapEstimate, boundary_gap_estimate, build_forward,
                         build_frame, delta_h, derivative_gap_estimate,
                         lipschitz_ratio, lipschitz_sweep, loglog_slope)
 from .families import shifted_field
-from .fem import assemble, build_mesh
 from .geometry import build_enlarged_domain, build_eta_sets, probe_point, ProbePath
 from .reportio import RunManifest, write_csv, write_json
 from .singular import (fibonacci_sphere, h_function, leading_gradient,
@@ -137,22 +136,21 @@ def dtn(config_path, out_dir, seed, mesh_h):
     manifest = RunManifest("dtn", cfg.raw, cfg.seed, out_dir)
     out = Path(out_dir)
     manifest.start("frame")
-    # Only the Omega mesh, basis and Gram are read; the eta-sets and the
-    # enlarged domain are built for their geometry checks alone.
-    build_eta_sets(cfg.patch, cfg.eta)
-    build_enlarged_domain(cfg.box, cfg.patch, cfg.eta, grid_h=cfg.h)
-    mesh = build_mesh(cfg.box, cfg.h, patch=cfg.patch)
-    basis = sigma_basis(mesh, cfg.patch)
-    gram = h_half_gram(mesh, basis)
+    # The frame checks the geometry; its Omega_eta objects, never read
+    # here, are never built.
+    frame = build_frame(cfg.box, cfg.patch, cfg.eta, cfg.h, cfg.family, window=cfg.window)
     manifest.start("assemble")
     fields = [("a1", cfg.a1)] + ([("a2", cfg.a2)] if cfg.a2 is not None else [])
-    # Building no Forward skips the Omega_eta systems and frees each field's
-    # system before the next.
-    dtns = [(label, _recorded_dtn(manifest, label, assemble(mesh, cfg.family, a, cfg.k),
-                                  basis, gram))
-            for label, a in fields]
+    dtns = []
+    for label, a in fields:
+        fwd = build_forward(frame, a)
+        dtns.append((label, fwd.dtn))
+        for entry in fwd.solver_entries(label):
+            manifest.add_solver(entry)
+        # Frees this field's system before the next is assembled.
+        del fwd
     manifest.start("write")
-    d = basis.count
+    d = frame.basis.count
     i, j = np.divmod(np.arange(d * d), d)
     for label, dtn_matrix in dtns:
         pairing = dtn_matrix.pairing.ravel()
@@ -160,7 +158,7 @@ def dtn(config_path, out_dir, seed, mesh_h):
                                   ("i", "j", "re", "im"),
                                   (i, j, pairing.real, pairing.imag)))
     manifest.record(write_csv(out / "dtn_gram.csv", ("i", "j", "value"),
-                              (i, j, gram.ravel())))
+                              (i, j, frame.gram.ravel())))
     click.echo(f"basis size d = {d}; files in {out}")
     if len(dtns) == 2:
         norm = dtn_star_norm(dtns[0][1], dtns[1][1])
@@ -199,14 +197,6 @@ def probe(config_path, out_dir, seed, mesh_h):
         ))
         click.echo(f"m={m}: sphere min of gradient weight = {sphere_min_h(pr, 4096):.6g}")
     manifest.write()
-
-
-def _recorded_dtn(manifest, label, system, basis, gram):
-    """DtN matrix of one field's Omega system, with that system's solver
-    recorded in the manifest as a Forward's Omega entry is."""
-    dtn_matrix = assemble_dtn(system, basis, gram)
-    manifest.add_solver({"field": label, "domain": "Omega", **system.counters()})
-    return dtn_matrix
 
 
 def _gap_payload(est: GapEstimate):

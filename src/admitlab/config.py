@@ -102,12 +102,16 @@ def _section(section: dict, key: str, where="", required=False) -> dict:
     return _known(value, f"{where}{key}.")
 
 
-def _number(value, key: str) -> float:
-    """`float(value)`, or a ConfigError naming the config key."""
+def _number(value, key: str, finite: bool = True) -> float:
+    """`float(value)`, or a ConfigError naming the config key; a non-finite
+    number is one too unless `finite` is false."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"config key '{key}' must be a number, got {value!r}") from None
+    if finite and not math.isfinite(number):
+        raise ConfigError(f"config key '{key}' must be a finite number, got {value!r}")
+    return number
 
 
 def _integer(value, key: str) -> int:
@@ -121,17 +125,26 @@ def _integer(value, key: str) -> int:
     return int(number)
 
 
-def _numbers(values, key: str) -> tuple:
+def _numbers(values, key: str, finite: bool = True) -> tuple:
     """Floats of a config list, or a ConfigError naming the config key."""
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"config key '{key}' must be a list of numbers, got {values!r}")
-    return tuple(_number(v, key) for v in values)
+    return tuple(_number(v, key, finite) for v in values)
+
+
+def _number_or_list(value, key: str) -> None:
+    """ConfigError naming the config key unless `value` is a finite number
+    or a list of them."""
+    _numbers(value if isinstance(value, (list, tuple)) else [value], key)
 
 
 def _field(spec, key: str) -> ParameterField:
     """Parameter field of a config mapping, malformed entries named by key."""
     if not isinstance(spec, dict):
         raise ConfigError(f"config key '{key}' must be a mapping, got {spec!r}")
+    for name, value in spec.items():
+        if name != "kind":
+            _number_or_list(value, key)
     try:
         return build_field(spec)
     except KeyError as exc:
@@ -233,7 +246,10 @@ def load_config(path=None, data: dict = None, seed: int = None, mesh_h: float = 
         k = 0.9 * window.k_max
     else:
         k = _number(k_raw, "family.k")
-    enforce_window = bool(_get(fam_spec, "enforce_window", False))
+    enforce_window = _get(fam_spec, "enforce_window", False)
+    if not isinstance(enforce_window, bool):
+        raise ConfigError(f"config key 'family.enforce_window' must be true or false, "
+                          f"got {enforce_window!r}")
 
     eta0 = patch.eta0()
     apriori = AprioriData(
@@ -245,8 +261,7 @@ def load_config(path=None, data: dict = None, seed: int = None, mesh_h: float = 
         eta=eta, eta0=eta0 * (1.0 - 1e-12), tau0=eta / 8.0, diam=box.diameter,
     )
     for name, value in params.items():
-        _numbers(value if isinstance(value, (list, tuple)) else [value],
-                 f"family.params.{name}")
+        _number_or_list(value, f"family.params.{name}")
     try:
         family = build_family(template, k, params, t_range=apriori.t_range)
     except (TypeError, ValueError) as exc:
@@ -258,10 +273,14 @@ def load_config(path=None, data: dict = None, seed: int = None, mesh_h: float = 
     a2 = _field(a2_spec, "fields.a2") if a2_spec is not None else None
 
     sweep = _section(data, "sweep")
-    scales = _numbers(_get(sweep, "scales", ()), "sweep.scales")
+    scales = _numbers(_get(sweep, "scales", ()), "sweep.scales", finite=False)
     for s in scales:
         if not math.isfinite(s) or s == 0.0:
             raise ConfigError(f"sweep.scales entries must be finite and nonzero, got {s!r}")
+    # A log-log slope needs two points.
+    if scales and len(set(scales)) < 2:
+        raise ConfigError(f"config key 'sweep.scales' must hold at least two distinct "
+                          f"scales, got {list(scales)!r}")
     delta_spec = _get(sweep, "delta", None)
     delta = _field(delta_spec, "sweep.delta") if delta_spec is not None else None
 

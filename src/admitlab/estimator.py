@@ -44,11 +44,14 @@ def delta_h(alpha: float, h: int) -> float:
 
 
 def loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log|y| against log|x|."""
+    """Least-squares slope of log|y| against log|x|; NumericError unless the
+    data is positive with at least two distinct |x|."""
     xs = np.abs(np.asarray(xs, dtype=float))
     ys = np.abs(np.asarray(ys, dtype=float))
     if np.any(xs <= 0.0) or np.any(ys <= 0.0):
         raise NumericError("log-log regression needs positive data")
+    if len(np.unique(xs)) < 2:
+        raise NumericError("log-log regression needs at least two distinct x values")
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
@@ -241,7 +244,12 @@ def weighted_integral(box: BoxDomain, z, rho: float, exponent: float) -> float:
 class LabFrame:
     """Geometry, meshes, basis and Gram shared by all forwards of a run.
 
-    vertex_map holds the index in mesh_eta of each vertex of mesh.
+    The frame owns the Omega_eta objects and builds each on first read, once:
+    `mesh_eta`, `vertex_map` (the index in mesh_eta of each vertex of mesh)
+    and `bump`, the mesh of the cells of mesh_eta outside mesh with the
+    index in mesh_eta of each of its vertices (`Mesh.part_outside`), which
+    every Forward's `system_eta` shares.  A run that reads no Omega_eta
+    system, such as `dtn` or a Lipschitz sweep, builds none of them.
     """
 
     box: BoxDomain
@@ -252,11 +260,21 @@ class LabFrame:
     eta_sets: EtaSets
     enlarged: EnlargedDomain
     mesh: Mesh
-    mesh_eta: Mesh
-    vertex_map: np.ndarray
     basis: SigmaBasis
     gram: np.ndarray
     window: Optional[WindowResult] = None
+
+    @functools.cached_property
+    def mesh_eta(self) -> Mesh:
+        return build_mesh(self.enlarged, self.h)
+
+    @functools.cached_property
+    def vertex_map(self) -> np.ndarray:
+        return self.mesh.shared_vertex_map(self.mesh_eta)
+
+    @functools.cached_property
+    def bump(self) -> tuple:
+        return self.mesh_eta.part_outside(self.mesh, self.vertex_map)
 
     @property
     def k(self) -> float:
@@ -277,13 +295,11 @@ def build_frame(
     eta_sets = build_eta_sets(patch, eta)
     enlarged = build_enlarged_domain(box, patch, eta, grid_h=h)
     mesh = build_mesh(box, h, patch=patch)
-    mesh_eta = build_mesh(enlarged, h)
     basis = sigma_basis(mesh, patch)
     gram = h_half_gram(mesh, basis)
     return LabFrame(
         box=box, patch=patch, eta=eta, h=h, family=family,
-        eta_sets=eta_sets, enlarged=enlarged, mesh=mesh, mesh_eta=mesh_eta,
-        vertex_map=mesh.shared_vertex_map(mesh_eta),
+        eta_sets=eta_sets, enlarged=enlarged, mesh=mesh,
         basis=basis, gram=gram, window=window,
     )
 
@@ -296,9 +312,10 @@ class Forward:
     The DtN matrix is assembled on first read, from the Schur complement
     of `system` onto the basis, which `system` keeps: the Omega_eta
     footprint lies in the basis, so a later footprint correction restricts
-    it.  `system_eta` is assembled on first read too, with `system` as its
-    core, so a Forward that only gives a DtN never builds it.  Nothing
-    here refers back to the Forward, so dropping it frees both systems.
+    it.  `system_eta` is built on first read too, substructured through
+    `system` and the field's system on the frame's bump, so a Forward that
+    only gives a DtN never builds it.  Nothing here refers back to the
+    Forward, so dropping it frees both systems.
     """
 
     frame: LabFrame
@@ -314,8 +331,9 @@ class Forward:
     def system_eta(self) -> SubstructuredSystem:
         # Substructured through the Omega system: no Omega_eta matrix.
         frame = self.frame
-        return assemble(frame.mesh_eta, frame.family, self.a, frame.k,
-                        core=self.system, vertex_map=frame.vertex_map)
+        bump_mesh, bump_map = frame.bump
+        return SubstructuredSystem(frame.mesh_eta, self.system, frame.vertex_map,
+                                   assemble(bump_mesh, frame.family, self.a, frame.k), bump_map)
 
     def solver_entries(self, label: str) -> list:
         """One plain manifest entry per system built: the field's `label`,

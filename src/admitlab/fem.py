@@ -9,13 +9,14 @@ Dirichlet solve and every Schur complement onto boundary dofs (the DtN
 pairing and the trace Gram) goes through a `BlockSystem`: a sine-transform
 solve where the interior block is a constant-weight 7-point stencil on a
 full box, and conjugate orthogonal CG (COCG) preconditioned by that
-sine-transform solve for any other coefficient on a full box.  An Omega_eta
-system given its Omega system as core is never assembled whole: it is a
-`SubstructuredSystem` of the Omega system and the system of the bump box
-outside it, whose footprint between them is solved from its dense
-interface system, the sum of the two parts' Schur complements
-(Steklov-Poincare).  Only a standalone mesh that is not a box gets a
-sparse LU, which no command builds: the tests use it as the oracle.
+sine-transform solve for any other coefficient on a full box.  `assemble`
+builds one `BlockSystem` on one mesh.  An Omega_eta system is never
+assembled whole: it is a `SubstructuredSystem` of the Omega system and the
+system of the bump box outside it (`Mesh.part_outside`), whose footprint
+between them is solved from its dense interface system, the sum of the two
+parts' Schur complements (Steklov-Poincare).  Only a standalone mesh that
+is not a box gets a sparse LU, which no command builds: the tests use it
+as the oracle.
 
 Meshes are built from integer lattice keys of a set of lattice cells,
 the one source of their topology.  Every tet is one of the six Kuhn tets
@@ -180,8 +181,6 @@ class Mesh:
         if np.any(self._keys[1:] <= self._keys[:-1]):
             raise GeometryError("mesh vertices are not in strictly increasing ijk order")
         self._stiffness_pattern = None
-        # (core mesh, vertex map, part mesh, part vertex map) of part_outside.
-        self._part_outside = None
         # A full lattice box: its interior vertices form an (N0, N1, N2)
         # block in C order.
         span = self._ijk_hi - self._ijk_lo + 1
@@ -239,17 +238,14 @@ class Mesh:
     def part_outside(self, core: "Mesh", vertex_map) -> tuple:
         """The lattice cells of this mesh outside those of `core`, which
         `vertex_map` embeds in it, as a mesh of their own on this lattice,
-        and the indices here of that mesh's vertices; built once and kept.
+        and the indices here of that mesh's vertices.
 
         Tet 6 c starts at the lowest corner of cell c, so the cells are read
         off the tets, and the part keeps their order.  GeometryError unless
         the core's cells are cells of this mesh and the cells outside them
         form one full lattice box.
         """
-        vmap = _vertex_map(vertex_map, core, self)
-        memo = self._part_outside
-        if memo is not None and memo[0] is core and np.array_equal(memo[1], vmap):
-            return memo[2], memo[3]
+        _vertex_map(vertex_map, core, self)
         cells = self.ijk[self.tets[::6, 0]]
         core_cells = core.ijk[core.tets[::6, 0]]
         outside = cells[~np.isin(self._linear_keys(cells), self._linear_keys(core_cells))]
@@ -258,10 +254,7 @@ class Mesh:
         if not len(outside) or len(outside) != np.prod(np.ptp(outside, axis=0) + 1):
             raise GeometryError("the part of the mesh outside the core is not one lattice box")
         ijk, tets, boundary = _lattice_topology(outside)
-        part = Mesh(tets, ijk, self.h, self.anchor, boundary)
-        part_map = self.vertex_indices(ijk)
-        self._part_outside = (core, vmap.copy(), part, part_map)
-        return part, part_map
+        return Mesh(tets, ijk, self.h, self.anchor, boundary), self.vertex_indices(ijk)
 
     def shared_vertex_map(self, other: "Mesh") -> np.ndarray:
         """Indices in `other` of this mesh's vertices (same lattice anchor)."""
@@ -692,25 +685,6 @@ def _cocg_failure(message: str, step: int, residual: np.ndarray, live: np.ndarra
         "column": int(live[worst])})
 
 
-class _KrylovCounts:
-    """COCG iterations summed over columns, and the most one column took.
-
-    A system and its COCG solve closure share this object, so the closure
-    holds no reference to the system and the system is freed as soon as
-    its last reader drops it, with no collector pass.
-    """
-
-    __slots__ = ("total", "most")
-
-    def __init__(self):
-        self.total = 0
-        self.most = 0
-
-    def add(self, iterations: np.ndarray) -> None:
-        self.total += int(iterations.sum())
-        self.most = max(self.most, int(iterations.max(initial=0)))
-
-
 def _dirichlet_columns(mesh: Mesh, g) -> np.ndarray:
     """Dirichlet data g, one full-length nodal vector (n,) or one per
     column (n, c), as (n, c) complex columns that are zero off the boundary.
@@ -749,6 +723,8 @@ class _SolverCounters:
         self.factored_dofs = 0
         self.solve_calls = 0
         self.rhs_columns = 0
+        self.krylov_iterations = 0
+        self.krylov_iterations_max = 0
         self.worst_residual = 0.0
 
     def counters(self) -> dict:
@@ -787,11 +763,13 @@ class BlockSystem(_SolverCounters):
     nothing.  `field` is the (family, a, k) that `assemble` built it from.
     The counters are those of `_SolverCounters`.
 
-    No solver holds a reference back to its system, so a system, its
-    factors and its Krylov scratch are freed by reference counting as soon
-    as the last reader drops it.  `schur_onto` keeps its last result: the
-    Omega system's Schur complement onto the DtN basis answers the
-    footprint part of its Omega_eta system's interface by restriction.
+    The system keeps its interior solver, the box solve or the sparse LU's
+    solve, which holds no reference back to it, and runs COCG itself, so a
+    system, its factors and its Krylov scratch are freed by reference
+    counting as soon as the last reader drops it.  `schur_onto` keeps its
+    last result: the Omega system's Schur complement onto the DtN basis
+    answers the footprint part of its Omega_eta system's interface by
+    restriction.
     """
 
     def __init__(self, mesh: Mesh, K: sp.csr_matrix, axis_weights=None, cocg_weights=None):
@@ -805,8 +783,8 @@ class BlockSystem(_SolverCounters):
         self._boundary = np.where(mesh.boundary_vertex_mask)[0]
         self._K_ii = K[np.ix_(self._interior, self._interior)].tocsr()
         self._K_ib = K[np.ix_(self._interior, self._boundary)].tocsr()
+        # The interior solve, or under box-cocg its preconditioner.
         self._solve = None
-        self._krylov = _KrylovCounts()
         # The dofs and the read-only result of the last Schur complement.
         self._schur = None
 
@@ -830,14 +808,6 @@ class BlockSystem(_SolverCounters):
         return self._boundary
 
     @property
-    def krylov_iterations(self) -> int:
-        return self._krylov.total
-
-    @property
-    def krylov_iterations_max(self) -> int:
-        return self._krylov.most
-
-    @property
     def solver_kind(self) -> str:
         if self.axis_weights is not None:
             return "sine-transform"
@@ -852,7 +822,7 @@ class BlockSystem(_SolverCounters):
             if kind == "sine-transform":
                 self._solve = box_solve(self.mesh, self.axis_weights)
             elif kind == "box-cocg":
-                self._solve = self._cocg_solver()
+                self._solve = box_solve(self.mesh, self.cocg_weights)
             elif len(self._interior):
                 self._solve = _factor_interior(self._K_ii).solve
                 self.factored_dofs += len(self._interior)
@@ -861,28 +831,19 @@ class BlockSystem(_SolverCounters):
                 self._solve = np.zeros_like
         self.solve_calls += 1
         self.rhs_columns += rhs.shape[1] if rhs.ndim == 2 else 1
-        return self._solve(rhs)
+        if self.solver_kind != "box-cocg":
+            return self._solve(rhs)
+        x, iterations = _cocg(self._K_ii, self._solve, rhs.reshape(len(rhs), -1))
+        self.krylov_iterations += int(iterations.sum())
+        self.krylov_iterations_max = max(self.krylov_iterations_max,
+                                         int(iterations.max(initial=0)))
+        return x.reshape(rhs.shape)
 
     def _check(self, x: np.ndarray, rhs: np.ndarray, first_column: int = 0) -> None:
         """Residual check of an interior solve, kept in `worst_residual`."""
         rhs = _as_columns(rhs)
         worst = _check_residual(self._K_ii @ _as_columns(x) - rhs, rhs, first_column)
         self.worst_residual = max(self.worst_residual, worst)
-
-    def _cocg_solver(self):
-        """Interior solve by `_cocg`, preconditioned by the box solve of
-        `cocg_weights`, counting its iterations in `_krylov`.  The closure
-        captures the interior block and the counter, not the system."""
-        K_ii, counts = self._K_ii, self._krylov
-        precondition = box_solve(self.mesh, self.cocg_weights)
-
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            rhs = np.asarray(rhs)
-            x, iterations = _cocg(K_ii, precondition, rhs.reshape(len(rhs), -1))
-            counts.add(iterations)
-            return x.reshape(rhs.shape)
-
-        return solve
 
     def _subset_positions(self, sigma: np.ndarray) -> Optional[np.ndarray]:
         """Positions of the dofs sigma among those of the memoised Schur
@@ -978,7 +939,9 @@ class SubstructuredSystem(_SolverCounters):
     """The system of a field on a mesh that two parts tile, solved through
     the same field's systems on the parts, with no matrix of the whole
     mesh: the Omega_eta system, from the Omega system `core` and the system
-    `bump` of the lattice box outside it (`Mesh.part_outside`).
+    `bump` of the lattice box outside it (`Mesh.part_outside`), which
+    `LabFrame.bump` builds once per frame.  GeometryError unless both parts
+    were assembled from the same field.
 
     The parts' cells tile the mesh, so its matrix is the sum of theirs
     through their vertex maps.  Their interiors map to disjoint interior
@@ -995,15 +958,15 @@ class SubstructuredSystem(_SolverCounters):
 
     Its counters (`_SolverCounters`) name the kind "via-core":
     `factored_dofs` is |f|, the inverted interface, and `solve_calls` and
-    `rhs_columns` count its Dirichlet solves, whose part solves count in
-    the parts' counters too.
+    `rhs_columns` count its Dirichlet solves, whose part solves, and their
+    COCG iterations, count in the parts' counters.
     """
 
     solver_kind = "via-core"
-    # The COCG iterations of the part solves count in the parts.
-    krylov_iterations = krylov_iterations_max = 0
 
     def __init__(self, mesh: Mesh, core: BlockSystem, core_map, bump: BlockSystem, bump_map):
+        if bump.field != core.field:
+            raise GeometryError("the core and the bump were assembled from different fields")
         super().__init__()
         self.mesh, self.core, self.bump = mesh, core, bump
         inside = ~mesh.boundary_vertex_mask
@@ -1093,8 +1056,7 @@ class _DiagonalSummary:
         return self.total / self.count
 
 
-def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float,
-             core: Optional[BlockSystem] = None, vertex_map=None):
+def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float) -> BlockSystem:
     """Block system for div(A(x, a(x)) grad u) = 0 on the mesh.
 
     The field, the coefficient and the element blocks are evaluated over
@@ -1104,21 +1066,9 @@ def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float,
     complex CSR data array.  On a full lattice box, a constant diagonal
     coefficient gets the exact sine-transform interior solve, and any other
     coefficient COCG preconditioned by the sine-transform solve of its
-    tet-averaged diagonal, summarised over the same chunks.
-
-    Given `core`, the system of the same field (family, a, k) on a mesh
-    that `vertex_map` embeds in this one (Omega in Omega_eta), the part of
-    the mesh outside the core must be one lattice box (`Mesh.part_outside`).
-    The field's system on it is assembled as the bump, and the two make a
-    `SubstructuredSystem`, with no pattern or matrix of this mesh.
-    GeometryError if the core was assembled from another field.
+    tet-averaged diagonal, summarised over the same chunks.  The system
+    records the (family, a, k) it was built from in `field`.
     """
-    if core is not None:
-        if core.field != (family, a, k):
-            raise GeometryError("the core was assembled from another field")
-        bump_mesh, bump_map = mesh.part_outside(core.mesh, vertex_map)
-        return SubstructuredSystem(mesh, core, vertex_map,
-                                   assemble(bump_mesh, family, a, k), bump_map)
     pattern = mesh.stiffness_pattern
     data = np.zeros(len(pattern.indices), dtype=complex)
     # The real and imaginary parts interleaved: np.add.at adds the real

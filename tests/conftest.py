@@ -58,9 +58,9 @@ def assembly_log(monkeypatch):
     real_assemble = admitlab.estimator.assemble
     real_dtn = admitlab.estimator.assemble_dtn
 
-    def assemble(mesh, family, a, k, **kwargs):
+    def assemble(mesh, family, a, k):
         log.append(("assemble", a))
-        system = real_assemble(mesh, family, a, k, **kwargs)
+        system = real_assemble(mesh, family, a, k)
         fields[system] = a
         return system
 

@@ -12,13 +12,14 @@ from pathlib import Path
 import pytest
 import yaml
 
-import admitlab.cli
+import admitlab.estimator
 from admitlab.cli import main
 from admitlab.config import load_config
 from admitlab.errors import ConfigError
 from admitlab.estimator import build_forward
 from admitlab.families import constant_field
 from admitlab.fem import BlockSystem, SubstructuredSystem
+from admitlab.geometry import BoxDomain
 
 BASE_CONFIG = {
     "seed": 42,
@@ -42,6 +43,23 @@ BASE_CONFIG = {
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.fixture
+def mesh_domains(monkeypatch):
+    """The domain of every mesh `build_mesh` builds, in call order."""
+    import admitlab.fem
+
+    domains = []
+    real = admitlab.fem.build_mesh
+
+    def recording(domain, *args, **kwargs):
+        domains.append(domain)
+        return real(domain, *args, **kwargs)
+
+    for module in (admitlab.fem, admitlab.estimator):
+        monkeypatch.setattr(module, "build_mesh", recording)
+    return domains
 
 
 def write_config(tmp_path, overrides=None, name="config.yaml"):
@@ -70,6 +88,16 @@ class TestLoadConfig:
         path = write_config(tmp_path)
         cfg = load_config(path, seed=7, mesh_h=0.0625)
         assert cfg.seed == 7 and cfg.h == 0.0625
+
+    @pytest.mark.parametrize("scales", [[0.04], [0.05, 0.05], [0.05, 0.05, 0.05]],
+                             ids=["one", "two-equal", "three-equal"])
+    def test_sweep_needs_two_distinct_scales(self, tmp_path, capsys, scales):
+        path = write_config(tmp_path, {"sweep.scales": scales})
+        with pytest.raises(ConfigError, match=r"'sweep\.scales' .* two distinct"):
+            load_config(path)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "'sweep.scales'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("has_section", [True, False])
     def test_mesh_override_leaves_caller_data(self, tmp_path, has_section):
@@ -131,6 +159,27 @@ class TestLoadConfig:
         ("discretization.h", -0.125),
         ("discretization.h", float("nan")),
         ("discretization.h", float("inf")),
+        # Every config number is finite.
+        ("family.k", float("nan")),
+        ("apriori.e1", float("inf")),
+        ("apriori.alpha", float("-inf")),
+        ("geometry.eta", float("nan")),
+        ("geometry.box.hi", [1.0, float("inf"), 1.0]),
+        ("geometry.patch.rect_lo", [float("nan"), 0.2]),
+        ("geometry.tau_grid.start", float("inf")),
+        ("geometry.tau_grid.ratio", float("nan")),
+        ("geometry.tau_grid.count", float("inf")),
+        ("discretization.rho", float("nan")),
+        ("discretization.x0", [0.5, float("nan"), 1.0]),
+        ("discretization.order", float("nan")),
+        ("seed", float("nan")),
+        ("family.params.imag", float("inf")),
+        ("fields.a2", {"kind": "constant", "value": float("nan")}),
+        ("fields.a1", {"kind": "affine", "offset": 1.0, "gradient": [0.0, float("inf"), 0.0]}),
+        ("sweep.delta", {"kind": "constant", "value": float("inf")}),
+        # A switch is a YAML boolean, not a string that reads as one.
+        ("family.enforce_window", "false"),
+        ("family.enforce_window", 0),
     ])
     def test_non_numeric_value_named(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, {key: value})
@@ -276,24 +325,11 @@ class TestDtnCommand:
         assert raw.startswith(b"i,j,value\r\n")
 
 
-    def test_meshes_only_the_box(self, tmp_path, monkeypatch):
-        import admitlab.cli
-        import admitlab.estimator
-        import admitlab.fem
-        from admitlab.geometry import BoxDomain
-
-        domains = []
-        real = admitlab.fem.build_mesh
-
-        def recording(domain, *args, **kwargs):
-            domains.append(domain)
-            return real(domain, *args, **kwargs)
-
-        for module in (admitlab.fem, admitlab.cli, admitlab.estimator):
-            monkeypatch.setattr(module, "build_mesh", recording)
+    def test_meshes_only_the_box(self, tmp_path, mesh_domains):
+        # dtn reads no Omega_eta system, so it builds no Omega_eta mesh.
         path = write_config(tmp_path)
         assert main(["dtn", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-        assert len(domains) == 1 and isinstance(domains[0], BoxDomain)
+        assert len(mesh_domains) == 1 and isinstance(mesh_domains[0], BoxDomain)
 
     @pytest.mark.parametrize("overrides", [
         {"geometry.eta": 0.35},
@@ -496,6 +532,13 @@ class TestSweepCommand:
         assert (out / "sweep_lipschitz.csv").exists()
         assert (out / "sweep_lipschitz.svg").exists()
 
+    def test_lipschitz_sweep_meshes_only_the_box(self, tmp_path, mesh_domains):
+        # A Lipschitz sweep pairs DtN maps only: no Omega_eta mesh.
+        path = write_config(tmp_path)
+        assert main(["sweep", "--mode", "lipschitz", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(mesh_domains) == 1 and isinstance(mesh_domains[0], BoxDomain)
+
     def test_gap_vanishing_on_patch_fails_loudly(self, tmp_path):
         # The coefficient gap sup is zero at every point, so there is no
         # log-log fit: a numeric failure, not a traceback.
@@ -599,7 +642,7 @@ class TestLifetimes:
     def test_dtn_frees_a1_system_before_a2_is_assembled(self, tmp_path, monkeypatch):
         systems = []
         alive = []
-        real = admitlab.cli.assemble
+        real = admitlab.estimator.assemble
 
         def assemble_logged(*args, **kwargs):
             alive.append([ref() is not None for ref, _ in systems])
@@ -607,7 +650,7 @@ class TestLifetimes:
             systems.append((weakref.ref(system), system.solver_kind))
             return system
 
-        monkeypatch.setattr(admitlab.cli, "assemble", assemble_logged)
+        monkeypatch.setattr(admitlab.estimator, "assemble", assemble_logged)
         gc.disable()
         try:
             assert main(["dtn", "--config", str(CONFIG_DIR / "anisotropic.yaml"),

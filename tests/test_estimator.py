@@ -368,6 +368,18 @@ class TestLipschitz:
         slope = loglog_slope([r.rhs for r in records], [r.lhs for r in records])
         assert 0.8 <= slope <= 1.2
 
+    @pytest.mark.parametrize("xs, ys", [
+        ([0.1], [0.2]), ([0.1, 0.1], [0.2, 0.3]), ([0.1, -0.1, 0.1], [0.2, 0.3, 0.4]),
+    ], ids=["one-point", "equal-x", "equal-abs-x"])
+    def test_loglog_slope_needs_two_distinct_x(self, xs, ys):
+        with pytest.raises(NumericError, match="two distinct x"):
+            loglog_slope(xs, ys)
+
+    def test_loglog_slope_of_a_power(self):
+        xs = np.array([0.02, 0.04, 0.08])
+        assert loglog_slope(xs, 3.0 * xs ** 0.25) == pytest.approx(0.25, rel=1e-12)
+        assert loglog_slope([0.02, 0.04], [1.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
+
     def test_identical_fields_flagged(self, frame16, forward_a1):
         rec = lipschitz_ratio(forward_a1, forward_a1)
         assert rec.lhs == 0.0 and rec.rhs == pytest.approx(0.0, abs=1e-14)
@@ -563,12 +575,13 @@ class TestSweepDriver:
     def test_point_forward_freed_before_next_assembly(self, frame16, monkeypatch,
                                                       mode):
         # Per Forward, in build order: its field and weak references to it
-        # and to each system assembled for that field.  Index 0 is the
+        # and to each system built for that field.  Index 0 is the
         # reference.
         points = []
         stale = []
         real_build = admitlab.estimator.build_forward
         real_assemble = admitlab.estimator.assemble
+        real_substructured = admitlab.estimator.SubstructuredSystem
 
         def build_forward_checked(frame, a):
             # Every earlier perturbed point, its Forward and each system it
@@ -580,14 +593,20 @@ class TestSweepDriver:
             points[-1][1].append(weakref.ref(fwd))
             return fwd
 
-        def assemble_logged(mesh, family, a, k, **kwargs):
-            system = real_assemble(mesh, family, a, k, **kwargs)
+        def logged(system, a):
             owner = next(refs for field_, refs in points if field_ is a)
             owner.append(weakref.ref(system))
             return system
 
+        def assemble_logged(mesh, family, a, k):
+            return logged(real_assemble(mesh, family, a, k), a)
+
+        def substructured_logged(mesh, core, *args):
+            return logged(real_substructured(mesh, core, *args), core.field[1])
+
         monkeypatch.setattr(admitlab.estimator, "build_forward", build_forward_checked)
         monkeypatch.setattr(admitlab.estimator, "assemble", assemble_logged)
+        monkeypatch.setattr(admitlab.estimator, "SubstructuredSystem", substructured_logged)
         a1 = constant_field(1.0)
         # Reference counting alone must free each point: no collector pass.
         gc.disable()
@@ -598,9 +617,9 @@ class TestSweepDriver:
                      if any(ref() is not None for ref in refs)]
         finally:
             gc.enable()
-        # The Forward and its Omega system, and in derivative mode its
-        # Omega_eta system.
-        assert [len(refs) for _, refs in points] == [2 if mode == "lipschitz" else 3] * 3
+        # The Forward and its Omega system, and in derivative mode its bump
+        # system and its Omega_eta system.
+        assert [len(refs) for _, refs in points] == [2 if mode == "lipschitz" else 4] * 3
         assert stale == []
         assert alive == []
 

@@ -686,12 +686,21 @@ ROTATED = rotated_anisotropic_family(k=0.002, eps=0.3, imag=1.1)
 AFFINE = affine_field(1.0, (0.1, -0.05, 0.2))
 
 
+def _omega_eta_system(mesh_eta, core, vertex_map, field=None):
+    """The Omega_eta system as `Forward.system_eta` builds it: the core and
+    the system of `field`, by default the core's, on the part of mesh_eta
+    outside the core."""
+    family, a, k = field or core.field
+    bump_mesh, bump_map = mesh_eta.part_outside(core.mesh, vertex_map)
+    return SubstructuredSystem(mesh_eta, core, vertex_map, assemble(bump_mesh, family, a, k),
+                               bump_map)
+
+
 def _core_pair(mesh, mesh_eta, fam, a):
     """The Omega_eta system substructured through its Omega core, and the
     standalone system of the same field on the sparse LU path, the oracle."""
     core = assemble(mesh, fam, a, fam.freq)
-    via = assemble(mesh_eta, fam, a, fam.freq, core=core,
-                   vertex_map=mesh.shared_vertex_map(mesh_eta))
+    via = _omega_eta_system(mesh_eta, core, mesh.shared_vertex_map(mesh_eta))
     lu = assemble(mesh_eta, fam, a, fam.freq)
     assert via.solver_kind == "via-core" and lu.solver_kind == "sparse-lu"
     assert np.array_equal(via.interior, lu.interior)
@@ -811,21 +820,28 @@ class TestCoreSolve:
         dense = _dense_footprint_schur(lu, footprint)
         assert np.max(np.abs(T - dense)) <= 1e-12 * np.max(np.abs(dense))
 
-    def test_part_outside_is_built_once_per_mesh(self):
+    def test_bump_is_built_once_per_frame(self, monkeypatch):
+        calls = []
+        real = Mesh.part_outside
+
+        def counting(mesh, *args):
+            calls.append(mesh)
+            return real(mesh, *args)
+
+        monkeypatch.setattr(Mesh, "part_outside", counting)
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
-        mesh = build_mesh(BOX, 0.125, patch=patch)
-        mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
-        vmap = mesh.shared_vertex_map(mesh_eta)
-        systems = [assemble(mesh_eta, fam, a, fam.freq, core=assemble(mesh, fam, a, fam.freq),
-                            vertex_map=vmap)
-                   for fam, a in ((DIAG_123, A_ONE), (ROTATED, AFFINE))]
+        frame = build_frame(BOX, patch, 0.25, 0.125, scalar_identity_family(k=0.1, imag=1.0))
+        systems = [build_forward(frame, a).system_eta for a in (A_ONE, AFFINE)]
+        assert calls == [frame.mesh_eta]
         assert [s.bump.solver_kind for s in systems] == ["sine-transform", "box-cocg"]
-        assert systems[0].bump.mesh is systems[1].bump.mesh
-        bump = systems[0].bump.mesh
+        # Both Forwards' Omega_eta systems share the frame's bump mesh and map.
+        bump, part_map = frame.bump
+        for system in systems:
+            assert system.mesh is frame.mesh_eta and system.bump.mesh is bump
+            assert system._parts[1][1] is part_map
         assert bump.box_shape == (3, 3, 1) and bump.n_tets == 6 * 4 * 4 * 2
         # The bump's vertices have the bits of the same vertices of Omega_eta.
-        part_map = mesh_eta.part_outside(mesh, vmap)[1]
-        assert np.array_equal(mesh_eta.verts[part_map], bump.verts)
+        assert np.array_equal(frame.mesh_eta.verts[part_map], bump.verts)
 
     @pytest.mark.parametrize("case", ["two-bumps", "l-shape", "no-bump"])
     def test_part_outside_not_one_box_rejected(self, case):
@@ -836,8 +852,7 @@ class TestCoreSolve:
         mesh, mesh_eta = _lattice_mesh(box, 0.25), _lattice_mesh(box + extra, 0.25)
         core = assemble(mesh, LAPLACE, A_ONE, 0.0)
         with pytest.raises(GeometryError, match="not one lattice box"):
-            assemble(mesh_eta, LAPLACE, A_ONE, 0.0, core=core,
-                     vertex_map=mesh.shared_vertex_map(mesh_eta))
+            _omega_eta_system(mesh_eta, core, mesh.shared_vertex_map(mesh_eta))
 
     def test_one_cell_bump_has_an_empty_bump_system(self, factor_calls):
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
@@ -910,7 +925,7 @@ class TestCoreSolve:
         else:
             core = assemble(mesh, fam, constant_field(1.1), fam.freq)
         with pytest.raises(GeometryError):
-            assemble(mesh_eta, fam, A_ONE, fam.freq, core=core, vertex_map=vmap)
+            _omega_eta_system(mesh_eta, core, vmap, field=(fam, A_ONE, fam.freq))
 
 
 COCG_FAMILIES = {"scalar": scalar_identity_family(k=0.1, imag=1.0), "diag123": DIAG_123,
