@@ -22,7 +22,8 @@ from .estimator import (GapEstimate, boundary_gap_estimate, build_forward,
                         build_frame, delta_h, derivative_gap_estimate,
                         lipschitz_ratio, lipschitz_sweep, loglog_slope)
 from .families import shifted_field
-from .geometry import build_enlarged_domain, build_eta_sets, probe_point, ProbePath
+from .geometry import (build_enlarged_domain, build_eta_sets, check_probe_points_off_lattice,
+                       probe_point, ProbePath)
 from .reportio import RunManifest, write_csv, write_json
 from .singular import (fibonacci_sphere, h_function, leading_gradient,
                        leading_term, make_probe, sphere_min_h)
@@ -64,9 +65,16 @@ def _validation_suite(cfg: ExperimentConfig):
     field_reports = [("a1", check_parameter_field(cfg.a1, cfg.apriori, pts))]
     if cfg.a2 is not None:
         field_reports.append(("a2", check_parameter_field(cfg.a2, cfg.apriori, pts)))
-    build_eta_sets(cfg.patch, cfg.eta)
     build_enlarged_domain(cfg.box, cfg.patch, cfg.eta, grid_h=cfg.h)
+    _check_probe_points(cfg)
     return family_report, field_reports
+
+
+def _check_probe_points(cfg: ExperimentConfig) -> None:
+    """GeometryError naming the first tau whose probe point is a vertex of
+    the mesh lattice, before any mesh is built."""
+    path = ProbePath(build_eta_sets(cfg.patch, cfg.eta), cfg.x0, cfg.tau_grid)
+    check_probe_points_off_lattice(path, cfg.h, cfg.box.lo_arr)
 
 
 def _window_banner(cfg: ExperimentConfig):
@@ -259,6 +267,7 @@ def stability(config_path, out_dir, seed, mesh_h):
     cfg = _load(config_path, seed, mesh_h)
     if cfg.a2 is None:
         raise ConfigError("stability needs fields.a2")
+    _check_probe_points(cfg)
     manifest, frame = _estimator_frame(cfg, "stability", out_dir)
     out = Path(out_dir)
     manifest.start("forwards")
@@ -301,6 +310,7 @@ def derivative(config_path, out_dir, seed, mesh_h):
     cfg = _load(config_path, seed, mesh_h)
     if cfg.a2 is None:
         raise ConfigError("derivative needs fields.a2")
+    _check_probe_points(cfg)
     manifest, frame = _estimator_frame(cfg, "derivative", out_dir, banner=False)
     out = Path(out_dir)
     manifest.start("forwards")
@@ -342,6 +352,8 @@ def sweep(config_path, out_dir, seed, mesh_h, mode):
     cfg = _load(config_path, seed, mesh_h)
     if not cfg.sweep_scales or cfg.sweep_delta is None:
         raise ConfigError("sweep needs sweep.scales and sweep.delta")
+    if mode == "derivative":
+        _check_probe_points(cfg)
     manifest, frame = _estimator_frame(cfg, f"sweep-{mode}", out_dir)
     out = Path(out_dir)
     manifest.start("sweep")

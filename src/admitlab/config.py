@@ -11,7 +11,7 @@ import yaml
 from .admittivity import (AdmittivityFamily, AprioriData, ParameterField, WindowResult,
                           best_frequency_window)
 from .errors import ConfigError
-from .families import build_family, build_field
+from .families import FIELD_KEYS, build_family, build_field
 from .geometry import BoundaryPatch, BoxDomain, make_tau_grid
 
 _DEFAULT_APRIORI = {
@@ -142,6 +142,11 @@ def _field(spec, key: str) -> ParameterField:
     """Parameter field of a config mapping, malformed entries named by key."""
     if not isinstance(spec, dict):
         raise ConfigError(f"config key '{key}' must be a mapping, got {spec!r}")
+    allowed = FIELD_KEYS.get(spec.get("kind"))
+    unknown = [name for name in spec if allowed is not None and name not in ("kind", *allowed)]
+    if unknown:
+        raise ConfigError(f"unknown config key '{key}.{unknown[0]}', expected one of "
+                          f"{['kind', *allowed]}")
     for name, value in spec.items():
         if name != "kind":
             _number_or_list(value, key)

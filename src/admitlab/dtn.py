@@ -95,9 +95,11 @@ def h_half_gram(mesh: Mesh, basis: SigmaBasis) -> np.ndarray:
 
     Interior dofs are eliminated by static condensation while the remaining
     boundary dofs are pinned to zero, which realises the minimal-energy
-    extension of traces vanishing off the patch.  The mesh is the box, so
-    the Laplacian's interior block is solved by sine transforms, not
-    factored.
+    extension of traces vanishing off the patch.  The mesh is the box and
+    the basis lies inside one face, so the Laplacian's Schur complement is
+    the closed form of `BlockSystem.schur_onto`, diagonal in the face's sine
+    basis, checked by one sine-transform solve of a few combinations of its
+    columns; no column is solved.
     """
     laplace = BlockSystem(mesh, assemble_stiffness(mesh, np.eye(3)),
                           axis_weights=(1.0, 1.0, 1.0))

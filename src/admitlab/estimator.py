@@ -23,8 +23,7 @@ from .admittivity import AdmittivityFamily, ParameterField, WindowResult, comple
 from .dtn import LocalDtnMatrix, SigmaBasis, assemble_dtn, dtn_star_norm, h_half_gram, sigma_basis
 from .errors import (ConfigError, EstimatorRefusal, GeometryError,
                      NumericError, SingularityError)
-from .fem import (BlockSystem, ComplexField, Mesh, SubstructuredSystem, assemble,
-                  build_mesh, energy_density)
+from .fem import BlockSystem, Mesh, SubstructuredSystem, assemble, build_mesh, energy_density
 from .geometry import (BoundaryPatch, BoxDomain, EnlargedDomain, EtaSets,
                        ProbePath, build_enlarged_domain, build_eta_sets,
                        make_tau_grid, probe_point)
@@ -311,8 +310,9 @@ class Forward:
 
     The DtN matrix is assembled on first read, from the Schur complement
     of `system` onto the basis, which `system` keeps: the Omega_eta
-    footprint lies in the basis, so a later footprint correction restricts
-    it.  `system_eta` is built on first read too, substructured through
+    footprint lies in the basis, so for a box-cocg system its restriction
+    preconditions the Omega_eta interface exactly.  `system_eta` is built
+    on first read too, substructured through
     `system` and the field's system on the frame's bump, so a Forward that
     only gives a DtN never builds it.  Nothing here refers back to the
     Forward, so dropping it frees both systems.
@@ -486,6 +486,8 @@ def _pair_records(
     path = ProbePath(frame.eta_sets, tuple(x0), tuple(tau_grid))
     bary = frame.mesh.barycenters()
     depth = frame.patch.depth(bary)
+    # Every tau's energy density from one pass over the tets.
+    densities = energy_density(frame.mesh, D, U1, U2, real=True)
 
     records = []
     for j, tau in enumerate(tau_grid):
@@ -497,9 +499,7 @@ def _pair_records(
         # Alessandrini's identity with P complex symmetric: the flux of each
         # probe solve paired with the other probe's trace.
         pairing = complex(f2 @ KU1[:, j] - f1 @ KU2[:, j])
-        u1 = ComplexField(frame.mesh, U1[:, j])
-        u2 = ComplexField(frame.mesh, U2[:, j])
-        dens = energy_density(frame.mesh, D, u1, u2).real
+        dens = densities[j]
         ball = np.linalg.norm(bary - z[None, :], axis=1) < rho
         n_full = float(np.sum(dens))
         n_ball = float(np.sum(dens[ball]))
@@ -700,7 +700,8 @@ def lipschitz_sweep(
     normal derivative.  Every point pairs against the one reference
     Forward, so the reference probe passes are computed once.  A Lipschitz
     point builds only its Omega system; a derivative point also builds its
-    Omega_eta system, through the Schur complement its DtN left behind.
+    Omega_eta system, whose interface the Schur complement its DtN left
+    behind preconditions.
     Given a `solvers` list, the counters of every system built are copied
     into it as plain entries (`Forward.solver_entries` led by "point"): the
     reference's ("reference", a1) first, then each point's (its label, a2),

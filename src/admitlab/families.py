@@ -194,7 +194,9 @@ def gaussian_bump_field(base: float, amplitude: float, center, width: float) -> 
     )
 
 
-FIELD_KINDS = {"constant", "affine", "bump"}
+# The keys of each parameter field kind's config mapping, besides "kind".
+FIELD_KEYS = {"constant": ("value",), "affine": ("offset", "gradient"),
+              "bump": ("base", "amplitude", "center", "width")}
 
 
 def build_field(spec: dict) -> ParameterField:
@@ -210,7 +212,7 @@ def build_field(spec: dict) -> ParameterField:
             float(spec["base"]), float(spec["amplitude"]),
             spec["center"], float(spec["width"]),
         )
-    raise ConfigError(f"unknown parameter field kind '{kind}'; choose from {sorted(FIELD_KINDS)}")
+    raise ConfigError(f"unknown parameter field kind '{kind}'; choose from {sorted(FIELD_KEYS)}")
 
 
 def shifted_field(a: ParameterField, delta: ParameterField, scale: float) -> ParameterField:

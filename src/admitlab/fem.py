@@ -4,19 +4,21 @@ The complex divergence-form equation is assembled as the real 2x2-block
 strongly elliptic system with blocks [A_R, -k A_I; k A_I, A_R] sampled at tet
 barycenters (one-point quadrature).  A `BlockSystem` holds the equivalent
 complex matrix K = K_R + i K_I and its interior solver; the block matrix is
-materialised from K for the structure and ellipticity checks.  Every
-Dirichlet solve and every Schur complement onto boundary dofs (the DtN
-pairing and the trace Gram) goes through a `BlockSystem`: a sine-transform
-solve where the interior block is a constant-weight 7-point stencil on a
-full box, and conjugate orthogonal CG (COCG) preconditioned by that
-sine-transform solve for any other coefficient on a full box.  `assemble`
-builds one `BlockSystem` on one mesh.  An Omega_eta system is never
-assembled whole: it is a `SubstructuredSystem` of the Omega system and the
-system of the bump box outside it (`Mesh.part_outside`), whose footprint
-between them is solved from its dense interface system, the sum of the two
-parts' Schur complements (Steklov-Poincare).  Only a standalone mesh that
-is not a box gets a sparse LU, which no command builds: the tests use it
-as the oracle.
+materialised from K for the structure and ellipticity checks.  `assemble`
+builds one `BlockSystem` on one full lattice box, and refuses any other
+mesh.  Every Dirichlet solve and every Schur complement onto boundary dofs
+(the DtN pairing and the trace Gram) goes through a `BlockSystem`: a
+sine-transform solve where the interior block is a constant-weight 7-point
+stencil, and conjugate orthogonal CG (COCG) preconditioned by that
+sine-transform solve for any other coefficient.  A sine-transform system's
+Schur complement onto dofs inside one box face is a closed form, diagonal
+in the face's sine basis (`_face_schur`), checked on a few combinations of
+its columns; any other is solved column by column.  An Omega_eta system is
+never assembled whole: it is a `SubstructuredSystem` of the Omega system
+and the system of the bump box outside it (`Mesh.part_outside`), whose
+footprint between them is solved by COCG on the interface, preconditioned
+by the closed-form Schur complements.  Nothing is factored but that dense
+footprint preconditioner.
 
 Meshes are built from integer lattice keys of a set of lattice cells,
 the one source of their topology.  Every tet is one of the six Kuhn tets
@@ -29,9 +31,8 @@ assembled on the same pair of meshes.  One byte budget, `_BLOCK_BYTES`,
 bounds the per-tet and per-column temporaries: tets are evaluated in
 contiguous chunks and Schur complements solved in column blocks within it,
 so only the live data grows with the mesh.  scipy is imported by the
-functions that build or factor a matrix, so the commands that never
-assemble one (validate, probe) do not pay for importing it, and
-scipy.sparse.linalg only by the sparse LU.
+functions that build a matrix, so the commands that never assemble one
+(validate, probe) do not pay for importing it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .geometry import BoundaryPatch, BoxDomain, EnlargedDomain
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
 
 # Six-tet Kuhn split of the unit hex: each permutation of the axes walks
 # from corner 0 to corner 7 along the main diagonal.
@@ -107,10 +107,10 @@ _SIDE_TRIANGLES = np.stack([
 _BLOCK_BYTES = 1 << 20
 
 
-def _tet_chunks(n_tets: int):
-    """Contiguous tet-order slices whose float element blocks fit in
-    `_BLOCK_BYTES`."""
-    step = max(1, _BLOCK_BYTES // (16 * 8))
+def _tet_chunks(n_tets: int, columns: int = 1):
+    """Contiguous tet-order slices whose float element blocks, one per
+    column, fit in `_BLOCK_BYTES`."""
+    step = max(1, _BLOCK_BYTES // (16 * 8 * columns))
     for start in range(0, n_tets, step):
         yield slice(start, min(start + step, n_tets))
 
@@ -182,9 +182,9 @@ class Mesh:
             raise GeometryError("mesh vertices are not in strictly increasing ijk order")
         self._stiffness_pattern = None
         # A full lattice box: its interior vertices form an (N0, N1, N2)
-        # block in C order.
+        # block in C order, empty for a box one cell thick.
         span = self._ijk_hi - self._ijk_lo + 1
-        full_box = len(ijk) == int(np.prod(span)) and np.all(span >= 3)
+        full_box = len(ijk) == int(np.prod(span)) and np.all(span >= 2)
         self.box_shape = tuple(int(s) - 2 for s in span) if full_box else None
 
     def barycenters(self, chunk: slice = slice(None)) -> np.ndarray:
@@ -499,31 +499,14 @@ class ComplexField:
 
 
 _RESIDUAL_RTOL = 1e-10
-# The interior solver kinds whose solution columns have the same bits
-# whatever columns are solved beside them; SuperLU's multi-column solves
-# move the last bits with the block.
-_BLOCKWISE_EXACT = ("sine-transform", "box-cocg")
 # A COCG column stops once its recurrence residual is at most _COCG_RTOL of
 # its right-hand side; a column still running after _COCG_MAX_ITERATIONS
 # iterations raises SolverError.
 _COCG_RTOL = 1e-13
 _COCG_MAX_ITERATIONS = 200
-
-
-def _factor_interior(K_ii: sp.spmatrix) -> spla.SuperLU:
-    """Sparse LU of an interior block, ordered and factored symmetrically.
-
-    Every interior block here is complex symmetric with a positive definite
-    real part, so elimination in diagonal order needs no pivoting; the
-    residual checks of the callers stay as the guard.
-    """
-    import scipy.sparse.linalg as spla
-
-    try:
-        return spla.splu(K_ii.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                         diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise SolverError(f"sparse factorisation failed: {exc}") from exc
+# A closed-form Schur complement is checked on this many fixed-seed complex
+# combinations of its columns.
+_SCHUR_CHECKS = 3
 
 
 def _as_columns(x: np.ndarray) -> np.ndarray:
@@ -531,10 +514,11 @@ def _as_columns(x: np.ndarray) -> np.ndarray:
     return x[:, None] if x.ndim == 1 else x
 
 
-def _check_residual(residual: np.ndarray, rhs: np.ndarray, first_column: int = 0) -> float:
+def _check_residual(residual: np.ndarray, rhs: np.ndarray, first_column: int = 0,
+                    what: str = "interior residual") -> float:
     """SolverError unless every column has |residual| <= 1e-10 |rhs|, for
-    the residual K_II x - rhs of an interior solve; returns the largest
-    relative residual.
+    the residual K_II x - rhs of an interior solve (or the `what` of
+    another check); returns the largest relative residual.
 
     A non-finite residual fails the check too.  The failing column is
     reported as `first_column` plus its position in `rhs`.
@@ -545,7 +529,7 @@ def _check_residual(residual: np.ndarray, rhs: np.ndarray, first_column: int = 0
     if np.any(bad):
         col = int(np.argmax(bad))
         raise SolverError(
-            "interior residual too large",
+            f"{what} too large",
             diagnostics={"residual": float(resid[col]), "scale": float(scale[col]),
                          "column": first_column + col},
         )
@@ -556,6 +540,12 @@ def _sine_matrix(n: int) -> np.ndarray:
     """Orthonormal DST-I matrix of order n; it is symmetric and its own inverse."""
     j = np.arange(1, n + 1)
     return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
+
+
+def _stencil_modes(n: int) -> np.ndarray:
+    """Eigenvalues 2 - 2 cos(pi p / (n + 1)), p = 1..n, of tridiag(-1, 2, -1),
+    in the order of the columns of `_sine_matrix(n)`."""
+    return 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
 
 
 def box_solve(mesh: Mesh, weights):
@@ -572,15 +562,15 @@ def box_solve(mesh: Mesh, weights):
     not depend on the other columns, so its solution has the same bits
     whatever columns ride beside it.
     """
-    if mesh.box_shape is None:
-        raise GeometryError("the sine-transform solve needs a full lattice box mesh")
+    if mesh.box_shape is None or min(mesh.box_shape) == 0:
+        raise GeometryError("the sine-transform solve needs a full lattice box mesh "
+                            "with interior vertices")
     shape = mesh.box_shape
     n0, n1, n2 = shape
     sines = [_sine_matrix(n) for n in shape]
     eig = np.zeros(shape, dtype=np.result_type(*weights, float))
     for a, (n, w) in enumerate(zip(shape, weights)):
-        mode = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
-        eig += mesh.h * w * mode.reshape([n if b == a else 1 for b in range(3)])
+        eig += mesh.h * w * _stencil_modes(n).reshape([n if b == a else 1 for b in range(3)])
     inverse = (1.0 / eig).reshape(1, -1)
     # The last axis of complex data, viewed as interleaved real and imaginary
     # parts, is transformed by the sine matrix with each entry doubled.
@@ -608,6 +598,59 @@ def box_solve(mesh: Mesh, weights):
     return solve
 
 
+def _face_schur(mesh: Mesh, weights, sigma: np.ndarray) -> Optional[np.ndarray]:
+    """Closed-form Schur complement onto the boundary dofs sigma of the P1
+    stiffness of diag(weights) on a full lattice box, the other boundary
+    dofs pinned to zero; None unless sigma lies in the interior of one box
+    face.
+
+    With a diagonal coefficient every Kuhn coupling off an axis edge is
+    zero, on face rows too.  So on the face F normal to axis a, in its
+    interior, K_FF = h w_a I + L_F / 2, where L_F is the face's 5-point
+    stencil h sum_t w_t (2 u - u(x - h e_t) - u(x + h e_t)), and K_FI joins
+    each face dof only to the interior vertex next to it, by -h w_a.  The
+    face's 2-D orthonormal DST-I basis Phi diagonalises L_F, with
+    eigenvalues lam_pq, and along the normal axis mode (p, q) of K_II is
+    the tridiagonal h w_a tridiag(-1, 2, -1) + lam_pq of order N_a, whose
+    corner entry r_pq of its inverse is an N_a-step continued fraction
+    (the capacitance-matrix idea of Buzbee, Dorr, George and Golub, 1971).
+    So the Schur complement onto F is Phi diag(mu) Phi^T with
+    mu = h w_a + lam / 2 - (h w_a)^2 r, for either face normal to axis a,
+    and onto sigma it is the restriction, since the other face dofs are
+    pinned.  It is formed on sigma's bounding rectangle of the face by two
+    contractions, one per tangent axis.  The weights may be complex.
+    """
+    if mesh.box_shape is None or not len(sigma):
+        return None
+    shape = np.array(mesh.box_shape)
+    rel = mesh.ijk[sigma] - mesh._ijk_lo
+    for axis in range(3):
+        t = [b for b in range(3) if b != axis]
+        level = rel[0, axis]
+        if (level in (0, shape[axis] + 1) and np.all(rel[:, axis] == level)
+                and np.all((rel[:, t] >= 1) & (rel[:, t] <= shape[t]))):
+            break
+    else:
+        return None
+    weights = np.asarray(weights)
+    c = mesh.h * weights[axis]
+    lam = (mesh.h * weights[t[0]] * _stencil_modes(shape[t[0]])[:, None]
+           + mesh.h * weights[t[1]] * _stencil_modes(shape[t[1]])[None, :])
+    corner = np.zeros_like(lam)
+    for _ in range(shape[axis]):
+        corner = 1.0 / (2.0 * c + lam - c * c * corner)
+    mu = c + lam / 2.0 - c * c * corner
+    lo, hi = rel[:, t].min(axis=0), rel[:, t].max(axis=0)
+    A, B = (_sine_matrix(shape[b])[lo[k] - 1:hi[k]] for k, b in enumerate(t))
+    # S[(i, j), (k, l)] = sum_pq A_ip A_kp mu_pq B_jq B_lq over the rectangle.
+    M = (A[:, None, :] * A[None, :, :]).reshape(len(A) ** 2, -1) @ mu
+    BB = (B[:, None, :] * B[None, :, :]).reshape(len(B) ** 2, -1)
+    S = (M @ BB.T).reshape(len(A), len(A), len(B), len(B)).transpose(0, 2, 1, 3)
+    S = S.reshape(len(A) * len(B), -1)
+    idx = (rel[:, t[0]] - lo[0]) * len(B) + (rel[:, t[1]] - lo[1])
+    return S[np.ix_(idx, idx)]
+
+
 def _column_sums(M: np.ndarray) -> np.ndarray:
     """Sum of each column of an (n, m) array.
 
@@ -621,42 +664,54 @@ def _column_norms(M: np.ndarray) -> np.ndarray:
     return np.sqrt(_column_sums(M.real ** 2 + M.imag ** 2))
 
 
-def _cocg(K: sp.spmatrix, precondition, rhs: np.ndarray):
-    """Block COCG solve of the complex symmetric K for (n, m) columns.
+def _cocg(apply, precondition, rhs: np.ndarray, carried: int = 0, name: str = "COCG"):
+    """Block COCG solve of A x = rhs for (n, m) columns, A complex symmetric.
 
     COCG is preconditioned CG with the unconjugated bilinear form x^T y
-    (van der Vorst and Melissen, 1990); `precondition` must be complex
-    symmetric too.  Every column keeps its own scalars and stops once its
-    recurrence residual is at most `_COCG_RTOL` of its right-hand side; a
-    stopped column is frozen, so its solution does not depend on the block
-    it rides in, and an all-zero column returns zeros without iterating.
-    Returns the solutions and each column's iteration count.  SolverError,
-    naming the worst running column, if a column breaks down or is still
-    running after `_COCG_MAX_ITERATIONS` iterations.
+    (van der Vorst and Melissen, 1990); `apply(P)` returns A P and
+    `precondition` must be complex symmetric too.  With `carried` > 0,
+    `apply(P)` returns (A P, C P) for a map C, linear in P, to `carried`
+    rows, and the solution carries C x stacked below x, summed over the
+    steps with x's own step lengths.
+    Every column keeps its own scalars and stops once its recurrence
+    residual is at most `_COCG_RTOL` of its right-hand side; a stopped
+    column is frozen, so its solution does not depend on the block it
+    rides in, and an all-zero column returns zeros without iterating.
+    Returns the (n + carried, m) solutions and each column's iteration
+    count.  SolverError, naming the worst running column, its iterations
+    and its residual, if a column breaks down or is still running after
+    `_COCG_MAX_ITERATIONS` iterations.
     """
-    X = np.zeros(rhs.shape, dtype=complex)
+    n = rhs.shape[0]
+    X = np.zeros((n + carried, rhs.shape[1]), dtype=complex)
     iterations = np.zeros(rhs.shape[1], dtype=np.int64)
     scale = _column_norms(rhs)
     live = np.flatnonzero(scale > 0.0)
     if not live.size:
         return X, iterations
     R = np.array(rhs[:, live], dtype=complex)
-    X_live = np.zeros(R.shape, dtype=complex)
+    X_live = np.zeros((n + carried, len(live)), dtype=complex)
     P = precondition(R)
     rho = _column_sums(R * P)
     for step in range(1, _COCG_MAX_ITERATIONS + 1):
-        Q = K @ P
+        Q = apply(P)
+        if carried:
+            Q, CP = Q
         alpha = rho / _column_sums(P * Q)
+        if carried:
+            CP *= alpha
+            X_live[n:] += CP
+            del CP
         # Q is scratch once it has updated the residual.  Q and Z are freed
         # as soon as they are used, so fewer blocks are live at a time.
         Q *= alpha
         R -= Q
         np.multiply(P, alpha, out=Q)
-        X_live += Q
+        X_live[:n] += Q
         del Q
         residual = _column_norms(R) / scale[live]
         if not np.all(np.isfinite(residual)):
-            _cocg_failure("COCG broke down", step, residual, live)
+            _cocg_failure(f"{name} broke down", step, residual, live)
         done = residual <= _COCG_RTOL
         if np.any(done):
             X[:, live[done]] = X_live[:, done]
@@ -672,7 +727,7 @@ def _cocg(K: sp.spmatrix, precondition, rhs: np.ndarray):
         P += Z
         del Z
         rho = rho_next
-    _cocg_failure("COCG did not converge", _COCG_MAX_ITERATIONS,
+    _cocg_failure(f"{name} did not converge", _COCG_MAX_ITERATIONS,
                   _column_norms(R) / scale[live], live)
 
 
@@ -680,9 +735,10 @@ def _cocg_failure(message: str, step: int, residual: np.ndarray, live: np.ndarra
     """SolverError naming the running column with the largest relative
     recurrence residual (a non-finite one first)."""
     worst = int(np.argmax(np.where(np.isfinite(residual), residual, np.inf)))
-    raise SolverError(message, diagnostics={
-        "iterations": step, "residual": float(residual[worst]),
-        "column": int(live[worst])})
+    raise SolverError(
+        f"{message} after {step} iterations (relative residual {residual[worst]:.3g})",
+        diagnostics={"iterations": step, "residual": float(residual[worst]),
+                     "column": int(live[worst])})
 
 
 def _dirichlet_columns(mesh: Mesh, g) -> np.ndarray:
@@ -711,9 +767,9 @@ def _dirichlet_columns(mesh: Mesh, g) -> np.ndarray:
 class _SolverCounters:
     """The counters that a run's manifest reports for a system.
 
-    `factored_dofs` counts the dofs of every factorisation the system has
-    made, `solve_calls` and `rhs_columns` the calls into its interior
-    solver and their columns, `krylov_iterations` and
+    `factored_dofs` counts the dofs of every matrix the system has
+    factored or inverted, `solve_calls` and `rhs_columns` the calls into
+    its interior solver and their columns, `krylov_iterations` and
     `krylov_iterations_max` the COCG iterations summed over those columns
     and the most any one column took, and `worst_residual` is the largest
     relative residual that a residual check of the system has passed.
@@ -726,6 +782,11 @@ class _SolverCounters:
         self.krylov_iterations = 0
         self.krylov_iterations_max = 0
         self.worst_residual = 0.0
+
+    def _count_krylov(self, iterations: np.ndarray) -> None:
+        self.krylov_iterations += int(iterations.sum())
+        self.krylov_iterations_max = max(self.krylov_iterations_max,
+                                         int(iterations.max(initial=0)))
 
     def counters(self) -> dict:
         """Plain copies of the counters, with the interior solver kind and
@@ -741,35 +802,33 @@ class _SolverCounters:
 
 
 class BlockSystem(_SolverCounters):
-    """Assembled complex matrix K = K_R + i K_I on one mesh, with a cached
-    interior solver.
+    """Assembled complex matrix K = K_R + i K_I on one full lattice box,
+    with a cached interior solver.
 
     `block_matrix` materialises the real block form [[K_R, -K_I], [K_I, K_R]].
     The interior solver is chosen once, at the first solve, and named by
     `solver_kind`:
 
     - "sine-transform": with `axis_weights` (the diagonal of a constant
-      diagonal coefficient on a full lattice box), `box_solve`;
+      diagonal coefficient), `box_solve`;
     - "box-cocg": with `cocg_weights` (the tet-averaged diagonal of any
-      other coefficient on a full lattice box), COCG preconditioned by
-      `box_solve` of those weights, each column stopped at a recurrence
-      residual of `_COCG_RTOL`;
-    - "sparse-lu": a sparse LU of the interior block.
+      other coefficient), COCG preconditioned by `box_solve` of those
+      weights, each column stopped at a recurrence residual of
+      `_COCG_RTOL`.
 
-    `assemble` gives every full-box system either `axis_weights` or
-    `cocg_weights`, so it factors only a system on another mesh: the
-    tests' standalone Omega_eta oracle.  A system with no interior dof,
-    such as the bump of a `SubstructuredSystem` one cell thick, solves
-    nothing.  `field` is the (family, a, k) that `assemble` built it from.
-    The counters are those of `_SolverCounters`.
+    `assemble` gives every system one of the two.  A system with no
+    interior dof, such as the bump of a `SubstructuredSystem` one cell
+    thick, solves nothing.  `field` is the (family, a, k) that `assemble`
+    built it from.  The counters are those of `_SolverCounters`.
 
-    The system keeps its interior solver, the box solve or the sparse LU's
-    solve, which holds no reference back to it, and runs COCG itself, so a
-    system, its factors and its Krylov scratch are freed by reference
-    counting as soon as the last reader drops it.  `schur_onto` keeps its
-    last result: the Omega system's Schur complement onto the DtN basis
-    answers the footprint part of its Omega_eta system's interface by
-    restriction.
+    The system keeps its interior solver, the box solve, which holds no
+    reference back to it, and runs COCG itself, so a system and its Krylov
+    scratch are freed by reference counting as soon as the last reader
+    drops it.  Both solvers give a column the same bits whatever columns
+    are solved beside it.  `schur_onto` keeps its last result, and answers
+    any subset of its dofs by restriction: the Omega system's Schur
+    complement onto the DtN basis gives the footprint part of its
+    Omega_eta system's interface preconditioner exactly.
     """
 
     def __init__(self, mesh: Mesh, K: sp.csr_matrix, axis_weights=None, cocg_weights=None):
@@ -809,34 +868,29 @@ class BlockSystem(_SolverCounters):
 
     @property
     def solver_kind(self) -> str:
-        if self.axis_weights is not None:
-            return "sine-transform"
-        if self.cocg_weights is not None:
-            return "box-cocg"
-        return "sparse-lu"
+        return "sine-transform" if self.axis_weights is not None else "box-cocg"
+
+    def _interior_solver(self):
+        """The box solve of the axis weights, or of the COCG weights that
+        precondition COCG."""
+        weights = self.axis_weights if self.axis_weights is not None else self.cocg_weights
+        if weights is None:
+            raise ConfigError("a system needs axis_weights or cocg_weights to solve")
+        return box_solve(self.mesh, weights)
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         """K_II^{-1} rhs for an (n,) or (n, d) right-hand side."""
-        if self._solve is None:
-            kind = self.solver_kind
-            if kind == "sine-transform":
-                self._solve = box_solve(self.mesh, self.axis_weights)
-            elif kind == "box-cocg":
-                self._solve = box_solve(self.mesh, self.cocg_weights)
-            elif len(self._interior):
-                self._solve = _factor_interior(self._K_ii).solve
-                self.factored_dofs += len(self._interior)
-            else:
-                # An empty interior block: nothing to factor or solve.
-                self._solve = np.zeros_like
         self.solve_calls += 1
         self.rhs_columns += rhs.shape[1] if rhs.ndim == 2 else 1
+        if not len(self._interior):
+            # An empty interior block: nothing to solve.
+            return np.zeros_like(rhs)
+        if self._solve is None:
+            self._solve = self._interior_solver()
         if self.solver_kind != "box-cocg":
             return self._solve(rhs)
-        x, iterations = _cocg(self._K_ii, self._solve, rhs.reshape(len(rhs), -1))
-        self.krylov_iterations += int(iterations.sum())
-        self.krylov_iterations_max = max(self.krylov_iterations_max,
-                                         int(iterations.max(initial=0)))
+        x, iterations = _cocg(self._K_ii.__matmul__, self._solve, rhs.reshape(len(rhs), -1))
+        self._count_krylov(iterations)
         return x.reshape(rhs.shape)
 
     def _check(self, x: np.ndarray, rhs: np.ndarray, first_column: int = 0) -> None:
@@ -847,13 +901,10 @@ class BlockSystem(_SolverCounters):
 
     def _subset_positions(self, sigma: np.ndarray) -> Optional[np.ndarray]:
         """Positions of the dofs sigma among those of the memoised Schur
-        complement, or None unless it holds every one of them and this
-        system's solver gives its columns the bits of a fresh solve."""
-        if self._schur is None or self.solver_kind not in _BLOCKWISE_EXACT:
+        complement, or None unless it holds every one of them."""
+        if self._schur is None or not len(self._schur[0]):
             return None
         dofs = self._schur[0]
-        if not len(dofs):
-            return None
         order = np.argsort(dofs, kind="stable")
         pos = order[np.minimum(np.searchsorted(dofs, sigma, sorter=order), len(dofs) - 1)]
         return pos if np.array_equal(dofs[pos], sigma) else None
@@ -864,17 +915,21 @@ class BlockSystem(_SolverCounters):
 
         The last result is memoised, and the same sigma returns it.
         Pinning the other boundary dofs makes the Schur complement onto a
-        subset of its dofs the restriction of it, and the sine-transform
-        and COCG solvers give each column the same bits whatever block it
-        is solved in, so under them a subset is answered by indexing, with
-        the bits of a fresh solve and no interior solve.  SuperLU's
-        multi-column solves do not, so there a subset is solved afresh.
-        Any sigma not answered from the memo is computed and replaces it.
+        subset of its dofs the restriction of it, and both interior solvers
+        give each column the same bits whatever block it is solved in, so
+        a subset is answered by indexing, with the bits of a fresh solve
+        and no interior solve.  Any other sigma is computed and replaces
+        the memo.
 
-        The columns are solved in equal blocks of at most `_BLOCK_BYTES`
-        of complex (interior x column) data, so no array of interior size
-        grows with |sigma|; each block is one multi-column interior solve,
-        and each column's residual is checked.
+        A sine-transform system with sigma in the interior of one box face
+        takes the closed form `_face_schur`, and checks it on
+        `_SCHUR_CHECKS` fixed-seed complex combinations v of its columns:
+        K_ss v - K_sI x, with x the interior solve of K_Is v (itself
+        residual-checked), must match S v to 1e-10 relative.  Any other
+        system or sigma is solved column by column, in equal blocks of at
+        most `_BLOCK_BYTES` of complex (interior x column) data, so no
+        array of interior size grows with |sigma|; each block is one
+        multi-column interior solve, and each column's residual is checked.
         """
         sigma = np.array(sigma, dtype=int)
         if self._schur is not None and np.array_equal(self._schur[0], sigma):
@@ -891,8 +946,20 @@ class BlockSystem(_SolverCounters):
         # symmetric only to rounding.
         K_s = self.K[sigma]
         K_si = K_s[:, self._interior]
-        S = K_s[:, sigma].toarray()
-        d = len(sigma)
+        S = None
+        if self.axis_weights is not None and len(self._interior):
+            S = _face_schur(self.mesh, self.axis_weights, sigma)
+        if S is not None:
+            self._check_schur(S, K_s[:, sigma], K_si, cols)
+        else:
+            S = self._column_schur(K_s[:, sigma].toarray(), K_si, cols)
+        S.flags.writeable = False
+        self._schur = (sigma, S)
+        return S
+
+    def _column_schur(self, S: np.ndarray, K_si, cols: np.ndarray) -> np.ndarray:
+        """K_ss - K_sI K_II^{-1} K_Is from K_ss, solved in column blocks."""
+        d = len(cols)
         cap = max(1, _BLOCK_BYTES // (16 * max(1, len(self._interior))))
         blocks = max(1, math.ceil(d / cap))
         width = max(1, math.ceil(d / blocks))
@@ -913,9 +980,39 @@ class BlockSystem(_SolverCounters):
             # A real K has complex solves under a COCG solver.
             S = S.astype(np.result_type(S, flux), copy=False)
             S[:, block] -= flux
-        S.flags.writeable = False
-        self._schur = (sigma, S)
         return S
+
+    def _check_schur(self, S: np.ndarray, K_ss, K_si, cols: np.ndarray) -> None:
+        """SolverError unless S v = K_ss v - K_sI K_II^{-1} K_Is v to 1e-10
+        relative for `_SCHUR_CHECKS` fixed-seed complex combinations v of
+        the columns; the residuals are kept in `worst_residual`."""
+        rng = np.random.default_rng(0)
+        shape = (len(cols), _SCHUR_CHECKS)
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rhs = self._K_ib[:, cols] @ v
+        x = self._solve_interior(rhs)
+        self._check(x, rhs)
+        direct = K_ss @ v - K_si @ x
+        worst = _check_residual(S @ v - direct, direct, what="Schur complement check residual")
+        self.worst_residual = max(self.worst_residual, worst)
+
+    def _preconditioner_schur(self, sigma: np.ndarray) -> np.ndarray:
+        """A Schur complement onto the boundary dofs sigma that solves no
+        column, for a preconditioner.  With sigma in one face's interior it
+        is the closed form `_face_schur` of the box stencil: of
+        `axis_weights`, exact, for a sine-transform system, and of
+        `cocg_weights`, whose interior block preconditions COCG, for a
+        box-cocg system whose memo does not hold sigma.  A memo that holds
+        sigma gives the exact restriction, and any other sigma the exact
+        `schur_onto`."""
+        memo = self._schur is not None and (np.array_equal(self._schur[0], sigma)
+                                            or self._subset_positions(sigma) is not None)
+        if len(self._interior) and not (memo and self.axis_weights is None):
+            weights = self.axis_weights if self.axis_weights is not None else self.cocg_weights
+            S = _face_schur(self.mesh, weights, sigma) if weights is not None else None
+            if S is not None:
+                return S
+        return self.schur_onto(sigma)
 
     def solve_dirichlet(self, g):
         """Solve with Dirichlet data g, one full-length nodal vector (n,) or
@@ -946,20 +1043,28 @@ class SubstructuredSystem(_SolverCounters):
     The parts' cells tile the mesh, so its matrix is the sum of theirs
     through their vertex maps.  Their interiors map to disjoint interior
     vertices, and the rest of the interior, the `footprint` f, to boundary
-    vertices of both parts.  A Dirichlet solve is two-subdomain
-    substructuring: both parts are solved with u pinned to zero on f; u_f
-    solves T u_f = -(K u)_f, where T = S_core(f) + S_bump(f), the sum of
-    the parts' Schur complements onto f (Steklov-Poincare), is inverted
-    once, at the first solve; and both parts are solved again with u_f.
-    The core's S_core(f) restricts its memoised Schur complement onto the
-    DtN basis, which holds f.  Each column's residual over the whole
-    interior, the parts' interior rows and the footprint rows summed over
-    both, is checked against the column's -K_IB g.
+    vertices of both parts.  A Dirichlet solve is two-subdomain iterative
+    substructuring (Smith, Bjorstad and Gropp, 1996): both parts are solved
+    with u pinned to zero on f, and u_f solves T u_f = -(K u)_f, where
+    T = S_core(f) + S_bump(f) is the sum of the parts' Schur complements
+    onto f (Steklov-Poincare).  T is never formed: COCG on the footprint
+    applies it by one core solve with data p on f, whose flux on f is
+    S_core(f) p, plus the dense S_bump(f) p, and carries the core interior
+    of each such solve, so by linearity the core interior of the answer
+    costs no further solve; the bump, thin, is solved again with u_f.  The
+    preconditioner (S~_core(f) + S_bump(f))^{-1} is inverted once, at the
+    first solve; S~_core is `BlockSystem._preconditioner_schur`, exact for
+    a sine-transform core or a core whose memo holds f, so there one
+    interface step solves.  Each column's residual over the whole interior,
+    the parts' interior rows and the footprint rows summed over both, is
+    checked against the column's -K_IB g.
 
     Its counters (`_SolverCounters`) name the kind "via-core":
-    `factored_dofs` is |f|, the inverted interface, and `solve_calls` and
-    `rhs_columns` count its Dirichlet solves, whose part solves, and their
-    COCG iterations, count in the parts' counters.
+    `factored_dofs` is |f|, the inverted preconditioner, `solve_calls` and
+    `rhs_columns` count its Dirichlet solves, and `krylov_iterations` and
+    `krylov_iterations_max` its interface iterations; the part solves, and
+    their COCG iterations, count in the parts' counters.  A stalled
+    interface iteration raises SolverError with its iterations and residual.
     """
 
     solver_kind = "via-core"
@@ -988,11 +1093,29 @@ class SubstructuredSystem(_SolverCounters):
                 raise GeometryError("a footprint vertex is not a vertex of both parts")
             self._parts.append((part, vmap, owner[self.footprint]))
         self._T_inv = None
+        self._S_bump = None
 
-    def _interface(self) -> np.ndarray:
-        """T = S_core(f) + S_bump(f), the parts' Schur complements onto the
-        footprint, summed."""
-        return sum(part.schur_onto(f_part) for part, _, f_part in self._parts)
+    def _preconditioner(self) -> np.ndarray:
+        """(S~_core(f) + S_bump(f))^{-1}, inverted at the first call, which
+        also slices the core's rows and columns on f."""
+        if self._T_inv is None:
+            (core, _, f_core), (bump, _, f_bump) = self._parts
+            self._S_bump = bump.schur_onto(f_bump)
+            self._T_inv = np.linalg.inv(core._preconditioner_schur(f_core) + self._S_bump)
+            self.factored_dofs += len(self.footprint)
+            K_f = core.K[f_core]
+            self._K_ff, self._K_fI = K_f[:, f_core], K_f[:, core.interior]
+            self._K_If = core._K_ib[:, np.searchsorted(core.boundary, f_core)]
+        return self._T_inv
+
+    def _apply_interface(self, P: np.ndarray) -> np.ndarray:
+        """T P for (|f|, c) footprint columns, and the core interior u of
+        the core solve with data P on f, which gives S_core(f) P as
+        K_ff P + K_fI u."""
+        rhs = -(self._K_If @ P)
+        u = self.core._solve_interior(rhs)
+        self.core._check(u, rhs)
+        return self._K_ff @ P + self._K_fI @ u + self._S_bump @ P, u
 
     def _product(self, x: np.ndarray) -> np.ndarray:
         """K x for (n, c) columns: the parts' products, summed."""
@@ -1001,26 +1124,25 @@ class SubstructuredSystem(_SolverCounters):
             out[vmap] += part.K @ x[vmap]
         return out
 
-    def _solve_parts(self, values: np.ndarray) -> None:
-        """Both parts' Dirichlet solves, in place: each reads its boundary
-        data, the footprint's among it, from `values` and writes its
-        interior solution back."""
-        for part, vmap, _ in self._parts:
-            values[vmap] = part.solve_dirichlet(values[vmap])
-
     def solve_dirichlet(self, g):
         """Solve with Dirichlet data g, as `BlockSystem.solve_dirichlet`."""
         values = _dirichlet_columns(self.mesh, g)
-        if self._T_inv is None:
-            self._T_inv = np.linalg.inv(self._interface())
-            self.factored_dofs += len(self.footprint)
+        T_inv = self._preconditioner()
         self.solve_calls += 1
         self.rhs_columns += values.shape[1]
         # The data is zero inside, so K applied to it is K_IB g there.
         rhs = -self._product(values)[self.interior]
-        self._solve_parts(values)
-        values[self.footprint] = self._T_inv @ -self._product(values)[self.footprint]
-        self._solve_parts(values)
+        for part, vmap, _ in self._parts:
+            values[vmap] = part.solve_dirichlet(values[vmap])
+        core, core_map, _ = self._parts[0]
+        x, iterations = _cocg(self._apply_interface, T_inv.__matmul__,
+                              -self._product(values)[self.footprint],
+                              carried=len(core.interior), name="interface COCG")
+        self._count_krylov(iterations)
+        values[self.footprint] = x[:len(self.footprint)]
+        values[core_map[core.interior]] += x[len(self.footprint):]
+        bump, bump_map, _ = self._parts[1]
+        values[bump_map] = bump.solve_dirichlet(values[bump_map])
         # K_II u_I + K_IB g is K u on the interior.
         worst = _check_residual(self._product(values)[self.interior], rhs)
         self.worst_residual = max(self.worst_residual, worst)
@@ -1057,18 +1179,22 @@ class _DiagonalSummary:
 
 
 def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float) -> BlockSystem:
-    """Block system for div(A(x, a(x)) grad u) = 0 on the mesh.
+    """Block system for div(A(x, a(x)) grad u) = 0 on a full lattice box
+    mesh; GeometryError on any other mesh.
 
     The field, the coefficient and the element blocks are evaluated over
     contiguous tet-order chunks within `_BLOCK_BYTES` (see
     `assemble_stiffness`), at the chunk's barycenters; the real blocks and
     the imaginary ones are added into the real and imaginary parts of one
-    complex CSR data array.  On a full lattice box, a constant diagonal
-    coefficient gets the exact sine-transform interior solve, and any other
-    coefficient COCG preconditioned by the sine-transform solve of its
-    tet-averaged diagonal, summarised over the same chunks.  The system
-    records the (family, a, k) it was built from in `field`.
+    complex CSR data array.  A constant diagonal coefficient gets the exact
+    sine-transform interior solve, and any other coefficient COCG
+    preconditioned by the sine-transform solve of its tet-averaged
+    diagonal, summarised over the same chunks.  The system records the
+    (family, a, k) it was built from in `field`.
     """
+    if mesh.box_shape is None:
+        raise GeometryError("assemble needs a full lattice box mesh; an Omega_eta system "
+                            "is a SubstructuredSystem of its parts")
     pattern = mesh.stiffness_pattern
     data = np.zeros(len(pattern.indices), dtype=complex)
     # The real and imaginary parts interleaved: np.add.at adds the real
@@ -1086,32 +1212,57 @@ def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float)
                                  (1, lambda x, t: k * family.imag_part(x, t))):
             coeff = np.broadcast_to(coeff_of(bary, t_vals), (len(bary), 3, 3))
             np.add.at(parts[offset:], slots, _stiffness_blocks(mesh, chunk, coeff).ravel())
-            if mesh.box_shape is not None:
-                summaries[offset].add(coeff)
+            summaries[offset].add(coeff)
+    real, imag = summaries
     axis_weights = cocg_weights = None
-    if mesh.box_shape is not None:
-        real, imag = summaries
-        if real.constant is not None and imag.constant is not None:
-            axis_weights = np.diag(real.constant) + 1j * np.diag(imag.constant)
-        else:
-            cocg_weights = real.mean() + 1j * imag.mean()
+    if real.constant is not None and imag.constant is not None:
+        axis_weights = np.diag(real.constant) + 1j * np.diag(imag.constant)
+    else:
+        cocg_weights = real.mean() + 1j * imag.mean()
     system = BlockSystem(mesh, _csr(pattern, data), axis_weights=axis_weights,
                          cocg_weights=cocg_weights)
     system.field = (family, a, k)
     return system
 
 
-def energy_density(mesh: Mesh, coeff, u: ComplexField, v: ComplexField) -> np.ndarray:
+def energy_density(mesh: Mesh, coeff, u, v, real: bool = False) -> np.ndarray:
     """Per-tet contributions vol * (coeff grad u) . grad v (unconjugated),
-    for a per-tet (T, 3, 3) or a constant 3x3 coefficient, evaluated over
-    tet-order chunks."""
-    if u.mesh is not mesh or v.mesh is not mesh:
-        raise ConfigError("fields must live on the given mesh")
+    for a per-tet (T, 3, 3) or a constant 3x3 coefficient; with `real`,
+    only their real parts, in a float array half the size.
+
+    u and v are ComplexFields on the mesh, giving (T,) densities, or (n, c)
+    arrays of nodal columns, giving the (c, T) densities of each pair of
+    columns, one contiguous row per column.  One pass over tet-order chunks
+    within `_BLOCK_BYTES` serves every column: the tets of one Kuhn pattern
+    share their barycentric gradients, so each pattern's gradients are four
+    scaled sums of the gathered nodal values, whose bits do not depend on
+    the chunk.
+    """
+    fields = isinstance(u, ComplexField), isinstance(v, ComplexField)
+    if any(fields):
+        if not all(fields) or u.mesh is not mesh or v.mesh is not mesh:
+            raise ConfigError("fields must live on the given mesh")
+        U, V = u.values[:, None], v.values[:, None]
+    else:
+        U, V = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+        if U.ndim != 2 or U.shape != V.shape or len(U) != mesh.n_vertices:
+            raise ConfigError("nodal columns must be (n_vertices, c) arrays of one shape")
     coeff = np.asarray(coeff)
-    out = np.empty(mesh.n_tets, dtype=complex)
-    for chunk in _tet_chunks(mesh.n_tets):
-        gu, gv = u.gradients(chunk), v.gradients(chunk)
-        c = np.broadcast_to(coeff if coeff.ndim == 2 else coeff[chunk], (len(gu), 3, 3))
-        out[chunk] = (np.einsum("tj,tjk,tk->t", gu, c, gv)
-                      * mesh.type_volumes[mesh.tet_type[chunk]])
-    return out
+    n_patterns = len(_TET_PATTERNS)
+    out = np.empty((U.shape[1], mesh.n_tets), dtype=float if real else complex)
+    for chunk in _tet_chunks(mesh.n_tets, columns=U.shape[1]):
+        block = out[:, chunk]
+        for p in range(n_patterns):
+            # Tet 6 c + p has pattern p.
+            local = slice((p - chunk.start) % n_patterns, None, n_patterns)
+            tets = mesh.tets[chunk][local]
+            grads = mesh.type_grads[p]
+            # (C, 3, c) gradients and the coefficient's flux of v's, each
+            # entry summed term by term.
+            gu, gv = (sum(W[tets[:, a], None, :] * grads[a][:, None] for a in range(4))
+                      for W in (U, V))
+            c = coeff[None] if coeff.ndim == 2 else coeff[chunk][local]
+            flux = sum(c[:, :, k, None] * gv[:, None, k, :] for k in range(3))
+            dens = sum(gu[:, j] * flux[:, j] for j in range(3))
+            block[:, local] = ((dens.real if real else dens) * mesh.type_volumes[p]).T
+    return out[0] if fields[0] else out

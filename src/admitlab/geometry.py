@@ -258,6 +258,21 @@ def probe_point(path: ProbePath, tau: float) -> np.ndarray:
     return z
 
 
+def check_probe_points_off_lattice(path: ProbePath, h: float, anchor) -> None:
+    """GeometryError naming the first tau whose probe point z_tau is within
+    1e-9 of a vertex of the lattice of pitch h through `anchor`, the
+    lattice of every mesh of the domain and its enlargement.  A corrector
+    cannot take its singular data at a mesh vertex, and this is known from
+    h, x0, nu and the tau grid before any mesh is built."""
+    anchor = np.asarray(anchor, dtype=float)
+    for tau in path.tau_grid:
+        offset = probe_point(path, tau) - anchor
+        if np.linalg.norm(offset - h * np.rint(offset / h)) < 1e-9:
+            raise GeometryError(
+                f"probe point at tau={tau:.6g} is a mesh vertex at pitch h={h:.6g}; "
+                "change the tau grid or the mesh pitch")
+
+
 @dataclass(frozen=True)
 class EnlargedDomain:
     """Box domain with a grid-compatible bump attached over the patch."""

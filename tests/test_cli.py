@@ -9,6 +9,7 @@ import types
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -224,6 +225,21 @@ class TestLoadConfig:
         assert main(["validate", "--config", str(path)]) == 2
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, spec, bad", [
+        ("fields.a2", {"kind": "affine", "offset": 0.9, "gradient": [0.0, 0.0, 0.1],
+                       "gradiant": [0.0, 0.0, 5.0]}, "gradiant"),
+        ("fields.a2", {"kind": "constant", "value": 1.1, "offset": 2.0}, "offset"),
+        ("sweep.delta", {"kind": "constant", "value": 1.0, "valeu": 2.0}, "valeu"),
+    ], ids=["affine-gradiant", "constant-offset", "delta-valeu"])
+    def test_unknown_field_key_named(self, tmp_path, capsys, key, spec, bad):
+        # A typo in a field spec used to be dropped silently.
+        path = write_config(tmp_path, {key: spec})
+        name = f"{key}.{bad}"
+        with pytest.raises(ConfigError, match=rf"unknown config key '{re.escape(name)}'"):
+            load_config(path)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert f"'{name}'" in capsys.readouterr().err
+
     def test_range_limits_accepted(self, tmp_path):
         # eta = 0.25, so rho = eta/4 is the largest allowed.  An integral
         # float is an integer, and every optional key is a known one.
@@ -282,6 +298,25 @@ class TestExitCodes:
         # A directory squatting on a target file makes the write fail.
         (out / "dtn_gram.csv").mkdir(parents=True)
         assert main(["dtn", "--config", str(path), "--out", str(out)]) == 4
+
+    @pytest.mark.parametrize("command, config", [
+        ("validate", "recovery"), ("stability", "recovery"), ("derivative", "derivative"),
+        ("sweep", "derivative"),
+    ])
+    def test_probe_point_on_a_mesh_vertex_refused_up_front(self, tmp_path, capsys,
+                                                           monkeypatch, command, config):
+        # At h = 1/64 the first tau, eta / 16 = 1/64, puts z = x0 + tau nu on
+        # a lattice vertex: refused before any mesh is built.
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr(admitlab.estimator, "build_mesh", no_mesh)
+        out = tmp_path / "out"
+        extra = ["--mode", "derivative"] if command == "sweep" else []
+        assert main([command, "--config", str(CONFIG_DIR / f"{config}.yaml"),
+                     "--mesh-h", "0.015625", "--out", str(out), *extra]) == 2
+        assert "probe point at tau=0.015625 is a mesh vertex" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sign_violation_is_numeric_failure(self, tmp_path):
         path = write_config(tmp_path, {
@@ -429,12 +464,18 @@ class TestStabilityCommand:
         for s in solvers:
             assert 1 <= s["solve_calls"] <= s["rhs_columns"]
             assert 0.0 < s["worst_residual"] <= 1e-10
-            if s["kind"] != "box-cocg":
+            if s["kind"] == "sine-transform":
                 assert s["krylov_iterations"] == s["krylov_iterations_max"] == 0
+            else:
+                # COCG, in the interior or on the footprint interface.
+                assert 1 <= s["krylov_iterations_max"] <= s["krylov_iterations"]
         if command == "dtn":
-            # Each Omega system's one Schur complement onto the basis.
+            # Each Omega system's one Schur complement onto the basis: a
+            # column per basis dof under box-cocg, and under the
+            # sine-transform closed form only the columns of its check.
             d = json.loads((outs[0] / "dtn_norm.json").read_text())["basis_size"]
-            assert all(s["rhs_columns"] == d for s in solvers)
+            assert all(s["rhs_columns"] == (3 if s["kind"] == "sine-transform" else d)
+                       for s in solvers)
         for csv in sorted(p.name for p in outs[0].glob("*.csv")):
             assert (outs[0] / csv).read_bytes() == (outs[1] / csv).read_bytes()
 
@@ -453,9 +494,18 @@ class TestStabilityCommand:
         assert 1 <= cocg["krylov_iterations_max"] <= 50
         assert (cocg["krylov_iterations_max"] <= cocg["krylov_iterations"]
                 <= cocg["krylov_iterations_max"] * cocg["rhs_columns"])
+        # a2's interface is preconditioned by the closed form of the box
+        # preconditioner's Schur complement: a few interface iterations.
+        assert 2 <= via["krylov_iterations_max"] <= 10
+        assert (via["krylov_iterations_max"] <= via["krylov_iterations"]
+                <= via["krylov_iterations_max"] * via["rhs_columns"])
         for s in solvers:
-            if s is not cocg:
+            if s["kind"] == "sine-transform":
                 assert s["krylov_iterations"] == s["krylov_iterations_max"] == 0
+        # a1's interface is preconditioned exactly: one step per column.
+        exact = entry["a1", "Omega_eta"]
+        assert exact["krylov_iterations_max"] == 1
+        assert exact["krylov_iterations"] == exact["rhs_columns"]
 
     def test_cocg_iteration_cap_exits_3(self, tmp_path, monkeypatch, capsys):
         import admitlab.fem
@@ -466,6 +516,45 @@ class TestStabilityCommand:
                      "--out", str(tmp_path / "out")]) == 3
         assert "COCG did not converge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, config, exact", [
+        ("stability", "recovery", {"a1": True, "a2": True}),
+        ("derivative", "derivative", {"a1": True, "a2": False}),
+    ], ids=["sine-transform", "box-cocg"])
+    def test_via_core_reports_interface_iterations(self, tmp_path, command, config, exact):
+        # A sine-transform core preconditions its interface exactly, by its
+        # closed form: one step per column.  derivative.yaml's a2 is
+        # box-cocg and computes no DtN, so its interface is preconditioned
+        # by the closed form of the box preconditioner: a few steps.
+        out = tmp_path / "out"
+        assert main([command, "--config", str(CONFIG_DIR / f"{config}.yaml"),
+                     "--mesh-h", "0.125", "--out", str(out)]) == 0
+        solvers = json.loads((out / "manifest.json").read_text())["solvers"]
+        for s in solvers:
+            if s["domain"] != "Omega_eta":
+                continue
+            assert s["kind"] == "via-core" and s["factored_dofs"] == 9
+            if exact[s["field"]]:
+                assert s["krylov_iterations_max"] == 1
+                assert s["krylov_iterations"] == s["rhs_columns"]
+            else:
+                assert 2 <= s["krylov_iterations_max"] <= 10
+                assert (s["rhs_columns"] < s["krylov_iterations"]
+                        <= s["krylov_iterations_max"] * s["rhs_columns"])
+
+    def test_stalled_interface_exits_3(self, tmp_path, monkeypatch, capsys):
+        import admitlab.fem
+
+        # recovery.yaml runs no interior COCG: a cap of two iterations and a
+        # poor footprint preconditioner stall the interface iteration alone.
+        monkeypatch.setattr(admitlab.fem, "_COCG_MAX_ITERATIONS", 2)
+        monkeypatch.setattr(BlockSystem, "_preconditioner_schur",
+                            lambda self, sigma: 1e3 * np.eye(len(sigma)))
+        assert main(["stability", "--config", str(CONFIG_DIR / "recovery.yaml"),
+                     "--mesh-h", "0.125", "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "interface COCG did not converge after 2 iterations" in err
+        assert "relative residual" in err
+
     def test_missing_second_field(self, tmp_path):
         path = write_config(tmp_path)
         data = yaml.safe_load(path.read_text())
@@ -475,11 +564,12 @@ class TestStabilityCommand:
                      str(tmp_path / "out")]) == 2
 
 
-    def test_stability_restricts_the_footprint_schur(self, tmp_path, monkeypatch):
+    def test_stability_footprint_needs_no_memo(self, tmp_path, monkeypatch):
         # At h = 1/20 the footprint f holds 81 of the 121 basis dofs.  Each
-        # Omega system answers its Omega_eta footprint correction from its
-        # DtN's Schur complement, so solving f afresh costs exactly |f| more
-        # columns there, and the outputs keep their bytes.
+        # sine-transform Omega system preconditions its Omega_eta interface
+        # by the closed-form Schur complement onto f, not by restricting its
+        # DtN's: with the restriction switched off, no system solves a
+        # column more, and the outputs keep their bytes.
         config = CONFIG_DIR / "recovery.yaml"
         outs = [tmp_path / "memo", tmp_path / "fresh"]
 
@@ -494,7 +584,11 @@ class TestStabilityCommand:
         assert [(s["field"], s["domain"]) for s in memo] == [
             (s["field"], s["domain"]) for s in fresh]
         for m, f in zip(memo, fresh):
-            assert f["rhs_columns"] - m["rhs_columns"] == (81 if m["domain"] == "Omega" else 0)
+            assert f["rhs_columns"] == m["rhs_columns"]
+            if m["domain"] == "Omega":
+                # The check of the basis closed form and 3 probe passes of
+                # 5 columns: the DtN basis is never solved column by column.
+                assert m["kind"] == "sine-transform" and m["rhs_columns"] == 3 + 3 * 5
         names = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json")
         assert names == sorted(p.name for p in outs[1].iterdir() if p.name != "manifest.json")
         for name in names:
@@ -779,3 +873,9 @@ class TestImportGraph:
         result = _run_fresh(self.ESTIMATOR_SCRIPT, str(CONFIG_DIR), str(tmp_path / "out"))
         assert result.returncode == 0, result.stderr
         assert "import graph ok" in result.stdout
+
+    def test_no_source_file_names_sparse_linalg(self):
+        # The sparse LU is the tests' oracle only.
+        src = Path(admitlab.estimator.__file__).parent
+        assert not [path.name for path in sorted(src.glob("*.py"))
+                    if "scipy.sparse.linalg" in path.read_text(encoding="utf-8")]

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from admitlab.families import (affine_field, constant_field,
                                rotated_anisotropic_family,
                                scalar_identity_family)
 from admitlab.dtn import boundary_mass_sigma
+from admitlab.config import load_config
 from admitlab.estimator import build_forward, build_frame
 from admitlab.fem import (_CORNER_OFFSETS, _FACE_LOCAL, _TET_PATTERNS,
                           BlockSystem, ComplexField, Mesh, SubstructuredSystem,
@@ -22,8 +24,10 @@ from admitlab.fem import (_CORNER_OFFSETS, _FACE_LOCAL, _TET_PATTERNS,
                           build_mesh, energy_density)
 from admitlab.geometry import (FACE_NAMES, BoxDomain, BoundaryPatch,
                                EnlargedDomain, build_enlarged_domain)
+from conftest import LuSystem, lu_system
 
 BOX = BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 LAPLACE = scalar_identity_family(k=0.0, imag=0.0)
 A_ONE = constant_field(1.0)
 
@@ -356,10 +360,11 @@ class TestBlockSystem:
     ], ids=["scalar", "diagonal", "rotated"])
     def test_block_matrix_matches_separate_assembly(self, fam, domain):
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
-        if domain == "omega":
-            mesh = build_mesh(BOX, 0.125, patch=patch)
-        else:
-            mesh = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
+        mesh = build_mesh(BOX, 0.125, patch=patch)
+        if domain == "omega-eta":
+            # The bump box, the part of Omega_eta that is assembled.
+            mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
+            mesh = mesh_eta.part_outside(mesh, mesh.shared_vertex_map(mesh_eta))[0]
         a = affine_field(1.0, (0.1, -0.05, 0.2))
         system = assemble(mesh, fam, a, fam.freq)
         t = a.values(mesh.barycenters())
@@ -488,7 +493,7 @@ class TestColumnSolves:
         system = assemble(mesh, fam, A_ONE, 0.1)
         assert system.axis_weights is not None
         if self.PATH == "lu":
-            system = BlockSystem(mesh, system.K)
+            system = LuSystem(mesh, system.K)
         elif self.PATH == "cocg":
             system = BlockSystem(mesh, system.K, cocg_weights=system.axis_weights)
         rng = np.random.default_rng(seed)
@@ -628,7 +633,7 @@ class TestBoxSolve:
         mesh = build_mesh(BOX, 0.125)
         box = assemble(mesh, fam, A_ONE, fam.freq)
         assert box.axis_weights is not None
-        lu = BlockSystem(mesh, box.K)
+        lu = LuSystem(mesh, box.K)
         rng = np.random.default_rng(5)
         g = (rng.standard_normal((mesh.n_vertices, 3))
              + 1j * rng.standard_normal((mesh.n_vertices, 3)))
@@ -667,7 +672,8 @@ class TestBoxSolve:
             assert fwd.system_eta.solver_kind == "via-core"
             assert fwd.system_eta.bump.solver_kind == fwd.system.solver_kind
         else:
-            system = assemble(mesh_eta if case == "omega-eta" else mesh, fam, a, fam.freq)
+            build = lu_system if case == "omega-eta" else assemble
+            system = build(mesh_eta if case == "omega-eta" else mesh, fam, a, fam.freq)
             kind = {"omega-eta": "sparse-lu", "affine": "box-cocg",
                     "rotated-anisotropic": "box-cocg"}.get(case, "sine-transform")
             assert system.solver_kind == kind
@@ -701,7 +707,7 @@ def _core_pair(mesh, mesh_eta, fam, a):
     standalone system of the same field on the sparse LU path, the oracle."""
     core = assemble(mesh, fam, a, fam.freq)
     via = _omega_eta_system(mesh_eta, core, mesh.shared_vertex_map(mesh_eta))
-    lu = assemble(mesh_eta, fam, a, fam.freq)
+    lu = lu_system(mesh_eta, fam, a, fam.freq)
     assert via.solver_kind == "via-core" and lu.solver_kind == "sparse-lu"
     assert np.array_equal(via.interior, lu.interior)
     return via, lu
@@ -816,9 +822,16 @@ class TestCoreSolve:
         ijk = mesh_eta.ijk[footprint]
         assert np.all(mesh.boundary_vertex_mask[mesh.vertex_indices(ijk)])
         assert np.any(np.ptp(ijk, axis=0) == 0)
-        T = via._interface()
+        # T, the parts' Schur complements onto f summed, and T applied to
+        # the identity by the interface operator: one core solve per column
+        # plus the bump's dense part.
+        T = sum(part.schur_onto(f_part) for part, _, f_part in via._parts)
         dense = _dense_footprint_schur(lu, footprint)
         assert np.max(np.abs(T - dense)) <= 1e-12 * np.max(np.abs(dense))
+        via._preconditioner()
+        applied, core_interior = via._apply_interface(np.eye(len(footprint), dtype=complex))
+        assert core_interior.shape == (len(via.core.interior), len(footprint))
+        assert np.max(np.abs(applied - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     def test_bump_is_built_once_per_frame(self, monkeypatch):
         calls = []
@@ -1048,7 +1061,7 @@ def _schur_case(kind, h):
     elif kind == "box-cocg":
         system = assemble(mesh, ROTATED, AFFINE, ROTATED.freq)
     else:
-        system = assemble(mesh_eta, ROTATED, AFFINE, ROTATED.freq)
+        system = lu_system(mesh_eta, ROTATED, AFFINE, ROTATED.freq)
     assert system.solver_kind == kind
     return system, system.boundary[::7]
 
@@ -1208,6 +1221,30 @@ class TestEnergyPairing:
         total = np.sum(energy_density(self.mesh, coeff, u, v))
         assert total == pytest.approx(_energy(system, u.values, v.values), rel=1e-12)
 
+    @pytest.mark.parametrize("coeff_kind", ["constant", "per-tet"])
+    def test_columns_in_one_pass(self, coeff_kind, monkeypatch):
+        """(n, c) columns give each pair's densities with the bits of its
+        own fields, whatever the chunk, and `real` keeps their real parts."""
+        import admitlab.fem
+
+        rng = np.random.default_rng(7)
+        n = self.mesh.n_vertices
+        U, V = (rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5)) for _ in range(2))
+        coeff = (np.diag([1.0, 2.0, 0.5]) + 0.3j if coeff_kind == "constant"
+                 else _aniso_coeffs(self.mesh.n_tets, seed=9) + 0.5j)
+        dens = energy_density(self.mesh, coeff, U, V)
+        assert dens.shape == (5, self.mesh.n_tets) and dens.flags.c_contiguous
+        for j in range(5):
+            single = energy_density(self.mesh, coeff, ComplexField(self.mesh, U[:, j]),
+                                    ComplexField(self.mesh, V[:, j]))
+            assert np.array_equal(dens[j], single)
+        real = energy_density(self.mesh, coeff, U, V, real=True)
+        assert real.dtype == np.float64 and np.array_equal(real, dens.real)
+        monkeypatch.setattr(admitlab.fem, "_BLOCK_BYTES", 128 * 5 * 7)
+        assert np.array_equal(energy_density(self.mesh, coeff, U, V), dens)
+        with pytest.raises(ConfigError):
+            energy_density(self.mesh, coeff, U, V[:, :4])
+
     def test_chunked_density_and_gradients(self, monkeypatch):
         """Densities and gradients evaluated in 7-tet chunks have the bits
         of one pass over all tets."""
@@ -1267,27 +1304,40 @@ def _bitwise_equal(got, want):
             and np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64)))
 
 
+def _omega_and_omega_eta_matrices(mesh, mesh_eta, family):
+    """The Omega system's K, and the Omega_eta matrix as the sum of its
+    assembled parts, the core and the bump, through their vertex maps."""
+    core = assemble(mesh, family, AFFINE, family.freq)
+    via = _omega_eta_system(mesh_eta, core, mesh.shared_vertex_map(mesh_eta))
+    n = mesh_eta.n_vertices
+    K_eta = sp.csr_matrix((n, n), dtype=complex)
+    for part, vmap, _ in via._parts:
+        P = sp.csr_matrix((np.ones(len(vmap)), (vmap, np.arange(len(vmap)))),
+                          shape=(n, len(vmap)))
+        K_eta = K_eta + P @ part.K @ P.T
+    return core.K, K_eta
+
+
 class TestTypedAssembly:
     @settings(max_examples=20, deadline=None)
     @given(meshes=enlarged_meshes(), family=st.sampled_from(ORACLE_FAMILIES))
     def test_matches_float_geometry_assembly(self, meshes, family):
-        """Omega and Omega_eta systems of all three families match the
+        """Omega and Omega_eta matrices of all three families match the
         assembly on per-tet float geometry to 1e-15 relative."""
-        for mesh in meshes:
-            K = assemble(mesh, family, AFFINE, family.freq).K
+        for mesh, K in zip(meshes, _omega_and_omega_eta_matrices(*meshes, family)):
             ref = _float_geometry_assemble(mesh, family, AFFINE, family.freq)
             assert abs(K - ref).max() <= 1e-15 * abs(ref).max()
 
     def test_matches_float_geometry_at_pitch_one_fifth(self):
         """A draw whose float vertices anchor + h ijk at h = 0.2 round
-        differently per tet: the Omega_eta system still matches to 1e-15."""
+        differently per tet: the Omega_eta matrix still matches to 1e-15."""
         h, lo = 0.2, np.array([0.0, 0.0, 0.25])
         box = BoxDomain(tuple(lo), tuple(lo + np.array([6, 6, 8]) * h))
         patch = BoundaryPatch(box, "z+", (0.1, 0.1), (1.1, 1.1))
         enlarged = build_enlarged_domain(box, patch, 2.0 * h, grid_h=h, check_samples=100)
         family = ORACLE_FAMILIES[1]
-        for mesh in (build_mesh(box, h, patch=patch), build_mesh(enlarged, h)):
-            K = assemble(mesh, family, AFFINE, family.freq).K
+        meshes = build_mesh(box, h, patch=patch), build_mesh(enlarged, h)
+        for mesh, K in zip(meshes, _omega_and_omega_eta_matrices(*meshes, family)):
             ref = _float_geometry_assemble(mesh, family, AFFINE, family.freq)
             assert abs(K - ref).max() <= 1e-15 * abs(ref).max()
 
@@ -1320,6 +1370,184 @@ class TestTypedAssembly:
         mean = [np.diagonal(c, axis1=1, axis2=2).mean(axis=0)
                 for c in (ROTATED.real_part(bary, t), ROTATED.freq * ROTATED.imag_part(bary, t))]
         assert np.array_equal(system.cocg_weights, mean[0] + 1j * mean[1])
+
+
+@st.composite
+def face_schur_cases(draw):
+    """A non-cubic full box with a random offset, complex per-axis weights
+    with positive real parts, one of its six faces, and sigma: a random
+    rectangle of that face's interior vertices, thinned at random and in a
+    random order."""
+    h = draw(st.sampled_from([0.25, 0.125]))
+    cells = np.array(draw(st.tuples(*[st.integers(4, 7)] * 3)
+                          .filter(lambda c: len(set(c)) > 1)))
+    lo = np.array([draw(st.integers(-4, 4)) * 0.125 for _ in range(3)])
+    mesh = build_mesh(BoxDomain(tuple(lo), tuple(lo + cells * h)), h)
+    weights = np.array([complex(draw(st.floats(0.2, 3.0)), draw(st.floats(-1.0, 1.0)))
+                        for _ in range(3)])
+    axis, side = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    ijk = mesh.ijk - mesh.ijk.min(axis=0)
+    on_face = ijk[:, axis] == side * cells[axis]
+    for t in (b for b in range(3) if b != axis):
+        i0 = draw(st.integers(1, cells[t] - 1))
+        i1 = draw(st.integers(i0, cells[t] - 1))
+        on_face &= (ijk[:, t] >= i0) & (ijk[:, t] <= i1)
+    sigma = np.flatnonzero(on_face)
+    keep = draw(st.lists(st.booleans(), min_size=len(sigma), max_size=len(sigma))
+                .filter(any))
+    order = draw(st.permutations(range(int(np.sum(keep)))))
+    return mesh, weights, sigma[np.asarray(keep)][list(order)]
+
+
+def _box_system(mesh, weights):
+    """The sine-transform system of diag(weights), assembled part by part."""
+    K = (assemble_stiffness(mesh, np.diag(weights.real))
+         + 1j * assemble_stiffness(mesh, np.diag(weights.imag)))
+    return BlockSystem(mesh, K.tocsr(), axis_weights=weights)
+
+
+def _column_oracle(system, sigma):
+    """The column-blocked Schur complement onto sigma through box_solve."""
+    K_s = system.K[sigma]
+    return system._column_schur(K_s[:, sigma].toarray(), K_s[:, system.interior],
+                                np.searchsorted(system.boundary, sigma))
+
+
+class TestFaceSchur:
+    """The closed-form face Schur complement of sine-transform systems
+    against the column-blocked box_solve path, kept as the oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(face_schur_cases())
+    def test_matches_column_oracle(self, case):
+        mesh, weights, sigma = case
+        system = _box_system(mesh, weights)
+        S = system.schur_onto(sigma)
+        # No column solved: one interior solve of the check's combinations.
+        assert system.solve_calls == 1 and system.rhs_columns == 3
+        assert 0.0 < system.worst_residual <= 1e-10
+        oracle = _column_oracle(_box_system(mesh, weights), sigma)
+        assert S.shape == oracle.shape == (len(sigma), len(sigma))
+        assert np.max(np.abs(S - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_other_sigma_takes_the_columns(self):
+        mesh = build_mesh(BoxDomain((0.0, 0.0, 0.0), (1.0, 0.75, 1.25)), 0.125)
+        system = _box_system(mesh, np.array([1.0 + 0.5j, 2.0, 0.5 - 0.1j]))
+        ijk = mesh.ijk - mesh.ijk.min(axis=0)
+        top = np.flatnonzero((ijk[:, 2] == 10) & (ijk[:, 0] >= 1) & (ijk[:, 0] <= 7)
+                             & (ijk[:, 1] >= 0) & (ijk[:, 1] <= 5))
+        # A face edge vertex, and two faces: solved column by column.
+        for sigma in (top, np.concatenate([top[:4], system.boundary[:3]])):
+            fresh = _box_system(mesh, system.axis_weights)
+            S = fresh.schur_onto(sigma)
+            assert fresh.rhs_columns == len(sigma)
+            assert np.array_equal(S, _column_oracle(fresh, sigma))
+
+    def test_real_weights_give_a_real_schur_complement(self):
+        mesh = build_mesh(BOX, 0.125)
+        system = BlockSystem(mesh, assemble_stiffness(mesh, np.eye(3)), axis_weights=(1, 1, 1))
+        ijk = mesh.ijk
+        sigma = np.flatnonzero((ijk[:, 0] == 0) & np.all((ijk[:, 1:] >= 1) & (ijk[:, 1:] <= 7),
+                                                         axis=1))
+        S = system.schur_onto(sigma)
+        assert S.dtype == np.float64
+        oracle = _column_oracle(system, sigma)
+        assert np.max(np.abs(S - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("column", ["first", "middle", "last"])
+    def test_one_wrong_column_fails_the_check(self, column, monkeypatch):
+        import admitlab.fem
+
+        mesh = build_mesh(BOX, 0.125)
+        system = _box_system(mesh, np.array([1.0 + 0.2j, 1.5 - 0.3j, 0.8 + 0.1j]))
+        ijk = mesh.ijk
+        sigma = np.flatnonzero((ijk[:, 2] == 8) & np.all((ijk[:, :2] >= 2) & (ijk[:, :2] <= 6),
+                                                         axis=1))
+        j = {"first": 0, "middle": len(sigma) // 2, "last": len(sigma) - 1}[column]
+        real = admitlab.fem._face_schur
+
+        def one_wrong_column(*args):
+            S = real(*args).copy()
+            S[:, j] *= 1.0 + 1e-8
+            return S
+
+        monkeypatch.setattr(admitlab.fem, "_face_schur", one_wrong_column)
+        with pytest.raises(SolverError, match="Schur complement check") as err:
+            system.schur_onto(sigma)
+        assert err.value.diagnostics["residual"] > 1e-10 * err.value.diagnostics["scale"]
+        assert system._schur is None
+
+
+def _derivative_forward(h, field="a2"):
+    """The Forward of derivative.yaml's a2, whose Omega system is box-cocg,
+    or of its a1, whose Omega system is sine-transform, at pitch h."""
+    cfg = load_config(CONFIG_DIR / "derivative.yaml", mesh_h=h)
+    frame = build_frame(cfg.box, cfg.patch, cfg.eta, cfg.h, cfg.family)
+    fwd = build_forward(frame, getattr(cfg, field))
+    assert fwd.system.solver_kind == {"a1": "sine-transform", "a2": "box-cocg"}[field]
+    return fwd
+
+
+def _dense_interface_solve(via, g):
+    """The Dirichlet solve of a substructured system through its dense
+    interface T = S_core(f) + S_bump(f), solved directly."""
+    values = np.zeros(g.shape, dtype=complex)
+    values[via.mesh.boundary_vertex_mask] = g[via.mesh.boundary_vertex_mask]
+    for part, vmap, _ in via._parts:
+        values[vmap] = part.solve_dirichlet(values[vmap])
+    T = sum(part.schur_onto(f_part) for part, _, f_part in via._parts)
+    values[via.footprint] = np.linalg.solve(T, -via._product(values)[via.footprint])
+    for part, vmap, _ in via._parts:
+        values[vmap] = part.solve_dirichlet(values[vmap])
+    return values
+
+
+class TestInterfaceCocg:
+    """The Omega_eta solve by COCG on the footprint."""
+
+    @pytest.mark.parametrize("h", [0.125, 0.0625])
+    def test_matches_dense_interface_solve(self, h):
+        rng = np.random.default_rng(11)
+        via = _derivative_forward(h).system_eta
+        n = via.mesh.n_vertices
+        g = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+        u = via.solve_dirichlet(g)
+        # The box preconditioner's closed form is not exact: a few steps.
+        assert 2 <= via.krylov_iterations_max <= 10
+        assert via.krylov_iterations >= 4 * 2
+        # The core solved the first pass, one step per iteration and
+        # nothing more: its interior came by linearity.
+        assert via.core.solve_calls == 1 + via.krylov_iterations_max
+        ref = _dense_interface_solve(_derivative_forward(h).system_eta, g)
+        assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_memo_makes_one_step(self):
+        fwd = _derivative_forward(0.0625)
+        fwd.dtn
+        via = fwd.system_eta
+        n = via.mesh.n_vertices
+        g = np.random.default_rng(12).standard_normal((n, 3)) + 0j
+        u = via.solve_dirichlet(g)
+        # At h = 1/16 the footprint is the DtN basis, whose memoised Schur
+        # complement preconditions the interface exactly.
+        assert len(via.footprint) == fwd.frame.basis.count == 49
+        assert via.krylov_iterations == 3 and via.krylov_iterations_max == 1
+        ref = _dense_interface_solve(_derivative_forward(0.0625).system_eta, g)
+        assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_stalled_interface_raises(self, monkeypatch):
+        import admitlab.fem
+
+        # A sine-transform core runs no interior COCG, so the cap of one
+        # iteration and a poor preconditioner stall the interface alone.
+        via = _derivative_forward(0.125, "a1").system_eta
+        monkeypatch.setattr(admitlab.fem, "_COCG_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(BlockSystem, "_preconditioner_schur",
+                            lambda self, sigma: np.eye(len(sigma)))
+        with pytest.raises(SolverError, match="interface COCG did not converge") as err:
+            via.solve_dirichlet(np.ones(via.mesh.n_vertices))
+        assert err.value.diagnostics["iterations"] == 1
+        assert err.value.diagnostics["residual"] > admitlab.fem._COCG_RTOL
 
 
 class TestSchurMemo:
@@ -1424,13 +1652,19 @@ class TestWorkingSetBudget:
         import admitlab.fem
 
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
-        for mesh in (build_mesh(BOX, 0.0625, patch=patch),
-                     build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.0625), 0.0625)):
+        mesh = build_mesh(BOX, 0.0625, patch=patch)
+        mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.0625), 0.0625)
+        # The Omega mesh and the bump box outside it, the two meshes that
+        # are assembled; the Omega_eta mesh itself is never assembled.
+        bump = mesh_eta.part_outside(mesh, mesh.shared_vertex_map(mesh_eta))[0]
+        for mesh in (mesh, bump):
             _assert_no_per_tet_floats(mesh)
             mesh.stiffness_pattern
             system, extra = self._traced(lambda: assemble(mesh, ROTATED, AFFINE, ROTATED.freq))
-            assert system.solver_kind in ("box-cocg", "sparse-lu")
+            assert system.solver_kind == "box-cocg"
             assert extra <= 4 * admitlab.fem._BLOCK_BYTES, extra
+        with pytest.raises(GeometryError, match="full lattice box"):
+            assemble(mesh_eta, ROTATED, AFFINE, ROTATED.freq)
 
     def test_box_cocg_schur_peak(self):
         import admitlab.fem

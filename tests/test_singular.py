@@ -3,8 +3,9 @@ import pytest
 
 from admitlab.errors import ConfigError, GeometryError, SingularityError
 from admitlab.families import constant_field, diagonal_affine_family, scalar_identity_family
-from admitlab.fem import assemble, build_mesh
+from admitlab.fem import build_mesh
 from admitlab.geometry import BoundaryPatch, BoxDomain, build_enlarged_domain
+from conftest import lu_system
 from admitlab.singular import (build_corrected_probe, h_function,
                                leading_gradient, leading_term, make_probe,
                                pde_residual_leading, probe_from_matrix,
@@ -193,7 +194,7 @@ def setup():
     mesh_eta = build_mesh(enlarged, h)
     fam = scalar_identity_family(k=0.05, imag=1.0)
     a = constant_field(1.0)
-    system_eta = assemble(mesh_eta, fam, a, fam.freq)
+    system_eta = lu_system(mesh_eta, fam, a, fam.freq)
     return box, patch, eta, enlarged, mesh, mesh_eta, fam, a, system_eta
 
 
