@@ -132,6 +132,15 @@ def _type_geometry(edges: np.ndarray, h: float):
     return grads, det / 6.0
 
 
+# Each column of a Kuhn pattern's barycentric gradients at unit pitch holds
+# one +1 and one -1, so each gradient component of a tet is the difference
+# of two corner values over h: the corners (2, 6, 3) at the +1 and the -1 of
+# pattern p, component j.
+_UNIT_GRADS = np.rint(_type_geometry(_KUHN_EDGES, 1.0)[0]).astype(int)
+_GRADIENT_CORNERS = np.stack([np.argmax(_UNIT_GRADS == 1, axis=1),
+                              np.argmax(_UNIT_GRADS == -1, axis=1)])
+
+
 def _int_cells(extent: float, h: float, what: str, minimum: int = 4) -> int:
     n = int(round(extent / h))
     if n < minimum or abs(n * h - extent) > 1e-9 * max(1.0, extent):
@@ -672,11 +681,11 @@ def _cocg(apply, precondition, rhs: np.ndarray, carried: int = 0, name: str = "C
     `precondition` must be complex symmetric too.  With `carried` > 0,
     `apply(P)` returns (A P, C P) for a map C, linear in P, to `carried`
     rows, and the solution carries C x stacked below x, summed over the
-    steps with x's own step lengths.
-    Every column keeps its own scalars and stops once its recurrence
-    residual is at most `_COCG_RTOL` of its right-hand side; a stopped
-    column is frozen, so its solution does not depend on the block it
-    rides in, and an all-zero column returns zeros without iterating.
+    steps with x's own step lengths.  Every column keeps its own scalars
+    and stops once its recurrence residual is at most `_COCG_RTOL` of its
+    right-hand side; a stopped column is frozen, so its solution does not
+    depend on the block it rides in, and an all-zero column returns zeros
+    without iterating.
     Returns the (n + carried, m) solutions and each column's iteration
     count.  SolverError, naming the worst running column, its iterations
     and its residual, if a column breaks down or is still running after
@@ -1092,20 +1101,21 @@ class SubstructuredSystem(_SolverCounters):
             if np.any(owner[self.footprint] < 0):
                 raise GeometryError("a footprint vertex is not a vertex of both parts")
             self._parts.append((part, vmap, owner[self.footprint]))
+        # The core's blocks on f, which apply S_core(f) through its interior.
+        f_core = self._parts[0][2]
+        K_f = core.K[f_core]
+        self._K_ff, self._K_fI = K_f[:, f_core], K_f[:, core.interior]
+        self._K_If = core._K_ib[:, np.searchsorted(core.boundary, f_core)]
         self._T_inv = None
         self._S_bump = None
 
     def _preconditioner(self) -> np.ndarray:
-        """(S~_core(f) + S_bump(f))^{-1}, inverted at the first call, which
-        also slices the core's rows and columns on f."""
+        """(S~_core(f) + S_bump(f))^{-1}, inverted at the first call."""
         if self._T_inv is None:
             (core, _, f_core), (bump, _, f_bump) = self._parts
             self._S_bump = bump.schur_onto(f_bump)
             self._T_inv = np.linalg.inv(core._preconditioner_schur(f_core) + self._S_bump)
             self.factored_dofs += len(self.footprint)
-            K_f = core.K[f_core]
-            self._K_ff, self._K_fI = K_f[:, f_core], K_f[:, core.interior]
-            self._K_If = core._K_ib[:, np.searchsorted(core.boundary, f_core)]
         return self._T_inv
 
     def _apply_interface(self, P: np.ndarray) -> np.ndarray:
@@ -1232,11 +1242,10 @@ def energy_density(mesh: Mesh, coeff, u, v, real: bool = False) -> np.ndarray:
 
     u and v are ComplexFields on the mesh, giving (T,) densities, or (n, c)
     arrays of nodal columns, giving the (c, T) densities of each pair of
-    columns, one contiguous row per column.  One pass over tet-order chunks
-    within `_BLOCK_BYTES` serves every column: the tets of one Kuhn pattern
-    share their barycentric gradients, so each pattern's gradients are four
-    scaled sums of the gathered nodal values, whose bits do not depend on
-    the chunk.
+    columns, one contiguous row per column.  One pass over chunks of
+    lattice cells within `_BLOCK_BYTES` serves every column: each gradient
+    component of a Kuhn tet is the difference of two of its corner values
+    over h (`_GRADIENT_CORNERS`), so its bits do not depend on the chunk.
     """
     fields = isinstance(u, ComplexField), isinstance(v, ComplexField)
     if any(fields):
@@ -1248,21 +1257,24 @@ def energy_density(mesh: Mesh, coeff, u, v, real: bool = False) -> np.ndarray:
         if U.ndim != 2 or U.shape != V.shape or len(U) != mesh.n_vertices:
             raise ConfigError("nodal columns must be (n_vertices, c) arrays of one shape")
     coeff = np.asarray(coeff)
+    # Tet 6 c + p is Kuhn pattern p of cell c: chunks of whole cells take
+    # the six patterns side by side.
     n_patterns = len(_TET_PATTERNS)
-    out = np.empty((U.shape[1], mesh.n_tets), dtype=float if real else complex)
-    for chunk in _tet_chunks(mesh.n_tets, columns=U.shape[1]):
-        block = out[:, chunk]
-        for p in range(n_patterns):
-            # Tet 6 c + p has pattern p.
-            local = slice((p - chunk.start) % n_patterns, None, n_patterns)
-            tets = mesh.tets[chunk][local]
-            grads = mesh.type_grads[p]
-            # (C, 3, c) gradients and the coefficient's flux of v's, each
-            # entry summed term by term.
-            gu, gv = (sum(W[tets[:, a], None, :] * grads[a][:, None] for a in range(4))
-                      for W in (U, V))
-            c = coeff[None] if coeff.ndim == 2 else coeff[chunk][local]
-            flux = sum(c[:, :, k, None] * gv[:, None, k, :] for k in range(3))
-            dens = sum(gu[:, j] * flux[:, j] for j in range(3))
-            block[:, local] = ((dens.real if real else dens) * mesh.type_volumes[p]).T
+    columns = U.shape[1]
+    tets = mesh.tets.reshape(-1, n_patterns, 4)
+    up, down = _GRADIENT_CORNERS
+    patterns = np.arange(n_patterns)[:, None]
+    out = np.empty((columns, len(tets), n_patterns), dtype=float if real else complex)
+    for chunk in _tet_chunks(len(tets), columns=n_patterns * columns):
+        corners = tets[chunk]
+        ends, starts = corners[:, patterns, up], corners[:, patterns, down]
+        # (C, 6, 3, c) gradients and the coefficient's flux of v's, each
+        # entry summed term by term.
+        gu, gv = ((W[ends] - W[starts]) / mesh.h for W in (U, V))
+        c = coeff[None, None] if coeff.ndim == 2 else coeff.reshape(tets.shape[:2] + (3, 3))[chunk]
+        flux = sum(c[:, :, :, k, None] * gv[:, :, None, k, :] for k in range(3))
+        dens = sum(gu[:, :, j] * flux[:, :, j] for j in range(3))
+        out[:, chunk] = ((dens.real if real else dens)
+                         * mesh.type_volumes[None, :, None]).transpose(2, 0, 1)
+    out = out.reshape(columns, -1)
     return out[0] if fields[0] else out

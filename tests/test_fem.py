@@ -1235,9 +1235,14 @@ class TestEnergyPairing:
         dens = energy_density(self.mesh, coeff, U, V)
         assert dens.shape == (5, self.mesh.n_tets) and dens.flags.c_contiguous
         for j in range(5):
-            single = energy_density(self.mesh, coeff, ComplexField(self.mesh, U[:, j]),
-                                    ComplexField(self.mesh, V[:, j]))
+            u, v = ComplexField(self.mesh, U[:, j]), ComplexField(self.mesh, V[:, j])
+            single = energy_density(self.mesh, coeff, u, v)
             assert np.array_equal(dens[j], single)
+            # Corner differences over h against the pattern gradients.
+            c = np.broadcast_to(coeff, (self.mesh.n_tets, 3, 3))
+            ref = (np.einsum("tj,tjk,tk->t", u.gradients(), c, v.gradients())
+                   * self.mesh.type_volumes[self.mesh.tet_type])
+            assert np.max(np.abs(single - ref)) <= 1e-14 * np.max(np.abs(ref))
         real = energy_density(self.mesh, coeff, U, V, real=True)
         assert real.dtype == np.float64 and np.array_equal(real, dens.real)
         monkeypatch.setattr(admitlab.fem, "_BLOCK_BYTES", 128 * 5 * 7)
