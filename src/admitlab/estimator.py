@@ -312,9 +312,9 @@ class Forward:
     of `system` onto the basis, which `system` keeps: the Omega_eta
     footprint lies in the basis, so for a box-cocg system its restriction
     preconditions the Omega_eta interface exactly.  `system_eta` is built
-    on first read too, substructured through
-    `system` and the field's system on the frame's bump, so a Forward that
-    only gives a DtN never builds it.  Nothing here refers back to the
+    on first read too, substructured through `system` and the field's
+    system on the frame's bump, so a Forward that only gives a DtN never
+    builds it.  Nothing here refers back to the
     Forward, so dropping it frees both systems.
     """
 
