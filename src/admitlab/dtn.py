@@ -16,8 +16,7 @@ import numpy as np
 
 from .admittivity import AdmittivityFamily, ParameterField
 from .errors import ConfigError, NumericError
-from .fem import (BlockSystem, Mesh, assemble, assemble_csr, assemble_stiffness,
-                  csr_pattern, energy_density)
+from .fem import BlockSystem, Mesh, assemble, assemble_stiffness, energy_density
 from .geometry import BoundaryPatch
 
 if TYPE_CHECKING:
@@ -79,7 +78,13 @@ class LocalDtnMatrix:
 
 
 def boundary_mass_sigma(mesh: Mesh) -> sp.csr_matrix:
-    """Consistent P1 mass matrix over the patch-tagged boundary triangles."""
+    """Consistent P1 mass matrix over the patch-tagged boundary triangles.
+
+    One np.bincount over the sorted row * n + col keys adds the element
+    blocks in triangle order.
+    """
+    import scipy.sparse as sp
+
     tris = mesh.boundary_tris[mesh.sigma_mask]
     pts = mesh.verts[tris]
     areas = 0.5 * np.linalg.norm(
@@ -87,7 +92,11 @@ def boundary_mass_sigma(mesh: Mesh) -> sp.csr_matrix:
     )
     local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     vals = areas[:, None, None] * local[None, :, :]
-    return assemble_csr(csr_pattern(tris, mesh.n_vertices), vals)
+    n = mesh.n_vertices
+    keys, slots = np.unique((tris[:, :, None] * n + tris[:, None, :]).ravel(),
+                            return_inverse=True)
+    return sp.csr_matrix((np.bincount(slots, weights=vals.ravel()), np.divmod(keys, n)),
+                         shape=(n, n))
 
 
 def h_half_gram(mesh: Mesh, basis: SigmaBasis) -> np.ndarray:

@@ -25,9 +25,10 @@ the one source of their topology.  Every tet is one of the six Kuhn tets
 of its lattice cube, positively oriented when the mesh is built, so a mesh
 keeps the pattern index per tet and the geometry per pattern, and no
 per-tet float array; its boundary is the Kuhn faces of the cell sides with
-no cell across.  Every assembly adds element blocks into
-a CSR pattern that each mesh computes once, since many admittivities are
-assembled on the same pair of meshes.  One byte budget, `_BLOCK_BYTES`,
+no cell across.  Only a full lattice box is assembled, and on it every
+stiffness row is the same 15-point stencil of Kuhn edge offsets, so each
+entry of an element block goes to a closed-form slot of an (n, 15) stencil
+array and no mesh keeps a scatter map.  One byte budget, `_BLOCK_BYTES`,
 bounds the per-tet and per-column temporaries: tets are evaluated in
 contiguous chunks and Schur complements solved in column blocks within it,
 so only the live data grows with the mesh.  scipy is imported by the
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -98,6 +99,18 @@ _SIDE_TRIANGLES = np.stack([
     _KUHN_FACES[np.all(_CORNER_OFFSETS[_KUHN_FACES][:, :, a] == s, axis=1)]
     for a in range(3) for s in (0, 1)
 ])
+
+# The lattice offsets (15, 3) from one corner of a Kuhn tet to another, in
+# lexicographic order: zero, the axis steps and the face and main diagonals
+# of the cube, each either way.  A full lattice box keeps its vertices in
+# lexicographic ijk order, so these are the columns of a stiffness row in
+# order.  Entry (a, b) of the element block of tet t, of pattern p, goes to
+# slot 15 * tets[t, a] + _STENCIL_SLOTS[p, a, b] of an (n, 15) stencil
+# array: the rank of corner b - corner a among the offsets.
+_STENCIL_OFFSETS, _STENCIL_SLOTS = np.unique(
+    (_CORNER_OFFSETS[_TET_PATTERNS][:, None] - _CORNER_OFFSETS[_TET_PATTERNS][:, :, None])
+    .reshape(-1, 3), axis=0, return_inverse=True)
+_STENCIL_SLOTS = _STENCIL_SLOTS.reshape(len(_TET_PATTERNS), 4, 4).astype(np.int32)
 
 # The byte budget of every per-column and per-tet temporary: schur_onto
 # solves its columns in dense complex (interior x column) blocks of at most
@@ -165,7 +178,9 @@ class Mesh:
     from h times the pattern's integer edges, and the volume `type_volumes`
     (h^3 / 6).  It stores no per-tet float array; `barycenters` computes
     them on demand.  `sigma_mask` flags the boundary triangles on the
-    measurement patch; `build_mesh` sets it.
+    measurement patch; `build_mesh` sets it.  `box_shape` is the shape of
+    the interior vertices of a full lattice box, the one kind of mesh that
+    is assembled (see `assemble_stiffness`), and None for any other mesh.
     """
 
     def __init__(self, tets, ijk, h, anchor, boundary_tris):
@@ -189,7 +204,6 @@ class Mesh:
         self._keys = self._linear_keys(ijk)
         if np.any(self._keys[1:] <= self._keys[:-1]):
             raise GeometryError("mesh vertices are not in strictly increasing ijk order")
-        self._stiffness_pattern = None
         # A full lattice box: its interior vertices form an (N0, N1, N2)
         # block in C order, empty for a box one cell thick.
         span = self._ijk_hi - self._ijk_lo + 1
@@ -216,13 +230,6 @@ class Mesh:
     @property
     def n_tets(self) -> int:
         return len(self.tets)
-
-    @property
-    def stiffness_pattern(self) -> CsrPattern:
-        """P1 stiffness pattern with the tets' scatter map, built once."""
-        if self._stiffness_pattern is None:
-            self._stiffness_pattern = csr_pattern(self.tets, self.n_vertices)
-        return self._stiffness_pattern
 
     def _linear_keys(self, ijk: np.ndarray) -> np.ndarray:
         span = self._ijk_hi - self._ijk_lo + 1
@@ -387,63 +394,6 @@ def build_mesh(domain, h: float, patch: Optional[BoundaryPatch] = None) -> Mesh:
     return mesh
 
 
-class CsrPattern(NamedTuple):
-    """Sparsity of a sum of m x m element blocks, and where each goes.
-
-    `scatter[e, a * m + b]` is the data slot of entry (elems[e, a],
-    elems[e, b]).  The arrays are read-only; matrices get copies.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    scatter: np.ndarray
-
-
-def csr_pattern(elems, n: int) -> CsrPattern:
-    """CSR pattern of the n x n matrix assembled from the element rows.
-
-    The scatter map is int32, filled by one binary search per local entry
-    against the pattern's row * n + col keys.
-    """
-    elems = np.asarray(elems, dtype=np.int64)
-    m = elems.shape[1]
-    keys, starts = _sorted_runs((elems[:, :, None] * n + elems[:, None, :]).ravel())
-    keys = keys[starts]
-    rows = keys // n
-    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
-    indices = (keys - rows * n).astype(np.int32)
-    scatter = np.empty((len(elems), m * m), dtype=np.int32)
-    for a in range(m):
-        for b in range(m):
-            scatter[:, a * m + b] = np.searchsorted(keys, elems[:, a] * n + elems[:, b])
-    for arr in (indptr, indices, scatter):
-        arr.flags.writeable = False
-    return CsrPattern(indptr, indices, scatter)
-
-
-def _scatter(pattern: CsrPattern, local: np.ndarray) -> np.ndarray:
-    """CSR data of the real element blocks `local` (E, m, m) on the pattern."""
-    return np.bincount(pattern.scatter.ravel(), weights=local.ravel(),
-                       minlength=len(pattern.indices))
-
-
-def _csr(pattern: CsrPattern, data: np.ndarray) -> sp.csr_matrix:
-    """Fresh square CSR matrix of pattern data, exact zeros dropped."""
-    import scipy.sparse as sp
-
-    n = len(pattern.indptr) - 1
-    mat = sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()),
-                        shape=(n, n))
-    mat.eliminate_zeros()
-    return mat
-
-
-def assemble_csr(pattern: CsrPattern, local: np.ndarray) -> sp.csr_matrix:
-    """Sum the real element blocks `local` (E, m, m) into a fresh square CSR
-    matrix on the pattern, exact zeros dropped."""
-    return _csr(pattern, _scatter(pattern, local))
-
-
 # The contraction order that einsum's optimizer picks for the element blocks
 # at every chunk size: grads with the coefficient first.  Given once, it is
 # not searched again for each chunk.
@@ -463,20 +413,53 @@ def _stiffness_blocks(mesh: Mesh, chunk: slice, coeff) -> np.ndarray:
     return blocks
 
 
-def assemble_stiffness(mesh: Mesh, coeff) -> sp.csr_matrix:
-    """Stiffness matrix for a per-tet (or constant) real 3x3 coefficient.
+def _stencil_slots(mesh: Mesh, chunk: slice) -> np.ndarray:
+    """Stencil-array slots (16 C,) int32 of the element block entries of the
+    tets in `chunk`, in the order of their (C, 4, 4) blocks."""
+    slots = np.take(_STENCIL_SLOTS, mesh.tet_type[chunk], axis=0)
+    slots += 15 * mesh.tets[chunk][:, :, None]
+    return slots.ravel()
 
-    The element blocks of each tet-order chunk are added into the CSR data
-    by `np.add.at`, which adds in tet order as one `np.bincount` would, so
-    the matrix has the same bits whatever the chunk size.
+
+def _stencil_csr(mesh: Mesh, data: np.ndarray) -> sp.csr_matrix:
+    """The square CSR matrix of the stencil array `data` (15 n,) of a full
+    lattice box mesh, exact zeros dropped; `data` becomes its data.
+
+    Slot 15 v + s is the entry of row v and column v plus offset s.  The
+    slots whose column is off the box were never written, so they are
+    exact zeros and are dropped with the others; their indices are clipped
+    onto the box until then.
     """
-    pattern = mesh.stiffness_pattern
+    import scipy.sparse as sp
+
+    n = mesh.n_vertices
+    span = mesh._ijk_hi - mesh._ijk_lo + 1
+    steps = _STENCIL_OFFSETS @ np.array([span[1] * span[2], span[2], 1])
+    indices = np.arange(n, dtype=np.int32)[:, None] + steps.astype(np.int32)
+    np.clip(indices, 0, n - 1, out=indices)
+    indptr = np.arange(0, 15 * n + 1, 15, dtype=np.int32)
+    mat = sp.csr_matrix((data, indices.ravel(), indptr), shape=(n, n))
+    mat.eliminate_zeros()
+    return mat
+
+
+def assemble_stiffness(mesh: Mesh, coeff) -> sp.csr_matrix:
+    """Stiffness matrix of a full lattice box mesh for a per-tet (or
+    constant) real 3x3 coefficient; GeometryError on any other mesh.
+
+    The element blocks of each tet-order chunk are added into the 15-point
+    stencil array by `np.add.at`, which adds in tet order as one
+    `np.bincount` would, so the matrix has the same bits whatever the chunk
+    size.
+    """
+    if mesh.box_shape is None:
+        raise GeometryError("assemble_stiffness needs a full lattice box mesh")
     coeff = np.asarray(coeff)
-    data = np.zeros(len(pattern.indices))
+    data = np.zeros(15 * mesh.n_vertices)
     for chunk in _tet_chunks(mesh.n_tets):
         blocks = _stiffness_blocks(mesh, chunk, coeff if coeff.ndim == 2 else coeff[chunk])
-        np.add.at(data, pattern.scatter[chunk].ravel(), blocks.ravel())
-    return _csr(pattern, data)
+        np.add.at(data, _stencil_slots(mesh, chunk), blocks.ravel())
+    return _stencil_csr(mesh, data)
 
 
 class ComplexField:
@@ -490,14 +473,6 @@ class ComplexField:
             raise SolverError("field contains non-finite values")
         self.mesh = mesh
         self.values = values
-
-    @property
-    def re(self) -> np.ndarray:
-        return self.values.real
-
-    @property
-    def im(self) -> np.ndarray:
-        return self.values.imag
 
     def gradients(self, chunk: slice = slice(None)) -> np.ndarray:
         """Constant gradients (C, 3) complex of the tets in `chunk`, all
@@ -1196,8 +1171,8 @@ def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float)
     contiguous tet-order chunks within `_BLOCK_BYTES` (see
     `assemble_stiffness`), at the chunk's barycenters; the real blocks and
     the imaginary ones are added into the real and imaginary parts of one
-    complex CSR data array.  A constant diagonal coefficient gets the exact
-    sine-transform interior solve, and any other coefficient COCG
+    complex 15-point stencil array.  A constant diagonal coefficient gets
+    the exact sine-transform interior solve, and any other coefficient COCG
     preconditioned by the sine-transform solve of its tet-averaged
     diagonal, summarised over the same chunks.  The system records the
     (family, a, k) it was built from in `field`.
@@ -1205,8 +1180,7 @@ def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float)
     if mesh.box_shape is None:
         raise GeometryError("assemble needs a full lattice box mesh; an Omega_eta system "
                             "is a SubstructuredSystem of its parts")
-    pattern = mesh.stiffness_pattern
-    data = np.zeros(len(pattern.indices), dtype=complex)
+    data = np.zeros(15 * mesh.n_vertices, dtype=complex)
     # The real and imaginary parts interleaved: np.add.at adds the real
     # blocks at the even slots of this contiguous array and the imaginary
     # ones at the odd slots.
@@ -1217,7 +1191,8 @@ def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float)
         t_vals = np.asarray(a.values(bary), dtype=float)
         if t_vals.ndim == 0:
             t_vals = np.full(len(bary), float(t_vals))
-        slots = 2 * pattern.scatter[chunk].ravel()
+        slots = _stencil_slots(mesh, chunk)
+        slots *= 2
         for offset, coeff_of in ((0, family.real_part),
                                  (1, lambda x, t: k * family.imag_part(x, t))):
             coeff = np.broadcast_to(coeff_of(bary, t_vals), (len(bary), 3, 3))
@@ -1229,7 +1204,7 @@ def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float)
         axis_weights = np.diag(real.constant) + 1j * np.diag(imag.constant)
     else:
         cocg_weights = real.mean() + 1j * imag.mean()
-    system = BlockSystem(mesh, _csr(pattern, data), axis_weights=axis_weights,
+    system = BlockSystem(mesh, _stencil_csr(mesh, data), axis_weights=axis_weights,
                          cocg_weights=cocg_weights)
     system.field = (family, a, k)
     return system

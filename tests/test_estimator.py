@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import admitlab.dtn
 import admitlab.estimator
 from admitlab.config import load_config
 from admitlab.dtn import SigmaBasis
@@ -626,9 +627,17 @@ class TestSweepDriver:
         assert alive == []
 
 
-def test_estimators_build_no_omega_eta_pattern():
+def test_estimators_build_no_omega_eta_pattern(monkeypatch):
     # Each Omega_eta system is substructured through its Omega and bump
-    # systems, so the estimators never build an Omega_eta pattern or matrix.
+    # systems, so no assembly ever receives the Omega_eta mesh.
+    meshes = []
+    for module, name in ((admitlab.estimator, "assemble"), (admitlab.dtn, "assemble"),
+                         (admitlab.dtn, "assemble_stiffness")):
+        def logged(mesh, *args, _real=getattr(module, name)):
+            meshes.append(mesh)
+            return _real(mesh, *args)
+
+        monkeypatch.setattr(module, name, logged)
     frame = build_frame(BOX, BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8)), 0.25, 0.125,
                         scalar_identity_family(k=0.05, imag=1.0))
     fwd1 = build_forward(frame, constant_field(1.0))
@@ -636,7 +645,8 @@ def test_estimators_build_no_omega_eta_pattern():
     boundary_gap_estimate(fwd1, fwd2, X0, seed=0)
     derivative_gap_estimate(fwd1, fwd2, X0, seed=0)
     assert all("system_eta" in vars(fwd) for fwd in (fwd1, fwd2))
-    assert frame.mesh_eta._stiffness_pattern is None
+    assert any(mesh is frame.mesh for mesh in meshes)
+    assert not any(mesh is frame.mesh_eta for mesh in meshes)
 
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))

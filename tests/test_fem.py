@@ -20,11 +20,11 @@ from admitlab.estimator import build_forward, build_frame
 from admitlab.fem import (_CORNER_OFFSETS, _FACE_LOCAL, _TET_PATTERNS,
                           BlockSystem, ComplexField, Mesh, SubstructuredSystem,
                           _lattice_topology, _stiffness_blocks, assemble,
-                          assemble_csr, assemble_stiffness, box_solve,
-                          build_mesh, energy_density)
+                          assemble_stiffness, box_solve, build_mesh,
+                          energy_density)
 from admitlab.geometry import (FACE_NAMES, BoxDomain, BoundaryPatch,
                                EnlargedDomain, build_enlarged_domain)
-from conftest import LuSystem, lu_system
+from conftest import LuSystem, bincount_csr, coo_stiffness, lu_system
 
 BOX = BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -163,18 +163,6 @@ def _unique_rows_topology(cells):
     return verts_ijk, tets, uniq[counts == 1]
 
 
-def _coo_stiffness(mesh, coeff):
-    """Reference assembly: per-tet local matrices summed through COO."""
-    coeff = np.broadcast_to(np.asarray(coeff), (mesh.n_tets, 3, 3))
-    grads = mesh.type_grads[mesh.tet_type]
-    local = np.einsum("taj,tjk,tbk->tab", grads, coeff, grads)
-    local = local * mesh.type_volumes[mesh.tet_type][:, None, None]
-    rows = np.repeat(mesh.tets, 4, axis=1).reshape(-1)
-    cols = np.tile(mesh.tets, (1, 4)).reshape(-1)
-    return sp.coo_matrix((local.reshape(-1), (rows, cols)),
-                         shape=(mesh.n_vertices,) * 2).tocsr()
-
-
 @st.composite
 def lattice_cells(draw):
     """A box of lattice cells at a random offset, with a block of cells
@@ -284,14 +272,42 @@ def _aniso_coeffs(n_tets, seed):
     return M @ M.transpose(0, 2, 1) + 0.5 * np.eye(3)
 
 
+def _stiffness_reference(mesh, coeff):
+    """Per-tet-order reference of `assemble_stiffness`: one np.bincount of
+    all element blocks."""
+    return bincount_csr(mesh.tets, mesh.n_vertices, _stiffness_blocks(mesh, slice(None), coeff))
+
+
+def _assemble_reference(mesh, family, a, k):
+    """Per-tet-order reference of `assemble`: one np.bincount of all real
+    element blocks and one of all imaginary ones."""
+    bary = mesh.barycenters()
+    t = np.broadcast_to(np.asarray(a.values(bary), dtype=float), (mesh.n_tets,))
+    blocks = np.empty((mesh.n_tets, 4, 4), dtype=complex)
+    for part, coeff in ((blocks.real, family.real_part(bary, t)),
+                        (blocks.imag, k * family.imag_part(bary, t))):
+        coeff = np.broadcast_to(coeff, (mesh.n_tets, 3, 3))
+        part[:] = _stiffness_blocks(mesh, slice(None), coeff)
+    return bincount_csr(mesh.tets, mesh.n_vertices, blocks)
+
+
+def _bitwise_equal(got, want):
+    return all(g.dtype == w.dtype and np.array_equal(g.view(np.uint8), w.view(np.uint8))
+               for g, w in ((got.indptr, want.indptr), (got.indices, want.indices),
+                            (got.data, want.data)))
+
+
 class TestCachedPatternAssembly:
     @pytest.fixture(scope="class")
     def meshes(self):
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
-        enlarged = build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125)
-        return {"box": build_mesh(BOX, 0.125, patch=patch),
-                "enlarged": build_mesh(enlarged, 0.125),
-                "fifth": build_mesh(BOX, 0.2)}
+        mesh = build_mesh(BOX, 0.125, patch=patch)
+        mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
+        # "enlarged" is the bump box, the part of Omega_eta that is
+        # assembled; the Omega_eta mesh itself is refused.
+        bump = mesh_eta.part_outside(mesh, mesh.shared_vertex_map(mesh_eta))[0]
+        return {"box": mesh, "enlarged": bump, "fifth": build_mesh(BOX, 0.2),
+                "omega-eta": mesh_eta}
 
     @pytest.mark.parametrize("name", ["box", "enlarged", "fifth"])
     @pytest.mark.parametrize("kind", ["constant", "anisotropic"])
@@ -302,10 +318,15 @@ class TestCachedPatternAssembly:
         else:
             coeff = _aniso_coeffs(mesh.n_tets, seed=7)
         K = assemble_stiffness(mesh, coeff)
-        ref = _coo_stiffness(mesh, coeff)
+        ref = coo_stiffness(mesh, coeff)
         assert K.shape == ref.shape
         assert abs(K - ref).max() <= 1e-14 * abs(ref).max()
         assert K.has_sorted_indices
+        assert _bitwise_equal(K, _stiffness_reference(mesh, coeff))
+
+    def test_refuses_a_mesh_that_is_not_a_box(self, meshes):
+        with pytest.raises(GeometryError, match="full lattice box"):
+            assemble_stiffness(meshes["omega-eta"], np.eye(3))
 
     def test_boundary_mass_matches_coo_reference(self, meshes):
         mesh = meshes["box"]
@@ -319,19 +340,14 @@ class TestCachedPatternAssembly:
                                                  np.tile(tris, (1, 3)).reshape(-1))),
                             shape=(mesh.n_vertices,) * 2).tocsr()
         assert abs(M - ref).max() <= 1e-14 * abs(ref).max()
+        assert _bitwise_equal(M, bincount_csr(tris, mesh.n_vertices, local))
 
     def test_zero_coefficient_leaves_cache_and_matrices(self):
         mesh = build_mesh(BOX, 0.25)
         K1 = assemble_stiffness(mesh, np.eye(3))
-        pattern = mesh.stiffness_pattern
-        saved = [arr.copy() for arr in pattern]
         K1_saved = K1.copy()
         K0 = assemble_stiffness(mesh, np.zeros((3, 3)))
         assert K0.nnz == 0
-        assert mesh.stiffness_pattern is pattern
-        for arr, copy in zip(pattern, saved):
-            assert not arr.flags.writeable
-            assert np.array_equal(arr, copy)
         assert (K1 != K1_saved).nnz == 0
         assert K1.nnz == K1_saved.nnz
         K2 = assemble_stiffness(mesh, np.eye(3))
@@ -339,6 +355,55 @@ class TestCachedPatternAssembly:
         system = assemble(mesh, LAPLACE, A_ONE, 0.0)
         assert not np.any(system.K.data.imag)
         assert (system.K != K1).nnz == 0
+
+    def test_assembly_leaves_the_mesh_unchanged(self):
+        # No memo: the mesh keeps the same attributes, objects and values.
+        mesh = build_mesh(BOX, 0.25)
+        before = dict(vars(mesh))
+        saved = {name: value.copy() for name, value in before.items()
+                 if isinstance(value, np.ndarray)}
+        assemble_stiffness(mesh, np.eye(3))
+        assemble(mesh, ROTATED, AFFINE, ROTATED.freq)
+        assert vars(mesh).keys() == before.keys()
+        assert all(vars(mesh)[name] is value for name, value in before.items())
+        assert all(np.array_equal(before[name], value) for name, value in saved.items())
+
+
+@st.composite
+def lattice_boxes(draw):
+    """The cells of a non-cubic box, one cell thick along an axis in some
+    draws, at a random lattice offset."""
+    n = draw(st.tuples(*[st.integers(1, 5)] * 3).filter(lambda c: len(set(c)) > 1))
+    lo = [draw(st.integers(-6, 6)) for _ in range(3)]
+    return np.stack(np.meshgrid(*[np.arange(l, l + k) for l, k in zip(lo, n)], indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+
+
+class TestStencilAssembly:
+    """The 15-point stencil assembly has the bits of one np.bincount of all
+    element blocks in tet order."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(cells=lattice_boxes(), seed=st.integers(0, 2 ** 16))
+    def test_boxes_at_a_lattice_offset(self, cells, seed):
+        ijk, tets, boundary = _lattice_topology(cells)
+        mesh = Mesh(tets, ijk, 0.25, np.array([0.5, -0.25, 0.0]), boundary)
+        coeff = _aniso_coeffs(mesh.n_tets, seed)
+        assert _bitwise_equal(assemble_stiffness(mesh, coeff), _stiffness_reference(mesh, coeff))
+        assert _bitwise_equal(assemble(mesh, ROTATED, AFFINE, ROTATED.freq).K,
+                              _assemble_reference(mesh, ROTATED, AFFINE, ROTATED.freq))
+
+    def test_bump_one_cell_thick(self):
+        patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
+        mesh = build_mesh(BOX, 0.125, patch=patch)
+        enlarged = EnlargedDomain(BOX, patch, 0.125, (0.25, 0.25), (0.75, 0.75), 0.125)
+        mesh_eta = build_mesh(enlarged, 0.125)
+        bump = mesh_eta.part_outside(mesh, mesh.shared_vertex_map(mesh_eta))[0]
+        assert min(bump.box_shape) == 0
+        coeff = _aniso_coeffs(bump.n_tets, seed=11)
+        assert _bitwise_equal(assemble_stiffness(bump, coeff), _stiffness_reference(bump, coeff))
+        assert _bitwise_equal(assemble(bump, ROTATED, AFFINE, ROTATED.freq).K,
+                              _assemble_reference(bump, ROTATED, AFFINE, ROTATED.freq))
 
 
 class TestBlockSystem:
@@ -1284,15 +1349,11 @@ def _float_geometry_assemble(mesh, family, a, k):
     grads[:, 0] = -grads[:, 1:].sum(axis=1)
     bary = v.mean(axis=1)
     t = np.broadcast_to(np.asarray(a.values(bary), dtype=float), (mesh.n_tets,))
-    pattern = mesh.stiffness_pattern
-    data = np.empty(len(pattern.indices), dtype=complex)
-    for part, coeff in ((data.real, family.real_part(bary, t)),
-                        (data.imag, k * family.imag_part(bary, t))):
-        local = np.einsum("taj,tjk,tbk->tab", grads, coeff, grads) * (det / 6.0)[:, None, None]
-        part[:] = np.bincount(pattern.scatter.ravel(), weights=local.ravel(),
-                              minlength=len(pattern.indices))
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr),
-                         shape=(mesh.n_vertices,) * 2)
+    local = np.empty((mesh.n_tets, 4, 4), dtype=complex)
+    for part, coeff in ((local.real, family.real_part(bary, t)),
+                        (local.imag, k * family.imag_part(bary, t))):
+        part[:] = np.einsum("taj,tjk,tbk->tab", grads, coeff, grads) * (det / 6.0)[:, None, None]
+    return bincount_csr(mesh.tets, mesh.n_vertices, local)
 
 
 ORACLE_FAMILIES = [
@@ -1301,12 +1362,6 @@ ORACLE_FAMILIES = [
                            imag=(1.0, 0.7, 1.3)),
     ROTATED,
 ]
-
-
-def _bitwise_equal(got, want):
-    return (np.array_equal(got.indptr, want.indptr)
-            and np.array_equal(got.indices, want.indices)
-            and np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64)))
 
 
 def _omega_and_omega_eta_matrices(mesh, mesh_eta, family):
@@ -1355,22 +1410,13 @@ class TestTypedAssembly:
         mesh = build_mesh(BOX, 0.2)
         chunk = {"1": 1, "7": 7, "T": mesh.n_tets}[size]
         monkeypatch.setattr(admitlab.fem, "_BLOCK_BYTES", 128 * chunk)
-        pattern = mesh.stiffness_pattern
-        everything = slice(None)
         coeff = _aniso_coeffs(mesh.n_tets, seed=3)
-        assert _bitwise_equal(assemble_stiffness(mesh, coeff),
-                              assemble_csr(pattern, _stiffness_blocks(mesh, everything, coeff)))
+        assert _bitwise_equal(assemble_stiffness(mesh, coeff), _stiffness_reference(mesh, coeff))
         bump = gaussian_bump_field(1.0, 0.1, (0.5, 0.5, 0.9), 0.3)
+        system = assemble(mesh, ROTATED, bump, ROTATED.freq)
+        assert _bitwise_equal(system.K, _assemble_reference(mesh, ROTATED, bump, ROTATED.freq))
         bary = mesh.barycenters()
         t = bump.values(bary)
-        data = np.empty(len(pattern.indices), dtype=complex)
-        for part, c in ((data.real, ROTATED.real_part(bary, t)),
-                        (data.imag, ROTATED.freq * ROTATED.imag_part(bary, t))):
-            part[:] = np.bincount(pattern.scatter.ravel(),
-                                  weights=_stiffness_blocks(mesh, everything, c).ravel(),
-                                  minlength=len(pattern.indices))
-        system = assemble(mesh, ROTATED, bump, ROTATED.freq)
-        assert _bitwise_equal(system.K, admitlab.fem._csr(pattern, data))
         # The COCG weights are the bits of the whole-mesh mean diagonal.
         mean = [np.diagonal(c, axis1=1, axis2=2).mean(axis=0)
                 for c in (ROTATED.real_part(bary, t), ROTATED.freq * ROTATED.imag_part(bary, t))]
@@ -1664,7 +1710,6 @@ class TestWorkingSetBudget:
         bump = mesh_eta.part_outside(mesh, mesh.shared_vertex_map(mesh_eta))[0]
         for mesh in (mesh, bump):
             _assert_no_per_tet_floats(mesh)
-            mesh.stiffness_pattern
             system, extra = self._traced(lambda: assemble(mesh, ROTATED, AFFINE, ROTATED.freq))
             assert system.solver_kind == "box-cocg"
             assert extra <= 4 * admitlab.fem._BLOCK_BYTES, extra
