@@ -23,7 +23,8 @@ from .admittivity import AdmittivityFamily, ParameterField, WindowResult, comple
 from .dtn import LocalDtnMatrix, SigmaBasis, assemble_dtn, dtn_star_norm, h_half_gram, sigma_basis
 from .errors import (ConfigError, EstimatorRefusal, GeometryError,
                      NumericError, SingularityError)
-from .fem import BlockSystem, Mesh, SubstructuredSystem, assemble, build_mesh, energy_density
+from .fem import (BlockSystem, Mesh, SubstructuredSystem, assemble, build_mesh,
+                  energy_density, tet_chunks)
 from .geometry import (BoundaryPatch, BoxDomain, EnlargedDomain, EtaSets,
                        ProbePath, build_enlarged_domain, build_eta_sets,
                        make_tau_grid, probe_point)
@@ -381,7 +382,7 @@ class Forward:
                 "not be the DtN form"
             )
         U = self.system.solve_dirichlet(traces)
-        KU = (self.system.K @ U)[sigma]
+        KU = self.system.boundary_rows(sigma) @ U
         return traces[sigma], KU, U
 
 
@@ -484,14 +485,20 @@ def _pair_records(
     F1, KU1, U1 = fwd1.probe_pass(x0, tau_grid, m)
     F2, KU2, U2 = fwd2.probe_pass(x0, tau_grid, m)
     path = ProbePath(frame.eta_sets, tuple(x0), tuple(tau_grid))
-    bary = frame.mesh.barycenters()
-    depth = frame.patch.depth(bary)
-    # Every tau's energy density from one pass over the tets.
-    densities = energy_density(frame.mesh, D, U1, U2, real=True)
+    zs = [probe_point(path, tau) for tau in tau_grid]
+    mesh = frame.mesh
+    # One chunked pass over the barycenters gives each tet's depth and,
+    # for each tau, whether it lies in the concentration ball.
+    depth = np.empty(mesh.n_tets)
+    balls = np.empty((len(zs), mesh.n_tets), dtype=bool)
+    for chunk in tet_chunks(mesh.n_tets):
+        bary = mesh.barycenters(chunk)
+        depth[chunk] = frame.patch.depth(bary)
+        for ball, z in zip(balls, zs):
+            ball[chunk] = np.linalg.norm(bary - z[None, :], axis=1) < rho
 
     records = []
-    for j, tau in enumerate(tau_grid):
-        z = probe_point(path, tau)
+    for j, (tau, ball) in enumerate(zip(tau_grid, balls)):
         f1 = F1[:, j]
         f2 = F2[:, j]
         n1 = _gram_norm(frame.gram, f1)
@@ -499,12 +506,15 @@ def _pair_records(
         # Alessandrini's identity with P complex symmetric: the flux of each
         # probe solve paired with the other probe's trace.
         pairing = complex(f2 @ KU1[:, j] - f1 @ KU2[:, j])
-        dens = densities[j]
-        ball = np.linalg.norm(bary - z[None, :], axis=1) < rho
+        # One tau's density at a time, freed before the next is formed: its
+        # bits are those of its row of a call with every column.
+        dens = energy_density(mesh, D, U1[:, j:j + 1], U2[:, j:j + 1], real=True)[0]
+        weighted = depth * dens
         n_full = float(np.sum(dens))
         n_ball = float(np.sum(dens[ball]))
-        m_full = float(np.sum(depth * dens))
-        m_ball = float(np.sum((depth * dens)[ball]))
+        m_full = float(np.sum(weighted))
+        m_ball = float(np.sum(weighted[ball]))
+        del dens, weighted
         records.append(TauRecord(
             tau=float(tau), estimate=float(pairing.real / n_full), pairing=pairing,
             n_full=n_full, n_ball=n_ball, m_full=m_full, m_ball=m_ball,

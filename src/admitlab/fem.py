@@ -3,8 +3,9 @@
 The complex divergence-form equation is assembled as the real 2x2-block
 strongly elliptic system with blocks [A_R, -k A_I; k A_I, A_R] sampled at tet
 barycenters (one-point quadrature).  A `BlockSystem` holds the equivalent
-complex matrix K = K_R + i K_I and its interior solver; the block matrix is
-materialised from K for the structure and ellipticity checks.  `assemble`
+complex matrix K = K_R + i K_I once, as its interior blocks and its boundary
+rows, and its interior solver; K and the block matrix are rebuilt from them
+for the structure and ellipticity checks.  `assemble`
 builds one `BlockSystem` on one full lattice box, and refuses any other
 mesh.  Every Dirichlet solve and every Schur complement onto boundary dofs
 (the DtN pairing and the trace Gram) goes through a `BlockSystem`: a
@@ -23,15 +24,16 @@ footprint preconditioner.
 Meshes are built from integer lattice keys of a set of lattice cells,
 the one source of their topology.  Every tet is one of the six Kuhn tets
 of its lattice cube, positively oriented when the mesh is built, so a mesh
-keeps the pattern index per tet and the geometry per pattern, and no
-per-tet float array; its boundary is the Kuhn faces of the cell sides with
-no cell across.  Only a full lattice box is assembled, and on it every
-stiffness row is the same 15-point stencil of Kuhn edge offsets, so each
-entry of an element block goes to a closed-form slot of an (n, 15) stencil
-array and no mesh keeps a scatter map.  One byte budget, `_BLOCK_BYTES`,
-bounds the per-tet and per-column temporaries: tets are evaluated in
-contiguous chunks and Schur complements solved in column blocks within it,
-so only the live data grows with the mesh.  scipy is imported by the
+keeps the geometry per pattern and no per-tet array: a chunk of tets takes
+its corners from the cells it spans, on a box by integer arithmetic on the
+cell index.  Its boundary is the Kuhn faces of the cell sides with no cell
+across.  Only a full lattice box is assembled, and on it every stiffness
+row is the same 15-point stencil of Kuhn edge offsets, so each entry of an
+element block goes to a closed-form slot of an (n, 15) stencil array and no
+mesh keeps a scatter map.  One byte budget, `_BLOCK_BYTES`, bounds the
+per-tet and per-column temporaries: tets are evaluated in contiguous chunks
+and Schur complements solved in column blocks within it, so only the live
+data grows with the mesh.  scipy is imported by the
 functions that build a matrix, so the commands that never assemble one
 (validate, probe) do not pay for importing it.
 """
@@ -120,12 +122,31 @@ _STENCIL_SLOTS = _STENCIL_SLOTS.reshape(len(_TET_PATTERNS), 4, 4).astype(np.int3
 _BLOCK_BYTES = 1 << 20
 
 
-def _tet_chunks(n_tets: int, columns: int = 1):
-    """Contiguous tet-order slices whose float element blocks, one per
-    column, fit in `_BLOCK_BYTES`."""
-    step = max(1, _BLOCK_BYTES // (16 * 8 * columns))
+def _chunk_size(columns: int = 1) -> int:
+    """Tets per chunk: float element blocks, one per column, within
+    `_BLOCK_BYTES`."""
+    return max(1, _BLOCK_BYTES // (16 * 8 * columns))
+
+
+def tet_chunks(n_tets: int, columns: int = 1):
+    """Contiguous tet-order slices of `_chunk_size(columns)` tets."""
+    step = _chunk_size(columns)
     for start in range(0, n_tets, step):
         yield slice(start, min(start + step, n_tets))
+
+
+def _cell_span(chunk: slice, n_tets: int):
+    """The cells (c0, c1) that the tets of `chunk`, a slice with a positive
+    step, lie in, and the slice of the chunk among the 6 (c1 - c0) tets of
+    those cells; (0, 0) and an empty slice for an empty chunk."""
+    start, stop, step = chunk.indices(n_tets)
+    if step < 1:
+        raise ValueError("a tet chunk needs a positive step")
+    if stop <= start:
+        return 0, 0, slice(0, 0)
+    last = start + (stop - 1 - start) // step * step
+    first = start // 6
+    return first, last // 6 + 1, slice(start - 6 * first, last - 6 * first + 1, step)
 
 
 def _type_geometry(edges: np.ndarray, h: float):
@@ -167,32 +188,37 @@ def _int_cells(extent: float, h: float, what: str, minimum: int = 4) -> int:
 class Mesh:
     """Conforming tetrahedral mesh on a lattice of pitch h.
 
-    Built by `build_mesh` from the Kuhn split of a set of lattice cells, as
-    `_lattice_topology` emits it: tet 6 c + p is Kuhn pattern p of cell c,
-    positively oriented, and the vertices are the cell corners in
-    lexicographic ijk order, at anchor + h * ijk.  Integer lattice keys let
-    meshes of the domain and of its enlargement (built with the same pitch
-    and anchor) share nodal data.  A tet's geometry depends only on its
-    pattern, so the int8 `tet_type` is the pattern index and the mesh keeps,
-    per pattern, the barycentric gradients `type_grads` (6, 4, 3), built
-    from h times the pattern's integer edges, and the volume `type_volumes`
-    (h^3 / 6).  It stores no per-tet float array; `barycenters` computes
-    them on demand.  `sigma_mask` flags the boundary triangles on the
-    measurement patch; `build_mesh` sets it.  `box_shape` is the shape of
-    the interior vertices of a full lattice box, the one kind of mesh that
-    is assembled (see `assemble_stiffness`), and None for any other mesh.
+    Built by `build_mesh` from the Kuhn split of a set of distinct lattice
+    `cells` (their lowest corners), as `_lattice_topology` emits it: tet
+    6 c + p is Kuhn pattern p of cell c, positively oriented, and the
+    vertices are the cell corners in lexicographic ijk order, at
+    anchor + h * ijk.  Integer lattice keys let meshes of the domain and of
+    its enlargement (built with the same pitch and anchor) share nodal
+    data.  A tet's geometry depends only on its pattern (`tet_patterns`),
+    so the mesh keeps, per pattern, the barycentric gradients `type_grads`
+    (6, 4, 3), built from h times the pattern's integer edges, and the
+    volume `type_volumes` (h^3 / 6).
+
+    It stores no per-tet array.  `corners` forms the corner vertices of a
+    chunk of tets from the cells it spans: on a full lattice box whose
+    cells are in lexicographic order, as `build_mesh` and `part_outside`
+    give them, the lowest corner of cell c by integer arithmetic on c plus
+    the pattern's linear corner steps, so the box keeps no cell either; any
+    other mesh keeps its cells and looks their corners up by lattice key.
+    `barycenters` and the assembly take their corners chunk by chunk.
+    `sigma_mask` flags the boundary triangles on the measurement patch;
+    `build_mesh` sets it.  `box_shape` is the shape of the interior
+    vertices of such a box, the one kind of mesh that is assembled (see
+    `assemble_stiffness`), and None for any other mesh.
     """
 
-    def __init__(self, tets, ijk, h, anchor, boundary_tris):
+    def __init__(self, cells, ijk, h, anchor, boundary_tris):
         self.verts = anchor[None, :] + ijk * h
-        self.tets = tets
         self.ijk = ijk
         self.h = h
         self.anchor = anchor
         self.boundary_tris = boundary_tris
         self.sigma_mask = np.zeros(len(boundary_tris), dtype=bool)
-        n_patterns = len(_TET_PATTERNS)
-        self.tet_type = np.tile(np.arange(n_patterns, dtype=np.int8), len(tets) // n_patterns)
         self.type_grads, self.type_volumes = _type_geometry(_KUHN_EDGES, h)
 
         self.boundary_vertex_mask = np.zeros(len(ijk), dtype=bool)
@@ -204,24 +230,72 @@ class Mesh:
         self._keys = self._linear_keys(ijk)
         if np.any(self._keys[1:] <= self._keys[:-1]):
             raise GeometryError("mesh vertices are not in strictly increasing ijk order")
-        # A full lattice box: its interior vertices form an (N0, N1, N2)
-        # block in C order, empty for a box one cell thick.
+        # A full lattice box with its cells in lexicographic order: its
+        # interior vertices form an (N0, N1, N2) block in C order, empty for
+        # a box one cell thick, and it keeps no cells.
         span = self._ijk_hi - self._ijk_lo + 1
-        full_box = len(ijk) == int(np.prod(span)) and np.all(span >= 2)
-        self.box_shape = tuple(int(s) - 2 for s in span) if full_box else None
+        cells = np.asarray(cells, dtype=np.int64)
+        self._n_cells = len(cells)
+        box = (len(ijk) == int(np.prod(span)) and np.all(span >= 2)
+               and np.array_equal(cells, self._box_cells()))
+        self.box_shape = tuple(int(s) - 2 for s in span) if box else None
+        self._cells = None if box else cells
+        if box:
+            # Corner c of a Kuhn pattern is this many vertices past the
+            # lowest corner of its cell, in lexicographic vertex order.
+            self._kuhn_steps = _CORNER_OFFSETS[_TET_PATTERNS] @ np.array(
+                [span[1] * span[2], span[2], 1])
+
+    def _box_cells(self) -> np.ndarray:
+        """The cells of the bounding lattice box, in lexicographic order."""
+        ranges = map(np.arange, self._ijk_lo, self._ijk_hi)
+        return np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, 3)
+
+    def cells(self) -> np.ndarray:
+        """The lattice cells (C, 3), by their lowest corners, in cell order."""
+        return self._box_cells() if self.box_shape is not None else self._cells
+
+    def corners(self, chunk: slice = slice(None), out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Vertex indices (C, 4) int64 of the corners of the tets in `chunk`,
+        a slice with a positive step, all tets by default.
+
+        They are formed for the cells the chunk spans, six tets a cell, and
+        sliced.  On a box that keeps no cells, the lowest corner of cell
+        c = (i m1 + j) m2 + k, the (m0, m1, m2) cells in C order, is vertex
+        (i s1 + j) s2 + k = c + c // m2 + s2 (c // (m1 m2)) of the
+        (s0, s1, s2) = (m0 + 1, m1 + 1, m2 + 1) vertices; there `out`, a
+        flat int64 buffer of at least 24 entries per cell spanned, may take
+        them.
+        """
+        first, last, local = _cell_span(chunk, self.n_tets)
+        if self.box_shape is None:
+            keys = self._cells[first:last, None, None] + _CORNER_OFFSETS[_TET_PATTERNS]
+            return self.vertex_indices(keys).reshape(-1, 4)[local]
+        shape = (last - first, len(_TET_PATTERNS), 4)
+        tets = np.add(self._cell_bases(first, last)[:, None, None], self._kuhn_steps,
+                      out=None if out is None else out[:math.prod(shape)].reshape(shape))
+        return tets.reshape(-1, 4)[local]
+
+    def _cell_bases(self, first: int, last: int) -> np.ndarray:
+        """The lowest corners (vertex indices) of cells first..last - 1 of a
+        box that keeps no cells (see `corners`)."""
+        m1, m2 = (int(m) for m in self._ijk_hi[1:] - self._ijk_lo[1:])
+        c = np.arange(first, last)
+        base = c // m2
+        base += c
+        c //= m1 * m2
+        c *= m2 + 1
+        base += c
+        return base
+
+    def tet_patterns(self, chunk: slice = slice(None)) -> np.ndarray:
+        """Kuhn pattern indices (C,) int8 of the tets in `chunk`."""
+        first, last, local = _cell_span(chunk, self.n_tets)
+        return np.tile(np.arange(len(_TET_PATTERNS), dtype=np.int8), last - first)[local]
 
     def barycenters(self, chunk: slice = slice(None)) -> np.ndarray:
-        """Barycenters (C, 3) of the tets in `chunk`, all tets by default.
-
-        The corners are added in order and the sum divided by 4, which has
-        the bits of their mean.
-        """
-        tets = self.tets[chunk]
-        total = self.verts[tets[:, 0]] + self.verts[tets[:, 1]]
-        total += self.verts[tets[:, 2]]
-        total += self.verts[tets[:, 3]]
-        total /= 4.0
-        return total
+        """Barycenters (C, 3) of the tets in `chunk`, all tets by default."""
+        return _corner_mean(self.verts, self.corners(chunk))
 
     @property
     def n_vertices(self) -> int:
@@ -229,7 +303,7 @@ class Mesh:
 
     @property
     def n_tets(self) -> int:
-        return len(self.tets)
+        return len(_TET_PATTERNS) * self._n_cells
 
     def _linear_keys(self, ijk: np.ndarray) -> np.ndarray:
         span = self._ijk_hi - self._ijk_lo + 1
@@ -256,21 +330,19 @@ class Mesh:
         `vertex_map` embeds in it, as a mesh of their own on this lattice,
         and the indices here of that mesh's vertices.
 
-        Tet 6 c starts at the lowest corner of cell c, so the cells are read
-        off the tets, and the part keeps their order.  GeometryError unless
-        the core's cells are cells of this mesh and the cells outside them
-        form one full lattice box.
+        The part keeps the order of the cells.  GeometryError unless the
+        core's cells are cells of this mesh and the cells outside them form
+        one full lattice box.
         """
         _vertex_map(vertex_map, core, self)
-        cells = self.ijk[self.tets[::6, 0]]
-        core_cells = core.ijk[core.tets[::6, 0]]
+        cells, core_cells = self.cells(), core.cells()
         outside = cells[~np.isin(self._linear_keys(cells), self._linear_keys(core_cells))]
         if len(cells) - len(outside) != len(core_cells):
             raise GeometryError("a cell of the core is not a cell of the mesh")
         if not len(outside) or len(outside) != np.prod(np.ptp(outside, axis=0) + 1):
             raise GeometryError("the part of the mesh outside the core is not one lattice box")
-        ijk, tets, boundary = _lattice_topology(outside)
-        return Mesh(tets, ijk, self.h, self.anchor, boundary), self.vertex_indices(ijk)
+        ijk, _, boundary = _lattice_topology(outside)
+        return Mesh(outside, ijk, self.h, self.anchor, boundary), self.vertex_indices(ijk)
 
     def shared_vertex_map(self, other: "Mesh") -> np.ndarray:
         """Indices in `other` of this mesh's vertices (same lattice anchor)."""
@@ -309,12 +381,13 @@ def _sorted_runs(keys: np.ndarray):
 
 
 def _lattice_topology(cells):
-    """Vertex ijk keys (lexicographic), Kuhn tets and boundary triangles
-    (row-sorted, lexicographic) of a set of distinct lattice cells.
+    """Vertex ijk keys (lexicographic), the vertex indices (C, 8) of each
+    cell's corners (by `_corner_id`) and the boundary triangles (row-sorted,
+    lexicographic) of a set of C distinct lattice cells.
 
-    Tet 6 c + p is the positively oriented Kuhn pattern p of cell c.  The
-    boundary triangles are the Kuhn faces of the open cell sides, those
-    with no cell across.
+    Tet 6 c + p, the positively oriented Kuhn pattern p of cell c, has
+    corners `corners[c, _TET_PATTERNS[p]]`.  The boundary triangles are the
+    Kuhn faces of the open cell sides, those with no cell across.
     """
     cells = np.asarray(cells, dtype=np.int64)
     # Cells and corners are found by linearised ijk keys, whose order is the
@@ -327,10 +400,11 @@ def _lattice_topology(cells):
     corner_keys = cell_keys[:, None] + _CORNER_OFFSETS @ stride
     keys_sorted, starts = _sorted_runs(corner_keys.ravel())
     uniq = keys_sorted[starts]
+    del keys_sorted, starts
     corner_idx = np.searchsorted(uniq, corner_keys)
+    del corner_keys
     verts_ijk = lo + np.stack([uniq // stride[0], uniq // span[2] % span[1], uniq % span[2]],
                               axis=1)
-    tets = corner_idx[:, _TET_PATTERNS].reshape(-1, 4)
 
     cells_sorted = np.sort(cell_keys)
     tris = []
@@ -341,7 +415,7 @@ def _lattice_topology(cells):
         tris.append(corner_idx[is_open][:, _SIDE_TRIANGLES[side]].reshape(-1, 3))
     tris = np.sort(np.concatenate(tris), axis=1)
     boundary = tris[np.lexsort(tris.T[::-1])]
-    return verts_ijk, tets, boundary
+    return verts_ijk, corner_idx, boundary
 
 
 def build_mesh(domain, h: float, patch: Optional[BoundaryPatch] = None) -> Mesh:
@@ -378,8 +452,10 @@ def build_mesh(domain, h: float, patch: Optional[BoundaryPatch] = None) -> Mesh:
         for c_lo, c_hi in blocks
     ])
 
-    verts_ijk, tets, boundary = _lattice_topology(cells)
-    mesh = Mesh(tets, verts_ijk, h, lo.copy(), boundary)
+    verts_ijk, corners, boundary = _lattice_topology(cells)
+    # The mesh forms the corners of its tets per chunk.
+    del corners
+    mesh = Mesh(cells, verts_ijk, h, lo.copy(), boundary)
     if patch is not None:
         # A boundary triangle is on the patch when its corners share the
         # face plane's lattice coordinate and lie within the rectangle.
@@ -400,25 +476,49 @@ def build_mesh(domain, h: float, patch: Optional[BoundaryPatch] = None) -> Mesh:
 _BLOCK_PATH = ["einsum_path", (0, 1), (0, 1)]
 
 
-def _stiffness_blocks(mesh: Mesh, chunk: slice, coeff) -> np.ndarray:
+def _corner_mean(verts: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Mean (C, 3) of the vertices at each row of `corners` (C, 4): they are
+    added in order and the sum divided by 4, which has the bits of their
+    mean."""
+    total = verts[corners[:, 0]] + verts[corners[:, 1]]
+    total += verts[corners[:, 2]]
+    total += verts[corners[:, 3]]
+    total /= 4.0
+    return total
+
+
+def _stiffness_blocks(mesh: Mesh, chunk: slice, coeff, out: Optional[np.ndarray] = None
+                      ) -> np.ndarray:
     """Element stiffness blocks (C, 4, 4) of the tets in `chunk` for their
-    per-tet (C, 3, 3) or a constant real 3x3 coefficient."""
-    types = mesh.tet_type[chunk]
+    per-tet (C, 3, 3) or a constant real 3x3 coefficient, in `out` if given."""
+    types = mesh.tet_patterns(chunk)
     grads = mesh.type_grads[types]
     coeff = np.asarray(coeff)
     if coeff.ndim == 2:
         coeff = np.broadcast_to(coeff, (len(types), 3, 3))
-    blocks = np.einsum("taj,tjk,tbk->tab", grads, coeff, grads, optimize=_BLOCK_PATH)
+    blocks = np.einsum("taj,tjk,tbk->tab", grads, coeff, grads, optimize=_BLOCK_PATH, out=out)
     blocks *= mesh.type_volumes[types][:, None, None]
     return blocks
 
 
-def _stencil_slots(mesh: Mesh, chunk: slice) -> np.ndarray:
+def _stencil_slots(mesh: Mesh, chunk: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Stencil-array slots (16 C,) int32 of the element block entries of the
-    tets in `chunk`, in the order of their (C, 4, 4) blocks."""
-    slots = np.take(_STENCIL_SLOTS, mesh.tet_type[chunk], axis=0)
-    slots += 15 * mesh.tets[chunk][:, :, None]
-    return slots.ravel()
+    tets in `chunk` of a box that keeps no cells, in the order of their
+    (C, 4, 4) blocks, in `out` if given: a flat int32 buffer of at least
+    96 entries per cell spanned.
+
+    Entry (a, b) of a pattern-p tet with corners v goes to slot
+    15 v_a + _STENCIL_SLOTS[p, a, b].  With v_a the lowest corner of the
+    tet's cell plus a Kuhn corner step (see `Mesh.corners`), that is 15
+    times the lowest corner plus a (6, 4, 4) table, formed per cell.
+    """
+    first, last, local = _cell_span(chunk, mesh.n_tets)
+    table = 15 * mesh._kuhn_steps[:, :, None] + _STENCIL_SLOTS
+    shape = (last - first,) + table.shape
+    out = (np.empty(shape, dtype=np.int32) if out is None
+           else out[:math.prod(shape)].reshape(shape))
+    np.add((15 * mesh._cell_bases(first, last))[:, None, None, None], table, out=out)
+    return out.reshape(-1, 16)[local].ravel()
 
 
 def _stencil_csr(mesh: Mesh, data: np.ndarray) -> sp.csr_matrix:
@@ -456,7 +556,7 @@ def assemble_stiffness(mesh: Mesh, coeff) -> sp.csr_matrix:
         raise GeometryError("assemble_stiffness needs a full lattice box mesh")
     coeff = np.asarray(coeff)
     data = np.zeros(15 * mesh.n_vertices)
-    for chunk in _tet_chunks(mesh.n_tets):
+    for chunk in tet_chunks(mesh.n_tets):
         blocks = _stiffness_blocks(mesh, chunk, coeff if coeff.ndim == 2 else coeff[chunk])
         np.add.at(data, _stencil_slots(mesh, chunk), blocks.ravel())
     return _stencil_csr(mesh, data)
@@ -478,8 +578,8 @@ class ComplexField:
         """Constant gradients (C, 3) complex of the tets in `chunk`, all
         tets by default."""
         mesh = self.mesh
-        return np.einsum("ta,taj->tj", self.values[mesh.tets[chunk]],
-                         mesh.type_grads[mesh.tet_type[chunk]])
+        return np.einsum("ta,taj->tj", self.values[mesh.corners(chunk)],
+                         mesh.type_grads[mesh.tet_patterns(chunk)])
 
 
 _RESIDUAL_RTOL = 1e-10
@@ -757,6 +857,8 @@ class _SolverCounters:
     `krylov_iterations_max` the COCG iterations summed over those columns
     and the most any one column took, and `worst_residual` is the largest
     relative residual that a residual check of the system has passed.
+    The manifest entry adds `stored_bytes`, the bytes of the matrices the
+    system keeps (`stored_bytes()`).
     """
 
     def __init__(self):
@@ -782,6 +884,7 @@ class _SolverCounters:
             "krylov_iterations": self.krylov_iterations,
             "krylov_iterations_max": self.krylov_iterations_max,
             "worst_residual": self.worst_residual,
+            "stored_bytes": self.stored_bytes(),
         }
 
 
@@ -789,7 +892,12 @@ class BlockSystem(_SolverCounters):
     """Assembled complex matrix K = K_R + i K_I on one full lattice box,
     with a cached interior solver.
 
-    `block_matrix` materialises the real block form [[K_R, -K_I], [K_I, K_R]].
+    K is kept once, split into the interior blocks `_K_ii` and `_K_ib` and
+    the boundary rows `_K_b`, and never whole: the interior solve reads the
+    blocks, and the DtN pairing, the probe fluxes and the Omega_eta
+    footprint read boundary rows (`boundary_rows`, `product`).  `matrix`
+    rebuilds K and `block_matrix` the real block form
+    [[K_R, -K_I], [K_I, K_R]], both for checks.
     The interior solver is chosen once, at the first solve, and named by
     `solver_kind`:
 
@@ -818,29 +926,71 @@ class BlockSystem(_SolverCounters):
     def __init__(self, mesh: Mesh, K: sp.csr_matrix, axis_weights=None, cocg_weights=None):
         super().__init__()
         self.mesh = mesh
-        self.K = K
         self.axis_weights = axis_weights
         self.cocg_weights = cocg_weights
         self.field = None
         self._interior = np.where(~mesh.boundary_vertex_mask)[0]
         self._boundary = np.where(mesh.boundary_vertex_mask)[0]
-        self._K_ii = K[np.ix_(self._interior, self._interior)].tocsr()
-        self._K_ib = K[np.ix_(self._interior, self._boundary)].tocsr()
+        K_i = K[self._interior]
+        self._K_ii = K_i[:, self._interior].tocsr()
+        self._K_ib = K_i[:, self._boundary].tocsr()
+        del K_i
+        self._K_b = K[self._boundary].tocsr()
         # The interior solve, or under box-cocg its preconditioner.
         self._solve = None
         # The dofs and the read-only result of the last Schur complement.
         self._schur = None
 
+    def matrix(self) -> sp.csr_matrix:
+        """K, rebuilt from the three blocks the system keeps, for checks."""
+        import scipy.sparse as sp
+
+        blocks = [(self._K_ii, self._interior, self._interior),
+                  (self._K_ib, self._interior, self._boundary),
+                  (self._K_b, self._boundary, None)]
+        coo = [(block.tocoo(), rows, cols) for block, rows, cols in blocks]
+        data = np.concatenate([b.data for b, _, _ in coo])
+        rows = np.concatenate([rows[b.row] for b, rows, _ in coo])
+        cols = np.concatenate([b.col if cols is None else cols[b.col] for b, _, cols in coo])
+        return sp.csr_matrix((data, (rows, cols)), shape=(self.mesh.n_vertices,) * 2)
+
     @property
     def block_matrix(self) -> sp.csr_matrix:
         import scipy.sparse as sp
 
+        K = self.matrix()
         # The parts are copied: .real and .imag share K's data array, which
         # eliminate_zeros would compact in place.
-        K_R, K_I = self.K.real.copy(), self.K.imag.copy()
+        K_R, K_I = K.real.copy(), K.imag.copy()
         K_R.eliminate_zeros()
         K_I.eliminate_zeros()
         return sp.bmat([[K_R, -K_I], [K_I, K_R]], format="csr")
+
+    def _boundary_positions(self, dofs: np.ndarray, what: str) -> np.ndarray:
+        """Positions of the dofs among the boundary vertices; ConfigError
+        naming `what` unless every one is a boundary vertex."""
+        pos = np.searchsorted(self._boundary, dofs)
+        if np.any(pos >= len(self._boundary)) or np.any(self._boundary[pos] != dofs):
+            raise ConfigError(f"{what} must be boundary vertices")
+        return pos
+
+    def boundary_rows(self, dofs: np.ndarray) -> sp.csr_matrix:
+        """The rows K[dofs] of boundary dofs, from the boundary rows kept."""
+        return self._K_b[self._boundary_positions(dofs, "row dofs")]
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """K x for (n,) or (n, c) x: K_II x_I + K_IB x_B on the interior rows
+        and the boundary rows kept on the others, so that each boundary row
+        has the bits of a row of K x."""
+        out = np.empty(x.shape, dtype=np.result_type(self._K_b.dtype, x))
+        out[self._interior] = self._K_ii @ x[self._interior] + self._K_ib @ x[self._boundary]
+        out[self._boundary] = self._K_b @ x
+        return out
+
+    def stored_bytes(self) -> int:
+        """Bytes of the matrices the system keeps: its three blocks."""
+        return sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+                   for m in (self._K_ii, self._K_ib, self._K_b))
 
     @property
     def interior(self) -> np.ndarray:
@@ -923,12 +1073,10 @@ class BlockSystem(_SolverCounters):
             S = self._schur[1][np.ix_(pos, pos)]
             S.flags.writeable = False
             return S
-        cols = np.searchsorted(self._boundary, sigma)
-        if np.any(cols >= len(self._boundary)) or np.any(self._boundary[cols] != sigma):
-            raise ConfigError("Schur complement dofs must be boundary vertices")
+        cols = self._boundary_positions(sigma, "Schur complement dofs")
         # K_sI is sliced, not transposed from K_Is: an anisotropic K is
         # symmetric only to rounding.
-        K_s = self.K[sigma]
+        K_s = self._K_b[cols]
         K_si = K_s[:, self._interior]
         S = None
         if self.axis_weights is not None and len(self._interior):
@@ -1078,7 +1226,7 @@ class SubstructuredSystem(_SolverCounters):
             self._parts.append((part, vmap, owner[self.footprint]))
         # The core's blocks on f, which apply S_core(f) through its interior.
         f_core = self._parts[0][2]
-        K_f = core.K[f_core]
+        K_f = core.boundary_rows(f_core)
         self._K_ff, self._K_fI = K_f[:, f_core], K_f[:, core.interior]
         self._K_If = core._K_ib[:, np.searchsorted(core.boundary, f_core)]
         self._T_inv = None
@@ -1102,11 +1250,16 @@ class SubstructuredSystem(_SolverCounters):
         self.core._check(u, rhs)
         return self._K_ff @ P + self._K_fI @ u + self._S_bump @ P, u
 
+    def stored_bytes(self) -> int:
+        """Bytes of the arrays the system keeps beside its parts: the
+        inverted footprint preconditioner and S_bump(f), once built."""
+        return sum(a.nbytes for a in (self._T_inv, self._S_bump) if a is not None)
+
     def _product(self, x: np.ndarray) -> np.ndarray:
         """K x for (n, c) columns: the parts' products, summed."""
         out = np.zeros(x.shape, dtype=complex)
         for part, vmap, _ in self._parts:
-            out[vmap] += part.K @ x[vmap]
+            out[vmap] += part.product(x[vmap])
         return out
 
     def solve_dirichlet(self, g):
@@ -1151,7 +1304,8 @@ class _DiagonalSummary:
         diagonal = np.diagonal(coeff, axis1=1, axis2=2)
         # cumsum adds row by row, the order of numpy's own mean over the
         # leading axis, so the chunked mean has the bits of one over all tets.
-        self.total = np.cumsum(np.vstack([self.total[None], diagonal]), axis=0)[-1]
+        # Its last row is copied, so the chunk's sums are not kept alive.
+        self.total = np.cumsum(np.vstack([self.total[None], diagonal]), axis=0)[-1].copy()
         self.count += len(coeff)
         if not self.varies:
             first = coeff[0] if self.constant is None else self.constant
@@ -1161,6 +1315,44 @@ class _DiagonalSummary:
 
     def mean(self) -> np.ndarray:
         return self.total / self.count
+
+
+def _complex_stencil(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float):
+    """The complex 15-point stencil array (15 n,) of `assemble`, and the
+    `_DiagonalSummary` of the real and of the imaginary coefficient.
+
+    The corners, slots and element blocks of every chunk go to buffers
+    allocated once, so the chunks do not map fresh pages each; they are
+    freed on return, before the matrix is built.
+    """
+    data = np.zeros(15 * mesh.n_vertices, dtype=complex)
+    # The real and imaginary parts interleaved: np.add.at adds the real
+    # blocks at the even slots of this contiguous array and the imaginary
+    # ones at the odd slots.
+    parts = data.view(np.float64)
+    summaries = (_DiagonalSummary(), _DiagonalSummary())
+    cells = _chunk_size() // len(_TET_PATTERNS) + 2
+    corner_buf = np.empty(24 * cells, dtype=np.int64)
+    slot_buf = np.empty(96 * cells, dtype=np.int32)
+    block_buf = np.empty((_chunk_size(), 4, 4))
+    for chunk in tet_chunks(mesh.n_tets):
+        bary = _corner_mean(mesh.verts, mesh.corners(chunk, out=corner_buf))
+        t_vals = np.asarray(a.values(bary), dtype=float)
+        if t_vals.ndim == 0:
+            t_vals = np.full(len(bary), float(t_vals))
+        slots = _stencil_slots(mesh, chunk, out=slot_buf)
+        slots *= 2
+        for offset, coeff_of in ((0, family.real_part),
+                                 (1, lambda x, t: k * family.imag_part(x, t))):
+            coeff = np.broadcast_to(coeff_of(bary, t_vals), (len(bary), 3, 3))
+            blocks = _stiffness_blocks(mesh, chunk, coeff, out=block_buf[:len(bary)])
+            np.add.at(parts[offset:], slots, blocks.ravel())
+            summaries[offset].add(coeff)
+            # Freed before the next coefficient is evaluated, so that one
+            # coefficient is live at a time.
+            del coeff
+        del bary, t_vals
+    return data, summaries
 
 
 def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float) -> BlockSystem:
@@ -1180,24 +1372,7 @@ def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float)
     if mesh.box_shape is None:
         raise GeometryError("assemble needs a full lattice box mesh; an Omega_eta system "
                             "is a SubstructuredSystem of its parts")
-    data = np.zeros(15 * mesh.n_vertices, dtype=complex)
-    # The real and imaginary parts interleaved: np.add.at adds the real
-    # blocks at the even slots of this contiguous array and the imaginary
-    # ones at the odd slots.
-    parts = data.view(np.float64)
-    summaries = (_DiagonalSummary(), _DiagonalSummary())
-    for chunk in _tet_chunks(mesh.n_tets):
-        bary = mesh.barycenters(chunk)
-        t_vals = np.asarray(a.values(bary), dtype=float)
-        if t_vals.ndim == 0:
-            t_vals = np.full(len(bary), float(t_vals))
-        slots = _stencil_slots(mesh, chunk)
-        slots *= 2
-        for offset, coeff_of in ((0, family.real_part),
-                                 (1, lambda x, t: k * family.imag_part(x, t))):
-            coeff = np.broadcast_to(coeff_of(bary, t_vals), (len(bary), 3, 3))
-            np.add.at(parts[offset:], slots, _stiffness_blocks(mesh, chunk, coeff).ravel())
-            summaries[offset].add(coeff)
+    data, summaries = _complex_stencil(mesh, family, a, k)
     real, imag = summaries
     axis_weights = cocg_weights = None
     if real.constant is not None and imag.constant is not None:
@@ -1218,9 +1393,12 @@ def energy_density(mesh: Mesh, coeff, u, v, real: bool = False) -> np.ndarray:
     u and v are ComplexFields on the mesh, giving (T,) densities, or (n, c)
     arrays of nodal columns, giving the (c, T) densities of each pair of
     columns, one contiguous row per column.  One pass over chunks of
-    lattice cells within `_BLOCK_BYTES` serves every column: each gradient
-    component of a Kuhn tet is the difference of two of its corner values
-    over h (`_GRADIENT_CORNERS`), so its bits do not depend on the chunk.
+    lattice cells within `_BLOCK_BYTES` serves every column, each chunk
+    taking its corners from `Mesh.corners`: each gradient component of a
+    Kuhn tet is the difference of two of its corner values over h
+    (`_GRADIENT_CORNERS`), so its bits depend neither on the chunk nor on
+    the other columns, and a caller that needs one column at a time can
+    ask for one column at a time.
     """
     fields = isinstance(u, ComplexField), isinstance(v, ComplexField)
     if any(fields):
@@ -1235,21 +1413,23 @@ def energy_density(mesh: Mesh, coeff, u, v, real: bool = False) -> np.ndarray:
     # Tet 6 c + p is Kuhn pattern p of cell c: chunks of whole cells take
     # the six patterns side by side.
     n_patterns = len(_TET_PATTERNS)
+    n_cells = mesh.n_tets // n_patterns
     columns = U.shape[1]
-    tets = mesh.tets.reshape(-1, n_patterns, 4)
     up, down = _GRADIENT_CORNERS
     patterns = np.arange(n_patterns)[:, None]
-    out = np.empty((columns, len(tets), n_patterns), dtype=float if real else complex)
-    for chunk in _tet_chunks(len(tets), columns=n_patterns * columns):
-        corners = tets[chunk]
+    out = np.empty((columns, n_cells, n_patterns), dtype=float if real else complex)
+    for cells in tet_chunks(n_cells, columns=n_patterns * columns):
+        corners = mesh.corners(slice(n_patterns * cells.start, n_patterns * cells.stop))
+        corners = corners.reshape(-1, n_patterns, 4)
         ends, starts = corners[:, patterns, up], corners[:, patterns, down]
         # (C, 6, 3, c) gradients and the coefficient's flux of v's, each
         # entry summed term by term.
         gu, gv = ((W[ends] - W[starts]) / mesh.h for W in (U, V))
-        c = coeff[None, None] if coeff.ndim == 2 else coeff.reshape(tets.shape[:2] + (3, 3))[chunk]
+        c = (coeff[None, None] if coeff.ndim == 2
+             else coeff.reshape(n_cells, n_patterns, 3, 3)[cells])
         flux = sum(c[:, :, :, k, None] * gv[:, :, None, k, :] for k in range(3))
         dens = sum(gu[:, :, j] * flux[:, :, j] for j in range(3))
-        out[:, chunk] = ((dens.real if real else dens)
+        out[:, cells] = ((dens.real if real else dens)
                          * mesh.type_volumes[None, :, None]).transpose(2, 0, 1)
     out = out.reshape(columns, -1)
     return out[0] if fields[0] else out

@@ -53,11 +53,11 @@ def coo_stiffness(mesh, coeff):
     """Reference assembly on any mesh: per-tet local matrices summed through
     COO."""
     coeff = np.broadcast_to(np.asarray(coeff), (mesh.n_tets, 3, 3))
-    grads = mesh.type_grads[mesh.tet_type]
+    grads = mesh.type_grads[mesh.tet_patterns()]
     local = np.einsum("taj,tjk,tbk->tab", grads, coeff, grads)
-    local = local * mesh.type_volumes[mesh.tet_type][:, None, None]
-    rows = np.repeat(mesh.tets, 4, axis=1).reshape(-1)
-    cols = np.tile(mesh.tets, (1, 4)).reshape(-1)
+    local = local * mesh.type_volumes[mesh.tet_patterns()][:, None, None]
+    rows = np.repeat(mesh.corners(), 4, axis=1).reshape(-1)
+    cols = np.tile(mesh.corners(), (1, 4)).reshape(-1)
     return sp.coo_matrix((local.reshape(-1), (rows, cols)),
                          shape=(mesh.n_vertices,) * 2).tocsr()
 
@@ -81,6 +81,20 @@ def bincount_csr(elems, n: int, local):
                         shape=(n, n))
     mat.eliminate_zeros()
     return mat
+
+
+def traced_extra(fn):
+    """fn() and the bytes by which its traced peak rose above what it left
+    live."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - current
 
 
 def lu_system(mesh, family, a, k) -> LuSystem:

@@ -516,6 +516,37 @@ class TestStabilityCommand:
                      "--out", str(tmp_path / "out")]) == 3
         assert "COCG did not converge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, config", [
+        ("stability", "recovery"), ("derivative", "derivative"),
+    ], ids=["sine-transform", "box-cocg"])
+    def test_manifest_reports_stored_bytes(self, tmp_path, monkeypatch, command, config):
+        # An Omega entry stores the bytes of its three blocks, and a
+        # via-core entry those of its inverted footprint preconditioner
+        # and S_bump(f), complex or real.
+        omega = []
+        real = admitlab.estimator.assemble
+
+        def keeping(mesh, *args):
+            system = real(mesh, *args)
+            if mesh.sigma_mask.any():
+                omega.append(system)
+            return system
+
+        monkeypatch.setattr(admitlab.estimator, "assemble", keeping)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(CONFIG_DIR / f"{config}.yaml"),
+                     "--mesh-h", "0.125", "--out", str(out)]) == 0
+        solvers = json.loads((out / "manifest.json").read_text())["solvers"]
+        blocks = [sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+                      for m in (system._K_ii, system._K_ib, system._K_b)) for system in omega]
+        assert [s["stored_bytes"] for s in solvers if s["domain"] == "Omega"] == blocks
+        assert {s["kind"] for s in solvers if s["domain"] == "Omega"} >= {
+            "sine-transform" if command == "stability" else "box-cocg"}
+        for s in solvers:
+            if s["domain"] == "Omega_eta":
+                f = s["factored_dofs"]
+                assert s["stored_bytes"] in (16 * f * f + 8 * f * f, 32 * f * f)
+
     @pytest.mark.parametrize("command, config, exact", [
         ("stability", "recovery", {"a1": True, "a2": True}),
         ("derivative", "derivative", {"a1": True, "a2": False}),

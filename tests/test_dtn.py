@@ -34,7 +34,7 @@ def per_hat_pairing(system, basis):
         g = np.zeros(mesh.n_vertices, dtype=complex)
         g[v] = 1.0
         solutions[:, j] = system.solve_dirichlet(g).values
-    fluxes = system.K @ solutions
+    fluxes = system.matrix() @ solutions
     return fluxes[list(basis.vertices), :].T
 
 
@@ -187,7 +187,7 @@ class TestAssembleDtn:
             rng.standard_normal(int(np.sum(~mesh8.boundary_vertex_mask)))
         )
         value_pairing = f1 @ d.pairing @ f2
-        value_lift = complex(u1.values @ (system.K @ lift))
+        value_lift = complex(u1.values @ (system.matrix() @ lift))
         assert abs(value_pairing - value_lift) <= 1e-9
 
 
@@ -270,7 +270,7 @@ class TestSchurOracles:
 
     def test_failed_column_residual_raises(self, mesh8, basis8, monkeypatch):
         system = LuSystem(mesh8, assemble_stiffness(mesh8, np.eye(3)))
-        K_ii = system.K[np.ix_(system.interior, system.interior)].toarray()
+        K_ii = system.matrix()[np.ix_(system.interior, system.interior)].toarray()
 
         def solve_with_bad_column(rhs):
             X = np.linalg.solve(K_ii, rhs)

@@ -23,6 +23,7 @@ from admitlab.families import (affine_field, constant_field,
 from admitlab.fem import energy_density
 from admitlab.geometry import BoundaryPatch, BoxDomain, ProbePath, probe_point
 from admitlab.singular import build_corrected_probe, make_probe
+from conftest import traced_extra
 
 BOX = BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 X0 = (0.5, 0.5, 1.0)
@@ -224,6 +225,26 @@ class TestBoundaryGap:
     def test_anchor_must_sit_on_shrunken_patch(self, frame16, forward_a1):
         with pytest.raises(GeometryError):
             boundary_gap_estimate(forward_a1, forward_a1, (0.2, 0.2, 1.0), seed=0)
+
+
+class TestEstimatorWorkingSet:
+    def test_one_tau_at_a_time(self, frame16, forward_a1):
+        """On warm forwards, each tau beyond the first adds about one
+        boolean mask over the tets to the estimate's traced peak: no
+        density array or barycenter array per tau."""
+        import admitlab.fem
+
+        fwd2 = build_forward(frame16, constant_field(1.1))
+        taus = frame16.tau_default()
+        grids = (taus[:1], taus)
+        for grid in grids:
+            # Memoises each grid's probe passes.
+            boundary_gap_estimate(forward_a1, fwd2, X0, tau_grid=grid, seed=0)
+        extra = [traced_extra(lambda g=grid: boundary_gap_estimate(
+            forward_a1, fwd2, X0, tau_grid=g, seed=0))[1] for grid in grids]
+        n_tets = frame16.mesh.n_tets
+        bound = (len(taus) - 1) * n_tets + admitlab.fem._BLOCK_BYTES // 8
+        assert extra[1] - extra[0] <= bound, (extra, bound)
 
 
 class TestDerivativeGap:

@@ -17,14 +17,14 @@ from admitlab.families import (affine_field, constant_field,
 from admitlab.dtn import boundary_mass_sigma
 from admitlab.config import load_config
 from admitlab.estimator import build_forward, build_frame
-from admitlab.fem import (_CORNER_OFFSETS, _FACE_LOCAL, _TET_PATTERNS,
+from admitlab.fem import (_CORNER_OFFSETS, _FACE_LOCAL, _STENCIL_SLOTS, _TET_PATTERNS,
                           BlockSystem, ComplexField, Mesh, SubstructuredSystem,
-                          _lattice_topology, _stiffness_blocks, assemble,
+                          _lattice_topology, _stencil_slots, _stiffness_blocks, assemble,
                           assemble_stiffness, box_solve, build_mesh,
                           energy_density)
 from admitlab.geometry import (FACE_NAMES, BoxDomain, BoundaryPatch,
                                EnlargedDomain, build_enlarged_domain)
-from conftest import LuSystem, bincount_csr, coo_stiffness, lu_system
+from conftest import LuSystem, bincount_csr, coo_stiffness, lu_system, traced_extra
 
 BOX = BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -49,7 +49,7 @@ class TestMesh:
 
     def test_positive_volumes_and_partition(self):
         mesh = build_mesh(BOX, 0.25)
-        volumes = mesh.type_volumes[mesh.tet_type]
+        volumes = mesh.type_volumes[mesh.tet_patterns()]
         assert np.all(volumes > 0.0)
         assert np.sum(volumes) == pytest.approx(1.0, abs=1e-12)
         # Boundary triangles tile the cube surface.
@@ -157,10 +157,16 @@ def _unique_rows_topology(cells):
     cells = np.asarray(cells, dtype=np.int64)
     corners = (cells[:, None, :] + _CORNER_OFFSETS[None, :, :]).reshape(-1, 3)
     verts_ijk, inverse = np.unique(corners, axis=0, return_inverse=True)
-    tets = inverse.reshape(len(cells), 8)[:, _TET_PATTERNS].reshape(-1, 4)
-    faces = np.sort(tets[:, _FACE_LOCAL].reshape(-1, 3), axis=1)
+    cell_corners = inverse.reshape(len(cells), 8)
+    faces = np.sort(_cell_tets(cell_corners)[:, _FACE_LOCAL].reshape(-1, 3), axis=1)
     uniq, counts = np.unique(faces, axis=0, return_counts=True)
-    return verts_ijk, tets, uniq[counts == 1]
+    return verts_ijk, cell_corners, uniq[counts == 1]
+
+
+def _cell_tets(cell_corners):
+    """The Kuhn tets (6 C, 4), tet 6 c + p of pattern p, of the cells whose
+    corners `_lattice_topology` gives."""
+    return cell_corners[:, _TET_PATTERNS].reshape(-1, 4)
 
 
 @st.composite
@@ -217,52 +223,106 @@ def _det_inv_geometry(verts, tets):
 def _assert_matches_det_inv(mesh, verts, tets):
     """The mesh's gathered type geometry is the per-tet det/inv geometry."""
     want_tets, want_vol, want_grads = _det_inv_geometry(verts, tets)
-    assert np.array_equal(mesh.tets, want_tets)
-    np.testing.assert_allclose(mesh.type_volumes[mesh.tet_type], want_vol,
+    assert np.array_equal(mesh.corners(), want_tets)
+    np.testing.assert_allclose(mesh.type_volumes[mesh.tet_patterns()], want_vol,
                                rtol=1e-14, atol=0.0)
     scale = np.max(np.abs(want_grads), axis=(1, 2))
-    err = np.max(np.abs(mesh.type_grads[mesh.tet_type] - want_grads), axis=(1, 2))
+    err = np.max(np.abs(mesh.type_grads[mesh.tet_patterns()] - want_grads), axis=(1, 2))
     assert np.all(err <= 1e-14 * scale)
 
 
-def _assert_no_per_tet_floats(mesh):
+def _assert_no_per_tet_arrays(mesh):
+    """No array of the mesh has a row per tet or per tet corner (a length
+    that is also the vertex or boundary triangle count is not told apart)."""
+    per_tet = {mesh.n_tets, 4 * mesh.n_tets} - {mesh.n_vertices, len(mesh.boundary_tris)}
     for name, value in vars(mesh).items():
-        if isinstance(value, np.ndarray) and value.ndim and len(value) == mesh.n_tets:
-            assert value.dtype.kind in "iub", name
+        if isinstance(value, np.ndarray) and value.ndim:
+            assert len(value) not in per_tet, name
 
 
 class TestClosedFormGeometry:
     def test_box_meshes(self):
         for h in (0.25, 0.2, 0.125, 0.05):
             mesh = build_mesh(BOX, h)
-            raw = _lattice_topology(
+            raw = _cell_tets(_lattice_topology(
                 np.stack(np.meshgrid(*[np.arange(round(1 / h))] * 3, indexing="ij"),
-                         axis=-1).reshape(-1, 3))[1]
+                         axis=-1).reshape(-1, 3))[1])
             # The Kuhn tets come out positively oriented, so the det/inv
             # oracle flips none of them.
             edges = mesh.verts[raw[:, 1:]] - mesh.verts[raw[:, :1]]
             assert np.all(np.linalg.det(edges) > 0.0)
-            assert np.array_equal(mesh.tets, raw)
+            assert np.array_equal(mesh.corners(), raw)
             _assert_matches_det_inv(mesh, mesh.verts, raw)
             # Six types, tet 6 c + p of Kuhn pattern p, each of volume h^3 / 6.
-            assert mesh.tet_type.dtype == np.int8 and len(mesh.type_grads) == 6
-            assert np.array_equal(mesh.tet_type, np.arange(mesh.n_tets) % 6)
+            assert mesh.tet_patterns().dtype == np.int8 and len(mesh.type_grads) == 6
+            assert np.array_equal(mesh.tet_patterns(), np.arange(mesh.n_tets) % 6)
             np.testing.assert_allclose(mesh.type_volumes, h ** 3 / 6.0, rtol=1e-14)
-            _assert_no_per_tet_floats(mesh)
+            _assert_no_per_tet_arrays(mesh)
 
     @settings(max_examples=25, deadline=None)
     @given(meshes=enlarged_meshes())
     def test_enlarged_meshes(self, meshes):
         for mesh in meshes:
-            _assert_matches_det_inv(mesh, mesh.verts, mesh.tets)
-            _assert_no_per_tet_floats(mesh)
+            _assert_matches_det_inv(mesh, mesh.verts, mesh.corners())
+            _assert_no_per_tet_arrays(mesh)
 
     def test_unsorted_vertices_raise(self):
         mesh = build_mesh(BOX, 0.25)
         order = np.arange(mesh.n_vertices)
         order[[3, 4]] = order[[4, 3]]
         with pytest.raises(GeometryError, match="increasing ijk order"):
-            Mesh(mesh.tets, mesh.ijk[order], mesh.h, mesh.anchor, mesh.boundary_tris)
+            Mesh(mesh.cells(), mesh.ijk[order], mesh.h, mesh.anchor, mesh.boundary_tris)
+
+
+@st.composite
+def tet_slices(draw, n_tets):
+    """A slice of the tets with a positive step of at most 6."""
+    start = draw(st.integers(0, n_tets))
+    return slice(start, draw(st.integers(start, n_tets)), draw(st.integers(1, 6)))
+
+
+class TestChunkCorners:
+    """Corners, patterns, barycenters and stencil slots formed per chunk
+    have the bits of the tets that `_lattice_topology` gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cells=lattice_cells(), data=st.data())
+    def test_chunks_match_the_topology(self, cells, data):
+        ijk, cell_corners, boundary = _lattice_topology(cells)
+        mesh = Mesh(cells, ijk, 0.25, np.array([0.5, -0.25, 0.0]), boundary)
+        tets = _cell_tets(cell_corners)
+        patterns = (np.arange(len(tets)) % 6).astype(np.int8)
+        # A full box in lexicographic cell order keeps no cells: its
+        # corners come from the cell index alone.
+        lexicographic = np.array_equal(cells, cells[np.lexsort(cells.T[::-1])])
+        full = len(cells) == np.prod(np.ptp(cells, axis=0) + 1)
+        arithmetic = full and lexicographic
+        assert (mesh.box_shape is not None) == arithmetic
+        assert (mesh._cells is None) == arithmetic
+        slices = [slice(None), slice(None, None, 6)]
+        slices += [data.draw(tet_slices(len(tets))) for _ in range(4)]
+        for chunk in slices:
+            want = tets[chunk]
+            got = mesh.corners(chunk)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            got = mesh.tet_patterns(chunk)
+            assert got.dtype == np.int8 and np.array_equal(got, patterns[chunk])
+            v = mesh.verts
+            bary = (v[want[:, 0]] + v[want[:, 1]] + v[want[:, 2]] + v[want[:, 3]]) / 4.0
+            assert np.array_equal(mesh.barycenters(chunk).view(np.uint8), bary.view(np.uint8))
+            if not arithmetic:
+                continue
+            out = np.full(24 * (len(cells) + 1), -1, dtype=np.int64)
+            assert np.array_equal(mesh.corners(chunk, out=out), want)
+            slots = (_STENCIL_SLOTS[patterns[chunk]] + 15 * want[:, :, None]).ravel()
+            got = _stencil_slots(mesh, chunk)
+            assert got.dtype == np.int32 and np.array_equal(got, slots)
+            out = np.full(96 * (len(cells) + 1), -1, dtype=np.int32)
+            assert np.array_equal(_stencil_slots(mesh, chunk, out=out), slots)
+
+    def test_negative_step_refused(self):
+        with pytest.raises(ValueError, match="positive step"):
+            build_mesh(BOX, 0.25).corners(slice(None, None, -1))
 
 
 def _aniso_coeffs(n_tets, seed):
@@ -275,7 +335,7 @@ def _aniso_coeffs(n_tets, seed):
 def _stiffness_reference(mesh, coeff):
     """Per-tet-order reference of `assemble_stiffness`: one np.bincount of
     all element blocks."""
-    return bincount_csr(mesh.tets, mesh.n_vertices, _stiffness_blocks(mesh, slice(None), coeff))
+    return bincount_csr(mesh.corners(), mesh.n_vertices, _stiffness_blocks(mesh, slice(None), coeff))
 
 
 def _assemble_reference(mesh, family, a, k):
@@ -288,7 +348,7 @@ def _assemble_reference(mesh, family, a, k):
                         (blocks.imag, k * family.imag_part(bary, t))):
         coeff = np.broadcast_to(coeff, (mesh.n_tets, 3, 3))
         part[:] = _stiffness_blocks(mesh, slice(None), coeff)
-    return bincount_csr(mesh.tets, mesh.n_vertices, blocks)
+    return bincount_csr(mesh.corners(), mesh.n_vertices, blocks)
 
 
 def _bitwise_equal(got, want):
@@ -353,8 +413,8 @@ class TestCachedPatternAssembly:
         K2 = assemble_stiffness(mesh, np.eye(3))
         assert (K2 != K1).nnz == 0
         system = assemble(mesh, LAPLACE, A_ONE, 0.0)
-        assert not np.any(system.K.data.imag)
-        assert (system.K != K1).nnz == 0
+        assert not np.any(system.matrix().data.imag)
+        assert (system.matrix() != K1).nnz == 0
 
     def test_assembly_leaves_the_mesh_unchanged(self):
         # No memo: the mesh keeps the same attributes, objects and values.
@@ -386,11 +446,11 @@ class TestStencilAssembly:
     @settings(max_examples=30, deadline=None)
     @given(cells=lattice_boxes(), seed=st.integers(0, 2 ** 16))
     def test_boxes_at_a_lattice_offset(self, cells, seed):
-        ijk, tets, boundary = _lattice_topology(cells)
-        mesh = Mesh(tets, ijk, 0.25, np.array([0.5, -0.25, 0.0]), boundary)
+        ijk, _, boundary = _lattice_topology(cells)
+        mesh = Mesh(cells, ijk, 0.25, np.array([0.5, -0.25, 0.0]), boundary)
         coeff = _aniso_coeffs(mesh.n_tets, seed)
         assert _bitwise_equal(assemble_stiffness(mesh, coeff), _stiffness_reference(mesh, coeff))
-        assert _bitwise_equal(assemble(mesh, ROTATED, AFFINE, ROTATED.freq).K,
+        assert _bitwise_equal(assemble(mesh, ROTATED, AFFINE, ROTATED.freq).matrix(),
                               _assemble_reference(mesh, ROTATED, AFFINE, ROTATED.freq))
 
     def test_bump_one_cell_thick(self):
@@ -402,7 +462,7 @@ class TestStencilAssembly:
         assert min(bump.box_shape) == 0
         coeff = _aniso_coeffs(bump.n_tets, seed=11)
         assert _bitwise_equal(assemble_stiffness(bump, coeff), _stiffness_reference(bump, coeff))
-        assert _bitwise_equal(assemble(bump, ROTATED, AFFINE, ROTATED.freq).K,
+        assert _bitwise_equal(assemble(bump, ROTATED, AFFINE, ROTATED.freq).matrix(),
                               _assemble_reference(bump, ROTATED, AFFINE, ROTATED.freq))
 
 
@@ -454,15 +514,15 @@ class TestBlockSystem:
         mesh = build_mesh(BOX, 0.25)
         system = assemble(mesh, LAPLACE, A_ONE, 0.0)
         lap = assemble_stiffness(mesh, np.eye(3))
-        assert (system.K != lap).nnz == 0
-        assert not np.any(system.K.data.imag)
+        assert (system.matrix() != lap).nnz == 0
+        assert not np.any(system.matrix().data.imag)
 
     def test_off_diagonal_scaling(self):
         fam = scalar_identity_family(k=0.1, imag=1.0)
         mesh = build_mesh(BOX, 0.25)
         system = assemble(mesh, fam, A_ONE, 0.1)
         lap = assemble_stiffness(mesh, np.eye(3))
-        assert np.max(np.abs((system.K.imag - 0.1 * lap).toarray())) <= 1e-14
+        assert np.max(np.abs((system.matrix().imag - 0.1 * lap).toarray())) <= 1e-14
 
     def test_quadratic_form_positive(self):
         fam = scalar_identity_family(k=0.1, imag=1.0)
@@ -542,6 +602,58 @@ class TestBlockSystem:
             system.solve_dirichlet(g)
 
 
+class TestOneCopy:
+    """A system keeps each entry of K once: its interior blocks and its
+    boundary rows."""
+
+    @pytest.fixture(scope="class")
+    def meshes(self):
+        patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
+        mesh = build_mesh(BOX, 0.125, patch=patch)
+        mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
+        bump = mesh_eta.part_outside(mesh, mesh.shared_vertex_map(mesh_eta))[0]
+        return {"box": mesh, "bump": bump, "omega-eta": mesh_eta}
+
+    @pytest.mark.parametrize("kind", ["sine-transform", "box-cocg"])
+    def test_no_attribute_is_n_by_n(self, meshes, kind):
+        mesh = meshes["box"]
+        system = (assemble(mesh, LAPLACE, A_ONE, 0.0) if kind == "sine-transform"
+                  else assemble(mesh, ROTATED, AFFINE, ROTATED.freq))
+        assert system.solver_kind == kind
+        system.solve_dirichlet(np.ones(mesh.n_vertices))
+        system.schur_onto(np.flatnonzero(mesh.boundary_vertex_mask)[:20])
+        n = mesh.n_vertices
+        for name, value in vars(system).items():
+            assert getattr(value, "shape", None) != (n, n), name
+        blocks = (system._K_ii, system._K_ib, system._K_b)
+        assert system.stored_bytes() == sum(
+            m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in blocks)
+
+    @pytest.mark.parametrize("name", ["box", "bump", "omega-eta"])
+    def test_blocks_keep_the_bits_of_coo_stiffness(self, meshes, name):
+        mesh = meshes[name]
+        coeff = _aniso_coeffs(mesh.n_tets, seed=5)
+        K = (coo_stiffness(mesh, coeff) + 1j * coo_stiffness(mesh, 0.1 * coeff)).tocsr()
+        system = BlockSystem(mesh, K)
+        assert _bitwise_equal(system._K_b, K[system.boundary])
+        assert _bitwise_equal(system.matrix(), K)
+        K_R, K_I = K.real.copy(), K.imag.copy()
+        K_R.eliminate_zeros()
+        K_I.eliminate_zeros()
+        assert _bitwise_equal(system.block_matrix,
+                              sp.bmat([[K_R, -K_I], [K_I, K_R]], format="csr"))
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((mesh.n_vertices, 3)) + 1j * rng.standard_normal((mesh.n_vertices, 3))
+        got, want = system.product(x), K @ x
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        # The boundary rows, footprint rows among them, keep their bits.
+        assert np.array_equal(got[system.boundary], want[system.boundary])
+        rows = system.boundary[::3]
+        assert _bitwise_equal(system.boundary_rows(rows), K[rows])
+        with pytest.raises(ConfigError, match="boundary vertices"):
+            system.boundary_rows(system.interior[:1])
+
+
 class TestColumnSolves:
     """Dirichlet data given as (n, c) columns share one interior solve.
 
@@ -558,9 +670,9 @@ class TestColumnSolves:
         system = assemble(mesh, fam, A_ONE, 0.1)
         assert system.axis_weights is not None
         if self.PATH == "lu":
-            system = LuSystem(mesh, system.K)
+            system = LuSystem(mesh, system.matrix())
         elif self.PATH == "cocg":
-            system = BlockSystem(mesh, system.K, cocg_weights=system.axis_weights)
+            system = BlockSystem(mesh, system.matrix(), cocg_weights=system.axis_weights)
         rng = np.random.default_rng(seed)
         g = (rng.standard_normal((mesh.n_vertices, columns))
              + 1j * rng.standard_normal((mesh.n_vertices, columns)))
@@ -698,7 +810,7 @@ class TestBoxSolve:
         mesh = build_mesh(BOX, 0.125)
         box = assemble(mesh, fam, A_ONE, fam.freq)
         assert box.axis_weights is not None
-        lu = LuSystem(mesh, box.K)
+        lu = LuSystem(mesh, box.matrix())
         rng = np.random.default_rng(5)
         g = (rng.standard_normal((mesh.n_vertices, 3))
              + 1j * rng.standard_normal((mesh.n_vertices, 3)))
@@ -791,7 +903,7 @@ def _assert_core_matches_lu(via, lu, seed=0, columns=3):
     assert np.max(np.abs(v_via.values - v_lu.values)) <= 1e-12 * np.max(np.abs(v_lu.values))
     assert via.solve_calls == 2 and via.rhs_columns == columns + 1
     assert 0.0 < via.worst_residual <= 1e-10
-    Kg = lu.K @ g
+    Kg = lu.matrix() @ g
     assert np.max(np.abs(via._product(g) - Kg)) <= 1e-12 * np.max(np.abs(Kg))
 
 
@@ -838,8 +950,8 @@ def _dense_footprint_schur(lu, footprint):
 
 def _lattice_mesh(cells, h):
     """Mesh of a set of lattice cells at pitch h, anchored at the origin."""
-    ijk, tets, boundary = _lattice_topology(np.asarray(cells))
-    return Mesh(tets, ijk, h, np.zeros(3), boundary)
+    ijk, _, boundary = _lattice_topology(np.asarray(cells))
+    return Mesh(cells, ijk, h, np.zeros(3), boundary)
 
 
 class TestCoreSolve:
@@ -943,7 +1055,7 @@ class TestCoreSolve:
         bump = via.bump
         assert len(bump.interior) == 0 and bump.factored_dofs == 0
         f_bump = bump.mesh.vertex_indices(mesh_eta.ijk[via.footprint])
-        assert np.array_equal(bump.schur_onto(f_bump), bump.K[np.ix_(f_bump, f_bump)].toarray())
+        assert np.array_equal(bump.schur_onto(f_bump), bump.matrix()[np.ix_(f_bump, f_bump)].toarray())
         assert via.factored_dofs == len(via.footprint) == 9
         assert factor_calls == [len(lu.interior)]
 
@@ -962,7 +1074,7 @@ class TestCoreSolve:
             # Only the top cell layer of the two-cell bump: the vertices
             # between the layers are neither part's interior nor the core's.
             bump_mesh = mesh_eta.part_outside(mesh, vmap)[0]
-            cells = bump_mesh.ijk[bump_mesh.tets[::6, 0]]
+            cells = bump_mesh.cells()
             top = _lattice_mesh(cells[cells[:, 2] == cells[:, 2].max()], 0.125)
             bump, bump_map = assemble(top, LAPLACE, A_ONE, 0.0), top.shared_vertex_map(mesh_eta)
         with pytest.raises(GeometryError, match=message):
@@ -1015,7 +1127,7 @@ def _cocg_system(mesh, fam, a):
     even where its coefficient is a constant diagonal."""
     system = assemble(mesh, fam, a, fam.freq)
     if system.axis_weights is not None:
-        system = BlockSystem(mesh, system.K, cocg_weights=system.axis_weights)
+        system = BlockSystem(mesh, system.matrix(), cocg_weights=system.axis_weights)
     assert system.solver_kind == "box-cocg"
     return system
 
@@ -1023,7 +1135,7 @@ def _cocg_system(mesh, fam, a):
 def _zero_flux_dofs(system):
     """Boundary vertices with no interior neighbour: their K_I,sigma columns
     are all zero."""
-    K_ib = system.K[np.ix_(system.interior, system.boundary)]
+    K_ib = system.matrix()[np.ix_(system.interior, system.boundary)]
     return system.boundary[np.asarray(abs(K_ib).sum(axis=0)).ravel() == 0.0]
 
 
@@ -1048,7 +1160,7 @@ class TestBoxCocg:
     def test_matches_dense_solve_and_schur(self, case):
         mesh, fam, a = case
         system = _cocg_system(mesh, fam, a)
-        K = system.K.toarray()
+        K = system.matrix().toarray()
         I, sigma = system.interior, system.boundary[::7]
         K_ii = K[np.ix_(I, I)]
         rng = np.random.default_rng(len(I))
@@ -1183,7 +1295,7 @@ class TestBlockedSchur:
         assert max(rhs.shape[1] for rhs in solved) <= cap
         # The blocks, in order, are exactly the columns K_I,sigma.
         cols = np.searchsorted(system.boundary, sigma)
-        K_is = system.K[np.ix_(system.interior, system.boundary[cols])].toarray()
+        K_is = system.matrix()[np.ix_(system.interior, system.boundary[cols])].toarray()
         assert np.array_equal(np.hstack(solved), K_is)
         # Every column is residual-checked once, under its position in sigma.
         starts = np.cumsum([0] + [width for _, width in checked])
@@ -1195,8 +1307,8 @@ class TestBlockedSchur:
         system, sigma = _schur_case("sparse-lu", 0.125)
         _set_schur_cap(monkeypatch, system, 2)
         d = len(sigma)
-        K_ii = system.K[np.ix_(system.interior, system.interior)].toarray()
-        last = system.K[np.ix_(system.interior, sigma[-1:])].toarray()
+        K_ii = system.matrix()[np.ix_(system.interior, system.interior)].toarray()
+        last = system.matrix()[np.ix_(system.interior, sigma[-1:])].toarray()
 
         def solve_with_bad_last_column(rhs):
             X = np.linalg.solve(K_ii, rhs)
@@ -1235,7 +1347,7 @@ class TestConvergence:
 
 def _energy(system, u, v):
     """The bilinear energy integral u^T K v of nodal values u and v."""
-    return complex(u @ (system.K @ v))
+    return complex(u @ (system.matrix() @ v))
 
 
 class TestEnergyPairing:
@@ -1306,7 +1418,7 @@ class TestEnergyPairing:
             # Corner differences over h against the pattern gradients.
             c = np.broadcast_to(coeff, (self.mesh.n_tets, 3, 3))
             ref = (np.einsum("tj,tjk,tk->t", u.gradients(), c, v.gradients())
-                   * self.mesh.type_volumes[self.mesh.tet_type])
+                   * self.mesh.type_volumes[self.mesh.tet_patterns()])
             assert np.max(np.abs(single - ref)) <= 1e-14 * np.max(np.abs(ref))
         real = energy_density(self.mesh, coeff, U, V, real=True)
         assert real.dtype == np.float64 and np.array_equal(real, dens.real)
@@ -1339,8 +1451,8 @@ def _float_geometry_assemble(mesh, family, a, k):
     vertices, and one np.bincount of all element blocks per part.  Edges
     from the rounded float vertices would carry their rounding into the
     reference."""
-    v = mesh.verts[mesh.tets]
-    ijk = mesh.ijk[mesh.tets]
+    v = mesh.verts[mesh.corners()]
+    ijk = mesh.ijk[mesh.corners()]
     e1, e2, e3 = (mesh.h * (ijk[:, i] - ijk[:, 0]) for i in (1, 2, 3))
     det = np.einsum("ti,ti->t", e1, np.cross(e2, e3))
     grads = np.empty((mesh.n_tets, 4, 3))
@@ -1353,7 +1465,7 @@ def _float_geometry_assemble(mesh, family, a, k):
     for part, coeff in ((local.real, family.real_part(bary, t)),
                         (local.imag, k * family.imag_part(bary, t))):
         part[:] = np.einsum("taj,tjk,tbk->tab", grads, coeff, grads) * (det / 6.0)[:, None, None]
-    return bincount_csr(mesh.tets, mesh.n_vertices, local)
+    return bincount_csr(mesh.corners(), mesh.n_vertices, local)
 
 
 ORACLE_FAMILIES = [
@@ -1374,8 +1486,8 @@ def _omega_and_omega_eta_matrices(mesh, mesh_eta, family):
     for part, vmap, _ in via._parts:
         P = sp.csr_matrix((np.ones(len(vmap)), (vmap, np.arange(len(vmap)))),
                           shape=(n, len(vmap)))
-        K_eta = K_eta + P @ part.K @ P.T
-    return core.K, K_eta
+        K_eta = K_eta + P @ part.matrix() @ P.T
+    return core.matrix(), K_eta
 
 
 class TestTypedAssembly:
@@ -1414,7 +1526,7 @@ class TestTypedAssembly:
         assert _bitwise_equal(assemble_stiffness(mesh, coeff), _stiffness_reference(mesh, coeff))
         bump = gaussian_bump_field(1.0, 0.1, (0.5, 0.5, 0.9), 0.3)
         system = assemble(mesh, ROTATED, bump, ROTATED.freq)
-        assert _bitwise_equal(system.K, _assemble_reference(mesh, ROTATED, bump, ROTATED.freq))
+        assert _bitwise_equal(system.matrix(), _assemble_reference(mesh, ROTATED, bump, ROTATED.freq))
         bary = mesh.barycenters()
         t = bump.values(bary)
         # The COCG weights are the bits of the whole-mesh mean diagonal.
@@ -1459,7 +1571,7 @@ def _box_system(mesh, weights):
 
 def _column_oracle(system, sigma):
     """The column-blocked Schur complement onto sigma through box_solve."""
-    K_s = system.K[sigma]
+    K_s = system.matrix()[sigma]
     return system._column_schur(K_s[:, sigma].toarray(), K_s[:, system.interior],
                                 np.searchsorted(system.boundary, sigma))
 
@@ -1678,24 +1790,12 @@ class TestSystemLifetime:
 class TestWorkingSetBudget:
     """Traced peaks at h = 1/16 beyond the live output."""
 
-    @staticmethod
-    def _traced(fn):
-        import tracemalloc
-
-        tracemalloc.start()
-        try:
-            out = fn()
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return out, peak - current
-
     def test_build_mesh_peak(self):
         # Within 3x the bytes the finished mesh keeps, for the box and the
         # enlarged mesh: no (4T, 3) array of all tet faces.
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
         for domain in (BOX, build_enlarged_domain(BOX, patch, 0.25, grid_h=0.0625)):
-            mesh, extra = self._traced(lambda d=domain: build_mesh(d, 0.0625, patch=patch))
+            mesh, extra = traced_extra(lambda d=domain: build_mesh(d, 0.0625, patch=patch))
             kept = sum(v.nbytes for v in vars(mesh).values() if isinstance(v, np.ndarray))
             assert extra <= 3 * kept, (extra, kept)
 
@@ -1708,9 +1808,10 @@ class TestWorkingSetBudget:
         # The Omega mesh and the bump box outside it, the two meshes that
         # are assembled; the Omega_eta mesh itself is never assembled.
         bump = mesh_eta.part_outside(mesh, mesh.shared_vertex_map(mesh_eta))[0]
+        _assert_no_per_tet_arrays(mesh_eta)
         for mesh in (mesh, bump):
-            _assert_no_per_tet_floats(mesh)
-            system, extra = self._traced(lambda: assemble(mesh, ROTATED, AFFINE, ROTATED.freq))
+            _assert_no_per_tet_arrays(mesh)
+            system, extra = traced_extra(lambda: assemble(mesh, ROTATED, AFFINE, ROTATED.freq))
             assert system.solver_kind == "box-cocg"
             assert extra <= 4 * admitlab.fem._BLOCK_BYTES, extra
         with pytest.raises(GeometryError, match="full lattice box"):
@@ -1720,6 +1821,6 @@ class TestWorkingSetBudget:
         import admitlab.fem
 
         system, sigma = _schur_case("box-cocg", 0.0625)
-        S, extra = self._traced(lambda: system.schur_onto(sigma))
+        S, extra = traced_extra(lambda: system.schur_onto(sigma))
         assert system.solve_calls > 1
         assert extra <= 10 * admitlab.fem._BLOCK_BYTES, extra
