@@ -182,14 +182,14 @@ class WindowResult(NamedTuple):
 
 def _window_bound(e1: float, e2: float, n: int, pa, pb, pc):
     """k_max of the partitions (pa, pb, pc), elementwise over arrays; None
-    when m == 1 < M empties every window."""
+    when m == 1 < M or m < M == 1 empties every window."""
     if e1 <= 0.0 or e2 <= 0.0:
         raise ConfigError("ellipticity constants must be positive")
     M = max(e1, e2)
     m = min(e1, e2)
     if abs(M - m) <= 1e-14:
         first = np.tan(pa * np.pi / 4.0)
-    elif abs(m - 1.0) <= 1e-14:
+    elif abs(m - 1.0) <= 1e-14 or abs(M - 1.0) <= 1e-14:
         return None
     else:
         first = (m**3 - m**-3) * np.tan(pa * np.pi / 4.0) / (M**3 - M**-3)
@@ -204,7 +204,8 @@ def frequency_window(e1: float, e2: float, n: int, partition=(1 / 3, 1 / 3, 1 / 
     The bound is min of three terms built from M = max(e1, e2), m = min(e1, e2):
     (m^3 - m^-3) tan(A pi/4) / (M^3 - M^-3), and M^-6 tan(B pi/(2n)),
     M^-6 tan(C pi/(2n)).  The M == m limit takes the first ratio to 1; m == 1
-    with M > 1 makes the numerator vanish and the window empty.
+    with M > 1 makes the numerator vanish and the window empty, and so does
+    M == 1 with m < 1, where the denominator vanishes.
     """
     pa, pb, pc = partition
     if min(pa, pb, pc) <= 0.0 or abs(pa + pb + pc - 1.0) > 1e-9:

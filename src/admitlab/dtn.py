@@ -217,5 +217,5 @@ def alessandrini_gap(
     t1 = np.asarray(a1.values(bary), dtype=float)
     t2 = np.asarray(a2.values(bary), dtype=float)
     dA = family(bary, t1) - family(bary, t2)
-    rhs = complex(np.sum(energy_density(mesh, dA, u1, u2)))
+    rhs = complex(np.sum(energy_density(mesh, dA, u1.values, u2.values)))
     return lhs - rhs

@@ -506,9 +506,8 @@ def _pair_records(
         # Alessandrini's identity with P complex symmetric: the flux of each
         # probe solve paired with the other probe's trace.
         pairing = complex(f2 @ KU1[:, j] - f1 @ KU2[:, j])
-        # One tau's density at a time, freed before the next is formed: its
-        # bits are those of its row of a call with every column.
-        dens = energy_density(mesh, D, U1[:, j:j + 1], U2[:, j:j + 1], real=True)[0]
+        # One tau's density at a time, freed before the next is formed.
+        dens = energy_density(mesh, D, U1[:, j], U2[:, j], real=True)
         weighted = depth * dens
         n_full = float(np.sum(dens))
         n_ball = float(np.sum(dens[ball]))

@@ -24,16 +24,16 @@ footprint preconditioner.
 Meshes are built from integer lattice keys of a set of lattice cells,
 the one source of their topology.  Every tet is one of the six Kuhn tets
 of its lattice cube, positively oriented when the mesh is built, so a mesh
-keeps the geometry per pattern and no per-tet array: a chunk of tets takes
-its corners from the cells it spans, on a box by integer arithmetic on the
-cell index.  Its boundary is the Kuhn faces of the cell sides with no cell
-across.  Only a full lattice box is assembled, and on it every stiffness
+keeps the geometry per pattern and no per-tet array: a chunk of whole
+cells takes its corners from its cells, on a box by integer arithmetic on
+the cell index.  Its boundary is the Kuhn faces of the cell sides with no
+cell across.  Only a full lattice box is assembled, and on it every stiffness
 row is the same 15-point stencil of Kuhn edge offsets, so each entry of an
 element block goes to a closed-form slot of an (n, 15) stencil array and no
 mesh keeps a scatter map.  One byte budget, `_BLOCK_BYTES`, bounds the
-per-tet and per-column temporaries: tets are evaluated in contiguous chunks
-and Schur complements solved in column blocks within it, so only the live
-data grows with the mesh.  scipy is imported by the
+per-tet and per-column temporaries: tets are evaluated in chunks of whole
+lattice cells and Schur complements solved in column blocks within it, so
+only the live data grows with the mesh.  scipy is imported by the
 functions that build a matrix, so the commands that never assemble one
 (validate, probe) do not pay for importing it.
 """
@@ -116,37 +116,33 @@ _STENCIL_SLOTS = _STENCIL_SLOTS.reshape(len(_TET_PATTERNS), 4, 4).astype(np.int3
 
 # The byte budget of every per-column and per-tet temporary: schur_onto
 # solves its columns in dense complex (interior x column) blocks of at most
-# this size, and the per-tet loops (assembly, energy densities)
-# run over contiguous tet-order chunks whose (C, 4, 4) element blocks fit in
-# it.
+# this size, and the per-tet loops (assembly, energy densities) run over
+# chunks of whole lattice cells whose (C, 4, 4) element blocks fit in it.
 _BLOCK_BYTES = 1 << 20
 
 
-def _chunk_size(columns: int = 1) -> int:
-    """Tets per chunk: float element blocks, one per column, within
-    `_BLOCK_BYTES`."""
-    return max(1, _BLOCK_BYTES // (16 * 8 * columns))
+def _chunk_size() -> int:
+    """Tets per chunk: the whole cells, at least one, whose float element
+    blocks fit in `_BLOCK_BYTES`."""
+    return len(_TET_PATTERNS) * max(1, _BLOCK_BYTES // (16 * 8 * len(_TET_PATTERNS)))
 
 
-def tet_chunks(n_tets: int, columns: int = 1):
-    """Contiguous tet-order slices of `_chunk_size(columns)` tets."""
-    step = _chunk_size(columns)
+def tet_chunks(n_tets: int):
+    """Contiguous tet-order slices of `_chunk_size()` tets, whole cells
+    each."""
+    step = _chunk_size()
     for start in range(0, n_tets, step):
         yield slice(start, min(start + step, n_tets))
 
 
 def _cell_span(chunk: slice, n_tets: int):
-    """The cells (c0, c1) that the tets of `chunk`, a slice with a positive
-    step, lie in, and the slice of the chunk among the 6 (c1 - c0) tets of
-    those cells; (0, 0) and an empty slice for an empty chunk."""
+    """The cells (c0, c1) whose 6 (c1 - c0) tets are `chunk`; ValueError
+    unless it is a slice of whole cells with step 1."""
     start, stop, step = chunk.indices(n_tets)
-    if step < 1:
-        raise ValueError("a tet chunk needs a positive step")
-    if stop <= start:
-        return 0, 0, slice(0, 0)
-    last = start + (stop - 1 - start) // step * step
-    first = start // 6
-    return first, last // 6 + 1, slice(start - 6 * first, last - 6 * first + 1, step)
+    stop = max(start, stop)
+    if step != 1 or start % 6 or stop % 6:
+        raise ValueError("a tet chunk must be a slice of whole lattice cells")
+    return start // 6, stop // 6
 
 
 def _type_geometry(edges: np.ndarray, h: float):
@@ -194,13 +190,14 @@ class Mesh:
     vertices are the cell corners in lexicographic ijk order, at
     anchor + h * ijk.  Integer lattice keys let meshes of the domain and of
     its enlargement (built with the same pitch and anchor) share nodal
-    data.  A tet's geometry depends only on its pattern (`tet_patterns`),
-    so the mesh keeps, per pattern, the barycentric gradients `type_grads`
-    (6, 4, 3), built from h times the pattern's integer edges, and the
-    volume `type_volumes` (h^3 / 6).
+    data.  A tet's geometry depends only on its pattern, so the mesh keeps,
+    per pattern, the barycentric gradients `type_grads` (6, 4, 3), built
+    from h times the pattern's integer edges, and the volume `type_volumes`
+    (h^3 / 6); a chunk of whole cells has the six patterns in order, cell
+    after cell.
 
     It stores no per-tet array.  `corners` forms the corner vertices of a
-    chunk of tets from the cells it spans: on a full lattice box whose
+    chunk of whole cells (see `tet_chunks`): on a full lattice box whose
     cells are in lexicographic order, as `build_mesh` and `part_outside`
     give them, the lowest corner of cell c by integer arithmetic on c plus
     the pattern's linear corner steps, so the box keeps no cell either; any
@@ -257,24 +254,22 @@ class Mesh:
 
     def corners(self, chunk: slice = slice(None), out: Optional[np.ndarray] = None) -> np.ndarray:
         """Vertex indices (C, 4) int64 of the corners of the tets in `chunk`,
-        a slice with a positive step, all tets by default.
+        a slice of whole cells, all tets by default.
 
-        They are formed for the cells the chunk spans, six tets a cell, and
-        sliced.  On a box that keeps no cells, the lowest corner of cell
+        On a box that keeps no cells, the lowest corner of cell
         c = (i m1 + j) m2 + k, the (m0, m1, m2) cells in C order, is vertex
         (i s1 + j) s2 + k = c + c // m2 + s2 (c // (m1 m2)) of the
         (s0, s1, s2) = (m0 + 1, m1 + 1, m2 + 1) vertices; there `out`, a
-        flat int64 buffer of at least 24 entries per cell spanned, may take
-        them.
+        flat int64 buffer of at least 24 entries per cell, may take them.
         """
-        first, last, local = _cell_span(chunk, self.n_tets)
+        first, last = _cell_span(chunk, self.n_tets)
         if self.box_shape is None:
             keys = self._cells[first:last, None, None] + _CORNER_OFFSETS[_TET_PATTERNS]
-            return self.vertex_indices(keys).reshape(-1, 4)[local]
+            return self.vertex_indices(keys).reshape(-1, 4)
         shape = (last - first, len(_TET_PATTERNS), 4)
         tets = np.add(self._cell_bases(first, last)[:, None, None], self._kuhn_steps,
                       out=None if out is None else out[:math.prod(shape)].reshape(shape))
-        return tets.reshape(-1, 4)[local]
+        return tets.reshape(-1, 4)
 
     def _cell_bases(self, first: int, last: int) -> np.ndarray:
         """The lowest corners (vertex indices) of cells first..last - 1 of a
@@ -288,13 +283,9 @@ class Mesh:
         base += c
         return base
 
-    def tet_patterns(self, chunk: slice = slice(None)) -> np.ndarray:
-        """Kuhn pattern indices (C,) int8 of the tets in `chunk`."""
-        first, last, local = _cell_span(chunk, self.n_tets)
-        return np.tile(np.arange(len(_TET_PATTERNS), dtype=np.int8), last - first)[local]
-
     def barycenters(self, chunk: slice = slice(None)) -> np.ndarray:
-        """Barycenters (C, 3) of the tets in `chunk`, all tets by default."""
+        """Barycenters (C, 3) of the tets in `chunk`, a slice of whole cells,
+        all tets by default."""
         return _corner_mean(self.verts, self.corners(chunk))
 
     @property
@@ -425,8 +416,8 @@ def build_mesh(domain, h: float, patch: Optional[BoundaryPatch] = None) -> Mesh:
     lower and upper corners; each cell is split into six Kuhn tets (see
     Mesh), and the boundary is the Kuhn faces of the open cell sides.  For
     the enlarged domain the bump must be aligned with the lattice (see
-    build_enlarged_domain).  The boundary triangles on `patch`, by default
-    the enlarged domain's own, are flagged in `sigma_mask`.
+    build_enlarged_domain).  The boundary triangles on `patch`, if given,
+    are flagged in `sigma_mask`.
     """
     if isinstance(domain, BoxDomain):
         box = domain
@@ -434,7 +425,6 @@ def build_mesh(domain, h: float, patch: Optional[BoundaryPatch] = None) -> Mesh:
     elif isinstance(domain, EnlargedDomain):
         box = domain.box
         bump = domain
-        patch = patch or domain.patch
     else:
         raise ConfigError(f"cannot mesh a {type(domain).__name__}")
 
@@ -489,36 +479,37 @@ def _corner_mean(verts: np.ndarray, corners: np.ndarray) -> np.ndarray:
 
 def _stiffness_blocks(mesh: Mesh, chunk: slice, coeff, out: Optional[np.ndarray] = None
                       ) -> np.ndarray:
-    """Element stiffness blocks (C, 4, 4) of the tets in `chunk` for their
-    per-tet (C, 3, 3) or a constant real 3x3 coefficient, in `out` if given."""
-    types = mesh.tet_patterns(chunk)
-    grads = mesh.type_grads[types]
+    """Element stiffness blocks (C, 4, 4) of the tets in `chunk`, a slice of
+    whole cells, for their per-tet (C, 3, 3) or a constant real 3x3
+    coefficient, in `out` if given."""
+    first, last = _cell_span(chunk, mesh.n_tets)
+    grads = np.tile(mesh.type_grads, (last - first, 1, 1))
     coeff = np.asarray(coeff)
     if coeff.ndim == 2:
-        coeff = np.broadcast_to(coeff, (len(types), 3, 3))
+        coeff = np.broadcast_to(coeff, (len(grads), 3, 3))
     blocks = np.einsum("taj,tjk,tbk->tab", grads, coeff, grads, optimize=_BLOCK_PATH, out=out)
-    blocks *= mesh.type_volumes[types][:, None, None]
+    blocks *= np.tile(mesh.type_volumes, last - first)[:, None, None]
     return blocks
 
 
 def _stencil_slots(mesh: Mesh, chunk: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Stencil-array slots (16 C,) int32 of the element block entries of the
-    tets in `chunk` of a box that keeps no cells, in the order of their
-    (C, 4, 4) blocks, in `out` if given: a flat int32 buffer of at least
-    96 entries per cell spanned.
+    tets in `chunk`, a slice of whole cells of a box that keeps no cells, in
+    the order of their (C, 4, 4) blocks, in `out` if given: a flat int32
+    buffer of at least 96 entries per cell.
 
     Entry (a, b) of a pattern-p tet with corners v goes to slot
     15 v_a + _STENCIL_SLOTS[p, a, b].  With v_a the lowest corner of the
     tet's cell plus a Kuhn corner step (see `Mesh.corners`), that is 15
     times the lowest corner plus a (6, 4, 4) table, formed per cell.
     """
-    first, last, local = _cell_span(chunk, mesh.n_tets)
+    first, last = _cell_span(chunk, mesh.n_tets)
     table = 15 * mesh._kuhn_steps[:, :, None] + _STENCIL_SLOTS
     shape = (last - first,) + table.shape
     out = (np.empty(shape, dtype=np.int32) if out is None
            else out[:math.prod(shape)].reshape(shape))
     np.add((15 * mesh._cell_bases(first, last))[:, None, None, None], table, out=out)
-    return out.reshape(-1, 16)[local].ravel()
+    return out.ravel()
 
 
 def _stencil_csr(mesh: Mesh, data: np.ndarray) -> sp.csr_matrix:
@@ -547,8 +538,8 @@ def assemble_stiffness(mesh: Mesh, coeff) -> sp.csr_matrix:
     """Stiffness matrix of a full lattice box mesh for a per-tet (or
     constant) real 3x3 coefficient; GeometryError on any other mesh.
 
-    The element blocks of each tet-order chunk are added into the 15-point
-    stencil array by `np.add.at`, which adds in tet order as one
+    The element blocks of each chunk of whole cells are added into the
+    15-point stencil array by `np.add.at`, which adds in tet order as one
     `np.bincount` would, so the matrix has the same bits whatever the chunk
     size.
     """
@@ -575,11 +566,12 @@ class ComplexField:
         self.values = values
 
     def gradients(self, chunk: slice = slice(None)) -> np.ndarray:
-        """Constant gradients (C, 3) complex of the tets in `chunk`, all
-        tets by default."""
+        """Constant gradients (C, 3) complex of the tets in `chunk`, a slice
+        of whole cells, all tets by default."""
         mesh = self.mesh
-        return np.einsum("ta,taj->tj", self.values[mesh.corners(chunk)],
-                         mesh.type_grads[mesh.tet_patterns(chunk)])
+        corners = mesh.corners(chunk)
+        return np.einsum("ta,taj->tj", self.values[corners],
+                         np.tile(mesh.type_grads, (len(corners) // len(_TET_PATTERNS), 1, 1)))
 
 
 _RESIDUAL_RTOL = 1e-10
@@ -1331,7 +1323,7 @@ def _complex_stencil(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k
     # ones at the odd slots.
     parts = data.view(np.float64)
     summaries = (_DiagonalSummary(), _DiagonalSummary())
-    cells = _chunk_size() // len(_TET_PATTERNS) + 2
+    cells = _chunk_size() // len(_TET_PATTERNS)
     corner_buf = np.empty(24 * cells, dtype=np.int64)
     slot_buf = np.empty(96 * cells, dtype=np.int32)
     block_buf = np.empty((_chunk_size(), 4, 4))
@@ -1360,7 +1352,7 @@ def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float)
     mesh; GeometryError on any other mesh.
 
     The field, the coefficient and the element blocks are evaluated over
-    contiguous tet-order chunks within `_BLOCK_BYTES` (see
+    chunks of whole cells within `_BLOCK_BYTES` (see
     `assemble_stiffness`), at the chunk's barycenters; the real blocks and
     the imaginary ones are added into the real and imaginary parts of one
     complex 15-point stencil array.  A constant diagonal coefficient gets
@@ -1386,50 +1378,34 @@ def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float)
 
 
 def energy_density(mesh: Mesh, coeff, u, v, real: bool = False) -> np.ndarray:
-    """Per-tet contributions vol * (coeff grad u) . grad v (unconjugated),
-    for a per-tet (T, 3, 3) or a constant 3x3 coefficient; with `real`,
-    only their real parts, in a float array half the size.
+    """Per-tet contributions (T,) vol * (coeff grad u) . grad v
+    (unconjugated) of the nodal vectors u and v (n,), for a per-tet
+    (T, 3, 3) or a constant 3x3 coefficient; with `real`, only their real
+    parts, in a float array half the size.
 
-    u and v are ComplexFields on the mesh, giving (T,) densities, or (n, c)
-    arrays of nodal columns, giving the (c, T) densities of each pair of
-    columns, one contiguous row per column.  One pass over chunks of
-    lattice cells within `_BLOCK_BYTES` serves every column, each chunk
-    taking its corners from `Mesh.corners`: each gradient component of a
-    Kuhn tet is the difference of two of its corner values over h
-    (`_GRADIENT_CORNERS`), so its bits depend neither on the chunk nor on
-    the other columns, and a caller that needs one column at a time can
-    ask for one column at a time.
+    One pass over the chunks of whole cells of `tet_chunks`, each taking its
+    corners from `Mesh.corners`: each gradient component of a Kuhn tet is
+    the difference of two of its corner values over h (`_GRADIENT_CORNERS`),
+    so its bits do not depend on the chunk.
     """
-    fields = isinstance(u, ComplexField), isinstance(v, ComplexField)
-    if any(fields):
-        if not all(fields) or u.mesh is not mesh or v.mesh is not mesh:
-            raise ConfigError("fields must live on the given mesh")
-        U, V = u.values[:, None], v.values[:, None]
-    else:
-        U, V = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
-        if U.ndim != 2 or U.shape != V.shape or len(U) != mesh.n_vertices:
-            raise ConfigError("nodal columns must be (n_vertices, c) arrays of one shape")
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    if u.shape != (mesh.n_vertices,) or v.shape != u.shape:
+        raise ConfigError("nodal vectors must be (n_vertices,) arrays")
     coeff = np.asarray(coeff)
-    # Tet 6 c + p is Kuhn pattern p of cell c: chunks of whole cells take
+    # Tet 6 c + p is Kuhn pattern p of cell c: a chunk of whole cells takes
     # the six patterns side by side.
     n_patterns = len(_TET_PATTERNS)
-    n_cells = mesh.n_tets // n_patterns
-    columns = U.shape[1]
     up, down = _GRADIENT_CORNERS
     patterns = np.arange(n_patterns)[:, None]
-    out = np.empty((columns, n_cells, n_patterns), dtype=float if real else complex)
-    for cells in tet_chunks(n_cells, columns=n_patterns * columns):
-        corners = mesh.corners(slice(n_patterns * cells.start, n_patterns * cells.stop))
-        corners = corners.reshape(-1, n_patterns, 4)
+    out = np.empty(mesh.n_tets, dtype=float if real else complex)
+    for chunk in tet_chunks(mesh.n_tets):
+        corners = mesh.corners(chunk).reshape(-1, n_patterns, 4)
         ends, starts = corners[:, patterns, up], corners[:, patterns, down]
-        # (C, 6, 3, c) gradients and the coefficient's flux of v's, each
-        # entry summed term by term.
-        gu, gv = ((W[ends] - W[starts]) / mesh.h for W in (U, V))
-        c = (coeff[None, None] if coeff.ndim == 2
-             else coeff.reshape(n_cells, n_patterns, 3, 3)[cells])
-        flux = sum(c[:, :, :, k, None] * gv[:, :, None, k, :] for k in range(3))
+        # (C, 6, 3) gradients and the coefficient's flux of v's, each entry
+        # summed term by term.
+        gu, gv = ((w[ends] - w[starts]) / mesh.h for w in (u, v))
+        c = coeff if coeff.ndim == 2 else coeff[chunk].reshape(-1, n_patterns, 3, 3)
+        flux = sum(c[..., k] * gv[:, :, None, k] for k in range(3))
         dens = sum(gu[:, :, j] * flux[:, :, j] for j in range(3))
-        out[:, cells] = ((dens.real if real else dens)
-                         * mesh.type_volumes[None, :, None]).transpose(2, 0, 1)
-    out = out.reshape(columns, -1)
-    return out[0] if fields[0] else out
+        out[chunk] = ((dens.real if real else dens) * mesh.type_volumes).ravel()
+    return out

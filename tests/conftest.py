@@ -53,9 +53,11 @@ def coo_stiffness(mesh, coeff):
     """Reference assembly on any mesh: per-tet local matrices summed through
     COO."""
     coeff = np.broadcast_to(np.asarray(coeff), (mesh.n_tets, 3, 3))
-    grads = mesh.type_grads[mesh.tet_patterns()]
+    # Tet 6 c + p is Kuhn pattern p of cell c.
+    patterns = np.arange(mesh.n_tets) % 6
+    grads = mesh.type_grads[patterns]
     local = np.einsum("taj,tjk,tbk->tab", grads, coeff, grads)
-    local = local * mesh.type_volumes[mesh.tet_patterns()][:, None, None]
+    local = local * mesh.type_volumes[patterns][:, None, None]
     rows = np.repeat(mesh.corners(), 4, axis=1).reshape(-1)
     cols = np.tile(mesh.corners(), (1, 4)).reshape(-1)
     return sp.coo_matrix((local.reshape(-1), (rows, cols)),

@@ -147,6 +147,14 @@ class TestFrequencyWindow:
         win = frequency_window(2.0, 1.0, 3)
         assert win.k_max == 0.0 and win.empty
 
+    @pytest.mark.parametrize("e1, e2", [(1.0, 0.5), (0.5, 1.0)])
+    def test_unit_maximum_empty(self, e1, e2):
+        # M == 1 > m: the first ratio's denominator M^3 - M^-3 vanishes, and
+        # the window is the empty one, with no division.
+        win = frequency_window(e1, e2, 2)
+        assert win.k_max == 0.0 and win.empty
+        assert best_frequency_window(e1, e2, 2) == WindowResult(0.0, True, (1 / 3, 1 / 3, 1 / 3))
+
     def test_monotone_in_max(self):
         vals = [frequency_window(e1, 1.25, 3).k_max for e1 in (1.3, 1.6, 2.0, 3.0)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
@@ -174,7 +182,7 @@ def _frequency_window_loop(e1, e2, n, partition):
     m = min(e1, e2)
     if abs(M - m) <= 1e-14:
         first = np.tan(pa * np.pi / 4.0)
-    elif abs(m - 1.0) <= 1e-14:
+    elif abs(m - 1.0) <= 1e-14 or abs(M - 1.0) <= 1e-14:
         return WindowResult(0.0, True, tuple(partition))
     else:
         first = (m**3 - m**-3) * np.tan(pa * np.pi / 4.0) / (M**3 - M**-3)
@@ -207,6 +215,8 @@ class TestBestFrequencyWindowOracle:
     @given(e1=CONSTANT, e2=CONSTANT, n=st.integers(2, 4))
     @example(e1=2.2, e2=1.25, n=3)
     @example(e1=0.5, e2=0.8, n=3)
+    @example(e1=1.0, e2=0.5, n=2)
+    @example(e1=0.5, e2=1.0, n=3)
     def test_matches_loop(self, e1, e2, n):
         assert best_frequency_window(e1, e2, n) == _best_window_loop(e1, e2, n)
 

@@ -247,6 +247,28 @@ class TestEstimatorWorkingSet:
         assert extra[1] - extra[0] <= bound, (extra, bound)
 
 
+def _record_bits(records):
+    """The bits of every field of each TauRecord."""
+    return [tuple(np.asarray(v).tobytes() for v in dataclasses.astuple(r)) for r in records]
+
+
+class TestChunkInvariance:
+    def test_records_do_not_depend_on_the_chunks(self, frame16, forward_a1, monkeypatch):
+        """The depth, concentration-ball and energy passes give the bits of
+        each TauRecord whether their chunks are one cell or the default."""
+        import admitlab.fem
+
+        fwd2 = build_forward(frame16, affine_field(0.9, (0.0, 0.0, 0.1)))
+        estimates = (lambda: boundary_gap_estimate(forward_a1, fwd2, X0, m=0, seed=0),
+                     lambda: boundary_gap_estimate(forward_a1, fwd2, X0, m=2, seed=0),
+                     lambda: derivative_gap_estimate(forward_a1, fwd2, X0, seed=0))
+        want = [_record_bits(estimate().records) for estimate in estimates]
+        # One cell's float element blocks.
+        monkeypatch.setattr(admitlab.fem, "_BLOCK_BYTES", 16 * 8 * 6)
+        assert admitlab.fem._chunk_size() == 6
+        assert [_record_bits(estimate().records) for estimate in estimates] == want
+
+
 class TestDerivativeGap:
     def test_affine_gap_recovered(self, frame16, forward_a1):
         # a1 - a2 = 0.1 (1 - z): normal derivative -0.1, boundary value 0.
@@ -447,7 +469,7 @@ def reference_records(fwd1, fwd2, x0, tau_grid, m, rho):
         pairing = complex((f1 / n1) @ delta_p @ (f2 / n2)) * n1 * n2
         u1 = fwd1.system.solve_dirichlet(traces[0])
         u2 = fwd2.system.solve_dirichlet(traces[1])
-        dens = energy_density(frame.mesh, D, u1, u2).real
+        dens = energy_density(frame.mesh, D, u1.values, u2.values).real
         ball = np.linalg.norm(bary - z[None, :], axis=1) < rho
         n_full = float(np.sum(dens))
         records.append(TauRecord(

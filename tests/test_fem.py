@@ -49,7 +49,7 @@ class TestMesh:
 
     def test_positive_volumes_and_partition(self):
         mesh = build_mesh(BOX, 0.25)
-        volumes = mesh.type_volumes[mesh.tet_patterns()]
+        volumes = mesh.type_volumes[_patterns(mesh)]
         assert np.all(volumes > 0.0)
         assert np.sum(volumes) == pytest.approx(1.0, abs=1e-12)
         # Boundary triangles tile the cube surface.
@@ -75,6 +75,9 @@ class TestMesh:
         mesh_eta = build_mesh(enlarged, 0.125)
         vmap = mesh.shared_vertex_map(mesh_eta)
         assert np.allclose(mesh.verts, mesh_eta.verts[vmap])
+        # Only a patch that the caller passes is tagged; the box's patch lies
+        # under the bump anyway.
+        assert not mesh_eta.sigma_mask.any()
 
     @pytest.mark.parametrize("face, base_lo, base_hi, thickness", [
         ("z+", (0.25, 0.25), (0.75, 0.75), 0.3),
@@ -220,14 +223,19 @@ def _det_inv_geometry(verts, tets):
     return tets, np.linalg.det(G) / 6.0, grads
 
 
+def _patterns(mesh):
+    """The Kuhn pattern of each tet: tet 6 c + p is pattern p of cell c."""
+    return np.arange(mesh.n_tets) % 6
+
+
 def _assert_matches_det_inv(mesh, verts, tets):
     """The mesh's gathered type geometry is the per-tet det/inv geometry."""
     want_tets, want_vol, want_grads = _det_inv_geometry(verts, tets)
     assert np.array_equal(mesh.corners(), want_tets)
-    np.testing.assert_allclose(mesh.type_volumes[mesh.tet_patterns()], want_vol,
+    np.testing.assert_allclose(mesh.type_volumes[_patterns(mesh)], want_vol,
                                rtol=1e-14, atol=0.0)
     scale = np.max(np.abs(want_grads), axis=(1, 2))
-    err = np.max(np.abs(mesh.type_grads[mesh.tet_patterns()] - want_grads), axis=(1, 2))
+    err = np.max(np.abs(mesh.type_grads[_patterns(mesh)] - want_grads), axis=(1, 2))
     assert np.all(err <= 1e-14 * scale)
 
 
@@ -254,8 +262,7 @@ class TestClosedFormGeometry:
             assert np.array_equal(mesh.corners(), raw)
             _assert_matches_det_inv(mesh, mesh.verts, raw)
             # Six types, tet 6 c + p of Kuhn pattern p, each of volume h^3 / 6.
-            assert mesh.tet_patterns().dtype == np.int8 and len(mesh.type_grads) == 6
-            assert np.array_equal(mesh.tet_patterns(), np.arange(mesh.n_tets) % 6)
+            assert len(mesh.type_grads) == 6
             np.testing.assert_allclose(mesh.type_volumes, h ** 3 / 6.0, rtol=1e-14)
             _assert_no_per_tet_arrays(mesh)
 
@@ -275,15 +282,17 @@ class TestClosedFormGeometry:
 
 
 @st.composite
-def tet_slices(draw, n_tets):
-    """A slice of the tets with a positive step of at most 6."""
-    start = draw(st.integers(0, n_tets))
-    return slice(start, draw(st.integers(start, n_tets)), draw(st.integers(1, 6)))
+def cell_ranges(draw, n_cells):
+    """Tet slices of whole cells: all of them, none, one, and a contiguous
+    range."""
+    c0 = draw(st.integers(0, n_cells - 1))
+    c1 = draw(st.integers(c0, n_cells))
+    return [slice(None), slice(6 * c0, 6 * c0), slice(6 * c0, 6 * c0 + 6), slice(6 * c0, 6 * c1)]
 
 
 class TestChunkCorners:
-    """Corners, patterns, barycenters and stencil slots formed per chunk
-    have the bits of the tets that `_lattice_topology` gives."""
+    """Corners, barycenters and stencil slots formed per chunk of whole
+    cells have the bits of the tets that `_lattice_topology` gives."""
 
     @settings(max_examples=60, deadline=None)
     @given(cells=lattice_cells(), data=st.data())
@@ -291,7 +300,7 @@ class TestChunkCorners:
         ijk, cell_corners, boundary = _lattice_topology(cells)
         mesh = Mesh(cells, ijk, 0.25, np.array([0.5, -0.25, 0.0]), boundary)
         tets = _cell_tets(cell_corners)
-        patterns = (np.arange(len(tets)) % 6).astype(np.int8)
+        patterns = _patterns(mesh)
         # A full box in lexicographic cell order keeps no cells: its
         # corners come from the cell index alone.
         lexicographic = np.array_equal(cells, cells[np.lexsort(cells.T[::-1])])
@@ -299,30 +308,37 @@ class TestChunkCorners:
         arithmetic = full and lexicographic
         assert (mesh.box_shape is not None) == arithmetic
         assert (mesh._cells is None) == arithmetic
-        slices = [slice(None), slice(None, None, 6)]
-        slices += [data.draw(tet_slices(len(tets))) for _ in range(4)]
-        for chunk in slices:
+        for chunk in data.draw(cell_ranges(len(cells))):
             want = tets[chunk]
             got = mesh.corners(chunk)
             assert got.dtype == want.dtype and np.array_equal(got, want)
-            got = mesh.tet_patterns(chunk)
-            assert got.dtype == np.int8 and np.array_equal(got, patterns[chunk])
             v = mesh.verts
             bary = (v[want[:, 0]] + v[want[:, 1]] + v[want[:, 2]] + v[want[:, 3]]) / 4.0
             assert np.array_equal(mesh.barycenters(chunk).view(np.uint8), bary.view(np.uint8))
             if not arithmetic:
                 continue
-            out = np.full(24 * (len(cells) + 1), -1, dtype=np.int64)
+            # Buffers of exactly the chunk's cells.
+            n_cells = len(want) // 6
+            out = np.full(24 * n_cells, -1, dtype=np.int64)
             assert np.array_equal(mesh.corners(chunk, out=out), want)
             slots = (_STENCIL_SLOTS[patterns[chunk]] + 15 * want[:, :, None]).ravel()
             got = _stencil_slots(mesh, chunk)
             assert got.dtype == np.int32 and np.array_equal(got, slots)
-            out = np.full(96 * (len(cells) + 1), -1, dtype=np.int32)
+            out = np.full(96 * n_cells, -1, dtype=np.int32)
             assert np.array_equal(_stencil_slots(mesh, chunk, out=out), slots)
 
-    def test_negative_step_refused(self):
-        with pytest.raises(ValueError, match="positive step"):
-            build_mesh(BOX, 0.25).corners(slice(None, None, -1))
+    @pytest.mark.parametrize("chunk", [
+        slice(None, None, -1), slice(0, 12, 2), slice(6, 6, 2), slice(0, 5), slice(3, 12),
+        slice(6, -1),
+    ], ids=["reversed", "step-2", "empty-step-2", "stop-inside", "start-inside", "last-tet-off"])
+    def test_slice_not_of_whole_cells_refused(self, chunk):
+        mesh = build_mesh(BOX, 0.25)
+        calls = (mesh.corners, mesh.barycenters, lambda c: _stencil_slots(mesh, c),
+                 lambda c: _stiffness_blocks(mesh, c, np.eye(3)),
+                 ComplexField(mesh, mesh.verts[:, 0]).gradients)
+        for call in calls:
+            with pytest.raises(ValueError, match="whole lattice cells"):
+                call(chunk)
 
 
 def _aniso_coeffs(n_tets, seed):
@@ -1383,66 +1399,61 @@ class TestEnergyPairing:
             assert left == pytest.approx(right, abs=1e-13 * max(1.0, abs(left)))
 
     def test_mesh_mismatch_rejected(self):
-        other = build_mesh(BOX, 0.125)
-        u = ComplexField(other, other.verts[:, 0])
-        with pytest.raises(ConfigError):
-            energy_density(self.mesh, np.eye(3), u, u)
+        # Nodal vectors of another mesh, or not (n,) vectors.
+        other = build_mesh(BOX, 0.125).verts[:, 0]
+        u = self.mesh.verts[:, 0]
+        for pair in ((other, other), (u, other), (u, u[:, None]), (u[:, None], u[:, None])):
+            with pytest.raises(ConfigError):
+                energy_density(self.mesh, np.eye(3), *pair)
 
     def test_density_sums_to_pairing(self):
         fam = scalar_identity_family(k=0.25, imag=1.0)
         system = assemble(self.mesh, fam, A_ONE, 0.25)
         rng = np.random.default_rng(5)
-        u = ComplexField(self.mesh, rng.standard_normal(self.mesh.n_vertices) + 0j)
-        v = ComplexField(self.mesh, rng.standard_normal(self.mesh.n_vertices) + 0j)
+        u = rng.standard_normal(self.mesh.n_vertices) + 0j
+        v = rng.standard_normal(self.mesh.n_vertices) + 0j
         coeff = np.eye(3) + 0.25j * np.eye(3)
         total = np.sum(energy_density(self.mesh, coeff, u, v))
-        assert total == pytest.approx(_energy(system, u.values, v.values), rel=1e-12)
+        assert total == pytest.approx(_energy(system, u, v), rel=1e-12)
 
     @pytest.mark.parametrize("coeff_kind", ["constant", "per-tet"])
-    def test_columns_in_one_pass(self, coeff_kind, monkeypatch):
-        """(n, c) columns give each pair's densities with the bits of its
-        own fields, whatever the chunk, and `real` keeps their real parts."""
-        import admitlab.fem
-
+    def test_matches_pattern_gradients(self, coeff_kind):
+        """Corner differences over h give the densities of the pattern
+        gradients, and `real` keeps the bits of their real parts."""
         rng = np.random.default_rng(7)
         n = self.mesh.n_vertices
-        U, V = (rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5)) for _ in range(2))
         coeff = (np.diag([1.0, 2.0, 0.5]) + 0.3j if coeff_kind == "constant"
                  else _aniso_coeffs(self.mesh.n_tets, seed=9) + 0.5j)
-        dens = energy_density(self.mesh, coeff, U, V)
-        assert dens.shape == (5, self.mesh.n_tets) and dens.flags.c_contiguous
-        for j in range(5):
-            u, v = ComplexField(self.mesh, U[:, j]), ComplexField(self.mesh, V[:, j])
-            single = energy_density(self.mesh, coeff, u, v)
-            assert np.array_equal(dens[j], single)
-            # Corner differences over h against the pattern gradients.
-            c = np.broadcast_to(coeff, (self.mesh.n_tets, 3, 3))
-            ref = (np.einsum("tj,tjk,tk->t", u.gradients(), c, v.gradients())
-                   * self.mesh.type_volumes[self.mesh.tet_patterns()])
-            assert np.max(np.abs(single - ref)) <= 1e-14 * np.max(np.abs(ref))
-        real = energy_density(self.mesh, coeff, U, V, real=True)
-        assert real.dtype == np.float64 and np.array_equal(real, dens.real)
-        monkeypatch.setattr(admitlab.fem, "_BLOCK_BYTES", 128 * 5 * 7)
-        assert np.array_equal(energy_density(self.mesh, coeff, U, V), dens)
-        with pytest.raises(ConfigError):
-            energy_density(self.mesh, coeff, U, V[:, :4])
+        c = np.broadcast_to(coeff, (self.mesh.n_tets, 3, 3))
+        for _ in range(3):
+            u, v = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+            dens = energy_density(self.mesh, coeff, u, v)
+            assert dens.shape == (self.mesh.n_tets,) and dens.dtype == np.complex128
+            grads = [ComplexField(self.mesh, w).gradients() for w in (u, v)]
+            ref = (np.einsum("tj,tjk,tk->t", grads[0], c, grads[1])
+                   * self.mesh.type_volumes[_patterns(self.mesh)])
+            assert np.max(np.abs(dens - ref)) <= 1e-14 * np.max(np.abs(ref))
+            real = energy_density(self.mesh, coeff, u, v, real=True)
+            assert real.dtype == np.float64 and np.array_equal(real, dens.real)
 
     def test_chunked_density_and_gradients(self, monkeypatch):
-        """Densities and gradients evaluated in 7-tet chunks have the bits
-        of one pass over all tets."""
+        """Densities and gradients evaluated in chunks of 1, 7 and all
+        cells have the bits of one pass over all tets."""
         import admitlab.fem
 
         rng = np.random.default_rng(6)
         u = ComplexField(self.mesh, rng.standard_normal(self.mesh.n_vertices)
                          + 1j * rng.standard_normal(self.mesh.n_vertices))
         coeff = _aniso_coeffs(self.mesh.n_tets, seed=8) + 0.5j
-        whole = energy_density(self.mesh, coeff, u, u)
+        whole = energy_density(self.mesh, coeff, u.values, u.values)
         grads = u.gradients()
-        monkeypatch.setattr(admitlab.fem, "_BLOCK_BYTES", 128 * 7)
-        assert np.array_equal(energy_density(self.mesh, coeff, u, u), whole)
-        assert np.array_equal(np.concatenate([u.gradients(slice(s, s + 7))
-                                              for s in range(0, self.mesh.n_tets, 7)]),
-                              grads)
+        for cells in (1, 7, self.mesh.n_tets // 6):
+            monkeypatch.setattr(admitlab.fem, "_BLOCK_BYTES", 128 * 6 * cells)
+            assert np.array_equal(energy_density(self.mesh, coeff, u.values, u.values), whole)
+            step = 6 * cells
+            assert np.array_equal(np.concatenate([u.gradients(slice(s, s + step))
+                                                  for s in range(0, self.mesh.n_tets, step)]),
+                                  grads)
 
 
 def _float_geometry_assemble(mesh, family, a, k):
@@ -1515,13 +1526,13 @@ class TestTypedAssembly:
 
     @pytest.mark.parametrize("size", ["1", "7", "T"])
     def test_chunks_match_one_bincount(self, size, monkeypatch):
-        """np.add.at over tet chunks of 1, 7 and all T tets gives the bits
-        of one np.bincount over every element block."""
+        """np.add.at over chunks of 1, 7 and all cells (all T tets) gives the
+        bits of one np.bincount over every element block."""
         import admitlab.fem
 
         mesh = build_mesh(BOX, 0.2)
-        chunk = {"1": 1, "7": 7, "T": mesh.n_tets}[size]
-        monkeypatch.setattr(admitlab.fem, "_BLOCK_BYTES", 128 * chunk)
+        cells = {"1": 1, "7": 7, "T": mesh.n_tets // 6}[size]
+        monkeypatch.setattr(admitlab.fem, "_BLOCK_BYTES", 128 * 6 * cells)
         coeff = _aniso_coeffs(mesh.n_tets, seed=3)
         assert _bitwise_equal(assemble_stiffness(mesh, coeff), _stiffness_reference(mesh, coeff))
         bump = gaussian_bump_field(1.0, 0.1, (0.5, 0.5, 0.9), 0.3)
