@@ -72,7 +72,10 @@ class AprioriData:
             )
         if self.lam < 1.0:
             raise ConfigError(f"lambda must be >= 1, got {self.lam}")
-        for name in ("e1", "e2", "bigE", "dcal", "fcal"):
+        for name in ("e1", "e2"):
+            if getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("bigE", "dcal", "fcal"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
         if not (0.0 < self.eta <= self.eta0 < self.r0):
@@ -182,14 +185,15 @@ class WindowResult(NamedTuple):
 
 def _window_bound(e1: float, e2: float, n: int, pa, pb, pc):
     """k_max of the partitions (pa, pb, pc), elementwise over arrays; None
-    when m == 1 < M or m < M == 1 empties every window."""
-    if e1 <= 0.0 or e2 <= 0.0:
-        raise ConfigError("ellipticity constants must be positive")
+    when m == 1 < M empties every window.  ConfigError unless e1, e2 >= 1,
+    as lambda must be: below 1 the bounds e^-1 <= A <= e admit no matrix."""
+    if not (e1 >= 1.0 and e2 >= 1.0):
+        raise ConfigError(f"ellipticity constants must be >= 1, got e1={e1}, e2={e2}")
     M = max(e1, e2)
     m = min(e1, e2)
     if abs(M - m) <= 1e-14:
         first = np.tan(pa * np.pi / 4.0)
-    elif abs(m - 1.0) <= 1e-14 or abs(M - 1.0) <= 1e-14:
+    elif abs(m - 1.0) <= 1e-14:
         return None
     else:
         first = (m**3 - m**-3) * np.tan(pa * np.pi / 4.0) / (M**3 - M**-3)
@@ -204,8 +208,8 @@ def frequency_window(e1: float, e2: float, n: int, partition=(1 / 3, 1 / 3, 1 / 
     The bound is min of three terms built from M = max(e1, e2), m = min(e1, e2):
     (m^3 - m^-3) tan(A pi/4) / (M^3 - M^-3), and M^-6 tan(B pi/(2n)),
     M^-6 tan(C pi/(2n)).  The M == m limit takes the first ratio to 1; m == 1
-    with M > 1 makes the numerator vanish and the window empty, and so does
-    M == 1 with m < 1, where the denominator vanishes.
+    with M > 1 makes the numerator vanish and the window empty.  ConfigError
+    unless e1, e2 >= 1.
     """
     pa, pb, pc = partition
     if min(pa, pb, pc) <= 0.0 or abs(pa + pb + pc - 1.0) > 1e-9:

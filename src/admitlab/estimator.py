@@ -244,12 +244,10 @@ def weighted_integral(box: BoxDomain, z, rho: float, exponent: float) -> float:
 class LabFrame:
     """Geometry, meshes, basis and Gram shared by all forwards of a run.
 
-    The frame owns the Omega_eta objects and builds each on first read, once:
-    `mesh_eta`, `vertex_map` (the index in mesh_eta of each vertex of mesh)
-    and `bump`, the mesh of the cells of mesh_eta outside mesh with the
-    index in mesh_eta of each of its vertices (`Mesh.part_outside`), which
-    every Forward's `system_eta` shares.  A run that reads no Omega_eta
-    system, such as `dtn` or a Lipschitz sweep, builds none of them.
+    `bump` is the mesh of the bump box of Omega_eta on the lattice of
+    `mesh`, built on first read, once, and shared by every Forward's
+    `system_eta`.  A run that reads no Omega_eta system, such as `dtn` or
+    a Lipschitz sweep, never builds it.
     """
 
     box: BoxDomain
@@ -265,16 +263,8 @@ class LabFrame:
     window: Optional[WindowResult] = None
 
     @functools.cached_property
-    def mesh_eta(self) -> Mesh:
+    def bump(self) -> Mesh:
         return build_mesh(self.enlarged, self.h)
-
-    @functools.cached_property
-    def vertex_map(self) -> np.ndarray:
-        return self.mesh.shared_vertex_map(self.mesh_eta)
-
-    @functools.cached_property
-    def bump(self) -> tuple:
-        return self.mesh_eta.part_outside(self.mesh, self.vertex_map)
 
     @property
     def k(self) -> float:
@@ -332,9 +322,8 @@ class Forward:
     def system_eta(self) -> SubstructuredSystem:
         # Substructured through the Omega system: no Omega_eta matrix.
         frame = self.frame
-        bump_mesh, bump_map = frame.bump
-        return SubstructuredSystem(frame.mesh_eta, self.system, frame.vertex_map,
-                                   assemble(bump_mesh, frame.family, self.a, frame.k), bump_map)
+        return SubstructuredSystem(self.system,
+                                   assemble(frame.bump, frame.family, self.a, frame.k))
 
     def solver_entries(self, label: str) -> list:
         """One plain manifest entry per system built: the field's `label`,
@@ -370,9 +359,7 @@ class Forward:
         probes = [make_probe(frame.family, self.a, probe_point(path, tau), m)
                   for tau in tau_grid]
         corrected = build_corrected_probe(probes, frame.enlarged, self.system_eta)
-        traces = np.stack(
-            [c.trace_vector(frame.mesh, frame.vertex_map) for c in corrected], axis=1
-        )
+        traces = np.stack([c.trace_vector(frame.mesh) for c in corrected], axis=1)
         sigma = np.asarray(frame.basis.vertices)
         off_sigma = np.ones(frame.mesh.n_vertices, dtype=bool)
         off_sigma[sigma] = False

@@ -1,41 +1,40 @@
-"""P1 tetrahedral finite elements on structured box (and bumped-box) meshes.
+"""P1 tetrahedral finite elements on structured lattice boxes.
 
 The complex divergence-form equation is assembled as the real 2x2-block
 strongly elliptic system with blocks [A_R, -k A_I; k A_I, A_R] sampled at tet
 barycenters (one-point quadrature).  A `BlockSystem` holds the equivalent
 complex matrix K = K_R + i K_I once, as its interior blocks and its boundary
 rows, and its interior solver; K and the block matrix are rebuilt from them
-for the structure and ellipticity checks.  `assemble`
-builds one `BlockSystem` on one full lattice box, and refuses any other
-mesh.  Every Dirichlet solve and every Schur complement onto boundary dofs
-(the DtN pairing and the trace Gram) goes through a `BlockSystem`: a
-sine-transform solve where the interior block is a constant-weight 7-point
-stencil, and conjugate orthogonal CG (COCG) preconditioned by that
-sine-transform solve for any other coefficient.  A sine-transform system's
-Schur complement onto dofs inside one box face is a closed form, diagonal
-in the face's sine basis (`_face_schur`), checked on a few combinations of
-its columns; any other is solved column by column.  An Omega_eta system is
-never assembled whole: it is a `SubstructuredSystem` of the Omega system
-and the system of the bump box outside it (`Mesh.part_outside`), whose
-footprint between them is solved by COCG on the interface, preconditioned
-by the closed-form Schur complements.  Nothing is factored but that dense
+for the structure and ellipticity checks.  `assemble` builds one
+`BlockSystem` on one mesh.  Every Dirichlet solve and every Schur
+complement onto boundary dofs (the DtN pairing and the trace Gram) goes
+through a `BlockSystem`: a sine-transform solve where the interior block is
+a constant-weight 7-point stencil, and conjugate orthogonal CG (COCG)
+preconditioned by that sine-transform solve for any other coefficient.  A
+sine-transform system's Schur complement onto dofs inside one box face is a
+closed form, diagonal in the face's sine basis (`_face_schur`), checked on
+a few combinations of its columns; any other is solved column by column.
+An Omega_eta system is never assembled or meshed whole: it is a
+`SubstructuredSystem` of the Omega system and the system of the bump box
+over the patch, which numbers the union's vertices and solves its
+footprint between them by COCG on the interface, preconditioned by the
+closed-form Schur complements.  Nothing is factored but that dense
 footprint preconditioner.
 
-Meshes are built from integer lattice keys of a set of lattice cells,
-the one source of their topology.  Every tet is one of the six Kuhn tets
-of its lattice cube, positively oriented when the mesh is built, so a mesh
-keeps the geometry per pattern and no per-tet array: a chunk of whole
-cells takes its corners from its cells, on a box by integer arithmetic on
-the cell index.  Its boundary is the Kuhn faces of the cell sides with no
-cell across.  Only a full lattice box is assembled, and on it every stiffness
-row is the same 15-point stencil of Kuhn edge offsets, so each entry of an
-element block goes to a closed-form slot of an (n, 15) stencil array and no
-mesh keeps a scatter map.  One byte budget, `_BLOCK_BYTES`, bounds the
-per-tet and per-column temporaries: tets are evaluated in chunks of whole
-lattice cells and Schur complements solved in column blocks within it, so
-only the live data grows with the mesh.  scipy is imported by the
-functions that build a matrix, so the commands that never assemble one
-(validate, probe) do not pay for importing it.
+Every mesh is one full box of lattice cells, given by its integer lattice
+corners, and its vertices, boundary and tet corners are closed forms of
+them.  Every tet is one of the six Kuhn tets of its lattice cube,
+positively oriented, so a mesh keeps the geometry per pattern and no
+per-tet array: a chunk of whole cells takes its corners by integer
+arithmetic on the cell index.  Every stiffness row is the same 15-point
+stencil of Kuhn edge offsets, so each entry of an element block goes to a
+closed-form slot of an (n, 15) stencil array and no mesh keeps a scatter
+map.  One byte budget, `_BLOCK_BYTES`, bounds the per-tet and per-column
+temporaries: tets are evaluated in chunks of whole lattice cells and Schur
+complements solved in column blocks within it, so only the live data grows
+with the mesh.  scipy is imported by the functions that build a matrix, so
+the commands that never assemble one (validate, probe) do not pay for
+importing it.
 """
 
 from __future__ import annotations
@@ -104,8 +103,8 @@ _SIDE_TRIANGLES = np.stack([
 
 # The lattice offsets (15, 3) from one corner of a Kuhn tet to another, in
 # lexicographic order: zero, the axis steps and the face and main diagonals
-# of the cube, each either way.  A full lattice box keeps its vertices in
-# lexicographic ijk order, so these are the columns of a stiffness row in
+# of the cube, each either way.  A mesh keeps its vertices in lexicographic
+# ijk order, so these are the columns of a stiffness row in
 # order.  Entry (a, b) of the element block of tet t, of pattern p, goes to
 # slot 15 * tets[t, a] + _STENCIL_SLOTS[p, a, b] of an (n, 15) stencil
 # array: the rank of corner b - corner a among the offsets.
@@ -182,99 +181,88 @@ def _int_cells(extent: float, h: float, what: str, minimum: int = 4) -> int:
 
 
 class Mesh:
-    """Conforming tetrahedral mesh on a lattice of pitch h.
+    """Conforming tetrahedral mesh of one full box of lattice cells.
 
-    Built by `build_mesh` from the Kuhn split of a set of distinct lattice
-    `cells` (their lowest corners), as `_lattice_topology` emits it: tet
-    6 c + p is Kuhn pattern p of cell c, positively oriented, and the
-    vertices are the cell corners in lexicographic ijk order, at
-    anchor + h * ijk.  Integer lattice keys let meshes of the domain and of
-    its enlargement (built with the same pitch and anchor) share nodal
-    data.  A tet's geometry depends only on its pattern, so the mesh keeps,
-    per pattern, the barycentric gradients `type_grads` (6, 4, 3), built
-    from h times the pattern's integer edges, and the volume `type_volumes`
-    (h^3 / 6); a chunk of whole cells has the six patterns in order, cell
-    after cell.
+    The box runs from the integer lattice corner `lo` to `hi`, at least one
+    cell along each axis: its cells are the lattice cubes with lowest
+    corners lo <= c < hi, in lexicographic order, and its vertices `ijk`
+    the lattice points lo <= ijk <= hi, in lexicographic order, at
+    `verts` = anchor + h * ijk.  Meshes built with the same pitch and
+    anchor share the lattice, so a vertex of one is found in another by its
+    integer key (`vertex_indices`).  Tet 6 c + p is Kuhn pattern p of cell
+    c, positively oriented.  A tet's geometry depends only on its pattern,
+    so the mesh keeps, per pattern, the barycentric gradients `type_grads`
+    (6, 4, 3), built from h times the pattern's integer edges, and the
+    volume `type_volumes` (h^3 / 6).
 
-    It stores no per-tet array.  `corners` forms the corner vertices of a
-    chunk of whole cells (see `tet_chunks`): on a full lattice box whose
-    cells are in lexicographic order, as `build_mesh` and `part_outside`
-    give them, the lowest corner of cell c by integer arithmetic on c plus
-    the pattern's linear corner steps, so the box keeps no cell either; any
-    other mesh keeps its cells and looks their corners up by lattice key.
-    `barycenters` and the assembly take their corners chunk by chunk.
-    `sigma_mask` flags the boundary triangles on the measurement patch;
-    `build_mesh` sets it.  `box_shape` is the shape of the interior
-    vertices of such a box, the one kind of mesh that is assembled (see
-    `assemble_stiffness`), and None for any other mesh.
+    It stores no per-tet array and no cell: `corners` forms the corner
+    vertices of a chunk of whole cells (see `tet_chunks`) by integer
+    arithmetic on the cell index.  `boundary_vertex_mask` flags the
+    vertices on the box faces, and `boundary_tris` lists the Kuhn faces of
+    the cell sides on them, each row sorted and the rows in lexicographic
+    order.  `sigma_mask` flags the boundary triangles on the measurement
+    patch; `build_mesh` sets it.  `box_shape` is the shape of the interior
+    vertices, in C order, empty along an axis one cell thick.
     """
 
-    def __init__(self, cells, ijk, h, anchor, boundary_tris):
-        self.verts = anchor[None, :] + ijk * h
-        self.ijk = ijk
+    def __init__(self, lo, hi, h, anchor):
+        lo, hi = (np.array(c, dtype=np.int64) for c in (lo, hi))
+        if lo.shape != (3,) or hi.shape != (3,) or np.any(hi <= lo):
+            raise GeometryError("a mesh box needs at least one lattice cell along each axis")
+        self.lo, self.hi = lo, hi
         self.h = h
         self.anchor = anchor
-        self.boundary_tris = boundary_tris
-        self.sigma_mask = np.zeros(len(boundary_tris), dtype=bool)
+        shape = hi - lo + 1
+        self.box_shape = tuple(int(s) - 2 for s in shape)
+        # Vertex ijk is (ijk - lo) @ _strides in lexicographic order.
+        self._strides = np.array([shape[1] * shape[2], shape[2], 1])
+        self.ijk = np.stack(np.meshgrid(*map(np.arange, lo, hi + 1), indexing="ij"),
+                            axis=-1).reshape(-1, 3)
+        self.verts = anchor[None, :] + self.ijk * h
+        self.boundary_vertex_mask = np.any((self.ijk == lo) | (self.ijk == hi), axis=1)
+        self.boundary_tris = self._boundary_tris()
+        self.sigma_mask = np.zeros(len(self.boundary_tris), dtype=bool)
         self.type_grads, self.type_volumes = _type_geometry(_KUHN_EDGES, h)
+        # Corner c of a Kuhn pattern is this many vertices past the lowest
+        # corner of its cell.
+        self._kuhn_steps = _CORNER_OFFSETS[_TET_PATTERNS] @ self._strides
 
-        self.boundary_vertex_mask = np.zeros(len(ijk), dtype=bool)
-        self.boundary_vertex_mask[np.unique(boundary_tris)] = True
-        # Lattice keys linearised over the bounding ijk box; in vertex order
-        # they are sorted, so lookups are a vectorised binary search.
-        self._ijk_lo = ijk.min(axis=0)
-        self._ijk_hi = ijk.max(axis=0)
-        self._keys = self._linear_keys(ijk)
-        if np.any(self._keys[1:] <= self._keys[:-1]):
-            raise GeometryError("mesh vertices are not in strictly increasing ijk order")
-        # A full lattice box with its cells in lexicographic order: its
-        # interior vertices form an (N0, N1, N2) block in C order, empty for
-        # a box one cell thick, and it keeps no cells.
-        span = self._ijk_hi - self._ijk_lo + 1
-        cells = np.asarray(cells, dtype=np.int64)
-        self._n_cells = len(cells)
-        box = (len(ijk) == int(np.prod(span)) and np.all(span >= 2)
-               and np.array_equal(cells, self._box_cells()))
-        self.box_shape = tuple(int(s) - 2 for s in span) if box else None
-        self._cells = None if box else cells
-        if box:
-            # Corner c of a Kuhn pattern is this many vertices past the
-            # lowest corner of its cell, in lexicographic vertex order.
-            self._kuhn_steps = _CORNER_OFFSETS[_TET_PATTERNS] @ np.array(
-                [span[1] * span[2], span[2], 1])
-
-    def _box_cells(self) -> np.ndarray:
-        """The cells of the bounding lattice box, in lexicographic order."""
-        ranges = map(np.arange, self._ijk_lo, self._ijk_hi)
-        return np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, 3)
-
-    def cells(self) -> np.ndarray:
-        """The lattice cells (C, 3), by their lowest corners, in cell order."""
-        return self._box_cells() if self.box_shape is not None else self._cells
+    def _boundary_tris(self) -> np.ndarray:
+        """The Kuhn faces (row-sorted, lexicographic) of the cell sides on
+        the box faces: on side 2 a + s, those at offset s on axis a of the
+        cells in the first (s = 0) or last (s = 1) layer along a."""
+        cells = self.hi - self.lo
+        corner_steps = _CORNER_OFFSETS @ self._strides
+        tris = []
+        for side, (axis, s) in enumerate(itertools.product(range(3), (0, 1))):
+            ranges = [np.arange(m) for m in cells]
+            ranges[axis] = np.array([s * (cells[axis] - 1)])
+            layer = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, 3)
+            corners = (layer @ self._strides)[:, None] + corner_steps
+            tris.append(corners[:, _SIDE_TRIANGLES[side]].reshape(-1, 3))
+        tris = np.sort(np.concatenate(tris), axis=1)
+        return tris[np.lexsort(tris.T[::-1])]
 
     def corners(self, chunk: slice = slice(None), out: Optional[np.ndarray] = None) -> np.ndarray:
         """Vertex indices (C, 4) int64 of the corners of the tets in `chunk`,
         a slice of whole cells, all tets by default.
 
-        On a box that keeps no cells, the lowest corner of cell
-        c = (i m1 + j) m2 + k, the (m0, m1, m2) cells in C order, is vertex
-        (i s1 + j) s2 + k = c + c // m2 + s2 (c // (m1 m2)) of the
-        (s0, s1, s2) = (m0 + 1, m1 + 1, m2 + 1) vertices; there `out`, a
-        flat int64 buffer of at least 24 entries per cell, may take them.
+        The lowest corner of cell c = (i m1 + j) m2 + k, the (m0, m1, m2)
+        cells in C order, is vertex (i s1 + j) s2 + k = c + c // m2 +
+        s2 (c // (m1 m2)) of the (s0, s1, s2) = (m0 + 1, m1 + 1, m2 + 1)
+        vertices; `out`, a flat int64 buffer of at least 24 entries per
+        cell, may take them.
         """
         first, last = _cell_span(chunk, self.n_tets)
-        if self.box_shape is None:
-            keys = self._cells[first:last, None, None] + _CORNER_OFFSETS[_TET_PATTERNS]
-            return self.vertex_indices(keys).reshape(-1, 4)
         shape = (last - first, len(_TET_PATTERNS), 4)
         tets = np.add(self._cell_bases(first, last)[:, None, None], self._kuhn_steps,
                       out=None if out is None else out[:math.prod(shape)].reshape(shape))
         return tets.reshape(-1, 4)
 
     def _cell_bases(self, first: int, last: int) -> np.ndarray:
-        """The lowest corners (vertex indices) of cells first..last - 1 of a
-        box that keeps no cells (see `corners`)."""
-        m1, m2 = (int(m) for m in self._ijk_hi[1:] - self._ijk_lo[1:])
+        """The lowest corners (vertex indices) of cells first..last - 1 (see
+        `corners`)."""
+        m1, m2 = (int(m) for m in self.hi[1:] - self.lo[1:])
         c = np.arange(first, last)
         base = c // m2
         base += c
@@ -294,169 +282,58 @@ class Mesh:
 
     @property
     def n_tets(self) -> int:
-        return len(_TET_PATTERNS) * self._n_cells
-
-    def _linear_keys(self, ijk: np.ndarray) -> np.ndarray:
-        span = self._ijk_hi - self._ijk_lo + 1
-        rel = np.asarray(ijk, dtype=np.int64) - self._ijk_lo
-        return (rel[:, 0] * span[1] + rel[:, 1]) * span[2] + rel[:, 2]
+        return len(_TET_PATTERNS) * math.prod(int(m) for m in self.hi - self.lo)
 
     def vertex_indices(self, ijk) -> np.ndarray:
-        """Vertex indices of integer lattice keys, one per row of `ijk`."""
+        """Vertex indices of integer lattice keys, one per row of `ijk`;
+        GeometryError naming the first key off the box."""
         ijk = np.asarray(ijk, dtype=np.int64).reshape(-1, 3)
-        inside = np.all((ijk >= self._ijk_lo) & (ijk <= self._ijk_hi), axis=1)
-        keys = np.where(inside, self._linear_keys(ijk), -1)
-        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-        missing = ~inside | (self._keys[pos] != keys)
+        missing = np.any((ijk < self.lo) | (ijk > self.hi), axis=1)
         if np.any(missing):
             first = tuple(int(v) for v in ijk[np.argmax(missing)])
             raise GeometryError(
                 f"{int(np.sum(missing))} lattice keys are not mesh vertices, "
                 f"first {first}"
             )
-        return pos
-
-    def part_outside(self, core: "Mesh", vertex_map) -> tuple:
-        """The lattice cells of this mesh outside those of `core`, which
-        `vertex_map` embeds in it, as a mesh of their own on this lattice,
-        and the indices here of that mesh's vertices.
-
-        The part keeps the order of the cells.  GeometryError unless the
-        core's cells are cells of this mesh and the cells outside them form
-        one full lattice box.
-        """
-        _vertex_map(vertex_map, core, self)
-        cells, core_cells = self.cells(), core.cells()
-        outside = cells[~np.isin(self._linear_keys(cells), self._linear_keys(core_cells))]
-        if len(cells) - len(outside) != len(core_cells):
-            raise GeometryError("a cell of the core is not a cell of the mesh")
-        if not len(outside) or len(outside) != np.prod(np.ptp(outside, axis=0) + 1):
-            raise GeometryError("the part of the mesh outside the core is not one lattice box")
-        ijk, _, boundary = _lattice_topology(outside)
-        return Mesh(outside, ijk, self.h, self.anchor, boundary), self.vertex_indices(ijk)
-
-    def shared_vertex_map(self, other: "Mesh") -> np.ndarray:
-        """Indices in `other` of this mesh's vertices (same lattice anchor)."""
-        if abs(self.h - other.h) > 1e-12 or np.max(np.abs(self.anchor - other.anchor)) > 1e-12:
-            raise GeometryError("meshes do not share a lattice")
-        return other.vertex_indices(self.ijk)
-
-
-def _vertex_map(vertex_map, part: Mesh, mesh: Mesh) -> np.ndarray:
-    """`vertex_map` as an array, GeometryError unless it maps the vertices
-    of the `part` mesh one-to-one into those of `mesh` with the same
-    lattice keys, on the same lattice."""
-    vmap = np.asarray(vertex_map)
-    if (vmap.shape != (part.n_vertices,) or vmap.dtype.kind not in "iu"
-            or np.any(vmap < 0) or np.any(vmap >= mesh.n_vertices)
-            or len(np.unique(vmap)) != len(vmap)):
-        raise GeometryError("the vertex map is not a one-to-one map of the "
-                            "part's mesh into this mesh")
-    if (part.h != mesh.h or not np.array_equal(part.anchor, mesh.anchor)
-            or not np.array_equal(mesh.ijk[vmap], part.ijk)):
-        raise GeometryError("the vertex map does not keep the lattice keys")
-    return vmap
-
-
-def _sorted_runs(keys: np.ndarray):
-    """Sorted keys and the mask of positions starting a run of equal keys.
-
-    A plain sort: it is several times faster here than np.unique, which
-    hashes first.
-    """
-    keys = np.sort(keys)
-    starts = np.empty(len(keys), dtype=bool)
-    starts[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-    return keys, starts
-
-
-def _lattice_topology(cells):
-    """Vertex ijk keys (lexicographic), the vertex indices (C, 8) of each
-    cell's corners (by `_corner_id`) and the boundary triangles (row-sorted,
-    lexicographic) of a set of C distinct lattice cells.
-
-    Tet 6 c + p, the positively oriented Kuhn pattern p of cell c, has
-    corners `corners[c, _TET_PATTERNS[p]]`.  The boundary triangles are the
-    Kuhn faces of the open cell sides, those with no cell across.
-    """
-    cells = np.asarray(cells, dtype=np.int64)
-    # Cells and corners are found by linearised ijk keys, whose order is the
-    # lexicographic order of the ijk rows; a one-cell margin keys the cells
-    # across every side too.
-    lo = cells.min(axis=0) - 1
-    span = cells.max(axis=0) - lo + 2
-    stride = np.array([span[1] * span[2], span[2], 1])
-    cell_keys = (cells - lo) @ stride
-    corner_keys = cell_keys[:, None] + _CORNER_OFFSETS @ stride
-    keys_sorted, starts = _sorted_runs(corner_keys.ravel())
-    uniq = keys_sorted[starts]
-    del keys_sorted, starts
-    corner_idx = np.searchsorted(uniq, corner_keys)
-    del corner_keys
-    verts_ijk = lo + np.stack([uniq // stride[0], uniq // span[2] % span[1], uniq % span[2]],
-                              axis=1)
-
-    cells_sorted = np.sort(cell_keys)
-    tris = []
-    for side, (axis, step) in enumerate(itertools.product(range(3), (-1, 1))):
-        across = cell_keys + step * stride[axis]
-        pos = np.minimum(np.searchsorted(cells_sorted, across), len(cells) - 1)
-        is_open = cells_sorted[pos] != across
-        tris.append(corner_idx[is_open][:, _SIDE_TRIANGLES[side]].reshape(-1, 3))
-    tris = np.sort(np.concatenate(tris), axis=1)
-    boundary = tris[np.lexsort(tris.T[::-1])]
-    return verts_ijk, corner_idx, boundary
+        return (ijk - self.lo) @ self._strides
 
 
 def build_mesh(domain, h: float, patch: Optional[BoundaryPatch] = None) -> Mesh:
-    """Structured mesh of a box or of an enlarged (bumped) box.
+    """Structured mesh of a box, or of the bump box of an enlarged domain on
+    the lattice of its box.
 
-    The box and the bump are each a block of lattice cells between integer
-    lower and upper corners; each cell is split into six Kuhn tets (see
-    Mesh), and the boundary is the Kuhn faces of the open cell sides.  For
-    the enlarged domain the bump must be aligned with the lattice (see
-    build_enlarged_domain).  The boundary triangles on `patch`, if given,
+    The lattice is anchored at the box's lower corner with pitch h, which
+    must divide each box extent into at least four cells; the bump must be
+    aligned with it (see build_enlarged_domain).  Each cell is split into
+    six Kuhn tets (see Mesh).  The boundary triangles on `patch`, if given,
     are flagged in `sigma_mask`.
     """
     if isinstance(domain, BoxDomain):
         box = domain
-        bump = None
     elif isinstance(domain, EnlargedDomain):
         box = domain.box
-        bump = domain
     else:
         raise ConfigError(f"cannot mesh a {type(domain).__name__}")
 
     lo, hi = box.lo_arr, box.hi_arr
-    blocks = [((0, 0, 0), [_int_cells(hi[a] - lo[a], h, f"axis-{a}") for a in range(3)])]
-    if bump is not None:
-        b_lo, b_hi = bump.bump_box
+    c_lo = np.zeros(3, dtype=np.int64)
+    c_hi = np.array([_int_cells(hi[a] - lo[a], h, f"axis-{a}") for a in range(3)])
+    if isinstance(domain, EnlargedDomain):
+        b_lo, b_hi = domain.bump_box
         c_lo, c_hi = np.rint((b_lo - lo) / h), np.rint((b_hi - lo) / h)
         if (np.any(c_hi <= c_lo) or np.max(np.abs(lo + c_lo * h - b_lo)) > 1e-9
                 or np.max(np.abs(lo + c_hi * h - b_hi)) > 1e-9):
             raise GeometryError("bump is not aligned with the mesh pitch")
-        blocks.append((c_lo.astype(np.int64), c_hi.astype(np.int64)))
-    cells = np.concatenate([
-        np.stack(np.meshgrid(*map(np.arange, c_lo, c_hi), indexing="ij"), axis=-1).reshape(-1, 3)
-        for c_lo, c_hi in blocks
-    ])
-
-    verts_ijk, corners, boundary = _lattice_topology(cells)
-    # The mesh forms the corners of its tets per chunk.
-    del corners
-    mesh = Mesh(cells, verts_ijk, h, lo.copy(), boundary)
+    mesh = Mesh(c_lo, c_hi, h, lo.copy())
     if patch is not None:
-        # A boundary triangle is on the patch when its corners share the
-        # face plane's lattice coordinate and lie within the rectangle.
+        # A boundary triangle is on the patch when its corners are: on the
+        # face plane and within the rectangle.
         a = patch.axis
-        ijk_b = verts_ijk[boundary]
-        on_plane = (ijk_b[:, :, a] == ijk_b[:, :1, a]).all(axis=1)
-        on_plane &= np.abs(mesh.anchor[a] + ijk_b[:, 0, a] * h - patch.plane_coord) < 1e-9
-        lat = patch.lateral(mesh.verts[boundary])
-        inside = np.all((lat >= np.asarray(patch.rect_lo) - 1e-9)
-                        & (lat <= np.asarray(patch.rect_hi) + 1e-9), axis=(1, 2))
-        mesh.sigma_mask = on_plane & inside
+        on_patch = np.abs(mesh.anchor[a] + mesh.ijk[:, a] * h - patch.plane_coord) < 1e-9
+        lat = patch.lateral(mesh.verts[on_patch])
+        on_patch[on_patch] = np.all((lat >= np.asarray(patch.rect_lo) - 1e-9)
+                                    & (lat <= np.asarray(patch.rect_hi) + 1e-9), axis=1)
+        mesh.sigma_mask = np.all(on_patch[mesh.boundary_tris], axis=1)
     return mesh
 
 
@@ -494,8 +371,7 @@ def _stiffness_blocks(mesh: Mesh, chunk: slice, coeff, out: Optional[np.ndarray]
 
 def _stencil_slots(mesh: Mesh, chunk: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Stencil-array slots (16 C,) int32 of the element block entries of the
-    tets in `chunk`, a slice of whole cells of a box that keeps no cells, in
-    the order of their (C, 4, 4) blocks, in `out` if given: a flat int32
+    tets in `chunk`, a slice of whole cells, in the order of their (C, 4, 4) blocks, in `out` if given: a flat int32
     buffer of at least 96 entries per cell.
 
     Entry (a, b) of a pattern-p tet with corners v goes to slot
@@ -513,8 +389,8 @@ def _stencil_slots(mesh: Mesh, chunk: slice, out: Optional[np.ndarray] = None) -
 
 
 def _stencil_csr(mesh: Mesh, data: np.ndarray) -> sp.csr_matrix:
-    """The square CSR matrix of the stencil array `data` (15 n,) of a full
-    lattice box mesh, exact zeros dropped; `data` becomes its data.
+    """The square CSR matrix of the stencil array `data` (15 n,) of a mesh,
+    exact zeros dropped; `data` becomes its data.
 
     Slot 15 v + s is the entry of row v and column v plus offset s.  The
     slots whose column is off the box were never written, so they are
@@ -524,8 +400,7 @@ def _stencil_csr(mesh: Mesh, data: np.ndarray) -> sp.csr_matrix:
     import scipy.sparse as sp
 
     n = mesh.n_vertices
-    span = mesh._ijk_hi - mesh._ijk_lo + 1
-    steps = _STENCIL_OFFSETS @ np.array([span[1] * span[2], span[2], 1])
+    steps = _STENCIL_OFFSETS @ mesh._strides
     indices = np.arange(n, dtype=np.int32)[:, None] + steps.astype(np.int32)
     np.clip(indices, 0, n - 1, out=indices)
     indptr = np.arange(0, 15 * n + 1, 15, dtype=np.int32)
@@ -535,16 +410,14 @@ def _stencil_csr(mesh: Mesh, data: np.ndarray) -> sp.csr_matrix:
 
 
 def assemble_stiffness(mesh: Mesh, coeff) -> sp.csr_matrix:
-    """Stiffness matrix of a full lattice box mesh for a per-tet (or
-    constant) real 3x3 coefficient; GeometryError on any other mesh.
+    """Stiffness matrix of a mesh for a per-tet (or constant) real 3x3
+    coefficient.
 
     The element blocks of each chunk of whole cells are added into the
     15-point stencil array by `np.add.at`, which adds in tet order as one
     `np.bincount` would, so the matrix has the same bits whatever the chunk
     size.
     """
-    if mesh.box_shape is None:
-        raise GeometryError("assemble_stiffness needs a full lattice box mesh")
     coeff = np.asarray(coeff)
     data = np.zeros(15 * mesh.n_vertices)
     for chunk in tet_chunks(mesh.n_tets):
@@ -638,9 +511,8 @@ def box_solve(mesh: Mesh, weights):
     not depend on the other columns, so its solution has the same bits
     whatever columns ride beside it.
     """
-    if mesh.box_shape is None or min(mesh.box_shape) == 0:
-        raise GeometryError("the sine-transform solve needs a full lattice box mesh "
-                            "with interior vertices")
+    if min(mesh.box_shape) == 0:
+        raise GeometryError("the sine-transform solve needs a mesh with interior vertices")
     shape = mesh.box_shape
     n0, n1, n2 = shape
     sines = [_sine_matrix(n) for n in shape]
@@ -676,7 +548,7 @@ def box_solve(mesh: Mesh, weights):
 
 def _face_schur(mesh: Mesh, weights, sigma: np.ndarray) -> Optional[np.ndarray]:
     """Closed-form Schur complement onto the boundary dofs sigma of the P1
-    stiffness of diag(weights) on a full lattice box, the other boundary
+    stiffness of diag(weights) on a mesh, the other boundary
     dofs pinned to zero; None unless sigma lies in the interior of one box
     face.
 
@@ -696,10 +568,10 @@ def _face_schur(mesh: Mesh, weights, sigma: np.ndarray) -> Optional[np.ndarray]:
     pinned.  It is formed on sigma's bounding rectangle of the face by two
     contractions, one per tangent axis.  The weights may be complex.
     """
-    if mesh.box_shape is None or not len(sigma):
+    if not len(sigma):
         return None
     shape = np.array(mesh.box_shape)
-    rel = mesh.ijk[sigma] - mesh._ijk_lo
+    rel = mesh.ijk[sigma] - mesh.lo
     for axis in range(3):
         t = [b for b in range(3) if b != axis]
         level = rel[0, axis]
@@ -1156,17 +1028,49 @@ class BlockSystem(_SolverCounters):
         return values
 
 
-class SubstructuredSystem(_SolverCounters):
-    """The system of a field on a mesh that two parts tile, solved through
-    the same field's systems on the parts, with no matrix of the whole
-    mesh: the Omega_eta system, from the Omega system `core` and the system
-    `bump` of the lattice box outside it (`Mesh.part_outside`), which
-    `LabFrame.bump` builds once per frame.  GeometryError unless both parts
-    were assembled from the same field.
+class LatticeVertices:
+    """The vertices of a union of lattice boxes that is not meshed whole:
+    their integer keys `ijk`, their points `verts` and the union's
+    `boundary_vertex_mask`, as a `Mesh` has them, and no tet."""
 
-    The parts' cells tile the mesh, so its matrix is the sum of theirs
-    through their vertex maps.  Their interiors map to disjoint interior
-    vertices, and the rest of the interior, the `footprint` f, to boundary
+    def __init__(self, ijk: np.ndarray, verts: np.ndarray, boundary_vertex_mask: np.ndarray):
+        self.ijk, self.verts = ijk, verts
+        self.boundary_vertex_mask = boundary_vertex_mask
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.verts)
+
+
+def _on_open_cell(ijk: np.ndarray, boxes) -> np.ndarray:
+    """Whether one of the 8 lattice cells around each vertex of `ijk`
+    (m, 3) is a cell of none of the meshes `boxes`."""
+    open_cell = np.zeros(len(ijk), dtype=bool)
+    for offset in _CORNER_OFFSETS:
+        cell = ijk - offset
+        covered = np.zeros(len(ijk), dtype=bool)
+        for box in boxes:
+            covered |= np.all((cell >= box.lo) & (cell < box.hi), axis=1)
+        open_cell |= ~covered
+    return open_cell
+
+
+class SubstructuredSystem(_SolverCounters):
+    """The system of a field on the union of two lattice boxes, solved
+    through the same field's systems on the boxes, with no mesh or matrix
+    of the union: the Omega_eta system, from the Omega system `core` and
+    the system `bump` of the bump box over the patch (`LabFrame.bump`).
+    GeometryError unless both parts were assembled from the same field on
+    one lattice, their cells do not overlap and they share a vertex inside
+    the union.
+
+    The union's vertices, `mesh` (a `LatticeVertices`), are the core's,
+    in their order, then the bump's other vertices, in bump order.  A
+    vertex is on its boundary when one of its 8 lattice cells is a cell of
+    neither part.  The parts' cells tile the union, so its matrix is the
+    sum of theirs.  Their interiors are disjoint interior vertices, and
+    the rest of the interior, the `footprint` f, the shared vertices off
+    the boundary (in core order, which is lexicographic), are boundary
     vertices of both parts.  A Dirichlet solve is two-subdomain iterative
     substructuring (Smith, Bjorstad and Gropp, 1996): both parts are solved
     with u pinned to zero on f, and u_f solves T u_f = -(K u)_f, where
@@ -1193,31 +1097,41 @@ class SubstructuredSystem(_SolverCounters):
 
     solver_kind = "via-core"
 
-    def __init__(self, mesh: Mesh, core: BlockSystem, core_map, bump: BlockSystem, bump_map):
+    def __init__(self, core: BlockSystem, bump: BlockSystem):
         if bump.field != core.field:
             raise GeometryError("the core and the bump were assembled from different fields")
+        c, b = core.mesh, bump.mesh
+        if c.h != b.h or not np.array_equal(c.anchor, b.anchor):
+            raise GeometryError("the core and the bump are not on one lattice")
+        if np.all(np.maximum(c.lo, b.lo) < np.minimum(c.hi, b.hi)):
+            raise GeometryError("the core and the bump overlap, so they have no disjoint interiors")
         super().__init__()
-        self.mesh, self.core, self.bump = mesh, core, bump
-        inside = ~mesh.boundary_vertex_mask
-        self.interior = np.flatnonzero(inside)
-        maps = [_vertex_map(core_map, core.mesh, mesh), _vertex_map(bump_map, bump.mesh, mesh)]
-        covered = np.zeros(mesh.n_vertices, dtype=np.int64)
-        for part, vmap in zip((core, bump), maps):
-            covered[vmap[part.interior]] += 1
-        if np.any(covered[~inside]) or np.any(covered > 1):
-            raise GeometryError("the parts' interiors do not map to disjoint interior vertices")
-        self.footprint = np.flatnonzero(inside & (covered == 0))
-        # Each part with the index here of each of its vertices and the
-        # index in its mesh of each footprint vertex.
-        self._parts = []
-        for part, vmap in zip((core, bump), maps):
-            owner = np.full(mesh.n_vertices, -1, dtype=np.int64)
-            owner[vmap] = np.arange(len(vmap))
-            if np.any(owner[self.footprint] < 0):
-                raise GeometryError("a footprint vertex is not a vertex of both parts")
-            self._parts.append((part, vmap, owner[self.footprint]))
+        self.core, self.bump = core, bump
+        shared = np.all((b.ijk >= c.lo) & (b.ijk <= c.hi), axis=1)
+        own = ~shared
+        n_core = c.n_vertices
+        # The index here of each bump vertex.
+        bump_map = np.empty(b.n_vertices, dtype=np.int64)
+        bump_map[shared] = c.vertex_indices(b.ijk[shared])
+        bump_map[own] = n_core + np.arange(np.count_nonzero(own))
+        ijk = np.concatenate([c.ijk, b.ijk[own]])
+        # A vertex inside either part is inside the union.
+        boundary = np.concatenate([c.boundary_vertex_mask, b.boundary_vertex_mask[own]])
+        candidates = np.flatnonzero(boundary)
+        boundary[candidates] = _on_open_cell(ijk[candidates], (c, b))
+        self.mesh = LatticeVertices(ijk, np.concatenate([c.verts, b.verts[own]]), boundary)
+        self.interior = np.flatnonzero(~boundary)
+        in_bump = np.zeros(n_core, dtype=bool)
+        in_bump[bump_map[shared]] = True
+        self.footprint = np.flatnonzero(in_bump & ~boundary[:n_core])
+        if not len(self.footprint):
+            raise GeometryError("no vertex inside the union is a vertex of both parts")
+        # Each part with the index here of each of its vertices (the core's
+        # are its own) and the index in it of each footprint vertex.
+        self._parts = [(core, slice(0, n_core), self.footprint),
+                       (bump, bump_map, b.vertex_indices(ijk[self.footprint]))]
         # The core's blocks on f, which apply S_core(f) through its interior.
-        f_core = self._parts[0][2]
+        f_core = self.footprint
         K_f = core.boundary_rows(f_core)
         self._K_ff, self._K_fI = K_f[:, f_core], K_f[:, core.interior]
         self._K_If = core._K_ib[:, np.searchsorted(core.boundary, f_core)]
@@ -1264,13 +1178,12 @@ class SubstructuredSystem(_SolverCounters):
         rhs = -self._product(values)[self.interior]
         for part, vmap, _ in self._parts:
             values[vmap] = part.solve_dirichlet(values[vmap])
-        core, core_map, _ = self._parts[0]
         x, iterations = _cocg(self._apply_interface, T_inv.__matmul__,
                               -self._product(values)[self.footprint],
-                              carried=len(core.interior), name="interface COCG")
+                              carried=len(self.core.interior), name="interface COCG")
         self._count_krylov(iterations)
         values[self.footprint] = x[:len(self.footprint)]
-        values[core_map[core.interior]] += x[len(self.footprint):]
+        values[self.core.interior] += x[len(self.footprint):]
         bump, bump_map, _ = self._parts[1]
         values[bump_map] = bump.solve_dirichlet(values[bump_map])
         # K_II u_I + K_IB g is K u on the interior.
@@ -1348,8 +1261,7 @@ def _complex_stencil(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k
 
 
 def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float) -> BlockSystem:
-    """Block system for div(A(x, a(x)) grad u) = 0 on a full lattice box
-    mesh; GeometryError on any other mesh.
+    """Block system for div(A(x, a(x)) grad u) = 0 on a mesh.
 
     The field, the coefficient and the element blocks are evaluated over
     chunks of whole cells within `_BLOCK_BYTES` (see
@@ -1361,9 +1273,6 @@ def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float)
     diagonal, summarised over the same chunks.  The system records the
     (family, a, k) it was built from in `field`.
     """
-    if mesh.box_shape is None:
-        raise GeometryError("assemble needs a full lattice box mesh; an Omega_eta system "
-                            "is a SubstructuredSystem of its parts")
     data, summaries = _complex_stencil(mesh, family, a, k)
     real, imag = summaries
     axis_weights = cocg_weights = None

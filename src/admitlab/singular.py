@@ -227,11 +227,12 @@ class CorrectedProbe:
     enlarged: EnlargedDomain
 
     @property
-    def mesh_eta(self) -> Mesh:
+    def mesh_eta(self):
+        """The vertices of the enlarged domain, Omega's first."""
         return self.corrector.mesh
 
     def total_at_nodes(self, nodes: np.ndarray) -> np.ndarray:
-        """u_m + corrector at the given vertices of the enlargement mesh.
+        """u_m + corrector at the given vertices of the enlarged domain.
 
         Exactly zero at the enlarged boundary by construction of the data.
         """
@@ -242,15 +243,15 @@ class CorrectedProbe:
         vals[free] = leading_term(self.probe, mesh.verts[inner]) + self.corrector.values[inner]
         return vals
 
-    def trace_vector(self, mesh_omega: Mesh, vmap: np.ndarray) -> np.ndarray:
+    def trace_vector(self, mesh_omega: Mesh) -> np.ndarray:
         """Nodal boundary trace on the original domain mesh (zero interior).
 
-        vmap is `mesh_omega.shared_vertex_map(self.mesh_eta)`, computed once
-        per pair of meshes by the caller.
+        The enlarged domain numbers Omega's vertices first, in Omega's
+        order, so vertex i of `mesh_omega` is vertex i there.
         """
         trace = np.zeros(mesh_omega.n_vertices, dtype=complex)
         bnd = mesh_omega.boundary_vertex_mask
-        trace[bnd] = self.total_at_nodes(vmap[bnd])
+        trace[bnd] = self.total_at_nodes(np.flatnonzero(bnd))
         return trace
 
 
@@ -260,8 +261,10 @@ def build_corrected_probe(
     system: BlockSystem | SubstructuredSystem,
 ) -> list:
     """Correctors for a sequence of probes from one multi-column solve of
-    the system of the enlarged mesh, standalone or substructured through
-    its Omega system; every trace dies off the patch.
+    the system of the enlarged domain, whose `mesh` numbers Omega's
+    vertices first: the `SubstructuredSystem` of the Omega and bump
+    systems, or any system on such vertices; every trace dies off the
+    patch.
 
     Returns one CorrectedProbe per probe, in order.
     """

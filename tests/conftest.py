@@ -9,7 +9,7 @@ import admitlab.estimator
 from admitlab.errors import SolverError
 from admitlab.estimator import LabFrame, build_forward, build_frame
 from admitlab.families import constant_field, scalar_identity_family
-from admitlab.fem import BlockSystem
+from admitlab.fem import _CORNER_OFFSETS, _FACE_LOCAL, _TET_PATTERNS, BlockSystem, _corner_mean
 from admitlab.geometry import BoundaryPatch, BoxDomain
 
 
@@ -29,10 +29,70 @@ def _factor_interior(K_ii):
         raise SolverError(f"sparse factorisation failed: {exc}") from exc
 
 
+def lattice_topology(cells):
+    """The tests' reference topology of a set of distinct lattice cells,
+    through np.unique over rows: the vertex ijk keys in lexicographic
+    order, the vertex indices (C, 8) of each cell's corners, by corner id,
+    and the boundary triangles, the Kuhn faces of exactly one tet, each row
+    sorted and the rows in lexicographic order."""
+    cells = np.asarray(cells, dtype=np.int64)
+    corners = (cells[:, None, :] + _CORNER_OFFSETS[None, :, :]).reshape(-1, 3)
+    ijk, inverse = np.unique(corners, axis=0, return_inverse=True)
+    cell_corners = inverse.reshape(len(cells), 8)
+    faces = np.sort(cell_corners[:, _TET_PATTERNS][:, :, _FACE_LOCAL].reshape(-1, 3), axis=1)
+    uniq, counts = np.unique(faces, axis=0, return_counts=True)
+    return ijk, cell_corners, uniq[counts == 1]
+
+
+def box_cells(mesh):
+    """The lattice cells (C, 3) of a box mesh, by their lowest corners, in
+    lexicographic order."""
+    return np.stack(np.meshgrid(*map(np.arange, mesh.lo, mesh.hi), indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+
+
+class UnionMesh:
+    """The tests' Omega_eta reference: the union of the cells of two box
+    meshes on one lattice, the `core`'s cells and then the `bump`'s, with
+    the topology of `lattice_topology`.  Its vertices are numbered by a
+    lattice-key dict, Omega first: the core's in their order, then the
+    bump's others in bump order.  Tet 6 c + p is Kuhn pattern p of cell c.
+    It has what `coo_stiffness`, `lu_system` and the corrected probes read
+    of a mesh."""
+
+    def __init__(self, core, bump):
+        self.h, self.anchor = core.h, core.anchor
+        self.type_grads, self.type_volumes = core.type_grads, core.type_volumes
+        ijk, cell_corners, tris = lattice_topology(np.concatenate([box_cells(core),
+                                                                   box_cells(bump)]))
+        index = {}
+        for key in map(tuple, np.concatenate([core.ijk, bump.ijk]).tolist()):
+            index.setdefault(key, len(index))
+        assert len(index) == len(ijk)
+        number = np.array([index[key] for key in map(tuple, ijk.tolist())])
+        self.ijk = np.empty_like(ijk)
+        self.ijk[number] = ijk
+        self.verts = self.anchor + self.ijk * self.h
+        self._corners = number[cell_corners][:, _TET_PATTERNS].reshape(-1, 4)
+        self.boundary_vertex_mask = np.zeros(len(ijk), dtype=bool)
+        self.boundary_vertex_mask[number[tris]] = True
+        self.n_tets = len(self._corners)
+
+    @property
+    def n_vertices(self):
+        return len(self.ijk)
+
+    def corners(self):
+        return self._corners
+
+    def barycenters(self):
+        return _corner_mean(self.verts, self._corners)
+
+
 class LuSystem(BlockSystem):
-    """The tests' oracle: a `BlockSystem` on any mesh, the standalone
-    Omega_eta mesh among them, whose interior block is factored by sparse
-    LU at the first solve.  Its Schur complements, Dirichlet solves and
+    """The tests' oracle: a `BlockSystem` on any mesh, the `UnionMesh` of
+    Omega_eta among them, whose interior block is factored by sparse LU at
+    the first solve.  Its Schur complements, Dirichlet solves and
     residual checks are `BlockSystem`'s own."""
 
     solver_kind = "sparse-lu"

@@ -277,6 +277,12 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "real-part-upper" in out and "FAIL" in out
 
+    @pytest.mark.parametrize("key", ["apriori.e1", "apriori.e2"])
+    def test_ellipticity_constant_below_one(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, {key: 0.5})
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
     def test_unparseable_config(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text(":::", encoding="utf-8")
@@ -361,7 +367,7 @@ class TestDtnCommand:
 
 
     def test_meshes_only_the_box(self, tmp_path, mesh_domains):
-        # dtn reads no Omega_eta system, so it builds no Omega_eta mesh.
+        # dtn reads no Omega_eta system, so it builds no bump mesh.
         path = write_config(tmp_path)
         assert main(["dtn", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert len(mesh_domains) == 1 and isinstance(mesh_domains[0], BoxDomain)
@@ -658,7 +664,7 @@ class TestSweepCommand:
         assert (out / "sweep_lipschitz.svg").exists()
 
     def test_lipschitz_sweep_meshes_only_the_box(self, tmp_path, mesh_domains):
-        # A Lipschitz sweep pairs DtN maps only: no Omega_eta mesh.
+        # A Lipschitz sweep pairs DtN maps only: no bump mesh.
         path = write_config(tmp_path)
         assert main(["sweep", "--mode", "lipschitz", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 0

@@ -23,7 +23,7 @@ from admitlab.families import (affine_field, constant_field,
 from admitlab.fem import energy_density
 from admitlab.geometry import BoundaryPatch, BoxDomain, ProbePath, probe_point
 from admitlab.singular import build_corrected_probe, make_probe
-from conftest import traced_extra
+from conftest import UnionMesh, lu_system, traced_extra
 
 BOX = BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 X0 = (0.5, 0.5, 1.0)
@@ -444,9 +444,13 @@ ORACLE_FAMILIES = {
 
 
 def reference_records(fwd1, fwd2, x0, tau_grid, m, rho):
-    """The per-probe path: one corrector and one single-column solve per
-    probe, the pairing read from the dense DtN matrices."""
+    """The per-probe path: one corrector per probe from the oracle's
+    Omega_eta system of its field, a sparse LU on the union of the Omega
+    and bump boxes, and one single-column solve per probe, the pairing read
+    from the dense DtN matrices."""
     frame = fwd1.frame
+    union = UnionMesh(frame.mesh, frame.bump)
+    oracles = [lu_system(union, frame.family, fwd.a, frame.k) for fwd in (fwd1, fwd2)]
     x0 = np.asarray(x0, dtype=float)
     path = ProbePath(frame.eta_sets, tuple(x0), tuple(tau_grid))
     t_star = 0.5 * (float(fwd1.a.values(x0)) + float(fwd2.a.values(x0)))
@@ -459,10 +463,10 @@ def reference_records(fwd1, fwd2, x0, tau_grid, m, rho):
     for tau in tau_grid:
         z = probe_point(path, tau)
         traces = []
-        for fwd in (fwd1, fwd2):
+        for fwd, oracle in zip((fwd1, fwd2), oracles):
             probe = make_probe(frame.family, fwd.a, z, m)
-            (corrected,) = build_corrected_probe([probe], frame.enlarged, fwd.system_eta)
-            traces.append(corrected.trace_vector(frame.mesh, frame.vertex_map))
+            (corrected,) = build_corrected_probe([probe], frame.enlarged, oracle)
+            traces.append(corrected.trace_vector(frame.mesh))
         f1, f2 = traces[0][sigma], traces[1][sigma]
         n1 = float(np.sqrt(np.real(np.conj(f1) @ frame.gram @ f1)))
         n2 = float(np.sqrt(np.real(np.conj(f2) @ frame.gram @ f2)))
@@ -647,8 +651,8 @@ class TestSweepDriver:
         def assemble_logged(mesh, family, a, k):
             return logged(real_assemble(mesh, family, a, k), a)
 
-        def substructured_logged(mesh, core, *args):
-            return logged(real_substructured(mesh, core, *args), core.field[1])
+        def substructured_logged(core, bump):
+            return logged(real_substructured(core, bump), core.field[1])
 
         monkeypatch.setattr(admitlab.estimator, "build_forward", build_forward_checked)
         monkeypatch.setattr(admitlab.estimator, "assemble", assemble_logged)
@@ -672,7 +676,7 @@ class TestSweepDriver:
 
 def test_estimators_build_no_omega_eta_pattern(monkeypatch):
     # Each Omega_eta system is substructured through its Omega and bump
-    # systems, so no assembly ever receives the Omega_eta mesh.
+    # systems, so the frame's two boxes are the only meshes assembled.
     meshes = []
     for module, name in ((admitlab.estimator, "assemble"), (admitlab.dtn, "assemble"),
                          (admitlab.dtn, "assemble_stiffness")):
@@ -688,8 +692,7 @@ def test_estimators_build_no_omega_eta_pattern(monkeypatch):
     boundary_gap_estimate(fwd1, fwd2, X0, seed=0)
     derivative_gap_estimate(fwd1, fwd2, X0, seed=0)
     assert all("system_eta" in vars(fwd) for fwd in (fwd1, fwd2))
-    assert any(mesh is frame.mesh for mesh in meshes)
-    assert not any(mesh is frame.mesh_eta for mesh in meshes)
+    assert {id(mesh) for mesh in meshes} == {id(frame.mesh), id(frame.bump)}
 
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))

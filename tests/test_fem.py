@@ -17,14 +17,14 @@ from admitlab.families import (affine_field, constant_field,
 from admitlab.dtn import boundary_mass_sigma
 from admitlab.config import load_config
 from admitlab.estimator import build_forward, build_frame
-from admitlab.fem import (_CORNER_OFFSETS, _FACE_LOCAL, _STENCIL_SLOTS, _TET_PATTERNS,
-                          BlockSystem, ComplexField, Mesh, SubstructuredSystem,
-                          _lattice_topology, _stencil_slots, _stiffness_blocks, assemble,
-                          assemble_stiffness, box_solve, build_mesh,
-                          energy_density)
+import admitlab.estimator
+from admitlab.fem import (_STENCIL_SLOTS, _TET_PATTERNS, BlockSystem, ComplexField, Mesh,
+                          SubstructuredSystem, _stencil_slots, _stiffness_blocks, assemble,
+                          assemble_stiffness, box_solve, build_mesh, energy_density)
 from admitlab.geometry import (FACE_NAMES, BoxDomain, BoundaryPatch,
                                EnlargedDomain, build_enlarged_domain)
-from conftest import LuSystem, bincount_csr, coo_stiffness, lu_system, traced_extra
+from conftest import (LuSystem, UnionMesh, bincount_csr, box_cells, coo_stiffness,
+                      lattice_topology, lu_system, traced_extra)
 
 BOX = BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -72,12 +72,14 @@ class TestMesh:
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
         enlarged = build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125)
         mesh = build_mesh(BOX, 0.125, patch=patch)
-        mesh_eta = build_mesh(enlarged, 0.125)
-        vmap = mesh.shared_vertex_map(mesh_eta)
-        assert np.allclose(mesh.verts, mesh_eta.verts[vmap])
-        # Only a patch that the caller passes is tagged; the box's patch lies
-        # under the bump anyway.
-        assert not mesh_eta.sigma_mask.any()
+        bump = build_mesh(enlarged, 0.125)
+        # The bump box, two cells over the snapped base, on Omega's lattice:
+        # its base vertices have the bits of the same vertices of Omega.
+        assert bump.lo.tolist() == [2, 2, 8] and bump.hi.tolist() == [6, 6, 10]
+        base = bump.ijk[:, 2] == 8
+        assert np.array_equal(bump.verts[base], mesh.verts[mesh.vertex_indices(bump.ijk[base])])
+        # Only a patch that the caller passes is tagged.
+        assert not bump.sigma_mask.any()
 
     @pytest.mark.parametrize("face, base_lo, base_hi, thickness", [
         ("z+", (0.25, 0.25), (0.75, 0.75), 0.3),
@@ -101,7 +103,8 @@ def _dict_vertex_map(mesh, other):
 
 @st.composite
 def enlarged_meshes(draw):
-    """Box and enlarged-domain meshes on a random lattice, face and patch.
+    """The meshes of a box and of its enlargement's bump box on a random
+    lattice, face and patch.
 
     Patch edges sit half a pitch off the lattice and eta = 2h, so the bump
     base snaps inside the patch with an inset of h/2.
@@ -123,88 +126,82 @@ def enlarged_meshes(draw):
     return build_mesh(box, h, patch=patch), build_mesh(enlarged, h)
 
 
+def _laplace_parts(mesh, bump):
+    """The Laplace systems of a core and a bump mesh."""
+    return assemble(mesh, LAPLACE, A_ONE, 0.0), assemble(bump, LAPLACE, A_ONE, 0.0)
+
+
 class TestVertexLookup:
     @settings(max_examples=25, deadline=None)
     @given(meshes=enlarged_meshes())
     def test_shared_map_matches_dict_lookup(self, meshes):
-        mesh, mesh_eta = meshes
-        vmap = mesh.shared_vertex_map(mesh_eta)
-        assert np.array_equal(vmap, _dict_vertex_map(mesh, mesh_eta))
-        assert np.allclose(mesh.verts, mesh_eta.verts[vmap])
-        # The bump vertices have no counterpart in the box mesh.
-        with pytest.raises(GeometryError):
-            mesh_eta.shared_vertex_map(mesh)
+        # The Omega_eta vertices of a substructured system are the dict-
+        # numbered oracle's, bit for bit, and each part's map into them is a
+        # dict lookup of the part's keys.
+        via = SubstructuredSystem(*_laplace_parts(*meshes))
+        union = UnionMesh(*meshes)
+        assert np.array_equal(via.mesh.ijk, union.ijk)
+        assert np.array_equal(via.mesh.verts.view(np.uint8), union.verts.view(np.uint8))
+        assert np.array_equal(via.mesh.boundary_vertex_mask, union.boundary_vertex_mask)
+        every = np.arange(via.mesh.n_vertices)
+        for part, vmap, _ in via._parts:
+            assert np.array_equal(every[vmap], _dict_vertex_map(part.mesh, union))
 
     @settings(max_examples=25, deadline=None)
     @given(meshes=enlarged_meshes(), data=st.data())
     def test_single_key_found_or_rejected(self, meshes, data):
-        _, mesh_eta = meshes
-        lookup = {tuple(key): i for i, key in enumerate(map(tuple, mesh_eta.ijk))}
-        key = tuple(
-            data.draw(st.integers(int(lo) - 2, int(hi) + 2))
-            for lo, hi in zip(mesh_eta.ijk.min(axis=0), mesh_eta.ijk.max(axis=0))
-        )
-        if key in lookup:
-            assert mesh_eta.vertex_indices([key]).tolist() == [lookup[key]]
-        else:
-            with pytest.raises(GeometryError):
-                mesh_eta.vertex_indices([key])
+        for mesh in meshes:
+            lookup = {tuple(key): i for i, key in enumerate(map(tuple, mesh.ijk))}
+            key = tuple(data.draw(st.integers(int(lo) - 2, int(hi) + 2))
+                        for lo, hi in zip(mesh.lo, mesh.hi))
+            if key in lookup:
+                assert mesh.vertex_indices([key]).tolist() == [lookup[key]]
+            else:
+                with pytest.raises(GeometryError, match="not mesh vertices"):
+                    mesh.vertex_indices([key])
 
     def test_foreign_lattice_rejected(self):
-        with pytest.raises(GeometryError):
-            build_mesh(BOX, 0.25).shared_vertex_map(build_mesh(BOX, 0.125))
-
-
-def _unique_rows_topology(cells):
-    """Reference lattice topology through np.unique over ijk and face rows."""
-    cells = np.asarray(cells, dtype=np.int64)
-    corners = (cells[:, None, :] + _CORNER_OFFSETS[None, :, :]).reshape(-1, 3)
-    verts_ijk, inverse = np.unique(corners, axis=0, return_inverse=True)
-    cell_corners = inverse.reshape(len(cells), 8)
-    faces = np.sort(_cell_tets(cell_corners)[:, _FACE_LOCAL].reshape(-1, 3), axis=1)
-    uniq, counts = np.unique(faces, axis=0, return_counts=True)
-    return verts_ijk, cell_corners, uniq[counts == 1]
+        patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
+        mesh = build_mesh(BOX, 0.25)
+        bump = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
+        with pytest.raises(GeometryError, match="one lattice"):
+            SubstructuredSystem(*_laplace_parts(mesh, bump))
 
 
 def _cell_tets(cell_corners):
     """The Kuhn tets (6 C, 4), tet 6 c + p of pattern p, of the cells whose
-    corners `_lattice_topology` gives."""
+    corners `lattice_topology` gives."""
     return cell_corners[:, _TET_PATTERNS].reshape(-1, 4)
 
 
 @st.composite
-def lattice_cells(draw):
-    """A box of lattice cells at a random offset, with a block of cells
-    attached over part of one face in about half the draws."""
-    n = np.array([draw(st.integers(1, 5)) for _ in range(3)])
+def lattice_boxes(draw):
+    """The lattice corners (lo, hi) of a non-cubic box, one cell thick
+    along an axis in some draws, at a random lattice offset."""
+    n = draw(st.tuples(*[st.integers(1, 5)] * 3).filter(lambda c: len(set(c)) > 1))
     lo = np.array([draw(st.integers(-6, 6)) for _ in range(3)])
-    ranges = [range(lo[a], lo[a] + n[a]) for a in range(3)]
-    blocks = [ranges]
-    if draw(st.booleans()):
-        axis = draw(st.integers(0, 2))
-        depth = draw(st.integers(1, 3))
-        bump = list(ranges)
-        bump[axis] = (range(lo[axis] + n[axis], lo[axis] + n[axis] + depth)
-                      if draw(st.booleans()) else range(lo[axis] - depth, lo[axis]))
-        for t in (a for a in range(3) if a != axis):
-            i0 = draw(st.integers(0, n[t] - 1))
-            i1 = draw(st.integers(i0 + 1, n[t]))
-            bump[t] = range(lo[t] + i0, lo[t] + i1)
-        blocks.append(bump)
-    cells = [np.stack(np.meshgrid(*b, indexing="ij"), axis=-1).reshape(-1, 3)
-             for b in blocks]
-    return np.concatenate(cells)
+    return lo, lo + np.array(n)
+
+
+def _offset_mesh(box):
+    """The mesh of lattice corners (lo, hi) at pitch 1/4, anchored off the
+    origin."""
+    return Mesh(*box, 0.25, np.array([0.5, -0.25, 0.0]))
 
 
 class TestKeyedMeshBuild:
     @settings(max_examples=60, deadline=None)
-    @given(cells=lattice_cells())
-    def test_matches_unique_rows_reference(self, cells):
-        got = _lattice_topology(cells)
-        want = _unique_rows_topology(cells)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype
-            assert np.array_equal(g, w)
+    @given(box=lattice_boxes())
+    def test_matches_unique_rows_reference(self, box):
+        # The closed-form vertices and boundary of a box have the bits of
+        # the reference topology of its cells.
+        mesh = _offset_mesh(box)
+        ijk, _, tris = lattice_topology(box_cells(mesh))
+        for got, want in ((mesh.ijk, ijk), (mesh.boundary_tris, tris)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        mask = np.zeros(len(ijk), dtype=bool)
+        mask[tris] = True
+        assert np.array_equal(mesh.boundary_vertex_mask, mask)
 
 
 def _det_inv_geometry(verts, tets):
@@ -252,9 +249,7 @@ class TestClosedFormGeometry:
     def test_box_meshes(self):
         for h in (0.25, 0.2, 0.125, 0.05):
             mesh = build_mesh(BOX, h)
-            raw = _cell_tets(_lattice_topology(
-                np.stack(np.meshgrid(*[np.arange(round(1 / h))] * 3, indexing="ij"),
-                         axis=-1).reshape(-1, 3))[1])
+            raw = _cell_tets(lattice_topology(box_cells(mesh))[1])
             # The Kuhn tets come out positively oriented, so the det/inv
             # oracle flips none of them.
             edges = mesh.verts[raw[:, 1:]] - mesh.verts[raw[:, :1]]
@@ -273,13 +268,6 @@ class TestClosedFormGeometry:
             _assert_matches_det_inv(mesh, mesh.verts, mesh.corners())
             _assert_no_per_tet_arrays(mesh)
 
-    def test_unsorted_vertices_raise(self):
-        mesh = build_mesh(BOX, 0.25)
-        order = np.arange(mesh.n_vertices)
-        order[[3, 4]] = order[[4, 3]]
-        with pytest.raises(GeometryError, match="increasing ijk order"):
-            Mesh(mesh.cells(), mesh.ijk[order], mesh.h, mesh.anchor, mesh.boundary_tris)
-
 
 @st.composite
 def cell_ranges(draw, n_cells):
@@ -292,31 +280,21 @@ def cell_ranges(draw, n_cells):
 
 class TestChunkCorners:
     """Corners, barycenters and stencil slots formed per chunk of whole
-    cells have the bits of the tets that `_lattice_topology` gives."""
+    cells have the bits of the tets that `lattice_topology` gives."""
 
     @settings(max_examples=60, deadline=None)
-    @given(cells=lattice_cells(), data=st.data())
-    def test_chunks_match_the_topology(self, cells, data):
-        ijk, cell_corners, boundary = _lattice_topology(cells)
-        mesh = Mesh(cells, ijk, 0.25, np.array([0.5, -0.25, 0.0]), boundary)
-        tets = _cell_tets(cell_corners)
+    @given(box=lattice_boxes(), data=st.data())
+    def test_chunks_match_the_topology(self, box, data):
+        mesh = _offset_mesh(box)
+        tets = _cell_tets(lattice_topology(box_cells(mesh))[1])
         patterns = _patterns(mesh)
-        # A full box in lexicographic cell order keeps no cells: its
-        # corners come from the cell index alone.
-        lexicographic = np.array_equal(cells, cells[np.lexsort(cells.T[::-1])])
-        full = len(cells) == np.prod(np.ptp(cells, axis=0) + 1)
-        arithmetic = full and lexicographic
-        assert (mesh.box_shape is not None) == arithmetic
-        assert (mesh._cells is None) == arithmetic
-        for chunk in data.draw(cell_ranges(len(cells))):
+        for chunk in data.draw(cell_ranges(mesh.n_tets // 6)):
             want = tets[chunk]
             got = mesh.corners(chunk)
             assert got.dtype == want.dtype and np.array_equal(got, want)
             v = mesh.verts
             bary = (v[want[:, 0]] + v[want[:, 1]] + v[want[:, 2]] + v[want[:, 3]]) / 4.0
             assert np.array_equal(mesh.barycenters(chunk).view(np.uint8), bary.view(np.uint8))
-            if not arithmetic:
-                continue
             # Buffers of exactly the chunk's cells.
             n_cells = len(want) // 6
             out = np.full(24 * n_cells, -1, dtype=np.int64)
@@ -378,12 +356,9 @@ class TestCachedPatternAssembly:
     def meshes(self):
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
         mesh = build_mesh(BOX, 0.125, patch=patch)
-        mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
-        # "enlarged" is the bump box, the part of Omega_eta that is
-        # assembled; the Omega_eta mesh itself is refused.
-        bump = mesh_eta.part_outside(mesh, mesh.shared_vertex_map(mesh_eta))[0]
-        return {"box": mesh, "enlarged": bump, "fifth": build_mesh(BOX, 0.2),
-                "omega-eta": mesh_eta}
+        # "enlarged" is the bump box, the part of Omega_eta outside Omega.
+        bump = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
+        return {"box": mesh, "enlarged": bump, "fifth": build_mesh(BOX, 0.2)}
 
     @pytest.mark.parametrize("name", ["box", "enlarged", "fifth"])
     @pytest.mark.parametrize("kind", ["constant", "anisotropic"])
@@ -400,9 +375,11 @@ class TestCachedPatternAssembly:
         assert K.has_sorted_indices
         assert _bitwise_equal(K, _stiffness_reference(mesh, coeff))
 
-    def test_refuses_a_mesh_that_is_not_a_box(self, meshes):
-        with pytest.raises(GeometryError, match="full lattice box"):
-            assemble_stiffness(meshes["omega-eta"], np.eye(3))
+    def test_refuses_a_mesh_that_is_not_a_box(self):
+        # Lattice corners with no cell along an axis, or not 3-D.
+        for lo, hi in (((0, 0, 0), (4, 4, 0)), ((1, 0, 0), (0, 4, 4)), ((0, 0), (4, 4))):
+            with pytest.raises(GeometryError, match="at least one lattice cell"):
+                Mesh(lo, hi, 0.25, np.zeros(3))
 
     def test_boundary_mass_matches_coo_reference(self, meshes):
         mesh = meshes["box"]
@@ -445,25 +422,14 @@ class TestCachedPatternAssembly:
         assert all(np.array_equal(before[name], value) for name, value in saved.items())
 
 
-@st.composite
-def lattice_boxes(draw):
-    """The cells of a non-cubic box, one cell thick along an axis in some
-    draws, at a random lattice offset."""
-    n = draw(st.tuples(*[st.integers(1, 5)] * 3).filter(lambda c: len(set(c)) > 1))
-    lo = [draw(st.integers(-6, 6)) for _ in range(3)]
-    return np.stack(np.meshgrid(*[np.arange(l, l + k) for l, k in zip(lo, n)], indexing="ij"),
-                    axis=-1).reshape(-1, 3)
-
-
 class TestStencilAssembly:
     """The 15-point stencil assembly has the bits of one np.bincount of all
     element blocks in tet order."""
 
     @settings(max_examples=30, deadline=None)
-    @given(cells=lattice_boxes(), seed=st.integers(0, 2 ** 16))
-    def test_boxes_at_a_lattice_offset(self, cells, seed):
-        ijk, _, boundary = _lattice_topology(cells)
-        mesh = Mesh(cells, ijk, 0.25, np.array([0.5, -0.25, 0.0]), boundary)
+    @given(box=lattice_boxes(), seed=st.integers(0, 2 ** 16))
+    def test_boxes_at_a_lattice_offset(self, box, seed):
+        mesh = _offset_mesh(box)
         coeff = _aniso_coeffs(mesh.n_tets, seed)
         assert _bitwise_equal(assemble_stiffness(mesh, coeff), _stiffness_reference(mesh, coeff))
         assert _bitwise_equal(assemble(mesh, ROTATED, AFFINE, ROTATED.freq).matrix(),
@@ -473,8 +439,7 @@ class TestStencilAssembly:
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
         mesh = build_mesh(BOX, 0.125, patch=patch)
         enlarged = EnlargedDomain(BOX, patch, 0.125, (0.25, 0.25), (0.75, 0.75), 0.125)
-        mesh_eta = build_mesh(enlarged, 0.125)
-        bump = mesh_eta.part_outside(mesh, mesh.shared_vertex_map(mesh_eta))[0]
+        bump = build_mesh(enlarged, 0.125)
         assert min(bump.box_shape) == 0
         coeff = _aniso_coeffs(bump.n_tets, seed=11)
         assert _bitwise_equal(assemble_stiffness(bump, coeff), _stiffness_reference(bump, coeff))
@@ -503,9 +468,8 @@ class TestBlockSystem:
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
         mesh = build_mesh(BOX, 0.125, patch=patch)
         if domain == "omega-eta":
-            # The bump box, the part of Omega_eta that is assembled.
-            mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
-            mesh = mesh_eta.part_outside(mesh, mesh.shared_vertex_map(mesh_eta))[0]
+            # The bump box, the part of Omega_eta outside Omega.
+            mesh = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
         a = affine_field(1.0, (0.1, -0.05, 0.2))
         system = assemble(mesh, fam, a, fam.freq)
         t = a.values(mesh.barycenters())
@@ -626,9 +590,8 @@ class TestOneCopy:
     def meshes(self):
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
         mesh = build_mesh(BOX, 0.125, patch=patch)
-        mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
-        bump = mesh_eta.part_outside(mesh, mesh.shared_vertex_map(mesh_eta))[0]
-        return {"box": mesh, "bump": bump, "omega-eta": mesh_eta}
+        bump = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
+        return {"box": mesh, "bump": bump, "omega-eta": UnionMesh(mesh, bump)}
 
     @pytest.mark.parametrize("kind", ["sine-transform", "box-cocg"])
     def test_no_attribute_is_n_by_n(self, meshes, kind):
@@ -789,12 +752,13 @@ class TestBoxSolve:
         mesh = build_mesh(BoxDomain((0.0, 0.0, 0.0), (1.25, 1.0, 1.5)), 0.25)
         assert mesh.box_shape == (4, 3, 5)
         assert np.sum(~mesh.boundary_vertex_mask) == 60
+        # A bump box one cell thick has no interior to solve.
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
-        enlarged = build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125)
-        mesh_eta = build_mesh(enlarged, 0.125)
-        assert mesh_eta.box_shape is None
-        with pytest.raises(GeometryError):
-            box_solve(mesh_eta, (1.0, 1.0, 1.0))
+        enlarged = EnlargedDomain(BOX, patch, 0.125, (0.25, 0.25), (0.75, 0.75), 0.125)
+        bump = build_mesh(enlarged, 0.125)
+        assert bump.box_shape == (3, 3, 0)
+        with pytest.raises(GeometryError, match="interior vertices"):
+            box_solve(bump, (1.0, 1.0, 1.0))
 
     @settings(max_examples=20, deadline=None)
     @given(box_weight_cases())
@@ -849,7 +813,8 @@ class TestBoxSolve:
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
         fam, a = scalar_identity_family(k=0.1, imag=1.0), A_ONE
         mesh = build_mesh(BOX, 0.125, patch=patch)
-        mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
+        bump = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
+        union = UnionMesh(mesh, bump)
         if case == "constant-diag123":
             fam = DIAG_123
         elif case.endswith("affine"):
@@ -866,7 +831,7 @@ class TestBoxSolve:
             assert fwd.system_eta.bump.solver_kind == fwd.system.solver_kind
         else:
             build = lu_system if case == "omega-eta" else assemble
-            system = build(mesh_eta if case == "omega-eta" else mesh, fam, a, fam.freq)
+            system = build(union if case == "omega-eta" else mesh, fam, a, fam.freq)
             kind = {"omega-eta": "sparse-lu", "affine": "box-cocg",
                     "rotated-anisotropic": "box-cocg"}.get(case, "sine-transform")
             assert system.solver_kind == kind
@@ -874,7 +839,7 @@ class TestBoxSolve:
         for system in systems:
             system.solve_dirichlet(np.ones(system.mesh.n_vertices))
         n_omega = int(np.sum(~mesh.boundary_vertex_mask))
-        n_eta = int(np.sum(~mesh_eta.boundary_vertex_mask))
+        n_eta = int(np.sum(~union.boundary_vertex_mask))
         sizes = {"omega": n_omega, "omega_eta": n_eta}
         assert factor_calls == [sizes[name] for name in factored]
         interface = sum(len(s.footprint) for s in systems if s.solver_kind == "via-core")
@@ -885,23 +850,22 @@ ROTATED = rotated_anisotropic_family(k=0.002, eps=0.3, imag=1.1)
 AFFINE = affine_field(1.0, (0.1, -0.05, 0.2))
 
 
-def _omega_eta_system(mesh_eta, core, vertex_map, field=None):
+def _omega_eta_system(core, bump, field=None):
     """The Omega_eta system as `Forward.system_eta` builds it: the core and
-    the system of `field`, by default the core's, on the part of mesh_eta
-    outside the core."""
-    family, a, k = field or core.field
-    bump_mesh, bump_map = mesh_eta.part_outside(core.mesh, vertex_map)
-    return SubstructuredSystem(mesh_eta, core, vertex_map, assemble(bump_mesh, family, a, k),
-                               bump_map)
+    the system of `field`, by default the core's, on the bump mesh."""
+    return SubstructuredSystem(core, assemble(bump, *(field or core.field)))
 
 
-def _core_pair(mesh, mesh_eta, fam, a):
-    """The Omega_eta system substructured through its Omega core, and the
-    standalone system of the same field on the sparse LU path, the oracle."""
-    core = assemble(mesh, fam, a, fam.freq)
-    via = _omega_eta_system(mesh_eta, core, mesh.shared_vertex_map(mesh_eta))
-    lu = lu_system(mesh_eta, fam, a, fam.freq)
+def _core_pair(mesh, bump, fam, a):
+    """The Omega_eta system substructured through its Omega core and bump
+    systems, and the oracle: the same field's system on the `UnionMesh` of
+    the two boxes, on the sparse LU path.  Both number the vertices alike,
+    to the bit."""
+    via = _omega_eta_system(assemble(mesh, fam, a, fam.freq), bump)
+    lu = lu_system(UnionMesh(mesh, bump), fam, a, fam.freq)
     assert via.solver_kind == "via-core" and lu.solver_kind == "sparse-lu"
+    assert np.array_equal(via.mesh.ijk, lu.mesh.ijk)
+    assert np.array_equal(via.mesh.verts.view(np.uint8), lu.mesh.verts.view(np.uint8))
     assert np.array_equal(via.interior, lu.interior)
     return via, lu
 
@@ -949,9 +913,9 @@ def core_cases(draw):
                               tuple(lo[t] + i0 * h for t, (i0, _) in zip(tangents, base)),
                               tuple(lo[t] + i1 * h for t, (_, i1) in zip(tangents, base)),
                               thickness)
-    mesh, mesh_eta = build_mesh(box, h, patch=patch), build_mesh(enlarged, h)
+    mesh, bump = build_mesh(box, h, patch=patch), build_mesh(enlarged, h)
     fam = COCG_FAMILIES[draw(st.sampled_from(sorted(COCG_FAMILIES)))]
-    return mesh, mesh_eta, fam, draw(st.sampled_from([A_ONE, AFFINE])), base
+    return mesh, bump, fam, draw(st.sampled_from([A_ONE, AFFINE])), base
 
 
 def _dense_footprint_schur(lu, footprint):
@@ -964,16 +928,10 @@ def _dense_footprint_schur(lu, footprint):
         K_ii[np.ix_(rest, rest)], K_ii[np.ix_(rest, f)])
 
 
-def _lattice_mesh(cells, h):
-    """Mesh of a set of lattice cells at pitch h, anchored at the origin."""
-    ijk, _, boundary = _lattice_topology(np.asarray(cells))
-    return Mesh(cells, ijk, h, np.zeros(3), boundary)
-
-
 class TestCoreSolve:
     """Omega_eta systems solved by substructuring through their Omega core
-    and bump systems against a standalone sparse LU of the whole Omega_eta
-    interior."""
+    and bump systems against the oracle, a sparse LU of the whole Omega_eta
+    interior on the union of the two boxes."""
 
     @pytest.mark.parametrize("h", [0.125, 0.0625])
     @pytest.mark.parametrize("fam", [scalar_identity_family(k=0.1, imag=1.0), DIAG_123, ROTATED],
@@ -982,24 +940,25 @@ class TestCoreSolve:
     def test_matches_standalone_lu(self, h, fam, a, factor_calls):
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
         mesh = build_mesh(BOX, h, patch=patch)
-        mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=h), h)
-        via, lu = _core_pair(mesh, mesh_eta, fam, a)
+        bump = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=h), h)
+        via, lu = _core_pair(mesh, bump, fam, a)
         _assert_core_matches_lu(via, lu)
         # The footprint is the patch face's vertices strictly inside the
         # bump base: only its dense interface system is inverted.
         footprint = via.footprint
-        assert np.all(np.abs(mesh_eta.verts[footprint, 2] - 1.0) < 1e-12)
+        assert np.all(np.abs(via.mesh.verts[footprint, 2] - 1.0) < 1e-12)
         assert via.factored_dofs == len(footprint) == (round(0.5 / h) - 1) ** 2
         assert via.core.factored_dofs == via.bump.factored_dofs == 0
-        # The standalone system is the only sparse LU.
+        # The oracle is the only sparse LU.
         assert factor_calls == [len(lu.interior)]
 
     @settings(max_examples=16, deadline=None)
     @given(core_cases())
     def test_any_face_and_box(self, case):
-        mesh, mesh_eta, fam, a, base = case
-        via, lu = _core_pair(mesh, mesh_eta, fam, a)
+        mesh, bump, fam, a, base = case
+        via, lu = _core_pair(mesh, bump, fam, a)
         _assert_core_matches_lu(via, lu, columns=2)
+        assert np.array_equal(via.mesh.boundary_vertex_mask, lu.mesh.boundary_vertex_mask)
         # A one-cell bump has no interior: the footprint is all it adds.
         assert (len(via.bump.interior) == 0) == (via.mesh.n_vertices - mesh.n_vertices
                                                  == np.prod([i1 - i0 + 1 for i0, i1 in base]))
@@ -1007,13 +966,15 @@ class TestCoreSolve:
     @settings(max_examples=16, deadline=None)
     @given(core_cases())
     def test_interface_is_the_dense_schur_complement(self, case):
-        mesh, mesh_eta, fam, a, base = case
-        via, lu = _core_pair(mesh, mesh_eta, fam, a)
+        mesh, bump, fam, a, base = case
+        via, lu = _core_pair(mesh, bump, fam, a)
         footprint = via.footprint
         assert len(footprint) == np.prod([i1 - i0 - 1 for i0, i1 in base])
-        # The footprint lies on one face of Omega, where core and bump meet.
-        ijk = mesh_eta.ijk[footprint]
-        assert np.all(mesh.boundary_vertex_mask[mesh.vertex_indices(ijk)])
+        # The footprint lies on one face of Omega, where core and bump
+        # meet, in Omega's order.
+        ijk = via.mesh.ijk[footprint]
+        assert np.array_equal(mesh.vertex_indices(ijk), footprint)
+        assert np.all(mesh.boundary_vertex_mask[footprint])
         assert np.any(np.ptp(ijk, axis=0) == 0)
         # T, the parts' Schur complements onto f summed, and T applied to
         # the identity by the interface operator: one core solve per column
@@ -1028,49 +989,40 @@ class TestCoreSolve:
 
     def test_bump_is_built_once_per_frame(self, monkeypatch):
         calls = []
-        real = Mesh.part_outside
+        real = admitlab.estimator.build_mesh
 
-        def counting(mesh, *args):
-            calls.append(mesh)
-            return real(mesh, *args)
+        def counting(domain, *args, **kwargs):
+            calls.append(domain)
+            return real(domain, *args, **kwargs)
 
-        monkeypatch.setattr(Mesh, "part_outside", counting)
+        monkeypatch.setattr(admitlab.estimator, "build_mesh", counting)
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
         frame = build_frame(BOX, patch, 0.25, 0.125, scalar_identity_family(k=0.1, imag=1.0))
         systems = [build_forward(frame, a).system_eta for a in (A_ONE, AFFINE)]
-        assert calls == [frame.mesh_eta]
+        assert calls == [BOX, frame.enlarged]
         assert [s.bump.solver_kind for s in systems] == ["sine-transform", "box-cocg"]
-        # Both Forwards' Omega_eta systems share the frame's bump mesh and map.
-        bump, part_map = frame.bump
+        # Both Forwards' Omega_eta systems share the frame's bump mesh.
+        bump = frame.bump
         for system in systems:
-            assert system.mesh is frame.mesh_eta and system.bump.mesh is bump
-            assert system._parts[1][1] is part_map
+            assert system.core.mesh is frame.mesh and system.bump.mesh is bump
         assert bump.box_shape == (3, 3, 1) and bump.n_tets == 6 * 4 * 4 * 2
-        # The bump's vertices have the bits of the same vertices of Omega_eta.
-        assert np.array_equal(frame.mesh_eta.verts[part_map], bump.verts)
-
-    @pytest.mark.parametrize("case", ["two-bumps", "l-shape", "no-bump"])
-    def test_part_outside_not_one_box_rejected(self, case):
-        box = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)]
-        extra = {"two-bumps": [(1, 1, 4), (2, 2, 4)],
-                 "l-shape": [(1, 1, 4), (2, 1, 4), (1, 2, 4)],
-                 "no-bump": []}[case]
-        mesh, mesh_eta = _lattice_mesh(box, 0.25), _lattice_mesh(box + extra, 0.25)
-        core = assemble(mesh, LAPLACE, A_ONE, 0.0)
-        with pytest.raises(GeometryError, match="not one lattice box"):
-            _omega_eta_system(mesh_eta, core, mesh.shared_vertex_map(mesh_eta))
+        # The bump's vertices have the bits of the same vertices of
+        # Omega_eta, which numbers Omega's first.
+        bump_map = systems[0]._parts[1][1]
+        assert np.array_equal(systems[0].mesh.verts[bump_map], bump.verts)
+        assert np.array_equal(systems[0].mesh.verts[:frame.mesh.n_vertices], frame.mesh.verts)
 
     def test_one_cell_bump_has_an_empty_bump_system(self, factor_calls):
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
         enlarged = EnlargedDomain(BOX, patch, 0.125, (0.25, 0.25), (0.75, 0.75), 0.125)
-        mesh, mesh_eta = build_mesh(BOX, 0.125, patch=patch), build_mesh(enlarged, 0.125)
-        via, lu = _core_pair(mesh, mesh_eta, ROTATED, AFFINE)
+        mesh, bump_mesh = build_mesh(BOX, 0.125, patch=patch), build_mesh(enlarged, 0.125)
+        via, lu = _core_pair(mesh, bump_mesh, ROTATED, AFFINE)
         _assert_core_matches_lu(via, lu)
         # The bump system has no interior: it solves nothing and factors
         # nothing, and its Schur complement onto f is its own K[f, f].
         bump = via.bump
         assert len(bump.interior) == 0 and bump.factored_dofs == 0
-        f_bump = bump.mesh.vertex_indices(mesh_eta.ijk[via.footprint])
+        f_bump = bump.mesh.vertex_indices(via.mesh.ijk[via.footprint])
         assert np.array_equal(bump.schur_onto(f_bump), bump.matrix()[np.ix_(f_bump, f_bump)].toarray())
         assert via.factored_dofs == len(via.footprint) == 9
         assert factor_calls == [len(lu.interior)]
@@ -1081,57 +1033,49 @@ class TestCoreSolve:
     def test_parts_that_do_not_tile_rejected(self, case, message):
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
         mesh = build_mesh(BOX, 0.125, patch=patch)
-        mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
         core = assemble(mesh, LAPLACE, A_ONE, 0.0)
-        vmap = mesh.shared_vertex_map(mesh_eta)
         if case == "overlap":
-            bump, bump_map = core, vmap
+            bump = core
         else:
-            # Only the top cell layer of the two-cell bump: the vertices
-            # between the layers are neither part's interior nor the core's.
-            bump_mesh = mesh_eta.part_outside(mesh, vmap)[0]
-            cells = bump_mesh.cells()
-            top = _lattice_mesh(cells[cells[:, 2] == cells[:, 2].max()], 0.125)
-            bump, bump_map = assemble(top, LAPLACE, A_ONE, 0.0), top.shared_vertex_map(mesh_eta)
+            # Only the top cell layer of the two-cell bump: it meets the
+            # core nowhere.
+            whole = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
+            top = Mesh(whole.lo + [0, 0, 1], whole.hi, whole.h, whole.anchor)
+            bump = assemble(top, LAPLACE, A_ONE, 0.0)
         with pytest.raises(GeometryError, match=message):
-            SubstructuredSystem(mesh_eta, core, vmap, bump, bump_map)
+            SubstructuredSystem(core, bump)
 
     @pytest.mark.parametrize("case", [
-        "no-map", "shifted", "short", "repeated", "swapped-interior", "to-boundary",
-        "to-bump", "other-field",
+        "shifted", "short", "repeated", "to-boundary", "to-bump", "other-field",
     ])
     def test_mismatched_core_rejected(self, case):
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
         mesh = build_mesh(BOX, 0.125, patch=patch)
-        mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
+        bump = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
         fam = scalar_identity_family(k=0.1, imag=1.0)
         core = assemble(mesh, fam, A_ONE, fam.freq)
-        vmap = mesh.shared_vertex_map(mesh_eta)
-        outside = np.setdiff1d(np.arange(mesh_eta.n_vertices), vmap)
-        first = core.interior[0]
-        if case == "no-map":
-            vmap = None
-        elif case == "shifted":
-            vmap = np.roll(vmap, 1)
+        message = "one lattice"
+        if case == "shifted":
+            # The bump box on a lattice shifted by half a pitch.
+            bump = Mesh(bump.lo, bump.hi, bump.h, bump.anchor + 0.0625)
         elif case == "short":
-            vmap = vmap[:-1]
+            # The bump box on a lattice of half the pitch.
+            bump = Mesh(2 * bump.lo, 2 * bump.hi, 0.0625, bump.anchor)
         elif case == "repeated":
-            vmap = vmap.copy()
-            vmap[first] = vmap[core.interior[1]]
-        elif case == "swapped-interior":
-            # Still one-to-one, onto the same interior vertices.
-            vmap = vmap.copy()
-            vmap[core.interior[:2]] = vmap[core.interior[1::-1]]
+            # The core's own box again.
+            bump, message = mesh, "overlap"
         elif case == "to-boundary":
-            vmap = vmap.copy()
-            vmap[first] = outside[mesh_eta.boundary_vertex_mask[outside]][0]
+            # A box beside the patch face's edge: it meets the core along one
+            # lattice edge, on the boundary of the union.
+            bump, message = Mesh([8, 2, 8], [10, 6, 10], mesh.h, mesh.anchor), "vertex of both"
         elif case == "to-bump":
-            vmap = vmap.copy()
-            vmap[first] = outside[~mesh_eta.boundary_vertex_mask[outside]][0]
+            # A core box one cell layer into the bump.
+            taller = Mesh(mesh.lo, mesh.hi + [0, 0, 1], mesh.h, mesh.anchor)
+            core, message = assemble(taller, fam, A_ONE, fam.freq), "overlap"
         else:
-            core = assemble(mesh, fam, constant_field(1.1), fam.freq)
-        with pytest.raises(GeometryError):
-            _omega_eta_system(mesh_eta, core, vmap, field=(fam, A_ONE, fam.freq))
+            core, message = assemble(mesh, fam, constant_field(1.1), fam.freq), "different fields"
+        with pytest.raises(GeometryError, match=message):
+            _omega_eta_system(core, bump, field=(fam, A_ONE, fam.freq))
 
 
 COCG_FAMILIES = {"scalar": scalar_identity_family(k=0.1, imag=1.0), "diag123": DIAG_123,
@@ -1243,18 +1187,18 @@ SCHUR_KINDS = ["sine-transform", "box-cocg", "sparse-lu"]
 def _schur_case(kind, h):
     """A fresh system of the given solver kind and boundary dofs sigma to
     project onto: a sine-transform Omega system, a box-cocg Omega system
-    (rotated family, affine field), or the standalone Omega_eta system of
+    (rotated family, affine field), or the oracle's Omega_eta system of
     that field (sparse-lu)."""
     patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
     mesh = build_mesh(BOX, h, patch=patch)
-    mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=h), h)
     if kind == "sine-transform":
         fam = scalar_identity_family(k=0.1, imag=1.0)
         system = assemble(mesh, fam, A_ONE, fam.freq)
     elif kind == "box-cocg":
         system = assemble(mesh, ROTATED, AFFINE, ROTATED.freq)
     else:
-        system = lu_system(mesh_eta, ROTATED, AFFINE, ROTATED.freq)
+        bump = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=h), h)
+        system = lu_system(UnionMesh(mesh, bump), ROTATED, AFFINE, ROTATED.freq)
     assert system.solver_kind == kind
     return system, system.boundary[::7]
 
@@ -1487,29 +1431,36 @@ ORACLE_FAMILIES = [
 ]
 
 
-def _omega_and_omega_eta_matrices(mesh, mesh_eta, family):
+def _omega_and_omega_eta_matrices(mesh, bump, family):
     """The Omega system's K, and the Omega_eta matrix as the sum of its
     assembled parts, the core and the bump, through their vertex maps."""
-    core = assemble(mesh, family, AFFINE, family.freq)
-    via = _omega_eta_system(mesh_eta, core, mesh.shared_vertex_map(mesh_eta))
-    n = mesh_eta.n_vertices
+    via = _omega_eta_system(assemble(mesh, family, AFFINE, family.freq), bump)
+    n = via.mesh.n_vertices
     K_eta = sp.csr_matrix((n, n), dtype=complex)
     for part, vmap, _ in via._parts:
-        P = sp.csr_matrix((np.ones(len(vmap)), (vmap, np.arange(len(vmap)))),
-                          shape=(n, len(vmap)))
+        rows = np.arange(n)[vmap]
+        P = sp.csr_matrix((np.ones(len(rows)), (rows, np.arange(len(rows)))),
+                          shape=(n, len(rows)))
         K_eta = K_eta + P @ part.matrix() @ P.T
-    return core.matrix(), K_eta
+    return via.core.matrix(), K_eta
+
+
+def _assert_matches_float_geometry(mesh, bump, family):
+    """The Omega and Omega_eta matrices match the assembly on per-tet float
+    geometry, the latter on the oracle's union of the boxes, to 1e-15
+    relative."""
+    for reference_mesh, K in zip((mesh, UnionMesh(mesh, bump)),
+                                 _omega_and_omega_eta_matrices(mesh, bump, family)):
+        ref = _float_geometry_assemble(reference_mesh, family, AFFINE, family.freq)
+        assert abs(K - ref).max() <= 1e-15 * abs(ref).max()
 
 
 class TestTypedAssembly:
     @settings(max_examples=20, deadline=None)
     @given(meshes=enlarged_meshes(), family=st.sampled_from(ORACLE_FAMILIES))
     def test_matches_float_geometry_assembly(self, meshes, family):
-        """Omega and Omega_eta matrices of all three families match the
-        assembly on per-tet float geometry to 1e-15 relative."""
-        for mesh, K in zip(meshes, _omega_and_omega_eta_matrices(*meshes, family)):
-            ref = _float_geometry_assemble(mesh, family, AFFINE, family.freq)
-            assert abs(K - ref).max() <= 1e-15 * abs(ref).max()
+        """Omega and Omega_eta matrices of all three families match."""
+        _assert_matches_float_geometry(*meshes, family)
 
     def test_matches_float_geometry_at_pitch_one_fifth(self):
         """A draw whose float vertices anchor + h ijk at h = 0.2 round
@@ -1518,11 +1469,8 @@ class TestTypedAssembly:
         box = BoxDomain(tuple(lo), tuple(lo + np.array([6, 6, 8]) * h))
         patch = BoundaryPatch(box, "z+", (0.1, 0.1), (1.1, 1.1))
         enlarged = build_enlarged_domain(box, patch, 2.0 * h, grid_h=h, check_samples=100)
-        family = ORACLE_FAMILIES[1]
-        meshes = build_mesh(box, h, patch=patch), build_mesh(enlarged, h)
-        for mesh, K in zip(meshes, _omega_and_omega_eta_matrices(*meshes, family)):
-            ref = _float_geometry_assemble(mesh, family, AFFINE, family.freq)
-            assert abs(K - ref).max() <= 1e-15 * abs(ref).max()
+        _assert_matches_float_geometry(build_mesh(box, h, patch=patch), build_mesh(enlarged, h),
+                                       ORACLE_FAMILIES[1])
 
     @pytest.mark.parametrize("size", ["1", "7", "T"])
     def test_chunks_match_one_bincount(self, size, monkeypatch):
@@ -1775,9 +1723,8 @@ class TestSystemLifetime:
         try:
             if kind == "via-core":
                 mesh = build_mesh(BOX, 0.125, patch=patch)
-                mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125),
-                                      0.125)
-                system = _core_pair(mesh, mesh_eta, ROTATED, AFFINE)[0]
+                bump = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
+                system = _core_pair(mesh, bump, ROTATED, AFFINE)[0]
                 parts = [system, system.core, system.bump]
                 solved = parts[1:]
             else:
@@ -1803,7 +1750,7 @@ class TestWorkingSetBudget:
 
     def test_build_mesh_peak(self):
         # Within 3x the bytes the finished mesh keeps, for the box and the
-        # enlarged mesh: no (4T, 3) array of all tet faces.
+        # bump box: no (4T, 3) array of all tet faces.
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
         for domain in (BOX, build_enlarged_domain(BOX, patch, 0.25, grid_h=0.0625)):
             mesh, extra = traced_extra(lambda d=domain: build_mesh(d, 0.0625, patch=patch))
@@ -1815,18 +1762,14 @@ class TestWorkingSetBudget:
 
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
         mesh = build_mesh(BOX, 0.0625, patch=patch)
-        mesh_eta = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.0625), 0.0625)
-        # The Omega mesh and the bump box outside it, the two meshes that
-        # are assembled; the Omega_eta mesh itself is never assembled.
-        bump = mesh_eta.part_outside(mesh, mesh.shared_vertex_map(mesh_eta))[0]
-        _assert_no_per_tet_arrays(mesh_eta)
+        # The Omega mesh and the bump box over the patch, the two meshes
+        # of Omega_eta.
+        bump = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.0625), 0.0625)
         for mesh in (mesh, bump):
             _assert_no_per_tet_arrays(mesh)
             system, extra = traced_extra(lambda: assemble(mesh, ROTATED, AFFINE, ROTATED.freq))
             assert system.solver_kind == "box-cocg"
             assert extra <= 4 * admitlab.fem._BLOCK_BYTES, extra
-        with pytest.raises(GeometryError, match="full lattice box"):
-            assemble(mesh_eta, ROTATED, AFFINE, ROTATED.freq)
 
     def test_box_cocg_schur_peak(self):
         import admitlab.fem

@@ -5,7 +5,7 @@ from admitlab.errors import ConfigError, GeometryError, SingularityError
 from admitlab.families import constant_field, diagonal_affine_family, scalar_identity_family
 from admitlab.fem import build_mesh
 from admitlab.geometry import BoundaryPatch, BoxDomain, build_enlarged_domain
-from conftest import lu_system
+from conftest import UnionMesh, lu_system
 from admitlab.singular import (build_corrected_probe, h_function,
                                leading_gradient, leading_term, make_probe,
                                pde_residual_leading, probe_from_matrix,
@@ -191,7 +191,8 @@ def setup():
     h = 0.0625
     enlarged = build_enlarged_domain(box, patch, eta, grid_h=h)
     mesh = build_mesh(box, h, patch=patch)
-    mesh_eta = build_mesh(enlarged, h)
+    # The oracle's Omega_eta: the union of the Omega and bump boxes.
+    mesh_eta = UnionMesh(mesh, build_mesh(enlarged, h))
     fam = scalar_identity_family(k=0.05, imag=1.0)
     a = constant_field(1.0)
     system_eta = lu_system(mesh_eta, fam, a, fam.freq)
@@ -206,7 +207,7 @@ class TestCorrectedProbe:
         for m in (0, 2):
             probe = make_probe(fam, a, z, m)
             (corrected,) = build_corrected_probe([probe], enlarged, system_eta)
-            trace = corrected.trace_vector(mesh, mesh.shared_vertex_map(mesh_eta))
+            trace = corrected.trace_vector(mesh)
             bnd = mesh.boundary_vertex_mask
             lat = patch.lateral(mesh.verts)
             off_patch = bnd & ~(
