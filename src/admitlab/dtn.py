@@ -104,14 +104,15 @@ def h_half_gram(mesh: Mesh, basis: SigmaBasis) -> np.ndarray:
 
     Interior dofs are eliminated by static condensation while the remaining
     boundary dofs are pinned to zero, which realises the minimal-energy
-    extension of traces vanishing off the patch.  The mesh is the box and
+    extension of traces vanishing off the patch.  Every interior row of the
+    Laplacian is the same 7-point stencil, so its system reads the
+    sine-transform solver from the matrix itself.  The mesh is the box and
     the basis lies inside one face, so the Laplacian's Schur complement is
     the closed form of `BlockSystem.schur_onto`, diagonal in the face's sine
     basis, checked by one sine-transform solve of a few combinations of its
     columns; no column is solved.
     """
-    laplace = BlockSystem(mesh, assemble_stiffness(mesh, np.eye(3)),
-                          axis_weights=(1.0, 1.0, 1.0))
+    laplace = BlockSystem(mesh, assemble_stiffness(mesh, np.eye(3)))
     sig = np.asarray(basis.vertices, dtype=int)
     schur = laplace.schur_onto(sig)
     mass = boundary_mass_sigma(mesh)[np.ix_(sig, sig)].toarray()
@@ -217,5 +218,5 @@ def alessandrini_gap(
     t1 = np.asarray(a1.values(bary), dtype=float)
     t2 = np.asarray(a2.values(bary), dtype=float)
     dA = family(bary, t1) - family(bary, t2)
-    rhs = complex(np.sum(energy_density(mesh, dA, u1.values, u2.values)))
+    rhs = complex(np.sum(energy_density(mesh, dA, u1, u2)))
     return lhs - rhs

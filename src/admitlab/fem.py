@@ -8,9 +8,11 @@ rows, and its interior solver; K and the block matrix are rebuilt from them
 for the structure and ellipticity checks.  `assemble` builds one
 `BlockSystem` on one mesh.  Every Dirichlet solve and every Schur
 complement onto boundary dofs (the DtN pairing and the trace Gram) goes
-through a `BlockSystem`: a sine-transform solve where the interior block is
-a constant-weight 7-point stencil, and conjugate orthogonal CG (COCG)
-preconditioned by that sine-transform solve for any other coefficient.  A
+through a `BlockSystem`, which reads its interior solver from the interior
+rows of its own K and takes no solver option: a sine-transform solve where
+every interior row is the same axis-only 7-point stencil, and conjugate
+orthogonal CG (COCG) preconditioned by the sine-transform solve of the
+rows' mean second moments for any other K.  A
 sine-transform system's Schur complement onto dofs inside one box face is a
 closed form, diagonal in the face's sine basis (`_face_schur`), checked on
 a few combinations of its columns; any other is solved column by column.
@@ -39,6 +41,7 @@ importing it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import TYPE_CHECKING, Optional
@@ -426,27 +429,6 @@ def assemble_stiffness(mesh: Mesh, coeff) -> sp.csr_matrix:
     return _stencil_csr(mesh, data)
 
 
-class ComplexField:
-    """Complex nodal field u = u1 + i u2 on a mesh."""
-
-    def __init__(self, mesh: Mesh, values):
-        values = np.asarray(values, dtype=complex)
-        if values.shape != (mesh.n_vertices,):
-            raise ConfigError("field length does not match the mesh")
-        if not np.all(np.isfinite(values)):
-            raise SolverError("field contains non-finite values")
-        self.mesh = mesh
-        self.values = values
-
-    def gradients(self, chunk: slice = slice(None)) -> np.ndarray:
-        """Constant gradients (C, 3) complex of the tets in `chunk`, a slice
-        of whole cells, all tets by default."""
-        mesh = self.mesh
-        corners = mesh.corners(chunk)
-        return np.einsum("ta,taj->tj", self.values[corners],
-                         np.tile(mesh.type_grads, (len(corners) // len(_TET_PATTERNS), 1, 1)))
-
-
 _RESIDUAL_RTOL = 1e-10
 # A COCG column stops once its recurrence residual is at most _COCG_RTOL of
 # its right-hand side; a column still running after _COCG_MAX_ITERATIONS
@@ -712,6 +694,70 @@ def _dirichlet_columns(mesh: Mesh, g) -> np.ndarray:
     return values
 
 
+# The lattice neighbours s in {-1, 0, 1}^3, lexicographic: s is slot (s + 1) @ _CODES.
+_CODES = np.array([9, 3, 1])
+_NEIGHBOURS = np.stack(np.meshgrid(*[(-1, 0, 1)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def _read_interior_solver(system: BlockSystem):
+    """The interior solver of a system on a box, read from the interior
+    rows of its K: its kind and its per-axis box weights (see `box_solve`).
+
+    Entry (r, c) lies at the lattice offset s = ijk_c - ijk_r of its row:
+    an interior vertex has all 27 neighbours, so c is the neighbour at s
+    exactly when c - r = s @ strides, its shift.  "sine-transform" when
+    every interior row is the same axis-only stencil: its entries off the
+    centre and the six axis steps are exact zeros, and each of those seven
+    slots holds one value across all interior rows, the same at -e_a and
+    +e_a: the box stencil of the weights w_a = -K_{r, r + e_a} / h.
+    "box-cocg" otherwise, with the mean second moments
+    w_a = -1/2 sum_s K_rs s_a^2 / h over the interior rows and neighbours s,
+    for a P1 stiffness of a constant or affine coefficient its mean
+    diagonal to rounding.  A real K has real weights, and a box with no
+    interior vertex reads as "sine-transform" with none.  The rows are read
+    in chunks whose temporaries fit in `_BLOCK_BYTES`, each row as 27
+    neighbour slots, and the moments summed row by row, so the weights have
+    the same bits whatever the chunk size.
+    """
+    mesh, K_ii, K_ib = system.mesh, system._K_ii, system._K_ib
+    interior, n = system.interior, len(system.interior)
+    if not n:
+        return "sine-transform", None
+    dtype = np.result_type(K_ii.dtype, K_ib.dtype)
+    row_nnz = np.diff(K_ii.indptr) + np.diff(K_ib.indptr)
+    # About 96 bytes of temporaries per neighbour slot and per entry of a row.
+    chunk = max(1, _BLOCK_BYTES // (96 * (27 + int(row_nnz.max()))))
+    # The vertex-index shift to each neighbour, ascending.
+    shifts = _NEIGHBOURS @ mesh._strides
+    total = np.zeros(3, dtype=dtype)
+    first, same = None, True
+    for r0 in range(0, n, chunk):
+        r1 = min(n, r0 + chunk)
+        entries = []
+        for block, cols in ((K_ii, interior), (K_ib, system.boundary)):
+            lo, hi = block.indptr[r0], block.indptr[r1]
+            rows = np.repeat(np.arange(r1 - r0), np.diff(block.indptr[r0:r1 + 1]))
+            entries.append((rows, block.data[lo:hi],
+                            cols[block.indices[lo:hi]] - interior[r0 + rows]))
+        rows, data, shift = (np.concatenate(e) for e in zip(*entries))
+        slot = np.minimum(np.searchsorted(shifts, shift), 26)
+        near = shifts[slot] == shift
+        stencils = np.zeros((r1 - r0) * 27, dtype=dtype)
+        np.add.at(stencils, 27 * rows[near] + slot[near], data[near])
+        stencils = stencils.reshape(-1, 27)
+        # cumsum adds in order, so a row's moment and the total, added row
+        # by row, have the bits of one pass over all rows.
+        moments = np.stack([np.cumsum(stencils[:, _NEIGHBOURS[:, a] != 0], axis=1)[:, -1]
+                            for a in range(3)], axis=1)
+        total = np.cumsum(np.vstack([total[None], moments]), axis=0)[-1]
+        first = stencils[0].copy() if first is None else first
+        same = same and not np.any(data[~near]) and bool(np.all(stencils == first))
+    axis = np.count_nonzero(_NEIGHBOURS, axis=1) <= 1
+    if same and not np.any(first[~axis]) and np.array_equal(first[13 - _CODES], first[13 + _CODES]):
+        return "sine-transform", -first[13 + _CODES] / mesh.h
+    return "box-cocg", -0.5 * (total / n) / mesh.h
+
+
 class _SolverCounters:
     """The counters that a run's manifest reports for a system.
 
@@ -762,20 +808,20 @@ class BlockSystem(_SolverCounters):
     footprint read boundary rows (`boundary_rows`, `product`).  `matrix`
     rebuilds K and `block_matrix` the real block form
     [[K_R, -K_I], [K_I, K_R]], both for checks.
-    The interior solver is chosen once, at the first solve, and named by
-    `solver_kind`:
+    The interior solver is read from the interior rows of K once, when it
+    is first needed (`_read_interior_solver`), and named by `solver_kind`:
 
-    - "sine-transform": with `axis_weights` (the diagonal of a constant
-      diagonal coefficient), `box_solve`;
-    - "box-cocg": with `cocg_weights` (the tet-averaged diagonal of any
-      other coefficient), COCG preconditioned by `box_solve` of those
-      weights, each column stopped at a recurrence residual of
-      `_COCG_RTOL`.
+    - "sine-transform" where every interior row is the same axis-only
+      stencil, as a constant diagonal coefficient gives: `box_solve` of
+      the weights in its axis slots;
+    - "box-cocg" for any other K: COCG preconditioned by `box_solve` of the
+      mean second moments of its interior rows, each column stopped at a
+      recurrence residual of `_COCG_RTOL`.
 
-    `assemble` gives every system one of the two.  A system with no
-    interior dof, such as the bump of a `SubstructuredSystem` one cell
-    thick, solves nothing.  `field` is the (family, a, k) that `assemble`
-    built it from.  The counters are those of `_SolverCounters`.
+    A system with no interior dof, such as the bump of a
+    `SubstructuredSystem` one cell thick, solves nothing.  `field` is the
+    (family, a, k) that `assemble` built it from.  The counters are those
+    of `_SolverCounters`.
 
     The system keeps its interior solver, the box solve, which holds no
     reference back to it, and runs COCG itself, so a system and its Krylov
@@ -787,11 +833,9 @@ class BlockSystem(_SolverCounters):
     Omega_eta system's interface preconditioner exactly.
     """
 
-    def __init__(self, mesh: Mesh, K: sp.csr_matrix, axis_weights=None, cocg_weights=None):
+    def __init__(self, mesh: Mesh, K: sp.csr_matrix):
         super().__init__()
         self.mesh = mesh
-        self.axis_weights = axis_weights
-        self.cocg_weights = cocg_weights
         self.field = None
         self._interior = np.where(~mesh.boundary_vertex_mask)[0]
         self._boundary = np.where(mesh.boundary_vertex_mask)[0]
@@ -866,15 +910,17 @@ class BlockSystem(_SolverCounters):
 
     @property
     def solver_kind(self) -> str:
-        return "sine-transform" if self.axis_weights is not None else "box-cocg"
+        return self._box_read[0]
+
+    @functools.cached_property
+    def _box_read(self):
+        """The solver kind and box weights read from K, at the first use."""
+        return _read_interior_solver(self)
 
     def _interior_solver(self):
-        """The box solve of the axis weights, or of the COCG weights that
-        precondition COCG."""
-        weights = self.axis_weights if self.axis_weights is not None else self.cocg_weights
-        if weights is None:
-            raise ConfigError("a system needs axis_weights or cocg_weights to solve")
-        return box_solve(self.mesh, weights)
+        """The box solve of the weights read from K: the interior solve, or
+        COCG's preconditioner."""
+        return box_solve(self.mesh, self._box_read[1])
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         """K_II^{-1} rhs for an (n,) or (n, d) right-hand side."""
@@ -943,8 +989,8 @@ class BlockSystem(_SolverCounters):
         K_s = self._K_b[cols]
         K_si = K_s[:, self._interior]
         S = None
-        if self.axis_weights is not None and len(self._interior):
-            S = _face_schur(self.mesh, self.axis_weights, sigma)
+        if len(self._interior) and self.solver_kind == "sine-transform":
+            S = _face_schur(self.mesh, self._box_read[1], sigma)
         if S is not None:
             self._check_schur(S, K_s[:, sigma], K_si, cols)
         else:
@@ -995,17 +1041,15 @@ class BlockSystem(_SolverCounters):
     def _preconditioner_schur(self, sigma: np.ndarray) -> np.ndarray:
         """A Schur complement onto the boundary dofs sigma that solves no
         column, for a preconditioner.  With sigma in one face's interior it
-        is the closed form `_face_schur` of the box stencil: of
-        `axis_weights`, exact, for a sine-transform system, and of
-        `cocg_weights`, whose interior block preconditions COCG, for a
-        box-cocg system whose memo does not hold sigma.  A memo that holds
-        sigma gives the exact restriction, and any other sigma the exact
-        `schur_onto`."""
+        is the closed form `_face_schur` of the box weights read from K:
+        exact for a sine-transform system, and for a box-cocg system whose
+        memo does not hold sigma that of the stencil whose box solve
+        preconditions COCG.  A memo that holds sigma gives the exact
+        restriction, and any other sigma the exact `schur_onto`."""
         memo = self._schur is not None and (np.array_equal(self._schur[0], sigma)
                                             or self._subset_positions(sigma) is not None)
-        if len(self._interior) and not (memo and self.axis_weights is None):
-            weights = self.axis_weights if self.axis_weights is not None else self.cocg_weights
-            S = _face_schur(self.mesh, weights, sigma) if weights is not None else None
+        if len(self._interior) and (self.solver_kind == "sine-transform" or not memo):
+            S = _face_schur(self.mesh, self._box_read[1], sigma)
             if S is not None:
                 return S
         return self.schur_onto(sigma)
@@ -1014,18 +1058,16 @@ class BlockSystem(_SolverCounters):
         """Solve with Dirichlet data g, one full-length nodal vector (n,) or
         one per column (n, c).
 
-        Returns a ComplexField for (n,) data and the (n, c) complex solution
-        array for (n, c) data; all columns share one interior solve and each
-        column's residual is checked.
+        Returns the complex solution, an array shaped like g; all columns
+        share one interior solve and each column's residual is checked, so
+        a non-finite solution raises SolverError.
         """
         values = _dirichlet_columns(self.mesh, g)
         rhs = -(self._K_ib @ values[self._boundary])
         u_int = self._solve_interior(rhs)
         self._check(u_int, rhs)
         values[self._interior] = u_int
-        if np.ndim(g) == 1:
-            return ComplexField(self.mesh, values[:, 0])
-        return values
+        return values.reshape(np.shape(g))
 
 
 class LatticeVertices:
@@ -1189,42 +1231,12 @@ class SubstructuredSystem(_SolverCounters):
         # K_II u_I + K_IB g is K u on the interior.
         worst = _check_residual(self._product(values)[self.interior], rhs)
         self.worst_residual = max(self.worst_residual, worst)
-        if np.ndim(g) == 1:
-            return ComplexField(self.mesh, values[:, 0])
-        return values
+        return values.reshape(np.shape(g))
 
 
-class _DiagonalSummary:
-    """The diagonal of a per-tet coefficient, fed chunk by chunk in tet
-    order: its mean over the tets, and the one diagonal matrix that every
-    tet has, if there is one."""
-
-    def __init__(self):
-        self.total = np.zeros(3)
-        self.count = 0
-        self.constant = None
-        self.varies = False
-
-    def add(self, coeff: np.ndarray) -> None:
-        diagonal = np.diagonal(coeff, axis1=1, axis2=2)
-        # cumsum adds row by row, the order of numpy's own mean over the
-        # leading axis, so the chunked mean has the bits of one over all tets.
-        # Its last row is copied, so the chunk's sums are not kept alive.
-        self.total = np.cumsum(np.vstack([self.total[None], diagonal]), axis=0)[-1].copy()
-        self.count += len(coeff)
-        if not self.varies:
-            first = coeff[0] if self.constant is None else self.constant
-            self.varies = bool(np.any(first != np.diag(np.diag(first)))
-                               or np.any(coeff != first))
-            self.constant = None if self.varies else first.copy()
-
-    def mean(self) -> np.ndarray:
-        return self.total / self.count
-
-
-def _complex_stencil(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float):
-    """The complex 15-point stencil array (15 n,) of `assemble`, and the
-    `_DiagonalSummary` of the real and of the imaginary coefficient.
+def _complex_stencil(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float
+                     ) -> np.ndarray:
+    """The complex 15-point stencil array (15 n,) of `assemble`.
 
     The corners, slots and element blocks of every chunk go to buffers
     allocated once, so the chunks do not map fresh pages each; they are
@@ -1235,7 +1247,6 @@ def _complex_stencil(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k
     # blocks at the even slots of this contiguous array and the imaginary
     # ones at the odd slots.
     parts = data.view(np.float64)
-    summaries = (_DiagonalSummary(), _DiagonalSummary())
     cells = _chunk_size() // len(_TET_PATTERNS)
     corner_buf = np.empty(24 * cells, dtype=np.int64)
     slot_buf = np.empty(96 * cells, dtype=np.int32)
@@ -1252,12 +1263,11 @@ def _complex_stencil(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k
             coeff = np.broadcast_to(coeff_of(bary, t_vals), (len(bary), 3, 3))
             blocks = _stiffness_blocks(mesh, chunk, coeff, out=block_buf[:len(bary)])
             np.add.at(parts[offset:], slots, blocks.ravel())
-            summaries[offset].add(coeff)
             # Freed before the next coefficient is evaluated, so that one
             # coefficient is live at a time.
             del coeff
         del bary, t_vals
-    return data, summaries
+    return data
 
 
 def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float) -> BlockSystem:
@@ -1267,21 +1277,11 @@ def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float)
     chunks of whole cells within `_BLOCK_BYTES` (see
     `assemble_stiffness`), at the chunk's barycenters; the real blocks and
     the imaginary ones are added into the real and imaginary parts of one
-    complex 15-point stencil array.  A constant diagonal coefficient gets
-    the exact sine-transform interior solve, and any other coefficient COCG
-    preconditioned by the sine-transform solve of its tet-averaged
-    diagonal, summarised over the same chunks.  The system records the
-    (family, a, k) it was built from in `field`.
+    complex 15-point stencil array.  The system reads its interior solver
+    from that matrix (see `BlockSystem`), and records the (family, a, k) it
+    was built from in `field`.
     """
-    data, summaries = _complex_stencil(mesh, family, a, k)
-    real, imag = summaries
-    axis_weights = cocg_weights = None
-    if real.constant is not None and imag.constant is not None:
-        axis_weights = np.diag(real.constant) + 1j * np.diag(imag.constant)
-    else:
-        cocg_weights = real.mean() + 1j * imag.mean()
-    system = BlockSystem(mesh, _stencil_csr(mesh, data), axis_weights=axis_weights,
-                         cocg_weights=cocg_weights)
+    system = BlockSystem(mesh, _stencil_csr(mesh, _complex_stencil(mesh, family, a, k)))
     system.field = (family, a, k)
     return system
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .admittivity import AdmittivityFamily, ParameterField, complex_dot
 from .errors import ConfigError, GeometryError, NumericError, SingularityError
-from .fem import BlockSystem, ComplexField, Mesh, SubstructuredSystem
+from .fem import BlockSystem, LatticeVertices, Mesh, SubstructuredSystem
 from .gegenbauer import (GegenbauerSpec, gegenbauer, gegenbauer_derivative)
 from .geometry import EnlargedDomain
 
@@ -218,18 +218,16 @@ def pde_residual_leading(probe: SingularProbe, x, step: float) -> complex:
     return complex(res)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrectedProbe:
-    """Leading term plus FEM corrector with patch-supported boundary trace."""
+    """Leading term plus FEM corrector with patch-supported boundary trace:
+    the corrector's values (n,) at the vertices `mesh_eta` of the enlarged
+    domain, Omega's first."""
 
     probe: SingularProbe
-    corrector: ComplexField
+    corrector: np.ndarray
+    mesh_eta: Mesh | LatticeVertices
     enlarged: EnlargedDomain
-
-    @property
-    def mesh_eta(self):
-        """The vertices of the enlarged domain, Omega's first."""
-        return self.corrector.mesh
 
     def total_at_nodes(self, nodes: np.ndarray) -> np.ndarray:
         """u_m + corrector at the given vertices of the enlarged domain.
@@ -240,7 +238,7 @@ class CorrectedProbe:
         vals = np.zeros(len(nodes), dtype=complex)
         free = ~mesh.boundary_vertex_mask[nodes]
         inner = nodes[free]
-        vals[free] = leading_term(self.probe, mesh.verts[inner]) + self.corrector.values[inner]
+        vals[free] = leading_term(self.probe, mesh.verts[inner]) + self.corrector[inner]
         return vals
 
     def trace_vector(self, mesh_omega: Mesh) -> np.ndarray:
@@ -288,7 +286,7 @@ def build_corrected_probe(
         g[bnd, j] = -leading_term(probe, verts[bnd])
     correctors = system.solve_dirichlet(g)
     return [
-        CorrectedProbe(probe=probe, corrector=ComplexField(mesh_eta, correctors[:, j]),
+        CorrectedProbe(probe=probe, corrector=correctors[:, j], mesh_eta=mesh_eta,
                        enlarged=enlarged)
         for j, probe in enumerate(probes)
     ]

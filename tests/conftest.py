@@ -109,6 +109,15 @@ class LuSystem(BlockSystem):
         return None
 
 
+def gradients(mesh, values):
+    """The tests' gradient reference for `energy_density`: the constant
+    gradients (T, 3) of the nodal field `values` (n,) on the tets of a box
+    mesh, from their patterns' barycentric gradients."""
+    corners = mesh.corners()
+    return np.einsum("ta,taj->tj", np.asarray(values, dtype=complex)[corners],
+                     np.tile(mesh.type_grads, (len(corners) // len(_TET_PATTERNS), 1, 1)))
+
+
 def coo_stiffness(mesh, coeff):
     """Reference assembly on any mesh: per-tet local matrices summed through
     COO."""

@@ -473,7 +473,7 @@ def reference_records(fwd1, fwd2, x0, tau_grid, m, rho):
         pairing = complex((f1 / n1) @ delta_p @ (f2 / n2)) * n1 * n2
         u1 = fwd1.system.solve_dirichlet(traces[0])
         u2 = fwd2.system.solve_dirichlet(traces[1])
-        dens = energy_density(frame.mesh, D, u1.values, u2.values).real
+        dens = energy_density(frame.mesh, D, u1, u2).real
         ball = np.linalg.norm(bary - z[None, :], axis=1) < rho
         n_full = float(np.sum(dens))
         records.append(TauRecord(

@@ -18,12 +18,12 @@ from admitlab.dtn import boundary_mass_sigma
 from admitlab.config import load_config
 from admitlab.estimator import build_forward, build_frame
 import admitlab.estimator
-from admitlab.fem import (_STENCIL_SLOTS, _TET_PATTERNS, BlockSystem, ComplexField, Mesh,
+from admitlab.fem import (_STENCIL_SLOTS, _TET_PATTERNS, BlockSystem, Mesh,
                           SubstructuredSystem, _stencil_slots, _stiffness_blocks, assemble,
                           assemble_stiffness, box_solve, build_mesh, energy_density)
 from admitlab.geometry import (FACE_NAMES, BoxDomain, BoundaryPatch,
                                EnlargedDomain, build_enlarged_domain)
-from conftest import (LuSystem, UnionMesh, bincount_csr, box_cells, coo_stiffness,
+from conftest import (LuSystem, UnionMesh, bincount_csr, box_cells, coo_stiffness, gradients,
                       lattice_topology, lu_system, traced_extra)
 
 BOX = BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
@@ -312,8 +312,7 @@ class TestChunkCorners:
     def test_slice_not_of_whole_cells_refused(self, chunk):
         mesh = build_mesh(BOX, 0.25)
         calls = (mesh.corners, mesh.barycenters, lambda c: _stencil_slots(mesh, c),
-                 lambda c: _stiffness_blocks(mesh, c, np.eye(3)),
-                 ComplexField(mesh, mesh.verts[:, 0]).gradients)
+                 lambda c: _stiffness_blocks(mesh, c, np.eye(3)))
         for call in calls:
             with pytest.raises(ValueError, match="whole lattice cells"):
                 call(chunk)
@@ -543,7 +542,7 @@ class TestBlockSystem:
         system = assemble(mesh, LAPLACE, A_ONE, 0.0)
         g = mesh.verts[:, 0].astype(complex)
         u = system.solve_dirichlet(g)
-        assert np.max(np.abs(u.values - g)) <= 1e-12
+        assert np.max(np.abs(u - g)) <= 1e-12
 
     def test_complex_scalar_divides_out(self):
         fam = scalar_identity_family(k=0.1, imag=1.0)
@@ -551,7 +550,7 @@ class TestBlockSystem:
         system = assemble(mesh, fam, A_ONE, 0.1)
         g = mesh.verts[:, 0].astype(complex)
         u = system.solve_dirichlet(g)
-        assert np.max(np.abs(u.values - g)) <= 1e-12
+        assert np.max(np.abs(u - g)) <= 1e-12
 
     def test_boundary_values_exact(self):
         mesh = build_mesh(BOX, 0.25)
@@ -561,7 +560,7 @@ class TestBlockSystem:
              + 1j * rng.standard_normal(mesh.n_vertices))
         u = system.solve_dirichlet(g)
         bnd = mesh.boundary_vertex_mask
-        assert np.array_equal(u.values[bnd], g[bnd])
+        assert np.array_equal(u[bnd], g[bnd])
 
     def test_interior_residual_bound(self):
         mesh = build_mesh(BOX, 0.25)
@@ -570,7 +569,7 @@ class TestBlockSystem:
         g = rng.standard_normal(mesh.n_vertices).astype(complex)
         u = system.solve_dirichlet(g)
         rhs = -(system._K_ib @ g[system.boundary])
-        resid = np.linalg.norm(system._K_ii @ u.values[system.interior] - rhs)
+        resid = np.linalg.norm(system._K_ii @ u[system.interior] - rhs)
         assert resid <= 1e-10 * np.linalg.norm(rhs)
 
     def test_nonfinite_data_rejected(self):
@@ -647,11 +646,11 @@ class TestColumnSolves:
         fam = scalar_identity_family(k=0.1, imag=1.0)
         mesh = build_mesh(BOX, 0.25)
         system = assemble(mesh, fam, A_ONE, 0.1)
-        assert system.axis_weights is not None
+        assert system.solver_kind == "sine-transform"
         if self.PATH == "lu":
             system = LuSystem(mesh, system.matrix())
         elif self.PATH == "cocg":
-            system = BlockSystem(mesh, system.matrix(), cocg_weights=system.axis_weights)
+            system = _read_as_cocg(BlockSystem(mesh, system.matrix()))
         rng = np.random.default_rng(seed)
         g = (rng.standard_normal((mesh.n_vertices, columns))
              + 1j * rng.standard_normal((mesh.n_vertices, columns)))
@@ -668,15 +667,15 @@ class TestColumnSolves:
         assert isinstance(u, np.ndarray) and u.shape == g.shape
         for j in range(g.shape[1]):
             single = system.solve_dirichlet(g[:, j])
-            assert isinstance(single, ComplexField)
-            scale = np.max(np.abs(single.values))
-            assert np.max(np.abs(u[:, j] - single.values)) <= 1e-14 * scale
+            assert single.shape == (len(g),) and single.dtype == np.complex128
+            scale = np.max(np.abs(single))
+            assert np.max(np.abs(u[:, j] - single)) <= 1e-14 * scale
 
     def test_single_column_matrix(self):
         system, g = self._system_and_data(1)
         u = system.solve_dirichlet(g)
         assert u.shape == g.shape
-        assert np.array_equal(u[:, 0], system.solve_dirichlet(g[:, 0]).values)
+        assert np.array_equal(u[:, 0], system.solve_dirichlet(g[:, 0]))
 
     def test_poisoned_column_named(self, monkeypatch):
         system, g = self._system_and_data(4)
@@ -691,6 +690,21 @@ class TestColumnSolves:
         with pytest.raises(SolverError) as err:
             system.solve_dirichlet(g)
         assert err.value.diagnostics["column"] == 2
+
+    def test_nan_single_solution_raises(self, monkeypatch):
+        # A 1-D solve returns a plain array: a non-finite solution fails
+        # its residual check.
+        system, g = self._system_and_data(1)
+        solve = system._solve_interior
+
+        def poisoned(rhs):
+            out = solve(rhs)
+            out[0] = np.nan
+            return out
+
+        monkeypatch.setattr(system, "_solve_interior", poisoned)
+        with pytest.raises(SolverError, match="interior residual"):
+            system.solve_dirichlet(g[:, 0])
 
     def test_nan_solution_column_named(self, monkeypatch):
         system, g = self._system_and_data(3)
@@ -789,7 +803,7 @@ class TestBoxSolve:
     def test_dirichlet_and_schur_match_lu(self, fam, factor_calls):
         mesh = build_mesh(BOX, 0.125)
         box = assemble(mesh, fam, A_ONE, fam.freq)
-        assert box.axis_weights is not None
+        assert box.solver_kind == "sine-transform"
         lu = LuSystem(mesh, box.matrix())
         rng = np.random.default_rng(5)
         g = (rng.standard_normal((mesh.n_vertices, 3))
@@ -879,8 +893,8 @@ def _assert_core_matches_lu(via, lu, seed=0, columns=3):
     u_via, u_lu = via.solve_dirichlet(g), lu.solve_dirichlet(g)
     assert np.max(np.abs(u_via - u_lu)) <= 1e-12 * np.max(np.abs(u_lu))
     v_via, v_lu = via.solve_dirichlet(g[:, 0]), lu.solve_dirichlet(g[:, 0])
-    assert isinstance(v_via, ComplexField)
-    assert np.max(np.abs(v_via.values - v_lu.values)) <= 1e-12 * np.max(np.abs(v_lu.values))
+    assert v_via.shape == v_lu.shape == (n,)
+    assert np.max(np.abs(v_via - v_lu)) <= 1e-12 * np.max(np.abs(v_lu))
     assert via.solve_calls == 2 and via.rhs_columns == columns + 1
     assert 0.0 < via.worst_residual <= 1e-10
     Kg = lu.matrix() @ g
@@ -1082,14 +1096,24 @@ COCG_FAMILIES = {"scalar": scalar_identity_family(k=0.1, imag=1.0), "diag123": D
                  "rotated": ROTATED}
 
 
+def _read_as_cocg(system):
+    """The system, its interior solver read as box-cocg with the weights
+    that its matrix gives, whatever kind the matrix reads as."""
+    import admitlab.fem
+
+    read = admitlab.fem._read_interior_solver
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(admitlab.fem, "_read_interior_solver",
+                      lambda *args: ("box-cocg", read(*args)[1]))
+        # The read is kept, so the system stays box-cocg.
+        assert system.solver_kind == "box-cocg"
+    return system
+
+
 def _cocg_system(mesh, fam, a):
     """The assembled system of a field on a full box, on the box-cocg path
     even where its coefficient is a constant diagonal."""
-    system = assemble(mesh, fam, a, fam.freq)
-    if system.axis_weights is not None:
-        system = BlockSystem(mesh, system.matrix(), cocg_weights=system.axis_weights)
-    assert system.solver_kind == "box-cocg"
-    return system
+    return _read_as_cocg(assemble(mesh, fam, a, fam.freq))
 
 
 def _zero_flux_dofs(system):
@@ -1290,7 +1314,7 @@ class TestConvergence:
             system = assemble(mesh, LAPLACE, A_ONE, 0.0)
             g = (mesh.verts[:, 0] ** 2 - mesh.verts[:, 1] ** 2).astype(complex)
             u = system.solve_dirichlet(g)
-            assert np.max(np.abs(u.values - g)) <= 1e-12
+            assert np.max(np.abs(u - g)) <= 1e-12
 
     def test_quartic_harmonic_order(self):
         errs = []
@@ -1300,7 +1324,7 @@ class TestConvergence:
             x, y = mesh.verts[:, 0], mesh.verts[:, 1]
             g = (x**4 - 6.0 * x**2 * y**2 + y**4).astype(complex)
             u = system.solve_dirichlet(g)
-            errs.append(float(np.max(np.abs(u.values - g))))
+            errs.append(float(np.max(np.abs(u - g))))
         order = math.log2(errs[0] / errs[1])
         assert order >= 1.8
 
@@ -1373,7 +1397,7 @@ class TestEnergyPairing:
             u, v = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
             dens = energy_density(self.mesh, coeff, u, v)
             assert dens.shape == (self.mesh.n_tets,) and dens.dtype == np.complex128
-            grads = [ComplexField(self.mesh, w).gradients() for w in (u, v)]
+            grads = [gradients(self.mesh, w) for w in (u, v)]
             ref = (np.einsum("tj,tjk,tk->t", grads[0], c, grads[1])
                    * self.mesh.type_volumes[_patterns(self.mesh)])
             assert np.max(np.abs(dens - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -1381,23 +1405,19 @@ class TestEnergyPairing:
             assert real.dtype == np.float64 and np.array_equal(real, dens.real)
 
     def test_chunked_density_and_gradients(self, monkeypatch):
-        """Densities and gradients evaluated in chunks of 1, 7 and all
-        cells have the bits of one pass over all tets."""
+        """Densities, from corner-difference gradients, evaluated in
+        chunks of 1, 7 and all cells have the bits of one pass over all
+        tets."""
         import admitlab.fem
 
         rng = np.random.default_rng(6)
-        u = ComplexField(self.mesh, rng.standard_normal(self.mesh.n_vertices)
-                         + 1j * rng.standard_normal(self.mesh.n_vertices))
+        u = (rng.standard_normal(self.mesh.n_vertices)
+             + 1j * rng.standard_normal(self.mesh.n_vertices))
         coeff = _aniso_coeffs(self.mesh.n_tets, seed=8) + 0.5j
-        whole = energy_density(self.mesh, coeff, u.values, u.values)
-        grads = u.gradients()
+        whole = energy_density(self.mesh, coeff, u, u)
         for cells in (1, 7, self.mesh.n_tets // 6):
             monkeypatch.setattr(admitlab.fem, "_BLOCK_BYTES", 128 * 6 * cells)
-            assert np.array_equal(energy_density(self.mesh, coeff, u.values, u.values), whole)
-            step = 6 * cells
-            assert np.array_equal(np.concatenate([u.gradients(slice(s, s + step))
-                                                  for s in range(0, self.mesh.n_tets, step)]),
-                                  grads)
+            assert np.array_equal(energy_density(self.mesh, coeff, u, u), whole)
 
 
 def _float_geometry_assemble(mesh, family, a, k):
@@ -1486,12 +1506,13 @@ class TestTypedAssembly:
         bump = gaussian_bump_field(1.0, 0.1, (0.5, 0.5, 0.9), 0.3)
         system = assemble(mesh, ROTATED, bump, ROTATED.freq)
         assert _bitwise_equal(system.matrix(), _assemble_reference(mesh, ROTATED, bump, ROTATED.freq))
-        bary = mesh.barycenters()
-        t = bump.values(bary)
-        # The COCG weights are the bits of the whole-mesh mean diagonal.
-        mean = [np.diagonal(c, axis1=1, axis2=2).mean(axis=0)
-                for c in (ROTATED.real_part(bary, t), ROTATED.freq * ROTATED.imag_part(bary, t))]
-        assert np.array_equal(system.cocg_weights, mean[0] + 1j * mean[1])
+        # The COCG weights, read in chunks of rows within the same budget,
+        # have the bits of one read over all rows.
+        assert system.solver_kind == "box-cocg"
+        weights = system._box_read[1]
+        monkeypatch.setattr(admitlab.fem, "_BLOCK_BYTES", 1 << 40)
+        whole = admitlab.fem._read_interior_solver(system)
+        assert whole[0] == "box-cocg" and np.array_equal(weights, whole[1])
 
 
 @st.composite
@@ -1525,7 +1546,9 @@ def _box_system(mesh, weights):
     """The sine-transform system of diag(weights), assembled part by part."""
     K = (assemble_stiffness(mesh, np.diag(weights.real))
          + 1j * assemble_stiffness(mesh, np.diag(weights.imag)))
-    return BlockSystem(mesh, K.tocsr(), axis_weights=weights)
+    system = BlockSystem(mesh, K.tocsr())
+    assert system.solver_kind == "sine-transform"
+    return system
 
 
 def _column_oracle(system, sigma):
@@ -1554,20 +1577,21 @@ class TestFaceSchur:
 
     def test_other_sigma_takes_the_columns(self):
         mesh = build_mesh(BoxDomain((0.0, 0.0, 0.0), (1.0, 0.75, 1.25)), 0.125)
-        system = _box_system(mesh, np.array([1.0 + 0.5j, 2.0, 0.5 - 0.1j]))
+        weights = np.array([1.0 + 0.5j, 2.0, 0.5 - 0.1j])
+        system = _box_system(mesh, weights)
         ijk = mesh.ijk - mesh.ijk.min(axis=0)
         top = np.flatnonzero((ijk[:, 2] == 10) & (ijk[:, 0] >= 1) & (ijk[:, 0] <= 7)
                              & (ijk[:, 1] >= 0) & (ijk[:, 1] <= 5))
         # A face edge vertex, and two faces: solved column by column.
         for sigma in (top, np.concatenate([top[:4], system.boundary[:3]])):
-            fresh = _box_system(mesh, system.axis_weights)
+            fresh = _box_system(mesh, weights)
             S = fresh.schur_onto(sigma)
             assert fresh.rhs_columns == len(sigma)
             assert np.array_equal(S, _column_oracle(fresh, sigma))
 
     def test_real_weights_give_a_real_schur_complement(self):
         mesh = build_mesh(BOX, 0.125)
-        system = BlockSystem(mesh, assemble_stiffness(mesh, np.eye(3)), axis_weights=(1, 1, 1))
+        system = BlockSystem(mesh, assemble_stiffness(mesh, np.eye(3)))
         ijk = mesh.ijk
         sigma = np.flatnonzero((ijk[:, 0] == 0) & np.all((ijk[:, 1:] >= 1) & (ijk[:, 1:] <= 7),
                                                          axis=1))
@@ -1656,6 +1680,24 @@ class TestInterfaceCocg:
         assert via.krylov_iterations == 3 and via.krylov_iterations_max == 1
         ref = _dense_interface_solve(_derivative_forward(0.0625).system_eta, g)
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_nan_solution_raises(self, monkeypatch):
+        import admitlab.fem
+
+        # A non-finite core interior carried by the interface iteration
+        # reaches no part's own check: the residual over the whole interior
+        # fails.
+        via = _derivative_forward(0.125, "a1").system_eta
+        real = admitlab.fem._cocg
+
+        def poisoned(*args, **kwargs):
+            x, iterations = real(*args, **kwargs)
+            x[-1] = np.nan
+            return x, iterations
+
+        monkeypatch.setattr(admitlab.fem, "_cocg", poisoned)
+        with pytest.raises(SolverError, match="interior residual"):
+            via.solve_dirichlet(np.ones(via.mesh.n_vertices))
 
     def test_stalled_interface_raises(self, monkeypatch):
         import admitlab.fem
@@ -1771,6 +1813,22 @@ class TestWorkingSetBudget:
             assert system.solver_kind == "box-cocg"
             assert extra <= 4 * admitlab.fem._BLOCK_BYTES, extra
 
+    def test_solver_read_peak(self):
+        import admitlab.fem
+
+        # The first solve's read of the interior solver from K, on both
+        # boxes of Omega_eta and for both kinds, within one block budget.
+        patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
+        mesh = build_mesh(BOX, 0.0625, patch=patch)
+        bump = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.0625), 0.0625)
+        scalar = scalar_identity_family(k=0.1, imag=1.0)
+        for mesh in (mesh, bump):
+            for fam, a, kind in ((ROTATED, AFFINE, "box-cocg"), (scalar, A_ONE, "sine-transform")):
+                system = assemble(mesh, fam, a, fam.freq)
+                read, extra = traced_extra(lambda: system._box_read)
+                assert read[0] == kind
+                assert extra <= admitlab.fem._BLOCK_BYTES, extra
+
     def test_box_cocg_schur_peak(self):
         import admitlab.fem
 
@@ -1778,3 +1836,66 @@ class TestWorkingSetBudget:
         S, extra = traced_extra(lambda: system.schur_onto(sigma))
         assert system.solve_calls > 1
         assert extra <= 10 * admitlab.fem._BLOCK_BYTES, extra
+
+
+def _read_boxes():
+    """The Omega box and the bump box over its patch at h = 1/8."""
+    patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
+    return {"omega": build_mesh(BOX, 0.125, patch=patch),
+            "bump": build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)}
+
+
+READ_BOXES = _read_boxes()
+POSITIVE = st.floats(0.5, 2.0)
+
+
+@st.composite
+def read_cases(draw):
+    """One of the two boxes, a scalar, diagonal-affine or rotated family,
+    and a constant field or one affine along one axis."""
+    k = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    name = draw(st.sampled_from(["scalar", "diagonal-affine", "rotated"]))
+    if name == "scalar":
+        fam = scalar_identity_family(k=k, imag=draw(POSITIVE))
+    elif name == "diagonal-affine":
+        fam = diagonal_affine_family(k=k, slope=draw(st.tuples(*[POSITIVE] * 3)),
+                                     offset=draw(st.tuples(*[st.floats(0.0, 0.5)] * 3)),
+                                     imag=draw(st.tuples(*[POSITIVE] * 3)))
+    else:
+        fam = rotated_anisotropic_family(k=k, eps=draw(st.floats(0.1, 0.4)), imag=draw(POSITIVE))
+    axis = draw(st.sampled_from([None, 0, 1, 2]))
+    if axis is None:
+        a = constant_field(draw(POSITIVE))
+    else:
+        a = affine_field(1.0, np.eye(3)[axis] * draw(st.floats(0.05, 0.3)))
+    return READ_BOXES[draw(st.sampled_from(sorted(READ_BOXES)))], fam, a
+
+
+class TestInteriorSolverRead:
+    """Each system reads its interior solver from its own matrix."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(read_cases())
+    def test_kind_weights_and_solves(self, case):
+        mesh, fam, a = case
+        system = assemble(mesh, fam, a, fam.freq)
+        bary = mesh.barycenters()
+        t = np.broadcast_to(np.asarray(a.values(bary), dtype=float), (len(bary),))
+        coeff = np.broadcast_to(fam.real_part(bary, t) + 1j * fam.freq * fam.imag_part(bary, t),
+                                (len(bary), 3, 3))
+        diagonal = np.diagonal(coeff, axis1=1, axis2=2)
+        constant_diagonal = (np.all(coeff == coeff[0])
+                             and not np.any(coeff[0] - np.diag(diagonal[0])))
+        kind, weights = system._box_read
+        assert kind == ("sine-transform" if constant_diagonal else "box-cocg")
+        if constant_diagonal:
+            assert np.max(np.abs(weights - diagonal[0])) <= 1e-14 * np.max(np.abs(diagonal[0]))
+        else:
+            mean = diagonal.mean(axis=0)
+            assert np.max(np.abs(weights - mean)) <= 1e-11 * np.max(np.abs(mean))
+        lu = LuSystem(mesh, system.matrix())
+        rng = np.random.default_rng(3)
+        g = (rng.standard_normal((mesh.n_vertices, 2))
+             + 1j * rng.standard_normal((mesh.n_vertices, 2)))
+        want = lu.solve_dirichlet(g)
+        assert np.max(np.abs(system.solve_dirichlet(g) - want)) <= 1e-10 * np.max(np.abs(want))

@@ -222,7 +222,7 @@ class TestCorrectedProbe:
         z = np.array([0.5, 0.5, 1.0 + eta / 16])
         probe = make_probe(fam, a, z, 0)
         (corrected,) = build_corrected_probe([probe], enlarged, system_eta)
-        omega = corrected.corrector.values
+        omega = corrected.corrector
         assert np.all(np.isfinite(omega))
         near = np.linalg.norm(mesh_eta.verts - z[None, :], axis=1) <= eta / 16
         near &= ~mesh_eta.boundary_vertex_mask
@@ -253,8 +253,8 @@ class TestCorrectedProbe:
         assert [c.probe for c in batch] == probes
         for probe, corrected in zip(probes, batch):
             (single,) = build_corrected_probe([probe], enlarged, system_eta)
-            scale = np.max(np.abs(single.corrector.values))
-            assert (np.max(np.abs(corrected.corrector.values - single.corrector.values))
+            scale = np.max(np.abs(single.corrector))
+            assert (np.max(np.abs(corrected.corrector - single.corrector))
                     <= 1e-14 * scale)
 
     def test_every_probe_is_checked(self, setup):
