@@ -16,7 +16,7 @@ import numpy as np
 
 from .admittivity import AdmittivityFamily, ParameterField
 from .errors import ConfigError, NumericError
-from .fem import BlockSystem, Mesh, assemble, assemble_stiffness, energy_density
+from .fem import BlockSystem, Mesh, assemble, energy_density, stiffness_stencil
 from .geometry import BoundaryPatch
 
 if TYPE_CHECKING:
@@ -112,7 +112,7 @@ def h_half_gram(mesh: Mesh, basis: SigmaBasis) -> np.ndarray:
     basis, checked by one sine-transform solve of a few combinations of its
     columns; no column is solved.
     """
-    laplace = BlockSystem(mesh, assemble_stiffness(mesh, np.eye(3)))
+    laplace = BlockSystem.from_stencil(mesh, stiffness_stencil(mesh, np.eye(3)))
     sig = np.asarray(basis.vertices, dtype=int)
     schur = laplace.schur_onto(sig)
     mass = boundary_mass_sigma(mesh)[np.ix_(sig, sig)].toarray()

@@ -23,7 +23,7 @@ from .admittivity import AdmittivityFamily, ParameterField, WindowResult, comple
 from .dtn import LocalDtnMatrix, SigmaBasis, assemble_dtn, dtn_star_norm, h_half_gram, sigma_basis
 from .errors import (ConfigError, EstimatorRefusal, GeometryError,
                      NumericError, SingularityError)
-from .fem import (BlockSystem, Mesh, SubstructuredSystem, assemble, build_mesh,
+from .fem import (BlockSystem, LatticeVertices, Mesh, SubstructuredSystem, assemble, build_mesh,
                   energy_density, tet_chunks)
 from .geometry import (BoundaryPatch, BoxDomain, EnlargedDomain, EtaSets,
                        ProbePath, build_enlarged_domain, build_eta_sets,
@@ -245,9 +245,11 @@ class LabFrame:
     """Geometry, meshes, basis and Gram shared by all forwards of a run.
 
     `bump` is the mesh of the bump box of Omega_eta on the lattice of
-    `mesh`, built on first read, once, and shared by every Forward's
-    `system_eta`.  A run that reads no Omega_eta system, such as `dtn` or
-    a Lipschitz sweep, never builds it.
+    `mesh`, and `eta_vertices` the vertex record of Omega_eta on the two
+    boxes (`LatticeVertices`: its vertices, boundary and footprint), each
+    built on first read, once, and shared by every Forward's `system_eta`.
+    A run that reads no Omega_eta system, such as `dtn` or a Lipschitz
+    sweep, builds neither.
     """
 
     box: BoxDomain
@@ -265,6 +267,10 @@ class LabFrame:
     @functools.cached_property
     def bump(self) -> Mesh:
         return build_mesh(self.enlarged, self.h)
+
+    @functools.cached_property
+    def eta_vertices(self) -> LatticeVertices:
+        return LatticeVertices(self.mesh, self.bump)
 
     @property
     def k(self) -> float:
@@ -304,8 +310,8 @@ class Forward:
     footprint lies in the basis, so for a box-cocg system its restriction
     preconditions the Omega_eta interface exactly.  `system_eta` is built
     on first read too, substructured through `system` and the field's
-    system on the frame's bump, so a Forward that only gives a DtN never
-    builds it.  Nothing here refers back to the
+    system on the frame's bump, on the frame's vertex record, so a Forward
+    that only gives a DtN never builds it.  Nothing here refers back to the
     Forward, so dropping it frees both systems.
     """
 
@@ -323,7 +329,8 @@ class Forward:
         # Substructured through the Omega system: no Omega_eta matrix.
         frame = self.frame
         return SubstructuredSystem(self.system,
-                                   assemble(frame.bump, frame.family, self.a, frame.k))
+                                   assemble(frame.bump, frame.family, self.a, frame.k),
+                                   frame.eta_vertices)
 
     def solver_entries(self, label: str) -> list:
         """One plain manifest entry per system built: the field's `label`,

@@ -10,18 +10,22 @@ for the structure and ellipticity checks.  `assemble` builds one
 complement onto boundary dofs (the DtN pairing and the trace Gram) goes
 through a `BlockSystem`, which reads its interior solver from the interior
 rows of its own K and takes no solver option: a sine-transform solve where
-every interior row is the same axis-only 7-point stencil, and conjugate
-orthogonal CG (COCG) preconditioned by the sine-transform solve of the
-rows' mean second moments for any other K.  A
-sine-transform system's Schur complement onto dofs inside one box face is a
-closed form, diagonal in the face's sine basis (`_face_schur`), checked on
-a few combinations of its columns; any other is solved column by column.
+every interior row is the same axis-only 7-point stencil, a layered
+DST-Thomas solve where the rows of each level along one axis share one
+such stencil, and conjugate orthogonal CG (COCG) preconditioned by the
+sine-transform solve of the rows' mean second moments for any other K.  A
+sine-transform system's Schur complement onto dofs inside one box face,
+and a layered system's onto dofs inside a face normal to its layer axis,
+is a closed form, diagonal in the face's sine basis (`_face_schur`),
+checked on a few combinations of its columns; any other is solved column
+by column.
 An Omega_eta system is never assembled or meshed whole: it is a
 `SubstructuredSystem` of the Omega system and the system of the bump box
 over the patch, which numbers the union's vertices and solves its
 footprint between them by COCG on the interface, preconditioned by the
 closed-form Schur complements.  Nothing is factored but that dense
-footprint preconditioner.
+footprint preconditioner.  `assemble` builds a system's blocks straight
+from the stencil rows, so no K is formed whole.
 
 Every mesh is one full box of lattice cells, given by its integer lattice
 corners, and its vertices, boundary and tet corners are closed forms of
@@ -44,6 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import time
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -123,16 +128,24 @@ _STENCIL_SLOTS = _STENCIL_SLOTS.reshape(len(_TET_PATTERNS), 4, 4).astype(np.int3
 _BLOCK_BYTES = 1 << 20
 
 
-def _chunk_size() -> int:
-    """Tets per chunk: the whole cells, at least one, whose float element
-    blocks fit in `_BLOCK_BYTES`."""
-    return len(_TET_PATTERNS) * max(1, _BLOCK_BYTES // (16 * 8 * len(_TET_PATTERNS)))
+# The per-tet temporaries of a pass: a float element block, and those of
+# assembly, about 520 bytes a tet (the element block, its slots, corners,
+# barycenter, coefficient, tiled gradients and einsum intermediate).
+_ELEMENT_BYTES = 16 * 8
+_ASSEMBLY_BYTES = 4 * _ELEMENT_BYTES
 
 
-def tet_chunks(n_tets: int):
-    """Contiguous tet-order slices of `_chunk_size()` tets, whole cells
-    each."""
-    step = _chunk_size()
+def _chunk_size(tet_bytes: int = _ELEMENT_BYTES) -> int:
+    """Tets per chunk: the whole cells, at least one, whose `tet_bytes`
+    of temporaries each, by default their float element blocks, fit in
+    `_BLOCK_BYTES`."""
+    return len(_TET_PATTERNS) * max(1, _BLOCK_BYTES // (tet_bytes * len(_TET_PATTERNS)))
+
+
+def tet_chunks(n_tets: int, tet_bytes: int = _ELEMENT_BYTES):
+    """Contiguous tet-order slices of `_chunk_size(tet_bytes)` tets, whole
+    cells each."""
+    step = _chunk_size(tet_bytes)
     for start in range(0, n_tets, step):
         yield slice(start, min(start + step, n_tets))
 
@@ -391,6 +404,60 @@ def _stencil_slots(mesh: Mesh, chunk: slice, out: Optional[np.ndarray] = None) -
     return out.ravel()
 
 
+def _stencil_blocks(mesh: Mesh, data: np.ndarray, interior: np.ndarray, boundary: np.ndarray):
+    """The CSR blocks K_II and K_IB (columns by position among the
+    `interior` and `boundary` vertices) and the boundary rows K_B (columns
+    on all vertices) of the stencil array `data` (15 n,) of a mesh, exact
+    zeros dropped: the blocks, entries and dtypes that slicing
+    `_stencil_csr(mesh, data)` gives, without forming it.
+
+    Slot 15 v + s is the entry of row v and column v plus offset s; the
+    offsets ascend, so each row keeps its entries in column order.  The
+    slots whose column is off the box were never written, so they are
+    exact zeros and are dropped with the others.  Each block is counted
+    from boolean (rows, 15) masks of the slots it keeps, and its entries
+    are gathered in row chunks within `_BLOCK_BYTES`, so only the blocks,
+    the masks and one chunk's temporaries are live beside `data`.
+    """
+    import scipy.sparse as sp
+
+    n = mesh.n_vertices
+    stencil = data.reshape(n, 15)
+    steps = _STENCIL_OFFSETS @ mesh._strides
+    position = np.empty(n, dtype=np.int64)
+    position[interior] = np.arange(len(interior))
+    position[boundary] = np.arange(len(boundary))
+    # About 32 bytes of temporaries per slot of a row.
+    step = max(1, _BLOCK_BYTES // (32 * 15))
+    nonzero = stencil != 0
+    # The interior rows' slots whose column is an interior vertex; every
+    # column of an interior row is on the box.
+    inner = np.empty((len(interior), 15), dtype=bool)
+    for start in range(0, len(interior), step):
+        r = interior[start:start + step]
+        np.logical_not(mesh.boundary_vertex_mask[r[:, None] + steps],
+                       out=inner[start:start + step])
+
+    def block(rows, keep, n_cols, column_of):
+        indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+        values = np.empty(indptr[-1], dtype=data.dtype)
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        for start in range(0, len(rows), step):
+            r, k = rows[start:start + step], keep[start:start + step]
+            lo, hi = indptr[start], indptr[start + len(r)]
+            values[lo:hi] = stencil[r][k]
+            indices[lo:hi] = column_of((r[:, None] + steps)[k])
+        return sp.csr_matrix((values, indices, indptr), shape=(len(rows), n_cols))
+
+    keep = nonzero[interior]
+    K_ii = block(interior, keep & inner, len(interior), position.take)
+    K_ib = block(interior, keep & ~inner, len(boundary), position.take)
+    del keep, inner
+    K_b = block(boundary, nonzero[boundary], n, lambda columns: columns)
+    return K_ii, K_ib, K_b
+
+
 def _stencil_csr(mesh: Mesh, data: np.ndarray) -> sp.csr_matrix:
     """The square CSR matrix of the stencil array `data` (15 n,) of a mesh,
     exact zeros dropped; `data` becomes its data.
@@ -412,21 +479,26 @@ def _stencil_csr(mesh: Mesh, data: np.ndarray) -> sp.csr_matrix:
     return mat
 
 
-def assemble_stiffness(mesh: Mesh, coeff) -> sp.csr_matrix:
-    """Stiffness matrix of a mesh for a per-tet (or constant) real 3x3
-    coefficient.
+def stiffness_stencil(mesh: Mesh, coeff) -> np.ndarray:
+    """The 15-point stencil array (15 n,) of the stiffness matrix of a mesh
+    for a per-tet (or constant) real 3x3 coefficient.
 
-    The element blocks of each chunk of whole cells are added into the
-    15-point stencil array by `np.add.at`, which adds in tet order as one
-    `np.bincount` would, so the matrix has the same bits whatever the chunk
-    size.
+    The element blocks of each chunk of whole cells are added into it by
+    `np.add.at`, which adds in tet order as one `np.bincount` would, so the
+    matrix has the same bits whatever the chunk size.
     """
     coeff = np.asarray(coeff)
     data = np.zeros(15 * mesh.n_vertices)
     for chunk in tet_chunks(mesh.n_tets):
         blocks = _stiffness_blocks(mesh, chunk, coeff if coeff.ndim == 2 else coeff[chunk])
         np.add.at(data, _stencil_slots(mesh, chunk), blocks.ravel())
-    return _stencil_csr(mesh, data)
+    return data
+
+
+def assemble_stiffness(mesh: Mesh, coeff) -> sp.csr_matrix:
+    """Stiffness matrix of a mesh for a per-tet (or constant) real 3x3
+    coefficient: the CSR matrix of `stiffness_stencil`."""
+    return _stencil_csr(mesh, stiffness_stencil(mesh, coeff))
 
 
 _RESIDUAL_RTOL = 1e-10
@@ -496,27 +568,11 @@ def box_solve(mesh: Mesh, weights):
     if min(mesh.box_shape) == 0:
         raise GeometryError("the sine-transform solve needs a mesh with interior vertices")
     shape = mesh.box_shape
-    n0, n1, n2 = shape
-    sines = [_sine_matrix(n) for n in shape]
     eig = np.zeros(shape, dtype=np.result_type(*weights, float))
     for a, (n, w) in enumerate(zip(shape, weights)):
         eig += mesh.h * w * _stencil_modes(n).reshape([n if b == a else 1 for b in range(3)])
     inverse = (1.0 / eig).reshape(1, -1)
-    # The last axis of complex data, viewed as interleaved real and imaginary
-    # parts, is transformed by the sine matrix with each entry doubled.
-    last_sine = {False: sines[2], True: np.kron(sines[2], np.eye(2))}
-
-    def transform(X: np.ndarray) -> np.ndarray:
-        # One row per column: a batched BLAS product per axis, each batch
-        # item within one column.
-        complex_data = np.iscomplexobj(X)
-        R = X.view(np.float64) if complex_data else X
-        columns, last = len(R), R.shape[1] // (n0 * n1)
-        R = np.matmul(sines[0], R.reshape(columns, n0, n1 * last))
-        R = np.matmul(sines[1], R.reshape(columns * n0, n1, last))
-        R = np.matmul(R.reshape(columns, n0 * n1, last), last_sine[complex_data])
-        R = R.reshape(columns, -1)
-        return R.view(np.complex128) if complex_data else R
+    transform = _sine_transform(shape, (0, 1, 2))
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs)
@@ -528,11 +584,102 @@ def box_solve(mesh: Mesh, weights):
     return solve
 
 
-def _face_schur(mesh: Mesh, weights, sigma: np.ndarray) -> Optional[np.ndarray]:
+def _sine_transform(shape, axes):
+    """The orthonormal DST-I along `axes` of a box of interior `shape`, as
+    a map of (columns, n) rows, one row per column, in C order.
+
+    Each axis is one batched BLAS product, each batch item within one
+    column, so a column's transform has the same bits whatever columns
+    ride beside it.  The last axis of complex data, viewed as interleaved
+    real and imaginary parts, is transformed by the sine matrix with each
+    entry doubled.
+    """
+    n0, n1, n2 = shape
+    sines = {a: _sine_matrix(shape[a]) for a in axes}
+    if 2 in axes:
+        last_sine = {False: sines[2], True: np.kron(sines[2], np.eye(2))}
+
+    def transform(X: np.ndarray) -> np.ndarray:
+        complex_data = np.iscomplexobj(X)
+        R = X.view(np.float64) if complex_data else X
+        columns, last = len(R), R.shape[1] // (n0 * n1)
+        if 0 in sines:
+            R = np.matmul(sines[0], R.reshape(columns, n0, n1 * last))
+        if 1 in sines:
+            R = np.matmul(sines[1], R.reshape(columns * n0, n1, last))
+        if 2 in sines:
+            R = np.matmul(R.reshape(columns, n0 * n1, last), last_sine[complex_data])
+        R = R.reshape(columns, -1)
+        return R.view(np.complex128) if complex_data else R
+
+    return transform
+
+
+def _tridiagonal_pivots(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    """Elimination without pivoting of tridiagonals of order N, batched:
+    diagonals `diag` (N, ...), and per row the scalar coupling `lower` to
+    the row before and `upper` to the row after.  Returns the multipliers
+    (N, ...) of the rows before (row 0's are zero) and the inverse pivots
+    (N, ...); the last inverse pivot is the last corner entry of each
+    inverse.  Complex symmetric tridiagonals with a positive definite real
+    part need no pivoting."""
+    multipliers = np.zeros_like(diag)
+    inverse = np.empty_like(diag)
+    inverse[0] = 1.0 / diag[0]
+    for level in range(1, len(diag)):
+        multipliers[level] = lower[level] * inverse[level - 1]
+        inverse[level] = 1.0 / (diag[level] - multipliers[level] * upper[level - 1])
+    return multipliers, inverse
+
+
+def layered_solve(mesh: Mesh, layers: Layers):
+    """Exact interior solve of a K whose interior rows vary along one axis
+    only (`Layers`), on a full box: Hockney's Fourier-analysis method.
+
+    The orthonormal DST-I along the two tangent axes diagonalises every
+    level's tangent couplings, so each tangent mode (p, q) is one
+    tridiagonal along the layer axis a, of order N_a: the level's centre
+    plus 2 cos(theta_p) and 2 cos(theta_q) times its tangent couplings on
+    the diagonal and its -e_a and +e_a slots off it (Swarztrauber's
+    separable solver).  Its pivots are factored once, here, and a solve is
+    one tangent transform, one Thomas sweep down and one up per mode, and
+    a second tangent transform.  The levels may be complex.  Returns
+    solve(rhs) for (n,) or (n, c) right-hand sides on the interior
+    vertices in mesh order; callers check its residuals.  The transforms
+    are those of `box_solve` and the sweeps elementwise, so a column's
+    solution has the same bits whatever columns ride beside it.
+    """
+    if min(mesh.box_shape) == 0:
+        raise GeometryError("the layered solve needs a mesh with interior vertices")
+    shape = mesh.box_shape
+    axis = layers.axis
+    multipliers, inverse = _tridiagonal_pivots(layers.modes(shape), layers.lower, layers.upper)
+    transform = _sine_transform(shape, layers.tangents)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        rhs = np.asarray(rhs)
+        cols = rhs.reshape(len(rhs), -1)
+        X = transform(np.ascontiguousarray(cols.T, dtype=np.result_type(rhs, inverse)))
+        X = X.reshape((len(X),) + shape)
+        # Level l of every column and mode, a view: Y[l] is (columns, N_t0, N_t1).
+        Y = np.moveaxis(X, 1 + axis, 0)
+        for level in range(1, len(Y)):
+            Y[level] -= multipliers[level] * Y[level - 1]
+        Y[-1] *= inverse[-1]
+        for level in range(len(Y) - 2, -1, -1):
+            Y[level] -= layers.upper[level] * Y[level + 1]
+            Y[level] *= inverse[level]
+        return np.ascontiguousarray(transform(X.reshape(len(X), -1)).T).reshape(rhs.shape)
+
+    return solve
+
+
+def _face_schur(mesh: Mesh, weights, sigma: np.ndarray, face_rows=None) -> Optional[np.ndarray]:
     """Closed-form Schur complement onto the boundary dofs sigma of the P1
-    stiffness of diag(weights) on a mesh, the other boundary
+    stiffness of diag(weights) on a mesh, or of a layered K (`weights` a
+    `Layers`, `face_rows` its rows K[sigma]), the other boundary
     dofs pinned to zero; None unless sigma lies in the interior of one box
-    face.
+    face, for `Layers` one normal to the layer axis.
 
     With a diagonal coefficient every Kuhn coupling off an axis edge is
     zero, on face rows too.  So on the face F normal to axis a, in its
@@ -549,27 +696,35 @@ def _face_schur(mesh: Mesh, weights, sigma: np.ndarray) -> Optional[np.ndarray]:
     and onto sigma it is the restriction, since the other face dofs are
     pinned.  It is formed on sigma's bounding rectangle of the face by two
     contractions, one per tangent axis.  The weights may be complex.
+
+    A layered K on a face F normal to its layer axis is the same in modes:
+    F's rows (`face_rows`, which must share one axis-only stencil,
+    symmetric along the face) give K_FF = d + the tangent couplings and the
+    coupling c_F of each face dof to the interior vertex next to it, and
+    that vertex's row the coupling c_I back.  Mode (p, q) of K_II is the
+    tridiagonal of `layered_solve`, and the corner entry r_pq of its
+    inverse at F is the continued fraction of its level couplings, from
+    the far face in.  So mu = lambda_F - c_F c_I r.  Any other layered
+    sigma, or face rows that differ, give None.
     """
-    if not len(sigma):
+    face = _face_of(mesh, sigma)
+    if face is None:
         return None
+    axis, t, rel = face
     shape = np.array(mesh.box_shape)
-    rel = mesh.ijk[sigma] - mesh.lo
-    for axis in range(3):
-        t = [b for b in range(3) if b != axis]
-        level = rel[0, axis]
-        if (level in (0, shape[axis] + 1) and np.all(rel[:, axis] == level)
-                and np.all((rel[:, t] >= 1) & (rel[:, t] <= shape[t]))):
-            break
+    if isinstance(weights, Layers):
+        mu = _layered_face_modes(mesh, weights, sigma, face_rows, axis, rel[0, axis] == 0)
+        if mu is None:
+            return None
     else:
-        return None
-    weights = np.asarray(weights)
-    c = mesh.h * weights[axis]
-    lam = (mesh.h * weights[t[0]] * _stencil_modes(shape[t[0]])[:, None]
-           + mesh.h * weights[t[1]] * _stencil_modes(shape[t[1]])[None, :])
-    corner = np.zeros_like(lam)
-    for _ in range(shape[axis]):
-        corner = 1.0 / (2.0 * c + lam - c * c * corner)
-    mu = c + lam / 2.0 - c * c * corner
+        weights = np.asarray(weights)
+        c = mesh.h * weights[axis]
+        lam = (mesh.h * weights[t[0]] * _stencil_modes(shape[t[0]])[:, None]
+               + mesh.h * weights[t[1]] * _stencil_modes(shape[t[1]])[None, :])
+        corner = np.zeros_like(lam)
+        for _ in range(shape[axis]):
+            corner = 1.0 / (2.0 * c + lam - c * c * corner)
+        mu = c + lam / 2.0 - c * c * corner
     lo, hi = rel[:, t].min(axis=0), rel[:, t].max(axis=0)
     A, B = (_sine_matrix(shape[b])[lo[k] - 1:hi[k]] for k, b in enumerate(t))
     # S[(i, j), (k, l)] = sum_pq A_ip A_kp mu_pq B_jq B_lq over the rectangle.
@@ -579,6 +734,81 @@ def _face_schur(mesh: Mesh, weights, sigma: np.ndarray) -> Optional[np.ndarray]:
     S = S.reshape(len(A) * len(B), -1)
     idx = (rel[:, t[0]] - lo[0]) * len(B) + (rel[:, t[1]] - lo[1])
     return S[np.ix_(idx, idx)]
+
+
+def _face_of(mesh: Mesh, sigma: np.ndarray):
+    """(axis, tangent axes, sigma's lattice positions in the box) of the
+    box face, normal to axis, in whose interior sigma lies; None if it
+    lies in none."""
+    if not len(sigma):
+        return None
+    shape = np.array(mesh.box_shape)
+    rel = mesh.ijk[sigma] - mesh.lo
+    for axis in range(3):
+        t = [b for b in range(3) if b != axis]
+        level = rel[0, axis]
+        if (level in (0, shape[axis] + 1) and np.all(rel[:, axis] == level)
+                and np.all((rel[:, t] >= 1) & (rel[:, t] <= shape[t]))):
+            return axis, t, rel
+    return None
+
+
+def _lattice_stencils(mesh: Mesh, m: int, rows: np.ndarray, shift: np.ndarray,
+                      data: np.ndarray, dtype):
+    """The 27-slot lattice stencils (m, 27) of entries `data` of rows
+    `rows` (< m) at vertex-index shifts `shift` from their row, added in
+    order, and whether a nonzero entry lies off the 27 lattice neighbours
+    of its row.
+
+    Entry (r, c) lies at the lattice offset s = ijk_c - ijk_r of its row:
+    a vertex inside the box has all 27 neighbours, so c is the neighbour
+    at s exactly when c - r = s @ strides, its shift.
+    """
+    # The vertex-index shift to each neighbour, ascending.
+    shifts = _NEIGHBOURS @ mesh._strides
+    slot = np.minimum(np.searchsorted(shifts, shift), 26)
+    near = shifts[slot] == shift
+    stencils = np.zeros(m * 27, dtype=dtype)
+    np.add.at(stencils, 27 * rows[near] + slot[near], data[near])
+    return stencils.reshape(m, 27), bool(np.any(data[~near]))
+
+
+def _row_stencils(mesh: Mesh, rows, dofs: np.ndarray) -> Optional[np.ndarray]:
+    """The 27-slot lattice stencils (m, 27) of the CSR rows `rows` of K,
+    on all vertices, of the vertices `dofs`; None if a row has an entry
+    off its 27 lattice neighbours."""
+    counts = np.diff(rows.indptr)
+    stencils, stray = _lattice_stencils(mesh, len(dofs), np.repeat(np.arange(len(dofs)), counts),
+                                        rows.indices - np.repeat(dofs, counts), rows.data,
+                                        rows.dtype)
+    return None if stray else stencils
+
+
+def _layered_face_modes(mesh: Mesh, layers: Layers, sigma: np.ndarray, face_rows,
+                        axis: int, low: bool) -> Optional[np.ndarray]:
+    """mu (N_t0, N_t1) of `_face_schur` on a face of a layered K, normal to
+    `axis` at its `low` or high end; None unless the face is normal to the
+    layer axis and sigma's rows share one axis-only stencil, symmetric
+    along the face."""
+    if axis != layers.axis:
+        return None
+    stencils = _row_stencils(mesh, face_rows, sigma)
+    if stencils is None or np.any(stencils != stencils[0]):
+        return None
+    face = Layers.of(axis, stencils[:1])
+    if face is None:
+        return None
+    shape = mesh.box_shape
+    lam = face.modes(shape)[0]
+    diag, lower, upper = layers.modes(shape), layers.lower, layers.upper
+    if low:
+        # The corner at level 0 is the last of the levels taken in reverse.
+        diag, lower, upper = diag[::-1], upper[::-1], lower[::-1]
+    corner = _tridiagonal_pivots(diag, lower, upper)[1][-1]
+    # c_F, from the face into the interior, and c_I, from the last level
+    # (in this order) out to the face.
+    c_face = face.upper[0] if low else face.lower[0]
+    return lam - c_face * upper[-1] * corner
 
 
 def _column_sums(M: np.ndarray) -> np.ndarray:
@@ -699,18 +929,62 @@ _CODES = np.array([9, 3, 1])
 _NEIGHBOURS = np.stack(np.meshgrid(*[(-1, 0, 1)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
+_AXIS_SLOTS = np.count_nonzero(_NEIGHBOURS, axis=1) <= 1
+
+
+class Layers:
+    """The interior rows of a K that varies along one axis only: the layer
+    `axis` a and the 27-slot lattice stencil (N_a, 27) shared by the rows
+    of each interior level along it (slot (s + 1) @ _CODES holds the entry
+    at offset s).  Each level's stencil is axis-only and the same at -e_t
+    and +e_t for both tangent axes t; along a, its slots at -e_a (`lower`)
+    and +e_a (`upper`) may differ."""
+
+    def __init__(self, axis: int, stencils: np.ndarray):
+        self.axis, self.stencils = axis, stencils
+        self.tangents = [b for b in range(3) if b != axis]
+        self.lower = stencils[:, 13 - _CODES[axis]]
+        self.upper = stencils[:, 13 + _CODES[axis]]
+
+    @classmethod
+    def of(cls, axis: int, stencils: np.ndarray) -> Optional[Layers]:
+        """The layers of these level stencils along `axis`, or None unless
+        each is axis-only and symmetric along both tangent axes."""
+        t = np.array([_CODES[b] for b in range(3) if b != axis])
+        if np.any(stencils[:, ~_AXIS_SLOTS]) or not np.array_equal(stencils[:, 13 - t],
+                                                                    stencils[:, 13 + t]):
+            return None
+        return cls(axis, stencils)
+
+    def modes(self, shape) -> np.ndarray:
+        """Diagonal (N_a, N_t0, N_t1) of the tridiagonal along the layer axis
+        of each tangent sine mode (p, q): the centre plus 2 cos(theta_p)
+        and 2 cos(theta_q) times the level's tangent couplings."""
+        t0, t1 = (self.stencils[:, 13 + _CODES[b]] for b in self.tangents)
+        cos0, cos1 = (2.0 - _stencil_modes(shape[b]) for b in self.tangents)
+        return (self.stencils[:, 13, None, None] + t0[:, None, None] * cos0[None, :, None]
+                + t1[:, None, None] * cos1[None, None, :])
+
+
 def _read_interior_solver(system: BlockSystem):
     """The interior solver of a system on a box, read from the interior
-    rows of its K: its kind and its per-axis box weights (see `box_solve`).
+    rows of its K: its kind and what it solves with, the per-axis box
+    weights of `box_solve` or the `Layers` of `layered_solve`.
 
-    Entry (r, c) lies at the lattice offset s = ijk_c - ijk_r of its row:
-    an interior vertex has all 27 neighbours, so c is the neighbour at s
-    exactly when c - r = s @ strides, its shift.  "sine-transform" when
+    Each row is read as its 27 lattice-neighbour slots
+    (`_lattice_stencils`).  "sine-transform" when
     every interior row is the same axis-only stencil: its entries off the
     centre and the six axis steps are exact zeros, and each of those seven
     slots holds one value across all interior rows, the same at -e_a and
     +e_a: the box stencil of the weights w_a = -K_{r, r + e_a} / h.
-    "box-cocg" otherwise, with the mean second moments
+    "layered" when that holds per level along one axis a instead: every
+    interior row is identical to the other rows of its level along a (its
+    position on a), and each level's stencil is axis-only and the same at
+    -e_t and +e_t along both tangent axes t.  Its axis slots and centre
+    are the level's weights (see `Layers`).  Rows are compared with their
+    level's first row only once some row differs from the first row of
+    all, so a constant K reads as fast as before.  "box-cocg" otherwise,
+    with the mean second moments
     w_a = -1/2 sum_s K_rs s_a^2 / h over the interior rows and neighbours s,
     for a P1 stiffness of a constant or affine coefficient its mean
     diagonal to rounding.  A real K has real weights, and a box with no
@@ -727,34 +1001,60 @@ def _read_interior_solver(system: BlockSystem):
     row_nnz = np.diff(K_ii.indptr) + np.diff(K_ib.indptr)
     # About 96 bytes of temporaries per neighbour slot and per entry of a row.
     chunk = max(1, _BLOCK_BYTES // (96 * (27 + int(row_nnz.max()))))
-    # The vertex-index shift to each neighbour, ascending.
-    shifts = _NEIGHBOURS @ mesh._strides
+    shape = mesh.box_shape
+    # Interior row i is at level i // row_strides[a] % shape[a] along a.
+    row_strides = (shape[1] * shape[2], shape[2], 1)
     total = np.zeros(3, dtype=dtype)
-    first, same = None, True
+    first, same, stray = None, True, False
+    # Per candidate layer axis, the first stencil of each level and which
+    # levels have one; kept once the rows differ.
+    levels = seen = None
     for r0 in range(0, n, chunk):
         r1 = min(n, r0 + chunk)
         entries = []
         for block, cols in ((K_ii, interior), (K_ib, system.boundary)):
             lo, hi = block.indptr[r0], block.indptr[r1]
             rows = np.repeat(np.arange(r1 - r0), np.diff(block.indptr[r0:r1 + 1]))
-            entries.append((rows, block.data[lo:hi],
-                            cols[block.indices[lo:hi]] - interior[r0 + rows]))
-        rows, data, shift = (np.concatenate(e) for e in zip(*entries))
-        slot = np.minimum(np.searchsorted(shifts, shift), 26)
-        near = shifts[slot] == shift
-        stencils = np.zeros((r1 - r0) * 27, dtype=dtype)
-        np.add.at(stencils, 27 * rows[near] + slot[near], data[near])
-        stencils = stencils.reshape(-1, 27)
+            entries.append((rows, cols[block.indices[lo:hi]] - interior[r0 + rows],
+                            block.data[lo:hi]))
+        rows, shift, data = (np.concatenate(e) for e in zip(*entries))
+        stencils, off = _lattice_stencils(mesh, r1 - r0, rows, shift, data, dtype)
+        stray = stray or off
         # cumsum adds in order, so a row's moment and the total, added row
         # by row, have the bits of one pass over all rows.
         moments = np.stack([np.cumsum(stencils[:, _NEIGHBOURS[:, a] != 0], axis=1)[:, -1]
                             for a in range(3)], axis=1)
         total = np.cumsum(np.vstack([total[None], moments]), axis=0)[-1]
         first = stencils[0].copy() if first is None else first
-        same = same and not np.any(data[~near]) and bool(np.all(stencils == first))
-    axis = np.count_nonzero(_NEIGHBOURS, axis=1) <= 1
-    if same and not np.any(first[~axis]) and np.array_equal(first[13 - _CODES], first[13 + _CODES]):
-        return "sine-transform", -first[13 + _CODES] / mesh.h
+        if same and bool(np.all(stencils == first)):
+            continue
+        if same:
+            # Every earlier row is the first: so is each level they reach.
+            same = False
+            levels = {a: np.zeros((shape[a], 27), dtype=dtype) for a in range(3)}
+            seen = {a: np.zeros(shape[a], dtype=bool) for a in range(3)}
+            for a in range(3):
+                reached = np.arange(r0) // row_strides[a] % shape[a]
+                levels[a][reached] = first
+                seen[a][reached] = True
+        for a in list(levels):
+            level = np.arange(r0, r1) // row_strides[a] % shape[a]
+            new, at = np.unique(level, return_index=True)
+            fresh = ~seen[a][new]
+            levels[a][new[fresh]] = stencils[at[fresh]]
+            seen[a][new[fresh]] = True
+            if not np.array_equal(stencils, levels[a][level]):
+                del levels[a]
+    if not stray:
+        if same and not np.any(first[~_AXIS_SLOTS]) and np.array_equal(first[13 - _CODES],
+                                                                       first[13 + _CODES]):
+            return "sine-transform", -first[13 + _CODES] / mesh.h
+        candidates = ({a: np.tile(first, (shape[a], 1)) for a in range(3)} if same
+                      else levels)
+        for a, stencil in candidates.items():
+            layers = Layers.of(a, stencil)
+            if layers is not None:
+                return "layered", layers
     return "box-cocg", -0.5 * (total / n) / mesh.h
 
 
@@ -765,10 +1065,12 @@ class _SolverCounters:
     factored or inverted, `solve_calls` and `rhs_columns` the calls into
     its interior solver and their columns, `krylov_iterations` and
     `krylov_iterations_max` the COCG iterations summed over those columns
-    and the most any one column took, and `worst_residual` is the largest
-    relative residual that a residual check of the system has passed.
-    The manifest entry adds `stored_bytes`, the bytes of the matrices the
-    system keeps (`stored_bytes()`).
+    and the most any one column took, `solve_seconds` the wall time spent
+    in those calls (for a via-core system, in its Dirichlet solves), and
+    `worst_residual` is the largest relative residual that a residual
+    check of the system has passed.  The manifest entry adds
+    `stored_bytes`, the bytes of the matrices the system keeps
+    (`stored_bytes()`).
     """
 
     def __init__(self):
@@ -777,6 +1079,7 @@ class _SolverCounters:
         self.rhs_columns = 0
         self.krylov_iterations = 0
         self.krylov_iterations_max = 0
+        self.solve_seconds = 0.0
         self.worst_residual = 0.0
 
     def _count_krylov(self, iterations: np.ndarray) -> None:
@@ -793,9 +1096,15 @@ class _SolverCounters:
             "solve_calls": self.solve_calls, "rhs_columns": self.rhs_columns,
             "krylov_iterations": self.krylov_iterations,
             "krylov_iterations_max": self.krylov_iterations_max,
+            "solve_seconds": self.solve_seconds,
             "worst_residual": self.worst_residual,
             "stored_bytes": self.stored_bytes(),
         }
+
+
+# The interior solvers that solve K_II directly, each with a closed-form
+# Schur complement onto (some) box faces.
+_DIRECT_KINDS = ("sine-transform", "layered")
 
 
 class BlockSystem(_SolverCounters):
@@ -814,40 +1123,62 @@ class BlockSystem(_SolverCounters):
     - "sine-transform" where every interior row is the same axis-only
       stencil, as a constant diagonal coefficient gives: `box_solve` of
       the weights in its axis slots;
-    - "box-cocg" for any other K: COCG preconditioned by `box_solve` of the
-      mean second moments of its interior rows, each column stopped at a
-      recurrence residual of `_COCG_RTOL`.
+    - "layered" where that holds per level along one axis a, as a
+      diagonal coefficient that varies along a only gives: `layered_solve`
+      of the level stencils (`Layers`), a tangent DST and one Thomas
+      solve per mode along a;
+    - "box-cocg" for any other K (a full anisotropic coefficient, a bump
+      field, a gradient oblique to the axes): COCG preconditioned by
+      `box_solve` of the mean second moments of its interior rows, each
+      column stopped at a recurrence residual of `_COCG_RTOL`.
+
+    A sine-transform system's Schur complement onto dofs inside one box
+    face, and a layered one's onto dofs inside a face normal to its layer
+    axis, is the closed form `_face_schur`; any other is solved column by
+    column.  `from_stencil` builds the blocks straight from `assemble`'s
+    stencil rows, and `BlockSystem(mesh, K)` slices them from a whole K.
 
     A system with no interior dof, such as the bump of a
     `SubstructuredSystem` one cell thick, solves nothing.  `field` is the
     (family, a, k) that `assemble` built it from.  The counters are those
     of `_SolverCounters`.
 
-    The system keeps its interior solver, the box solve, which holds no
-    reference back to it, and runs COCG itself, so a system and its Krylov
-    scratch are freed by reference counting as soon as the last reader
-    drops it.  Both solvers give a column the same bits whatever columns
-    are solved beside it.  `schur_onto` keeps its last result, and answers
-    any subset of its dofs by restriction: the Omega system's Schur
-    complement onto the DtN basis gives the footprint part of its
+    The system keeps its interior solver, the box or layered solve, which
+    holds no reference back to it, and runs COCG itself, so a system and
+    its Krylov scratch are freed by reference counting as soon as the last
+    reader drops it.  Every solver gives a column the same bits whatever
+    columns are solved beside it.  `schur_onto` keeps its last result, and
+    answers any subset of its dofs by restriction: the Omega system's
+    Schur complement onto the DtN basis gives the footprint part of its
     Omega_eta system's interface preconditioner exactly.
     """
 
-    def __init__(self, mesh: Mesh, K: sp.csr_matrix):
+    def __init__(self, mesh: Mesh, K: Optional[sp.csr_matrix]):
         super().__init__()
         self.mesh = mesh
         self.field = None
         self._interior = np.where(~mesh.boundary_vertex_mask)[0]
         self._boundary = np.where(mesh.boundary_vertex_mask)[0]
-        K_i = K[self._interior]
-        self._K_ii = K_i[:, self._interior].tocsr()
-        self._K_ib = K_i[:, self._boundary].tocsr()
-        del K_i
-        self._K_b = K[self._boundary].tocsr()
+        if K is not None:
+            K_i = K[self._interior]
+            self._K_ii = K_i[:, self._interior].tocsr()
+            self._K_ib = K_i[:, self._boundary].tocsr()
+            del K_i
+            self._K_b = K[self._boundary].tocsr()
         # The interior solve, or under box-cocg its preconditioner.
         self._solve = None
         # The dofs and the read-only result of the last Schur complement.
         self._schur = None
+
+    @classmethod
+    def from_stencil(cls, mesh: Mesh, data: np.ndarray) -> BlockSystem:
+        """The system of the 15-point stencil array `data` (15 n,) of a box
+        mesh, its blocks built straight from the stencil rows
+        (`_stencil_blocks`), so K is never formed whole."""
+        system = cls(mesh, None)
+        system._K_ii, system._K_ib, system._K_b = _stencil_blocks(
+            mesh, data, system._interior, system._boundary)
+        return system
 
     def matrix(self) -> sp.csr_matrix:
         """K, rebuilt from the three blocks the system keeps, for checks."""
@@ -918,9 +1249,13 @@ class BlockSystem(_SolverCounters):
         return _read_interior_solver(self)
 
     def _interior_solver(self):
-        """The box solve of the weights read from K: the interior solve, or
-        COCG's preconditioner."""
-        return box_solve(self.mesh, self._box_read[1])
+        """The solve read from K: the layered solve of its `Layers`, or the
+        box solve of its weights, the interior solve or COCG's
+        preconditioner."""
+        kind, weights = self._box_read
+        if kind == "layered":
+            return layered_solve(self.mesh, weights)
+        return box_solve(self.mesh, weights)
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         """K_II^{-1} rhs for an (n,) or (n, d) right-hand side."""
@@ -929,13 +1264,17 @@ class BlockSystem(_SolverCounters):
         if not len(self._interior):
             # An empty interior block: nothing to solve.
             return np.zeros_like(rhs)
-        if self._solve is None:
-            self._solve = self._interior_solver()
-        if self.solver_kind != "box-cocg":
-            return self._solve(rhs)
-        x, iterations = _cocg(self._K_ii.__matmul__, self._solve, rhs.reshape(len(rhs), -1))
-        self._count_krylov(iterations)
-        return x.reshape(rhs.shape)
+        start = time.perf_counter()
+        try:
+            if self._solve is None:
+                self._solve = self._interior_solver()
+            if self.solver_kind != "box-cocg":
+                return self._solve(rhs)
+            x, iterations = _cocg(self._K_ii.__matmul__, self._solve, rhs.reshape(len(rhs), -1))
+            self._count_krylov(iterations)
+            return x.reshape(rhs.shape)
+        finally:
+            self.solve_seconds += time.perf_counter() - start
 
     def _check(self, x: np.ndarray, rhs: np.ndarray, first_column: int = 0) -> None:
         """Residual check of an interior solve, kept in `worst_residual`."""
@@ -965,8 +1304,9 @@ class BlockSystem(_SolverCounters):
         and no interior solve.  Any other sigma is computed and replaces
         the memo.
 
-        A sine-transform system with sigma in the interior of one box face
-        takes the closed form `_face_schur`, and checks it on
+        A sine-transform system with sigma in the interior of one box face,
+        or a layered one with sigma in the interior of a face normal to its
+        layer axis, takes the closed form `_face_schur`, and checks it on
         `_SCHUR_CHECKS` fixed-seed complex combinations v of its columns:
         K_ss v - K_sI x, with x the interior solve of K_Is v (itself
         residual-checked), must match S v to 1e-10 relative.  Any other
@@ -989,8 +1329,8 @@ class BlockSystem(_SolverCounters):
         K_s = self._K_b[cols]
         K_si = K_s[:, self._interior]
         S = None
-        if len(self._interior) and self.solver_kind == "sine-transform":
-            S = _face_schur(self.mesh, self._box_read[1], sigma)
+        if len(self._interior) and self.solver_kind in _DIRECT_KINDS:
+            S = _face_schur(self.mesh, self._box_read[1], sigma, K_s)
         if S is not None:
             self._check_schur(S, K_s[:, sigma], K_si, cols)
         else:
@@ -1041,15 +1381,16 @@ class BlockSystem(_SolverCounters):
     def _preconditioner_schur(self, sigma: np.ndarray) -> np.ndarray:
         """A Schur complement onto the boundary dofs sigma that solves no
         column, for a preconditioner.  With sigma in one face's interior it
-        is the closed form `_face_schur` of the box weights read from K:
-        exact for a sine-transform system, and for a box-cocg system whose
-        memo does not hold sigma that of the stencil whose box solve
-        preconditions COCG.  A memo that holds sigma gives the exact
-        restriction, and any other sigma the exact `schur_onto`."""
+        is the closed form `_face_schur` of what was read from K: exact for
+        a sine-transform system and for a layered one on a face normal to
+        its layer axis, and for a box-cocg system whose memo does not hold
+        sigma that of the stencil whose box solve preconditions COCG.  A
+        memo that holds sigma gives the exact restriction, and any other
+        sigma the exact `schur_onto`."""
         memo = self._schur is not None and (np.array_equal(self._schur[0], sigma)
                                             or self._subset_positions(sigma) is not None)
-        if len(self._interior) and (self.solver_kind == "sine-transform" or not memo):
-            S = _face_schur(self.mesh, self._box_read[1], sigma)
+        if len(self._interior) and (self.solver_kind in _DIRECT_KINDS or not memo):
+            S = _face_schur(self.mesh, self._box_read[1], sigma, self.boundary_rows(sigma))
             if S is not None:
                 return S
         return self.schur_onto(sigma)
@@ -1071,13 +1412,52 @@ class BlockSystem(_SolverCounters):
 
 
 class LatticeVertices:
-    """The vertices of a union of lattice boxes that is not meshed whole:
-    their integer keys `ijk`, their points `verts` and the union's
-    `boundary_vertex_mask`, as a `Mesh` has them, and no tet."""
+    """The vertices of the union of two lattice boxes that is not meshed
+    whole, Omega_eta's: the Omega box `core` and the bump box `bump` over
+    its patch.  It has their integer keys `ijk`, their points `verts` and
+    the union's `boundary_vertex_mask`, as a `Mesh` has them, and no tet.
+    None of it depends on a field, so a frame builds it once
+    (`LabFrame.eta_vertices`) and every field's `SubstructuredSystem`
+    shares it.  GeometryError unless both boxes are on one lattice, their
+    cells do not overlap and they share a vertex inside the union.
 
-    def __init__(self, ijk: np.ndarray, verts: np.ndarray, boundary_vertex_mask: np.ndarray):
-        self.ijk, self.verts = ijk, verts
-        self.boundary_vertex_mask = boundary_vertex_mask
+    The vertices are the core's, in their order, then the bump's other
+    vertices, in bump order.  A vertex is on the boundary when one of its
+    8 lattice cells is a cell of neither box.  `interior` lists the
+    others, and the `footprint` the shared vertices off the boundary, in
+    core order (lexicographic), which are boundary vertices of both boxes;
+    `bump_map` is the index here of each bump vertex and `bump_footprint`
+    the index in the bump of each footprint vertex.
+    """
+
+    def __init__(self, core: Mesh, bump: Mesh):
+        c, b = core, bump
+        if c.h != b.h or not np.array_equal(c.anchor, b.anchor):
+            raise GeometryError("the core and the bump are not on one lattice")
+        if np.all(np.maximum(c.lo, b.lo) < np.minimum(c.hi, b.hi)):
+            raise GeometryError(
+                "the core and the bump overlap, so they have no disjoint interiors")
+        self.core, self.bump = core, bump
+        shared = np.all((b.ijk >= c.lo) & (b.ijk <= c.hi), axis=1)
+        own = ~shared
+        n_core = c.n_vertices
+        self.bump_map = np.empty(b.n_vertices, dtype=np.int64)
+        self.bump_map[shared] = c.vertex_indices(b.ijk[shared])
+        self.bump_map[own] = n_core + np.arange(np.count_nonzero(own))
+        self.ijk = np.concatenate([c.ijk, b.ijk[own]])
+        self.verts = np.concatenate([c.verts, b.verts[own]])
+        # A vertex inside either box is inside the union.
+        boundary = np.concatenate([c.boundary_vertex_mask, b.boundary_vertex_mask[own]])
+        candidates = np.flatnonzero(boundary)
+        boundary[candidates] = _on_open_cell(self.ijk[candidates], (c, b))
+        self.boundary_vertex_mask = boundary
+        self.interior = np.flatnonzero(~boundary)
+        in_bump = np.zeros(n_core, dtype=bool)
+        in_bump[self.bump_map[shared]] = True
+        self.footprint = np.flatnonzero(in_bump & ~boundary[:n_core])
+        if not len(self.footprint):
+            raise GeometryError("no vertex inside the union is a vertex of both parts")
+        self.bump_footprint = b.vertex_indices(self.ijk[self.footprint])
 
     @property
     def n_vertices(self) -> int:
@@ -1106,14 +1486,13 @@ class SubstructuredSystem(_SolverCounters):
     one lattice, their cells do not overlap and they share a vertex inside
     the union.
 
-    The union's vertices, `mesh` (a `LatticeVertices`), are the core's,
-    in their order, then the bump's other vertices, in bump order.  A
-    vertex is on its boundary when one of its 8 lattice cells is a cell of
-    neither part.  The parts' cells tile the union, so its matrix is the
-    sum of theirs.  Their interiors are disjoint interior vertices, and
-    the rest of the interior, the `footprint` f, the shared vertices off
-    the boundary (in core order, which is lexicographic), are boundary
-    vertices of both parts.  A Dirichlet solve is two-subdomain iterative
+    The union's vertices, `mesh`, are the `LatticeVertices` record of the
+    parts' meshes, given (the frame's, shared by every field) or built
+    here; GeometryError if a given record is of other meshes.  The parts'
+    cells tile the union, so its matrix is the sum of theirs.  Their
+    interiors are disjoint interior vertices, and the rest of the
+    interior, the `footprint` f, are boundary vertices of both parts.  A
+    Dirichlet solve is two-subdomain iterative
     substructuring (Smith, Bjorstad and Gropp, 1996): both parts are solved
     with u pinned to zero on f, and u_f solves T u_f = -(K u)_f, where
     T = S_core(f) + S_bump(f) is the sum of the parts' Schur complements
@@ -1124,8 +1503,10 @@ class SubstructuredSystem(_SolverCounters):
     costs no further solve; the bump, thin, is solved again with u_f.  The
     preconditioner (S~_core(f) + S_bump(f))^{-1} is inverted once, at the
     first solve; S~_core is `BlockSystem._preconditioner_schur`, exact for
-    a sine-transform core or a core whose memo holds f, so there one
-    interface step solves.  Each column's residual over the whole interior,
+    a sine-transform core, a layered core (f lies on the face normal to
+    the patch, so on one normal to its layer axis when that is the patch
+    normal) or a core whose memo holds f, so there one interface step
+    solves.  Each column's residual over the whole interior,
     the parts' interior rows and the footprint rows summed over both, is
     checked against the column's -K_IB g.
 
@@ -1139,39 +1520,21 @@ class SubstructuredSystem(_SolverCounters):
 
     solver_kind = "via-core"
 
-    def __init__(self, core: BlockSystem, bump: BlockSystem):
+    def __init__(self, core: BlockSystem, bump: BlockSystem,
+                 mesh: Optional[LatticeVertices] = None):
         if bump.field != core.field:
             raise GeometryError("the core and the bump were assembled from different fields")
-        c, b = core.mesh, bump.mesh
-        if c.h != b.h or not np.array_equal(c.anchor, b.anchor):
-            raise GeometryError("the core and the bump are not on one lattice")
-        if np.all(np.maximum(c.lo, b.lo) < np.minimum(c.hi, b.hi)):
-            raise GeometryError("the core and the bump overlap, so they have no disjoint interiors")
+        if mesh is None:
+            mesh = LatticeVertices(core.mesh, bump.mesh)
+        elif mesh.core is not core.mesh or mesh.bump is not bump.mesh:
+            raise GeometryError("the vertex record is not of the core's and the bump's meshes")
         super().__init__()
-        self.core, self.bump = core, bump
-        shared = np.all((b.ijk >= c.lo) & (b.ijk <= c.hi), axis=1)
-        own = ~shared
-        n_core = c.n_vertices
-        # The index here of each bump vertex.
-        bump_map = np.empty(b.n_vertices, dtype=np.int64)
-        bump_map[shared] = c.vertex_indices(b.ijk[shared])
-        bump_map[own] = n_core + np.arange(np.count_nonzero(own))
-        ijk = np.concatenate([c.ijk, b.ijk[own]])
-        # A vertex inside either part is inside the union.
-        boundary = np.concatenate([c.boundary_vertex_mask, b.boundary_vertex_mask[own]])
-        candidates = np.flatnonzero(boundary)
-        boundary[candidates] = _on_open_cell(ijk[candidates], (c, b))
-        self.mesh = LatticeVertices(ijk, np.concatenate([c.verts, b.verts[own]]), boundary)
-        self.interior = np.flatnonzero(~boundary)
-        in_bump = np.zeros(n_core, dtype=bool)
-        in_bump[bump_map[shared]] = True
-        self.footprint = np.flatnonzero(in_bump & ~boundary[:n_core])
-        if not len(self.footprint):
-            raise GeometryError("no vertex inside the union is a vertex of both parts")
+        self.core, self.bump, self.mesh = core, bump, mesh
+        self.interior, self.footprint = mesh.interior, mesh.footprint
         # Each part with the index here of each of its vertices (the core's
         # are its own) and the index in it of each footprint vertex.
-        self._parts = [(core, slice(0, n_core), self.footprint),
-                       (bump, bump_map, b.vertex_indices(ijk[self.footprint]))]
+        self._parts = [(core, slice(0, core.mesh.n_vertices), self.footprint),
+                       (bump, mesh.bump_map, mesh.bump_footprint)]
         # The core's blocks on f, which apply S_core(f) through its interior.
         f_core = self.footprint
         K_f = core.boundary_rows(f_core)
@@ -1212,6 +1575,13 @@ class SubstructuredSystem(_SolverCounters):
 
     def solve_dirichlet(self, g):
         """Solve with Dirichlet data g, as `BlockSystem.solve_dirichlet`."""
+        start = time.perf_counter()
+        try:
+            return self._solve_dirichlet(g)
+        finally:
+            self.solve_seconds += time.perf_counter() - start
+
+    def _solve_dirichlet(self, g):
         values = _dirichlet_columns(self.mesh, g)
         T_inv = self._preconditioner()
         self.solve_calls += 1
@@ -1247,11 +1617,11 @@ def _complex_stencil(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k
     # blocks at the even slots of this contiguous array and the imaginary
     # ones at the odd slots.
     parts = data.view(np.float64)
-    cells = _chunk_size() // len(_TET_PATTERNS)
+    cells = _chunk_size(_ASSEMBLY_BYTES) // len(_TET_PATTERNS)
     corner_buf = np.empty(24 * cells, dtype=np.int64)
     slot_buf = np.empty(96 * cells, dtype=np.int32)
-    block_buf = np.empty((_chunk_size(), 4, 4))
-    for chunk in tet_chunks(mesh.n_tets):
+    block_buf = np.empty((6 * cells, 4, 4))
+    for chunk in tet_chunks(mesh.n_tets, _ASSEMBLY_BYTES):
         bary = _corner_mean(mesh.verts, mesh.corners(chunk, out=corner_buf))
         t_vals = np.asarray(a.values(bary), dtype=float)
         if t_vals.ndim == 0:
@@ -1281,7 +1651,7 @@ def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float)
     from that matrix (see `BlockSystem`), and records the (family, a, k) it
     was built from in `field`.
     """
-    system = BlockSystem(mesh, _stencil_csr(mesh, _complex_stencil(mesh, family, a, k)))
+    system = BlockSystem.from_stencil(mesh, _complex_stencil(mesh, family, a, k))
     system.field = (family, a, k)
     return system
 

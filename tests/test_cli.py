@@ -76,6 +76,22 @@ def write_config(tmp_path, overrides=None, name="config.yaml"):
     return out
 
 
+def oblique_config(tmp_path):
+    """derivative.yaml with a2's gradient tilted off the patch normal, to
+    (0.02, 0, 0.1): a2 then varies along two axes, so its systems take
+    box-cocg, and its derivative estimate still passes."""
+    data = yaml.safe_load((CONFIG_DIR / "derivative.yaml").read_text())
+    data["fields"]["a2"]["gradient"] = [0.02, 0.0, 0.1]
+    path = tmp_path / "oblique.yaml"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    return path
+
+
+def config_path(tmp_path, name):
+    """A shipped config by name, or the `oblique_config`."""
+    return oblique_config(tmp_path) if name == "oblique" else CONFIG_DIR / f"{name}.yaml"
+
+
 class TestLoadConfig:
     def test_roundtrip(self, tmp_path):
         path = write_config(tmp_path)
@@ -433,7 +449,7 @@ class TestStabilityCommand:
         ("stability", "recovery.yaml",
          {"a1": ("sine-transform", "via-core"), "a2": ("sine-transform", "via-core")}),
         ("derivative", "derivative.yaml",
-         {"a1": ("sine-transform", "via-core"), "a2": ("box-cocg", "via-core")}),
+         {"a1": ("sine-transform", "via-core"), "a2": ("layered", "via-core")}),
     ], ids=["stability", "derivative"])
     def test_manifest_reports_solvers(self, tmp_path, factor_calls, command, config, kinds):
         config = Path(__file__).resolve().parents[1] / "configs" / config
@@ -470,7 +486,7 @@ class TestStabilityCommand:
         for s in solvers:
             assert 1 <= s["solve_calls"] <= s["rhs_columns"]
             assert 0.0 < s["worst_residual"] <= 1e-10
-            if s["kind"] == "sine-transform":
+            if s["kind"] in ("sine-transform", "layered"):
                 assert s["krylov_iterations"] == s["krylov_iterations_max"] == 0
             else:
                 # COCG, in the interior or on the footprint interface.
@@ -478,17 +494,18 @@ class TestStabilityCommand:
         if command == "dtn":
             # Each Omega system's one Schur complement onto the basis: a
             # column per basis dof under box-cocg, and under the
-            # sine-transform closed form only the columns of its check.
+            # sine-transform or layered closed form only the columns of
+            # its check.
             d = json.loads((outs[0] / "dtn_norm.json").read_text())["basis_size"]
-            assert all(s["rhs_columns"] == (3 if s["kind"] == "sine-transform" else d)
+            assert all(s["rhs_columns"] == (d if s["kind"] == "box-cocg" else 3)
                        for s in solvers)
         for csv in sorted(p.name for p in outs[0].glob("*.csv")):
             assert (outs[0] / csv).read_bytes() == (outs[1] / csv).read_bytes()
 
     def test_manifest_krylov_counters(self, tmp_path):
-        # derivative.yaml's a2 is affine: its Omega system runs COCG and
-        # factors nothing, and its Omega_eta system solves through it.
-        config = Path(__file__).resolve().parents[1] / "configs" / "derivative.yaml"
+        # The oblique a2 varies along two axes: its Omega system runs COCG
+        # and factors nothing, and its Omega_eta system solves through it.
+        config = oblique_config(tmp_path)
         out = tmp_path / "out"
         assert main(["derivative", "--config", str(config), "--mesh-h", "0.125",
                      "--out", str(out)]) == 0
@@ -517,13 +534,13 @@ class TestStabilityCommand:
         import admitlab.fem
 
         monkeypatch.setattr(admitlab.fem, "_COCG_MAX_ITERATIONS", 2)
-        config = Path(__file__).resolve().parents[1] / "configs" / "derivative.yaml"
+        config = oblique_config(tmp_path)
         assert main(["derivative", "--config", str(config), "--mesh-h", "0.125",
                      "--out", str(tmp_path / "out")]) == 3
         assert "COCG did not converge" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, config", [
-        ("stability", "recovery"), ("derivative", "derivative"),
+        ("stability", "recovery"), ("derivative", "oblique"),
     ], ids=["sine-transform", "box-cocg"])
     def test_manifest_reports_stored_bytes(self, tmp_path, monkeypatch, command, config):
         # An Omega entry stores the bytes of its three blocks, and a
@@ -540,7 +557,7 @@ class TestStabilityCommand:
 
         monkeypatch.setattr(admitlab.estimator, "assemble", keeping)
         out = tmp_path / "out"
-        assert main([command, "--config", str(CONFIG_DIR / f"{config}.yaml"),
+        assert main([command, "--config", str(config_path(tmp_path, config)),
                      "--mesh-h", "0.125", "--out", str(out)]) == 0
         solvers = json.loads((out / "manifest.json").read_text())["solvers"]
         blocks = [sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
@@ -555,15 +572,17 @@ class TestStabilityCommand:
 
     @pytest.mark.parametrize("command, config, exact", [
         ("stability", "recovery", {"a1": True, "a2": True}),
-        ("derivative", "derivative", {"a1": True, "a2": False}),
-    ], ids=["sine-transform", "box-cocg"])
+        ("derivative", "oblique", {"a1": True, "a2": False}),
+        ("derivative", "derivative", {"a1": True, "a2": True}),
+    ], ids=["sine-transform", "box-cocg", "layered"])
     def test_via_core_reports_interface_iterations(self, tmp_path, command, config, exact):
-        # A sine-transform core preconditions its interface exactly, by its
-        # closed form: one step per column.  derivative.yaml's a2 is
-        # box-cocg and computes no DtN, so its interface is preconditioned
-        # by the closed form of the box preconditioner: a few steps.
+        # A sine-transform or layered core preconditions its interface
+        # exactly, by its closed form: one step per column.  The oblique a2
+        # is box-cocg and computes no DtN, so its interface is
+        # preconditioned by the closed form of the box preconditioner: a
+        # few steps.
         out = tmp_path / "out"
-        assert main([command, "--config", str(CONFIG_DIR / f"{config}.yaml"),
+        assert main([command, "--config", str(config_path(tmp_path, config)),
                      "--mesh-h", "0.125", "--out", str(out)]) == 0
         solvers = json.loads((out / "manifest.json").read_text())["solvers"]
         for s in solvers:
@@ -577,6 +596,41 @@ class TestStabilityCommand:
                 assert 2 <= s["krylov_iterations_max"] <= 10
                 assert (s["rhs_columns"] < s["krylov_iterations"]
                         <= s["krylov_iterations_max"] * s["rhs_columns"])
+
+    @pytest.mark.parametrize("config, kinds", [
+        ("derivative", {"sine-transform", "layered", "via-core"}),
+        ("oblique", {"sine-transform", "box-cocg", "via-core"}),
+    ])
+    def test_manifest_reports_solve_seconds(self, tmp_path, config, kinds):
+        # Every entry, of every kind, reports the wall time of its solves:
+        # a float, positive once it has solved a column.
+        out = tmp_path / "out"
+        assert main(["derivative", "--config", str(config_path(tmp_path, config)),
+                     "--mesh-h", "0.125", "--out", str(out)]) == 0
+        solvers = json.loads((out / "manifest.json").read_text())["solvers"]
+        assert {s["kind"] for s in solvers} == kinds
+        for s in solvers:
+            assert isinstance(s["solve_seconds"], float)
+            assert (s["solve_seconds"] > 0.0) == (s["rhs_columns"] > 0)
+
+    def test_derivative_runs_no_krylov_inside_omega(self, tmp_path):
+        # derivative.yaml's a2 varies along the patch normal only: its
+        # Omega system is layered, solves directly, and preconditions its
+        # Omega_eta interface exactly, so each column takes one step.
+        out = tmp_path / "out"
+        assert main(["derivative", "--config", str(CONFIG_DIR / "derivative.yaml"),
+                     "--mesh-h", "0.125", "--out", str(out)]) == 0
+        solvers = json.loads((out / "manifest.json").read_text())["solvers"]
+        entry = {(s["field"], s["domain"]): s for s in solvers}
+        omega = entry["a2", "Omega"]
+        assert omega["kind"] == "layered" and omega["krylov_iterations"] == 0
+        for s in solvers:
+            if s["domain"] == "Omega":
+                assert s["krylov_iterations"] == 0
+            else:
+                assert s["kind"] == "via-core"
+                assert s["krylov_iterations"] == s["rhs_columns"]
+                assert s["krylov_iterations_max"] == 1
 
     def test_stalled_interface_exits_3(self, tmp_path, monkeypatch, capsys):
         import admitlab.fem
@@ -724,6 +778,22 @@ class TestSweepCommand:
                 assert s["factored_dofs"] == 0
         assert factor_calls == []
 
+    def test_derivative_sweep_has_no_box_cocg_system(self, tmp_path):
+        # Each point's delta is affine along the patch normal, so every
+        # system of the sweep solves directly and every interface takes one
+        # step per column.
+        out = tmp_path / "out"
+        assert main(["sweep", "--mode", "derivative", "--config",
+                     str(CONFIG_DIR / "derivative.yaml"), "--mesh-h", "0.125",
+                     "--out", str(out)]) == 0
+        solvers = json.loads((out / "manifest.json").read_text())["solvers"]
+        assert {s["kind"] for s in solvers} == {"sine-transform", "layered", "via-core"}
+        for s in solvers:
+            if s["kind"] == "via-core":
+                assert s["krylov_iterations"] == s["rhs_columns"]
+            else:
+                assert s["krylov_iterations"] == 0
+
     def test_derivative_sweep_reuses_reference_passes(self, tmp_path, probe_calls):
         config = Path(__file__).resolve().parents[1] / "configs" / "derivative.yaml"
         assert main(["sweep", "--mode", "derivative", "--config", str(config),
@@ -812,9 +882,10 @@ class TestLifetimes:
             alive = [ref() is not None for ref in systems + [ref for ref, _ in bumps]]
         finally:
             gc.enable()
-        # a1 is constant and a2 affine: their bumps take the sine-transform
-        # solve and COCG, as their Omega systems do.
-        assert [kind for _, kind in bumps] == ["sine-transform", "box-cocg"]
+        # a1 is constant and a2 affine along the patch normal: their bumps
+        # take the sine-transform and the layered solve, as their Omega
+        # systems do.
+        assert [kind for _, kind in bumps] == ["sine-transform", "layered"]
         assert not any(alive)
 
     @pytest.mark.parametrize("args", [

@@ -651,8 +651,8 @@ class TestSweepDriver:
         def assemble_logged(mesh, family, a, k):
             return logged(real_assemble(mesh, family, a, k), a)
 
-        def substructured_logged(core, bump):
-            return logged(real_substructured(core, bump), core.field[1])
+        def substructured_logged(core, bump, *args):
+            return logged(real_substructured(core, bump, *args), core.field[1])
 
         monkeypatch.setattr(admitlab.estimator, "build_forward", build_forward_checked)
         monkeypatch.setattr(admitlab.estimator, "assemble", assemble_logged)
@@ -679,7 +679,7 @@ def test_estimators_build_no_omega_eta_pattern(monkeypatch):
     # systems, so the frame's two boxes are the only meshes assembled.
     meshes = []
     for module, name in ((admitlab.estimator, "assemble"), (admitlab.dtn, "assemble"),
-                         (admitlab.dtn, "assemble_stiffness")):
+                         (admitlab.dtn, "stiffness_stencil")):
         def logged(mesh, *args, _real=getattr(module, name)):
             meshes.append(mesh)
             return _real(mesh, *args)
@@ -702,9 +702,9 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
 def test_no_shipped_config_factors_an_omega_system(path, h, factor_calls):
     # No shipped config makes a sparse LU.  Every Omega system and every
-    # bump system is on a full box: it takes the sine-transform solve or
-    # COCG, and each Omega_eta system is substructured through the two,
-    # inverting only its dense footprint interface.
+    # bump system is on a full box: it takes the sine-transform or the
+    # layered solve or COCG, and each Omega_eta system is substructured
+    # through the two, inverting only its dense footprint interface.
     cfg = load_config(path, mesh_h=h)
     frame = build_frame(cfg.box, cfg.patch, cfg.eta, cfg.h, cfg.family, window=cfg.window)
     for a in (cfg.a1, cfg.a2):
@@ -712,7 +712,7 @@ def test_no_shipped_config_factors_an_omega_system(path, h, factor_calls):
         for system in (fwd.system, fwd.system_eta):
             system.solve_dirichlet(np.ones(system.mesh.n_vertices))
         for system in (fwd.system, fwd.system_eta.bump):
-            assert system.solver_kind in ("sine-transform", "box-cocg")
+            assert system.solver_kind in ("sine-transform", "layered", "box-cocg")
             assert system.factored_dofs == 0
         assert fwd.system_eta.factored_dofs == (round(0.5 / h) - 1) ** 2
         assert fwd.system_eta.worst_residual <= 1e-10

@@ -607,6 +607,25 @@ class TestOneCopy:
         assert system.stored_bytes() == sum(
             m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in blocks)
 
+    @pytest.mark.parametrize("name", ["box", "bump"])
+    @pytest.mark.parametrize("field", ["rotated", "diagonal", "real"])
+    def test_stencil_blocks_keep_the_bits_of_the_whole_k(self, meshes, name, field):
+        # The blocks built straight from the stencil rows are those sliced
+        # from the whole K: entries, order and dtypes, exact zeros dropped.
+        import admitlab.fem
+
+        fam, a = {"rotated": (ROTATED, AFFINE), "diagonal": (DIAG_123, A_ONE),
+                  "real": (LAPLACE, affine_field(1.0, (0.0, 0.2, 0.0)))}[field]
+        mesh = meshes[name]
+        system = assemble(mesh, fam, a, fam.freq)
+        K = admitlab.fem._stencil_csr(
+            mesh, admitlab.fem._complex_stencil(mesh, fam, a, fam.freq))
+        sliced = BlockSystem(mesh, K)
+        for got, want in ((system._K_ii, sliced._K_ii), (system._K_ib, sliced._K_ib),
+                          (system._K_b, sliced._K_b)):
+            assert got.shape == want.shape and _bitwise_equal(got, want)
+        assert system.stored_bytes() == sliced.stored_bytes()
+
     @pytest.mark.parametrize("name", ["box", "bump", "omega-eta"])
     def test_blocks_keep_the_bits_of_coo_stiffness(self, meshes, name):
         mesh = meshes[name]
@@ -1026,6 +1045,31 @@ class TestCoreSolve:
         assert np.array_equal(systems[0].mesh.verts[bump_map], bump.verts)
         assert np.array_equal(systems[0].mesh.verts[:frame.mesh.n_vertices], frame.mesh.verts)
 
+    def test_vertex_record_is_built_once_per_frame(self, monkeypatch):
+        import admitlab.fem
+
+        calls = []
+        real = admitlab.fem.LatticeVertices.__init__
+
+        def counting(record, *args):
+            calls.append(args)
+            real(record, *args)
+
+        monkeypatch.setattr(admitlab.fem.LatticeVertices, "__init__", counting)
+        patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
+        frame = build_frame(BOX, patch, 0.25, 0.125, scalar_identity_family(k=0.1, imag=1.0))
+        fwds = [build_forward(frame, a) for a in (A_ONE, AFFINE)]
+        # Two fields' Omega_eta systems share the frame's one vertex record.
+        first, second = (fwd.system_eta for fwd in fwds)
+        assert first.mesh is second.mesh is frame.eta_vertices
+        assert calls == [(frame.mesh, frame.bump)]
+        assert first.footprint is second.footprint is frame.eta_vertices.footprint
+        # A record of other meshes is refused.
+        other = build_mesh(BOX, 0.125)
+        with pytest.raises(GeometryError, match="vertex record"):
+            SubstructuredSystem(fwds[0].system, first.bump,
+                                admitlab.fem.LatticeVertices(other, frame.bump))
+
     def test_one_cell_bump_has_an_empty_bump_system(self, factor_calls):
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
         enlarged = EnlargedDomain(BOX, patch, 0.125, (0.25, 0.25), (0.75, 0.75), 0.125)
@@ -1205,19 +1249,20 @@ class TestBoxCocg:
         assert diagnostics["residual"] > admitlab.fem._COCG_RTOL
 
 
-SCHUR_KINDS = ["sine-transform", "box-cocg", "sparse-lu"]
+SCHUR_KINDS = ["sine-transform", "layered", "box-cocg", "sparse-lu"]
 
 
 def _schur_case(kind, h):
     """A fresh system of the given solver kind and boundary dofs sigma to
-    project onto: a sine-transform Omega system, a box-cocg Omega system
-    (rotated family, affine field), or the oracle's Omega_eta system of
-    that field (sparse-lu)."""
+    project onto: a sine-transform Omega system, a layered one (a field
+    affine along x3), a box-cocg Omega system (rotated family, affine
+    field), or the oracle's Omega_eta system of that field (sparse-lu)."""
     patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
     mesh = build_mesh(BOX, h, patch=patch)
-    if kind == "sine-transform":
+    if kind in ("sine-transform", "layered"):
         fam = scalar_identity_family(k=0.1, imag=1.0)
-        system = assemble(mesh, fam, A_ONE, fam.freq)
+        a = A_ONE if kind == "sine-transform" else affine_field(0.9, (0.0, 0.0, 0.1))
+        system = assemble(mesh, fam, a, fam.freq)
     elif kind == "box-cocg":
         system = assemble(mesh, ROTATED, AFFINE, ROTATED.freq)
     else:
@@ -1624,13 +1669,19 @@ class TestFaceSchur:
         assert system._schur is None
 
 
-def _derivative_forward(h, field="a2"):
-    """The Forward of derivative.yaml's a2, whose Omega system is box-cocg,
-    or of its a1, whose Omega system is sine-transform, at pitch h."""
+OBLIQUE = affine_field(0.9, (0.02, 0.0, 0.1))
+
+
+def _derivative_forward(h, field="oblique"):
+    """The Forward of derivative.yaml's a1, whose Omega system is
+    sine-transform, of its a2, whose Omega system is layered, or of a2
+    with its gradient tilted off the patch normal, whose Omega system is
+    box-cocg, at pitch h."""
     cfg = load_config(CONFIG_DIR / "derivative.yaml", mesh_h=h)
     frame = build_frame(cfg.box, cfg.patch, cfg.eta, cfg.h, cfg.family)
-    fwd = build_forward(frame, getattr(cfg, field))
-    assert fwd.system.solver_kind == {"a1": "sine-transform", "a2": "box-cocg"}[field]
+    fwd = build_forward(frame, OBLIQUE if field == "oblique" else getattr(cfg, field))
+    assert fwd.system.solver_kind == {"a1": "sine-transform", "a2": "layered",
+                                      "oblique": "box-cocg"}[field]
     return fwd
 
 
@@ -1653,6 +1704,7 @@ class TestInterfaceCocg:
 
     @pytest.mark.parametrize("h", [0.125, 0.0625])
     def test_matches_dense_interface_solve(self, h):
+        # The oblique field's core is box-cocg.
         rng = np.random.default_rng(11)
         via = _derivative_forward(h).system_eta
         n = via.mesh.n_vertices
@@ -1668,6 +1720,7 @@ class TestInterfaceCocg:
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_memo_makes_one_step(self):
+        # A box-cocg core whose DtN was read.
         fwd = _derivative_forward(0.0625)
         fwd.dtn
         via = fwd.system_eta
@@ -1679,6 +1732,19 @@ class TestInterfaceCocg:
         assert len(via.footprint) == fwd.frame.basis.count == 49
         assert via.krylov_iterations == 3 and via.krylov_iterations_max == 1
         ref = _dense_interface_solve(_derivative_forward(0.0625).system_eta, g)
+        assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("h", [0.125, 0.0625])
+    def test_layered_core_makes_one_step(self, h):
+        # A layered core's closed form onto the footprint is exact, with no
+        # DtN read: one step per column.
+        via = _derivative_forward(h, "a2").system_eta
+        n = via.mesh.n_vertices
+        g = np.random.default_rng(13).standard_normal((n, 3)) + 0j
+        u = via.solve_dirichlet(g)
+        assert via.core._schur is None
+        assert via.krylov_iterations == 3 and via.krylov_iterations_max == 1
+        ref = _dense_interface_solve(_derivative_forward(h, "a2").system_eta, g)
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_nan_solution_raises(self, monkeypatch):
@@ -1807,23 +1873,27 @@ class TestWorkingSetBudget:
         # The Omega mesh and the bump box over the patch, the two meshes
         # of Omega_eta.
         bump = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.0625), 0.0625)
+        scalar = scalar_identity_family(k=0.1, imag=1.0)
         for mesh in (mesh, bump):
             _assert_no_per_tet_arrays(mesh)
-            system, extra = traced_extra(lambda: assemble(mesh, ROTATED, AFFINE, ROTATED.freq))
-            assert system.solver_kind == "box-cocg"
-            assert extra <= 4 * admitlab.fem._BLOCK_BYTES, extra
+            # A full K of 15 slots a row, and a diagonal one of 7.
+            for fam, a, kind in ((ROTATED, AFFINE, "box-cocg"), (scalar, A_ONE, "sine-transform")):
+                system, extra = traced_extra(lambda: assemble(mesh, fam, a, fam.freq))
+                assert system.solver_kind == kind
+                assert extra <= 4 * admitlab.fem._BLOCK_BYTES, extra
 
     def test_solver_read_peak(self):
         import admitlab.fem
 
         # The first solve's read of the interior solver from K, on both
-        # boxes of Omega_eta and for both kinds, within one block budget.
+        # boxes of Omega_eta and for each kind, within one block budget.
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
         mesh = build_mesh(BOX, 0.0625, patch=patch)
         bump = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.0625), 0.0625)
         scalar = scalar_identity_family(k=0.1, imag=1.0)
         for mesh in (mesh, bump):
-            for fam, a, kind in ((ROTATED, AFFINE, "box-cocg"), (scalar, A_ONE, "sine-transform")):
+            for fam, a, kind in ((ROTATED, AFFINE, "box-cocg"), (scalar, A_ONE, "sine-transform"),
+                                 (scalar, affine_field(0.9, (0.0, 0.0, 0.1)), "layered")):
                 system = assemble(mesh, fam, a, fam.freq)
                 read, extra = traced_extra(lambda: system._box_read)
                 assert read[0] == kind
@@ -1868,7 +1938,7 @@ def read_cases(draw):
         a = constant_field(draw(POSITIVE))
     else:
         a = affine_field(1.0, np.eye(3)[axis] * draw(st.floats(0.05, 0.3)))
-    return READ_BOXES[draw(st.sampled_from(sorted(READ_BOXES)))], fam, a
+    return READ_BOXES[draw(st.sampled_from(sorted(READ_BOXES)))], fam, a, axis
 
 
 class TestInteriorSolverRead:
@@ -1877,19 +1947,24 @@ class TestInteriorSolverRead:
     @settings(max_examples=40, deadline=None)
     @given(read_cases())
     def test_kind_weights_and_solves(self, case):
-        mesh, fam, a = case
+        mesh, fam, a, axis = case
         system = assemble(mesh, fam, a, fam.freq)
         bary = mesh.barycenters()
         t = np.broadcast_to(np.asarray(a.values(bary), dtype=float), (len(bary),))
         coeff = np.broadcast_to(fam.real_part(bary, t) + 1j * fam.freq * fam.imag_part(bary, t),
                                 (len(bary), 3, 3))
         diagonal = np.diagonal(coeff, axis1=1, axis2=2)
-        constant_diagonal = (np.all(coeff == coeff[0])
-                             and not np.any(coeff[0] - np.diag(diagonal[0])))
+        is_diagonal = not np.any(coeff - diagonal[:, :, None] * np.eye(3))
+        constant_diagonal = is_diagonal and bool(np.all(coeff == coeff[0]))
         kind, weights = system._box_read
-        assert kind == ("sine-transform" if constant_diagonal else "box-cocg")
+        # A diagonal coefficient that varies along one axis is layered.
+        assert kind == ("sine-transform" if constant_diagonal
+                        else "layered" if is_diagonal else "box-cocg")
         if constant_diagonal:
             assert np.max(np.abs(weights - diagonal[0])) <= 1e-14 * np.max(np.abs(diagonal[0]))
+        elif is_diagonal:
+            assert weights.axis == axis
+            assert weights.stencils.shape == (mesh.box_shape[axis], 27)
         else:
             mean = diagonal.mean(axis=0)
             assert np.max(np.abs(weights - mean)) <= 1e-11 * np.max(np.abs(mean))
@@ -1899,3 +1974,139 @@ class TestInteriorSolverRead:
              + 1j * rng.standard_normal((mesh.n_vertices, 2)))
         want = lu.solve_dirichlet(g)
         assert np.max(np.abs(system.solve_dirichlet(g) - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+class _CellFamily:
+    """A duck-typed family for the tests: the complex diagonal coefficient
+    diag(w) of each tet, w = `weight_of(i, j, k)` (C, 3) of the lattice
+    cell (C, 3) that holds its barycenter, for any field, at k = 1."""
+
+    freq = 1.0
+
+    def __init__(self, mesh, weight_of):
+        self.mesh, self.weight_of = mesh, weight_of
+
+    def _diagonal(self, x, part):
+        cells = np.floor((x - self.mesh.anchor) / self.mesh.h).astype(int) - self.mesh.lo
+        return part(self.weight_of(cells))[:, :, None] * np.eye(3)
+
+    def real_part(self, x, t):
+        return self._diagonal(x, np.real)
+
+    def imag_part(self, x, t):
+        return self._diagonal(x, np.imag)
+
+
+@st.composite
+def layered_cases(draw):
+    """A small box, 2 to 7 cells a side (at most 6 interior levels), at a
+    random lattice offset, a layer axis and complex weights (cells along
+    the axis, 3) with positive real parts, the real part of the axis
+    component growing from layer to layer, so that the layers differ."""
+    cells = np.array([draw(st.integers(2, 7)) for _ in range(3)])
+    lo = np.array([draw(st.integers(-3, 3)) for _ in range(3)])
+    mesh = Mesh(lo, lo + cells, 0.125, np.zeros(3))
+    axis = draw(st.integers(0, 2))
+    parts = st.tuples(st.floats(0.2, 3.0), st.floats(-1.0, 1.0))
+    weights = np.array([[complex(*draw(parts)) for _ in range(3)] for _ in range(cells[axis])])
+    steps = [draw(st.floats(0.1, 1.0)) for _ in range(cells[axis])]
+    weights[:, axis] = np.cumsum(steps) + 1j * weights[:, axis].imag
+    return mesh, axis, weights
+
+
+def _layered_system(mesh, axis, weights):
+    """The assembled system of the layer weights, and the oracle's."""
+    fam = _CellFamily(mesh, lambda cells: weights[cells[:, axis]])
+    return assemble(mesh, fam, A_ONE, 1.0), lu_system(mesh, fam, A_ONE, 1.0)
+
+
+def _face_rectangle(mesh, axis, side, data):
+    """Sigma: a random rectangle of the interior vertices of the face
+    normal to `axis` at its low (0) or high (1) side, in a random order."""
+    ijk = mesh.ijk - mesh.lo
+    cells = mesh.hi - mesh.lo
+    on_face = ijk[:, axis] == side * cells[axis]
+    for t in (b for b in range(3) if b != axis):
+        i0 = data.draw(st.integers(1, cells[t] - 1))
+        i1 = data.draw(st.integers(i0, cells[t] - 1))
+        on_face &= (ijk[:, t] >= i0) & (ijk[:, t] <= i1)
+    sigma = np.flatnonzero(on_face)
+    return sigma[data.draw(st.permutations(range(len(sigma))))]
+
+
+def _close(got, want, rtol):
+    return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestLayeredSolver:
+    """The layered DST-Thomas solve and its closed-form face Schur
+    complement against the sparse LU oracle, each axis as layer axis."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(layered_cases())
+    def test_solve_matches_lu(self, case):
+        mesh, axis, weights = case
+        system, lu = _layered_system(mesh, axis, weights)
+        kind, layers = system._box_read
+        assert kind == "layered" and layers.axis == axis
+        rng = np.random.default_rng(7)
+        g = (rng.standard_normal((mesh.n_vertices, 3))
+             + 1j * rng.standard_normal((mesh.n_vertices, 3)))
+        assert _close(system.solve_dirichlet(g), lu.solve_dirichlet(g), 1e-12)
+        assert system.krylov_iterations == 0 and system.worst_residual <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(layered_cases(), st.data())
+    def test_normal_faces_take_the_closed_form(self, case, data):
+        mesh, axis, weights = case
+        for side in (0, 1):
+            sigma = _face_rectangle(mesh, axis, side, data)
+            system, lu = _layered_system(mesh, axis, weights)
+            S = system.schur_onto(sigma)
+            # No column solved: one interior solve of the check's columns.
+            assert system.solve_calls == 1 and system.rhs_columns == 3
+            assert 0.0 < system.worst_residual <= 1e-10
+            assert S.shape == (len(sigma), len(sigma))
+            assert _close(S, lu.schur_onto(sigma), 1e-11)
+            # Exact as the Omega_eta preconditioner too, without a memo.
+            fresh = _layered_system(mesh, axis, weights)[0]
+            assert np.array_equal(fresh._preconditioner_schur(sigma), S)
+            assert fresh.rhs_columns == 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(layered_cases(), st.data())
+    def test_parallel_faces_take_the_columns(self, case, data):
+        mesh, axis, weights = case
+        normal = data.draw(st.sampled_from([b for b in range(3) if b != axis]))
+        sigma = _face_rectangle(mesh, normal, data.draw(st.integers(0, 1)), data)
+        system, lu = _layered_system(mesh, axis, weights)
+        S = system.schur_onto(sigma)
+        assert system.rhs_columns == len(sigma)
+        assert _close(S, lu.schur_onto(sigma), 1e-11)
+
+    @settings(max_examples=20, deadline=None)
+    @given(layered_cases())
+    def test_read_of_each_kind(self, case):
+        mesh, axis, weights = case
+        # A constant coefficient is sine-transform, with the weights of its
+        # axis slots, -K_{r, r + e_a} / h, bit for bit.
+        fam = _CellFamily(mesh, lambda cells: np.broadcast_to(weights[0], cells.shape))
+        system = assemble(mesh, fam, A_ONE, 1.0)
+        kind, read = system._box_read
+        K = system.matrix()
+        r = system.interior[0]
+        assert kind == "sine-transform"
+        assert np.array_equal(read, np.array([-K[r, r + s] for s in mesh._strides]) / mesh.h)
+        # Variation along one axis is layered, along two is not: rows
+        # differ along both, or one level's rows are not symmetric along
+        # the other.
+        assert _layered_system(mesh, axis, weights)[0].solver_kind == "layered"
+        other = (axis + 1) % 3
+        two = _CellFamily(mesh, lambda cells: weights[cells[:, axis]]
+                          * (1.0 + 0.1 * cells[:, other])[:, None])
+        assert assemble(mesh, two, A_ONE, 1.0).solver_kind == "box-cocg"
+
+    def test_off_axis_entry_reads_as_box_cocg(self):
+        mesh = READ_BOXES["omega"]
+        for a in (A_ONE, affine_field(1.0, (0.0, 0.0, 0.1))):
+            assert assemble(mesh, ROTATED, a, ROTATED.freq).solver_kind == "box-cocg"
