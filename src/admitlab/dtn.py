@@ -105,12 +105,12 @@ def h_half_gram(mesh: Mesh, basis: SigmaBasis) -> np.ndarray:
     Interior dofs are eliminated by static condensation while the remaining
     boundary dofs are pinned to zero, which realises the minimal-energy
     extension of traces vanishing off the patch.  Every interior row of the
-    Laplacian is the same 7-point stencil, so its system reads the
-    sine-transform solver from the matrix itself.  The mesh is the box and
-    the basis lies inside one face, so the Laplacian's Schur complement is
-    the closed form of `BlockSystem.schur_onto`, diagonal in the face's sine
-    basis, checked by one sine-transform solve of a few combinations of its
-    columns; no column is solved.
+    Laplacian is the same 7-point stencil, so its system reads itself as
+    layered along every axis.  The mesh is the box and the basis lies
+    inside one face, so the Laplacian's Schur complement is the closed form
+    of `BlockSystem.schur_onto`, diagonal in the face's sine basis, checked
+    by one layered solve of a few combinations of its columns; no column is
+    solved.
     """
     laplace = BlockSystem.from_stencil(mesh, stiffness_stencil(mesh, np.eye(3)))
     sig = np.asarray(basis.vertices, dtype=int)

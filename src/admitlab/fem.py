@@ -9,16 +9,15 @@ for the structure and ellipticity checks.  `assemble` builds one
 `BlockSystem` on one mesh.  Every Dirichlet solve and every Schur
 complement onto boundary dofs (the DtN pairing and the trace Gram) goes
 through a `BlockSystem`, which reads its interior solver from the interior
-rows of its own K and takes no solver option: a sine-transform solve where
-every interior row is the same axis-only 7-point stencil, a layered
-DST-Thomas solve where the rows of each level along one axis share one
-such stencil, and conjugate orthogonal CG (COCG) preconditioned by the
-sine-transform solve of the rows' mean second moments for any other K.  A
-sine-transform system's Schur complement onto dofs inside one box face,
-and a layered system's onto dofs inside a face normal to its layer axis,
-is a closed form, diagonal in the face's sine basis (`_face_schur`),
-checked on a few combinations of its columns; any other is solved column
-by column.
+rows of its own K and takes no solver option: one direct solver,
+`layered_solve`, a tangent DST and one Thomas solve per mode where the
+rows of each level along one axis share one axis-only stencil (a constant
+K is one layer, repeated), and conjugate orthogonal CG (COCG)
+preconditioned by the layered solve of the rows' mean second moments for
+any other K.  A layered system's Schur complement onto dofs inside a face
+normal to a layer axis is a closed form, diagonal in the face's sine basis
+(`_face_schur`), checked on a few combinations of its columns; any other
+is solved column by column.
 An Omega_eta system is never assembled or meshed whole: it is a
 `SubstructuredSystem` of the Omega system and the system of the bump box
 over the patch, which numbers the union's vertices and solves its
@@ -551,39 +550,6 @@ def _stencil_modes(n: int) -> np.ndarray:
     return 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
 
 
-def box_solve(mesh: Mesh, weights):
-    """Exact interior solve for a constant diagonal coefficient on a full box.
-
-    On the Kuhn lattice the interior block of the P1 stiffness of
-    diag(w_0, w_1, w_2) is the 7-point stencil h sum_a w_a (2 u - u(x - h e_a)
-    - u(x + h e_a)).  The orthonormal DST-I along each axis diagonalises it,
-    with eigenvalues h sum_a w_a (2 - 2 cos(pi p_a / (N_a + 1))), so a solve
-    is one sine transform, a multiplication and a second sine transform.
-    The weights may be complex.  Returns solve(rhs) for (n,) or (n, c)
-    right-hand sides on the interior vertices in mesh order; callers check
-    its residuals.  Each column is transformed by BLAS calls whose shapes do
-    not depend on the other columns, so its solution has the same bits
-    whatever columns ride beside it.
-    """
-    if min(mesh.box_shape) == 0:
-        raise GeometryError("the sine-transform solve needs a mesh with interior vertices")
-    shape = mesh.box_shape
-    eig = np.zeros(shape, dtype=np.result_type(*weights, float))
-    for a, (n, w) in enumerate(zip(shape, weights)):
-        eig += mesh.h * w * _stencil_modes(n).reshape([n if b == a else 1 for b in range(3)])
-    inverse = (1.0 / eig).reshape(1, -1)
-    transform = _sine_transform(shape, (0, 1, 2))
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs)
-        cols = rhs.reshape(len(rhs), -1)
-        X = transform(np.ascontiguousarray(cols.T, dtype=np.result_type(rhs, eig)))
-        X *= inverse
-        return np.ascontiguousarray(transform(X).T).reshape(rhs.shape)
-
-    return solve
-
-
 def _sine_transform(shape, axes):
     """The orthonormal DST-I along `axes` of a box of interior `shape`, as
     a map of (columns, n) rows, one row per column, in C order.
@@ -634,7 +600,8 @@ def _tridiagonal_pivots(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray):
 
 def layered_solve(mesh: Mesh, layers: Layers):
     """Exact interior solve of a K whose interior rows vary along one axis
-    only (`Layers`), on a full box: Hockney's Fourier-analysis method.
+    only (`Layers`), on a full box: Hockney's Fourier-analysis method.  A
+    constant K is one layer, repeated.
 
     The orthonormal DST-I along the two tangent axes diagonalises every
     level's tangent couplings, so each tangent mode (p, q) is one
@@ -643,11 +610,12 @@ def layered_solve(mesh: Mesh, layers: Layers):
     the diagonal and its -e_a and +e_a slots off it (Swarztrauber's
     separable solver).  Its pivots are factored once, here, and a solve is
     one tangent transform, one Thomas sweep down and one up per mode, and
-    a second tangent transform.  The levels may be complex.  Returns
-    solve(rhs) for (n,) or (n, c) right-hand sides on the interior
-    vertices in mesh order; callers check its residuals.  The transforms
-    are those of `box_solve` and the sweeps elementwise, so a column's
-    solution has the same bits whatever columns ride beside it.
+    a second tangent transform.  The levels may be complex; real levels
+    keep real data real.  Returns solve(rhs) for (n,) or (n, c)
+    right-hand sides on the interior vertices in mesh order; callers check
+    its residuals.  Each column is transformed by BLAS calls of its own and
+    swept elementwise, so its solution has the same bits whatever columns
+    ride beside it.
     """
     if min(mesh.box_shape) == 0:
         raise GeometryError("the layered solve needs a mesh with interior vertices")
@@ -660,71 +628,65 @@ def layered_solve(mesh: Mesh, layers: Layers):
         rhs = np.asarray(rhs)
         cols = rhs.reshape(len(rhs), -1)
         X = transform(np.ascontiguousarray(cols.T, dtype=np.result_type(rhs, inverse)))
-        X = X.reshape((len(X),) + shape)
-        # Level l of every column and mode, a view: Y[l] is (columns, N_t0, N_t1).
-        Y = np.moveaxis(X, 1 + axis, 0)
+        # Level l of every column and mode, Y[l] (columns, N_t0, N_t1), one
+        # contiguous block per level, so that the sweeps stream through it.
+        Y = np.ascontiguousarray(np.moveaxis(X.reshape((cols.shape[1],) + shape), 1 + axis, 0))
+        del X
         for level in range(1, len(Y)):
             Y[level] -= multipliers[level] * Y[level - 1]
         Y[-1] *= inverse[-1]
         for level in range(len(Y) - 2, -1, -1):
             Y[level] -= layers.upper[level] * Y[level + 1]
             Y[level] *= inverse[level]
-        return np.ascontiguousarray(transform(X.reshape(len(X), -1)).T).reshape(rhs.shape)
+        X = np.ascontiguousarray(np.moveaxis(Y, 0, 1 + axis)).reshape(cols.shape[1], -1)
+        return np.ascontiguousarray(transform(X).T).reshape(rhs.shape)
 
     return solve
 
 
-def _face_schur(mesh: Mesh, weights, sigma: np.ndarray, face_rows=None) -> Optional[np.ndarray]:
-    """Closed-form Schur complement onto the boundary dofs sigma of the P1
-    stiffness of diag(weights) on a mesh, or of a layered K (`weights` a
-    `Layers`, `face_rows` its rows K[sigma]), the other boundary
-    dofs pinned to zero; None unless sigma lies in the interior of one box
-    face, for `Layers` one normal to the layer axis.
+def _face_schur(mesh: Mesh, layers: dict, sigma: np.ndarray, face_stencil
+                ) -> Optional[np.ndarray]:
+    """Closed-form Schur complement onto the boundary dofs sigma of a K
+    whose interior is layered (`layers`, a `Layers` per layer axis), the
+    other boundary dofs pinned to zero; None unless sigma lies in the
+    interior of one box face, normal to a layer axis a, and
+    `face_stencil(a)`, the 27-slot stencil shared by sigma's rows, is
+    axis-only and symmetric along the face.
 
-    With a diagonal coefficient every Kuhn coupling off an axis edge is
-    zero, on face rows too.  So on the face F normal to axis a, in its
-    interior, K_FF = h w_a I + L_F / 2, where L_F is the face's 5-point
-    stencil h sum_t w_t (2 u - u(x - h e_t) - u(x + h e_t)), and K_FI joins
-    each face dof only to the interior vertex next to it, by -h w_a.  The
-    face's 2-D orthonormal DST-I basis Phi diagonalises L_F, with
-    eigenvalues lam_pq, and along the normal axis mode (p, q) of K_II is
-    the tridiagonal h w_a tridiag(-1, 2, -1) + lam_pq of order N_a, whose
-    corner entry r_pq of its inverse is an N_a-step continued fraction
-    (the capacitance-matrix idea of Buzbee, Dorr, George and Golub, 1971).
-    So the Schur complement onto F is Phi diag(mu) Phi^T with
-    mu = h w_a + lam / 2 - (h w_a)^2 r, for either face normal to axis a,
-    and onto sigma it is the restriction, since the other face dofs are
-    pinned.  It is formed on sigma's bounding rectangle of the face by two
-    contractions, one per tangent axis.  The weights may be complex.
-
-    A layered K on a face F normal to its layer axis is the same in modes:
-    F's rows (`face_rows`, which must share one axis-only stencil,
-    symmetric along the face) give K_FF = d + the tangent couplings and the
-    coupling c_F of each face dof to the interior vertex next to it, and
-    that vertex's row the coupling c_I back.  Mode (p, q) of K_II is the
-    tridiagonal of `layered_solve`, and the corner entry r_pq of its
-    inverse at F is the continued fraction of its level couplings, from
-    the far face in.  So mu = lambda_F - c_F c_I r.  Any other layered
-    sigma, or face rows that differ, give None.
+    Mode (p, q) of the face's 2-D orthonormal DST-I basis Phi is mode
+    (p, q) of K_II: the tridiagonal along a of `layered_solve`.  The face
+    rows give K_FF = lambda_F in modes (their centre and tangent
+    couplings) and the coupling c_F of each face dof to the interior
+    vertex next to it, and that vertex's level the coupling c_I back.  So
+    the Schur complement onto F is Phi diag(mu) Phi^T with
+    mu = lambda_F - c_F c_I r, where r_pq, the corner entry at F of the
+    inverse of mode (p, q)'s tridiagonal, is its last inverse pivot with
+    the levels taken from the far face in (the capacitance-matrix idea of
+    Buzbee, Dorr, George and Golub, 1971).  Onto sigma it is the
+    restriction, since the other face dofs are pinned, formed on sigma's
+    bounding rectangle of the face by two contractions, one per tangent
+    axis.  The stencils may be complex.
     """
-    face = _face_of(mesh, sigma)
+    where = _face_of(mesh, sigma)
+    if where is None or where[0] not in layers:
+        return None
+    axis, t, rel = where
+    stencil = face_stencil(axis)
+    face = None if stencil is None else Layers.of(axis, stencil[None])
     if face is None:
         return None
-    axis, t, rel = face
     shape = np.array(mesh.box_shape)
-    if isinstance(weights, Layers):
-        mu = _layered_face_modes(mesh, weights, sigma, face_rows, axis, rel[0, axis] == 0)
-        if mu is None:
-            return None
-    else:
-        weights = np.asarray(weights)
-        c = mesh.h * weights[axis]
-        lam = (mesh.h * weights[t[0]] * _stencil_modes(shape[t[0]])[:, None]
-               + mesh.h * weights[t[1]] * _stencil_modes(shape[t[1]])[None, :])
-        corner = np.zeros_like(lam)
-        for _ in range(shape[axis]):
-            corner = 1.0 / (2.0 * c + lam - c * c * corner)
-        mu = c + lam / 2.0 - c * c * corner
+    levels = layers[axis]
+    diag, lower, upper = levels.modes(shape), levels.lower, levels.upper
+    low = rel[0, axis] == 0
+    if low:
+        # The corner at level 0 is the last of the levels taken in reverse.
+        diag, lower, upper = diag[::-1], upper[::-1], lower[::-1]
+    corner = _tridiagonal_pivots(diag, lower, upper)[1][-1]
+    # c_F, from the face into the interior, and c_I, from the last level
+    # (in this order) out to the face.
+    c_face = face.upper[0] if low else face.lower[0]
+    mu = face.modes(shape)[0] - c_face * upper[-1] * corner
     lo, hi = rel[:, t].min(axis=0), rel[:, t].max(axis=0)
     A, B = (_sine_matrix(shape[b])[lo[k] - 1:hi[k]] for k, b in enumerate(t))
     # S[(i, j), (k, l)] = sum_pq A_ip A_kp mu_pq B_jq B_lq over the rectangle.
@@ -773,42 +735,33 @@ def _lattice_stencils(mesh: Mesh, m: int, rows: np.ndarray, shift: np.ndarray,
     return stencils.reshape(m, 27), bool(np.any(data[~near]))
 
 
-def _row_stencils(mesh: Mesh, rows, dofs: np.ndarray) -> Optional[np.ndarray]:
-    """The 27-slot lattice stencils (m, 27) of the CSR rows `rows` of K,
-    on all vertices, of the vertices `dofs`; None if a row has an entry
-    off its 27 lattice neighbours."""
+def _face_stencil(mesh: Mesh, rows, dofs: np.ndarray) -> Optional[np.ndarray]:
+    """The 27-slot lattice stencil shared by the CSR rows `rows` of K, on
+    all vertices, of the vertices `dofs`; None if two differ or a row has
+    an entry off its 27 lattice neighbours."""
     counts = np.diff(rows.indptr)
     stencils, stray = _lattice_stencils(mesh, len(dofs), np.repeat(np.arange(len(dofs)), counts),
                                         rows.indices - np.repeat(dofs, counts), rows.data,
                                         rows.dtype)
-    return None if stray else stencils
+    return None if stray or np.any(stencils != stencils[0]) else stencils[0]
 
 
-def _layered_face_modes(mesh: Mesh, layers: Layers, sigma: np.ndarray, face_rows,
-                        axis: int, low: bool) -> Optional[np.ndarray]:
-    """mu (N_t0, N_t1) of `_face_schur` on a face of a layered K, normal to
-    `axis` at its `low` or high end; None unless the face is normal to the
-    layer axis and sigma's rows share one axis-only stencil, symmetric
-    along the face."""
-    if axis != layers.axis:
-        return None
-    stencils = _row_stencils(mesh, face_rows, sigma)
-    if stencils is None or np.any(stencils != stencils[0]):
-        return None
-    face = Layers.of(axis, stencils[:1])
-    if face is None:
-        return None
-    shape = mesh.box_shape
-    lam = face.modes(shape)[0]
-    diag, lower, upper = layers.modes(shape), layers.lower, layers.upper
-    if low:
-        # The corner at level 0 is the last of the levels taken in reverse.
-        diag, lower, upper = diag[::-1], upper[::-1], lower[::-1]
-    corner = _tridiagonal_pivots(diag, lower, upper)[1][-1]
-    # c_F, from the face into the interior, and c_I, from the last level
-    # (in this order) out to the face.
-    c_face = face.upper[0] if low else face.lower[0]
-    return lam - c_face * upper[-1] * corner
+def _diagonal_stencils(h: float, weights):
+    """The 27-slot stencils of the P1 stiffness of a constant
+    diag(weights) on the Kuhn lattice: its interior rows,
+    h sum_a w_a (2 u - u(x - h e_a) - u(x + h e_a)), and its rows inside
+    the face normal to each axis a (3, 27), which keep the whole coupling
+    -h w_a into the interior and half of every other entry.  A face
+    stencil holds that coupling at both -e_a and +e_a, so that it serves
+    either face normal to a."""
+    w = h * np.asarray(weights)
+    interior = np.zeros(27, dtype=w.dtype)
+    interior[13] = 2.0 * w.sum()
+    interior[13 - _CODES] = interior[13 + _CODES] = -w
+    faces = np.tile(interior / 2.0, (3, 1))
+    for a in range(3):
+        faces[a, 13 - _CODES[a]] = faces[a, 13 + _CODES[a]] = -w[a]
+    return interior, faces
 
 
 def _column_sums(M: np.ndarray) -> np.ndarray:
@@ -933,12 +886,12 @@ _AXIS_SLOTS = np.count_nonzero(_NEIGHBOURS, axis=1) <= 1
 
 
 class Layers:
-    """The interior rows of a K that varies along one axis only: the layer
-    `axis` a and the 27-slot lattice stencil (N_a, 27) shared by the rows
-    of each interior level along it (slot (s + 1) @ _CODES holds the entry
-    at offset s).  Each level's stencil is axis-only and the same at -e_t
-    and +e_t for both tangent axes t; along a, its slots at -e_a (`lower`)
-    and +e_a (`upper`) may differ."""
+    """The interior rows of a K that varies along one axis only, or not at
+    all: the layer `axis` a and the 27-slot lattice stencil (N_a, 27)
+    shared by the rows of each interior level along it (slot
+    (s + 1) @ _CODES holds the entry at offset s).  Each level's stencil is
+    axis-only and the same at -e_t and +e_t for both tangent axes t; along
+    a, its slots at -e_a (`lower`) and +e_a (`upper`) may differ."""
 
     def __init__(self, axis: int, stencils: np.ndarray):
         self.axis, self.stencils = axis, stencils
@@ -966,37 +919,44 @@ class Layers:
                 + t1[:, None, None] * cos1[None, None, :])
 
 
+def _layers_of(levels: dict) -> dict:
+    """The `Layers` of each axis whose level stencils (levels[axis],
+    (N_a, 27)) are layers along it (`Layers.of`)."""
+    return {a: layers for a, stencils in levels.items()
+            if (layers := Layers.of(a, stencils)) is not None}
+
+
+def _tiled(shape, stencil: np.ndarray) -> dict:
+    """One 27-slot stencil as the level stencils along each axis."""
+    return {a: np.broadcast_to(stencil, (shape[a], 27)) for a in range(3)}
+
+
 def _read_interior_solver(system: BlockSystem):
     """The interior solver of a system on a box, read from the interior
-    rows of its K: its kind and what it solves with, the per-axis box
-    weights of `box_solve` or the `Layers` of `layered_solve`.
+    rows of its K: its kind and what it solves with, the `Layers` of
+    `layered_solve` by layer axis, or the box-cocg weights.
 
     Each row is read as its 27 lattice-neighbour slots
-    (`_lattice_stencils`).  "sine-transform" when
-    every interior row is the same axis-only stencil: its entries off the
-    centre and the six axis steps are exact zeros, and each of those seven
-    slots holds one value across all interior rows, the same at -e_a and
-    +e_a: the box stencil of the weights w_a = -K_{r, r + e_a} / h.
-    "layered" when that holds per level along one axis a instead: every
-    interior row is identical to the other rows of its level along a (its
-    position on a), and each level's stencil is axis-only and the same at
-    -e_t and +e_t along both tangent axes t.  Its axis slots and centre
-    are the level's weights (see `Layers`).  Rows are compared with their
-    level's first row only once some row differs from the first row of
-    all, so a constant K reads as fast as before.  "box-cocg" otherwise,
-    with the mean second moments
+    (`_lattice_stencils`).  "layered" along an axis a when every interior
+    row is identical to the other rows of its level along a (its position
+    on a), and each level's stencil is axis-only and the same at -e_t and
+    +e_t along both tangent axes t (see `Layers`).  A constant K is layered
+    along all three axes, and one that varies along a only along a alone.
+    Rows are compared with their level's first row only once some row
+    differs from the first row of all, so a constant K reads in one pass
+    of comparisons.  "box-cocg" otherwise, with the mean second moments
     w_a = -1/2 sum_s K_rs s_a^2 / h over the interior rows and neighbours s,
     for a P1 stiffness of a constant or affine coefficient its mean
-    diagonal to rounding.  A real K has real weights, and a box with no
-    interior vertex reads as "sine-transform" with none.  The rows are read
-    in chunks whose temporaries fit in `_BLOCK_BYTES`, each row as 27
-    neighbour slots, and the moments summed row by row, so the weights have
-    the same bits whatever the chunk size.
+    diagonal to rounding.  A real K has real layers and weights, and a box
+    with no interior vertex reads as "layered" along no axis.  The rows
+    are read in chunks whose temporaries fit in `_BLOCK_BYTES`, and the
+    moments summed row by row, so the weights have the same bits whatever
+    the chunk size.
     """
     mesh, K_ii, K_ib = system.mesh, system._K_ii, system._K_ib
     interior, n = system.interior, len(system.interior)
     if not n:
-        return "sine-transform", None
+        return "layered", {}
     dtype = np.result_type(K_ii.dtype, K_ib.dtype)
     row_nnz = np.diff(K_ii.indptr) + np.diff(K_ib.indptr)
     # About 96 bytes of temporaries per neighbour slot and per entry of a row.
@@ -1045,16 +1005,9 @@ def _read_interior_solver(system: BlockSystem):
             seen[a][new[fresh]] = True
             if not np.array_equal(stencils, levels[a][level]):
                 del levels[a]
-    if not stray:
-        if same and not np.any(first[~_AXIS_SLOTS]) and np.array_equal(first[13 - _CODES],
-                                                                       first[13 + _CODES]):
-            return "sine-transform", -first[13 + _CODES] / mesh.h
-        candidates = ({a: np.tile(first, (shape[a], 1)) for a in range(3)} if same
-                      else levels)
-        for a, stencil in candidates.items():
-            layers = Layers.of(a, stencil)
-            if layers is not None:
-                return "layered", layers
+    layers = {} if stray else _layers_of(_tiled(shape, first) if same else levels)
+    if layers:
+        return "layered", layers
     return "box-cocg", -0.5 * (total / n) / mesh.h
 
 
@@ -1102,11 +1055,6 @@ class _SolverCounters:
         }
 
 
-# The interior solvers that solve K_II directly, each with a closed-form
-# Schur complement onto (some) box faces.
-_DIRECT_KINDS = ("sine-transform", "layered")
-
-
 class BlockSystem(_SolverCounters):
     """Assembled complex matrix K = K_R + i K_I on one full lattice box,
     with a cached interior solver.
@@ -1120,37 +1068,36 @@ class BlockSystem(_SolverCounters):
     The interior solver is read from the interior rows of K once, when it
     is first needed (`_read_interior_solver`), and named by `solver_kind`:
 
-    - "sine-transform" where every interior row is the same axis-only
-      stencil, as a constant diagonal coefficient gives: `box_solve` of
-      the weights in its axis slots;
-    - "layered" where that holds per level along one axis a, as a
-      diagonal coefficient that varies along a only gives: `layered_solve`
-      of the level stencils (`Layers`), a tangent DST and one Thomas
-      solve per mode along a;
+    - "layered" where the rows of each level along some axis share one
+      axis-only stencil, as a diagonal coefficient that is constant or
+      varies along one axis gives: `layered_solve`, a tangent DST and one
+      Thomas solve per mode along the layer axis (along the last axis for
+      a constant K, which is layered along all three);
     - "box-cocg" for any other K (a full anisotropic coefficient, a bump
       field, a gradient oblique to the axes): COCG preconditioned by
-      `box_solve` of the mean second moments of its interior rows, each
-      column stopped at a recurrence residual of `_COCG_RTOL`.
+      `layered_solve` of the stencil of diag(w), w the mean second moments
+      of its interior rows, each column stopped at a recurrence residual
+      of `_COCG_RTOL`.
 
-    A sine-transform system's Schur complement onto dofs inside one box
-    face, and a layered one's onto dofs inside a face normal to its layer
-    axis, is the closed form `_face_schur`; any other is solved column by
-    column.  `from_stencil` builds the blocks straight from `assemble`'s
-    stencil rows, and `BlockSystem(mesh, K)` slices them from a whole K.
+    A layered system's Schur complement onto dofs inside a face normal to
+    a layer axis is the closed form `_face_schur`, its face stencil read
+    from sigma's own rows; any other is solved column by column.
+    `from_stencil` builds the blocks straight from `assemble`'s stencil
+    rows, and `BlockSystem(mesh, K)` slices them from a whole K.
 
     A system with no interior dof, such as the bump of a
     `SubstructuredSystem` one cell thick, solves nothing.  `field` is the
     (family, a, k) that `assemble` built it from.  The counters are those
     of `_SolverCounters`.
 
-    The system keeps its interior solver, the box or layered solve, which
-    holds no reference back to it, and runs COCG itself, so a system and
-    its Krylov scratch are freed by reference counting as soon as the last
-    reader drops it.  Every solver gives a column the same bits whatever
-    columns are solved beside it.  `schur_onto` keeps its last result, and
-    answers any subset of its dofs by restriction: the Omega system's
-    Schur complement onto the DtN basis gives the footprint part of its
-    Omega_eta system's interface preconditioner exactly.
+    The system keeps its interior solver, which holds no reference back to
+    it, and runs COCG itself, so a system and its Krylov scratch are freed
+    by reference counting as soon as the last reader drops it.  Every
+    solver gives a column the same bits whatever columns are solved beside
+    it.  `schur_onto` keeps its last result, and answers any subset of its
+    dofs by restriction: the Omega system's Schur complement onto the DtN
+    basis gives the footprint part of its Omega_eta system's interface
+    preconditioner exactly.
     """
 
     def __init__(self, mesh: Mesh, K: Optional[sp.csr_matrix]):
@@ -1245,17 +1192,38 @@ class BlockSystem(_SolverCounters):
 
     @functools.cached_property
     def _box_read(self):
-        """The solver kind and box weights read from K, at the first use."""
+        """The solver kind and its layers or weights, read from K at the
+        first use."""
         return _read_interior_solver(self)
 
-    def _interior_solver(self):
-        """The solve read from K: the layered solve of its `Layers`, or the
-        box solve of its weights, the interior solve or COCG's
-        preconditioner."""
-        kind, weights = self._box_read
+    def _box_layers(self):
+        """The layers that `layered_solve` takes, by layer axis, and the
+        face stencils (3, 27) of the closed form: K's own layers and None
+        (the face stencil is then read from sigma's rows), or under
+        box-cocg the layers and face stencils of diag(w), w the weights
+        read from K, whose solve preconditions COCG."""
+        kind, read = self._box_read
         if kind == "layered":
-            return layered_solve(self.mesh, weights)
-        return box_solve(self.mesh, weights)
+            return read, None
+        interior, faces = _diagonal_stencils(self.mesh.h, read)
+        return _layers_of(_tiled(self.mesh.box_shape, interior)), faces
+
+    def _interior_solver(self):
+        """The layered solve of K, or of COCG's preconditioner, along its
+        last layer axis."""
+        layers = self._box_layers()[0]
+        return layered_solve(self.mesh, layers[max(layers)])
+
+    def _closed_form(self, sigma: np.ndarray, rows) -> Optional[np.ndarray]:
+        """`_face_schur` onto sigma of the layers of `_box_layers`, with the
+        stencil shared by sigma's rows `rows` of K, on all vertices, as the
+        face stencil, or under box-cocg diag(w)'s."""
+        layers, faces = self._box_layers()
+
+        def face_stencil(axis):
+            return _face_stencil(self.mesh, rows, sigma) if faces is None else faces[axis]
+
+        return _face_schur(self.mesh, layers, sigma, face_stencil)
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         """K_II^{-1} rhs for an (n,) or (n, d) right-hand side."""
@@ -1304,16 +1272,16 @@ class BlockSystem(_SolverCounters):
         and no interior solve.  Any other sigma is computed and replaces
         the memo.
 
-        A sine-transform system with sigma in the interior of one box face,
-        or a layered one with sigma in the interior of a face normal to its
-        layer axis, takes the closed form `_face_schur`, and checks it on
-        `_SCHUR_CHECKS` fixed-seed complex combinations v of its columns:
-        K_ss v - K_sI x, with x the interior solve of K_Is v (itself
-        residual-checked), must match S v to 1e-10 relative.  Any other
-        system or sigma is solved column by column, in equal blocks of at
-        most `_BLOCK_BYTES` of complex (interior x column) data, so no
-        array of interior size grows with |sigma|; each block is one
-        multi-column interior solve, and each column's residual is checked.
+        A layered system with sigma in the interior of a face normal to a
+        layer axis takes the closed form `_face_schur`, its face stencil
+        read from sigma's rows, and checks it on `_SCHUR_CHECKS` fixed-seed
+        complex combinations v of its columns: K_ss v - K_sI x, with x the
+        interior solve of K_Is v (itself residual-checked), must match S v
+        to 1e-10 relative.  Any other system or sigma is solved column by
+        column, in equal blocks of at most `_BLOCK_BYTES` of complex
+        (interior x column) data, so no array of interior size grows with
+        |sigma|; each block is one multi-column interior solve, and each
+        column's residual is checked.
         """
         sigma = np.array(sigma, dtype=int)
         if self._schur is not None and np.array_equal(self._schur[0], sigma):
@@ -1329,8 +1297,8 @@ class BlockSystem(_SolverCounters):
         K_s = self._K_b[cols]
         K_si = K_s[:, self._interior]
         S = None
-        if len(self._interior) and self.solver_kind in _DIRECT_KINDS:
-            S = _face_schur(self.mesh, self._box_read[1], sigma, K_s)
+        if len(self._interior) and self.solver_kind == "layered":
+            S = self._closed_form(sigma, K_s)
         if S is not None:
             self._check_schur(S, K_s[:, sigma], K_si, cols)
         else:
@@ -1380,17 +1348,16 @@ class BlockSystem(_SolverCounters):
 
     def _preconditioner_schur(self, sigma: np.ndarray) -> np.ndarray:
         """A Schur complement onto the boundary dofs sigma that solves no
-        column, for a preconditioner.  With sigma in one face's interior it
-        is the closed form `_face_schur` of what was read from K: exact for
-        a sine-transform system and for a layered one on a face normal to
-        its layer axis, and for a box-cocg system whose memo does not hold
-        sigma that of the stencil whose box solve preconditions COCG.  A
-        memo that holds sigma gives the exact restriction, and any other
+        column, for a preconditioner.  With sigma in the interior of a face
+        normal to a layer axis it is the closed form `_closed_form`: exact
+        for a layered system, and for a box-cocg system whose memo does not
+        hold sigma that of diag(w), whose layered solve preconditions COCG.
+        A memo that holds sigma gives the exact restriction, and any other
         sigma the exact `schur_onto`."""
         memo = self._schur is not None and (np.array_equal(self._schur[0], sigma)
                                             or self._subset_positions(sigma) is not None)
-        if len(self._interior) and (self.solver_kind in _DIRECT_KINDS or not memo):
-            S = _face_schur(self.mesh, self._box_read[1], sigma, self.boundary_rows(sigma))
+        if len(self._interior) and (self.solver_kind == "layered" or not memo):
+            S = self._closed_form(sigma, self.boundary_rows(sigma))
             if S is not None:
                 return S
         return self.schur_onto(sigma)
@@ -1503,10 +1470,10 @@ class SubstructuredSystem(_SolverCounters):
     costs no further solve; the bump, thin, is solved again with u_f.  The
     preconditioner (S~_core(f) + S_bump(f))^{-1} is inverted once, at the
     first solve; S~_core is `BlockSystem._preconditioner_schur`, exact for
-    a sine-transform core, a layered core (f lies on the face normal to
-    the patch, so on one normal to its layer axis when that is the patch
-    normal) or a core whose memo holds f, so there one interface step
-    solves.  Each column's residual over the whole interior,
+    a layered core (f lies on the face normal to the patch, so on one
+    normal to a layer axis when that is the patch normal, as it always is
+    for a constant K) or a core whose memo holds f, so there one interface
+    step solves.  Each column's residual over the whole interior,
     the parts' interior rows and the footprint rows summed over both, is
     checked against the column's -K_IB g.
 

@@ -422,8 +422,8 @@ class TestStabilityCommand:
 
     def test_recovery_factors_only_the_enlarged_systems(self, tmp_path, factor_calls):
         # Both fields are constant under the scalar family: the Gram, the
-        # two Omega systems and their bump systems take the sine-transform
-        # solve, and each Omega_eta system, substructured through them,
+        # two Omega systems and their bump systems take the layered solve,
+        # and each Omega_eta system, substructured through them,
         # inverts only its dense footprint interface: no sparse LU.
         config = Path(__file__).resolve().parents[1] / "configs" / "recovery.yaml"
         out = tmp_path / "out"
@@ -447,9 +447,9 @@ class TestStabilityCommand:
 
     @pytest.mark.parametrize("command, config, kinds", [
         ("stability", "recovery.yaml",
-         {"a1": ("sine-transform", "via-core"), "a2": ("sine-transform", "via-core")}),
+         {"a1": ("layered", "via-core"), "a2": ("layered", "via-core")}),
         ("derivative", "derivative.yaml",
-         {"a1": ("sine-transform", "via-core"), "a2": ("layered", "via-core")}),
+         {"a1": ("layered", "via-core"), "a2": ("layered", "via-core")}),
     ], ids=["stability", "derivative"])
     def test_manifest_reports_solvers(self, tmp_path, factor_calls, command, config, kinds):
         config = Path(__file__).resolve().parents[1] / "configs" / config
@@ -486,16 +486,15 @@ class TestStabilityCommand:
         for s in solvers:
             assert 1 <= s["solve_calls"] <= s["rhs_columns"]
             assert 0.0 < s["worst_residual"] <= 1e-10
-            if s["kind"] in ("sine-transform", "layered"):
+            if s["kind"] == "layered":
                 assert s["krylov_iterations"] == s["krylov_iterations_max"] == 0
             else:
                 # COCG, in the interior or on the footprint interface.
                 assert 1 <= s["krylov_iterations_max"] <= s["krylov_iterations"]
         if command == "dtn":
             # Each Omega system's one Schur complement onto the basis: a
-            # column per basis dof under box-cocg, and under the
-            # sine-transform or layered closed form only the columns of
-            # its check.
+            # column per basis dof under box-cocg, and under the layered
+            # closed form only the columns of its check.
             d = json.loads((outs[0] / "dtn_norm.json").read_text())["basis_size"]
             assert all(s["rhs_columns"] == (d if s["kind"] == "box-cocg" else 3)
                        for s in solvers)
@@ -523,7 +522,7 @@ class TestStabilityCommand:
         assert (via["krylov_iterations_max"] <= via["krylov_iterations"]
                 <= via["krylov_iterations_max"] * via["rhs_columns"])
         for s in solvers:
-            if s["kind"] == "sine-transform":
+            if s["kind"] == "layered":
                 assert s["krylov_iterations"] == s["krylov_iterations_max"] == 0
         # a1's interface is preconditioned exactly: one step per column.
         exact = entry["a1", "Omega_eta"]
@@ -564,7 +563,7 @@ class TestStabilityCommand:
                       for m in (system._K_ii, system._K_ib, system._K_b)) for system in omega]
         assert [s["stored_bytes"] for s in solvers if s["domain"] == "Omega"] == blocks
         assert {s["kind"] for s in solvers if s["domain"] == "Omega"} >= {
-            "sine-transform" if command == "stability" else "box-cocg"}
+            "layered" if command == "stability" else "box-cocg"}
         for s in solvers:
             if s["domain"] == "Omega_eta":
                 f = s["factored_dofs"]
@@ -576,7 +575,7 @@ class TestStabilityCommand:
         ("derivative", "derivative", {"a1": True, "a2": True}),
     ], ids=["sine-transform", "box-cocg", "layered"])
     def test_via_core_reports_interface_iterations(self, tmp_path, command, config, exact):
-        # A sine-transform or layered core preconditions its interface
+        # A layered core, constant or not, preconditions its interface
         # exactly, by its closed form: one step per column.  The oblique a2
         # is box-cocg and computes no DtN, so its interface is
         # preconditioned by the closed form of the box preconditioner: a
@@ -598,8 +597,8 @@ class TestStabilityCommand:
                         <= s["krylov_iterations_max"] * s["rhs_columns"])
 
     @pytest.mark.parametrize("config, kinds", [
-        ("derivative", {"sine-transform", "layered", "via-core"}),
-        ("oblique", {"sine-transform", "box-cocg", "via-core"}),
+        ("derivative", {"layered", "via-core"}),
+        ("oblique", {"layered", "box-cocg", "via-core"}),
     ])
     def test_manifest_reports_solve_seconds(self, tmp_path, config, kinds):
         # Every entry, of every kind, reports the wall time of its solves:
@@ -657,7 +656,7 @@ class TestStabilityCommand:
 
     def test_stability_footprint_needs_no_memo(self, tmp_path, monkeypatch):
         # At h = 1/20 the footprint f holds 81 of the 121 basis dofs.  Each
-        # sine-transform Omega system preconditions its Omega_eta interface
+        # layered Omega system preconditions its Omega_eta interface
         # by the closed-form Schur complement onto f, not by restricting its
         # DtN's: with the restriction switched off, no system solves a
         # column more, and the outputs keep their bytes.
@@ -679,7 +678,7 @@ class TestStabilityCommand:
             if m["domain"] == "Omega":
                 # The check of the basis closed form and 3 probe passes of
                 # 5 columns: the DtN basis is never solved column by column.
-                assert m["kind"] == "sine-transform" and m["rhs_columns"] == 3 + 3 * 5
+                assert m["kind"] == "layered" and m["rhs_columns"] == 3 + 3 * 5
         names = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json")
         assert names == sorted(p.name for p in outs[1].iterdir() if p.name != "manifest.json")
         for name in names:
@@ -787,7 +786,7 @@ class TestSweepCommand:
                      str(CONFIG_DIR / "derivative.yaml"), "--mesh-h", "0.125",
                      "--out", str(out)]) == 0
         solvers = json.loads((out / "manifest.json").read_text())["solvers"]
-        assert {s["kind"] for s in solvers} == {"sine-transform", "layered", "via-core"}
+        assert {s["kind"] for s in solvers} == {"layered", "via-core"}
         for s in solvers:
             if s["kind"] == "via-core":
                 assert s["krylov_iterations"] == s["rhs_columns"]
@@ -883,9 +882,8 @@ class TestLifetimes:
         finally:
             gc.enable()
         # a1 is constant and a2 affine along the patch normal: their bumps
-        # take the sine-transform and the layered solve, as their Omega
-        # systems do.
-        assert [kind for _, kind in bumps] == ["sine-transform", "layered"]
+        # take the layered solve, as their Omega systems do.
+        assert [kind for _, kind in bumps] == ["layered", "layered"]
         assert not any(alive)
 
     @pytest.mark.parametrize("args", [

@@ -249,10 +249,10 @@ class TestSchurOracles:
     def test_poisoned_box_column_raises(self, mesh8, basis8, monkeypatch):
         import admitlab.fem
 
-        real = admitlab.fem.box_solve
+        real = admitlab.fem.layered_solve
 
-        def poisoned_box_solve(mesh, weights):
-            solve = real(mesh, weights)
+        def poisoned_layered_solve(mesh, layers):
+            solve = real(mesh, layers)
 
             def poisoned(rhs):
                 X = solve(rhs)
@@ -261,9 +261,9 @@ class TestSchurOracles:
 
             return poisoned
 
-        # The Gram's closed form is checked through one box solve of three
-        # combinations of its columns; the poisoned one is named.
-        monkeypatch.setattr(admitlab.fem, "box_solve", poisoned_box_solve)
+        # The Gram's closed form is checked through one layered solve of
+        # three combinations of its columns; the poisoned one is named.
+        monkeypatch.setattr(admitlab.fem, "layered_solve", poisoned_layered_solve)
         with pytest.raises(SolverError) as err:
             h_half_gram(mesh8, basis8)
         assert err.value.diagnostics["column"] == 1

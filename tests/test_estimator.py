@@ -702,9 +702,9 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
 def test_no_shipped_config_factors_an_omega_system(path, h, factor_calls):
     # No shipped config makes a sparse LU.  Every Omega system and every
-    # bump system is on a full box: it takes the sine-transform or the
-    # layered solve or COCG, and each Omega_eta system is substructured
-    # through the two, inverting only its dense footprint interface.
+    # bump system is on a full box: it takes the layered solve or COCG,
+    # and each Omega_eta system is substructured through the two,
+    # inverting only its dense footprint interface.
     cfg = load_config(path, mesh_h=h)
     frame = build_frame(cfg.box, cfg.patch, cfg.eta, cfg.h, cfg.family, window=cfg.window)
     for a in (cfg.a1, cfg.a2):
@@ -712,7 +712,7 @@ def test_no_shipped_config_factors_an_omega_system(path, h, factor_calls):
         for system in (fwd.system, fwd.system_eta):
             system.solve_dirichlet(np.ones(system.mesh.n_vertices))
         for system in (fwd.system, fwd.system_eta.bump):
-            assert system.solver_kind in ("sine-transform", "layered", "box-cocg")
+            assert system.solver_kind in ("layered", "box-cocg")
             assert system.factored_dofs == 0
         assert fwd.system_eta.factored_dofs == (round(0.5 / h) - 1) ** 2
         assert fwd.system_eta.worst_residual <= 1e-10

@@ -18,9 +18,10 @@ from admitlab.dtn import boundary_mass_sigma
 from admitlab.config import load_config
 from admitlab.estimator import build_forward, build_frame
 import admitlab.estimator
-from admitlab.fem import (_STENCIL_SLOTS, _TET_PATTERNS, BlockSystem, Mesh,
-                          SubstructuredSystem, _stencil_slots, _stiffness_blocks, assemble,
-                          assemble_stiffness, box_solve, build_mesh, energy_density)
+from admitlab.fem import (_CODES, _STENCIL_SLOTS, _TET_PATTERNS, BlockSystem, Mesh,
+                          SubstructuredSystem, _diagonal_stencils, _layers_of, _stencil_slots,
+                          _stiffness_blocks, _tiled, assemble, assemble_stiffness, build_mesh,
+                          energy_density, layered_solve)
 from admitlab.geometry import (FACE_NAMES, BoxDomain, BoundaryPatch,
                                EnlargedDomain, build_enlarged_domain)
 from conftest import (LuSystem, UnionMesh, bincount_csr, box_cells, coo_stiffness, gradients,
@@ -594,10 +595,11 @@ class TestOneCopy:
 
     @pytest.mark.parametrize("kind", ["sine-transform", "box-cocg"])
     def test_no_attribute_is_n_by_n(self, meshes, kind):
+        # "sine-transform" is the constant Laplacian, read as layered.
         mesh = meshes["box"]
         system = (assemble(mesh, LAPLACE, A_ONE, 0.0) if kind == "sine-transform"
                   else assemble(mesh, ROTATED, AFFINE, ROTATED.freq))
-        assert system.solver_kind == kind
+        assert system.solver_kind == ("layered" if kind == "sine-transform" else kind)
         system.solve_dirichlet(np.ones(mesh.n_vertices))
         system.schur_onto(np.flatnonzero(mesh.boundary_vertex_mask)[:20])
         n = mesh.n_vertices
@@ -655,8 +657,8 @@ class TestColumnSolves:
     """Dirichlet data given as (n, c) columns share one interior solve.
 
     These run on the sparse LU path; TestColumnSolvesOnBox and
-    TestColumnSolvesOnCocg run them again on the sine-transform box path
-    and on the box-preconditioned COCG path.
+    TestColumnSolvesOnCocg run them again on the layered box path and on
+    the box-preconditioned COCG path.
     """
 
     PATH = "lu"
@@ -665,7 +667,7 @@ class TestColumnSolves:
         fam = scalar_identity_family(k=0.1, imag=1.0)
         mesh = build_mesh(BOX, 0.25)
         system = assemble(mesh, fam, A_ONE, 0.1)
-        assert system.solver_kind == "sine-transform"
+        assert system.solver_kind == "layered"
         if self.PATH == "lu":
             system = LuSystem(mesh, system.matrix())
         elif self.PATH == "cocg":
@@ -778,8 +780,33 @@ def box_weight_cases(draw):
     return mesh, weights
 
 
+def _assert_direct_solves(mesh, layers, K, interior):
+    """`layered_solve` along each layer axis against the dense solve of
+    K's interior block at 1e-12, and one column solved alone against the
+    same column in a block."""
+    K_ii = K[np.ix_(interior, interior)].toarray()
+    rng = np.random.default_rng(len(interior))
+    rhs = (rng.standard_normal((len(interior), 3))
+           + 1j * rng.standard_normal((len(interior), 3)))
+    ref = np.linalg.solve(K_ii, rhs)
+    for layer in layers.values():
+        solve = layered_solve(mesh, layer)
+        x = solve(rhs)
+        assert x.shape == rhs.shape
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(solve(rhs[:, 1]) - x[:, 1])) <= 1e-14 * np.max(np.abs(ref))
+
+
 class TestBoxSolve:
-    """The sine-transform interior solve against dense and sparse LU solves."""
+    """The direct interior solve of a constant K, one layer repeated along
+    every axis, against dense and sparse LU solves."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(box_weight_cases())
+    def test_matches_dense_solve(self, case):
+        mesh, weights = case
+        system = _box_system(mesh, weights)
+        _assert_direct_solves(mesh, system._box_read[1], system.matrix(), system.interior)
 
     def test_box_shape(self):
         mesh = build_mesh(BoxDomain((0.0, 0.0, 0.0), (1.25, 1.0, 1.5)), 0.25)
@@ -790,39 +817,29 @@ class TestBoxSolve:
         enlarged = EnlargedDomain(BOX, patch, 0.125, (0.25, 0.25), (0.75, 0.75), 0.125)
         bump = build_mesh(enlarged, 0.125)
         assert bump.box_shape == (3, 3, 0)
+        layers = _layers_of(_tiled((3, 3, 1), _diagonal_stencils(0.125, np.ones(3))[0]))
         with pytest.raises(GeometryError, match="interior vertices"):
-            box_solve(bump, (1.0, 1.0, 1.0))
-
-    @settings(max_examples=20, deadline=None)
-    @given(box_weight_cases())
-    def test_matches_dense_solve(self, case):
-        mesh, weights = case
-        K = (assemble_stiffness(mesh, np.diag(weights.real))
-             + 1j * assemble_stiffness(mesh, np.diag(weights.imag)))
-        interior = np.where(~mesh.boundary_vertex_mask)[0]
-        K_ii = K[np.ix_(interior, interior)].toarray()
-        rng = np.random.default_rng(len(interior))
-        rhs = (rng.standard_normal((len(interior), 3))
-               + 1j * rng.standard_normal((len(interior), 3)))
-        solve = box_solve(mesh, weights)
-        ref = np.linalg.solve(K_ii, rhs)
-        x = solve(rhs)
-        assert x.shape == rhs.shape
-        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.max(np.abs(solve(rhs[:, 1]) - x[:, 1])) <= 1e-14 * np.max(np.abs(ref))
+            layered_solve(bump, layers[0])
 
     def test_real_weights_keep_real_data_real(self):
         mesh = build_mesh(BoxDomain((0.0, 0.0, 0.0), (1.0, 1.25, 1.5)), 0.25)
         n = int(np.prod(mesh.box_shape))
-        x = box_solve(mesh, (1.0, 1.0, 1.0))(np.ones((n, 2)))
-        assert x.dtype == np.float64 and x.shape == (n, 2)
+        # A constant real K, layered along every axis, and one that varies
+        # along x3 only.
+        height = 1.0 + mesh.barycenters()[:, 2]
+        for coeff in (np.eye(3), height[:, None, None] * np.eye(3)):
+            kind, layers = BlockSystem(mesh, assemble_stiffness(mesh, coeff))._box_read
+            assert kind == "layered" and len(layers) == (3 if coeff.ndim == 2 else 1)
+            for layer in layers.values():
+                x = layered_solve(mesh, layer)(np.ones((n, 2)))
+                assert x.dtype == np.float64 and x.shape == (n, 2)
 
     @pytest.mark.parametrize("fam", [scalar_identity_family(k=0.1, imag=1.0), DIAG_123],
                              ids=["scalar", "diag123"])
     def test_dirichlet_and_schur_match_lu(self, fam, factor_calls):
         mesh = build_mesh(BOX, 0.125)
         box = assemble(mesh, fam, A_ONE, fam.freq)
-        assert box.solver_kind == "sine-transform"
+        assert box.solver_kind == "layered"
         lu = LuSystem(mesh, box.matrix())
         rng = np.random.default_rng(5)
         g = (rng.standard_normal((mesh.n_vertices, 3))
@@ -866,7 +883,7 @@ class TestBoxSolve:
             build = lu_system if case == "omega-eta" else assemble
             system = build(union if case == "omega-eta" else mesh, fam, a, fam.freq)
             kind = {"omega-eta": "sparse-lu", "affine": "box-cocg",
-                    "rotated-anisotropic": "box-cocg"}.get(case, "sine-transform")
+                    "rotated-anisotropic": "box-cocg"}.get(case, "layered")
             assert system.solver_kind == kind
             systems = [system]
         for system in systems:
@@ -1033,7 +1050,7 @@ class TestCoreSolve:
         frame = build_frame(BOX, patch, 0.25, 0.125, scalar_identity_family(k=0.1, imag=1.0))
         systems = [build_forward(frame, a).system_eta for a in (A_ONE, AFFINE)]
         assert calls == [BOX, frame.enlarged]
-        assert [s.bump.solver_kind for s in systems] == ["sine-transform", "box-cocg"]
+        assert [s.bump.solver_kind for s in systems] == ["layered", "box-cocg"]
         # Both Forwards' Omega_eta systems share the frame's bump mesh.
         bump = frame.bump
         for system in systems:
@@ -1142,13 +1159,20 @@ COCG_FAMILIES = {"scalar": scalar_identity_family(k=0.1, imag=1.0), "diag123": D
 
 def _read_as_cocg(system):
     """The system, its interior solver read as box-cocg with the weights
-    that its matrix gives, whatever kind the matrix reads as."""
+    that its matrix gives, whatever kind the matrix reads as: a constant
+    diagonal K's are those of its axis slots, -K_{r, r + e_a} / h."""
     import admitlab.fem
 
     read = admitlab.fem._read_interior_solver
+
+    def as_cocg(system):
+        kind, weights = read(system)
+        if kind == "layered":
+            weights = -weights[2].stencils[0, 13 + _CODES] / system.mesh.h
+        return "box-cocg", weights
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(admitlab.fem, "_read_interior_solver",
-                      lambda *args: ("box-cocg", read(*args)[1]))
+        patch.setattr(admitlab.fem, "_read_interior_solver", as_cocg)
         # The read is kept, so the system stays box-cocg.
         assert system.solver_kind == "box-cocg"
     return system
@@ -1253,10 +1277,12 @@ SCHUR_KINDS = ["sine-transform", "layered", "box-cocg", "sparse-lu"]
 
 
 def _schur_case(kind, h):
-    """A fresh system of the given solver kind and boundary dofs sigma to
-    project onto: a sine-transform Omega system, a layered one (a field
-    affine along x3), a box-cocg Omega system (rotated family, affine
-    field), or the oracle's Omega_eta system of that field (sparse-lu)."""
+    """A fresh system of the given case and boundary dofs sigma to project
+    onto: a constant K ("sine-transform": the sine basis of each face
+    diagonalises it, and it reads as layered along every axis), one
+    layered along x3 alone (a field affine along x3), a box-cocg Omega
+    system (rotated family, affine field), or the oracle's Omega_eta
+    system of that field (sparse-lu)."""
     patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
     mesh = build_mesh(BOX, h, patch=patch)
     if kind in ("sine-transform", "layered"):
@@ -1268,7 +1294,7 @@ def _schur_case(kind, h):
     else:
         bump = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=h), h)
         system = lu_system(UnionMesh(mesh, bump), ROTATED, AFFINE, ROTATED.freq)
-    assert system.solver_kind == kind
+    assert system.solver_kind == ("layered" if kind == "sine-transform" else kind)
     return system, system.boundary[::7]
 
 
@@ -1588,24 +1614,26 @@ def face_schur_cases(draw):
 
 
 def _box_system(mesh, weights):
-    """The sine-transform system of diag(weights), assembled part by part."""
+    """The system of a constant diag(weights), assembled part by part:
+    layered along every axis."""
     K = (assemble_stiffness(mesh, np.diag(weights.real))
          + 1j * assemble_stiffness(mesh, np.diag(weights.imag)))
     system = BlockSystem(mesh, K.tocsr())
-    assert system.solver_kind == "sine-transform"
+    assert system.solver_kind == "layered" and sorted(system._box_read[1]) == [0, 1, 2]
     return system
 
 
 def _column_oracle(system, sigma):
-    """The column-blocked Schur complement onto sigma through box_solve."""
+    """The column-blocked Schur complement onto sigma through the system's
+    interior solve."""
     K_s = system.matrix()[sigma]
     return system._column_schur(K_s[:, sigma].toarray(), K_s[:, system.interior],
                                 np.searchsorted(system.boundary, sigma))
 
 
 class TestFaceSchur:
-    """The closed-form face Schur complement of sine-transform systems
-    against the column-blocked box_solve path, kept as the oracle."""
+    """The closed-form face Schur complement of a constant diagonal K, on
+    all six faces, against the column-blocked path, kept as the oracle."""
 
     @settings(max_examples=40, deadline=None)
     @given(face_schur_cases())
@@ -1668,19 +1696,39 @@ class TestFaceSchur:
         assert err.value.diagnostics["residual"] > 1e-10 * err.value.diagnostics["scale"]
         assert system._schur is None
 
+    @pytest.mark.parametrize("side", [0, 2])
+    def test_face_rows_that_differ_from_the_interior(self, side):
+        # Two cell layers, diag(1, 1, 1) below and diag(2, 3, 1) above: the
+        # one interior level's rows are all one stencil, so the system is
+        # layered along every axis, but each z-face's rows are those of its
+        # own cell layer.  The closed form reads them from sigma's rows.
+        mesh = Mesh((0, 0, 0), (4, 4, 2), 0.25, np.zeros(3))
+        upper = np.array([2.0, 3.0, 1.0])
+        fam = _CellFamily(mesh, lambda cells: np.where((cells[:, 2] == 1)[:, None], upper, 1.0))
+        ijk = mesh.ijk
+        sigma = np.flatnonzero((ijk[:, 2] == side)
+                               & np.all((ijk[:, :2] >= 1) & (ijk[:, :2] <= 3), axis=1))
+        system = assemble(mesh, fam, A_ONE, 1.0)
+        assert system.solver_kind == "layered" and sorted(system._box_read[1]) == [0, 1, 2]
+        S = system.schur_onto(sigma)
+        # No column solved: one interior solve of the check's combinations.
+        assert system.solve_calls == 1 and system.rhs_columns == 3
+        oracle = _column_oracle(assemble(mesh, fam, A_ONE, 1.0), sigma)
+        assert np.max(np.abs(S - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
 
 OBLIQUE = affine_field(0.9, (0.02, 0.0, 0.1))
 
 
 def _derivative_forward(h, field="oblique"):
     """The Forward of derivative.yaml's a1, whose Omega system is
-    sine-transform, of its a2, whose Omega system is layered, or of a2
-    with its gradient tilted off the patch normal, whose Omega system is
-    box-cocg, at pitch h."""
+    layered along every axis, of its a2, whose Omega system is layered
+    along x3, or of a2 with its gradient tilted off the patch normal, whose
+    Omega system is box-cocg, at pitch h."""
     cfg = load_config(CONFIG_DIR / "derivative.yaml", mesh_h=h)
     frame = build_frame(cfg.box, cfg.patch, cfg.eta, cfg.h, cfg.family)
     fwd = build_forward(frame, OBLIQUE if field == "oblique" else getattr(cfg, field))
-    assert fwd.system.solver_kind == {"a1": "sine-transform", "a2": "layered",
+    assert fwd.system.solver_kind == {"a1": "layered", "a2": "layered",
                                       "oblique": "box-cocg"}[field]
     return fwd
 
@@ -1768,7 +1816,7 @@ class TestInterfaceCocg:
     def test_stalled_interface_raises(self, monkeypatch):
         import admitlab.fem
 
-        # A sine-transform core runs no interior COCG, so the cap of one
+        # A layered core runs no interior COCG, so the cap of one
         # iteration and a poor preconditioner stall the interface alone.
         via = _derivative_forward(0.125, "a1").system_eta
         monkeypatch.setattr(admitlab.fem, "_COCG_MAX_ITERATIONS", 1)
@@ -1877,7 +1925,7 @@ class TestWorkingSetBudget:
         for mesh in (mesh, bump):
             _assert_no_per_tet_arrays(mesh)
             # A full K of 15 slots a row, and a diagonal one of 7.
-            for fam, a, kind in ((ROTATED, AFFINE, "box-cocg"), (scalar, A_ONE, "sine-transform")):
+            for fam, a, kind in ((ROTATED, AFFINE, "box-cocg"), (scalar, A_ONE, "layered")):
                 system, extra = traced_extra(lambda: assemble(mesh, fam, a, fam.freq))
                 assert system.solver_kind == kind
                 assert extra <= 4 * admitlab.fem._BLOCK_BYTES, extra
@@ -1892,7 +1940,7 @@ class TestWorkingSetBudget:
         bump = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.0625), 0.0625)
         scalar = scalar_identity_family(k=0.1, imag=1.0)
         for mesh in (mesh, bump):
-            for fam, a, kind in ((ROTATED, AFFINE, "box-cocg"), (scalar, A_ONE, "sine-transform"),
+            for fam, a, kind in ((ROTATED, AFFINE, "box-cocg"), (scalar, A_ONE, "layered"),
                                  (scalar, affine_field(0.9, (0.0, 0.0, 0.1)), "layered")):
                 system = assemble(mesh, fam, a, fam.freq)
                 read, extra = traced_extra(lambda: system._box_read)
@@ -1957,14 +2005,18 @@ class TestInteriorSolverRead:
         is_diagonal = not np.any(coeff - diagonal[:, :, None] * np.eye(3))
         constant_diagonal = is_diagonal and bool(np.all(coeff == coeff[0]))
         kind, weights = system._box_read
-        # A diagonal coefficient that varies along one axis is layered.
-        assert kind == ("sine-transform" if constant_diagonal
-                        else "layered" if is_diagonal else "box-cocg")
+        # A constant diagonal coefficient is layered along every axis, and
+        # one that varies along one axis along that axis alone.
+        assert kind == ("layered" if is_diagonal else "box-cocg")
         if constant_diagonal:
-            assert np.max(np.abs(weights - diagonal[0])) <= 1e-14 * np.max(np.abs(diagonal[0]))
+            assert sorted(weights) == [0, 1, 2]
+            for layers in weights.values():
+                slots = -layers.stencils[:, 13 + _CODES] / mesh.h
+                assert np.max(np.abs(slots - diagonal[0])) <= 1e-14 * np.max(np.abs(diagonal[0]))
         elif is_diagonal:
-            assert weights.axis == axis
-            assert weights.stencils.shape == (mesh.box_shape[axis], 27)
+            assert list(weights) == [axis]
+            assert weights[axis].axis == axis
+            assert weights[axis].stencils.shape == (mesh.box_shape[axis], 27)
         else:
             mean = diagonal.mean(axis=0)
             assert np.max(np.abs(weights - mean)) <= 1e-11 * np.max(np.abs(mean))
@@ -1998,11 +2050,13 @@ class _CellFamily:
 
 
 @st.composite
-def layered_cases(draw):
+def layered_cases(draw, constant=False):
     """A small box, 2 to 7 cells a side (at most 6 interior levels), at a
     random lattice offset, a layer axis and complex weights (cells along
     the axis, 3) with positive real parts, the real part of the axis
-    component growing from layer to layer, so that the layers differ."""
+    component growing from layer to layer, so that the layers differ.
+    With `constant`, every layer may take the first layer's weights: a
+    constant K, layered along every axis."""
     cells = np.array([draw(st.integers(2, 7)) for _ in range(3)])
     lo = np.array([draw(st.integers(-3, 3)) for _ in range(3)])
     mesh = Mesh(lo, lo + cells, 0.125, np.zeros(3))
@@ -2011,6 +2065,8 @@ def layered_cases(draw):
     weights = np.array([[complex(*draw(parts)) for _ in range(3)] for _ in range(cells[axis])])
     steps = [draw(st.floats(0.1, 1.0)) for _ in range(cells[axis])]
     weights[:, axis] = np.cumsum(steps) + 1j * weights[:, axis].imag
+    if constant and draw(st.booleans()):
+        weights[:] = weights[0]
     return mesh, axis, weights
 
 
@@ -2048,15 +2104,16 @@ class TestLayeredSolver:
         mesh, axis, weights = case
         system, lu = _layered_system(mesh, axis, weights)
         kind, layers = system._box_read
-        assert kind == "layered" and layers.axis == axis
+        assert kind == "layered" and list(layers) == [axis] and layers[axis].axis == axis
         rng = np.random.default_rng(7)
         g = (rng.standard_normal((mesh.n_vertices, 3))
              + 1j * rng.standard_normal((mesh.n_vertices, 3)))
         assert _close(system.solve_dirichlet(g), lu.solve_dirichlet(g), 1e-12)
         assert system.krylov_iterations == 0 and system.worst_residual <= 1e-12
+        _assert_direct_solves(mesh, layers, lu.matrix(), lu.interior)
 
     @settings(max_examples=30, deadline=None)
-    @given(layered_cases(), st.data())
+    @given(layered_cases(constant=True), st.data())
     def test_normal_faces_take_the_closed_form(self, case, data):
         mesh, axis, weights = case
         for side in (0, 1):
@@ -2088,15 +2145,19 @@ class TestLayeredSolver:
     @given(layered_cases())
     def test_read_of_each_kind(self, case):
         mesh, axis, weights = case
-        # A constant coefficient is sine-transform, with the weights of its
-        # axis slots, -K_{r, r + e_a} / h, bit for bit.
+        # A constant coefficient is layered along every axis, each level's
+        # axis slots holding K's own entries K_{r, r -+ e_a}, bit for bit.
         fam = _CellFamily(mesh, lambda cells: np.broadcast_to(weights[0], cells.shape))
         system = assemble(mesh, fam, A_ONE, 1.0)
         kind, read = system._box_read
         K = system.matrix()
         r = system.interior[0]
-        assert kind == "sine-transform"
-        assert np.array_equal(read, np.array([-K[r, r + s] for s in mesh._strides]) / mesh.h)
+        assert kind == "layered" and sorted(read) == [0, 1, 2]
+        for sign in (-1, 1):
+            entries = np.array([K[r, r + sign * s] for s in mesh._strides])
+            for layers in read.values():
+                slots = layers.stencils[:, 13 + sign * _CODES]
+                assert np.array_equal(slots, np.broadcast_to(entries, slots.shape))
         # Variation along one axis is layered, along two is not: rows
         # differ along both, or one level's rows are not symmetric along
         # the other.
