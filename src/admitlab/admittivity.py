@@ -87,10 +87,6 @@ class AprioriData:
             raise ConfigError("frequency k must be nonnegative")
 
     @property
-    def beta(self) -> float:
-        return 1.0 - self.n / self.p
-
-    @property
     def t_range(self) -> tuple:
         return (1.0 / self.lam, self.lam)
 

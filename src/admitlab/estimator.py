@@ -524,7 +524,6 @@ def boundary_gap_estimate(
     m: int = 0,
     rho: Optional[float] = None,
     check_sign: bool = True,
-    sign_samples: int = 1000,
     seed: int = 0,
 ) -> GapEstimate:
     """Per-tau and extrapolated estimates of (a1 - a2)(x0).
@@ -545,8 +544,7 @@ def boundary_gap_estimate(
         path = ProbePath(frame.eta_sets, tuple(np.asarray(x0, float)), tuple(tau_grid))
         z_top = probe_point(path, max(tau_grid))
         sign_report = check_sign_condition(
-            frame.family, fwd1.a, fwd2.a, x0, z_top, frame.box, rho,
-            samples=sign_samples, seed=seed,
+            frame.family, fwd1.a, fwd2.a, x0, z_top, frame.box, rho, seed=seed,
         )
         if not sign_report.passed:
             raise EstimatorRefusal(
@@ -660,18 +658,21 @@ class LipschitzRecord:
     derivative_estimate: Optional[float] = None
 
 
-def _sigma_eta_grid(frame: LabFrame, per_side: int = 9) -> np.ndarray:
+# Quadrature nodes per side of the shrunken patch in `coefficient_gap_sup`.
+_GAP_NODES_PER_SIDE = 9
+
+
+def _sigma_eta_grid(frame: LabFrame) -> np.ndarray:
     es = frame.eta_sets
-    u = np.linspace(es.sigma_eta_lo[0], es.sigma_eta_hi[0], per_side)
-    v = np.linspace(es.sigma_eta_lo[1], es.sigma_eta_hi[1], per_side)
+    u = np.linspace(es.sigma_eta_lo[0], es.sigma_eta_hi[0], _GAP_NODES_PER_SIDE)
+    v = np.linspace(es.sigma_eta_lo[1], es.sigma_eta_hi[1], _GAP_NODES_PER_SIDE)
     uv = np.stack(np.meshgrid(u, v, indexing="ij"), axis=-1).reshape(-1, 2)
     return frame.patch.lift(uv)
 
 
-def coefficient_gap_sup(frame: LabFrame, a1: ParameterField, a2: ParameterField,
-                        per_side: int = 9) -> float:
+def coefficient_gap_sup(frame: LabFrame, a1: ParameterField, a2: ParameterField) -> float:
     """Max over shrunken-patch quadrature nodes of the entrywise gap of A."""
-    pts = _sigma_eta_grid(frame, per_side)
+    pts = _sigma_eta_grid(frame)
     t1 = np.asarray(a1.values(pts), dtype=float)
     t2 = np.asarray(a2.values(pts), dtype=float)
     dA = frame.family(pts, t1) - frame.family(pts, t2)

@@ -45,26 +45,37 @@ def rotation_matrix(axis, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 
+def _affine_family(name, k, t_range, S_R, O_R, S_I, O_I) -> AdmittivityFamily:
+    """The family A_R = S_R t + O_R, A_I = S_I t + O_I of constant
+    matrices, so D_t A_R = S_R and D_t A_I = S_I.  S_I = None marks an A_I
+    constant in t: it is O_I at every point, and D_t A_I is zero."""
+    zero = np.zeros_like(O_R)
+
+    def evalR(x, t):
+        return _linear_in_t_family(x, t, S_R, O_R)
+
+    def evalI(x, t):
+        if S_I is None:
+            return _constant_matrix_family(x, t, O_I)
+        return _linear_in_t_family(x, t, S_I, O_I)
+
+    def evalDtR(x, t):
+        return _constant_matrix_family(x, t, S_R)
+
+    def evalDtI(x, t):
+        return _constant_matrix_family(x, t, zero if S_I is None else S_I)
+
+    return AdmittivityFamily(
+        dim=len(O_R), freq=k, evalR=evalR, evalI=evalI, evalDtR=evalDtR,
+        evalDtI=evalDtI, name=name, t_range=t_range,
+    )
+
+
 def scalar_identity_family(dim=3, k=0.0, imag=1.0, imag_slope=0.0, t_range=None):
     """A_R = t I and A_I = (imag + imag_slope * t) I."""
     eye = np.eye(dim)
-
-    def evalR(x, t):
-        return _linear_in_t_family(x, t, eye, np.zeros((dim, dim)))
-
-    def evalI(x, t):
-        return _linear_in_t_family(x, t, imag_slope * eye, imag * eye)
-
-    def evalDtR(x, t):
-        return _constant_matrix_family(x, t, eye)
-
-    def evalDtI(x, t):
-        return _constant_matrix_family(x, t, imag_slope * eye)
-
-    return AdmittivityFamily(
-        dim=dim, freq=k, evalR=evalR, evalI=evalI, evalDtR=evalDtR,
-        evalDtI=evalDtI, name="scalar-times-identity", t_range=t_range,
-    )
+    return _affine_family("scalar-times-identity", k, t_range, eye, np.zeros((dim, dim)),
+                          imag_slope * eye, imag * eye)
 
 
 def diagonal_affine_family(dim=3, k=0.0, slope=None, offset=None, imag=None, t_range=None):
@@ -74,24 +85,8 @@ def diagonal_affine_family(dim=3, k=0.0, slope=None, offset=None, imag=None, t_r
     imag = np.ones(dim) if imag is None else np.asarray(imag, dtype=float)
     if not (slope.size == offset.size == imag.size == dim):
         raise ConfigError("diagonal parameter lengths must equal the dimension")
-    D_s, D_o, D_i = np.diag(slope), np.diag(offset), np.diag(imag)
-
-    def evalR(x, t):
-        return _linear_in_t_family(x, t, D_s, D_o)
-
-    def evalI(x, t):
-        return _constant_matrix_family(x, t, D_i)
-
-    def evalDtR(x, t):
-        return _constant_matrix_family(x, t, D_s)
-
-    def evalDtI(x, t):
-        return _constant_matrix_family(x, t, np.zeros((dim, dim)))
-
-    return AdmittivityFamily(
-        dim=dim, freq=k, evalR=evalR, evalI=evalI, evalDtR=evalDtR,
-        evalDtI=evalDtI, name="diagonal-affine", t_range=t_range,
-    )
+    return _affine_family("diagonal-affine", k, t_range, np.diag(slope), np.diag(offset),
+                          None, np.diag(imag))
 
 
 def rotated_anisotropic_family(
@@ -107,23 +102,7 @@ def rotated_anisotropic_family(
     M_I = imag * (np.eye(3) + imag_eps * N)
     if np.linalg.eigvalsh(M_R)[0] <= 0.0:
         raise ConfigError(f"anisotropy strength eps={eps} destroys ellipticity")
-
-    def evalR(x, t):
-        return _linear_in_t_family(x, t, M_R, np.zeros((3, 3)))
-
-    def evalI(x, t):
-        return _constant_matrix_family(x, t, M_I)
-
-    def evalDtR(x, t):
-        return _constant_matrix_family(x, t, M_R)
-
-    def evalDtI(x, t):
-        return _constant_matrix_family(x, t, np.zeros((3, 3)))
-
-    return AdmittivityFamily(
-        dim=3, freq=k, evalR=evalR, evalI=evalI, evalDtR=evalDtR,
-        evalDtI=evalDtI, name="rotated-anisotropic", t_range=t_range,
-    )
+    return _affine_family("rotated-anisotropic", k, t_range, M_R, np.zeros((3, 3)), None, M_I)
 
 
 FAMILY_TEMPLATES = {

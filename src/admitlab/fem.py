@@ -9,22 +9,23 @@ for the structure and ellipticity checks.  `assemble` builds one
 `BlockSystem` on one mesh.  Every Dirichlet solve and every Schur
 complement onto boundary dofs (the DtN pairing and the trace Gram) goes
 through a `BlockSystem`, which reads its interior solver from the interior
-rows of its own K and takes no solver option: one direct solver,
+rows of the 15-point stencil it is built from, once, at construction, and
+takes no solver option: one direct solver,
 `layered_solve`, a tangent DST and one Thomas solve per mode where the
 rows of each level along one axis share one axis-only stencil (a constant
 K is one layer, repeated), and conjugate orthogonal CG (COCG)
 preconditioned by the layered solve of the rows' mean second moments for
 any other K.  A layered system's Schur complement onto dofs inside a face
-normal to a layer axis is a closed form, diagonal in the face's sine basis
-(`_face_schur`), checked on a few combinations of its columns; any other
-is solved column by column.
+normal to a layer axis, whose interior rows share one stencil, is a closed
+form, diagonal in the face's sine basis (`_face_schur`), checked on a few
+combinations of its columns; any other is solved column by column.
 An Omega_eta system is never assembled or meshed whole: it is a
 `SubstructuredSystem` of the Omega system and the system of the bump box
 over the patch, which numbers the union's vertices and solves its
 footprint between them by COCG on the interface, preconditioned by the
 closed-form Schur complements.  Nothing is factored but that dense
-footprint preconditioner.  `assemble` builds a system's blocks straight
-from the stencil rows, so no K is formed whole.
+footprint preconditioner.  `assemble` builds a system's blocks and reads
+its solver straight from the stencil rows, so no K is formed whole.
 
 Every mesh is one full box of lattice cells, given by its integer lattice
 corners, and its vertices, boundary and tet corners are closed forms of
@@ -44,11 +45,10 @@ importing it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
@@ -644,14 +644,13 @@ def layered_solve(mesh: Mesh, layers: Layers):
     return solve
 
 
-def _face_schur(mesh: Mesh, layers: dict, sigma: np.ndarray, face_stencil
-                ) -> Optional[np.ndarray]:
+def _face_schur(mesh: Mesh, read: _SolverRead, sigma: np.ndarray) -> Optional[np.ndarray]:
     """Closed-form Schur complement onto the boundary dofs sigma of a K
-    whose interior is layered (`layers`, a `Layers` per layer axis), the
-    other boundary dofs pinned to zero; None unless sigma lies in the
-    interior of one box face, normal to a layer axis a, and
-    `face_stencil(a)`, the 27-slot stencil shared by sigma's rows, is
-    axis-only and symmetric along the face.
+    whose interior is layered (`read.layers`, a `Layers` per layer axis),
+    the other boundary dofs pinned to zero; None unless sigma lies in the
+    interior of one box face, normal to a layer axis a, whose interior
+    rows share one axis-only stencil, symmetric along the face
+    (`read.faces`).
 
     Mode (p, q) of the face's 2-D orthonormal DST-I basis Phi is mode
     (p, q) of K_II: the tridiagonal along a of `layered_solve`.  The face
@@ -668,17 +667,17 @@ def _face_schur(mesh: Mesh, layers: dict, sigma: np.ndarray, face_stencil
     axis.  The stencils may be complex.
     """
     where = _face_of(mesh, sigma)
-    if where is None or where[0] not in layers:
+    if where is None or where[0] not in read.layers:
         return None
     axis, t, rel = where
-    stencil = face_stencil(axis)
+    low = rel[0, axis] == 0
+    stencil = read.faces.get((axis, 0 if low else 1))
     face = None if stencil is None else Layers.of(axis, stencil[None])
     if face is None:
         return None
     shape = np.array(mesh.box_shape)
-    levels = layers[axis]
+    levels = read.layers[axis]
     diag, lower, upper = levels.modes(shape), levels.lower, levels.upper
-    low = rel[0, axis] == 0
     if low:
         # The corner at level 0 is the last of the levels taken in reverse.
         diag, lower, upper = diag[::-1], upper[::-1], lower[::-1]
@@ -713,37 +712,6 @@ def _face_of(mesh: Mesh, sigma: np.ndarray):
                 and np.all((rel[:, t] >= 1) & (rel[:, t] <= shape[t]))):
             return axis, t, rel
     return None
-
-
-def _lattice_stencils(mesh: Mesh, m: int, rows: np.ndarray, shift: np.ndarray,
-                      data: np.ndarray, dtype):
-    """The 27-slot lattice stencils (m, 27) of entries `data` of rows
-    `rows` (< m) at vertex-index shifts `shift` from their row, added in
-    order, and whether a nonzero entry lies off the 27 lattice neighbours
-    of its row.
-
-    Entry (r, c) lies at the lattice offset s = ijk_c - ijk_r of its row:
-    a vertex inside the box has all 27 neighbours, so c is the neighbour
-    at s exactly when c - r = s @ strides, its shift.
-    """
-    # The vertex-index shift to each neighbour, ascending.
-    shifts = _NEIGHBOURS @ mesh._strides
-    slot = np.minimum(np.searchsorted(shifts, shift), 26)
-    near = shifts[slot] == shift
-    stencils = np.zeros(m * 27, dtype=dtype)
-    np.add.at(stencils, 27 * rows[near] + slot[near], data[near])
-    return stencils.reshape(m, 27), bool(np.any(data[~near]))
-
-
-def _face_stencil(mesh: Mesh, rows, dofs: np.ndarray) -> Optional[np.ndarray]:
-    """The 27-slot lattice stencil shared by the CSR rows `rows` of K, on
-    all vertices, of the vertices `dofs`; None if two differ or a row has
-    an entry off its 27 lattice neighbours."""
-    counts = np.diff(rows.indptr)
-    stencils, stray = _lattice_stencils(mesh, len(dofs), np.repeat(np.arange(len(dofs)), counts),
-                                        rows.indices - np.repeat(dofs, counts), rows.data,
-                                        rows.dtype)
-    return None if stray or np.any(stencils != stencils[0]) else stencils[0]
 
 
 def _diagonal_stencils(h: float, weights):
@@ -880,16 +848,25 @@ def _dirichlet_columns(mesh: Mesh, g) -> np.ndarray:
 # The lattice neighbours s in {-1, 0, 1}^3, lexicographic: s is slot (s + 1) @ _CODES.
 _CODES = np.array([9, 3, 1])
 _NEIGHBOURS = np.stack(np.meshgrid(*[(-1, 0, 1)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
-
-
 _AXIS_SLOTS = np.count_nonzero(_NEIGHBOURS, axis=1) <= 1
+# The lattice slot of each of the 15 stencil offsets, ascending as they do.
+_LATTICE_SLOTS = (_STENCIL_OFFSETS + 1) @ _CODES
+
+
+def _lattice(rows: np.ndarray) -> np.ndarray:
+    """15-point stencil rows (..., 15) as 27-slot lattice stencils (..., 27),
+    each entry added to an exact zero, so that a signed zero reads as 0."""
+    out = np.zeros(rows.shape[:-1] + (27,), dtype=rows.dtype)
+    out[..., _LATTICE_SLOTS] += rows
+    return out
 
 
 class Layers:
     """The interior rows of a K that varies along one axis only, or not at
     all: the layer `axis` a and the 27-slot lattice stencil (N_a, 27)
     shared by the rows of each interior level along it (slot
-    (s + 1) @ _CODES holds the entry at offset s).  Each level's stencil is
+    (s + 1) @ _CODES holds the entry at offset s; `_lattice` places a
+    15-point stencil row there).  Each level's stencil is
     axis-only and the same at -e_t and +e_t for both tangent axes t; along
     a, its slots at -e_a (`lower`) and +e_a (`upper`) may differ."""
 
@@ -919,96 +896,82 @@ class Layers:
                 + t1[:, None, None] * cos1[None, None, :])
 
 
-def _layers_of(levels: dict) -> dict:
-    """The `Layers` of each axis whose level stencils (levels[axis],
-    (N_a, 27)) are layers along it (`Layers.of`)."""
-    return {a: layers for a, stencils in levels.items()
-            if (layers := Layers.of(a, stencils)) is not None}
+class _SolverRead(NamedTuple):
+    """The interior solver of a box system, read from its stencil
+    (`_read_solver`): its `kind`, the `Layers` by layer axis that
+    `layered_solve` and `_face_schur` take (K's own, or under box-cocg
+    those of diag(w)), the 27-slot face stencils by (axis, side) that
+    `_face_schur` takes, side 0 the low face and 1 the high one, and the
+    box-cocg `weights` w."""
+
+    kind: str
+    layers: dict
+    faces: dict
+    weights: Optional[np.ndarray] = None
 
 
-def _tiled(shape, stencil: np.ndarray) -> dict:
-    """One 27-slot stencil as the level stencils along each axis."""
-    return {a: np.broadcast_to(stencil, (shape[a], 27)) for a in range(3)}
+def _box_cocg_read(mesh: Mesh, weights: np.ndarray) -> _SolverRead:
+    """The box-cocg read of the weights w: the layers and the face stencils
+    of diag(w) (`_diagonal_stencils`), whose layered solve preconditions
+    COCG, each face stencil serving both faces normal to its axis."""
+    interior, faces = _diagonal_stencils(mesh.h, weights)
+    layers = {a: Layers(a, np.broadcast_to(interior, (n, 27)))
+              for a, n in enumerate(mesh.box_shape)}
+    return _SolverRead("box-cocg", layers, {(a, side): faces[a] for a in range(3)
+                                            for side in (0, 1)}, weights)
 
 
-def _read_interior_solver(system: BlockSystem):
-    """The interior solver of a system on a box, read from the interior
-    rows of its K: its kind and what it solves with, the `Layers` of
-    `layered_solve` by layer axis, or the box-cocg weights.
+def _read_solver(mesh: Mesh, data: np.ndarray) -> _SolverRead:
+    """The interior solver of the 15-point stencil array `data` (15 n,) of a
+    box mesh, read from its interior rows S, a strided view of shape
+    box_shape + (15,).
 
-    Each row is read as its 27 lattice-neighbour slots
-    (`_lattice_stencils`).  "layered" along an axis a when every interior
-    row is identical to the other rows of its level along a (its position
-    on a), and each level's stencil is axis-only and the same at -e_t and
-    +e_t along both tangent axes t (see `Layers`).  A constant K is layered
-    along all three axes, and one that varies along a only along a alone.
-    Rows are compared with their level's first row only once some row
-    differs from the first row of all, so a constant K reads in one pass
-    of comparisons.  "box-cocg" otherwise, with the mean second moments
-    w_a = -1/2 sum_s K_rs s_a^2 / h over the interior rows and neighbours s,
-    for a P1 stiffness of a constant or affine coefficient its mean
-    diagonal to rounding.  A real K has real layers and weights, and a box
-    with no interior vertex reads as "layered" along no axis.  The rows
-    are read in chunks whose temporaries fit in `_BLOCK_BYTES`, and the
-    moments summed row by row, so the weights have the same bits whatever
-    the chunk size.
+    "layered" along an axis a when every row of S equals the first row of
+    its level along a (S[:, 0, 0], S[0, :, 0] or S[0, 0, :]) and those
+    level stencils are `Layers` along a: a constant K is layered along
+    all three axes, and one that varies along a only along a alone.  Each
+    face normal to a layer axis whose interior rows share one stencil
+    keeps it for `_face_schur`.  "box-cocg" otherwise, with the mean
+    second moments w_a = -1/2 sum_s K_rs s_a^2 / h over the interior rows
+    and their lattice neighbours s, for a P1 stiffness of a constant or
+    affine coefficient its mean diagonal to rounding; the moments are
+    summed row by row over chunks of whole lines of rows within
+    `_BLOCK_BYTES`, so they have the same bits whatever the chunk.  A real
+    K has real layers and weights, and a box with no interior vertex reads
+    as "layered" along no axis.  Every stencil kept is a copy, so the read
+    keeps no reference to `data`.
     """
-    mesh, K_ii, K_ib = system.mesh, system._K_ii, system._K_ib
-    interior, n = system.interior, len(system.interior)
-    if not n:
-        return "layered", {}
-    dtype = np.result_type(K_ii.dtype, K_ib.dtype)
-    row_nnz = np.diff(K_ii.indptr) + np.diff(K_ib.indptr)
-    # About 96 bytes of temporaries per neighbour slot and per entry of a row.
-    chunk = max(1, _BLOCK_BYTES // (96 * (27 + int(row_nnz.max()))))
     shape = mesh.box_shape
-    # Interior row i is at level i // row_strides[a] % shape[a] along a.
-    row_strides = (shape[1] * shape[2], shape[2], 1)
-    total = np.zeros(3, dtype=dtype)
-    first, same, stray = None, True, False
-    # Per candidate layer axis, the first stencil of each level and which
-    # levels have one; kept once the rows differ.
-    levels = seen = None
-    for r0 in range(0, n, chunk):
-        r1 = min(n, r0 + chunk)
-        entries = []
-        for block, cols in ((K_ii, interior), (K_ib, system.boundary)):
-            lo, hi = block.indptr[r0], block.indptr[r1]
-            rows = np.repeat(np.arange(r1 - r0), np.diff(block.indptr[r0:r1 + 1]))
-            entries.append((rows, cols[block.indices[lo:hi]] - interior[r0 + rows],
-                            block.data[lo:hi]))
-        rows, shift, data = (np.concatenate(e) for e in zip(*entries))
-        stencils, off = _lattice_stencils(mesh, r1 - r0, rows, shift, data, dtype)
-        stray = stray or off
+    if not min(shape):
+        return _SolverRead("layered", {}, {})
+    grid = data.reshape(tuple(s + 2 for s in shape) + (15,))
+    S = grid[1:-1, 1:-1, 1:-1]
+    layers = {}
+    for a, first in enumerate((S[:, :1, :1], S[:1, :, :1], S[:1, :1, :])):
+        if np.all(S == first):
+            found = Layers.of(a, _lattice(first.reshape(-1, 15)))
+            if found is not None:
+                layers[a] = found
+    if layers:
+        faces = {}
+        for a, side in itertools.product(layers, (0, 1)):
+            index = [slice(1, -1)] * 3
+            index[a] = -1 if side else 0
+            rows = grid[tuple(index)]
+            if np.all(rows == rows[0, 0]):
+                faces[a, side] = _lattice(rows[0, 0])
+        return _SolverRead("layered", layers, faces)
+    # About 1.5 KB of temporaries per row.
+    lines = max(1, _BLOCK_BYTES // (1536 * shape[2]))
+    total = np.zeros(3, dtype=data.dtype)
+    for i, j in itertools.product(range(shape[0]), range(0, shape[1], lines)):
+        stencils = _lattice(S[i, j:j + lines].reshape(-1, 15))
         # cumsum adds in order, so a row's moment and the total, added row
         # by row, have the bits of one pass over all rows.
         moments = np.stack([np.cumsum(stencils[:, _NEIGHBOURS[:, a] != 0], axis=1)[:, -1]
                             for a in range(3)], axis=1)
         total = np.cumsum(np.vstack([total[None], moments]), axis=0)[-1]
-        first = stencils[0].copy() if first is None else first
-        if same and bool(np.all(stencils == first)):
-            continue
-        if same:
-            # Every earlier row is the first: so is each level they reach.
-            same = False
-            levels = {a: np.zeros((shape[a], 27), dtype=dtype) for a in range(3)}
-            seen = {a: np.zeros(shape[a], dtype=bool) for a in range(3)}
-            for a in range(3):
-                reached = np.arange(r0) // row_strides[a] % shape[a]
-                levels[a][reached] = first
-                seen[a][reached] = True
-        for a in list(levels):
-            level = np.arange(r0, r1) // row_strides[a] % shape[a]
-            new, at = np.unique(level, return_index=True)
-            fresh = ~seen[a][new]
-            levels[a][new[fresh]] = stencils[at[fresh]]
-            seen[a][new[fresh]] = True
-            if not np.array_equal(stencils, levels[a][level]):
-                del levels[a]
-    layers = {} if stray else _layers_of(_tiled(shape, first) if same else levels)
-    if layers:
-        return "layered", layers
-    return "box-cocg", -0.5 * (total / n) / mesh.h
+    return _box_cocg_read(mesh, -0.5 * (total / math.prod(shape)) / mesh.h)
 
 
 class _SolverCounters:
@@ -1057,7 +1020,7 @@ class _SolverCounters:
 
 class BlockSystem(_SolverCounters):
     """Assembled complex matrix K = K_R + i K_I on one full lattice box,
-    with a cached interior solver.
+    with its interior solver.
 
     K is kept once, split into the interior blocks `_K_ii` and `_K_ib` and
     the boundary rows `_K_b`, and never whole: the interior solve reads the
@@ -1065,8 +1028,9 @@ class BlockSystem(_SolverCounters):
     footprint read boundary rows (`boundary_rows`, `product`).  `matrix`
     rebuilds K and `block_matrix` the real block form
     [[K_R, -K_I], [K_I, K_R]], both for checks.
-    The interior solver is read from the interior rows of K once, when it
-    is first needed (`_read_interior_solver`), and named by `solver_kind`:
+    `from_stencil` builds the blocks straight from `assemble`'s 15-point
+    stencil rows, and reads the interior solver from the same stencil,
+    once, there (`_read_solver`); it is named by `solver_kind`:
 
     - "layered" where the rows of each level along some axis share one
       axis-only stencil, as a diagonal coefficient that is constant or
@@ -1080,10 +1044,8 @@ class BlockSystem(_SolverCounters):
       of `_COCG_RTOL`.
 
     A layered system's Schur complement onto dofs inside a face normal to
-    a layer axis is the closed form `_face_schur`, its face stencil read
-    from sigma's own rows; any other is solved column by column.
-    `from_stencil` builds the blocks straight from `assemble`'s stencil
-    rows, and `BlockSystem(mesh, K)` slices them from a whole K.
+    a layer axis, whose interior rows share one stencil, is the closed
+    form `_face_schur`; any other is solved column by column.
 
     A system with no interior dof, such as the bump of a
     `SubstructuredSystem` one cell thick, solves nothing.  `field` is the
@@ -1100,18 +1062,12 @@ class BlockSystem(_SolverCounters):
     preconditioner exactly.
     """
 
-    def __init__(self, mesh: Mesh, K: Optional[sp.csr_matrix]):
+    def __init__(self, mesh: Mesh):
         super().__init__()
         self.mesh = mesh
         self.field = None
         self._interior = np.where(~mesh.boundary_vertex_mask)[0]
         self._boundary = np.where(mesh.boundary_vertex_mask)[0]
-        if K is not None:
-            K_i = K[self._interior]
-            self._K_ii = K_i[:, self._interior].tocsr()
-            self._K_ib = K_i[:, self._boundary].tocsr()
-            del K_i
-            self._K_b = K[self._boundary].tocsr()
         # The interior solve, or under box-cocg its preconditioner.
         self._solve = None
         # The dofs and the read-only result of the last Schur complement.
@@ -1120,11 +1076,13 @@ class BlockSystem(_SolverCounters):
     @classmethod
     def from_stencil(cls, mesh: Mesh, data: np.ndarray) -> BlockSystem:
         """The system of the 15-point stencil array `data` (15 n,) of a box
-        mesh, its blocks built straight from the stencil rows
-        (`_stencil_blocks`), so K is never formed whole."""
-        system = cls(mesh, None)
+        mesh: its blocks built straight from the stencil rows
+        (`_stencil_blocks`), so K is never formed whole, and its interior
+        solver read from them (`_read_solver`)."""
+        system = cls(mesh)
         system._K_ii, system._K_ib, system._K_b = _stencil_blocks(
             mesh, data, system._interior, system._boundary)
+        system._read = _read_solver(mesh, data)
         return system
 
     def matrix(self) -> sp.csr_matrix:
@@ -1188,42 +1146,13 @@ class BlockSystem(_SolverCounters):
 
     @property
     def solver_kind(self) -> str:
-        return self._box_read[0]
-
-    @functools.cached_property
-    def _box_read(self):
-        """The solver kind and its layers or weights, read from K at the
-        first use."""
-        return _read_interior_solver(self)
-
-    def _box_layers(self):
-        """The layers that `layered_solve` takes, by layer axis, and the
-        face stencils (3, 27) of the closed form: K's own layers and None
-        (the face stencil is then read from sigma's rows), or under
-        box-cocg the layers and face stencils of diag(w), w the weights
-        read from K, whose solve preconditions COCG."""
-        kind, read = self._box_read
-        if kind == "layered":
-            return read, None
-        interior, faces = _diagonal_stencils(self.mesh.h, read)
-        return _layers_of(_tiled(self.mesh.box_shape, interior)), faces
+        return self._read.kind
 
     def _interior_solver(self):
         """The layered solve of K, or of COCG's preconditioner, along its
         last layer axis."""
-        layers = self._box_layers()[0]
+        layers = self._read.layers
         return layered_solve(self.mesh, layers[max(layers)])
-
-    def _closed_form(self, sigma: np.ndarray, rows) -> Optional[np.ndarray]:
-        """`_face_schur` onto sigma of the layers of `_box_layers`, with the
-        stencil shared by sigma's rows `rows` of K, on all vertices, as the
-        face stencil, or under box-cocg diag(w)'s."""
-        layers, faces = self._box_layers()
-
-        def face_stencil(axis):
-            return _face_stencil(self.mesh, rows, sigma) if faces is None else faces[axis]
-
-        return _face_schur(self.mesh, layers, sigma, face_stencil)
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         """K_II^{-1} rhs for an (n,) or (n, d) right-hand side."""
@@ -1273,8 +1202,8 @@ class BlockSystem(_SolverCounters):
         the memo.
 
         A layered system with sigma in the interior of a face normal to a
-        layer axis takes the closed form `_face_schur`, its face stencil
-        read from sigma's rows, and checks it on `_SCHUR_CHECKS` fixed-seed
+        layer axis, whose interior rows share one stencil, takes the closed
+        form `_face_schur`, and checks it on `_SCHUR_CHECKS` fixed-seed
         complex combinations v of its columns: K_ss v - K_sI x, with x the
         interior solve of K_Is v (itself residual-checked), must match S v
         to 1e-10 relative.  Any other system or sigma is solved column by
@@ -1298,7 +1227,7 @@ class BlockSystem(_SolverCounters):
         K_si = K_s[:, self._interior]
         S = None
         if len(self._interior) and self.solver_kind == "layered":
-            S = self._closed_form(sigma, K_s)
+            S = _face_schur(self.mesh, self._read, sigma)
         if S is not None:
             self._check_schur(S, K_s[:, sigma], K_si, cols)
         else:
@@ -1349,7 +1278,7 @@ class BlockSystem(_SolverCounters):
     def _preconditioner_schur(self, sigma: np.ndarray) -> np.ndarray:
         """A Schur complement onto the boundary dofs sigma that solves no
         column, for a preconditioner.  With sigma in the interior of a face
-        normal to a layer axis it is the closed form `_closed_form`: exact
+        normal to a layer axis it is the closed form `_face_schur`: exact
         for a layered system, and for a box-cocg system whose memo does not
         hold sigma that of diag(w), whose layered solve preconditions COCG.
         A memo that holds sigma gives the exact restriction, and any other
@@ -1357,7 +1286,7 @@ class BlockSystem(_SolverCounters):
         memo = self._schur is not None and (np.array_equal(self._schur[0], sigma)
                                             or self._subset_positions(sigma) is not None)
         if len(self._interior) and (self.solver_kind == "layered" or not memo):
-            S = self._closed_form(sigma, self.boundary_rows(sigma))
+            S = _face_schur(self.mesh, self._read, sigma)
             if S is not None:
                 return S
         return self.schur_onto(sigma)
@@ -1472,8 +1401,9 @@ class SubstructuredSystem(_SolverCounters):
     first solve; S~_core is `BlockSystem._preconditioner_schur`, exact for
     a layered core (f lies on the face normal to the patch, so on one
     normal to a layer axis when that is the patch normal, as it always is
-    for a constant K) or a core whose memo holds f, so there one interface
-    step solves.  Each column's residual over the whole interior,
+    for a constant K, and the face's interior rows share one stencil, as
+    every shipped field's do) or a core whose memo holds f, so there one
+    interface step solves.  Each column's residual over the whole interior,
     the parts' interior rows and the footprint rows summed over both, is
     checked against the column's -K_IB g.
 

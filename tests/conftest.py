@@ -9,7 +9,8 @@ import admitlab.estimator
 from admitlab.errors import SolverError
 from admitlab.estimator import LabFrame, build_forward, build_frame
 from admitlab.families import constant_field, scalar_identity_family
-from admitlab.fem import _CORNER_OFFSETS, _FACE_LOCAL, _TET_PATTERNS, BlockSystem, _corner_mean
+from admitlab.fem import (_CORNER_OFFSETS, _FACE_LOCAL, _TET_PATTERNS, BlockSystem, _corner_mean,
+                          _SolverRead)
 from admitlab.geometry import BoundaryPatch, BoxDomain
 
 
@@ -91,11 +92,20 @@ class UnionMesh:
 
 class LuSystem(BlockSystem):
     """The tests' oracle: a `BlockSystem` on any mesh, the `UnionMesh` of
-    Omega_eta among them, whose interior block is factored by sparse LU at
-    the first solve.  Its Schur complements, Dirichlet solves and
-    residual checks are `BlockSystem`'s own."""
+    Omega_eta among them, its blocks sliced from a whole K, whose interior
+    block is factored by sparse LU at the first solve.  Its Schur
+    complements, Dirichlet solves and residual checks are `BlockSystem`'s
+    own; its read has no layer, so no Schur complement takes a closed
+    form."""
 
-    solver_kind = "sparse-lu"
+    _read = _SolverRead("sparse-lu", {}, {})
+
+    def __init__(self, mesh, K):
+        super().__init__(mesh)
+        K_i = K[self.interior]
+        self._K_ii = K_i[:, self.interior].tocsr()
+        self._K_ib = K_i[:, self.boundary].tocsr()
+        self._K_b = K[self.boundary].tocsr()
 
     def _interior_solver(self):
         # Looked up at call time, so the `factor_calls` spy sees it.

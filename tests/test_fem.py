@@ -18,10 +18,10 @@ from admitlab.dtn import boundary_mass_sigma
 from admitlab.config import load_config
 from admitlab.estimator import build_forward, build_frame
 import admitlab.estimator
-from admitlab.fem import (_CODES, _STENCIL_SLOTS, _TET_PATTERNS, BlockSystem, Mesh,
-                          SubstructuredSystem, _diagonal_stencils, _layers_of, _stencil_slots,
-                          _stiffness_blocks, _tiled, assemble, assemble_stiffness, build_mesh,
-                          energy_density, layered_solve)
+from admitlab.fem import (_CODES, _STENCIL_SLOTS, _TET_PATTERNS, BlockSystem, Layers, Mesh,
+                          SubstructuredSystem, _box_cocg_read, _diagonal_stencils, _stencil_slots,
+                          _stiffness_blocks, assemble, assemble_stiffness, build_mesh,
+                          energy_density, layered_solve, stiffness_stencil)
 from admitlab.geometry import (FACE_NAMES, BoxDomain, BoundaryPatch,
                                EnlargedDomain, build_enlarged_domain)
 from conftest import (LuSystem, UnionMesh, bincount_csr, box_cells, coo_stiffness, gradients,
@@ -622,7 +622,7 @@ class TestOneCopy:
         system = assemble(mesh, fam, a, fam.freq)
         K = admitlab.fem._stencil_csr(
             mesh, admitlab.fem._complex_stencil(mesh, fam, a, fam.freq))
-        sliced = BlockSystem(mesh, K)
+        sliced = LuSystem(mesh, K)
         for got, want in ((system._K_ii, sliced._K_ii), (system._K_ib, sliced._K_ib),
                           (system._K_b, sliced._K_b)):
             assert got.shape == want.shape and _bitwise_equal(got, want)
@@ -633,7 +633,7 @@ class TestOneCopy:
         mesh = meshes[name]
         coeff = _aniso_coeffs(mesh.n_tets, seed=5)
         K = (coo_stiffness(mesh, coeff) + 1j * coo_stiffness(mesh, 0.1 * coeff)).tocsr()
-        system = BlockSystem(mesh, K)
+        system = LuSystem(mesh, K)
         assert _bitwise_equal(system._K_b, K[system.boundary])
         assert _bitwise_equal(system.matrix(), K)
         K_R, K_I = K.real.copy(), K.imag.copy()
@@ -671,7 +671,7 @@ class TestColumnSolves:
         if self.PATH == "lu":
             system = LuSystem(mesh, system.matrix())
         elif self.PATH == "cocg":
-            system = _read_as_cocg(BlockSystem(mesh, system.matrix()))
+            system = _read_as_cocg(system)
         rng = np.random.default_rng(seed)
         g = (rng.standard_normal((mesh.n_vertices, columns))
              + 1j * rng.standard_normal((mesh.n_vertices, columns)))
@@ -806,7 +806,7 @@ class TestBoxSolve:
     def test_matches_dense_solve(self, case):
         mesh, weights = case
         system = _box_system(mesh, weights)
-        _assert_direct_solves(mesh, system._box_read[1], system.matrix(), system.interior)
+        _assert_direct_solves(mesh, system._read.layers, system.matrix(), system.interior)
 
     def test_box_shape(self):
         mesh = build_mesh(BoxDomain((0.0, 0.0, 0.0), (1.25, 1.0, 1.5)), 0.25)
@@ -817,9 +817,9 @@ class TestBoxSolve:
         enlarged = EnlargedDomain(BOX, patch, 0.125, (0.25, 0.25), (0.75, 0.75), 0.125)
         bump = build_mesh(enlarged, 0.125)
         assert bump.box_shape == (3, 3, 0)
-        layers = _layers_of(_tiled((3, 3, 1), _diagonal_stencils(0.125, np.ones(3))[0]))
+        layers = Layers(0, _diagonal_stencils(0.125, np.ones(3))[0][None])
         with pytest.raises(GeometryError, match="interior vertices"):
-            layered_solve(bump, layers[0])
+            layered_solve(bump, layers)
 
     def test_real_weights_keep_real_data_real(self):
         mesh = build_mesh(BoxDomain((0.0, 0.0, 0.0), (1.0, 1.25, 1.5)), 0.25)
@@ -828,8 +828,9 @@ class TestBoxSolve:
         # along x3 only.
         height = 1.0 + mesh.barycenters()[:, 2]
         for coeff in (np.eye(3), height[:, None, None] * np.eye(3)):
-            kind, layers = BlockSystem(mesh, assemble_stiffness(mesh, coeff))._box_read
-            assert kind == "layered" and len(layers) == (3 if coeff.ndim == 2 else 1)
+            read = BlockSystem.from_stencil(mesh, stiffness_stencil(mesh, coeff))._read
+            layers = read.layers
+            assert read.kind == "layered" and len(layers) == (3 if coeff.ndim == 2 else 1)
             for layer in layers.values():
                 x = layered_solve(mesh, layer)(np.ones((n, 2)))
                 assert x.dtype == np.float64 and x.shape == (n, 2)
@@ -1158,23 +1159,16 @@ COCG_FAMILIES = {"scalar": scalar_identity_family(k=0.1, imag=1.0), "diag123": D
 
 
 def _read_as_cocg(system):
-    """The system, its interior solver read as box-cocg with the weights
-    that its matrix gives, whatever kind the matrix reads as: a constant
-    diagonal K's are those of its axis slots, -K_{r, r + e_a} / h."""
-    import admitlab.fem
-
-    read = admitlab.fem._read_interior_solver
-
-    def as_cocg(system):
-        kind, weights = read(system)
-        if kind == "layered":
-            weights = -weights[2].stencils[0, 13 + _CODES] / system.mesh.h
-        return "box-cocg", weights
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(admitlab.fem, "_read_interior_solver", as_cocg)
-        # The read is kept, so the system stays box-cocg.
-        assert system.solver_kind == "box-cocg"
+    """The system, before its first solve, its interior solver taken as
+    box-cocg with the weights that its read gives, whatever kind it reads
+    as: a constant diagonal K's are those of its axis slots,
+    -K_{r, r + e_a} / h."""
+    read = system._read
+    weights = read.weights
+    if read.kind == "layered":
+        weights = -read.layers[2].stencils[0, 13 + _CODES] / system.mesh.h
+    system._read = _box_cocg_read(system.mesh, weights)
+    assert system.solver_kind == "box-cocg"
     return system
 
 
@@ -1580,10 +1574,11 @@ class TestTypedAssembly:
         # The COCG weights, read in chunks of rows within the same budget,
         # have the bits of one read over all rows.
         assert system.solver_kind == "box-cocg"
-        weights = system._box_read[1]
+        weights = system._read.weights
+        data = admitlab.fem._complex_stencil(mesh, ROTATED, bump, ROTATED.freq)
         monkeypatch.setattr(admitlab.fem, "_BLOCK_BYTES", 1 << 40)
-        whole = admitlab.fem._read_interior_solver(system)
-        assert whole[0] == "box-cocg" and np.array_equal(weights, whole[1])
+        whole = admitlab.fem._read_solver(mesh, data)
+        assert whole.kind == "box-cocg" and np.array_equal(weights, whole.weights)
 
 
 @st.composite
@@ -1616,10 +1611,10 @@ def face_schur_cases(draw):
 def _box_system(mesh, weights):
     """The system of a constant diag(weights), assembled part by part:
     layered along every axis."""
-    K = (assemble_stiffness(mesh, np.diag(weights.real))
-         + 1j * assemble_stiffness(mesh, np.diag(weights.imag)))
-    system = BlockSystem(mesh, K.tocsr())
-    assert system.solver_kind == "layered" and sorted(system._box_read[1]) == [0, 1, 2]
+    data = (stiffness_stencil(mesh, np.diag(weights.real))
+            + 1j * stiffness_stencil(mesh, np.diag(weights.imag)))
+    system = BlockSystem.from_stencil(mesh, data)
+    assert system.solver_kind == "layered" and sorted(system._read.layers) == [0, 1, 2]
     return system
 
 
@@ -1664,7 +1659,7 @@ class TestFaceSchur:
 
     def test_real_weights_give_a_real_schur_complement(self):
         mesh = build_mesh(BOX, 0.125)
-        system = BlockSystem(mesh, assemble_stiffness(mesh, np.eye(3)))
+        system = BlockSystem.from_stencil(mesh, stiffness_stencil(mesh, np.eye(3)))
         ijk = mesh.ijk
         sigma = np.flatnonzero((ijk[:, 0] == 0) & np.all((ijk[:, 1:] >= 1) & (ijk[:, 1:] <= 7),
                                                          axis=1))
@@ -1701,7 +1696,7 @@ class TestFaceSchur:
         # Two cell layers, diag(1, 1, 1) below and diag(2, 3, 1) above: the
         # one interior level's rows are all one stencil, so the system is
         # layered along every axis, but each z-face's rows are those of its
-        # own cell layer.  The closed form reads them from sigma's rows.
+        # own cell layer, whose stencil the read keeps for that face.
         mesh = Mesh((0, 0, 0), (4, 4, 2), 0.25, np.zeros(3))
         upper = np.array([2.0, 3.0, 1.0])
         fam = _CellFamily(mesh, lambda cells: np.where((cells[:, 2] == 1)[:, None], upper, 1.0))
@@ -1709,7 +1704,7 @@ class TestFaceSchur:
         sigma = np.flatnonzero((ijk[:, 2] == side)
                                & np.all((ijk[:, :2] >= 1) & (ijk[:, :2] <= 3), axis=1))
         system = assemble(mesh, fam, A_ONE, 1.0)
-        assert system.solver_kind == "layered" and sorted(system._box_read[1]) == [0, 1, 2]
+        assert system.solver_kind == "layered" and sorted(system._read.layers) == [0, 1, 2]
         S = system.schur_onto(sigma)
         # No column solved: one interior solve of the check's combinations.
         assert system.solve_calls == 1 and system.rhs_columns == 3
@@ -1933,8 +1928,9 @@ class TestWorkingSetBudget:
     def test_solver_read_peak(self):
         import admitlab.fem
 
-        # The first solve's read of the interior solver from K, on both
-        # boxes of Omega_eta and for each kind, within one block budget.
+        # Assembly's read of the interior solver from the stencil, on both
+        # boxes of Omega_eta and for each kind, within one block budget,
+        # keeping no view of the stencil.
         patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
         mesh = build_mesh(BOX, 0.0625, patch=patch)
         bump = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.0625), 0.0625)
@@ -1942,10 +1938,13 @@ class TestWorkingSetBudget:
         for mesh in (mesh, bump):
             for fam, a, kind in ((ROTATED, AFFINE, "box-cocg"), (scalar, A_ONE, "layered"),
                                  (scalar, affine_field(0.9, (0.0, 0.0, 0.1)), "layered")):
-                system = assemble(mesh, fam, a, fam.freq)
-                read, extra = traced_extra(lambda: system._box_read)
-                assert read[0] == kind
+                data = admitlab.fem._complex_stencil(mesh, fam, a, fam.freq)
+                read, extra = traced_extra(lambda: admitlab.fem._read_solver(mesh, data))
+                assert read.kind == kind
                 assert extra <= admitlab.fem._BLOCK_BYTES, extra
+                kept = [layers.stencils for layers in read.layers.values()]
+                assert not any(np.shares_memory(k, data)
+                               for k in kept + list(read.faces.values()))
 
     def test_box_cocg_schur_peak(self):
         import admitlab.fem
@@ -2004,7 +2003,8 @@ class TestInteriorSolverRead:
         diagonal = np.diagonal(coeff, axis1=1, axis2=2)
         is_diagonal = not np.any(coeff - diagonal[:, :, None] * np.eye(3))
         constant_diagonal = is_diagonal and bool(np.all(coeff == coeff[0]))
-        kind, weights = system._box_read
+        read = system._read
+        kind, weights = read.kind, read.layers if read.kind == "layered" else read.weights
         # A constant diagonal coefficient is layered along every axis, and
         # one that varies along one axis along that axis alone.
         assert kind == ("layered" if is_diagonal else "box-cocg")
@@ -2103,7 +2103,7 @@ class TestLayeredSolver:
     def test_solve_matches_lu(self, case):
         mesh, axis, weights = case
         system, lu = _layered_system(mesh, axis, weights)
-        kind, layers = system._box_read
+        kind, layers = system._read.kind, system._read.layers
         assert kind == "layered" and list(layers) == [axis] and layers[axis].axis == axis
         rng = np.random.default_rng(7)
         g = (rng.standard_normal((mesh.n_vertices, 3))
@@ -2149,7 +2149,7 @@ class TestLayeredSolver:
         # axis slots holding K's own entries K_{r, r -+ e_a}, bit for bit.
         fam = _CellFamily(mesh, lambda cells: np.broadcast_to(weights[0], cells.shape))
         system = assemble(mesh, fam, A_ONE, 1.0)
-        kind, read = system._box_read
+        kind, read = system._read.kind, system._read.layers
         K = system.matrix()
         r = system.interior[0]
         assert kind == "layered" and sorted(read) == [0, 1, 2]
@@ -2171,3 +2171,171 @@ class TestLayeredSolver:
         mesh = READ_BOXES["omega"]
         for a in (A_ONE, affine_field(1.0, (0.0, 0.0, 0.1))):
             assert assemble(mesh, ROTATED, a, ROTATED.freq).solver_kind == "box-cocg"
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _brute_force_read(system):
+    """The read that `_read_solver` gives, from the entries K[r, r + s] of
+    the system's whole K, row by row: (kind, level stencils (N_a, 27) by
+    layer axis, face stencils (27,) by (axis, side), box-cocg weights).
+    Entry K[r, r + s] goes to slot (s + 1) @ _CODES of row r's 27-slot
+    stencil as 0.0 + K[r, r + s], so a signed zero reads as 0; a
+    neighbour off the box reads as 0."""
+    from admitlab.fem import _NEIGHBOURS
+
+    mesh = system.mesh
+    K = system.matrix().toarray()
+    shape = np.array(mesh.box_shape)
+
+    def stencil(v):
+        out = np.zeros(27, dtype=K.dtype)
+        for slot, s in enumerate(_NEIGHBOURS):
+            key = mesh.ijk[v] + s
+            if np.all((key >= mesh.lo) & (key <= mesh.hi)):
+                out[slot] = 0.0 + K[v, v + s @ mesh._strides]
+        return out
+
+    rel = mesh.ijk - mesh.lo
+    interior = system.interior
+    rows = {tuple(rel[v] - 1): stencil(v) for v in interior}
+    layers = {}
+    for a in range(3):
+        levels = np.array([rows[tuple(np.eye(3, dtype=int)[a] * level)]
+                           for level in range(shape[a])])
+        same = all(np.array_equal(row, levels[key[a]]) for key, row in rows.items())
+        t = [13 - _CODES[b] for b in range(3) if b != a] + [13 + _CODES[b] for b in range(3)
+                                                             if b != a]
+        axis_only = [13, 13 - _CODES[a], 13 + _CODES[a]] + t
+        off = np.delete(levels, axis_only, axis=1)
+        if same and not np.any(off) and np.array_equal(levels[:, t[:2]], levels[:, t[2:]]):
+            layers[a] = levels
+    if not layers:
+        total = np.zeros(3, dtype=K.dtype)
+        for v in interior:
+            row = stencil(v)
+            for a in range(3):
+                terms = row[_NEIGHBOURS[:, a] != 0]
+                moment = terms[0]
+                for term in terms[1:]:
+                    moment = moment + term
+                total[a] = total[a] + moment
+        return "box-cocg", {}, {}, -0.5 * (total / len(interior)) / mesh.h
+    faces = {}
+    for a, side in ((a, side) for a in layers for side in (0, 1)):
+        t = [b for b in range(3) if b != a]
+        on = ((rel[:, a] == side * (shape[a] + 1))
+              & np.all((rel[:, t] >= 1) & (rel[:, t] <= shape[t]), axis=1))
+        face = [stencil(v) for v in np.flatnonzero(on)]
+        if all(np.array_equal(row, face[0]) for row in face):
+            faces[a, side] = face[0]
+    return "layered", layers, faces, None
+
+
+@st.composite
+def stencil_read_cases(draw):
+    """A small box, 2 to 5 cells a side, at a random lattice offset, and
+    its system: a constant complex diagonal coefficient, one layered along
+    a random axis, one that varies along two axes, or the rotated family
+    with a constant or an affine field."""
+    cells = np.array([draw(st.integers(2, 5)) for _ in range(3)])
+    lo = np.array([draw(st.integers(-3, 3)) for _ in range(3)])
+    mesh = Mesh(lo, lo + cells, 0.125, np.zeros(3))
+    case = draw(st.sampled_from(["constant", "layered", "two-axes", "rotated"]))
+    if case == "rotated":
+        return case, assemble(mesh, ROTATED, draw(st.sampled_from([A_ONE, AFFINE])),
+                              ROTATED.freq)
+    axis = draw(st.integers(0, 2))
+    other = (axis + 1 + draw(st.integers(0, 1))) % 3
+    parts = st.tuples(st.floats(0.2, 3.0), st.floats(-1.0, 1.0))
+    weights = np.array([[complex(*draw(parts)) for _ in range(3)] for _ in range(cells[axis])])
+    if case == "constant":
+        weights[:] = weights[0]
+    scale = 0.1 if case == "two-axes" else 0.0
+    fam = _CellFamily(mesh, lambda c: weights[c[:, axis]] * (1.0 + scale * c[:, other])[:, None])
+    return case, assemble(mesh, fam, A_ONE, 1.0)
+
+
+class TestStencilRead:
+    """Each box system reads its solver from its own stencil, once."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(stencil_read_cases())
+    def test_read_equals_brute_force_read_of_k(self, case):
+        name, system = case
+        read = system._read
+        kind, layers, faces, weights = _brute_force_read(system)
+        assert read.kind == kind
+        if name == "constant":
+            assert kind == "layered" and sorted(layers) == [0, 1, 2]
+        elif name == "rotated":
+            assert kind == "box-cocg"
+        if kind == "layered":
+            assert sorted(read.layers) == sorted(layers) and read.weights is None
+            for a, levels in layers.items():
+                assert read.layers[a].axis == a
+                assert _same_bits(np.ascontiguousarray(read.layers[a].stencils), levels)
+            assert sorted(read.faces) == sorted(faces)
+            for key, face in faces.items():
+                assert _same_bits(read.faces[key], face)
+        else:
+            assert _same_bits(read.weights, weights)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_face_rows_that_differ_outside_sigma_take_the_columns(self, side):
+        # A constant diagonal K, layered along every axis, whose z-face rows
+        # outside sigma have their diagonal doubled: sigma's own rows still
+        # share one stencil, but the face's do not, so sigma is solved by
+        # columns; its Schur complement is unchanged by those rows.
+        from admitlab.fem import _STENCIL_OFFSETS
+
+        mesh = Mesh((0, 0, 0), (5, 4, 4), 0.125, np.zeros(3))
+        weights = np.array([1.0 + 0.2j, 1.5 - 0.3j, 0.8 + 0.1j])
+        data = (stiffness_stencil(mesh, np.diag(weights.real))
+                + 1j * stiffness_stencil(mesh, np.diag(weights.imag)))
+        rel = mesh.ijk - mesh.lo
+        face = ((rel[:, 2] == 4 * side) & (rel[:, 0] >= 1) & (rel[:, 0] <= 4)
+                & (rel[:, 1] >= 1) & (rel[:, 1] <= 3))
+        inside = (rel[:, 0] <= 2) & (rel[:, 1] <= 2)
+        sigma = np.flatnonzero(face & inside)
+        centre = int(np.flatnonzero(~np.any(_STENCIL_OFFSETS, axis=1))[0])
+        data.reshape(-1, 15)[face & ~inside, centre] *= 2.0
+        system = BlockSystem.from_stencil(mesh, data)
+        assert system.solver_kind == "layered" and sorted(system._read.layers) == [0, 1, 2]
+        assert (2, side) not in system._read.faces and (2, 1 - side) in system._read.faces
+        S = system.schur_onto(sigma)
+        assert system.rhs_columns == len(sigma)
+        lu = LuSystem(mesh, system.matrix())
+        assert _close(S, lu.schur_onto(sigma), 1e-11)
+        # The same sigma on the unchanged system takes the closed form.
+        plain = _box_system(mesh, weights)
+        assert _close(plain.schur_onto(sigma), S, 1e-11) and plain.rhs_columns == 3
+
+    def test_read_runs_once_at_construction(self, monkeypatch):
+        import admitlab.fem
+
+        calls = []
+        real = admitlab.fem._read_solver
+
+        def counting(mesh, data):
+            calls.append(mesh)
+            return real(mesh, data)
+
+        monkeypatch.setattr(admitlab.fem, "_read_solver", counting)
+        patch = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
+        mesh = build_mesh(BOX, 0.125, patch=patch)
+        bump = build_mesh(build_enlarged_domain(BOX, patch, 0.25, grid_h=0.125), 0.125)
+        top = np.flatnonzero((mesh.ijk[:, 2] == 8)
+                             & np.all((mesh.ijk[:, :2] >= 2) & (mesh.ijk[:, :2] <= 6), axis=1))
+        for fam, a, kind in ((ROTATED, AFFINE, "box-cocg"), (LAPLACE, A_ONE, "layered")):
+            calls.clear()
+            core = assemble(mesh, fam, a, fam.freq)
+            via = SubstructuredSystem(core, assemble(bump, fam, a, fam.freq))
+            assert calls == [mesh, bump] and core.solver_kind == kind
+            via.solve_dirichlet(np.ones(via.mesh.n_vertices))
+            core.schur_onto(top)
+            core.schur_onto(core.boundary[::9])
+            core._preconditioner_schur(top[:5])
+            assert core.solve_calls > 0 and calls == [mesh, bump]
