@@ -19,8 +19,9 @@ from .dtn import dtn_star_norm
 from .errors import (AdmitLabError, ConfigError, EstimatorRefusal,
                      GeometryError, NumericError, SolverError)
 from .estimator import (GapEstimate, boundary_gap_estimate, build_forward,
-                        build_frame, delta_h, derivative_gap_estimate,
-                        lipschitz_ratio, lipschitz_sweep, loglog_slope)
+                        build_frame, coefficient_gap_sup, delta_h,
+                        derivative_gap_estimate, lipschitz_ratio,
+                        lipschitz_sweep, loglog_slope)
 from .families import shifted_field
 from .geometry import (build_enlarged_domain, build_eta_sets, check_probe_points_off_lattice,
                        probe_point, ProbePath)
@@ -360,10 +361,17 @@ def sweep(config_path, out_dir, seed, mesh_h, mode):
     derivative = None
     if mode == "derivative":
         derivative = dict(x0=cfg.x0, tau_grid=cfg.tau_grid, rho=cfg.rho, seed=cfg.seed)
+    points = [(s, shifted_field(cfg.a1, cfg.sweep_delta, s)) for s in cfg.sweep_scales]
+    if derivative is None:
+        # A Lipschitz point with no coefficient gap on the patch cannot
+        # enter the log-log fit, so it is refused before any forward is built.
+        flat = [s for s, a2 in points if coefficient_gap_sup(frame, cfg.a1, a2) == 0.0]
+        if flat:
+            raise ConfigError(f"sweep.delta vanishes on the shrunken patch: the coefficient "
+                              f"gap is 0 at scales {flat}, so a lipschitz sweep has nothing to fit")
     solvers = []
     records = lipschitz_sweep(
-        frame, cfg.a1,
-        [(f"s={s}", shifted_field(cfg.a1, cfg.sweep_delta, s)) for s in cfg.sweep_scales],
+        frame, cfg.a1, [(f"s={s}", a2) for s, a2 in points],
         derivative=derivative, solvers=solvers,
     )
     for entry in solvers:

@@ -4,13 +4,12 @@ The complex divergence-form equation is assembled as the real 2x2-block
 strongly elliptic system with blocks [A_R, -k A_I; k A_I, A_R] sampled at tet
 barycenters (one-point quadrature).  A `BlockSystem` holds the equivalent
 complex matrix K = K_R + i K_I once, as its interior blocks and its boundary
-rows, and its interior solver; K and the block matrix are rebuilt from them
-for the structure and ellipticity checks.  `assemble` builds one
-`BlockSystem` on one mesh.  Every Dirichlet solve and every Schur
-complement onto boundary dofs (the DtN pairing and the trace Gram) goes
-through a `BlockSystem`, which reads its interior solver from the interior
-rows of the 15-point stencil it is built from, once, at construction, and
-takes no solver option: one direct solver,
+rows, and its interior solver.  `assemble` builds one `BlockSystem` on one
+mesh.  Every Dirichlet solve and every Schur complement onto boundary dofs
+(the DtN pairing and the trace Gram) goes through a `BlockSystem`, which
+reads its interior solver and its face stencils from the rows of the
+15-point stencil it is built from, once, at construction, in the stencil's
+own 15 slots, and takes no solver option: one direct solver,
 `layered_solve`, a tangent DST and one Thomas solve per mode where the
 rows of each level along one axis share one axis-only stencil (a constant
 K is one layer, repeated), and conjugate orthogonal CG (COCG)
@@ -34,13 +33,13 @@ positively oriented, so a mesh keeps the geometry per pattern and no
 per-tet array: a chunk of whole cells takes its corners by integer
 arithmetic on the cell index.  Every stiffness row is the same 15-point
 stencil of Kuhn edge offsets, so each entry of an element block goes to a
-closed-form slot of an (n, 15) stencil array and no mesh keeps a scatter
-map.  One byte budget, `_BLOCK_BYTES`, bounds the per-tet and per-column
-temporaries: tets are evaluated in chunks of whole lattice cells and Schur
-complements solved in column blocks within it, so only the live data grows
-with the mesh.  scipy is imported by the functions that build a matrix, so
-the commands that never assemble one (validate, probe) do not pay for
-importing it.
+closed-form slot of an (n, 15) stencil array, the one layout in which the
+solver reads a row, and no mesh keeps a scatter map.  One byte budget,
+`_BLOCK_BYTES`, bounds the per-tet and per-column temporaries: tets are
+evaluated in chunks of whole lattice cells and Schur complements solved in
+column blocks within it, so only the live data grows with the mesh.
+scipy is imported by the functions that build a matrix, so the commands
+that never assemble one (validate, probe) do not pay for importing it.
 """
 
 from __future__ import annotations
@@ -119,6 +118,12 @@ _STENCIL_OFFSETS, _STENCIL_SLOTS = np.unique(
     (_CORNER_OFFSETS[_TET_PATTERNS][:, None] - _CORNER_OFFSETS[_TET_PATTERNS][:, :, None])
     .reshape(-1, 3), axis=0, return_inverse=True)
 _STENCIL_SLOTS = _STENCIL_SLOTS.reshape(len(_TET_PATTERNS), 4, 4).astype(np.int32)
+# The slots of the centre, of -e_a (`_LOWER[a]`) and of +e_a (`_UPPER[a]`),
+# and the axis-only slots: the centre and the six axis steps.
+_CENTRE = int(np.flatnonzero(~np.any(_STENCIL_OFFSETS, axis=1))[0])
+_LOWER, _UPPER = (np.argmax(np.all(_STENCIL_OFFSETS == sign * np.eye(3, dtype=int)[:, None],
+                                   axis=2), axis=1) for sign in (-1, 1))
+_AXIS_SLOTS = np.count_nonzero(_STENCIL_OFFSETS, axis=1) <= 1
 
 # The byte budget of every per-column and per-tet temporary: schur_onto
 # solves its columns in dense complex (interior x column) blocks of at most
@@ -407,8 +412,8 @@ def _stencil_blocks(mesh: Mesh, data: np.ndarray, interior: np.ndarray, boundary
     """The CSR blocks K_II and K_IB (columns by position among the
     `interior` and `boundary` vertices) and the boundary rows K_B (columns
     on all vertices) of the stencil array `data` (15 n,) of a mesh, exact
-    zeros dropped: the blocks, entries and dtypes that slicing
-    `_stencil_csr(mesh, data)` gives, without forming it.
+    zeros dropped: the blocks, entries and dtypes that slicing the whole
+    CSR matrix of `data` gives, without forming it.
 
     Slot 15 v + s is the entry of row v and column v plus offset s; the
     offsets ascend, so each row keeps its entries in column order.  The
@@ -457,27 +462,6 @@ def _stencil_blocks(mesh: Mesh, data: np.ndarray, interior: np.ndarray, boundary
     return K_ii, K_ib, K_b
 
 
-def _stencil_csr(mesh: Mesh, data: np.ndarray) -> sp.csr_matrix:
-    """The square CSR matrix of the stencil array `data` (15 n,) of a mesh,
-    exact zeros dropped; `data` becomes its data.
-
-    Slot 15 v + s is the entry of row v and column v plus offset s.  The
-    slots whose column is off the box were never written, so they are
-    exact zeros and are dropped with the others; their indices are clipped
-    onto the box until then.
-    """
-    import scipy.sparse as sp
-
-    n = mesh.n_vertices
-    steps = _STENCIL_OFFSETS @ mesh._strides
-    indices = np.arange(n, dtype=np.int32)[:, None] + steps.astype(np.int32)
-    np.clip(indices, 0, n - 1, out=indices)
-    indptr = np.arange(0, 15 * n + 1, 15, dtype=np.int32)
-    mat = sp.csr_matrix((data, indices.ravel(), indptr), shape=(n, n))
-    mat.eliminate_zeros()
-    return mat
-
-
 def stiffness_stencil(mesh: Mesh, coeff) -> np.ndarray:
     """The 15-point stencil array (15 n,) of the stiffness matrix of a mesh
     for a per-tet (or constant) real 3x3 coefficient.
@@ -492,12 +476,6 @@ def stiffness_stencil(mesh: Mesh, coeff) -> np.ndarray:
         blocks = _stiffness_blocks(mesh, chunk, coeff if coeff.ndim == 2 else coeff[chunk])
         np.add.at(data, _stencil_slots(mesh, chunk), blocks.ravel())
     return data
-
-
-def assemble_stiffness(mesh: Mesh, coeff) -> sp.csr_matrix:
-    """Stiffness matrix of a mesh for a per-tet (or constant) real 3x3
-    coefficient: the CSR matrix of `stiffness_stencil`."""
-    return _stencil_csr(mesh, stiffness_stencil(mesh, coeff))
 
 
 _RESIDUAL_RTOL = 1e-10
@@ -649,8 +627,8 @@ def _face_schur(mesh: Mesh, read: _SolverRead, sigma: np.ndarray) -> Optional[np
     whose interior is layered (`read.layers`, a `Layers` per layer axis),
     the other boundary dofs pinned to zero; None unless sigma lies in the
     interior of one box face, normal to a layer axis a, whose interior
-    rows share one axis-only stencil, symmetric along the face
-    (`read.faces`).
+    rows share one axis-only stencil, symmetric along the face: the face
+    `Layers` of one level that the read kept (`read.faces`).
 
     Mode (p, q) of the face's 2-D orthonormal DST-I basis Phi is mode
     (p, q) of K_II: the tridiagonal along a of `layered_solve`.  The face
@@ -671,8 +649,7 @@ def _face_schur(mesh: Mesh, read: _SolverRead, sigma: np.ndarray) -> Optional[np
         return None
     axis, t, rel = where
     low = rel[0, axis] == 0
-    stencil = read.faces.get((axis, 0 if low else 1))
-    face = None if stencil is None else Layers.of(axis, stencil[None])
+    face = read.faces.get((axis, 0 if low else 1))
     if face is None:
         return None
     shape = np.array(mesh.box_shape)
@@ -715,20 +692,20 @@ def _face_of(mesh: Mesh, sigma: np.ndarray):
 
 
 def _diagonal_stencils(h: float, weights):
-    """The 27-slot stencils of the P1 stiffness of a constant
-    diag(weights) on the Kuhn lattice: its interior rows,
+    """The 15-point stencils of the P1 stiffness of a constant
+    diag(weights) on the Kuhn lattice: its interior rows (15,),
     h sum_a w_a (2 u - u(x - h e_a) - u(x + h e_a)), and its rows inside
-    the face normal to each axis a (3, 27), which keep the whole coupling
+    the face normal to each axis a (3, 15), which keep the whole coupling
     -h w_a into the interior and half of every other entry.  A face
     stencil holds that coupling at both -e_a and +e_a, so that it serves
     either face normal to a."""
     w = h * np.asarray(weights)
-    interior = np.zeros(27, dtype=w.dtype)
-    interior[13] = 2.0 * w.sum()
-    interior[13 - _CODES] = interior[13 + _CODES] = -w
+    interior = np.zeros(15, dtype=w.dtype)
+    interior[_CENTRE] = 2.0 * w.sum()
+    interior[_LOWER] = interior[_UPPER] = -w
     faces = np.tile(interior / 2.0, (3, 1))
     for a in range(3):
-        faces[a, 13 - _CODES[a]] = faces[a, 13 + _CODES[a]] = -w[a]
+        faces[a, _LOWER[a]] = faces[a, _UPPER[a]] = -w[a]
     return interior, faces
 
 
@@ -845,44 +822,27 @@ def _dirichlet_columns(mesh: Mesh, g) -> np.ndarray:
     return values
 
 
-# The lattice neighbours s in {-1, 0, 1}^3, lexicographic: s is slot (s + 1) @ _CODES.
-_CODES = np.array([9, 3, 1])
-_NEIGHBOURS = np.stack(np.meshgrid(*[(-1, 0, 1)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
-_AXIS_SLOTS = np.count_nonzero(_NEIGHBOURS, axis=1) <= 1
-# The lattice slot of each of the 15 stencil offsets, ascending as they do.
-_LATTICE_SLOTS = (_STENCIL_OFFSETS + 1) @ _CODES
-
-
-def _lattice(rows: np.ndarray) -> np.ndarray:
-    """15-point stencil rows (..., 15) as 27-slot lattice stencils (..., 27),
-    each entry added to an exact zero, so that a signed zero reads as 0."""
-    out = np.zeros(rows.shape[:-1] + (27,), dtype=rows.dtype)
-    out[..., _LATTICE_SLOTS] += rows
-    return out
-
-
 class Layers:
-    """The interior rows of a K that varies along one axis only, or not at
-    all: the layer `axis` a and the 27-slot lattice stencil (N_a, 27)
-    shared by the rows of each interior level along it (slot
-    (s + 1) @ _CODES holds the entry at offset s; `_lattice` places a
-    15-point stencil row there).  Each level's stencil is
-    axis-only and the same at -e_t and +e_t for both tangent axes t; along
-    a, its slots at -e_a (`lower`) and +e_a (`upper`) may differ."""
+    """The rows of a K that varies along one axis only, or not at all: the
+    layer `axis` a and the 15-point stencil (N_a, 15) shared by the rows of
+    each level along it, the interior levels of a layered K or the one
+    level of a face normal to a.  Each level's stencil is axis-only and
+    the same at -e_t and +e_t for both tangent axes t; along a, its slots
+    at -e_a (`lower`) and +e_a (`upper`) may differ."""
 
     def __init__(self, axis: int, stencils: np.ndarray):
         self.axis, self.stencils = axis, stencils
         self.tangents = [b for b in range(3) if b != axis]
-        self.lower = stencils[:, 13 - _CODES[axis]]
-        self.upper = stencils[:, 13 + _CODES[axis]]
+        self.lower = stencils[:, _LOWER[axis]]
+        self.upper = stencils[:, _UPPER[axis]]
 
     @classmethod
     def of(cls, axis: int, stencils: np.ndarray) -> Optional[Layers]:
         """The layers of these level stencils along `axis`, or None unless
         each is axis-only and symmetric along both tangent axes."""
-        t = np.array([_CODES[b] for b in range(3) if b != axis])
-        if np.any(stencils[:, ~_AXIS_SLOTS]) or not np.array_equal(stencils[:, 13 - t],
-                                                                    stencils[:, 13 + t]):
+        t = [b for b in range(3) if b != axis]
+        if np.any(stencils[:, ~_AXIS_SLOTS]) or not np.array_equal(stencils[:, _LOWER[t]],
+                                                                    stencils[:, _UPPER[t]]):
             return None
         return cls(axis, stencils)
 
@@ -890,9 +850,9 @@ class Layers:
         """Diagonal (N_a, N_t0, N_t1) of the tridiagonal along the layer axis
         of each tangent sine mode (p, q): the centre plus 2 cos(theta_p)
         and 2 cos(theta_q) times the level's tangent couplings."""
-        t0, t1 = (self.stencils[:, 13 + _CODES[b]] for b in self.tangents)
+        t0, t1 = (self.stencils[:, _UPPER[b]] for b in self.tangents)
         cos0, cos1 = (2.0 - _stencil_modes(shape[b]) for b in self.tangents)
-        return (self.stencils[:, 13, None, None] + t0[:, None, None] * cos0[None, :, None]
+        return (self.stencils[:, _CENTRE, None, None] + t0[:, None, None] * cos0[None, :, None]
                 + t1[:, None, None] * cos1[None, None, :])
 
 
@@ -900,7 +860,7 @@ class _SolverRead(NamedTuple):
     """The interior solver of a box system, read from its stencil
     (`_read_solver`): its `kind`, the `Layers` by layer axis that
     `layered_solve` and `_face_schur` take (K's own, or under box-cocg
-    those of diag(w)), the 27-slot face stencils by (axis, side) that
+    those of diag(w)), the face `Layers` of one level by (axis, side) that
     `_face_schur` takes, side 0 the low face and 1 the high one, and the
     box-cocg `weights` w."""
 
@@ -911,14 +871,14 @@ class _SolverRead(NamedTuple):
 
 
 def _box_cocg_read(mesh: Mesh, weights: np.ndarray) -> _SolverRead:
-    """The box-cocg read of the weights w: the layers and the face stencils
+    """The box-cocg read of the weights w: the layers and the face layers
     of diag(w) (`_diagonal_stencils`), whose layered solve preconditions
     COCG, each face stencil serving both faces normal to its axis."""
     interior, faces = _diagonal_stencils(mesh.h, weights)
-    layers = {a: Layers(a, np.broadcast_to(interior, (n, 27)))
+    layers = {a: Layers(a, np.broadcast_to(interior, (n, 15)))
               for a, n in enumerate(mesh.box_shape)}
-    return _SolverRead("box-cocg", layers, {(a, side): faces[a] for a in range(3)
-                                            for side in (0, 1)}, weights)
+    return _SolverRead("box-cocg", layers, {(a, side): Layers(a, faces[a][None])
+                                            for a in range(3) for side in (0, 1)}, weights)
 
 
 def _read_solver(mesh: Mesh, data: np.ndarray) -> _SolverRead:
@@ -930,16 +890,17 @@ def _read_solver(mesh: Mesh, data: np.ndarray) -> _SolverRead:
     its level along a (S[:, 0, 0], S[0, :, 0] or S[0, 0, :]) and those
     level stencils are `Layers` along a: a constant K is layered along
     all three axes, and one that varies along a only along a alone.  Each
-    face normal to a layer axis whose interior rows share one stencil
-    keeps it for `_face_schur`.  "box-cocg" otherwise, with the mean
-    second moments w_a = -1/2 sum_s K_rs s_a^2 / h over the interior rows
-    and their lattice neighbours s, for a P1 stiffness of a constant or
-    affine coefficient its mean diagonal to rounding; the moments are
-    summed row by row over chunks of whole lines of rows within
-    `_BLOCK_BYTES`, so they have the same bits whatever the chunk.  A real
-    K has real layers and weights, and a box with no interior vertex reads
-    as "layered" along no axis.  Every stencil kept is a copy, so the read
-    keeps no reference to `data`.
+    face normal to a layer axis whose interior rows share one stencil that
+    is `Layers` along a keeps it, as one level, for `_face_schur`.
+    "box-cocg" otherwise, with the mean second moments
+    w_a = -1/2 sum_s K_rs s_a^2 / h over the interior rows and their
+    offsets s, for a P1 stiffness of a constant or affine coefficient its
+    mean diagonal to rounding; the moments are summed row by row over
+    chunks of whole lines of rows within `_BLOCK_BYTES`, so they have the
+    same bits whatever the chunk.  A real K has real layers and weights,
+    and a box with no interior vertex reads as "layered" along no axis.
+    Every stencil kept is the copy 0.0 + row, so a signed zero reads as 0
+    and the read keeps no reference to `data`.
     """
     shape = mesh.box_shape
     if not min(shape):
@@ -949,26 +910,26 @@ def _read_solver(mesh: Mesh, data: np.ndarray) -> _SolverRead:
     layers = {}
     for a, first in enumerate((S[:, :1, :1], S[:1, :, :1], S[:1, :1, :])):
         if np.all(S == first):
-            found = Layers.of(a, _lattice(first.reshape(-1, 15)))
+            found = Layers.of(a, 0.0 + first.reshape(-1, 15))
             if found is not None:
                 layers[a] = found
     if layers:
         faces = {}
         for a, side in itertools.product(layers, (0, 1)):
-            index = [slice(1, -1)] * 3
-            index[a] = -1 if side else 0
-            rows = grid[tuple(index)]
-            if np.all(rows == rows[0, 0]):
-                faces[a, side] = _lattice(rows[0, 0])
+            # The face's interior rows: side 0 is level 0 along a, side 1 the last.
+            rows = np.moveaxis(grid, a, 0)[-side, 1:-1, 1:-1]
+            face = Layers.of(a, 0.0 + rows[0, :1]) if np.all(rows == rows[0, 0]) else None
+            if face is not None:
+                faces[a, side] = face
         return _SolverRead("layered", layers, faces)
-    # About 1.5 KB of temporaries per row.
-    lines = max(1, _BLOCK_BYTES // (1536 * shape[2]))
+    # About 1 KB of temporaries per row.
+    lines = max(1, _BLOCK_BYTES // (1024 * shape[2]))
     total = np.zeros(3, dtype=data.dtype)
     for i, j in itertools.product(range(shape[0]), range(0, shape[1], lines)):
-        stencils = _lattice(S[i, j:j + lines].reshape(-1, 15))
+        rows = S[i, j:j + lines].reshape(-1, 15)
         # cumsum adds in order, so a row's moment and the total, added row
         # by row, have the bits of one pass over all rows.
-        moments = np.stack([np.cumsum(stencils[:, _NEIGHBOURS[:, a] != 0], axis=1)[:, -1]
+        moments = np.stack([np.cumsum(rows[:, _STENCIL_OFFSETS[:, a] != 0], axis=1)[:, -1]
                             for a in range(3)], axis=1)
         total = np.cumsum(np.vstack([total[None], moments]), axis=0)[-1]
     return _box_cocg_read(mesh, -0.5 * (total / math.prod(shape)) / mesh.h)
@@ -1025,9 +986,7 @@ class BlockSystem(_SolverCounters):
     K is kept once, split into the interior blocks `_K_ii` and `_K_ib` and
     the boundary rows `_K_b`, and never whole: the interior solve reads the
     blocks, and the DtN pairing, the probe fluxes and the Omega_eta
-    footprint read boundary rows (`boundary_rows`, `product`).  `matrix`
-    rebuilds K and `block_matrix` the real block form
-    [[K_R, -K_I], [K_I, K_R]], both for checks.
+    footprint read boundary rows (`boundary_rows`, `product`).
     `from_stencil` builds the blocks straight from `assemble`'s 15-point
     stencil rows, and reads the interior solver from the same stencil,
     once, there (`_read_solver`); it is named by `solver_kind`:
@@ -1084,31 +1043,6 @@ class BlockSystem(_SolverCounters):
             mesh, data, system._interior, system._boundary)
         system._read = _read_solver(mesh, data)
         return system
-
-    def matrix(self) -> sp.csr_matrix:
-        """K, rebuilt from the three blocks the system keeps, for checks."""
-        import scipy.sparse as sp
-
-        blocks = [(self._K_ii, self._interior, self._interior),
-                  (self._K_ib, self._interior, self._boundary),
-                  (self._K_b, self._boundary, None)]
-        coo = [(block.tocoo(), rows, cols) for block, rows, cols in blocks]
-        data = np.concatenate([b.data for b, _, _ in coo])
-        rows = np.concatenate([rows[b.row] for b, rows, _ in coo])
-        cols = np.concatenate([b.col if cols is None else cols[b.col] for b, _, cols in coo])
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.mesh.n_vertices,) * 2)
-
-    @property
-    def block_matrix(self) -> sp.csr_matrix:
-        import scipy.sparse as sp
-
-        K = self.matrix()
-        # The parts are copied: .real and .imag share K's data array, which
-        # eliminate_zeros would compact in place.
-        K_R, K_I = K.real.copy(), K.imag.copy()
-        K_R.eliminate_zeros()
-        K_I.eliminate_zeros()
-        return sp.bmat([[K_R, -K_I], [K_I, K_R]], format="csr")
 
     def _boundary_positions(self, dofs: np.ndarray, what: str) -> np.ndarray:
         """Positions of the dofs among the boundary vertices; ConfigError
@@ -1506,15 +1440,16 @@ def _complex_stencil(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k
     """The complex 15-point stencil array (15 n,) of `assemble`.
 
     The corners, slots and element blocks of every chunk go to buffers
-    allocated once, so the chunks do not map fresh pages each; they are
-    freed on return, before the matrix is built.
+    allocated once, sized for the mesh's cells when they are fewer than a
+    chunk's, so the chunks do not map fresh pages each; they are freed on
+    return, before the matrix is built.
     """
     data = np.zeros(15 * mesh.n_vertices, dtype=complex)
     # The real and imaginary parts interleaved: np.add.at adds the real
     # blocks at the even slots of this contiguous array and the imaginary
     # ones at the odd slots.
     parts = data.view(np.float64)
-    cells = _chunk_size(_ASSEMBLY_BYTES) // len(_TET_PATTERNS)
+    cells = min(_chunk_size(_ASSEMBLY_BYTES), mesh.n_tets) // len(_TET_PATTERNS)
     corner_buf = np.empty(24 * cells, dtype=np.int64)
     slot_buf = np.empty(96 * cells, dtype=np.int32)
     block_buf = np.empty((6 * cells, 4, 4))
@@ -1542,7 +1477,7 @@ def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float)
 
     The field, the coefficient and the element blocks are evaluated over
     chunks of whole cells within `_BLOCK_BYTES` (see
-    `assemble_stiffness`), at the chunk's barycenters; the real blocks and
+    `stiffness_stencil`), at the chunk's barycenters; the real blocks and
     the imaginary ones are added into the real and imaginary parts of one
     complex 15-point stencil array.  The system reads its interior solver
     from that matrix (see `BlockSystem`), and records the (family, a, k) it

@@ -9,8 +9,8 @@ import admitlab.estimator
 from admitlab.errors import SolverError
 from admitlab.estimator import LabFrame, build_forward, build_frame
 from admitlab.families import constant_field, scalar_identity_family
-from admitlab.fem import (_CORNER_OFFSETS, _FACE_LOCAL, _TET_PATTERNS, BlockSystem, _corner_mean,
-                          _SolverRead)
+from admitlab.fem import (_CORNER_OFFSETS, _FACE_LOCAL, _STENCIL_OFFSETS, _TET_PATTERNS,
+                          BlockSystem, _corner_mean, _SolverRead, stiffness_stencil)
 from admitlab.geometry import BoundaryPatch, BoxDomain
 
 
@@ -117,6 +117,54 @@ class LuSystem(BlockSystem):
         # SuperLU's multi-column solves move a column's last bits with its
         # block, so a subset of the memoised dofs is solved afresh.
         return None
+
+
+def matrix(system):
+    """K of a `BlockSystem`, rebuilt from the three blocks it keeps."""
+    blocks = [(system._K_ii, system.interior, system.interior),
+              (system._K_ib, system.interior, system.boundary),
+              (system._K_b, system.boundary, None)]
+    coo = [(block.tocoo(), rows, cols) for block, rows, cols in blocks]
+    data = np.concatenate([b.data for b, _, _ in coo])
+    rows = np.concatenate([rows[b.row] for b, rows, _ in coo])
+    cols = np.concatenate([b.col if cols is None else cols[b.col] for b, _, cols in coo])
+    return sp.csr_matrix((data, (rows, cols)), shape=(system.mesh.n_vertices,) * 2)
+
+
+def block_matrix(system):
+    """The real block form [[K_R, -K_I], [K_I, K_R]] of a `BlockSystem`'s K."""
+    K = matrix(system)
+    # The parts are copied: .real and .imag share K's data array, which
+    # eliminate_zeros would compact in place.
+    K_R, K_I = K.real.copy(), K.imag.copy()
+    K_R.eliminate_zeros()
+    K_I.eliminate_zeros()
+    return sp.bmat([[K_R, -K_I], [K_I, K_R]], format="csr")
+
+
+def stencil_csr(mesh, data):
+    """The square CSR matrix of the stencil array `data` (15 n,) of a box
+    mesh, exact zeros dropped; `data` becomes its data.
+
+    Slot 15 v + s is the entry of row v and column v plus offset s.  The
+    slots whose column is off the box were never written, so they are
+    exact zeros and are dropped with the others; their indices are clipped
+    onto the box until then.
+    """
+    n = mesh.n_vertices
+    steps = _STENCIL_OFFSETS @ mesh._strides
+    indices = np.arange(n, dtype=np.int32)[:, None] + steps.astype(np.int32)
+    np.clip(indices, 0, n - 1, out=indices)
+    indptr = np.arange(0, 15 * n + 1, 15, dtype=np.int32)
+    mat = sp.csr_matrix((data, indices.ravel(), indptr), shape=(n, n))
+    mat.eliminate_zeros()
+    return mat
+
+
+def assemble_stiffness(mesh, coeff):
+    """Stiffness matrix of a box mesh for a per-tet (or constant) real 3x3
+    coefficient: the CSR matrix of `stiffness_stencil`."""
+    return stencil_csr(mesh, stiffness_stencil(mesh, coeff))
 
 
 def gradients(mesh, values):

@@ -23,13 +23,14 @@ from admitlab.families import (affine_field, constant_field,
                                diagonal_affine_family, gaussian_bump_field,
                                rotated_anisotropic_family,
                                scalar_identity_family, shifted_field)
-from admitlab.fem import assemble, assemble_stiffness, build_mesh
+from admitlab.fem import assemble, build_mesh
 from admitlab.gegenbauer import (GegenbauerSpec, endpoint_nonvanishing,
                                  gegenbauer, gegenbauer_derivative,
                                  ode_residual)
 from admitlab.geometry import BoundaryPatch, BoxDomain
 from admitlab.singular import (leading_term, make_probe, pde_residual_leading,
                                probe_from_matrix, h_function, sphere_min_h)
+from conftest import assemble_stiffness, block_matrix
 
 BOX = BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 PATCH = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
@@ -198,7 +199,7 @@ def test_criterion_3_fem_suite():
     fam_c = scalar_identity_family(k=0.1, imag=1.0)
     mesh = build_mesh(BOX, 0.125)
     system = assemble(mesh, fam_c, constant_field(0.5), 0.1)
-    K = system.block_matrix
+    K = block_matrix(system)
     nv = mesh.n_vertices
     assert (K[:nv, :nv] != K[nv:, nv:]).nnz == 0
     assert (K[:nv, nv:] + K[nv:, :nv]).nnz == 0

@@ -723,14 +723,18 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "out")]) == 0
         assert len(mesh_domains) == 1 and isinstance(mesh_domains[0], BoxDomain)
 
-    def test_gap_vanishing_on_patch_fails_loudly(self, tmp_path):
+    def test_gap_vanishing_on_patch_fails_loudly(self, tmp_path, capsys, assembly_log):
         # The coefficient gap sup is zero at every point, so there is no
-        # log-log fit: a numeric failure, not a traceback.
+        # log-log fit: a config error naming sweep.delta and the scales,
+        # raised before any forward is assembled.
         path = write_config(tmp_path, {
             "sweep.delta": {"kind": "affine", "offset": -1.0,
                             "gradient": [0.0, 0.0, 1.0]},
         })
-        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "sweep.delta" in err and "[0.05, 0.1]" in err
+        assert assembly_log == []
 
     def test_derivative_sweep(self, tmp_path):
         path = write_config(tmp_path, {

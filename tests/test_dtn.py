@@ -11,9 +11,9 @@ from admitlab.families import (affine_field, constant_field,
                                diagonal_affine_family,
                                rotated_anisotropic_family,
                                scalar_identity_family)
-from admitlab.fem import assemble, assemble_stiffness, build_mesh
+from admitlab.fem import assemble, build_mesh
 from admitlab.geometry import FACE_NAMES, BoundaryPatch, BoxDomain
-from conftest import LuSystem
+from conftest import LuSystem, assemble_stiffness, matrix
 
 BOX = BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 PATCH = BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8))
@@ -34,7 +34,7 @@ def per_hat_pairing(system, basis):
         g = np.zeros(mesh.n_vertices, dtype=complex)
         g[v] = 1.0
         solutions[:, j] = system.solve_dirichlet(g)
-    fluxes = system.matrix() @ solutions
+    fluxes = matrix(system) @ solutions
     return fluxes[list(basis.vertices), :].T
 
 
@@ -187,7 +187,7 @@ class TestAssembleDtn:
             rng.standard_normal(int(np.sum(~mesh8.boundary_vertex_mask)))
         )
         value_pairing = f1 @ d.pairing @ f2
-        value_lift = complex(u1 @ (system.matrix() @ lift))
+        value_lift = complex(u1 @ (matrix(system) @ lift))
         assert abs(value_pairing - value_lift) <= 1e-9
 
 
@@ -270,7 +270,7 @@ class TestSchurOracles:
 
     def test_failed_column_residual_raises(self, mesh8, basis8, monkeypatch):
         system = LuSystem(mesh8, assemble_stiffness(mesh8, np.eye(3)))
-        K_ii = system.matrix()[np.ix_(system.interior, system.interior)].toarray()
+        K_ii = matrix(system)[np.ix_(system.interior, system.interior)].toarray()
 
         def solve_with_bad_column(rhs):
             X = np.linalg.solve(K_ii, rhs)

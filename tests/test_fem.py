@@ -18,14 +18,15 @@ from admitlab.dtn import boundary_mass_sigma
 from admitlab.config import load_config
 from admitlab.estimator import build_forward, build_frame
 import admitlab.estimator
-from admitlab.fem import (_CODES, _STENCIL_SLOTS, _TET_PATTERNS, BlockSystem, Layers, Mesh,
-                          SubstructuredSystem, _box_cocg_read, _diagonal_stencils, _stencil_slots,
-                          _stiffness_blocks, assemble, assemble_stiffness, build_mesh,
-                          energy_density, layered_solve, stiffness_stencil)
+from admitlab.fem import (_AXIS_SLOTS, _CENTRE, _LOWER, _STENCIL_OFFSETS, _STENCIL_SLOTS,
+                          _TET_PATTERNS, _UPPER, BlockSystem, Layers, Mesh, SubstructuredSystem,
+                          _box_cocg_read, _diagonal_stencils, _stencil_slots, _stiffness_blocks,
+                          assemble, build_mesh, energy_density, layered_solve, stiffness_stencil)
 from admitlab.geometry import (FACE_NAMES, BoxDomain, BoundaryPatch,
                                EnlargedDomain, build_enlarged_domain)
-from conftest import (LuSystem, UnionMesh, bincount_csr, box_cells, coo_stiffness, gradients,
-                      lattice_topology, lu_system, traced_extra)
+from conftest import (LuSystem, UnionMesh, assemble_stiffness, bincount_csr, block_matrix,
+                      box_cells, coo_stiffness, gradients, lattice_topology, lu_system, matrix,
+                      stencil_csr, traced_extra)
 
 BOX = BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -406,8 +407,8 @@ class TestCachedPatternAssembly:
         K2 = assemble_stiffness(mesh, np.eye(3))
         assert (K2 != K1).nnz == 0
         system = assemble(mesh, LAPLACE, A_ONE, 0.0)
-        assert not np.any(system.matrix().data.imag)
-        assert (system.matrix() != K1).nnz == 0
+        assert not np.any(matrix(system).data.imag)
+        assert (matrix(system) != K1).nnz == 0
 
     def test_assembly_leaves_the_mesh_unchanged(self):
         # No memo: the mesh keeps the same attributes, objects and values.
@@ -432,7 +433,7 @@ class TestStencilAssembly:
         mesh = _offset_mesh(box)
         coeff = _aniso_coeffs(mesh.n_tets, seed)
         assert _bitwise_equal(assemble_stiffness(mesh, coeff), _stiffness_reference(mesh, coeff))
-        assert _bitwise_equal(assemble(mesh, ROTATED, AFFINE, ROTATED.freq).matrix(),
+        assert _bitwise_equal(matrix(assemble(mesh, ROTATED, AFFINE, ROTATED.freq)),
                               _assemble_reference(mesh, ROTATED, AFFINE, ROTATED.freq))
 
     def test_bump_one_cell_thick(self):
@@ -443,7 +444,7 @@ class TestStencilAssembly:
         assert min(bump.box_shape) == 0
         coeff = _aniso_coeffs(bump.n_tets, seed=11)
         assert _bitwise_equal(assemble_stiffness(bump, coeff), _stiffness_reference(bump, coeff))
-        assert _bitwise_equal(assemble(bump, ROTATED, AFFINE, ROTATED.freq).matrix(),
+        assert _bitwise_equal(matrix(assemble(bump, ROTATED, AFFINE, ROTATED.freq)),
                               _assemble_reference(bump, ROTATED, AFFINE, ROTATED.freq))
 
 
@@ -452,7 +453,7 @@ class TestBlockSystem:
         fam = scalar_identity_family(k=0.1, imag=1.0)
         mesh = build_mesh(BOX, 0.25)
         system = assemble(mesh, fam, A_ONE, 0.1)
-        K = system.block_matrix
+        K = block_matrix(system)
         n = mesh.n_vertices
         assert (K[:n, :n] != K[n:, n:]).nnz == 0
         assert (K[:n, n:] + K[n:, :n]).nnz == 0
@@ -477,7 +478,7 @@ class TestBlockSystem:
         K_I = assemble_stiffness(mesh, fam.freq * fam.imag_part(mesh.barycenters(), t))
         assert K_I.nnz > 0
         ref = sp.bmat([[K_R, -K_I], [K_I, K_R]], format="csr")
-        block = system.block_matrix
+        block = block_matrix(system)
         assert block.nnz == ref.nnz
         for got, want in ((block.indptr, ref.indptr), (block.indices, ref.indices),
                           (block.data, ref.data)):
@@ -494,21 +495,21 @@ class TestBlockSystem:
         mesh = build_mesh(BOX, 0.25)
         system = assemble(mesh, LAPLACE, A_ONE, 0.0)
         lap = assemble_stiffness(mesh, np.eye(3))
-        assert (system.matrix() != lap).nnz == 0
-        assert not np.any(system.matrix().data.imag)
+        assert (matrix(system) != lap).nnz == 0
+        assert not np.any(matrix(system).data.imag)
 
     def test_off_diagonal_scaling(self):
         fam = scalar_identity_family(k=0.1, imag=1.0)
         mesh = build_mesh(BOX, 0.25)
         system = assemble(mesh, fam, A_ONE, 0.1)
         lap = assemble_stiffness(mesh, np.eye(3))
-        assert np.max(np.abs((system.matrix().imag - 0.1 * lap).toarray())) <= 1e-14
+        assert np.max(np.abs((matrix(system).imag - 0.1 * lap).toarray())) <= 1e-14
 
     def test_quadratic_form_positive(self):
         fam = scalar_identity_family(k=0.1, imag=1.0)
         mesh = build_mesh(BOX, 0.25)
         system = assemble(mesh, fam, A_ONE, 0.1)
-        K = system.block_matrix
+        K = block_matrix(system)
         rng = np.random.default_rng(0)
         free = np.concatenate([system.interior, system.interior + mesh.n_vertices])
         for _ in range(20):
@@ -523,7 +524,7 @@ class TestBlockSystem:
         a = constant_field(0.5)
         mesh = build_mesh(BOX, 0.25)
         system = assemble(mesh, fam, a, 0.1)
-        K = system.block_matrix
+        K = block_matrix(system)
         lap = assemble_stiffness(mesh, np.eye(3))
         import scipy.sparse as sp
 
@@ -620,8 +621,7 @@ class TestOneCopy:
                   "real": (LAPLACE, affine_field(1.0, (0.0, 0.2, 0.0)))}[field]
         mesh = meshes[name]
         system = assemble(mesh, fam, a, fam.freq)
-        K = admitlab.fem._stencil_csr(
-            mesh, admitlab.fem._complex_stencil(mesh, fam, a, fam.freq))
+        K = stencil_csr(mesh, admitlab.fem._complex_stencil(mesh, fam, a, fam.freq))
         sliced = LuSystem(mesh, K)
         for got, want in ((system._K_ii, sliced._K_ii), (system._K_ib, sliced._K_ib),
                           (system._K_b, sliced._K_b)):
@@ -635,11 +635,11 @@ class TestOneCopy:
         K = (coo_stiffness(mesh, coeff) + 1j * coo_stiffness(mesh, 0.1 * coeff)).tocsr()
         system = LuSystem(mesh, K)
         assert _bitwise_equal(system._K_b, K[system.boundary])
-        assert _bitwise_equal(system.matrix(), K)
+        assert _bitwise_equal(matrix(system), K)
         K_R, K_I = K.real.copy(), K.imag.copy()
         K_R.eliminate_zeros()
         K_I.eliminate_zeros()
-        assert _bitwise_equal(system.block_matrix,
+        assert _bitwise_equal(block_matrix(system),
                               sp.bmat([[K_R, -K_I], [K_I, K_R]], format="csr"))
         rng = np.random.default_rng(2)
         x = rng.standard_normal((mesh.n_vertices, 3)) + 1j * rng.standard_normal((mesh.n_vertices, 3))
@@ -669,7 +669,7 @@ class TestColumnSolves:
         system = assemble(mesh, fam, A_ONE, 0.1)
         assert system.solver_kind == "layered"
         if self.PATH == "lu":
-            system = LuSystem(mesh, system.matrix())
+            system = LuSystem(mesh, matrix(system))
         elif self.PATH == "cocg":
             system = _read_as_cocg(system)
         rng = np.random.default_rng(seed)
@@ -806,7 +806,7 @@ class TestBoxSolve:
     def test_matches_dense_solve(self, case):
         mesh, weights = case
         system = _box_system(mesh, weights)
-        _assert_direct_solves(mesh, system._read.layers, system.matrix(), system.interior)
+        _assert_direct_solves(mesh, system._read.layers, matrix(system), system.interior)
 
     def test_box_shape(self):
         mesh = build_mesh(BoxDomain((0.0, 0.0, 0.0), (1.25, 1.0, 1.5)), 0.25)
@@ -841,7 +841,7 @@ class TestBoxSolve:
         mesh = build_mesh(BOX, 0.125)
         box = assemble(mesh, fam, A_ONE, fam.freq)
         assert box.solver_kind == "layered"
-        lu = LuSystem(mesh, box.matrix())
+        lu = LuSystem(mesh, matrix(box))
         rng = np.random.default_rng(5)
         g = (rng.standard_normal((mesh.n_vertices, 3))
              + 1j * rng.standard_normal((mesh.n_vertices, 3)))
@@ -934,7 +934,7 @@ def _assert_core_matches_lu(via, lu, seed=0, columns=3):
     assert np.max(np.abs(v_via - v_lu)) <= 1e-12 * np.max(np.abs(v_lu))
     assert via.solve_calls == 2 and via.rhs_columns == columns + 1
     assert 0.0 < via.worst_residual <= 1e-10
-    Kg = lu.matrix() @ g
+    Kg = matrix(lu) @ g
     assert np.max(np.abs(via._product(g) - Kg)) <= 1e-12 * np.max(np.abs(Kg))
 
 
@@ -1099,7 +1099,7 @@ class TestCoreSolve:
         bump = via.bump
         assert len(bump.interior) == 0 and bump.factored_dofs == 0
         f_bump = bump.mesh.vertex_indices(via.mesh.ijk[via.footprint])
-        assert np.array_equal(bump.schur_onto(f_bump), bump.matrix()[np.ix_(f_bump, f_bump)].toarray())
+        assert np.array_equal(bump.schur_onto(f_bump), matrix(bump)[np.ix_(f_bump, f_bump)].toarray())
         assert via.factored_dofs == len(via.footprint) == 9
         assert factor_calls == [len(lu.interior)]
 
@@ -1166,7 +1166,7 @@ def _read_as_cocg(system):
     read = system._read
     weights = read.weights
     if read.kind == "layered":
-        weights = -read.layers[2].stencils[0, 13 + _CODES] / system.mesh.h
+        weights = -read.layers[2].stencils[0, _UPPER] / system.mesh.h
     system._read = _box_cocg_read(system.mesh, weights)
     assert system.solver_kind == "box-cocg"
     return system
@@ -1181,7 +1181,7 @@ def _cocg_system(mesh, fam, a):
 def _zero_flux_dofs(system):
     """Boundary vertices with no interior neighbour: their K_I,sigma columns
     are all zero."""
-    K_ib = system.matrix()[np.ix_(system.interior, system.boundary)]
+    K_ib = matrix(system)[np.ix_(system.interior, system.boundary)]
     return system.boundary[np.asarray(abs(K_ib).sum(axis=0)).ravel() == 0.0]
 
 
@@ -1206,7 +1206,7 @@ class TestBoxCocg:
     def test_matches_dense_solve_and_schur(self, case):
         mesh, fam, a = case
         system = _cocg_system(mesh, fam, a)
-        K = system.matrix().toarray()
+        K = matrix(system).toarray()
         I, sigma = system.interior, system.boundary[::7]
         K_ii = K[np.ix_(I, I)]
         rng = np.random.default_rng(len(I))
@@ -1344,7 +1344,7 @@ class TestBlockedSchur:
         assert max(rhs.shape[1] for rhs in solved) <= cap
         # The blocks, in order, are exactly the columns K_I,sigma.
         cols = np.searchsorted(system.boundary, sigma)
-        K_is = system.matrix()[np.ix_(system.interior, system.boundary[cols])].toarray()
+        K_is = matrix(system)[np.ix_(system.interior, system.boundary[cols])].toarray()
         assert np.array_equal(np.hstack(solved), K_is)
         # Every column is residual-checked once, under its position in sigma.
         starts = np.cumsum([0] + [width for _, width in checked])
@@ -1356,8 +1356,8 @@ class TestBlockedSchur:
         system, sigma = _schur_case("sparse-lu", 0.125)
         _set_schur_cap(monkeypatch, system, 2)
         d = len(sigma)
-        K_ii = system.matrix()[np.ix_(system.interior, system.interior)].toarray()
-        last = system.matrix()[np.ix_(system.interior, sigma[-1:])].toarray()
+        K_ii = matrix(system)[np.ix_(system.interior, system.interior)].toarray()
+        last = matrix(system)[np.ix_(system.interior, sigma[-1:])].toarray()
 
         def solve_with_bad_last_column(rhs):
             X = np.linalg.solve(K_ii, rhs)
@@ -1396,7 +1396,7 @@ class TestConvergence:
 
 def _energy(system, u, v):
     """The bilinear energy integral u^T K v of nodal values u and v."""
-    return complex(u @ (system.matrix() @ v))
+    return complex(u @ (matrix(system) @ v))
 
 
 class TestEnergyPairing:
@@ -1526,8 +1526,8 @@ def _omega_and_omega_eta_matrices(mesh, bump, family):
         rows = np.arange(n)[vmap]
         P = sp.csr_matrix((np.ones(len(rows)), (rows, np.arange(len(rows)))),
                           shape=(n, len(rows)))
-        K_eta = K_eta + P @ part.matrix() @ P.T
-    return via.core.matrix(), K_eta
+        K_eta = K_eta + P @ matrix(part) @ P.T
+    return matrix(via.core), K_eta
 
 
 def _assert_matches_float_geometry(mesh, bump, family):
@@ -1570,7 +1570,7 @@ class TestTypedAssembly:
         assert _bitwise_equal(assemble_stiffness(mesh, coeff), _stiffness_reference(mesh, coeff))
         bump = gaussian_bump_field(1.0, 0.1, (0.5, 0.5, 0.9), 0.3)
         system = assemble(mesh, ROTATED, bump, ROTATED.freq)
-        assert _bitwise_equal(system.matrix(), _assemble_reference(mesh, ROTATED, bump, ROTATED.freq))
+        assert _bitwise_equal(matrix(system), _assemble_reference(mesh, ROTATED, bump, ROTATED.freq))
         # The COCG weights, read in chunks of rows within the same budget,
         # have the bits of one read over all rows.
         assert system.solver_kind == "box-cocg"
@@ -1621,7 +1621,7 @@ def _box_system(mesh, weights):
 def _column_oracle(system, sigma):
     """The column-blocked Schur complement onto sigma through the system's
     interior solve."""
-    K_s = system.matrix()[sigma]
+    K_s = matrix(system)[sigma]
     return system._column_schur(K_s[:, sigma].toarray(), K_s[:, system.interior],
                                 np.searchsorted(system.boundary, sigma))
 
@@ -1925,6 +1925,20 @@ class TestWorkingSetBudget:
                 assert system.solver_kind == kind
                 assert extra <= 4 * admitlab.fem._BLOCK_BYTES, extra
 
+    def test_assembly_buffers_fit_a_small_mesh(self, monkeypatch):
+        # A raised budget sizes no buffer beyond the mesh's own cells: the
+        # stencil of 8 cells keeps its bits, and its traced peak beyond the
+        # output stays small.
+        import admitlab.fem
+
+        mesh = Mesh((0, 0, 0), (2, 2, 2), 0.5, np.zeros(3))
+        want = admitlab.fem._complex_stencil(mesh, ROTATED, AFFINE, ROTATED.freq)
+        monkeypatch.setattr(admitlab.fem, "_BLOCK_BYTES", 1 << 26)
+        got, extra = traced_extra(
+            lambda: admitlab.fem._complex_stencil(mesh, ROTATED, AFFINE, ROTATED.freq))
+        assert _same_bits(got, want)
+        assert extra < 1 << 20, extra
+
     def test_solver_read_peak(self):
         import admitlab.fem
 
@@ -1942,9 +1956,9 @@ class TestWorkingSetBudget:
                 read, extra = traced_extra(lambda: admitlab.fem._read_solver(mesh, data))
                 assert read.kind == kind
                 assert extra <= admitlab.fem._BLOCK_BYTES, extra
-                kept = [layers.stencils for layers in read.layers.values()]
-                assert not any(np.shares_memory(k, data)
-                               for k in kept + list(read.faces.values()))
+                kept = [layers.stencils for layers in (*read.layers.values(),
+                                                       *read.faces.values())]
+                assert not any(np.shares_memory(k, data) for k in kept)
 
     def test_box_cocg_schur_peak(self):
         import admitlab.fem
@@ -2011,16 +2025,16 @@ class TestInteriorSolverRead:
         if constant_diagonal:
             assert sorted(weights) == [0, 1, 2]
             for layers in weights.values():
-                slots = -layers.stencils[:, 13 + _CODES] / mesh.h
+                slots = -layers.stencils[:, _UPPER] / mesh.h
                 assert np.max(np.abs(slots - diagonal[0])) <= 1e-14 * np.max(np.abs(diagonal[0]))
         elif is_diagonal:
             assert list(weights) == [axis]
             assert weights[axis].axis == axis
-            assert weights[axis].stencils.shape == (mesh.box_shape[axis], 27)
+            assert weights[axis].stencils.shape == (mesh.box_shape[axis], 15)
         else:
             mean = diagonal.mean(axis=0)
             assert np.max(np.abs(weights - mean)) <= 1e-11 * np.max(np.abs(mean))
-        lu = LuSystem(mesh, system.matrix())
+        lu = LuSystem(mesh, matrix(system))
         rng = np.random.default_rng(3)
         g = (rng.standard_normal((mesh.n_vertices, 2))
              + 1j * rng.standard_normal((mesh.n_vertices, 2)))
@@ -2110,7 +2124,7 @@ class TestLayeredSolver:
              + 1j * rng.standard_normal((mesh.n_vertices, 3)))
         assert _close(system.solve_dirichlet(g), lu.solve_dirichlet(g), 1e-12)
         assert system.krylov_iterations == 0 and system.worst_residual <= 1e-12
-        _assert_direct_solves(mesh, layers, lu.matrix(), lu.interior)
+        _assert_direct_solves(mesh, layers, matrix(lu), lu.interior)
 
     @settings(max_examples=30, deadline=None)
     @given(layered_cases(constant=True), st.data())
@@ -2150,13 +2164,13 @@ class TestLayeredSolver:
         fam = _CellFamily(mesh, lambda cells: np.broadcast_to(weights[0], cells.shape))
         system = assemble(mesh, fam, A_ONE, 1.0)
         kind, read = system._read.kind, system._read.layers
-        K = system.matrix()
+        K = matrix(system)
         r = system.interior[0]
         assert kind == "layered" and sorted(read) == [0, 1, 2]
         for sign in (-1, 1):
             entries = np.array([K[r, r + sign * s] for s in mesh._strides])
             for layers in read.values():
-                slots = layers.stencils[:, 13 + sign * _CODES]
+                slots = layers.stencils[:, _UPPER if sign > 0 else _LOWER]
                 assert np.array_equal(slots, np.broadcast_to(entries, slots.shape))
         # Variation along one axis is layered, along two is not: rows
         # differ along both, or one level's rows are not symmetric along
@@ -2179,45 +2193,49 @@ def _same_bits(got, want):
 
 def _brute_force_read(system):
     """The read that `_read_solver` gives, from the entries K[r, r + s] of
-    the system's whole K, row by row: (kind, level stencils (N_a, 27) by
-    layer axis, face stencils (27,) by (axis, side), box-cocg weights).
-    Entry K[r, r + s] goes to slot (s + 1) @ _CODES of row r's 27-slot
-    stencil as 0.0 + K[r, r + s], so a signed zero reads as 0; a
-    neighbour off the box reads as 0."""
-    from admitlab.fem import _NEIGHBOURS
-
+    the system's whole K, row by row: (kind, level stencils (N_a, 15) by
+    layer axis, face stencils (1, 15) by (axis, side), box-cocg weights).
+    Entry K[r, r + s] goes to the slot of offset s in `_STENCIL_OFFSETS` of
+    row r's stencil as 0.0 + K[r, r + s], so a signed zero reads as 0; an
+    offset off the box reads as 0."""
     mesh = system.mesh
-    K = system.matrix().toarray()
+    K = matrix(system).toarray()
     shape = np.array(mesh.box_shape)
+    offsets = [tuple(s) for s in _STENCIL_OFFSETS.tolist()]
+    steps = np.eye(3, dtype=int)
 
     def stencil(v):
-        out = np.zeros(27, dtype=K.dtype)
-        for slot, s in enumerate(_NEIGHBOURS):
+        out = np.zeros(15, dtype=K.dtype)
+        for slot, s in enumerate(_STENCIL_OFFSETS):
             key = mesh.ijk[v] + s
             if np.all((key >= mesh.lo) & (key <= mesh.hi)):
                 out[slot] = 0.0 + K[v, v + s @ mesh._strides]
         return out
+
+    def layered(a, levels):
+        # Each level axis-only, and the same at -e_t and +e_t along both
+        # tangent axes t.
+        off = [slot for slot, s in enumerate(offsets) if np.count_nonzero(s) > 1]
+        t = [b for b in range(3) if b != a]
+        minus = [offsets.index(tuple(-steps[b])) for b in t]
+        plus = [offsets.index(tuple(steps[b])) for b in t]
+        return not np.any(levels[:, off]) and np.array_equal(levels[:, minus], levels[:, plus])
 
     rel = mesh.ijk - mesh.lo
     interior = system.interior
     rows = {tuple(rel[v] - 1): stencil(v) for v in interior}
     layers = {}
     for a in range(3):
-        levels = np.array([rows[tuple(np.eye(3, dtype=int)[a] * level)]
-                           for level in range(shape[a])])
+        levels = np.array([rows[tuple(steps[a] * level)] for level in range(shape[a])])
         same = all(np.array_equal(row, levels[key[a]]) for key, row in rows.items())
-        t = [13 - _CODES[b] for b in range(3) if b != a] + [13 + _CODES[b] for b in range(3)
-                                                             if b != a]
-        axis_only = [13, 13 - _CODES[a], 13 + _CODES[a]] + t
-        off = np.delete(levels, axis_only, axis=1)
-        if same and not np.any(off) and np.array_equal(levels[:, t[:2]], levels[:, t[2:]]):
+        if same and layered(a, levels):
             layers[a] = levels
     if not layers:
         total = np.zeros(3, dtype=K.dtype)
         for v in interior:
             row = stencil(v)
             for a in range(3):
-                terms = row[_NEIGHBOURS[:, a] != 0]
+                terms = row[_STENCIL_OFFSETS[:, a] != 0]
                 moment = terms[0]
                 for term in terms[1:]:
                     moment = moment + term
@@ -2229,8 +2247,8 @@ def _brute_force_read(system):
         on = ((rel[:, a] == side * (shape[a] + 1))
               & np.all((rel[:, t] >= 1) & (rel[:, t] <= shape[t]), axis=1))
         face = [stencil(v) for v in np.flatnonzero(on)]
-        if all(np.array_equal(row, face[0]) for row in face):
-            faces[a, side] = face[0]
+        if all(np.array_equal(row, face[0]) for row in face) and layered(a, face[0][None]):
+            faces[a, side] = face[0][None]
     return "layered", layers, faces, None
 
 
@@ -2279,9 +2297,20 @@ class TestStencilRead:
                 assert _same_bits(np.ascontiguousarray(read.layers[a].stencils), levels)
             assert sorted(read.faces) == sorted(faces)
             for key, face in faces.items():
-                assert _same_bits(read.faces[key], face)
+                assert read.faces[key].axis == key[0]
+                assert _same_bits(read.faces[key].stencils, face)
         else:
             assert _same_bits(read.weights, weights)
+
+    def test_derived_slots_hold_their_offsets(self):
+        # The centre slot holds the zero offset, the slots of -e_a and +e_a
+        # those offsets, and the axis-only slots are just these seven.
+        assert not np.any(_STENCIL_OFFSETS[_CENTRE])
+        for a, step in enumerate(np.eye(3, dtype=int)):
+            assert np.array_equal(_STENCIL_OFFSETS[_LOWER[a]], -step)
+            assert np.array_equal(_STENCIL_OFFSETS[_UPPER[a]], step)
+        assert sorted(np.flatnonzero(_AXIS_SLOTS)) == sorted(
+            [_CENTRE, *_LOWER, *_UPPER])
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_face_rows_that_differ_outside_sigma_take_the_columns(self, side):
@@ -2289,8 +2318,6 @@ class TestStencilRead:
         # outside sigma have their diagonal doubled: sigma's own rows still
         # share one stencil, but the face's do not, so sigma is solved by
         # columns; its Schur complement is unchanged by those rows.
-        from admitlab.fem import _STENCIL_OFFSETS
-
         mesh = Mesh((0, 0, 0), (5, 4, 4), 0.125, np.zeros(3))
         weights = np.array([1.0 + 0.2j, 1.5 - 0.3j, 0.8 + 0.1j])
         data = (stiffness_stencil(mesh, np.diag(weights.real))
@@ -2300,14 +2327,13 @@ class TestStencilRead:
                 & (rel[:, 1] >= 1) & (rel[:, 1] <= 3))
         inside = (rel[:, 0] <= 2) & (rel[:, 1] <= 2)
         sigma = np.flatnonzero(face & inside)
-        centre = int(np.flatnonzero(~np.any(_STENCIL_OFFSETS, axis=1))[0])
-        data.reshape(-1, 15)[face & ~inside, centre] *= 2.0
+        data.reshape(-1, 15)[face & ~inside, _CENTRE] *= 2.0
         system = BlockSystem.from_stencil(mesh, data)
         assert system.solver_kind == "layered" and sorted(system._read.layers) == [0, 1, 2]
         assert (2, side) not in system._read.faces and (2, 1 - side) in system._read.faces
         S = system.schur_onto(sigma)
         assert system.rhs_columns == len(sigma)
-        lu = LuSystem(mesh, system.matrix())
+        lu = LuSystem(mesh, matrix(system))
         assert _close(S, lu.schur_onto(sigma), 1e-11)
         # The same sigma on the unchanged system takes the closed form.
         plain = _box_system(mesh, weights)
