@@ -202,8 +202,8 @@ def alessandrini_gap(
     """
     basis = dtn1.basis if dtn1 is not None else sigma_basis(mesh, patch)
     gram = dtn1.gram if dtn1 is not None else h_half_gram(mesh, basis)
-    system1 = assemble(mesh, family, a1, family.freq)
-    system2 = assemble(mesh, family, a2, family.freq)
+    system1 = assemble(mesh, family, a1)
+    system2 = assemble(mesh, family, a2)
     if dtn1 is None:
         dtn1 = assemble_dtn(system1, basis, gram)
     if dtn2 is None:

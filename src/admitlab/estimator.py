@@ -244,12 +244,13 @@ def weighted_integral(box: BoxDomain, z, rho: float, exponent: float) -> float:
 class LabFrame:
     """Geometry, meshes, basis and Gram shared by all forwards of a run.
 
-    `bump` is the mesh of the bump box of Omega_eta on the lattice of
-    `mesh`, and `eta_vertices` the vertex record of Omega_eta on the two
-    boxes (`LatticeVertices`: its vertices, boundary and footprint), each
-    built on first read, once, and shared by every Forward's `system_eta`.
-    A run that reads no Omega_eta system, such as `dtn` or a Lipschitz
-    sweep, builds neither.
+    Every system of the run is assembled from `family` at its own
+    frequency, `family.freq` (see `assemble`).  `bump` is the mesh of the
+    bump box of Omega_eta on the lattice of `mesh`, and `eta_vertices` the
+    vertex record of Omega_eta on the two boxes (`LatticeVertices`: its
+    vertices, boundary and footprint), each built on first read, once, and
+    shared by every Forward's `system_eta`.  A run that reads no Omega_eta
+    system, such as `dtn` or a Lipschitz sweep, builds neither.
     """
 
     box: BoxDomain
@@ -271,10 +272,6 @@ class LabFrame:
     @functools.cached_property
     def eta_vertices(self) -> LatticeVertices:
         return LatticeVertices(self.mesh, self.bump)
-
-    @property
-    def k(self) -> float:
-        return self.family.freq
 
     def tau_default(self, count: int = 5) -> tuple:
         return make_tau_grid(self.eta / 16.0, 0.5, count)
@@ -329,7 +326,7 @@ class Forward:
         # Substructured through the Omega system: no Omega_eta matrix.
         frame = self.frame
         return SubstructuredSystem(self.system,
-                                   assemble(frame.bump, frame.family, self.a, frame.k),
+                                   assemble(frame.bump, frame.family, self.a),
                                    frame.eta_vertices)
 
     def solver_entries(self, label: str) -> list:
@@ -382,7 +379,7 @@ class Forward:
 
 def build_forward(frame: LabFrame, a: ParameterField) -> Forward:
     """Forward of one field; assembles its Omega system only."""
-    return Forward(frame=frame, a=a, system=assemble(frame.mesh, frame.family, a, frame.k))
+    return Forward(frame=frame, a=a, system=assemble(frame.mesh, frame.family, a))
 
 
 # ---------------------------------------------------------------------------

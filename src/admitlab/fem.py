@@ -1,8 +1,9 @@
 """P1 tetrahedral finite elements on structured lattice boxes.
 
-The complex divergence-form equation is assembled as the real 2x2-block
-strongly elliptic system with blocks [A_R, -k A_I; k A_I, A_R] sampled at tet
-barycenters (one-point quadrature).  A `BlockSystem` holds the equivalent
+The complex divergence-form equation is assembled from the admittivity
+A(x, a(x)) = A_R + i k A_I of a family and a parameter field at tet
+barycenters (one-point quadrature), as the real 2x2-block strongly elliptic
+system [A_R, -k A_I; k A_I, A_R].  A `BlockSystem` holds the equivalent
 complex matrix K = K_R + i K_I once, as its interior blocks and its boundary
 rows, and its interior solver.  `assemble` builds one `BlockSystem` on one
 mesh.  Every Dirichlet solve and every Schur complement onto boundary dofs
@@ -29,12 +30,15 @@ its solver straight from the stencil rows, so no K is formed whole.
 Every mesh is one full box of lattice cells, given by its integer lattice
 corners, and its vertices, boundary and tet corners are closed forms of
 them.  Every tet is one of the six Kuhn tets of its lattice cube,
-positively oriented, so a mesh keeps the geometry per pattern and no
-per-tet array: a chunk of whole cells takes its corners by integer
-arithmetic on the cell index.  Every stiffness row is the same 15-point
-stencil of Kuhn edge offsets, so each entry of an element block goes to a
-closed-form slot of an (n, 15) stencil array, the one layout in which the
-solver reads a row, and no mesh keeps a scatter map.  One byte budget,
+positively oriented, so a mesh keeps no geometry and no per-tet array: a
+chunk of whole cells takes its corners by integer arithmetic on the cell
+index.  An element block is linear in its coefficient, with weights from
+the integer gradients of its Kuhn pattern, so every block, real or
+complex, is one product with one import-time table (`_BLOCK_TABLE`) times
+h / 6.  Every stiffness row is the same 15-point stencil of Kuhn edge
+offsets, so each entry of an element block goes to a closed-form slot of
+an (n, 15) stencil array, the one layout in which the solver reads a row,
+and no mesh keeps a scatter map.  One byte budget,
 `_BLOCK_BYTES`, bounds the per-tet and per-column temporaries: tets are
 evaluated in chunks of whole lattice cells and Schur complements solved in
 column blocks within it, so only the live data grows with the mesh.
@@ -128,15 +132,16 @@ _AXIS_SLOTS = np.count_nonzero(_STENCIL_OFFSETS, axis=1) <= 1
 # The byte budget of every per-column and per-tet temporary: schur_onto
 # solves its columns in dense complex (interior x column) blocks of at most
 # this size, and the per-tet loops (assembly, energy densities) run over
-# chunks of whole lattice cells whose (C, 4, 4) element blocks fit in it.
+# chunks of whole lattice cells whose per-tet temporaries fit in it.
 _BLOCK_BYTES = 1 << 20
 
 
 # The per-tet temporaries of a pass: a float element block, and those of
-# assembly, about 520 bytes a tet (the element block, its slots, corners,
-# barycenter, coefficient, tiled gradients and einsum intermediate).
+# the stencil pass (`stiffness_stencil`), 528 bytes a tet: its complex
+# element block (256), slots (64), corners (32), barycenter (24), parameter
+# (8) and complex coefficient (144).
 _ELEMENT_BYTES = 16 * 8
-_ASSEMBLY_BYTES = 4 * _ELEMENT_BYTES
+_ASSEMBLY_BYTES = 256 + 64 + 32 + 24 + 8 + 144
 
 
 def _chunk_size(tet_bytes: int = _ELEMENT_BYTES) -> int:
@@ -164,30 +169,24 @@ def _cell_span(chunk: slice, n_tets: int):
     return start // 6, stop // 6
 
 
-def _type_geometry(edges: np.ndarray, h: float):
-    """Barycentric gradients (n, 4, 3) and volumes (n,) of positively
-    oriented tets with integer edges (n, 3, 3) at pitch h."""
-    e1, e2, e3 = (h * edges[:, a] for a in range(3))
-    # det G for G = [e1 e2 e3] is the triple product e1.(e2 x e3).
-    det = np.einsum("ti,ti->t", e1, np.cross(e2, e3))
-    # Barycentric coordinates are lam = G^{-1}(x - x0), so the gradients
-    # of lam_1..lam_3 are the rows of G^{-1}: (e2 x e3, e3 x e1, e1 x e2)/det.
-    grads = np.empty((len(det), 4, 3))
-    grads[:, 1] = np.cross(e2, e3)
-    grads[:, 2] = np.cross(e3, e1)
-    grads[:, 3] = np.cross(e1, e2)
-    grads[:, 1:] /= det[:, None, None]
-    grads[:, 0, :] = -np.sum(grads[:, 1:, :], axis=1)
-    return grads, det / 6.0
-
-
-# Each column of a Kuhn pattern's barycentric gradients at unit pitch holds
-# one +1 and one -1, so each gradient component of a tet is the difference
-# of two corner values over h: the corners (2, 6, 3) at the +1 and the -1 of
+# The integer barycentric gradients U_p (6, 4, 3) of the Kuhn patterns at
+# unit pitch: G = [e1 e2 e3], the edges from corner 0, has determinant 1, so
+# the rows of G^{-1}, the gradients of corners 1 to 3, are e2 x e3, e3 x e1
+# and e1 x e2, and corner 0's is minus their sum.  Each column holds one +1
+# and one -1, so each gradient component of a tet is the difference of two
+# corner values over h: the corners (2, 6, 3) at the +1 and the -1 of
 # pattern p, component j.
-_UNIT_GRADS = np.rint(_type_geometry(_KUHN_EDGES, 1.0)[0]).astype(int)
+_UNIT_GRADS = np.cross(_KUHN_EDGES[:, [1, 2, 0]], _KUHN_EDGES[:, [2, 0, 1]])
+_UNIT_GRADS = np.concatenate([-_UNIT_GRADS.sum(axis=1, keepdims=True), _UNIT_GRADS], axis=1)
 _GRADIENT_CORNERS = np.stack([np.argmax(_UNIT_GRADS == 1, axis=1),
                               np.argmax(_UNIT_GRADS == -1, axis=1)])
+
+# The element block of a pattern-p tet at pitch h for a 3x3 coefficient A
+# is vol G A G^T with vol = h^3 / 6 and G = U_p / h, that is
+# K[a, b] = (h / 6) sum_jk A_jk U_p[a, j] U_p[b, k]: linear in A, with
+# weights of -1, 0 and 1, at most four of them nonzero for each (a, b).
+# Entry [p, 3 j + k, 4 a + b] of this (6, 9, 16) table is U_p[a, j] U_p[b, k].
+_BLOCK_TABLE = np.einsum("paj,pbk->pjkab", _UNIT_GRADS, _UNIT_GRADS).reshape(6, 9, 16).astype(float)
 
 
 def _int_cells(extent: float, h: float, what: str, minimum: int = 4) -> int:
@@ -210,10 +209,9 @@ class Mesh:
     `verts` = anchor + h * ijk.  Meshes built with the same pitch and
     anchor share the lattice, so a vertex of one is found in another by its
     integer key (`vertex_indices`).  Tet 6 c + p is Kuhn pattern p of cell
-    c, positively oriented.  A tet's geometry depends only on its pattern,
-    so the mesh keeps, per pattern, the barycentric gradients `type_grads`
-    (6, 4, 3), built from h times the pattern's integer edges, and the
-    volume `type_volumes` (h^3 / 6).
+    c, positively oriented.  A tet's geometry depends only on its pattern
+    and h: its gradients are the pattern's integer ones over h
+    (`_UNIT_GRADS`) and its volume is h^3 / 6, so the mesh keeps none.
 
     It stores no per-tet array and no cell: `corners` forms the corner
     vertices of a chunk of whole cells (see `tet_chunks`) by integer
@@ -242,7 +240,6 @@ class Mesh:
         self.boundary_vertex_mask = np.any((self.ijk == lo) | (self.ijk == hi), axis=1)
         self.boundary_tris = self._boundary_tris()
         self.sigma_mask = np.zeros(len(self.boundary_tris), dtype=bool)
-        self.type_grads, self.type_volumes = _type_geometry(_KUHN_EDGES, h)
         # Corner c of a Kuhn pattern is this many vertices past the lowest
         # corner of its cell.
         self._kuhn_steps = _CORNER_OFFSETS[_TET_PATTERNS] @ self._strides
@@ -357,12 +354,6 @@ def build_mesh(domain, h: float, patch: Optional[BoundaryPatch] = None) -> Mesh:
     return mesh
 
 
-# The contraction order that einsum's optimizer picks for the element blocks
-# at every chunk size: grads with the coefficient first.  Given once, it is
-# not searched again for each chunk.
-_BLOCK_PATH = ["einsum_path", (0, 1), (0, 1)]
-
-
 def _corner_mean(verts: np.ndarray, corners: np.ndarray) -> np.ndarray:
     """Mean (C, 3) of the vertices at each row of `corners` (C, 4): they are
     added in order and the sum divided by 4, which has the bits of their
@@ -374,25 +365,27 @@ def _corner_mean(verts: np.ndarray, corners: np.ndarray) -> np.ndarray:
     return total
 
 
-def _stiffness_blocks(mesh: Mesh, chunk: slice, coeff, out: Optional[np.ndarray] = None
-                      ) -> np.ndarray:
-    """Element stiffness blocks (C, 4, 4) of the tets in `chunk`, a slice of
-    whole cells, for their per-tet (C, 3, 3) or a constant real 3x3
-    coefficient, in `out` if given."""
-    first, last = _cell_span(chunk, mesh.n_tets)
-    grads = np.tile(mesh.type_grads, (last - first, 1, 1))
-    coeff = np.asarray(coeff)
-    if coeff.ndim == 2:
-        coeff = np.broadcast_to(coeff, (len(grads), 3, 3))
-    blocks = np.einsum("taj,tjk,tbk->tab", grads, coeff, grads, optimize=_BLOCK_PATH, out=out)
-    blocks *= np.tile(mesh.type_volumes, last - first)[:, None, None]
-    return blocks
+def _stiffness_blocks(mesh: Mesh, coeff, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Element stiffness blocks (C, 4, 4), in `out` if given, of the tets of
+    whole cells for their real or complex per-tet (C, 3, 3) coefficient, or
+    (6, 4, 4) of the six Kuhn patterns for a constant 3x3 one: one np.matmul
+    of the coefficients, viewed as (cells, 6, 1, 9), with `_BLOCK_TABLE`,
+    times h / 6, so an entry's bits do not depend on the tets beside it."""
+    # Contiguous, so that every caller's coefficient takes one matmul path.
+    coeff = np.ascontiguousarray(coeff)
+    per_tet = coeff.ndim == 3
+    rows = coeff.reshape(-1, len(_TET_PATTERNS) if per_tet else 1, 1, 9)
+    out = None if out is None or not per_tet else out.reshape(-1, len(_TET_PATTERNS), 1, 16)
+    blocks = np.matmul(rows, _BLOCK_TABLE, out=out)
+    blocks *= mesh.h / 6.0
+    return blocks.reshape(-1, 4, 4)
 
 
 def _stencil_slots(mesh: Mesh, chunk: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Stencil-array slots (16 C,) int32 of the element block entries of the
-    tets in `chunk`, a slice of whole cells, in the order of their (C, 4, 4) blocks, in `out` if given: a flat int32
-    buffer of at least 96 entries per cell.
+    tets in `chunk`, a slice of whole cells, in the order of their (C, 4, 4)
+    blocks, in `out` if given: a flat int32 buffer of at least 96 entries
+    per cell.
 
     Entry (a, b) of a pattern-p tet with corners v goes to slot
     15 v_a + _STENCIL_SLOTS[p, a, b].  With v_a the lowest corner of the
@@ -462,19 +455,37 @@ def _stencil_blocks(mesh: Mesh, data: np.ndarray, interior: np.ndarray, boundary
     return K_ii, K_ib, K_b
 
 
-def stiffness_stencil(mesh: Mesh, coeff) -> np.ndarray:
-    """The 15-point stencil array (15 n,) of the stiffness matrix of a mesh
-    for a per-tet (or constant) real 3x3 coefficient.
+def stiffness_stencil(mesh: Mesh, coeff, dtype=float) -> np.ndarray:
+    """The 15-point stencil array (15 n,) of `dtype` of the stiffness matrix
+    of a mesh for a constant 3x3 or per-tet (T, 3, 3) coefficient, or for
+    the coefficient `coeff(x)` of the tets at barycenters x (C, 3).
 
-    The element blocks of each chunk of whole cells are added into it by
-    `np.add.at`, which adds in tet order as one `np.bincount` would, so the
-    matrix has the same bits whatever the chunk size.
+    The coefficient and the element blocks (`_stiffness_blocks`) are
+    evaluated over chunks of whole cells within `_BLOCK_BYTES`, and each
+    chunk's blocks are added by one `np.add.at`, in tet order as one
+    `np.bincount` would, so the matrix has the same bits whatever the chunk
+    size, and a complex one has parts with the bits of the real passes of
+    its parts.  Corners, slots and blocks go to buffers allocated once, for
+    at most the mesh's cells, so chunks map no fresh pages each.
     """
-    coeff = np.asarray(coeff)
-    data = np.zeros(15 * mesh.n_vertices)
-    for chunk in tet_chunks(mesh.n_tets):
-        blocks = _stiffness_blocks(mesh, chunk, coeff if coeff.ndim == 2 else coeff[chunk])
-        np.add.at(data, _stencil_slots(mesh, chunk), blocks.ravel())
+    if not callable(coeff):
+        coeff = np.asarray(coeff)
+    data = np.zeros(15 * mesh.n_vertices, dtype=dtype)
+    cells = min(_chunk_size(_ASSEMBLY_BYTES), mesh.n_tets) // len(_TET_PATTERNS)
+    corner_buf = np.empty(24 * cells, dtype=np.int64)
+    slot_buf = np.empty(96 * cells, dtype=np.int32)
+    block_buf = np.empty((6 * cells, 4, 4), dtype=dtype)
+    for chunk in tet_chunks(mesh.n_tets, _ASSEMBLY_BYTES):
+        if callable(coeff):
+            part = coeff(_corner_mean(mesh.verts, mesh.corners(chunk, out=corner_buf)))
+        else:
+            part = coeff if coeff.ndim == 2 else coeff[chunk]
+        blocks = _stiffness_blocks(mesh, part, out=block_buf[:chunk.stop - chunk.start])
+        slots = _stencil_slots(mesh, chunk, out=slot_buf)
+        # A constant coefficient's six pattern blocks are taken by every
+        # cell.  np.add.at has a fast path for flat indices only.
+        np.add.at(data, slots, np.broadcast_to(blocks.reshape(-1, 96),
+                                               (len(slots) // 96, 96)).ravel())
     return data
 
 
@@ -1008,7 +1019,7 @@ class BlockSystem(_SolverCounters):
 
     A system with no interior dof, such as the bump of a
     `SubstructuredSystem` one cell thick, solves nothing.  `field` is the
-    (family, a, k) that `assemble` built it from.  The counters are those
+    (family, a) that `assemble` built it from.  The counters are those
     of `_SolverCounters`.
 
     The system keeps its interior solver, which holds no reference back to
@@ -1435,56 +1446,24 @@ class SubstructuredSystem(_SolverCounters):
         return values.reshape(np.shape(g))
 
 
-def _complex_stencil(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float
-                     ) -> np.ndarray:
-    """The complex 15-point stencil array (15 n,) of `assemble`.
+def _complex_stencil(mesh: Mesh, family: AdmittivityFamily, a: ParameterField) -> np.ndarray:
+    """The complex 15-point stencil array (15 n,) of `assemble`: that of the
+    coefficient family(x, a(x)) = A_R + i k A_I (`stiffness_stencil`)."""
+    return stiffness_stencil(mesh, lambda x: family(x, a(x)), complex)
 
-    The corners, slots and element blocks of every chunk go to buffers
-    allocated once, sized for the mesh's cells when they are fewer than a
-    chunk's, so the chunks do not map fresh pages each; they are freed on
-    return, before the matrix is built.
+
+def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField) -> BlockSystem:
+    """Block system for div(A(x, a(x)) grad u) = 0 on a mesh, at the
+    family's own frequency k.
+
+    The complex coefficient A_R + i k A_I = family(x, a(x)) is evaluated at
+    each chunk's barycenters and its element blocks added into one complex
+    15-point stencil array (`stiffness_stencil`).  The system
+    reads its interior solver from that matrix (see `BlockSystem`), and
+    records the (family, a) it was built from in `field`.
     """
-    data = np.zeros(15 * mesh.n_vertices, dtype=complex)
-    # The real and imaginary parts interleaved: np.add.at adds the real
-    # blocks at the even slots of this contiguous array and the imaginary
-    # ones at the odd slots.
-    parts = data.view(np.float64)
-    cells = min(_chunk_size(_ASSEMBLY_BYTES), mesh.n_tets) // len(_TET_PATTERNS)
-    corner_buf = np.empty(24 * cells, dtype=np.int64)
-    slot_buf = np.empty(96 * cells, dtype=np.int32)
-    block_buf = np.empty((6 * cells, 4, 4))
-    for chunk in tet_chunks(mesh.n_tets, _ASSEMBLY_BYTES):
-        bary = _corner_mean(mesh.verts, mesh.corners(chunk, out=corner_buf))
-        t_vals = np.asarray(a.values(bary), dtype=float)
-        if t_vals.ndim == 0:
-            t_vals = np.full(len(bary), float(t_vals))
-        slots = _stencil_slots(mesh, chunk, out=slot_buf)
-        slots *= 2
-        for offset, coeff_of in ((0, family.real_part),
-                                 (1, lambda x, t: k * family.imag_part(x, t))):
-            coeff = np.broadcast_to(coeff_of(bary, t_vals), (len(bary), 3, 3))
-            blocks = _stiffness_blocks(mesh, chunk, coeff, out=block_buf[:len(bary)])
-            np.add.at(parts[offset:], slots, blocks.ravel())
-            # Freed before the next coefficient is evaluated, so that one
-            # coefficient is live at a time.
-            del coeff
-        del bary, t_vals
-    return data
-
-
-def assemble(mesh: Mesh, family: AdmittivityFamily, a: ParameterField, k: float) -> BlockSystem:
-    """Block system for div(A(x, a(x)) grad u) = 0 on a mesh.
-
-    The field, the coefficient and the element blocks are evaluated over
-    chunks of whole cells within `_BLOCK_BYTES` (see
-    `stiffness_stencil`), at the chunk's barycenters; the real blocks and
-    the imaginary ones are added into the real and imaginary parts of one
-    complex 15-point stencil array.  The system reads its interior solver
-    from that matrix (see `BlockSystem`), and records the (family, a, k) it
-    was built from in `field`.
-    """
-    system = BlockSystem.from_stencil(mesh, _complex_stencil(mesh, family, a, k))
-    system.field = (family, a, k)
+    system = BlockSystem.from_stencil(mesh, _complex_stencil(mesh, family, a))
+    system.field = (family, a)
     return system
 
 
@@ -1492,7 +1471,9 @@ def energy_density(mesh: Mesh, coeff, u, v, real: bool = False) -> np.ndarray:
     """Per-tet contributions (T,) vol * (coeff grad u) . grad v
     (unconjugated) of the nodal vectors u and v (n,), for a per-tet
     (T, 3, 3) or a constant 3x3 coefficient; with `real`, only their real
-    parts, in a float array half the size.
+    parts, in a float array half the size.  Every Kuhn tet has the volume
+    vol = h (h h) / 6, which has the bits of the triple product of its
+    edges over 6 at the pitches 1/4 to 1/96.
 
     One pass over the chunks of whole cells of `tet_chunks`, each taking its
     corners from `Mesh.corners`: each gradient component of a Kuhn tet is
@@ -1508,6 +1489,7 @@ def energy_density(mesh: Mesh, coeff, u, v, real: bool = False) -> np.ndarray:
     n_patterns = len(_TET_PATTERNS)
     up, down = _GRADIENT_CORNERS
     patterns = np.arange(n_patterns)[:, None]
+    volume = mesh.h * (mesh.h * mesh.h) / 6.0
     out = np.empty(mesh.n_tets, dtype=float if real else complex)
     for chunk in tet_chunks(mesh.n_tets):
         corners = mesh.corners(chunk).reshape(-1, n_patterns, 4)
@@ -1518,5 +1500,5 @@ def energy_density(mesh: Mesh, coeff, u, v, real: bool = False) -> np.ndarray:
         c = coeff if coeff.ndim == 2 else coeff[chunk].reshape(-1, n_patterns, 3, 3)
         flux = sum(c[..., k] * gv[:, :, None, k] for k in range(3))
         dens = sum(gu[:, :, j] * flux[:, :, j] for j in range(3))
-        out[chunk] = ((dens.real if real else dens) * mesh.type_volumes).ravel()
+        out[chunk] = ((dens.real if real else dens) * volume).ravel()
     return out

@@ -6,11 +6,12 @@ import pytest
 import scipy.sparse as sp
 
 import admitlab.estimator
+from admitlab.admittivity import AdmittivityFamily
 from admitlab.errors import SolverError
 from admitlab.estimator import LabFrame, build_forward, build_frame
 from admitlab.families import constant_field, scalar_identity_family
-from admitlab.fem import (_CORNER_OFFSETS, _FACE_LOCAL, _STENCIL_OFFSETS, _TET_PATTERNS,
-                          BlockSystem, _corner_mean, _SolverRead, stiffness_stencil)
+from admitlab.fem import (_CORNER_OFFSETS, _FACE_LOCAL, _KUHN_EDGES, _STENCIL_OFFSETS,
+                          _TET_PATTERNS, BlockSystem, _corner_mean, _SolverRead, stiffness_stencil)
 from admitlab.geometry import BoundaryPatch, BoxDomain
 
 
@@ -28,6 +29,24 @@ def _factor_interior(K_ii):
                          diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"sparse factorisation failed: {exc}") from exc
+
+
+def type_geometry(h: float):
+    """The tests' float geometry of the six Kuhn patterns at pitch h: their
+    barycentric gradients (6, 4, 3) and volumes (6,), from the h-scaled
+    integer edges of each pattern."""
+    e1, e2, e3 = (h * _KUHN_EDGES[:, a] for a in range(3))
+    # det G for G = [e1 e2 e3] is the triple product e1.(e2 x e3).
+    det = np.einsum("ti,ti->t", e1, np.cross(e2, e3))
+    # Barycentric coordinates are lam = G^{-1}(x - x0), so the gradients
+    # of lam_1..lam_3 are the rows of G^{-1}: (e2 x e3, e3 x e1, e1 x e2)/det.
+    grads = np.empty((len(det), 4, 3))
+    grads[:, 1] = np.cross(e2, e3)
+    grads[:, 2] = np.cross(e3, e1)
+    grads[:, 3] = np.cross(e1, e2)
+    grads[:, 1:] /= det[:, None, None]
+    grads[:, 0, :] = -np.sum(grads[:, 1:, :], axis=1)
+    return grads, det / 6.0
 
 
 def lattice_topology(cells):
@@ -63,7 +82,6 @@ class UnionMesh:
 
     def __init__(self, core, bump):
         self.h, self.anchor = core.h, core.anchor
-        self.type_grads, self.type_volumes = core.type_grads, core.type_volumes
         ijk, cell_corners, tris = lattice_topology(np.concatenate([box_cells(core),
                                                                    box_cells(bump)]))
         index = {}
@@ -170,21 +188,22 @@ def assemble_stiffness(mesh, coeff):
 def gradients(mesh, values):
     """The tests' gradient reference for `energy_density`: the constant
     gradients (T, 3) of the nodal field `values` (n,) on the tets of a box
-    mesh, from their patterns' barycentric gradients."""
+    mesh, from their patterns' barycentric gradients (`type_geometry`)."""
     corners = mesh.corners()
-    return np.einsum("ta,taj->tj", np.asarray(values, dtype=complex)[corners],
-                     np.tile(mesh.type_grads, (len(corners) // len(_TET_PATTERNS), 1, 1)))
+    grads = np.tile(type_geometry(mesh.h)[0], (len(corners) // len(_TET_PATTERNS), 1, 1))
+    return np.einsum("ta,taj->tj", np.asarray(values, dtype=complex)[corners], grads)
 
 
 def coo_stiffness(mesh, coeff):
-    """Reference assembly on any mesh: per-tet local matrices summed through
-    COO."""
+    """Reference assembly on any mesh: per-tet local matrices of the float
+    pattern geometry (`type_geometry`) summed through COO."""
     coeff = np.broadcast_to(np.asarray(coeff), (mesh.n_tets, 3, 3))
     # Tet 6 c + p is Kuhn pattern p of cell c.
     patterns = np.arange(mesh.n_tets) % 6
-    grads = mesh.type_grads[patterns]
+    type_grads, type_volumes = type_geometry(mesh.h)
+    grads = type_grads[patterns]
     local = np.einsum("taj,tjk,tbk->tab", grads, coeff, grads)
-    local = local * mesh.type_volumes[patterns][:, None, None]
+    local = local * type_volumes[patterns][:, None, None]
     rows = np.repeat(mesh.corners(), 4, axis=1).reshape(-1)
     cols = np.tile(mesh.corners(), (1, 4)).reshape(-1)
     return sp.coo_matrix((local.reshape(-1), (rows, cols)),
@@ -226,17 +245,41 @@ def traced_extra(fn):
     return out, peak - current
 
 
-def lu_system(mesh, family, a, k) -> LuSystem:
+def lu_system(mesh, family, a) -> LuSystem:
     """The oracle system of div(A(x, a(x)) grad u) = 0 on any mesh, its real
     and imaginary stiffness assembled through COO from the per-tet
-    coefficient."""
+    coefficient family(x, a(x)) = A_R + i k A_I."""
     bary = mesh.barycenters()
-    t = np.broadcast_to(np.asarray(a.values(bary), dtype=float), (len(bary),))
-    real = np.broadcast_to(family.real_part(bary, t), (len(bary), 3, 3))
-    imag = np.broadcast_to(k * family.imag_part(bary, t), (len(bary), 3, 3))
-    system = LuSystem(mesh, (coo_stiffness(mesh, real) + 1j * coo_stiffness(mesh, imag)).tocsr())
-    system.field = (family, a, k)
+    coeff = np.broadcast_to(family(bary, a(bary)), (len(bary), 3, 3))
+    system = LuSystem(mesh, (coo_stiffness(mesh, coeff.real)
+                             + 1j * coo_stiffness(mesh, coeff.imag)).tocsr())
+    system.field = (family, a)
     return system
+
+
+def custom_family(evalR, evalDtR, k=0.05, imag=1.0):
+    """A family of the tests, not a template: A_R and D_t A_R from
+    per-point callables (x (3,), t) -> 3x3, evaluated point by point, and
+    A_I = imag I."""
+    eye = np.eye(3)
+
+    def broadcast(x, mat_fn, t):
+        x = np.asarray(x, dtype=float)
+        t_arr = np.asarray(t, dtype=float)
+        if x.ndim == 1 and t_arr.ndim == 0:
+            return mat_fn(x, float(t_arr))
+        if t_arr.ndim == 0:
+            t_arr = np.full(x.shape[0], float(t_arr))
+        return np.stack([mat_fn(xi, float(ti)) for xi, ti in zip(x, t_arr)])
+
+    return AdmittivityFamily(
+        dim=3, freq=k,
+        evalR=lambda x, t: broadcast(x, evalR, t),
+        evalI=lambda x, t: broadcast(x, lambda xi, ti: imag * eye, t),
+        evalDtR=lambda x, t: broadcast(x, evalDtR, t),
+        evalDtI=lambda x, t: broadcast(x, lambda xi, ti: 0.0 * eye, t),
+        name="custom",
+    )
 
 
 @pytest.fixture(scope="session")
@@ -289,9 +332,9 @@ def assembly_log(monkeypatch):
     real_assemble = admitlab.estimator.assemble
     real_dtn = admitlab.estimator.assemble_dtn
 
-    def assemble(mesh, family, a, k):
+    def assemble(mesh, family, a):
         log.append(("assemble", a))
-        system = real_assemble(mesh, family, a, k)
+        system = real_assemble(mesh, family, a)
         fields[system] = a
         return system
 

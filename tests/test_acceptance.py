@@ -177,7 +177,7 @@ def test_criterion_3_fem_suite():
     errs_quartic = []
     for h in (0.25, 0.125):
         mesh = build_mesh(BOX, h)
-        system = assemble(mesh, fam, a, 0.0)
+        system = assemble(mesh, fam, a)
         x, y = mesh.verts[:, 0], mesh.verts[:, 1]
         g = (x**2 - y**2).astype(complex)
         u = system.solve_dirichlet(g)
@@ -198,7 +198,7 @@ def test_criterion_3_fem_suite():
     # Laplacian on random constrained vectors.
     fam_c = scalar_identity_family(k=0.1, imag=1.0)
     mesh = build_mesh(BOX, 0.125)
-    system = assemble(mesh, fam_c, constant_field(0.5), 0.1)
+    system = assemble(mesh, fam_c, constant_field(0.5))
     K = block_matrix(system)
     nv = mesh.n_vertices
     assert (K[:nv, :nv] != K[nv:, nv:]).nnz == 0
@@ -256,8 +256,8 @@ def test_criterion_4_dtn_alessandrini_suite():
     worst_sym = 0.0
     worst_res = 0.0
     for fam, a1, a2 in pairs:
-        d1 = assemble_dtn(assemble(mesh, fam, a1, fam.freq), basis, gram)
-        d2 = assemble_dtn(assemble(mesh, fam, a2, fam.freq), basis, gram)
+        d1 = assemble_dtn(assemble(mesh, fam, a1), basis, gram)
+        d2 = assemble_dtn(assemble(mesh, fam, a2), basis, gram)
         worst_sym = max(worst_sym, d1.max_asymmetry(), d2.max_asymmetry())
         f1 = rng.standard_normal(basis.count) + 1j * rng.standard_normal(basis.count)
         f2 = rng.standard_normal(basis.count) + 1j * rng.standard_normal(basis.count)

@@ -40,7 +40,7 @@ def per_hat_pairing(system, basis):
 
 def field_dtn(mesh, fam, a, basis, gram):
     """DtN of the system of field a at the family's frequency."""
-    return assemble_dtn(assemble(mesh, fam, a, fam.freq), basis, gram)
+    return assemble_dtn(assemble(mesh, fam, a), basis, gram)
 
 
 def dense_gram(mesh, basis):
@@ -176,7 +176,7 @@ class TestAssembleDtn:
 
         fam = scalar_identity_family(k=0.05, imag=1.0)
         a = constant_field(1.0)
-        system = assemble(mesh8, fam, a, 0.05)
+        system = assemble(mesh8, fam, a)
         d = assemble_dtn(system, basis8, np.eye(basis8.count))
         rng = np.random.default_rng(7)
         f1 = rng.standard_normal(basis8.count) + 1j * rng.standard_normal(basis8.count)
@@ -199,7 +199,7 @@ class TestSchurOracles:
         a = affine_field(1.1, (0.1, -0.05, 0.2))
         mesh = build_mesh(BOX, h, patch=WIDE)
         basis = sigma_basis(mesh, WIDE)
-        system = assemble(mesh, fam, a, fam.freq)
+        system = assemble(mesh, fam, a)
         d = assemble_dtn(system, basis, np.eye(basis.count))
         ref = per_hat_pairing(system, basis)
         assert np.max(np.abs(d.pairing - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -23,7 +23,7 @@ from admitlab.families import (affine_field, constant_field,
 from admitlab.fem import energy_density
 from admitlab.geometry import BoundaryPatch, BoxDomain, ProbePath, probe_point
 from admitlab.singular import build_corrected_probe, make_probe
-from conftest import UnionMesh, lu_system, traced_extra
+from conftest import UnionMesh, custom_family, lu_system, traced_extra
 
 BOX = BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 X0 = (0.5, 0.5, 1.0)
@@ -309,36 +309,12 @@ class TestDerivativeGap:
         assert est.extrapolated == pytest.approx(-0.1, abs=0.01)
 
 
-def _custom_family(evalR, evalDtR, k=0.05, imag=1.0):
-    from admitlab.admittivity import AdmittivityFamily
-
-    eye = np.eye(3)
-
-    def broadcast(x, mat_fn, t):
-        x = np.asarray(x, dtype=float)
-        t_arr = np.asarray(t, dtype=float)
-        if x.ndim == 1 and t_arr.ndim == 0:
-            return mat_fn(x, float(t_arr))
-        if t_arr.ndim == 0:
-            t_arr = np.full(x.shape[0], float(t_arr))
-        return np.stack([mat_fn(xi, float(ti)) for xi, ti in zip(x, t_arr)])
-
-    return AdmittivityFamily(
-        dim=3, freq=k,
-        evalR=lambda x, t: broadcast(x, evalR, t),
-        evalI=lambda x, t: broadcast(x, lambda xi, ti: imag * eye, t),
-        evalDtR=lambda x, t: broadcast(x, evalDtR, t),
-        evalDtI=lambda x, t: broadcast(x, lambda xi, ti: 0.0 * eye, t),
-        name="custom",
-    )
-
-
 class TestNonTemplateFamilies:
     def test_nonlinear_t_dependence(self):
         # A_R = t^2 I: the t-derivative moves with t, so the midpoint choice
         # of the frozen monotonicity weight is actually exercised.
         eye = np.eye(3)
-        fam = _custom_family(lambda x, t: t**2 * eye, lambda x, t: 2.0 * t * eye)
+        fam = custom_family(lambda x, t: t**2 * eye, lambda x, t: 2.0 * t * eye)
         frame = build_frame(BOX, BoundaryPatch(BOX, "z+", (0.2, 0.2), (0.8, 0.8)),
                             0.25, 0.0625, fam)
         fwd1 = build_forward(frame, constant_field(1.0))
@@ -352,7 +328,7 @@ class TestNonTemplateFamilies:
         # frozen out of the weight at the anchor; extrapolation removes the
         # first-order mismatch.
         eye = np.eye(3)
-        fam = _custom_family(
+        fam = custom_family(
             lambda x, t: t * (1.0 + 0.2 * x[2]) * eye,
             lambda x, t: (1.0 + 0.2 * x[2]) * eye,
         )
@@ -450,11 +426,11 @@ def reference_records(fwd1, fwd2, x0, tau_grid, m, rho):
     from the dense DtN matrices."""
     frame = fwd1.frame
     union = UnionMesh(frame.mesh, frame.bump)
-    oracles = [lu_system(union, frame.family, fwd.a, frame.k) for fwd in (fwd1, fwd2)]
+    oracles = [lu_system(union, frame.family, fwd.a) for fwd in (fwd1, fwd2)]
     x0 = np.asarray(x0, dtype=float)
     path = ProbePath(frame.eta_sets, tuple(x0), tuple(tau_grid))
     t_star = 0.5 * (float(fwd1.a.values(x0)) + float(fwd2.a.values(x0)))
-    D = frame.family.dt_real(x0, t_star) + 1j * frame.k * frame.family.dt_imag(x0, t_star)
+    D = frame.family.dt(x0, t_star)
     delta_p = fwd1.dtn.pairing - fwd2.dtn.pairing
     sigma = list(frame.basis.vertices)
     bary = frame.mesh.barycenters()
@@ -648,8 +624,8 @@ class TestSweepDriver:
             owner.append(weakref.ref(system))
             return system
 
-        def assemble_logged(mesh, family, a, k):
-            return logged(real_assemble(mesh, family, a, k), a)
+        def assemble_logged(mesh, family, a):
+            return logged(real_assemble(mesh, family, a), a)
 
         def substructured_logged(core, bump, *args):
             return logged(real_substructured(core, bump, *args), core.field[1])

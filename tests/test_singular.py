@@ -195,7 +195,7 @@ def setup():
     mesh_eta = UnionMesh(mesh, build_mesh(enlarged, h))
     fam = scalar_identity_family(k=0.05, imag=1.0)
     a = constant_field(1.0)
-    system_eta = lu_system(mesh_eta, fam, a, fam.freq)
+    system_eta = lu_system(mesh_eta, fam, a)
     return box, patch, eta, enlarged, mesh, mesh_eta, fam, a, system_eta
 
 
