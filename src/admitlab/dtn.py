@@ -10,7 +10,6 @@ Laplacian with the patch boundary mass matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,9 +17,6 @@ from .admittivity import AdmittivityFamily, ParameterField
 from .errors import ConfigError, NumericError
 from .fem import BlockSystem, Mesh, assemble, energy_density, stiffness_stencil
 from .geometry import BoundaryPatch
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -77,14 +73,12 @@ class LocalDtnMatrix:
         return float(np.max(np.abs(self.pairing - self.pairing.T)))
 
 
-def boundary_mass_sigma(mesh: Mesh) -> sp.csr_matrix:
-    """Consistent P1 mass matrix over the patch-tagged boundary triangles.
-
-    One np.bincount over the sorted row * n + col keys adds the element
-    blocks in triangle order.
-    """
-    import scipy.sparse as sp
-
+def boundary_mass_sigma(mesh: Mesh, sigma) -> np.ndarray:
+    """Consistent P1 mass matrix over the patch-tagged boundary triangles,
+    as its dense (d, d) block onto the d dofs sigma: one np.bincount over
+    the positions i d + j of the element entries inside it adds the element
+    blocks in triangle order."""
+    d = len(sigma)
     tris = mesh.boundary_tris[mesh.sigma_mask]
     pts = mesh.verts[tris]
     areas = 0.5 * np.linalg.norm(
@@ -92,11 +86,13 @@ def boundary_mass_sigma(mesh: Mesh) -> sp.csr_matrix:
     )
     local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     vals = areas[:, None, None] * local[None, :, :]
-    n = mesh.n_vertices
-    keys, slots = np.unique((tris[:, :, None] * n + tris[:, None, :]).ravel(),
-                            return_inverse=True)
-    return sp.csr_matrix((np.bincount(slots, weights=vals.ravel()), np.divmod(keys, n)),
-                         shape=(n, n))
+    position = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    position[sigma] = np.arange(d)
+    at = position[tris]
+    rows, cols = np.broadcast_arrays(at[:, :, None], at[:, None, :])
+    keep = (rows >= 0) & (cols >= 0)
+    return np.bincount(rows[keep] * d + cols[keep], weights=vals[keep],
+                       minlength=d * d).reshape(d, d)
 
 
 def h_half_gram(mesh: Mesh, basis: SigmaBasis) -> np.ndarray:
@@ -110,16 +106,17 @@ def h_half_gram(mesh: Mesh, basis: SigmaBasis) -> np.ndarray:
     inside one face, so the Laplacian's Schur complement is the closed form
     of `BlockSystem.schur_onto`, diagonal in the face's sine basis, checked
     by one layered solve of a few combinations of its columns; no column is
-    solved.
+    solved.  A Cholesky factorisation checks that the Gram is positive
+    definite.
     """
     laplace = BlockSystem.from_stencil(mesh, stiffness_stencil(mesh, np.eye(3)))
     sig = np.asarray(basis.vertices, dtype=int)
-    schur = laplace.schur_onto(sig)
-    mass = boundary_mass_sigma(mesh)[np.ix_(sig, sig)].toarray()
-    gram = schur + mass
+    gram = laplace.schur_onto(sig) + boundary_mass_sigma(mesh, sig)
     gram = 0.5 * (gram + gram.T)
-    if np.linalg.eigvalsh(gram)[0] <= 0.0:
-        raise NumericError("trace-space Gram is not positive definite")
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("trace-space Gram is not positive definite") from exc
     return gram
 
 
@@ -135,14 +132,18 @@ def assemble_dtn(system: BlockSystem, basis: SigmaBasis, gram: np.ndarray) -> Lo
     return LocalDtnMatrix(basis=basis, pairing=pairing, gram=gram)
 
 
-def operator_norm(delta_pairing: np.ndarray, gram: np.ndarray) -> float:
-    """Largest singular value of G^{-1/2} (P1 - P2) G^{-1/2}."""
+def _normalised(delta_pairing: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """G^{-1/2} (P1 - P2) G^{-1/2}, G^{-1/2} from the eigenpairs of G."""
     w, V = np.linalg.eigh(gram)
     if w[0] <= 0.0:
         raise NumericError("Gram matrix is not positive definite")
     g_inv_half = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
-    B = g_inv_half @ delta_pairing @ g_inv_half
-    return float(np.linalg.svd(B, compute_uv=False)[0])
+    return g_inv_half @ delta_pairing @ g_inv_half
+
+
+def operator_norm(delta_pairing: np.ndarray, gram: np.ndarray) -> float:
+    """Largest singular value of G^{-1/2} (P1 - P2) G^{-1/2}."""
+    return float(np.linalg.svd(_normalised(delta_pairing, gram), compute_uv=False)[0])
 
 
 def dtn_star_norm(dtn1: LocalDtnMatrix, dtn2: LocalDtnMatrix) -> float:
@@ -163,11 +164,7 @@ def monte_carlo_star_norm(
     estimate needs only enough draws to align g with the top singular vector.
     Serves as the independent check of the singular-value route.
     """
-    w, V = np.linalg.eigh(gram)
-    if w[0] <= 0.0:
-        raise NumericError("Gram matrix is not positive definite")
-    g_inv_half = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
-    B = g_inv_half @ delta_pairing @ g_inv_half
+    B = _normalised(delta_pairing, gram)
     rng = np.random.default_rng(seed)
     d = B.shape[0]
     best = 0.0

@@ -14,6 +14,7 @@ fails the estimators refuse rather than return garbage.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -119,8 +120,13 @@ class SignConditionReport:
 
 
 def _sample_ball_cap(box: BoxDomain, z, rho: float, count: int, seed: int) -> np.ndarray:
+    """`count` points (count, 3) uniform in the ball of radius rho about z
+    that the box holds, by rejection; GeometryError after 200 count
+    attempts.  Each attempt's arithmetic is on Python floats, with the bits
+    of numpy's on 3-vectors (|u| is sqrt(u.u), as np.linalg.norm takes it)."""
     rng = np.random.default_rng(seed)
-    z = np.asarray(z, dtype=float)
+    z = np.asarray(z, dtype=float).tolist()
+    bounds = list(zip(box.lo_arr.tolist(), box.hi_arr.tolist()))
     pts = []
     attempts = 0
     while len(pts) < count:
@@ -128,11 +134,12 @@ def _sample_ball_cap(box: BoxDomain, z, rho: float, count: int, seed: int) -> np
         if attempts > 200 * count:
             raise GeometryError("could not sample the ball-domain intersection")
         u = rng.standard_normal(3)
-        norm = np.linalg.norm(u)
+        norm = math.sqrt(u.dot(u))
         if norm < 1e-12:
             continue
-        x = z + (rho * rng.random() ** (1.0 / 3.0) / norm) * u
-        if box.contains(x):
+        scale = rho * rng.random() ** (1.0 / 3.0) / norm
+        x = [c + scale * v for c, v in zip(z, u.tolist())]
+        if all(lo <= c <= hi for c, (lo, hi) in zip(x, bounds)):
             pts.append(x)
     return np.asarray(pts)
 
@@ -373,7 +380,7 @@ class Forward:
                 "not be the DtN form"
             )
         U = self.system.solve_dirichlet(traces)
-        KU = self.system.boundary_rows(sigma) @ U
+        KU = self.system.product(U, sigma)
         return traces[sigma], KU, U
 
 

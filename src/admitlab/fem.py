@@ -3,47 +3,30 @@
 The complex divergence-form equation is assembled from the admittivity
 A(x, a(x)) = A_R + i k A_I of a family and a parameter field at tet
 barycenters (one-point quadrature), as the real 2x2-block strongly elliptic
-system [A_R, -k A_I; k A_I, A_R].  A `BlockSystem` holds the equivalent
-complex matrix K = K_R + i K_I once, as its interior blocks and its boundary
-rows, and its interior solver.  `assemble` builds one `BlockSystem` on one
-mesh.  Every Dirichlet solve and every Schur complement onto boundary dofs
-(the DtN pairing and the trace Gram) goes through a `BlockSystem`, which
-reads its interior solver and its face stencils from the rows of the
-15-point stencil it is built from, once, at construction, in the stencil's
-own 15 slots, and takes no solver option: one direct solver,
-`layered_solve`, a tangent DST and one Thomas solve per mode where the
-rows of each level along one axis share one axis-only stencil (a constant
-K is one layer, repeated), and conjugate orthogonal CG (COCG)
-preconditioned by the layered solve of the rows' mean second moments for
-any other K.  A layered system's Schur complement onto dofs inside a face
-normal to a layer axis, whose interior rows share one stencil, is a closed
-form, diagonal in the face's sine basis (`_face_schur`), checked on a few
-combinations of its columns; any other is solved column by column.
-An Omega_eta system is never assembled or meshed whole: it is a
-`SubstructuredSystem` of the Omega system and the system of the bump box
-over the patch, which numbers the union's vertices and solves its
-footprint between them by COCG on the interface, preconditioned by the
-closed-form Schur complements.  Nothing is factored but that dense
-footprint preconditioner.  `assemble` builds a system's blocks and reads
-its solver straight from the stencil rows, so no K is formed whole.
+system [A_R, -k A_I; k A_I, A_R].  `assemble` builds one `BlockSystem` on
+one mesh: the equivalent complex matrix K = K_R + i K_I, kept once as the
+(n, 15) stencil it is built from and never formed whole, and its interior
+solver, read from that stencil at construction and taking no option: the
+layered direct solve (`layered_solve`), or COCG preconditioned by it (see
+`BlockSystem`).  Every Dirichlet solve and every Schur complement onto
+boundary dofs (the DtN pairing and the trace Gram) goes through a
+`BlockSystem`.  An Omega_eta system is never assembled or meshed whole: it
+is a `SubstructuredSystem` of the Omega system and the system of the bump
+box over the patch, solved by COCG on their shared footprint.
 
-Every mesh is one full box of lattice cells, given by its integer lattice
-corners, and its vertices, boundary and tet corners are closed forms of
-them.  Every tet is one of the six Kuhn tets of its lattice cube,
-positively oriented, so a mesh keeps no geometry and no per-tet array: a
-chunk of whole cells takes its corners by integer arithmetic on the cell
-index.  An element block is linear in its coefficient, with weights from
-the integer gradients of its Kuhn pattern, so every block, real or
-complex, is one product with one import-time table (`_BLOCK_TABLE`) times
-h / 6.  Every stiffness row is the same 15-point stencil of Kuhn edge
-offsets, so each entry of an element block goes to a closed-form slot of
-an (n, 15) stencil array, the one layout in which the solver reads a row,
-and no mesh keeps a scatter map.  One byte budget,
-`_BLOCK_BYTES`, bounds the per-tet and per-column temporaries: tets are
-evaluated in chunks of whole lattice cells and Schur complements solved in
-column blocks within it, so only the live data grows with the mesh.
-scipy is imported by the functions that build a matrix, so the commands
-that never assemble one (validate, probe) do not pay for importing it.
+Every mesh is one full box of lattice cells between integer lattice
+corners, each cell split into six positively oriented Kuhn tets, so its
+vertices, boundary and tet corners are closed forms and it keeps no
+geometry and no per-tet array (see `Mesh`).  An element block is linear in
+its coefficient, so every block, real or complex, is one product with one
+import-time table (`_BLOCK_TABLE`) times h / 6, and each of its entries
+goes to a closed-form slot of the (n, 15) stencil array of Kuhn edge
+offsets, the one layout in which a row is read.  One byte budget,
+`_BLOCK_BYTES`, bounds the per-tet and per-column temporaries, so only the
+live data grows with the mesh.  scipy.sparse is imported only where a
+box-cocg system builds the CSR of K_II that COCG iterates on
+(`_interior_csr`), so a command whose systems are all layered never pays
+for importing it.
 """
 
 from __future__ import annotations
@@ -204,23 +187,19 @@ class Mesh:
 
     The box runs from the integer lattice corner `lo` to `hi`, at least one
     cell along each axis: its cells are the lattice cubes with lowest
-    corners lo <= c < hi, in lexicographic order, and its vertices `ijk`
-    the lattice points lo <= ijk <= hi, in lexicographic order, at
-    `verts` = anchor + h * ijk.  Meshes built with the same pitch and
-    anchor share the lattice, so a vertex of one is found in another by its
-    integer key (`vertex_indices`).  Tet 6 c + p is Kuhn pattern p of cell
-    c, positively oriented.  A tet's geometry depends only on its pattern
-    and h: its gradients are the pattern's integer ones over h
-    (`_UNIT_GRADS`) and its volume is h^3 / 6, so the mesh keeps none.
-
-    It stores no per-tet array and no cell: `corners` forms the corner
-    vertices of a chunk of whole cells (see `tet_chunks`) by integer
-    arithmetic on the cell index.  `boundary_vertex_mask` flags the
-    vertices on the box faces, and `boundary_tris` lists the Kuhn faces of
-    the cell sides on them, each row sorted and the rows in lexicographic
-    order.  `sigma_mask` flags the boundary triangles on the measurement
-    patch; `build_mesh` sets it.  `box_shape` is the shape of the interior
-    vertices, in C order, empty along an axis one cell thick.
+    corners lo <= c < hi and its vertices `ijk` the lattice points
+    lo <= ijk <= hi, both in lexicographic order, at `verts` =
+    anchor + h * ijk; meshes with the same pitch and anchor share the
+    lattice (`vertex_indices`).  Tet 6 c + p is Kuhn pattern p of cell c,
+    positively oriented, with the pattern's integer gradients over h
+    (`_UNIT_GRADS`) and volume h^3 / 6, so the mesh keeps no geometry, no
+    per-tet array and no cell: `corners` forms the corners of a chunk of
+    whole cells (see `tet_chunks`) from the cell index.
+    `boundary_vertex_mask` flags the vertices on the box faces, and
+    `boundary_tris` lists the Kuhn faces of the cell sides on them, rows
+    sorted and in lexicographic order; `sigma_mask`, set by `build_mesh`,
+    flags those on the measurement patch.  `box_shape` is the shape of the
+    interior vertices, in C order, empty along an axis one cell thick.
     """
 
     def __init__(self, lo, hi, h, anchor):
@@ -401,58 +380,83 @@ def _stencil_slots(mesh: Mesh, chunk: slice, out: Optional[np.ndarray] = None) -
     return out.ravel()
 
 
-def _stencil_blocks(mesh: Mesh, data: np.ndarray, interior: np.ndarray, boundary: np.ndarray):
-    """The CSR blocks K_II and K_IB (columns by position among the
-    `interior` and `boundary` vertices) and the boundary rows K_B (columns
-    on all vertices) of the stencil array `data` (15 n,) of a mesh, exact
-    zeros dropped: the blocks, entries and dtypes that slicing the whole
-    CSR matrix of `data` gives, without forming it.
+def _stencil_product(mesh: Mesh, stencil: np.ndarray, x: np.ndarray, rows,
+                     slots=range(15)) -> np.ndarray:
+    """(K x)[rows] of the stencil array `stencil` (n, 15) of a box mesh, for
+    a finite full-length (n,) or (n, c) x, with the bits of the CSR product.
 
-    Slot 15 v + s is the entry of row v and column v plus offset s; the
-    offsets ascend, so each row keeps its entries in column order.  The
-    slots whose column is off the box were never written, so they are
-    exact zeros and are dropped with the others.  Each block is counted
-    from boolean (rows, 15) masks of the slots it keeps, and its entries
-    are gathered in row chunks within `_BLOCK_BYTES`, so only the blocks,
-    the masks and one chunk's temporaries are live beside `data`.
+    Each row sums its slots in slot order, which is column order, from
+    zero; a slot that a CSR row skips is an exact zero, adding a signed
+    zero to a sum that is never -0.  So `slots` may leave out slots that are
+    zero on every row asked for, a row whose columns hold only zeros of x is
+    +0 unsummed, and a slot whose column is off the box is left out or its
+    column clipped onto the box.  A complex product is taken by parts, as
+    scipy takes it; numpy's complex multiply may fuse them.  Rows filling an
+    eighth of their span or more (a gathered row costs about seven sliced
+    ones) read one flat slice of x per slot; others gather their columns.
     """
+    n = len(stencil)
+    steps = _STENCIL_OFFSETS @ mesh._strides
+    rows, flat = np.asarray(rows, dtype=np.int64), x.reshape(n, -1)
+    # A row that reads only zeros of x is +0 and is not summed: few rows
+    # test their own columns of x, many rows one support mask of x.
+    if 15 * len(rows) < n:
+        reach = np.any(flat[np.clip(rows[:, None] + steps, 0, n - 1)] != 0, axis=(1, 2))
+    else:
+        support = np.any(flat != 0, axis=1)
+        reach = support[rows]
+        lone = np.flatnonzero(~reach)
+        reach[lone] = np.any(support[np.clip(rows[lone, None] + steps, 0, n - 1)], axis=1)
+    live = rows[reach]
+    span = len(live) > 1 and live[-1] - live[0] < 8 * len(live) and np.all(np.diff(live) > 0)
+    lo, hi = (live[0], live[-1] + 1) if span else (0, len(live))
+    # The real parts (1 or 2, c, .) of x, or of each live row's columns of
+    # x by slot, (1 or 2, c, 15, rows); i x takes them reversed and signed.
+    complex_k = np.iscomplexobj(stencil)
+    read = flat if span else flat[np.clip(live[:, None] + steps, 0, n - 1)]
+    X = np.stack([read.real.T, read.imag.T] if complex_k or np.iscomplexobj(x) else [read.T])
+    sign = np.array([-1.0, 1.0])[:, None, None]
+    out = np.zeros(X.shape[:2] + (hi - lo,))
+    # Rows in blocks whose float temporaries fit in `_BLOCK_BYTES`, each
+    # block summing every slot in order.
+    width = max(1, min(hi - lo, _BLOCK_BYTES // (8 * X.shape[0] * X.shape[1])))
+    term, work = np.empty(X.shape[:2] + (width,)), np.empty(X.shape[:2] + (width,))
+    for start, s in itertools.product(range(0, hi - lo, width), slots):
+        a, b = start, min(hi - lo, start + width)
+        if span:
+            a, b = max(a, -steps[s] - lo), min(b, n - steps[s] - lo)
+            if a >= b:
+                continue
+            k, xs = stencil[lo + a:lo + b, s], X[..., lo + a + steps[s]:lo + b + steps[s]]
+        else:
+            k, xs = stencil[live[a:b], s], X[:, :, s, a:b]
+        t = np.multiply(np.ascontiguousarray(k.real), xs, out=term[..., :b - a])
+        if complex_k:
+            t += np.multiply(sign * k.imag, xs[::-1], out=work[..., :b - a])
+        out[..., a:b] += t
+    out = out[..., live - lo] if span else out
+    result = np.zeros((len(rows), out.shape[1]), dtype=np.result_type(stencil, x))
+    for part, values in zip((result.real, result.imag), out):
+        part[reach] = values.T
+    return result.reshape(result.shape[:1] + x.shape[1:])
+
+
+def _interior_csr(mesh: Mesh, stencil: np.ndarray, interior: np.ndarray) -> sp.csr_matrix:
+    """The CSR block K_II (columns by position among the `interior`
+    vertices) of the stencil array `stencil` (n, 15) of a box mesh: every
+    interior row's slots with an interior column, in column order, exact
+    zeros kept, so its size is the mesh's alone and a product has the bits
+    of the sliced block's, plus signed zeros."""
     import scipy.sparse as sp
 
-    n = mesh.n_vertices
-    stencil = data.reshape(n, 15)
-    steps = _STENCIL_OFFSETS @ mesh._strides
-    position = np.empty(n, dtype=np.int64)
-    position[interior] = np.arange(len(interior))
-    position[boundary] = np.arange(len(boundary))
-    # About 32 bytes of temporaries per slot of a row.
-    step = max(1, _BLOCK_BYTES // (32 * 15))
-    nonzero = stencil != 0
-    # The interior rows' slots whose column is an interior vertex; every
-    # column of an interior row is on the box.
-    inner = np.empty((len(interior), 15), dtype=bool)
-    for start in range(0, len(interior), step):
-        r = interior[start:start + step]
-        np.logical_not(mesh.boundary_vertex_mask[r[:, None] + steps],
-                       out=inner[start:start + step])
-
-    def block(rows, keep, n_cols, column_of):
-        indptr = np.zeros(len(rows) + 1, dtype=np.int32)
-        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-        values = np.empty(indptr[-1], dtype=data.dtype)
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        for start in range(0, len(rows), step):
-            r, k = rows[start:start + step], keep[start:start + step]
-            lo, hi = indptr[start], indptr[start + len(r)]
-            values[lo:hi] = stencil[r][k]
-            indices[lo:hi] = column_of((r[:, None] + steps)[k])
-        return sp.csr_matrix((values, indices, indptr), shape=(len(rows), n_cols))
-
-    keep = nonzero[interior]
-    K_ii = block(interior, keep & inner, len(interior), position.take)
-    K_ib = block(interior, keep & ~inner, len(boundary), position.take)
-    del keep, inner
-    K_b = block(boundary, nonzero[boundary], n, lambda columns: columns)
-    return K_ii, K_ib, K_b
+    position = np.full(len(stencil), -1, dtype=np.int32)
+    position[interior] = np.arange(len(interior), dtype=np.int32)
+    columns = position[interior[:, None] + _STENCIL_OFFSETS @ mesh._strides]
+    keep = columns >= 0
+    indptr = np.zeros(len(interior) + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return sp.csr_matrix((stencil[interior][keep], columns[keep], indptr),
+                         shape=(len(interior),) * 2)
 
 
 def stiffness_stencil(mesh: Mesh, coeff, dtype=float) -> np.ndarray:
@@ -594,17 +598,16 @@ def layered_solve(mesh: Mesh, layers: Layers):
 
     The orthonormal DST-I along the two tangent axes diagonalises every
     level's tangent couplings, so each tangent mode (p, q) is one
-    tridiagonal along the layer axis a, of order N_a: the level's centre
-    plus 2 cos(theta_p) and 2 cos(theta_q) times its tangent couplings on
-    the diagonal and its -e_a and +e_a slots off it (Swarztrauber's
-    separable solver).  Its pivots are factored once, here, and a solve is
-    one tangent transform, one Thomas sweep down and one up per mode, and
-    a second tangent transform.  The levels may be complex; real levels
-    keep real data real.  Returns solve(rhs) for (n,) or (n, c)
-    right-hand sides on the interior vertices in mesh order; callers check
-    its residuals.  Each column is transformed by BLAS calls of its own and
-    swept elementwise, so its solution has the same bits whatever columns
-    ride beside it.
+    tridiagonal along the layer axis a: the level's centre plus
+    2 cos(theta_p) and 2 cos(theta_q) times its tangent couplings on the
+    diagonal and its -e_a and +e_a slots off it (Swarztrauber's separable
+    solver).  Its pivots are factored here; a solve is a tangent transform,
+    one Thomas sweep down and up per mode, and the transform back.  Complex
+    levels are allowed; real ones keep real data real.  Returns solve(rhs)
+    for (n,) or (n, c) right-hand sides on the interior vertices in mesh
+    order; callers check its residuals.  Each column is transformed by BLAS
+    calls of its own and swept elementwise, so it has the same bits
+    whatever columns ride beside it.
     """
     if min(mesh.box_shape) == 0:
         raise GeometryError("the layered solve needs a mesh with interior vertices")
@@ -642,18 +645,16 @@ def _face_schur(mesh: Mesh, read: _SolverRead, sigma: np.ndarray) -> Optional[np
     `Layers` of one level that the read kept (`read.faces`).
 
     Mode (p, q) of the face's 2-D orthonormal DST-I basis Phi is mode
-    (p, q) of K_II: the tridiagonal along a of `layered_solve`.  The face
-    rows give K_FF = lambda_F in modes (their centre and tangent
-    couplings) and the coupling c_F of each face dof to the interior
-    vertex next to it, and that vertex's level the coupling c_I back.  So
-    the Schur complement onto F is Phi diag(mu) Phi^T with
-    mu = lambda_F - c_F c_I r, where r_pq, the corner entry at F of the
-    inverse of mode (p, q)'s tridiagonal, is its last inverse pivot with
-    the levels taken from the far face in (the capacitance-matrix idea of
-    Buzbee, Dorr, George and Golub, 1971).  Onto sigma it is the
-    restriction, since the other face dofs are pinned, formed on sigma's
-    bounding rectangle of the face by two contractions, one per tangent
-    axis.  The stencils may be complex.
+    (p, q) of K_II, the tridiagonal along a of `layered_solve`.  The face
+    rows give K_FF = lambda_F in modes and the coupling c_F of each face
+    dof to the interior vertex next to it, and that vertex's level the
+    coupling c_I back, so the Schur complement onto F is Phi diag(mu)
+    Phi^T, mu = lambda_F - c_F c_I r, r_pq the corner entry at F of the
+    inverse of mode (p, q)'s tridiagonal: its last inverse pivot with the
+    levels taken from the far face in (Buzbee, Dorr, George and Golub,
+    1971).  Onto sigma it is the restriction, formed on sigma's bounding
+    rectangle by two contractions, one per tangent axis.  The stencils may
+    be complex.
     """
     where = _face_of(mesh, sigma)
     if where is None or where[0] not in read.layers:
@@ -868,12 +869,9 @@ class Layers:
 
 
 class _SolverRead(NamedTuple):
-    """The interior solver of a box system, read from its stencil
-    (`_read_solver`): its `kind`, the `Layers` by layer axis that
-    `layered_solve` and `_face_schur` take (K's own, or under box-cocg
-    those of diag(w)), the face `Layers` of one level by (axis, side) that
-    `_face_schur` takes, side 0 the low face and 1 the high one, and the
-    box-cocg `weights` w."""
+    """A box system's interior solver, read from its stencil: its `kind`,
+    its `Layers` by layer axis (K's own, or box-cocg's of diag(w)), its face
+    `Layers` by (axis, side 0 low or 1 high) and box-cocg's `weights` w."""
 
     kind: str
     layers: dict
@@ -898,20 +896,16 @@ def _read_solver(mesh: Mesh, data: np.ndarray) -> _SolverRead:
     box_shape + (15,).
 
     "layered" along an axis a when every row of S equals the first row of
-    its level along a (S[:, 0, 0], S[0, :, 0] or S[0, 0, :]) and those
-    level stencils are `Layers` along a: a constant K is layered along
-    all three axes, and one that varies along a only along a alone.  Each
-    face normal to a layer axis whose interior rows share one stencil that
-    is `Layers` along a keeps it, as one level, for `_face_schur`.
-    "box-cocg" otherwise, with the mean second moments
+    its level along a and those level stencils are `Layers` along a (a
+    constant K along all three axes); each face normal to a layer axis
+    whose interior rows share one such stencil keeps it, as one level, for
+    `_face_schur`.  "box-cocg" otherwise, with the mean second moments
     w_a = -1/2 sum_s K_rs s_a^2 / h over the interior rows and their
-    offsets s, for a P1 stiffness of a constant or affine coefficient its
-    mean diagonal to rounding; the moments are summed row by row over
-    chunks of whole lines of rows within `_BLOCK_BYTES`, so they have the
-    same bits whatever the chunk.  A real K has real layers and weights,
-    and a box with no interior vertex reads as "layered" along no axis.
-    Every stencil kept is the copy 0.0 + row, so a signed zero reads as 0
-    and the read keeps no reference to `data`.
+    offsets s, summed row by row over chunks of whole lines of rows within
+    `_BLOCK_BYTES`, so with the same bits whatever the chunk.  A real K has
+    real layers and weights; a box with no interior vertex reads as
+    "layered" along no axis.  Every stencil kept is the copy 0.0 + row, so
+    a signed zero reads as 0 and the read keeps no reference to `data`.
     """
     shape = mesh.box_shape
     if not min(shape):
@@ -947,18 +941,14 @@ def _read_solver(mesh: Mesh, data: np.ndarray) -> _SolverRead:
 
 
 class _SolverCounters:
-    """The counters that a run's manifest reports for a system.
-
-    `factored_dofs` counts the dofs of every matrix the system has
-    factored or inverted, `solve_calls` and `rhs_columns` the calls into
-    its interior solver and their columns, `krylov_iterations` and
-    `krylov_iterations_max` the COCG iterations summed over those columns
-    and the most any one column took, `solve_seconds` the wall time spent
-    in those calls (for a via-core system, in its Dirichlet solves), and
-    `worst_residual` is the largest relative residual that a residual
-    check of the system has passed.  The manifest entry adds
-    `stored_bytes`, the bytes of the matrices the system keeps
-    (`stored_bytes()`).
+    """The counters that a run's manifest reports for a system:
+    `factored_dofs`, the dofs of every matrix it has factored or inverted;
+    `solve_calls` and `rhs_columns`, the calls into its interior solver and
+    their columns; `krylov_iterations` and `krylov_iterations_max`, their
+    COCG iterations summed and the most of any column; `solve_seconds`,
+    their wall time (a via-core system's Dirichlet solves'); and
+    `worst_residual`, the largest relative residual a check passed.  The
+    entry adds `stored_bytes()`, the bytes of the matrices it keeps.
     """
 
     def __init__(self):
@@ -978,58 +968,47 @@ class _SolverCounters:
     def counters(self) -> dict:
         """Plain copies of the counters, with the interior solver kind and
         the interior dofs.  The dict holds no reference to the system."""
-        return {
-            "kind": self.solver_kind, "interior_dofs": len(self.interior),
-            "factored_dofs": self.factored_dofs,
-            "solve_calls": self.solve_calls, "rhs_columns": self.rhs_columns,
-            "krylov_iterations": self.krylov_iterations,
-            "krylov_iterations_max": self.krylov_iterations_max,
-            "solve_seconds": self.solve_seconds,
-            "worst_residual": self.worst_residual,
-            "stored_bytes": self.stored_bytes(),
-        }
+        return {"kind": self.solver_kind, "interior_dofs": len(self.interior),
+                "factored_dofs": self.factored_dofs, "solve_calls": self.solve_calls,
+                "rhs_columns": self.rhs_columns, "krylov_iterations": self.krylov_iterations,
+                "krylov_iterations_max": self.krylov_iterations_max,
+                "solve_seconds": self.solve_seconds, "worst_residual": self.worst_residual,
+                "stored_bytes": self.stored_bytes()}
 
 
 class BlockSystem(_SolverCounters):
     """Assembled complex matrix K = K_R + i K_I on one full lattice box,
     with its interior solver.
 
-    K is kept once, split into the interior blocks `_K_ii` and `_K_ib` and
-    the boundary rows `_K_b`, and never whole: the interior solve reads the
-    blocks, and the DtN pairing, the probe fluxes and the Omega_eta
-    footprint read boundary rows (`boundary_rows`, `product`).
-    `from_stencil` builds the blocks straight from `assemble`'s 15-point
-    stencil rows, and reads the interior solver from the same stencil,
-    once, there (`_read_solver`); it is named by `solver_kind`:
+    K is kept once, as the read-only (n, 15) stencil it is built from
+    (`from_stencil`), and never whole.  Every product outside a Krylov loop
+    reads the stencil (`product`), and so do the blocks K_ss and K_Is of a
+    Schur complement (`_columns`).  The interior solver is read from the
+    stencil at construction (`_read_solver`) and named by `solver_kind`:
 
     - "layered" where the rows of each level along some axis share one
       axis-only stencil, as a diagonal coefficient that is constant or
       varies along one axis gives: `layered_solve`, a tangent DST and one
-      Thomas solve per mode along the layer axis (along the last axis for
-      a constant K, which is layered along all three);
-    - "box-cocg" for any other K (a full anisotropic coefficient, a bump
-      field, a gradient oblique to the axes): COCG preconditioned by
-      `layered_solve` of the stencil of diag(w), w the mean second moments
-      of its interior rows, each column stopped at a recurrence residual
-      of `_COCG_RTOL`.
+      Thomas solve per mode along the layer axis (the last axis for a
+      constant K, which is layered along all three);
+    - "box-cocg" for any other K: COCG preconditioned by `layered_solve` of
+      diag(w), w the mean second moments of its interior rows, each column
+      stopped at a recurrence residual of `_COCG_RTOL`.  Such a system
+      alone builds the CSR of K_II, at its first solve, and reads it for
+      every K_II product: the COCG steps and their residual checks.
 
     A layered system's Schur complement onto dofs inside a face normal to
     a layer axis, whose interior rows share one stencil, is the closed
-    form `_face_schur`; any other is solved column by column.
-
-    A system with no interior dof, such as the bump of a
-    `SubstructuredSystem` one cell thick, solves nothing.  `field` is the
-    (family, a) that `assemble` built it from.  The counters are those
-    of `_SolverCounters`.
-
-    The system keeps its interior solver, which holds no reference back to
-    it, and runs COCG itself, so a system and its Krylov scratch are freed
-    by reference counting as soon as the last reader drops it.  Every
-    solver gives a column the same bits whatever columns are solved beside
-    it.  `schur_onto` keeps its last result, and answers any subset of its
-    dofs by restriction: the Omega system's Schur complement onto the DtN
-    basis gives the footprint part of its Omega_eta system's interface
-    preconditioner exactly.
+    form `_face_schur`; any other is solved column by column.  A system
+    with no interior dof, such as a bump one cell thick, solves nothing.
+    `field` is the (family, a) that `assemble` built it from; the counters
+    are `_SolverCounters`'.  The interior solver holds no reference back to
+    the system, so a system and its Krylov scratch are freed by reference
+    counting once the last reader drops it.  Every solver gives a column
+    the same bits whatever columns ride beside it, so `schur_onto` answers
+    any subset of its memoised dofs by restriction: the Omega system's
+    Schur complement onto the DtN basis gives the footprint part of its
+    Omega_eta system's interface preconditioner exactly.
     """
 
     def __init__(self, mesh: Mesh):
@@ -1038,48 +1017,60 @@ class BlockSystem(_SolverCounters):
         self.field = None
         self._interior = np.where(~mesh.boundary_vertex_mask)[0]
         self._boundary = np.where(mesh.boundary_vertex_mask)[0]
-        # The interior solve, or under box-cocg its preconditioner.
+        # The interior solve, or under box-cocg its preconditioner, and the
+        # CSR of K_II that box-cocg iterates on.
         self._solve = None
+        self._K_ii = None
         # The dofs and the read-only result of the last Schur complement.
         self._schur = None
 
     @classmethod
     def from_stencil(cls, mesh: Mesh, data: np.ndarray) -> BlockSystem:
         """The system of the 15-point stencil array `data` (15 n,) of a box
-        mesh: its blocks built straight from the stencil rows
-        (`_stencil_blocks`), so K is never formed whole, and its interior
-        solver read from them (`_read_solver`)."""
+        mesh, its solver read from it (`_read_solver`), keeping it read-only
+        as an (n, 15) stencil in Fortran order: each slot's column contiguous."""
         system = cls(mesh)
-        system._K_ii, system._K_ib, system._K_b = _stencil_blocks(
-            mesh, data, system._interior, system._boundary)
         system._read = _read_solver(mesh, data)
+        system._stencil = np.asfortranarray(data.reshape(mesh.n_vertices, 15))
+        system._stencil.flags.writeable = False
         return system
 
-    def _boundary_positions(self, dofs: np.ndarray, what: str) -> np.ndarray:
-        """Positions of the dofs among the boundary vertices; ConfigError
-        naming `what` unless every one is a boundary vertex."""
-        pos = np.searchsorted(self._boundary, dofs)
-        if np.any(pos >= len(self._boundary)) or np.any(self._boundary[pos] != dofs):
-            raise ConfigError(f"{what} must be boundary vertices")
-        return pos
+    def product(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """(K x)[rows] for a full-length (n,) or (n, c) x (`_stencil_product`).
+        A layered system's interior rows are axis-only, so on them it sums
+        the seven axis slots alone."""
+        axis_only = self.solver_kind == "layered" and not self.mesh.boundary_vertex_mask[rows].any()
+        return _stencil_product(self.mesh, self._stencil, x, rows,
+                                np.flatnonzero(_AXIS_SLOTS) if axis_only else range(15))
 
-    def boundary_rows(self, dofs: np.ndarray) -> sp.csr_matrix:
-        """The rows K[dofs] of boundary dofs, from the boundary rows kept."""
-        return self._K_b[self._boundary_positions(dofs, "row dofs")]
-
-    def product(self, x: np.ndarray) -> np.ndarray:
-        """K x for (n,) or (n, c) x: K_II x_I + K_IB x_B on the interior rows
-        and the boundary rows kept on the others, so that each boundary row
-        has the bits of a row of K x."""
-        out = np.empty(x.shape, dtype=np.result_type(self._K_b.dtype, x))
-        out[self._interior] = self._K_ii @ x[self._interior] + self._K_ib @ x[self._boundary]
-        out[self._boundary] = self._K_b @ x
+    def _columns(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The dense block K[rows][:, cols]: column j holds K[j - step_s, j],
+        slot s of row j - step_s, read, not transposed, as an anisotropic K
+        is symmetric only to rounding; off-box slots add exact zeros."""
+        n = self.mesh.n_vertices
+        position = np.full(n, -1, dtype=np.int64)
+        position[rows] = np.arange(len(rows))
+        out = np.zeros((len(rows), len(cols)), dtype=self._stencil.dtype)
+        for s, step in enumerate(_STENCIL_OFFSETS @ self.mesh._strides):
+            j = np.flatnonzero((cols >= step) & (cols < n + step))
+            r = cols[j] - step
+            keep = position[r] >= 0
+            out[position[r[keep]], j[keep]] += self._stencil[r[keep], s]
         return out
 
+    def _lift(self, x: np.ndarray, dofs: Optional[np.ndarray] = None) -> np.ndarray:
+        """Values (d,) or (d, c) on the dofs, the interior ones by default, as
+        full-length nodal columns, zero elsewhere."""
+        full = np.zeros((self.mesh.n_vertices,) + x.shape[1:], dtype=x.dtype)
+        full[self._interior if dofs is None else dofs] = x
+        return full
+
     def stored_bytes(self) -> int:
-        """Bytes of the matrices the system keeps: its three blocks."""
-        return sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-                   for m in (self._K_ii, self._K_ib, self._K_b))
+        """Bytes of the matrices the system keeps: its stencil, and the CSR
+        of K_II once a box-cocg solve has built it."""
+        K = self._K_ii
+        return self._stencil.nbytes + (0 if K is None else sum(
+            a.nbytes for a in (K.data, K.indices, K.indptr)))
 
     @property
     def interior(self) -> np.ndarray:
@@ -1095,8 +1086,10 @@ class BlockSystem(_SolverCounters):
 
     def _interior_solver(self):
         """The layered solve of K, or of COCG's preconditioner, along its
-        last layer axis."""
+        last layer axis; box-cocg builds the CSR of K_II it iterates on."""
         layers = self._read.layers
+        if self.solver_kind == "box-cocg":
+            self._K_ii = _interior_csr(self.mesh, self._stencil, self._interior)
         return layered_solve(self.mesh, layers[max(layers)])
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
@@ -1119,9 +1112,12 @@ class BlockSystem(_SolverCounters):
             self.solve_seconds += time.perf_counter() - start
 
     def _check(self, x: np.ndarray, rhs: np.ndarray, first_column: int = 0) -> None:
-        """Residual check of an interior solve, kept in `worst_residual`."""
-        rhs = _as_columns(rhs)
-        worst = _check_residual(self._K_ii @ _as_columns(x) - rhs, rhs, first_column)
+        """Residual check of an interior solve, kept in `worst_residual`: K_II
+        x from the CSR that COCG iterates on, or else from the stencil."""
+        x, rhs = _as_columns(x), _as_columns(rhs)
+        K_x = (self._K_ii @ x if self._K_ii is not None
+               else self.product(self._lift(x), self._interior))
+        worst = _check_residual(K_x - rhs, rhs, first_column)
         self.worst_residual = max(self.worst_residual, worst)
 
     def _subset_positions(self, sigma: np.ndarray) -> Optional[np.ndarray]:
@@ -1138,24 +1134,18 @@ class BlockSystem(_SolverCounters):
         """Dense Schur complement K_ss - K_sI K_II^{-1} K_Is onto the boundary
         dofs sigma, the others pinned to zero; read-only.
 
-        The last result is memoised, and the same sigma returns it.
-        Pinning the other boundary dofs makes the Schur complement onto a
-        subset of its dofs the restriction of it, and both interior solvers
-        give each column the same bits whatever block it is solved in, so
-        a subset is answered by indexing, with the bits of a fresh solve
-        and no interior solve.  Any other sigma is computed and replaces
-        the memo.
-
-        A layered system with sigma in the interior of a face normal to a
-        layer axis, whose interior rows share one stencil, takes the closed
-        form `_face_schur`, and checks it on `_SCHUR_CHECKS` fixed-seed
-        complex combinations v of its columns: K_ss v - K_sI x, with x the
-        interior solve of K_Is v (itself residual-checked), must match S v
-        to 1e-10 relative.  Any other system or sigma is solved column by
-        column, in equal blocks of at most `_BLOCK_BYTES` of complex
-        (interior x column) data, so no array of interior size grows with
-        |sigma|; each block is one multi-column interior solve, and each
-        column's residual is checked.
+        The last result is memoised.  With the other boundary dofs pinned,
+        the Schur complement onto a subset of its dofs is its restriction,
+        and the solvers give each column the same bits in any block, so a
+        subset is answered by indexing; any other sigma replaces the memo.
+        A layered system with sigma inside a face normal to a layer axis,
+        whose interior rows share one stencil, takes the closed form
+        `_face_schur`, checked on `_SCHUR_CHECKS` fixed-seed complex
+        combinations v of its columns: K_ss v - K_sI x, x the residual-checked
+        interior solve of K_Is v, must match S v to 1e-10 relative.  Any
+        other is solved column by column, in equal blocks of at most
+        `_BLOCK_BYTES` of complex (interior x column) data, one multi-column
+        interior solve per block, each column residual-checked.
         """
         sigma = np.array(sigma, dtype=int)
         if self._schur is not None and np.array_equal(self._schur[0], sigma):
@@ -1165,31 +1155,29 @@ class BlockSystem(_SolverCounters):
             S = self._schur[1][np.ix_(pos, pos)]
             S.flags.writeable = False
             return S
-        cols = self._boundary_positions(sigma, "Schur complement dofs")
-        # K_sI is sliced, not transposed from K_Is: an anisotropic K is
-        # symmetric only to rounding.
-        K_s = self._K_b[cols]
-        K_si = K_s[:, self._interior]
+        if not np.all(np.isin(sigma, self._boundary)):
+            raise ConfigError("Schur complement dofs must be boundary vertices")
         S = None
         if len(self._interior) and self.solver_kind == "layered":
             S = _face_schur(self.mesh, self._read, sigma)
         if S is not None:
-            self._check_schur(S, K_s[:, sigma], K_si, cols)
+            self._check_schur(S, sigma)
         else:
-            S = self._column_schur(K_s[:, sigma].toarray(), K_si, cols)
+            S = self._column_schur(sigma)
         S.flags.writeable = False
         self._schur = (sigma, S)
         return S
 
-    def _column_schur(self, S: np.ndarray, K_si, cols: np.ndarray) -> np.ndarray:
-        """K_ss - K_sI K_II^{-1} K_Is from K_ss, solved in column blocks."""
-        d = len(cols)
+    def _column_schur(self, sigma: np.ndarray) -> np.ndarray:
+        """K_ss - K_sI K_II^{-1} K_Is, solved in column blocks."""
+        S = self._columns(sigma, sigma)
+        d = len(sigma)
         cap = max(1, _BLOCK_BYTES // (16 * max(1, len(self._interior))))
         blocks = max(1, math.ceil(d / cap))
         width = max(1, math.ceil(d / blocks))
         for start in range(0, d, width):
             block = slice(start, start + width)
-            K_is = self._K_ib[:, cols[block]].toarray()
+            K_is = self._columns(self._interior, sigma[block])
             try:
                 X = self._solve_interior(K_is)
             except SolverError as exc:
@@ -1198,25 +1186,26 @@ class BlockSystem(_SolverCounters):
                     exc.diagnostics["column"] += start
                 raise
             self._check(X, K_is, first_column=start)
-            flux = K_si @ X
-            # Freed before the next block is sliced, so one block is live.
+            flux = self.product(self._lift(X), sigma)
+            # Freed before the next block is read, so one block is live.
             del K_is, X
             # A real K has complex solves under a COCG solver.
             S = S.astype(np.result_type(S, flux), copy=False)
             S[:, block] -= flux
         return S
 
-    def _check_schur(self, S: np.ndarray, K_ss, K_si, cols: np.ndarray) -> None:
+    def _check_schur(self, S: np.ndarray, sigma: np.ndarray) -> None:
         """SolverError unless S v = K_ss v - K_sI K_II^{-1} K_Is v to 1e-10
         relative for `_SCHUR_CHECKS` fixed-seed complex combinations v of
         the columns; the residuals are kept in `worst_residual`."""
         rng = np.random.default_rng(0)
-        shape = (len(cols), _SCHUR_CHECKS)
+        shape = (len(sigma), _SCHUR_CHECKS)
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        rhs = self._K_ib[:, cols] @ v
+        data = self._lift(v, sigma)
+        rhs = self.product(data, self._interior)
         x = self._solve_interior(rhs)
         self._check(x, rhs)
-        direct = K_ss @ v - K_si @ x
+        direct = self.product(data, sigma) - self.product(self._lift(x), sigma)
         worst = _check_residual(S @ v - direct, direct, what="Schur complement check residual")
         self.worst_residual = max(self.worst_residual, worst)
 
@@ -1245,7 +1234,8 @@ class BlockSystem(_SolverCounters):
         a non-finite solution raises SolverError.
         """
         values = _dirichlet_columns(self.mesh, g)
-        rhs = -(self._K_ib @ values[self._boundary])
+        # The data is zero inside, so K applied to it is K_IB g there.
+        rhs = -self.product(values, self._interior)
         u_int = self._solve_interior(rhs)
         self._check(u_int, rhs)
         values[self._interior] = u_int
@@ -1255,20 +1245,17 @@ class BlockSystem(_SolverCounters):
 class LatticeVertices:
     """The vertices of the union of two lattice boxes that is not meshed
     whole, Omega_eta's: the Omega box `core` and the bump box `bump` over
-    its patch.  It has their integer keys `ijk`, their points `verts` and
-    the union's `boundary_vertex_mask`, as a `Mesh` has them, and no tet.
-    None of it depends on a field, so a frame builds it once
-    (`LabFrame.eta_vertices`) and every field's `SubstructuredSystem`
-    shares it.  GeometryError unless both boxes are on one lattice, their
-    cells do not overlap and they share a vertex inside the union.
-
-    The vertices are the core's, in their order, then the bump's other
-    vertices, in bump order.  A vertex is on the boundary when one of its
-    8 lattice cells is a cell of neither box.  `interior` lists the
-    others, and the `footprint` the shared vertices off the boundary, in
-    core order (lexicographic), which are boundary vertices of both boxes;
-    `bump_map` is the index here of each bump vertex and `bump_footprint`
-    the index in the bump of each footprint vertex.
+    its patch, with their keys `ijk`, points `verts` and the union's
+    `boundary_vertex_mask`, as a `Mesh` has them, and no tet.  A frame
+    builds it once (`LabFrame.eta_vertices`) for every field's
+    `SubstructuredSystem`.  GeometryError unless both boxes are on one
+    lattice, their cells do not overlap and they share a vertex inside the
+    union.  The vertices are the core's, then the bump's others, in bump
+    order; a vertex is on the boundary when one of its 8 lattice cells is
+    a cell of neither box.  `interior` lists the others, and `footprint`
+    the shared ones off the boundary, in core order; `bump_map` is the
+    index here of each bump vertex and `bump_footprint` the index in the
+    bump of each footprint vertex.
     """
 
     def __init__(self, core: Mesh, bump: Mesh):
@@ -1325,39 +1312,33 @@ class SubstructuredSystem(_SolverCounters):
     the system `bump` of the bump box over the patch (`LabFrame.bump`).
     GeometryError unless both parts were assembled from the same field on
     one lattice, their cells do not overlap and they share a vertex inside
-    the union.
+    the union, or if a given vertex record `mesh` (`LatticeVertices`, the
+    frame's, shared by every field) is of other meshes.
 
-    The union's vertices, `mesh`, are the `LatticeVertices` record of the
-    parts' meshes, given (the frame's, shared by every field) or built
-    here; GeometryError if a given record is of other meshes.  The parts'
-    cells tile the union, so its matrix is the sum of theirs.  Their
-    interiors are disjoint interior vertices, and the rest of the
-    interior, the `footprint` f, are boundary vertices of both parts.  A
-    Dirichlet solve is two-subdomain iterative
-    substructuring (Smith, Bjorstad and Gropp, 1996): both parts are solved
-    with u pinned to zero on f, and u_f solves T u_f = -(K u)_f, where
-    T = S_core(f) + S_bump(f) is the sum of the parts' Schur complements
-    onto f (Steklov-Poincare).  T is never formed: COCG on the footprint
-    applies it by one core solve with data p on f, whose flux on f is
-    S_core(f) p, plus the dense S_bump(f) p, and carries the core interior
-    of each such solve, so by linearity the core interior of the answer
-    costs no further solve; the bump, thin, is solved again with u_f.  The
-    preconditioner (S~_core(f) + S_bump(f))^{-1} is inverted once, at the
-    first solve; S~_core is `BlockSystem._preconditioner_schur`, exact for
-    a layered core (f lies on the face normal to the patch, so on one
-    normal to a layer axis when that is the patch normal, as it always is
-    for a constant K, and the face's interior rows share one stencil, as
-    every shipped field's do) or a core whose memo holds f, so there one
-    interface step solves.  Each column's residual over the whole interior,
-    the parts' interior rows and the footprint rows summed over both, is
-    checked against the column's -K_IB g.
+    The parts' cells tile the union, so its matrix is the sum of theirs.
+    Their interiors are disjoint, and the rest of the union's interior, the
+    `footprint` f, are boundary vertices of both.  A Dirichlet solve is
+    two-subdomain iterative substructuring (Smith, Bjorstad and Gropp,
+    1996): both parts are solved with u pinned to zero on f, and u_f solves
+    T u_f = -(K u)_f, T = S_core(f) + S_bump(f) the sum of the parts' Schur
+    complements onto f (Steklov-Poincare).  COCG on f applies T by one core
+    solve with data p on f, whose flux on f is S_core(f) p, plus the dense
+    S_bump(f) p, and carries that solve's core interior, so by linearity
+    the answer's core interior costs no further solve; the thin bump is
+    solved again with u_f.  The preconditioner (S~_core(f) + S_bump(f))^{-1}
+    is inverted at the first solve; S~_core is
+    `BlockSystem._preconditioner_schur`, exact for a layered core whose
+    face at f is normal to a layer axis with interior rows that share one
+    stencil (so for every shipped field) or a core whose memo holds f, so
+    there one interface step solves.  Each
+    column's residual over the union's interior is checked against its
+    -K_IB g.
 
     Its counters (`_SolverCounters`) name the kind "via-core":
-    `factored_dofs` is |f|, the inverted preconditioner, `solve_calls` and
-    `rhs_columns` count its Dirichlet solves, and `krylov_iterations` and
-    `krylov_iterations_max` its interface iterations; the part solves, and
-    their COCG iterations, count in the parts' counters.  A stalled
-    interface iteration raises SolverError with its iterations and residual.
+    `factored_dofs` is |f|, `solve_calls` and `rhs_columns` count its
+    Dirichlet solves, and the Krylov counters its interface iterations;
+    the part solves count in the parts' counters.  A stalled interface
+    iteration raises SolverError with its iterations and residual.
     """
 
     solver_kind = "via-core"
@@ -1377,11 +1358,11 @@ class SubstructuredSystem(_SolverCounters):
         # are its own) and the index in it of each footprint vertex.
         self._parts = [(core, slice(0, core.mesh.n_vertices), self.footprint),
                        (bump, mesh.bump_map, mesh.bump_footprint)]
-        # The core's blocks on f, which apply S_core(f) through its interior.
-        f_core = self.footprint
-        K_f = core.boundary_rows(f_core)
-        self._K_ff, self._K_fI = K_f[:, f_core], K_f[:, core.interior]
-        self._K_If = core._K_ib[:, np.searchsorted(core.boundary, f_core)]
+        # The core's interior rows next to f, where K_If is not zero.
+        near = np.unique(np.clip(self.footprint[:, None] - _STENCIL_OFFSETS @ core.mesh._strides,
+                                 0, core.mesh.n_vertices - 1))
+        self._near = near[~core.mesh.boundary_vertex_mask[near]]
+        self._near_pos = np.searchsorted(core.interior, self._near)
         self._T_inv = None
         self._S_bump = None
 
@@ -1397,23 +1378,37 @@ class SubstructuredSystem(_SolverCounters):
     def _apply_interface(self, P: np.ndarray) -> np.ndarray:
         """T P for (|f|, c) footprint columns, and the core interior u of
         the core solve with data P on f, which gives S_core(f) P as
-        K_ff P + K_fI u."""
-        rhs = -(self._K_If @ P)
-        u = self.core._solve_interior(rhs)
-        self.core._check(u, rhs)
-        return self._K_ff @ P + self._K_fI @ u + self._S_bump @ P, u
+        K_ff P + K_fI u.  K_If P is read on the interior rows next to f
+        alone; it is zero on the others."""
+        core, f = self.core, self.footprint
+        data = core._lift(P, f)
+        K_If = np.zeros((len(core.interior), P.shape[1]), dtype=complex)
+        K_If[self._near_pos] = core.product(data, self._near)
+        rhs = -K_If
+        u = core._solve_interior(rhs)
+        core._check(u, rhs)
+        return core.product(data, f) + core.product(core._lift(u), f) + self._S_bump @ P, u
 
     def stored_bytes(self) -> int:
         """Bytes of the arrays the system keeps beside its parts: the
         inverted footprint preconditioner and S_bump(f), once built."""
         return sum(a.nbytes for a in (self._T_inv, self._S_bump) if a is not None)
 
-    def _product(self, x: np.ndarray) -> np.ndarray:
-        """K x for (n, c) columns: the parts' products, summed."""
+    def _product(self, x: np.ndarray, footprint: bool = False) -> np.ndarray:
+        """(K x)[interior] for (n, c) columns, or with `footprint` (K x)[f]:
+        each part's product on its own interior rows, and on the footprint
+        the parts' products, summed."""
+        on_f = np.zeros((len(self.footprint),) + x.shape[1:], dtype=complex)
         out = np.zeros(x.shape, dtype=complex)
-        for part, vmap, _ in self._parts:
-            out[vmap] += part.product(x[vmap])
-        return out
+        index = np.arange(self.mesh.n_vertices)
+        for part, vmap, f_part in self._parts:
+            on_f += part.product(x[vmap], f_part)
+            if not footprint:
+                out[index[vmap][part.interior]] = part.product(x[vmap], part.interior)
+        if footprint:
+            return on_f
+        out[self.footprint] = on_f
+        return out[self.interior]
 
     def solve_dirichlet(self, g):
         """Solve with Dirichlet data g, as `BlockSystem.solve_dirichlet`."""
@@ -1429,11 +1424,11 @@ class SubstructuredSystem(_SolverCounters):
         self.solve_calls += 1
         self.rhs_columns += values.shape[1]
         # The data is zero inside, so K applied to it is K_IB g there.
-        rhs = -self._product(values)[self.interior]
+        rhs = -self._product(values)
         for part, vmap, _ in self._parts:
             values[vmap] = part.solve_dirichlet(values[vmap])
         x, iterations = _cocg(self._apply_interface, T_inv.__matmul__,
-                              -self._product(values)[self.footprint],
+                              -self._product(values, footprint=True),
                               carried=len(self.core.interior), name="interface COCG")
         self._count_krylov(iterations)
         values[self.footprint] = x[:len(self.footprint)]
@@ -1441,7 +1436,7 @@ class SubstructuredSystem(_SolverCounters):
         bump, bump_map, _ = self._parts[1]
         values[bump_map] = bump.solve_dirichlet(values[bump_map])
         # K_II u_I + K_IB g is K u on the interior.
-        worst = _check_residual(self._product(values)[self.interior], rhs)
+        worst = _check_residual(self._product(values), rhs)
         self.worst_residual = max(self.worst_residual, worst)
         return values.reshape(np.shape(g))
 

@@ -110,8 +110,9 @@ class UnionMesh:
 
 class LuSystem(BlockSystem):
     """The tests' oracle: a `BlockSystem` on any mesh, the `UnionMesh` of
-    Omega_eta among them, its blocks sliced from a whole K, whose interior
-    block is factored by sparse LU at the first solve.  Its Schur
+    Omega_eta among them, that keeps a whole K, whose interior block is
+    factored by sparse LU at the first solve.  Its products and the blocks
+    its Schur complements read are slices of that K; its Schur
     complements, Dirichlet solves and residual checks are `BlockSystem`'s
     own; its read has no layer, so no Schur complement takes a closed
     form."""
@@ -120,10 +121,17 @@ class LuSystem(BlockSystem):
 
     def __init__(self, mesh, K):
         super().__init__(mesh)
-        K_i = K[self.interior]
-        self._K_ii = K_i[:, self.interior].tocsr()
-        self._K_ib = K_i[:, self.boundary].tocsr()
-        self._K_b = K[self.boundary].tocsr()
+        self._K = K.tocsr()
+        self._K_ii = self._K[self.interior][:, self.interior].tocsr()
+
+    def product(self, x, rows):
+        return self._K[rows] @ x
+
+    def _columns(self, rows, cols):
+        return self._K[rows][:, cols].toarray()
+
+    def stored_bytes(self):
+        return sum(a.nbytes for a in (self._K.data, self._K.indices, self._K.indptr))
 
     def _interior_solver(self):
         # Looked up at call time, so the `factor_calls` spy sees it.
@@ -138,15 +146,11 @@ class LuSystem(BlockSystem):
 
 
 def matrix(system):
-    """K of a `BlockSystem`, rebuilt from the three blocks it keeps."""
-    blocks = [(system._K_ii, system.interior, system.interior),
-              (system._K_ib, system.interior, system.boundary),
-              (system._K_b, system.boundary, None)]
-    coo = [(block.tocoo(), rows, cols) for block, rows, cols in blocks]
-    data = np.concatenate([b.data for b, _, _ in coo])
-    rows = np.concatenate([rows[b.row] for b, rows, _ in coo])
-    cols = np.concatenate([b.col if cols is None else cols[b.col] for b, _, cols in coo])
-    return sp.csr_matrix((data, (rows, cols)), shape=(system.mesh.n_vertices,) * 2)
+    """K of a system: the oracle's own, or the CSR of a `BlockSystem`'s
+    stencil."""
+    if isinstance(system, LuSystem):
+        return system._K
+    return stencil_csr(system.mesh, system._stencil.ravel().copy())
 
 
 def block_matrix(system):

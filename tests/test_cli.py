@@ -542,9 +542,10 @@ class TestStabilityCommand:
         ("stability", "recovery"), ("derivative", "oblique"),
     ], ids=["sine-transform", "box-cocg"])
     def test_manifest_reports_stored_bytes(self, tmp_path, monkeypatch, command, config):
-        # An Omega entry stores the bytes of its three blocks, and a
-        # via-core entry those of its inverted footprint preconditioner
-        # and S_bump(f), complex or real.
+        # An Omega entry stores the bytes of its stencil, and a box-cocg one
+        # those of its K_II CSR beside it; a via-core entry stores those of
+        # its inverted footprint preconditioner and S_bump(f), complex or
+        # real.
         omega = []
         real = admitlab.estimator.assemble
 
@@ -559,9 +560,12 @@ class TestStabilityCommand:
         assert main([command, "--config", str(config_path(tmp_path, config)),
                      "--mesh-h", "0.125", "--out", str(out)]) == 0
         solvers = json.loads((out / "manifest.json").read_text())["solvers"]
-        blocks = [sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-                      for m in (system._K_ii, system._K_ib, system._K_b)) for system in omega]
-        assert [s["stored_bytes"] for s in solvers if s["domain"] == "Omega"] == blocks
+        stored = [system._stencil.nbytes + (0 if system._K_ii is None else sum(
+            m.nbytes for m in (system._K_ii.data, system._K_ii.indices, system._K_ii.indptr)))
+            for system in omega]
+        assert [(system._K_ii is None) for system in omega] == [
+            system.solver_kind == "layered" for system in omega]
+        assert [s["stored_bytes"] for s in solvers if s["domain"] == "Omega"] == stored
         assert {s["kind"] for s in solvers if s["domain"] == "Omega"} >= {
             "layered" if command == "stability" else "box-cocg"}
         for s in solvers:
@@ -937,8 +941,10 @@ def _run_fresh(script: str, *args: str):
 
 
 class TestImportGraph:
-    """Commands that never assemble a matrix do not import scipy.sparse, and
-    no command imports scipy.sparse.linalg: none makes a sparse LU."""
+    """Only a box-cocg system imports scipy.sparse, for the CSR of K_II
+    that COCG iterates on: commands whose systems are all layered never
+    import it, and no command imports scipy.sparse.linalg, since none
+    makes a sparse LU."""
 
     SCRIPT = textwrap.dedent("""
         import sys
@@ -948,14 +954,15 @@ class TestImportGraph:
         missing = [m for m in layers if f"admitlab.{m}" not in sys.modules]
         assert not missing, missing
         assert "scipy.sparse" not in sys.modules, "import"
-        config, out = sys.argv[1], sys.argv[2]
-        for command in ("validate", "probe"):
+        config, anisotropic, out = sys.argv[1], sys.argv[2], sys.argv[3]
+        for command in ("validate", "probe", "dtn"):
             rc = admitlab.cli.main([command, "--config", config, "--out", out])
             assert rc == 0, (command, rc)
             assert "scipy.sparse" not in sys.modules, command
-        assert admitlab.cli.main(["dtn", "--config", config, "--out", out]) == 0
-        assert "scipy.sparse" in sys.modules, "dtn"
-        assert "scipy.sparse.linalg" not in sys.modules, "dtn"
+        assert admitlab.cli.main(["dtn", "--config", anisotropic, "--mesh-h", "0.125",
+                                  "--out", out]) == 0
+        assert "scipy.sparse" in sys.modules, "dtn anisotropic"
+        assert "scipy.sparse.linalg" not in sys.modules, "dtn anisotropic"
         print("import graph ok")
     """)
 
@@ -969,17 +976,20 @@ class TestImportGraph:
             rc = admitlab.cli.main([command, "--config", f"{configs}/{config}.yaml",
                                     "--mesh-h", "0.125", "--out", out, *extra])
             assert rc == 0, (command, rc)
-            assert "scipy.sparse.linalg" not in sys.modules, command
+            assert "scipy.sparse" not in sys.modules, command
         print("import graph ok")
     """)
 
-    def test_scipy_sparse_only_on_first_assembly(self, tmp_path):
+    def test_scipy_sparse_only_where_cocg_iterates(self, tmp_path):
         path = write_config(tmp_path)
-        result = _run_fresh(self.SCRIPT, str(path), str(tmp_path / "out"))
+        result = _run_fresh(self.SCRIPT, str(path), str(CONFIG_DIR / "anisotropic.yaml"),
+                            str(tmp_path / "out"))
         assert result.returncode == 0, result.stderr
         assert "import graph ok" in result.stdout
 
     def test_estimators_never_import_sparse_linalg(self, tmp_path):
+        # Every system of these layered runs is layered, so they import
+        # neither scipy.sparse nor scipy.sparse.linalg.
         result = _run_fresh(self.ESTIMATOR_SCRIPT, str(CONFIG_DIR), str(tmp_path / "out"))
         assert result.returncode == 0, result.stderr
         assert "import graph ok" in result.stdout

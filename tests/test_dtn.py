@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from admitlab.dtn import (alessandrini_gap, assemble_dtn, boundary_mass_sigma,
                           dtn_star_norm, h_half_gram, monte_carlo_star_norm,
                           operator_norm, sigma_basis)
-from admitlab.errors import ConfigError, SolverError
+from admitlab.errors import ConfigError, NumericError, SolverError
 from admitlab.families import (affine_field, constant_field,
                                diagonal_affine_family,
                                rotated_anisotropic_family,
@@ -52,7 +52,7 @@ def dense_gram(mesh, basis):
     K_is = K[np.ix_(interior, sig)]
     schur = K[np.ix_(sig, sig)] - K_is.T @ np.linalg.solve(
         K[np.ix_(interior, interior)], K_is)
-    ref = schur + boundary_mass_sigma(mesh)[np.ix_(sig, sig)].toarray()
+    ref = schur + boundary_mass_sigma(mesh, sig)
     return 0.5 * (ref + ref.T)
 
 
@@ -118,10 +118,22 @@ class TestGram:
     def test_symmetric(self, gram8):
         assert np.max(np.abs(gram8 - gram8.T)) == 0.0
 
+    def test_indefinite_gram_raises(self, mesh8, basis8, monkeypatch):
+        # A patch mass that makes the Gram indefinite fails its Cholesky
+        # check with NumericError.
+        import admitlab.dtn
+
+        def negative_mass(mesh, sigma):
+            return -1e3 * np.eye(len(sigma))
+
+        monkeypatch.setattr(admitlab.dtn, "boundary_mass_sigma", negative_mass)
+        with pytest.raises(NumericError, match="not positive definite"):
+            h_half_gram(mesh8, basis8)
+
     def test_mass_restricted_to_patch(self, mesh8):
         # Tagged triangles tile the largest lattice rectangle inside the
         # patch: [0.25, 0.75]^2 at pitch 1/8.
-        mass = boundary_mass_sigma(mesh8)
+        mass = boundary_mass_sigma(mesh8, np.arange(mesh8.n_vertices))
         assert mass.sum() == pytest.approx(0.25, abs=1e-12)
 
     def test_norm_stable_under_refinement(self):

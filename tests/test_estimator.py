@@ -124,6 +124,46 @@ class TestSignCondition:
         assert rep.margin_dominance < 0.0
 
 
+def _sample_ball_cap_loop(box, z, rho, count, seed):
+    """The tests' oracle of `_sample_ball_cap`: the rejection loop on numpy
+    3-vectors, with the box's own `contains`."""
+    rng = np.random.default_rng(seed)
+    z = np.asarray(z, dtype=float)
+    pts = []
+    attempts = 0
+    while len(pts) < count:
+        attempts += 1
+        if attempts > 200 * count:
+            raise GeometryError("could not sample the ball-domain intersection")
+        u = rng.standard_normal(3)
+        norm = np.linalg.norm(u)
+        if norm < 1e-12:
+            continue
+        x = z + (rho * rng.random() ** (1.0 / 3.0) / norm) * u
+        if box.contains(x):
+            pts.append(x)
+    return np.asarray(pts)
+
+
+class TestSampleBallCap:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    @pytest.mark.parametrize("box, z, rho", [
+        (BOX, (0.5, 0.5, 1.015625), 0.0625),
+        (BOX, (0.5, 0.5, 1.0), 0.3),
+        (BOX, (0.1, 0.9, 0.95), 1.5),
+        (BoxDomain((-0.5, 0.0, 0.25), (0.5, 2.0, 0.75)), (0.0, 1.0, 0.75), 0.01),
+    ])
+    def test_samples_are_the_loop_oracles(self, box, z, rho, seed):
+        got = admitlab.estimator._sample_ball_cap(box, np.asarray(z), rho, 400, seed)
+        want = _sample_ball_cap_loop(box, z, rho, 400, seed)
+        assert got.shape == want.shape == (400, 3)
+        assert np.array_equal(got, want)
+
+    def test_ball_outside_the_box_raises(self):
+        with pytest.raises(GeometryError, match="could not sample"):
+            admitlab.estimator._sample_ball_cap(BOX, (0.5, 0.5, 1.5), 0.25, 5, 0)
+
+
 class TestWeightedIntegral:
     Z = np.array([0.5, 0.5, 1.01])
     RHO = 0.0625

@@ -394,9 +394,12 @@ class TestCachedPatternAssembly:
                 Mesh(lo, hi, 0.25, np.zeros(3))
 
     def test_boundary_mass_matches_coo_reference(self, meshes):
+        # The dense block onto the vertices of the tagged triangles holds
+        # every entry; a subset of them takes its restriction, bit for bit.
         mesh = meshes["box"]
-        M = boundary_mass_sigma(mesh)
         tris = mesh.boundary_tris[mesh.sigma_mask]
+        sig = np.unique(tris)
+        M = boundary_mass_sigma(mesh, sig)
         pts = mesh.verts[tris]
         areas = 0.5 * np.linalg.norm(
             np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]), axis=1)
@@ -404,8 +407,14 @@ class TestCachedPatternAssembly:
         ref = sp.coo_matrix((local.reshape(-1), (np.repeat(tris, 3, axis=1).reshape(-1),
                                                  np.tile(tris, (1, 3)).reshape(-1))),
                             shape=(mesh.n_vertices,) * 2).tocsr()
-        assert abs(M - ref).max() <= 1e-14 * abs(ref).max()
-        assert _bitwise_equal(M, bincount_csr(tris, mesh.n_vertices, local))
+        assert abs(ref).sum() == abs(ref[np.ix_(sig, sig)]).sum()
+        ref = ref[np.ix_(sig, sig)].toarray()
+        assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(ref))
+        want = bincount_csr(tris, mesh.n_vertices, local)[np.ix_(sig, sig)].toarray()
+        assert np.array_equal(M, want)
+        sub = sig[::3]
+        assert np.array_equal(boundary_mass_sigma(mesh, sub),
+                              want[np.ix_(np.arange(0, len(sig), 3), np.arange(0, len(sig), 3))])
 
     def test_zero_coefficient_leaves_cache_and_matrices(self):
         mesh = build_mesh(BOX, 0.25)
@@ -581,8 +590,9 @@ class TestBlockSystem:
         rng = np.random.default_rng(3)
         g = rng.standard_normal(mesh.n_vertices).astype(complex)
         u = system.solve_dirichlet(g)
-        rhs = -(system._K_ib @ g[system.boundary])
-        resid = np.linalg.norm(system._K_ii @ u[system.interior] - rhs)
+        K_i = matrix(system)[system.interior]
+        rhs = -(K_i[:, system.boundary] @ g[system.boundary])
+        resid = np.linalg.norm(K_i[:, system.interior] @ u[system.interior] - rhs)
         assert resid <= 1e-10 * np.linalg.norm(rhs)
 
     def test_nonfinite_data_rejected(self):
@@ -595,8 +605,9 @@ class TestBlockSystem:
 
 
 class TestOneCopy:
-    """A system keeps each entry of K once: its interior blocks and its
-    boundary rows."""
+    """A system keeps each entry of K once, in its stencil, and a box-cocg
+    system the CSR of K_II beside it; what it reads from the stencil has
+    the bits of slicing the whole K."""
 
     @pytest.fixture(scope="class")
     def meshes(self):
@@ -617,15 +628,20 @@ class TestOneCopy:
         n = mesh.n_vertices
         for name, value in vars(system).items():
             assert getattr(value, "shape", None) != (n, n), name
-        blocks = (system._K_ii, system._K_ib, system._K_b)
-        assert system.stored_bytes() == sum(
-            m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in blocks)
+        csr = ([] if kind == "sine-transform" else
+               [system._K_ii.data, system._K_ii.indices, system._K_ii.indptr])
+        assert (kind == "sine-transform") == (system._K_ii is None)
+        assert system._stencil.shape == (n, 15) and not system._stencil.flags.writeable
+        assert system.stored_bytes() == system._stencil.nbytes + sum(a.nbytes for a in csr)
 
     @pytest.mark.parametrize("name", ["box", "bump"])
     @pytest.mark.parametrize("field", ["rotated", "diagonal", "real"])
     def test_stencil_blocks_keep_the_bits_of_the_whole_k(self, meshes, name, field):
-        # The blocks built straight from the stencil rows are those sliced
-        # from the whole K: entries, order and dtypes, exact zeros dropped.
+        # The K_II CSR built from the stencil rows keeps every slot with an
+        # interior column, so its size is the mesh's alone; without its
+        # exact zeros it is the one sliced from the whole K, and its
+        # products have the slice's bits.  The blocks and products read
+        # from the stencil are the slices' too.
         import admitlab.fem
 
         fam, a = {"rotated": (ROTATED, AFFINE), "diagonal": (DIAG_123, A_ONE),
@@ -633,11 +649,22 @@ class TestOneCopy:
         mesh = meshes[name]
         system = assemble(mesh, fam, a)
         K = stencil_csr(mesh, admitlab.fem._complex_stencil(mesh, fam, a))
-        sliced = LuSystem(mesh, K)
-        for got, want in ((system._K_ii, sliced._K_ii), (system._K_ib, sliced._K_ib),
-                          (system._K_b, sliced._K_b)):
-            assert got.shape == want.shape and _bitwise_equal(got, want)
-        assert system.stored_bytes() == sliced.stored_bytes()
+        I, B = system.interior, system.boundary
+        got = admitlab.fem._interior_csr(mesh, system._stencil, I)
+        want = K[I][:, I].tocsr()
+        inner = ~mesh.boundary_vertex_mask[I[:, None] + _STENCIL_OFFSETS @ mesh._strides]
+        assert got.nnz == np.count_nonzero(inner) and got.has_sorted_indices
+        assert got.indices.dtype == got.indptr.dtype == np.int32
+        x = np.random.default_rng(0).standard_normal((len(I), 3)) * (1 + 1j)
+        assert np.array_equal(got @ x, want @ x)
+        got.eliminate_zeros()
+        assert got.shape == want.shape and _bitwise_equal(got, want)
+        for rows, cols in ((B[::3], B[::3]), (I, B[::5]), (B[::7], I)):
+            assert np.array_equal(system._columns(rows, cols), K[rows][:, cols].toarray())
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((mesh.n_vertices, 2)) + 1j * rng.standard_normal((mesh.n_vertices, 2))
+        for rows in (I, B, B[::4], np.arange(mesh.n_vertices)):
+            assert np.array_equal(system.product(x, rows), K[rows] @ x)
 
     @pytest.mark.parametrize("name", ["box", "bump", "omega-eta"])
     def test_blocks_keep_the_bits_of_coo_stiffness(self, meshes, name):
@@ -645,7 +672,6 @@ class TestOneCopy:
         coeff = _aniso_coeffs(mesh.n_tets, seed=5)
         K = (coo_stiffness(mesh, coeff) + 1j * coo_stiffness(mesh, 0.1 * coeff)).tocsr()
         system = LuSystem(mesh, K)
-        assert _bitwise_equal(system._K_b, K[system.boundary])
         assert _bitwise_equal(matrix(system), K)
         K_R, K_I = K.real.copy(), K.imag.copy()
         K_R.eliminate_zeros()
@@ -654,14 +680,84 @@ class TestOneCopy:
                               sp.bmat([[K_R, -K_I], [K_I, K_R]], format="csr"))
         rng = np.random.default_rng(2)
         x = rng.standard_normal((mesh.n_vertices, 3)) + 1j * rng.standard_normal((mesh.n_vertices, 3))
-        got, want = system.product(x), K @ x
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        # The boundary rows, footprint rows among them, keep their bits.
-        assert np.array_equal(got[system.boundary], want[system.boundary])
+        every = np.arange(mesh.n_vertices)
+        assert np.array_equal(system.product(x, every), K @ x)
         rows = system.boundary[::3]
-        assert _bitwise_equal(system.boundary_rows(rows), K[rows])
+        assert np.array_equal(system.product(x, rows), (K @ x)[rows])
+        assert np.array_equal(system._columns(rows, system.interior),
+                              K[rows][:, system.interior].toarray())
         with pytest.raises(ConfigError, match="boundary vertices"):
-            system.boundary_rows(system.interior[:1])
+            system.schur_onto(system.interior[:1])
+
+
+@st.composite
+def stencil_product_cases(draw):
+    """A real or complex stencil of random per-tet coefficients on a box of
+    1 to 6 cells per axis at h = 1/4 to 1/8, a row set (all, interior,
+    boundary, one face or a random subset, in any order) and 1 to 6 real
+    or complex columns, or one vector, and a row-block byte budget."""
+    h = 1.0 / draw(st.integers(4, 8))
+    cells = draw(st.tuples(*[st.integers(1, 6)] * 3))
+    mesh = Mesh((0, 0, 0), cells, h, np.zeros(3))
+    seed = draw(st.integers(0, 2 ** 16))
+    coeff = _aniso_coeffs(mesh.n_tets, seed)
+    if draw(st.booleans()):
+        coeff = coeff + 1j * _aniso_coeffs(mesh.n_tets, seed + 1)
+    stencil = stiffness_stencil(mesh, coeff, coeff.dtype)
+    n = mesh.n_vertices
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["all", "interior", "boundary", "face", "subset"]))
+    if kind == "all":
+        rows = np.arange(n)
+    elif kind == "interior":
+        rows = np.flatnonzero(~mesh.boundary_vertex_mask)
+    elif kind == "boundary":
+        rows = np.flatnonzero(mesh.boundary_vertex_mask)
+    elif kind == "face":
+        a, side = draw(st.integers(0, 2)), draw(st.sampled_from([0, 1]))
+        rows = np.flatnonzero(mesh.ijk[:, a] == (mesh.lo, mesh.hi)[side][a])
+    else:
+        rows = rng.choice(n, size=draw(st.integers(1, n)), replace=False)
+    columns = draw(st.integers(1, 6))
+    shape = (n,) if columns == 1 and draw(st.booleans()) else (n, columns)
+    x = rng.standard_normal(shape)
+    if draw(st.booleans()):
+        x = x + 1j * rng.standard_normal(shape)
+    # Data on the boundary alone, or on a few vertices: most rows read zeros.
+    support = draw(st.sampled_from(["all", "boundary", "few"]))
+    if support == "boundary":
+        x[~mesh.boundary_vertex_mask] = 0.0
+    elif support == "few":
+        x[rng.random(n) > 0.1] = 0.0
+    # The row blocks' byte budget: the default, or blocks of a few rows.
+    budget = draw(st.sampled_from([admitlab.fem._BLOCK_BYTES, 64, 1000]))
+    return mesh, stencil, rows, x, budget
+
+
+class TestStencilProduct:
+    """The stencil's one product primitive and its column reader against
+    the CSR matrix of the same stencil."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stencil_product_cases())
+    def test_matches_the_csr_product_bit_for_bit(self, case):
+        # Bit-equal, not only close: each entry takes the CSR row's products
+        # and additions in the same order, a complex one by parts.
+        import admitlab.fem
+
+        mesh, data, rows, x, budget = case
+        K = stencil_csr(mesh, data.copy())
+        default, admitlab.fem._BLOCK_BYTES = admitlab.fem._BLOCK_BYTES, budget
+        try:
+            got = admitlab.fem._stencil_product(mesh, data.reshape(-1, 15), x, rows)
+        finally:
+            admitlab.fem._BLOCK_BYTES = default
+        want = K[rows] @ x
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        cols = rows[::-1][:7]
+        system = BlockSystem.from_stencil(mesh, data)
+        assert np.array_equal(system._columns(rows, cols), K[rows][:, cols].toarray())
 
 
 class TestColumnSolves:
@@ -946,7 +1042,10 @@ def _assert_core_matches_lu(via, lu, seed=0, columns=3):
     assert via.solve_calls == 2 and via.rhs_columns == columns + 1
     assert 0.0 < via.worst_residual <= 1e-10
     Kg = matrix(lu) @ g
-    assert np.max(np.abs(via._product(g) - Kg)) <= 1e-12 * np.max(np.abs(Kg))
+    got, want = via._product(g), Kg[via.interior]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(via._product(g, footprint=True), got[np.searchsorted(via.interior,
+                                                                                  via.footprint)])
 
 
 @st.composite
@@ -1237,8 +1336,7 @@ class TestBoxCocg:
         sigma = system.boundary[::7]
         zero = np.isin(sigma, _zero_flux_dofs(system))
         assert 0 < np.sum(zero) < len(sigma)
-        cols = np.searchsorted(system.boundary, sigma)
-        K_is = system._K_ib[:, cols].toarray()
+        K_is = system._columns(system.interior, sigma)
         assert not np.any(K_is[:, zero]) and np.all(np.any(K_is[:, ~zero], axis=0))
         X = system._solve_interior(K_is)
         assert np.all(np.isfinite(X)) and not np.any(X[:, zero])
@@ -1253,7 +1351,7 @@ class TestBoxCocg:
         n = len(system.interior)
         block = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
         # Columns of very different difficulty: one converges at once.
-        block[:, 1] = system._K_ii @ np.ones(n)
+        block[:, 1] = matrix(system)[system.interior][:, system.interior] @ np.ones(n)
         block[:, 4] = 0.0
         X = system._solve_interior(block)
         for j in range(block.shape[1]):
@@ -1632,9 +1730,7 @@ def _box_system(mesh, weights):
 def _column_oracle(system, sigma):
     """The column-blocked Schur complement onto sigma through the system's
     interior solve."""
-    K_s = matrix(system)[sigma]
-    return system._column_schur(K_s[:, sigma].toarray(), K_s[:, system.interior],
-                                np.searchsorted(system.boundary, sigma))
+    return system._column_schur(np.asarray(sigma))
 
 
 class TestFaceSchur:
@@ -1747,7 +1843,7 @@ def _dense_interface_solve(via, g):
     for part, vmap, _ in via._parts:
         values[vmap] = part.solve_dirichlet(values[vmap])
     T = sum(part.schur_onto(f_part) for part, _, f_part in via._parts)
-    values[via.footprint] = np.linalg.solve(T, -via._product(values)[via.footprint])
+    values[via.footprint] = np.linalg.solve(T, -via._product(values, footprint=True))
     for part, vmap, _ in via._parts:
         values[vmap] = part.solve_dirichlet(values[vmap])
     return values
